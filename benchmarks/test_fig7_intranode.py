@@ -83,38 +83,37 @@ def _process_pipe_timings() -> dict | None:
     return result.timing
 
 
-def _halo_counter_comparison() -> dict:
-    """Per-step steady-state transport counters: halo channels vs legacy.
+def _halo_counters() -> dict:
+    """Per-step steady-state transport counters of the halo channels.
 
-    The same 2-rank process decomposition (multi-block, so each rank has
-    several neighbour exchanges per axis) run twice — registered halo
-    channels on, then the legacy staged path — counting exchange-level
+    A 2-rank process decomposition (multi-block, so each rank has
+    several neighbour exchanges per axis), counting exchange-level
     messages, control-pipe posts, acks and fresh shared-memory segments
     across the step loop.  These are deterministic message counts, not
     timings, so they gate in smoke mode too; the history entries catch a
     transport regression (a reappearing ack, a per-step segment
-    checkout) that wall-clock noise would hide.
+    checkout) that wall-clock noise would hide.  The staged per-slab
+    path this replaced cost 64 pipe messages per step on the same
+    decomposition (``legacy_pipe_messages_per_step`` in
+    ``benchmarks/results/history.jsonl``).
     """
     from repro.telemetry import RunTelemetry
 
     phi, mu, _, system, _ = make_scenario("interface", BACKEND_SHAPE, seed=0)
     interior = (slice(None),) + (slice(1, -1),) * len(BACKEND_SHAPE)
-    out = {}
-    for name, halo in (("halo", True), ("legacy", False)):
-        sim = DistributedSimulation(
-            BACKEND_SHAPE, (2, 2, 4), system=system, kernel="buffered",
-            n_ranks=2, backend="process", halo_channels=halo,
-        )
-        res = sim.run(
-            BACKEND_STEPS, phi[interior], mu[interior],
-            telemetry=RunTelemetry(run_id=f"fig7-{name}-counters"),
-        )
-        out[name] = {
-            key: res.counters[key] / BACKEND_STEPS
-            for key in ("halo_messages", "pipe_messages", "halo_acks",
-                        "segments_created")
-        }
-    return out
+    sim = DistributedSimulation(
+        BACKEND_SHAPE, (2, 2, 4), system=system, kernel="buffered",
+        n_ranks=2, backend="process",
+    )
+    res = sim.run(
+        BACKEND_STEPS, phi[interior], mu[interior],
+        telemetry=RunTelemetry(run_id="fig7-halo-counters"),
+    )
+    return {
+        key: res.counters[key] / BACKEND_STEPS
+        for key in ("halo_messages", "pipe_messages", "halo_acks",
+                    "segments_created")
+    }
 
 
 def _measured_mu_rate(edge: int) -> float:
@@ -162,13 +161,13 @@ def test_fig7_model_and_report(benchmark, results_dir):
                 _measured_backend_rate(backend, n) for n in BACKEND_RANKS
             ]
         data["pipe_tree"] = _process_pipe_timings()
-        data["counters"] = _halo_counter_comparison()
+        data["counters"] = _halo_counters()
 
     wall0 = time.perf_counter()
     benchmark.pedantic(measure, rounds=1, iterations=1)
     wall = time.perf_counter() - wall0
     c40, c20 = data["c40"], data["c20"]
-    halo, legacy = data["counters"]["halo"], data["counters"]["legacy"]
+    halo = data["counters"]
 
     write_bench_report(
         results_dir, "fig7_intranode",
@@ -203,7 +202,6 @@ def test_fig7_model_and_report(benchmark, results_dir):
             "halo_exchange_messages_per_step": halo["halo_messages"],
             "halo_acks_per_step": halo["halo_acks"],
             "halo_segments_created_per_step": halo["segments_created"],
-            "legacy_pipe_messages_per_step": legacy["pipe_messages"],
         },
     )
 
@@ -241,20 +239,11 @@ def test_fig7_model_and_report(benchmark, results_dir):
         "",
         "steady-state transport counters per step (2 ranks, 2x2x4 blocks,"
         " process backend):",
-        f"{'path':>8} {'exchange msgs':>14} {'pipe msgs':>10} "
-        f"{'acks':>6} {'new segments':>13}",
+        f"{'exchange msgs':>14} {'pipe msgs':>10} {'acks':>6} "
+        f"{'new segments':>13}",
+        f"{halo['halo_messages']:>14.1f} {halo['pipe_messages']:>10.1f} "
+        f"{halo['halo_acks']:>6.1f} {halo['segments_created']:>13.1f}",
     ]
-    for name, c in (("halo", halo), ("legacy", legacy)):
-        lines.append(
-            f"{name:>8} {c['halo_messages']:>14.1f} "
-            f"{c['pipe_messages']:>10.1f} {c['halo_acks']:>6.1f} "
-            f"{c['segments_created']:>13.1f}"
-        )
-    lines.append(
-        f"registered channels cut pipe traffic "
-        f"{legacy['pipe_messages'] / halo['pipe_messages']:.1f}x "
-        "and eliminate steady-state acks entirely"
-    )
     write_report(results_dir, "fig7_intranode.txt", lines)
 
     # shape: near-linear scaling, below the memory roof (model, so these
@@ -270,13 +259,12 @@ def test_fig7_model_and_report(benchmark, results_dir):
     assert {"send", "recv"} <= set(pipe)
     assert all(node["count"] > 0 for node in pipe.values())
     # registered halo channels: these are deterministic message counts,
-    # asserted in smoke mode too — >= 3x fewer control-pipe messages
-    # than the legacy staged path, zero steady-state acks, zero fresh
-    # segments per step
+    # asserted in smoke mode too — one control-pipe message per send
+    # channel (4) per exchange round (2 a step), zero steady-state acks,
+    # zero fresh segments per step
     assert halo["halo_acks"] == 0
     assert halo["segments_created"] == 0
-    assert halo["pipe_messages"] * 3 <= legacy["pipe_messages"]
-    assert halo["halo_messages"] * 3 <= legacy["halo_messages"]
+    assert halo["pipe_messages"] == 8
     # real intranode speedup needs real cores: only gate on multi-core
     # runners, where 4 process ranks must beat 1 by >= 1.5x
     if not SMOKE and (os.cpu_count() or 1) >= 4:

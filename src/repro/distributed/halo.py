@@ -1,23 +1,29 @@
-"""Persistent registered halo channels over the simmpi backends.
+"""Ghost-layer exchange over persistent registered halo channels.
 
-The legacy exchange path pays, per slab message and per step, a staging
-segment checkout, a pickle or ``copyto`` snapshot, a control-pipe round
-trip and an ack (process backend), plus a receive-side copy into the
-ghost slice.  This module moves all of that to *setup time*, mirroring
+This is the one ghost-exchange routine of the repo, mirroring
 waLBerla's preregistered communication buffers and the MPI
 persistent-request idiom the paper's production code relies on: at
 topology construction every rank registers one double-buffered channel
 per (neighbour, axis, direction) — a shared-memory segment on the
 process backend, a plain shared ndarray on the thread backend — sized
-once from the ghosted field shapes and reused every step.
+once from the ghosted field shapes and reused every step.  Fault
+campaigns run the same path; their injection layer wraps the send
+channels (see :class:`repro.resilience.faults.FaultyComm`).
 
-A steady-state exchange round then packs the slab views of *all* fields
-and blocks headed to one neighbour in one axis direction into the
-registered buffer (vectorized, contiguous), sends **one** tiny notify
-message carrying a sequence number, and unpacks on the receiver straight
-into the ghost slices: ``2 * dim * n_fields`` staged messages plus acks
-per step collapse into one notification per neighbour per axis
-direction, with zero acks and zero segment checkouts.
+The exchange proceeds axis by axis; each slab spans the *full ghosted
+extent* of the previously exchanged axes, so edge and corner ghost cells
+arrive without dedicated diagonal messages — the standard
+dimensional-ordering trick, required because the mu sweep reads the
+D3C19 (edge-diagonal) neighbourhood.  At non-periodic domain edges the
+axis has no neighbour; the caller's boundary handler fills those ghosts
+instead.
+
+A steady-state exchange round packs the slab views of *all* blocks
+headed to one neighbour in one axis direction into the registered
+buffer (vectorized, contiguous), sends **one** tiny notify message
+carrying a sequence number, and unpacks on the receiver straight into
+the ghost slices: one notification per neighbour per axis direction,
+zero acks and zero segment checkouts.
 
 Slot reuse without acks is safe because exchange rounds are lockstep —
 see :class:`repro.simmpi.comm.HaloSendChannel` for the inductive
@@ -26,35 +32,86 @@ violation of that discipline into a loud ``RuntimeError`` instead of a
 silent stale-data unpack.
 
 Both sides derive channel ids, capacities and pack plans
-deterministically from the shared topology (block forest + ownership, or
-cartesian grid), so registration needs no negotiation: every rank first
-announces all its send channels (non-blocking) and then accepts all its
-receive channels (blocking), which is deadlock-free in any order.
-
-``REPRO_SIMMPI_HALO_CHANNELS=0`` opts out (for A/B benchmarking against
-the legacy staged path); the default is on.
+deterministically from the shared topology (block forest + ownership),
+so registration needs no negotiation: every rank first announces all
+its send channels (non-blocking) and then accepts all its receive
+channels (blocking), which is deadlock-free in any order.
 """
 
 from __future__ import annotations
 
-import os
+import time
 
 import numpy as np
 
-from repro.distributed.exchange import _slab
-
-__all__ = [
-    "BlockHaloRegistry",
-    "CartHaloRegistry",
-    "halo_channels_enabled",
-]
+__all__ = ["BlockHaloRegistry", "ExchangeTimer"]
 
 
-def halo_channels_enabled(override: bool | None = None) -> bool:
-    """Resolve the halo-channel switch (param beats env, default on)."""
-    if override is not None:
-        return bool(override)
-    return os.environ.get("REPRO_SIMMPI_HALO_CHANNELS", "1") not in ("", "0")
+class ExchangeTimer:
+    """Accumulates wall time and byte counts spent in ghost exchange.
+
+    Beyond the plain totals, per-call extrema are tracked so a timing
+    report can show jitter (a late neighbour, an injected delay fault)
+    rather than only the mean; an optional
+    :class:`repro.telemetry.timing.TimingTree` receives the same
+    measured duration under *scope*, keeping tree and timer in exact
+    agreement.
+    """
+
+    def __init__(self, tree=None, scope: str = "exchange") -> None:
+        self.seconds = 0.0
+        self.bytes = 0
+        self.messages = 0
+        self.calls = 0
+        self.min_seconds = float("inf")
+        self.max_seconds = 0.0
+        self.tree = tree
+        self.scope = scope
+
+    def add(self, seconds: float, nbytes: int, messages: int) -> None:
+        self.seconds += seconds
+        self.bytes += nbytes
+        self.messages += messages
+        self.calls += 1
+        if seconds < self.min_seconds:
+            self.min_seconds = seconds
+        if seconds > self.max_seconds:
+            self.max_seconds = seconds
+        if self.tree is not None:
+            self.tree.record(
+                self.scope, seconds,
+                span_args={"bytes": nbytes, "messages": messages},
+            )
+
+    def stats(self) -> dict:
+        """Structured dump (count/total/avg/min/max seconds, bytes, msgs)."""
+        return {
+            "calls": self.calls,
+            "total": self.seconds,
+            "avg": self.seconds / self.calls if self.calls else 0.0,
+            "min": self.min_seconds if self.calls else 0.0,
+            "max": self.max_seconds,
+            "bytes": self.bytes,
+            "messages": self.messages,
+        }
+
+
+def _slab(arr: np.ndarray, dim: int, k: int, which: str, g: int):
+    """Slice tuple of an exchange slab along spatial axis *k*.
+
+    ``which`` is one of ``send_lo`` / ``send_hi`` (interior edges) or
+    ``recv_lo`` / ``recv_hi`` (ghost layers).  All other axes keep their
+    full ghosted extent.
+    """
+    ax = arr.ndim - dim + k
+    sl = [slice(None)] * arr.ndim
+    sl[ax] = {
+        "send_lo": slice(g, 2 * g),
+        "send_hi": slice(-2 * g, -g),
+        "recv_lo": slice(0, g),
+        "recv_hi": slice(-g, None),
+    }[which]
+    return tuple(sl)
 
 
 def _slab_elements(n_comps: int, shape, axis: int, g: int) -> int:
@@ -113,10 +170,11 @@ class BlockHaloRegistry:
     sizes the channels once for the largest stream.  Construction is
     collective over the communicator.
 
-    :meth:`exchange` is the drop-in fast path of
-    :func:`repro.distributed.exchange.exchange_block_ghosts`: identical
-    dimensional ordering, identical local-copy and boundary handling,
-    bitwise-identical results — only the remote transport differs.
+    A ghost width the slab geometry cannot express is rejected here,
+    before any channel is registered: the ``send_lo`` slab is
+    ``slice(g, 2g)``, so every exchanged axis needs at least *g*
+    interior cells per block — fewer would send ghost (or wrapped-around)
+    cells as if they were interior.
     """
 
     def __init__(self, comm, forest, owner, dim: int, streams,
@@ -130,6 +188,26 @@ class BlockHaloRegistry:
             raise ValueError("halo registry needs at least one field stream")
         rank = comm.rank
         shapes = {b.id: tuple(b.shape) for b in forest.blocks}
+        for _c, g in self.streams:
+            if g < 1:
+                raise ValueError(f"ghost width must be >= 1, got {g}")
+            for bid, shape in shapes.items():
+                for k in range(self.dim):
+                    if shape[k] < g:
+                        raise ValueError(
+                            f"ghost width {g} unsupported: block {bid} has "
+                            f"{shape[k]} interior cells along axis {k} "
+                            "(fewer interior cells than ghost layers)"
+                        )
+        # Ghosted array shape of every block under every stream: what
+        # exchange() reads the ghost width off and validates against.
+        self._ghosted = {
+            (c, g): {
+                bid: (c,) + tuple(s + 2 * g for s in shape)
+                for bid, shape in shapes.items()
+            }
+            for c, g in self.streams
+        }
 
         # Deterministic plans, derived identically on both endpoints:
         # pairs are (sender block id, receiver block id), sorted by the
@@ -195,22 +273,56 @@ class BlockHaloRegistry:
         """Registered channel endpoints on this rank (send + recv)."""
         return len(self._send) + len(self._recv)
 
-    def exchange(self, arrays: dict[int, np.ndarray], spec, *,
-                 ghost: int = 1, timer=None) -> None:
-        """Fill every ghost layer of *arrays* through the registered
-        channels; same contract as ``exchange_block_ghosts``."""
-        import time as _time
+    def _ghost_width(self, arrays: dict[int, np.ndarray]) -> int:
+        """Ghost width of *arrays*, read off their shapes.
 
-        t0 = _time.perf_counter()
-        g = int(ghost)
+        Every array must be the ghosted block — block extent plus two
+        ghost widths per axis — of one registered stream, so neither a
+        slab larger than the channel slot nor a slab of the wrong cells
+        can be exchanged.
+        """
+        if not arrays:
+            return self.streams[0][1]
+        first, arr = next(iter(arrays.items()))
+        for (_c, g), expected in self._ghosted.items():
+            if expected[first] == arr.shape:
+                break
+        else:
+            raise ValueError(
+                f"block {first}: array shape {arr.shape} is the ghosted "
+                "block of no registered stream (n_components, ghost "
+                f"width) in {self.streams}"
+            )
+        for bid, arr in arrays.items():
+            if arr.shape != expected[bid]:
+                raise ValueError(
+                    f"block {bid}: array shape {arr.shape} is not the "
+                    f"ghosted shape {expected[bid]} of its stream "
+                    f"(ghost width {g})"
+                )
+        return g
+
+    def exchange(self, arrays: dict[int, np.ndarray], spec, *,
+                 timer: ExchangeTimer | None = None) -> None:
+        """Fill every ghost layer of *arrays* from neighbours or boundaries.
+
+        *arrays* maps this rank's block ids to their ghosted field arrays
+        ``(n_components, *ghosted spatial)`` of one registered stream.
+        Neighbouring blocks on the same rank exchange by direct memory
+        copy, remote neighbours through the registered channels; *spec*
+        provides the handlers for non-periodic domain edges.  Axes are
+        processed in dimensional order across all local blocks, keeping
+        edge and corner ghosts consistent.
+        """
+        t0 = time.perf_counter()
+        g = self._ghost_width(arrays)
         dim = self.dim
         itemsize = next(iter(arrays.values())).itemsize if arrays else 8
         nbytes = 0
         nmsg = 0
         for k in range(dim):
-            # 1) pack + notify every outgoing channel of this axis (the
-            #    snapshot happens here, exactly where the legacy path
-            #    snapshots its sends, so results match bitwise).
+            # 1) pack + notify every outgoing channel of this axis; the
+            #    pack is the send-time snapshot of the slab.
             for (peer, axis, side), ch in self._send_by_axis[k]:
                 which = "send_hi" if side == 1 else "send_lo"
                 used = _pack(ch.slot(), (
@@ -243,97 +355,8 @@ class BlockHaloRegistry:
             # 4) boundary handlers at non-periodic domain edges
             lo_h, hi_h = spec.handlers[k]
             for bid, side in self._edges[k]:
-                (lo_h if side == 0 else hi_h).apply(arrays[bid], dim, k, side)
+                (lo_h if side == 0 else hi_h).apply(
+                    arrays[bid], dim, k, side, g
+                )
         if timer is not None:
-            timer.add(_time.perf_counter() - t0, nbytes, nmsg)
-
-
-class CartHaloRegistry:
-    """Halo channels of a one-block-per-rank cartesian decomposition.
-
-    The fast-path twin of
-    :func:`repro.distributed.exchange.exchange_ghosts`: one channel per
-    (neighbour, axis, direction) derived from ``cart.shift``, with
-    self-neighbours (single-rank periodic axes) handled by direct
-    interior-to-ghost copies.  *spatial_shape* is the local interior
-    cell count, *streams* the ``(n_components, ghost)`` field streams
-    sharing the channels.
-    """
-
-    def __init__(self, cart, dim: int, spatial_shape, streams,
-                 dtype=np.float64) -> None:
-        self.cart = cart
-        self.comm = cart.comm
-        self.dim = int(dim)
-        self.shape = tuple(int(s) for s in spatial_shape)
-        self.streams = [(int(c), int(g)) for c, g in streams]
-        if not self.streams:
-            raise ValueError("halo registry needs at least one field stream")
-        rank = self.comm.rank
-        # links[k] = (lo_rank, hi_rank); None at non-periodic edges.
-        self._links = [cart.shift(k, 1) for k in range(self.dim)]
-        sends = []   # (axis, side, dest)
-        recvs = []   # (axis, side_of_sender, source)
-        for k, (lo, hi) in enumerate(self._links):
-            if hi is not None and hi != rank:
-                sends.append((k, 1, hi))
-            if lo is not None and lo != rank:
-                sends.append((k, 0, lo))
-            # My low ghost is filled by the low neighbour's high edge.
-            if lo is not None and lo != rank:
-                recvs.append((k, 1, lo))
-            if hi is not None and hi != rank:
-                recvs.append((k, 0, hi))
-        self._send: dict[tuple, object] = {}
-        self._recv: dict[tuple, object] = {}
-        for k, side, dest in sorted(sends):
-            cap = max(
-                _slab_elements(c, self.shape, k, g) for c, g in self.streams
-            )
-            self._send[(k, side)] = self.comm.register_halo(
-                dest, k * 2 + side, cap, dtype
-            )
-        for k, side, source in sorted(recvs):
-            self._recv[(k, side)] = self.comm.accept_halo(
-                source, k * 2 + side
-            )
-
-    @property
-    def n_channels(self) -> int:
-        """Registered channel endpoints on this rank (send + recv)."""
-        return len(self._send) + len(self._recv)
-
-    def exchange_axis(self, arr: np.ndarray, k: int,
-                      g: int = 1) -> tuple[int, int]:
-        """One axis round over the channels; returns ``(nbytes, nmsg)``.
-
-        Boundary handling at non-periodic edges stays with the caller
-        (:func:`exchange_ghosts`), which knows the boundary spec.
-        """
-        rank = self.comm.rank
-        lo, hi = self._links[k]
-        nbytes = 0
-        nmsg = 0
-        dim = self.dim
-        for side, which in ((1, "send_hi"), (0, "send_lo")):
-            ch = self._send.get((k, side))
-            if ch is None:
-                continue
-            used = _pack(ch.slot(), (arr[_slab(arr, dim, k, which, g)],))
-            ch.notify(used)
-            nbytes += used * arr.itemsize
-            nmsg += 1
-        if lo == rank and hi == rank:
-            # Single-rank periodic axis: wrap by direct copy.
-            arr[_slab(arr, dim, k, "recv_lo", g)] = arr[
-                _slab(arr, dim, k, "send_hi", g)
-            ]
-            arr[_slab(arr, dim, k, "recv_hi", g)] = arr[
-                _slab(arr, dim, k, "send_lo", g)
-            ]
-        for side, which in ((1, "recv_lo"), (0, "recv_hi")):
-            ch = self._recv.get((k, side))
-            if ch is None:
-                continue
-            _unpack(ch.wait(), (arr[_slab(arr, dim, k, which, g)],))
-        return nbytes, nmsg
+            timer.add(time.perf_counter() - t0, nbytes, nmsg)

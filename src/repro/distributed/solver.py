@@ -4,8 +4,10 @@ The domain is split by a :class:`BlockForest`; blocks are assigned to
 simulated MPI ranks by a load-balancing strategy (one block per rank by
 default, several per rank like waLBerla when ``n_ranks`` is smaller).
 Ghost layers travel through
-:func:`repro.distributed.exchange.exchange_block_ghosts` — same-rank
-neighbours copy directly, remote neighbours exchange messages.
+:meth:`repro.distributed.halo.BlockHaloRegistry.exchange` — same-rank
+neighbours copy directly, remote neighbours exchange through halo
+channels registered once per run; fault-injected runs take the same
+path, with the injection layer wrapped around the send channels.
 
 Two schedules are provided, mirroring the paper:
 
@@ -37,8 +39,7 @@ from repro.core.kernels import (
 )
 from repro.core.parameters import PhaseFieldParameters
 from repro.core.temperature import ConstantTemperature, FrozenTemperature
-from repro.distributed.exchange import ExchangeTimer, exchange_block_ghosts
-from repro.distributed.halo import BlockHaloRegistry, halo_channels_enabled
+from repro.distributed.halo import BlockHaloRegistry, ExchangeTimer
 from repro.grid.balance import assign_blocks
 from repro.grid.blockforest import BlockForest
 from repro.grid.boundary import BoundarySpec, Dirichlet, Neumann
@@ -113,15 +114,6 @@ class DistributedSimulation:
         OS process per rank, field buffers in shared memory, kernels
         genuinely parallel).  Results are bitwise identical between the
         two: per-block arithmetic does not depend on where a rank runs.
-    halo_channels:
-        Route ghost exchange through persistent registered halo
-        channels (see :mod:`repro.distributed.halo`) — one packed
-        buffer + one notify per neighbour per axis direction instead of
-        per-slab staged messages with acks.  ``None`` (default) follows
-        ``REPRO_SIMMPI_HALO_CHANNELS`` (opt-out, on unless ``0``);
-        results are bitwise identical either way.  Fault-injected runs
-        always use the legacy path so every message stays visible to
-        the injection layer.
     """
 
     def __init__(
@@ -138,7 +130,6 @@ class DistributedSimulation:
         n_ranks: int | None = None,
         balance_strategy: str = "contiguous",
         backend: str = "thread",
-        halo_channels: bool | None = None,
     ):
         self.shape = tuple(shape)
         self.dim = len(shape)
@@ -160,7 +151,6 @@ class DistributedSimulation:
         self.kernel = kernel
         self.overlap = overlap
         self.backend = backend
-        self.halo_channels = halo_channels
         periodicity = tuple([True] * (self.dim - 1) + [False])
         self.forest = BlockForest(self.shape, tuple(blocks_per_axis), periodicity)
         self.n_ranks = self.forest.n_blocks if n_ranks is None else int(n_ranks)
@@ -217,7 +207,6 @@ class DistributedSimulation:
             n_ranks=n_ranks,
             balance_strategy=self.balance_strategy,
             backend=self.backend,
-            halo_channels=self.halo_channels,
         )
 
     def topology(self) -> dict:
@@ -381,10 +370,6 @@ class DistributedSimulation:
                 "kernel": self.kernel,
                 "overlap": self.overlap,
                 "backend": self.backend,
-                "halo_channels": (
-                    halo_channels_enabled(self.halo_channels)
-                    and fault_plan is None
-                ),
                 "guard": guard,
                 "dt": self.params.dt,
             },
@@ -578,34 +563,29 @@ class DistributedSimulation:
         _pc = _time.perf_counter
 
         ghost = next(iter(phi_fields.values())).ghost if phi_fields else 1
-        halo_reg = None
-        if halo_channels_enabled(self.halo_channels) and fault_plan is None:
-            # Collective: every rank registers its send channels and
-            # accepts its receive channels here, once — the steady-state
-            # loop then runs ack- and staging-free.  Fault-injected runs
-            # keep the legacy path so FaultyComm sees every message.
-            halo_reg = BlockHaloRegistry(
-                comm, self.forest, self.owner, self.dim,
-                streams=[
-                    (self.system.n_phases, ghost),
-                    (self.system.n_solutes, ghost),
-                ],
-            )
-            if events is not None:
-                events.emit(
-                    "halo_channels_registered",
-                    channels=halo_reg.n_channels,
-                )
-
-        def exchange(fields: dict[int, Field], buffer: str, spec, tag, timer):
-            arrays = {bid: getattr(f, buffer) for bid, f in fields.items()}
-            exchange_block_ghosts(
-                comm, self.forest, self.owner, arrays, self.dim, spec,
-                tag_base=tag, timer=timer, ghost=ghost, halo=halo_reg,
+        # Collective: every rank registers its send channels and accepts
+        # its receive channels here, once — the steady-state loop then
+        # runs ack- and staging-free.
+        halo_reg = BlockHaloRegistry(
+            comm, self.forest, self.owner, self.dim,
+            streams=[
+                (self.system.n_phases, ghost),
+                (self.system.n_solutes, ghost),
+            ],
+        )
+        if events is not None:
+            events.emit(
+                "halo_channels_registered", channels=halo_reg.n_channels,
             )
 
-        exchange(phi_fields, "src", self.phi_bc, 1000, timer_phi)
-        exchange(mu_fields, "src", self.mu_bc, 3000, timer_mu)
+        def exchange(fields: dict[int, Field], buffer: str, spec, timer):
+            halo_reg.exchange(
+                {bid: getattr(f, buffer) for bid, f in fields.items()},
+                spec, timer=timer,
+            )
+
+        exchange(phi_fields, "src", self.phi_bc, timer_phi)
+        exchange(mu_fields, "src", self.mu_bc, timer_mu)
 
         dt = self.params.dt
         time_now = t0
@@ -705,7 +685,7 @@ class DistributedSimulation:
                     )
                 if tree is not None:
                     tree.record("compute/phi", _pc() - mark)
-                exchange(phi_fields, "dst", self.phi_bc, 5000, timer_phi)
+                exchange(phi_fields, "dst", self.phi_bc, timer_phi)
                 mark = _pc() if tree is not None else 0.0
                 for b in owned:
                     t_old, t_new = temps[b.id]
@@ -715,7 +695,7 @@ class DistributedSimulation:
                     )
                 if tree is not None:
                     tree.record("compute/mu", _pc() - mark)
-                exchange(mu_fields, "dst", self.mu_bc, 7000, timer_mu)
+                exchange(mu_fields, "dst", self.mu_bc, timer_mu)
             else:
                 # Algorithm 2: the phi sweep needs only local mu values, so
                 # the (deferred) mu ghost refresh hides behind it; the phi
@@ -729,7 +709,7 @@ class DistributedSimulation:
                 if tree is not None:
                     tree.record("compute/phi", _pc() - mark)
                 if mu_ghosts_stale:
-                    exchange(mu_fields, "src", self.mu_bc, 3000, timer_mu)
+                    exchange(mu_fields, "src", self.mu_bc, timer_mu)
                 mu_local, mu_neighbor = split
                 mark = _pc() if tree is not None else 0.0
                 for b in owned:
@@ -740,7 +720,7 @@ class DistributedSimulation:
                     )
                 if tree is not None:
                     tree.record("compute/mu_local", _pc() - mark)
-                exchange(phi_fields, "dst", self.phi_bc, 5000, timer_phi)
+                exchange(phi_fields, "dst", self.phi_bc, timer_phi)
                 mark = _pc() if tree is not None else 0.0
                 for b in owned:
                     t_old, _ = temps[b.id]

@@ -3,9 +3,12 @@
 A :class:`FaultPlan` is a seeded, reproducible list of faults that the
 guarded drivers consult at well-defined points: the start of each time
 step (``rank_kill`` / ``kill_rank`` / ``rank_stall`` / ``rank_slow`` /
-``nan_inject``), each outgoing message (``msg_drop`` / ``msg_corrupt``
-/ ``msg_delay``), each received staged segment (``ack_drop``, process
-backend) and each checkpoint write (``ckpt_truncate`` after commit;
+``nan_inject``), each outgoing message — a halo-channel notify for
+ghost traffic, a send for point-to-point and collectives —
+(``msg_drop`` / ``msg_corrupt`` / ``msg_delay``), each received staged
+segment (``ack_drop``, process backend; staged segments carry
+collectives and point-to-point payloads only, never ghost slabs) and
+each checkpoint write (``ckpt_truncate`` after commit;
 ``io_enospc`` / ``io_torn_write`` during the write, exercised through
 the sharded store's retry layer).  Every fault fires **once** — the whole point of
 recovery testing is that the retry after a restart runs clean — and the
@@ -42,10 +45,12 @@ FAULT_KINDS = (
     "rank_slow",      # the rank pauses for `delay` seconds then continues
                       # (transient OS-jitter analog; must be harmless
                       # below the hang threshold)
-    "msg_drop",       # a ghost message is lost; the sender detects the
-                      # failed transfer and aborts (walltime-kill analog)
-    "msg_corrupt",    # a ghost message arrives NaN-poisoned
-    "msg_delay",      # a ghost message is delivered late (must be harmless)
+    "msg_drop",       # a message (ghost notify or send) is lost; the
+                      # sender detects the failed transfer and aborts
+                      # (walltime-kill analog)
+    "msg_corrupt",    # a message arrives NaN-poisoned (for ghost traffic:
+                      # the packed halo slot behind the notify)
+    "msg_delay",      # a message is delivered late (must be harmless)
     "ack_drop",       # the process transport loses one segment ack: the
                       # sender's channel slot leaks and it eventually
                       # blocks (silent-NIC analog; deadline-contained)
@@ -228,7 +233,11 @@ class FaultyComm:
     intercepted — blocking and non-blocking point-to-point (``send`` /
     ``isend`` / ``sendrecv``) *and* the rooted collectives — so an
     injected ``msg_drop`` / ``msg_corrupt`` / ``msg_delay`` hits whichever
-    path the exchange code actually takes.  Receives pass through.
+    path the caller actually takes.  Ghost exchange does not send
+    payloads at all: it packs registered halo channels and notifies, so
+    :meth:`register_halo` hands out send channels wrapped in
+    :class:`_FaultyHaloSend`, which applies the same three faults at the
+    notify.  Receives pass through.
     """
 
     def __init__(self, comm, plan: FaultPlan):
@@ -283,18 +292,18 @@ class FaultyComm:
                 _time.sleep(fault.delay)
         return obj
 
-    def _delayed_send(self, obj, dest: int, tag: int) -> bool:
+    def _delayed_send(self, obj, dest: int, tag: int):
         """Late-*delivery* model of ``msg_delay`` for point-to-point.
 
         The sender returns immediately (the fault must stay harmless —
         delaying the whole sending rank would be a stall, not a slow
         message); a daemon timer injects the snapshot into the peer's
-        matching machinery *delay* seconds later.  Returns ``True``
-        when the send was taken over.
+        matching machinery *delay* seconds later.  Returns the started
+        timer when the send was taken over, else ``None``.
         """
         fault = self._plan.fires("msg_delay", step=self.step, rank=self.rank)
         if fault is None:
-            return False
+            return None
         payload = obj.copy() if isinstance(obj, np.ndarray) else obj
         transport = getattr(self._comm, "_transport", None)
         if transport is not None and hasattr(transport, "send_inline"):
@@ -314,7 +323,7 @@ class FaultyComm:
         timer = threading.Timer(fault.delay, fire)
         timer.daemon = True
         timer.start()
-        return True
+        return timer
 
     # -- point to point (blocking and non-blocking) ---------------------
 
@@ -363,5 +372,54 @@ class FaultyComm:
     def allreduce(self, obj, op=None):
         return self._comm.allreduce(self._outgoing(obj, collective=True), op)
 
+    # -- halo channels (ghost traffic) -----------------------------------
+
+    def register_halo(self, dest: int, channel_id: int, capacity: int,
+                      dtype=np.float64):
+        return _FaultyHaloSend(
+            self, self._comm.register_halo(dest, channel_id, capacity, dtype)
+        )
+
     def __getattr__(self, name):
         return getattr(self._comm, name)
+
+
+class _FaultyHaloSend:
+    """Send-channel proxy applying message faults at the notify.
+
+    ``msg_drop`` raises on the sender before anything is published;
+    ``msg_corrupt`` NaN-poisons the packed prefix of the current slot
+    (the notify itself carries only an integer sequence number, which
+    NaN cannot poison); ``msg_delay`` publishes the notify from a timer
+    while the sender moves on to the next slot.  An overtaken notify is
+    by design a loud sequence-skew error on the receiver, so the next
+    notify on this channel first waits for the delayed one to land.
+    """
+
+    def __init__(self, faulty: FaultyComm, channel):
+        self._faulty = faulty
+        self._channel = channel
+        self._late = None   # timer of a delayed notify not yet joined
+
+    def notify(self, used: int | None = None) -> None:
+        faulty, channel = self._faulty, self._channel
+        if self._late is not None:
+            self._late.join()
+            self._late = None
+        step, rank = faulty.step, faulty.rank
+        if faulty._plan.fires("msg_drop", step=step, rank=rank):
+            raise InjectedFault("msg_drop", step=step, rank=rank)
+        if faulty._plan.fires("msg_corrupt", step=step, rank=rank):
+            channel.slot()[:used:3] = np.nan
+        self._late = faulty._delayed_send(
+            channel.message(used), channel.dest, channel.notify_tag
+        )
+        if self._late is None:
+            channel.notify(used)
+        else:
+            # The timer publishes this round; the sender moves on to the
+            # other slot now, as it would after an undelayed notify.
+            channel.seq += 1
+
+    def __getattr__(self, name):
+        return getattr(self._channel, name)

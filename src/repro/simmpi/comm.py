@@ -377,15 +377,19 @@ class HaloSendChannel:
         """Flat view of the slot the next :meth:`notify` will publish."""
         return self._slots[self.seq % 2]
 
-    def notify(self, used: int | None = None) -> None:
-        """Publish the current slot: one tiny control message, no ack.
+    def message(self, used: int | None = None):
+        """Notify payload publishing the current slot: its sequence number.
 
         *used* (the packed element count) is ignored here — the receiver
         aliases the whole slot — but the degraded process-backend channel
         needs it to snapshot only the live prefix into its inline
         fallback message.
         """
-        self._comm.send(self.seq, self.dest, tag=self.notify_tag)
+        return self.seq
+
+    def notify(self, used: int | None = None) -> None:
+        """Publish the current slot: one tiny control message, no ack."""
+        self._comm.send(self.message(used), self.dest, tag=self.notify_tag)
         self.seq += 1
 
 
@@ -425,17 +429,22 @@ class HaloRecvChannel:
 
         The view is only valid until the peer's next-next round begins
         (double buffering) — callers must unpack before returning to the
-        exchange loop, which every exchange routine here does.
+        exchange loop, which the exchange routine does.
         """
         seq = self._comm.recv(self.source, tag=self.notify_tag)
+        return self._slots[self._advance(seq) % 2]
+
+    def _advance(self, seq: int) -> int:
+        """Check a received sequence number against the lockstep count."""
         if seq != self.seq:
             raise RuntimeError(
                 f"halo channel {self.channel_id} from rank {self.source}: "
                 f"expected sequence {self.seq}, got {seq} — exchange rounds "
-                "out of lockstep (registered and legacy paths mixed?)"
+                "out of lockstep (a skipped or repeated exchange round, or "
+                "a channel reused across a shrink)"
             )
         self.seq += 1
-        return self._slots[seq % 2]
+        return seq
 
 
 @dataclass
@@ -507,30 +516,6 @@ class Communicator:
         return Request(
             _ready=False, _fn=lambda: self.recv(source, tag)
         )
-
-    def irecv_into(self, out: np.ndarray, source: int = ANY_SOURCE,
-                   tag: int = ANY_TAG) -> Request:
-        """Non-blocking receive completing directly into the view *out*.
-
-        The thread backend already snapshots payloads at send time, so
-        this is the same single copy as ``out[...] = irecv().wait()`` —
-        the API exists so exchange code can use one completion style on
-        both backends; on the process backend it is what removes the
-        receive-side double copy of shared-memory payloads.
-        """
-
-        def complete():
-            payload = self.recv(source, tag)
-            if (isinstance(payload, np.ndarray)
-                    and payload.shape != out.shape):
-                raise ValueError(
-                    f"irecv_into shape mismatch: message {payload.shape}"
-                    f" vs destination {out.shape}"
-                )
-            out[...] = payload
-            return out
-
-        return Request(_ready=False, _fn=complete)
 
     def probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> bool:
         """True when a matching message is already queued."""

@@ -24,8 +24,10 @@ traffic* (acks, plus messages completing posted receives) while it
 waits.  That is the eager/rendezvous protocol of a real MPI: symmetric
 bulk exchanges are only guaranteed deadlock-free when receives are
 posted before sends, which is exactly Algorithm 2's
-post-receives-first discipline (and what
-:mod:`repro.distributed.exchange` does).
+post-receives-first discipline.  Ghost exchange does not travel this way:
+it uses the registered halo channels at the end of this module, which
+need neither staging nor acks; the staged protocol serves point-to-point
+messages and the collectives.
 """
 
 from __future__ import annotations
@@ -158,21 +160,15 @@ class _PostedRecv:
     The transport completes posted receives *during send-side blocking*
     as well as in ``recv``/``wait`` — that asymmetry is what makes
     post-receives-first exchanges deadlock-free under bounded channels.
-
-    *into*, when set, is a destination array view: the payload is
-    unpacked straight into it at dispatch time (one copy from the staged
-    segment into e.g. a ghost slice) instead of being materialized as a
-    standalone array the caller copies a second time.
     """
 
-    __slots__ = ("source", "tag", "done", "payload", "into")
+    __slots__ = ("source", "tag", "done", "payload")
 
-    def __init__(self, source: int, tag: int, into=None) -> None:
+    def __init__(self, source: int, tag: int) -> None:
         self.source = source
         self.tag = tag
         self.done = False
         self.payload = None
-        self.into = into
 
 
 class ProcessRequest:
@@ -467,25 +463,10 @@ class RankTransport:
         channel completes the receiver's posted receives, so exchanges
         that post receives before sending cannot deadlock.
         """
-        return self._post_recv(_PostedRecv(source, tag))
-
-    def irecv_into(self, out: np.ndarray, source: int,
-                   tag: int) -> ProcessRequest:
-        """Posted receive that unpacks straight into the view *out*.
-
-        For staged payloads this is the single-copy completion: the
-        shared segment is copied once, directly into *out* (typically a
-        ghost slice), instead of being materialized via ``.copy()`` and
-        then copied a second time by the caller's slab assignment — and
-        the ack goes back at dispatch time, freeing the sender's channel
-        slot as early as possible.
-        """
-        return self._post_recv(_PostedRecv(source, tag, into=out))
-
-    def _post_recv(self, posted: _PostedRecv) -> ProcessRequest:
-        msg = self._take_held(posted.source, posted.tag)
+        posted = _PostedRecv(source, tag)
+        msg = self._take_held(source, tag)
         if msg is not None:
-            posted.payload = self._fetch(msg, into=posted.into)
+            posted.payload = self._fetch(msg)
             posted.done = True
             self.stats.recvs += 1
         else:
@@ -581,58 +562,29 @@ class RankTransport:
         for posted in self._posted:
             if not posted.done and _matches(posted.source, posted.tag,
                                             source, tag):
-                posted.payload = self._fetch(msg, into=posted.into)
+                posted.payload = self._fetch(msg)
                 posted.done = True
                 self._posted.remove(posted)
                 self.stats.recvs += 1
                 return
         self._held.append(msg)
 
-    def _fetch(self, msg: tuple, into=None):
-        """Materialize a payload; ack staged segments back to the sender.
-
-        With *into* set, the payload lands in that view directly (the
-        ``irecv_into`` single-copy path) and *into* is returned.
-        """
+    def _fetch(self, msg: tuple):
+        """Materialize a payload; ack staged segments back to the sender."""
         kind = msg[0]
         if kind == "inl":
-            if into is not None:
-                if msg[3].shape != into.shape:
-                    raise ValueError(
-                        f"irecv_into shape mismatch: message "
-                        f"{msg[3].shape} vs destination {into.shape}"
-                    )
-                np.copyto(into, msg[3])
-                return into
             return msg[3]
         if kind == "inlb":
-            payload = pickle.loads(msg[3])
-            if into is not None:
-                into[...] = payload
-                return into
-            return payload
+            return pickle.loads(msg[3])
         if kind == "shm":
             _, source, _tag, seq, name, shape, dtypestr = msg
             shm = self._attach(name)
-            view = np.ndarray(shape, dtype=np.dtype(dtypestr),
-                              buffer=shm.buf)
-            if into is not None:
-                if tuple(shape) != tuple(into.shape):
-                    raise ValueError(
-                        f"irecv_into shape mismatch: message {tuple(shape)}"
-                        f" vs destination {tuple(into.shape)}"
-                    )
-                np.copyto(into, view)
-                payload = into
-            else:
-                payload = view.copy()
+            payload = np.ndarray(shape, dtype=np.dtype(dtypestr),
+                                 buffer=shm.buf).copy()
         else:  # "shb"
             _, source, _tag, seq, name, nbytes = msg
             shm = self._attach(name)
             payload = pickle.loads(bytes(shm.buf[:nbytes]))
-            if into is not None:
-                into[...] = payload
-                payload = into
         if self.fault_plan is not None and self.fault_plan.fires(
             "ack_drop", step=self.fault_step, rank=self.rank
         ) is not None:
@@ -859,14 +811,11 @@ class _ProcessHaloSend(HaloSendChannel):
             self.dest, tag=self.reg_tag,
         )
 
-    def notify(self, used: int | None = None) -> None:
+    def message(self, used: int | None = None):
         if self._inline:
             n = self.capacity if used is None else int(used)
-            self._comm.send((self.seq, self._slots[self.seq % 2][:n]),
-                            self.dest, tag=self.notify_tag)
-            self.seq += 1
-            return
-        super().notify(used)
+            return self.seq, self._slots[self.seq % 2][:n]
+        return self.seq
 
 
 class _ProcessHaloRecv(HaloRecvChannel):
@@ -900,14 +849,7 @@ class _ProcessHaloRecv(HaloRecvChannel):
         if not self._inline:
             return super().wait()
         seq, payload = self._comm.recv(self.source, tag=self.notify_tag)
-        if seq != self.seq:
-            raise RuntimeError(
-                f"halo channel {self.channel_id} from rank {self.source}: "
-                f"expected sequence {self.seq}, got {seq} — exchange rounds "
-                "out of lockstep (registered and legacy paths mixed?)"
-            )
-        self.seq += 1
-        slot = self._slots[seq % 2]
+        slot = self._slots[self._advance(seq) % 2]
         slot[:payload.size] = payload
         return slot
 
@@ -936,11 +878,6 @@ class ProcessCommunicator(Communicator):
     def irecv(self, source: int = ANY_SOURCE,
               tag: int = ANY_TAG) -> ProcessRequest:
         return self._transport.irecv(source, tag)
-
-    def irecv_into(self, out: np.ndarray, source: int = ANY_SOURCE,
-                   tag: int = ANY_TAG) -> ProcessRequest:
-        """Posted receive completing in one copy into the view *out*."""
-        return self._transport.irecv_into(out, source, tag)
 
     def probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> bool:
         return self._transport.probe(source, tag)

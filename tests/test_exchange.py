@@ -1,11 +1,26 @@
-"""Tests of the distributed ghost-layer exchange."""
+"""Tests of the distributed ghost-layer exchange.
+
+One routine (:class:`repro.distributed.halo.BlockHaloRegistry`) serves
+every decomposition; a one-block-per-rank cartesian grid is the forest
+with identity ownership.  The referee is the serial boundary fill of the
+whole domain: each block's ghosted array must equal the matching window
+of the global ghosted array, ghost corners included.
+"""
 
 import numpy as np
 import pytest
 
-from repro.distributed.exchange import ExchangeTimer, exchange_ghosts
-from repro.grid.boundary import BoundarySpec, Dirichlet, Neumann
-from repro.simmpi import CartComm, run_spmd
+from repro.distributed.halo import BlockHaloRegistry, ExchangeTimer
+from repro.grid.blockforest import BlockForest
+from repro.grid.boundary import (
+    BoundarySpec,
+    Dirichlet,
+    Neumann,
+    apply_boundaries,
+)
+from repro.simmpi import run_spmd
+
+IDENTITY = None  # one block per rank (the cartesian decomposition)
 
 
 def _global_field(shape, comps=2, seed=0):
@@ -13,65 +28,77 @@ def _global_field(shape, comps=2, seed=0):
     return rng.normal(size=(comps,) + shape)
 
 
-@pytest.mark.parametrize("dims", [(2, 1), (2, 2), (4, 1), (1, 3)])
-def test_exchange_reproduces_global_ghosts(dims):
-    """Each block's ghost layers must equal the global field's values
-    (periodic x, Neumann/Dirichlet z)."""
-    shape = (8, 12)
-    comps = 2
-    global_field = _global_field(shape, comps)
-    spec = BoundarySpec.directional(2, bottom=Neumann(), top=Dirichlet(1.5))
-    bx, bz = shape[0] // dims[0], shape[1] // dims[1]
+def _reference(field, spec, g):
+    """Global ghosted array filled by the serial boundary handlers."""
+    dim = field.ndim - 1
+    ref = np.zeros(field.shape[:1] + tuple(s + 2 * g for s in field.shape[1:]))
+    ref[(slice(None),) + (slice(g, -g),) * dim] = field
+    apply_boundaries(ref, spec, g)
+    return ref
 
-    # reference: single ghosted array with BC + periodic wrap applied
-    ref = np.zeros((comps, shape[0] + 2, shape[1] + 2))
-    ref[:, 1:-1, 1:-1] = global_field
-    ref[:, 0, :] = ref[:, -2, :]
-    ref[:, -1, :] = ref[:, 1, :]
-    from repro.grid.boundary import apply_boundaries
 
-    ref2 = np.zeros_like(ref)
-    ref2[:, 1:-1, 1:-1] = global_field
-    apply_boundaries(ref2, spec)
+def _window(ref, block, g):
+    return ref[(slice(None),) + tuple(
+        slice(o, o + s + 2 * g) for o, s in zip(block.offset, block.shape)
+    )]
 
-    n = dims[0] * dims[1]
 
-    def fn(comm):
-        cart = CartComm(comm, dims, (True, False))
-        cx, cz = cart.coords()
-        loc = np.zeros((comps, bx + 2, bz + 2))
-        loc[:, 1:-1, 1:-1] = global_field[
-            :, cx * bx : (cx + 1) * bx, cz * bz : (cz + 1) * bz
+def _owner(forest, owner):
+    return list(range(forest.n_blocks)) if owner is IDENTITY else list(owner)
+
+
+def _exchange(comm, forest, owner, field, spec, g=1, rounds=1, timer=None):
+    """This rank's ghosted block arrays after *rounds* exchanges."""
+    dim = forest.dim
+    arrays = {}
+    for b in forest.blocks:
+        if owner[b.id] != comm.rank:
+            continue
+        arr = np.zeros(field.shape[:1] + tuple(s + 2 * g for s in b.shape))
+        arr[(slice(None),) + (slice(g, -g),) * dim] = field[
+            (slice(None),)
+            + tuple(slice(o, o + s) for o, s in zip(b.offset, b.shape))
         ]
-        timer = ExchangeTimer()
-        exchange_ghosts(cart, loc, 2, spec, timer=timer)
-        return loc, timer.bytes, (cx, cz)
+        arrays[b.id] = arr
+    registry = BlockHaloRegistry(
+        comm, forest, owner, dim, streams=[(field.shape[0], g)]
+    )
+    for _ in range(rounds):
+        registry.exchange(arrays, spec, timer=timer)
+    return arrays
 
-    results = run_spmd(n, fn)
-    for loc, nbytes, (cx, cz) in results:
-        assert nbytes > 0
-        # compare the block's ghosted view against the global reference:
-        # global ghosted coordinates of block interior start
-        gx = cx * bx
-        gz = cz * bz
-        expected = ref2[:, gx : gx + bx + 2, gz : gz + bz + 2]
-        # interior rows of expected come straight from ref2's interior;
-        # but interior-of-domain ghosts are neighbour values, which ref2
-        # does not hold at interior cuts -- so compare against the plain
-        # periodic-padded global field where possible
-        full = np.zeros_like(ref2)
-        full[:, 1:-1, 1:-1] = global_field
-        apply_boundaries(full, spec)
-        # fill the periodic wrap of x explicitly on full
-        full[:, 0, 1:-1] = global_field[:, -1, :]
-        full[:, -1, 1:-1] = global_field[:, 0, :]
-        exp = full[:, gx : gx + bx + 2, gz : gz + bz + 2]
-        np.testing.assert_allclose(loc[:, 1:-1, 1:-1], exp[:, 1:-1, 1:-1])
-        # face ghosts along x (periodic or neighbour)
-        np.testing.assert_allclose(loc[:, 0, 1:-1], np.take(
-            global_field, (gx - 1) % shape[0], axis=1)[:, gz : gz + bz])
-        np.testing.assert_allclose(loc[:, -1, 1:-1], np.take(
-            global_field, (gx + bx) % shape[0], axis=1)[:, gz : gz + bz])
+
+def _assert_matches_reference(results, forest, ref, g):
+    seen = set()
+    for arrays in results:
+        for bid, arr in arrays.items():
+            np.testing.assert_array_equal(
+                arr, _window(ref, forest.blocks[bid], g)
+            )
+            seen.add(bid)
+    assert seen == set(range(forest.n_blocks))
+
+
+@pytest.mark.parametrize("bpa,owner", [
+    ((2, 1), IDENTITY),
+    ((2, 2), IDENTITY),
+    ((4, 1), IDENTITY),
+    ((1, 3), IDENTITY),
+    ((1, 1), IDENTITY),          # single rank: periodic self-wrap
+    ((2, 2), [0, 0, 1, 1]),      # channels and same-rank copies mixed
+    ((4, 1), [0, 1, 0, 1]),      # two block pairs share each channel
+    ((2, 2), [0, 0, 0, 0]),      # one rank: copies only
+])
+def test_exchange_reproduces_global_ghosts(bpa, owner):
+    """Each block's ghost layers must equal the global field's values
+    (periodic x, Neumann/Dirichlet z), corners included."""
+    shape = (8, 12)
+    field = _global_field(shape)
+    spec = BoundarySpec.directional(2, bottom=Neumann(), top=Dirichlet(1.5))
+    forest = BlockForest(shape, bpa, (True, False))
+    owner = _owner(forest, owner)
+    results = run_spmd(max(owner) + 1, _exchange, forest, owner, field, spec)
+    _assert_matches_reference(results, forest, _reference(field, spec, 1), 1)
 
 
 def test_corner_ghosts_consistent():
@@ -80,215 +107,128 @@ def test_corner_ghosts_consistent():
     shape = (6, 6)
     field = _global_field(shape, comps=1, seed=4)
     spec = BoundarySpec.directional(2)
-
-    def fn(comm):
-        cart = CartComm(comm, (2, 2), (True, False))
-        cx, cz = cart.coords()
-        loc = np.zeros((1, 5, 5))
-        loc[:, 1:-1, 1:-1] = field[:, cx * 3 : cx * 3 + 3, cz * 3 : cz * 3 + 3]
-        exchange_ghosts(cart, loc, 2, spec)
-        return loc, (cx, cz)
-
-    results = run_spmd(4, fn)
-    loc, coords = results[0]  # block (0, 0)
-    assert coords == (0, 0)
+    forest = BlockForest(shape, (2, 2), (True, False))
+    results = run_spmd(4, _exchange, forest, [0, 1, 2, 3], field, spec)
+    loc = results[0][0]  # block (0, 0)
     # its top-right corner ghost = global cell (3, 3) (diagonal neighbour)
     assert loc[0, -1, -1] == pytest.approx(field[0, 3, 3])
 
 
-def _large_slab_exchange(comm, shape, comps):
-    """Two ranks splitting a periodic axis: every slab goes both ways."""
-    cart = CartComm(comm, (2, 1), (True, False))
-    cx, _ = cart.coords()
-    bx = shape[0] // 2
-    loc = np.zeros((comps, bx + 2, shape[1] + 2))
-    loc[:, 1:-1, 1:-1] = float(comm.rank + 1)
-    spec = BoundarySpec.directional(2, bottom=Neumann(), top=Neumann())
-    exchange_ghosts(cart, loc, 2, spec)
-    return float(loc[0, 0, 1]), float(loc[0, -1, 1])
-
-
 @pytest.mark.parametrize("backend", ["thread", "process"])
-def test_large_message_exchange_both_backends(backend):
-    """Slabs far beyond the inline threshold (shared-memory staging on
-    the process backend) exchanged symmetrically.
-
-    Regression for the send-before-irecv ordering bug: with bounded
-    channels, a symmetric exchange of slabs larger than the channel
-    capacity only completes because receives are now posted first.
-    """
+def test_large_slab_exchange_both_backends(backend):
+    """Slabs far beyond the transport's inline threshold, exchanged
+    symmetrically by two ranks splitting a periodic axis."""
     from repro.simmpi.transport import INLINE_MAX
 
-    comps = 4
     # slab = comps * 1 * (nz + 2) doubles; pick nz so it dwarfs INLINE_MAX
-    nz = int(INLINE_MAX) // 4
-    shape = (8, nz)
-    out = run_spmd(2, _large_slab_exchange, shape, comps, backend=backend)
-    # each rank's x-ghosts hold the peer's edge values (periodic wrap)
-    assert out[0] == (2.0, 2.0)
-    assert out[1] == (1.0, 1.0)
+    shape = (8, int(INLINE_MAX) // 4)
+    field = _global_field(shape, comps=4, seed=5)
+    spec = BoundarySpec.directional(2, bottom=Neumann(), top=Neumann())
+    forest = BlockForest(shape, (2, 1), (True, False))
+    results = run_spmd(
+        2, _exchange, forest, [0, 1], field, spec, backend=backend
+    )
+    _assert_matches_reference(results, forest, _reference(field, spec, 1), 1)
 
 
 @pytest.mark.parametrize("backend", ["thread", "process"])
 def test_exchange_correct_on_both_backends(backend):
-    """Value-exact ghost fill on a 4-rank 2x2 topology, either backend."""
+    """Value-exact ghost fill on a 4-rank 2x2 topology, either backend;
+    two rounds exercise the double-buffered slots."""
     shape = (8, 8)
-    field = _global_field(shape, comps=1, seed=11)
-    spec = BoundarySpec.directional(2)
-
-    def fn(comm):
-        cart = CartComm(comm, (2, 2), (True, False))
-        cx, cz = cart.coords()
-        loc = np.zeros((1, 6, 6))
-        loc[:, 1:-1, 1:-1] = field[:, cx * 4 : cx * 4 + 4, cz * 4 : cz * 4 + 4]
-        exchange_ghosts(cart, loc, 2, spec)
-        return loc, (cx, cz)
-
-    results = run_spmd(4, fn, backend=backend)
-    for loc, (cx, cz) in results:
-        # x-face ghosts are the periodic neighbour's edge columns
-        np.testing.assert_array_equal(
-            loc[0, 0, 1:-1],
-            field[0, (cx * 4 - 1) % 8, cz * 4 : cz * 4 + 4],
-        )
-        np.testing.assert_array_equal(
-            loc[0, -1, 1:-1],
-            field[0, (cx * 4 + 4) % 8, cz * 4 : cz * 4 + 4],
-        )
-
-
-def _ghost2_exchange(comm, field, shape):
-    """Two ranks on a periodic axis, ghost width 2."""
-    g = 2
-    cart = CartComm(comm, (2, 1), (True, False))
-    cx, _ = cart.coords()
-    bx = shape[0] // 2
-    loc = np.zeros((1, bx + 2 * g, shape[1] + 2 * g))
-    loc[:, g:-g, g:-g] = field[:, cx * bx : (cx + 1) * bx, :]
-    spec = BoundarySpec.directional(2, bottom=Neumann(), top=Neumann())
-    exchange_ghosts(cart, loc, 2, spec, ghost=g)
-    return loc, cx
+    field = _global_field(shape, comps=2, seed=11)
+    spec = BoundarySpec.directional(2, bottom=Neumann(), top=Dirichlet(0.5))
+    forest = BlockForest(shape, (2, 2), (True, False))
+    results = run_spmd(
+        4, _exchange, forest, [0, 1, 2, 3], field, spec, rounds=2,
+        backend=backend,
+    )
+    _assert_matches_reference(results, forest, _reference(field, spec, 1), 1)
 
 
 @pytest.mark.parametrize("backend", ["thread", "process"])
-def test_ghost_width_two_exchange_both_backends(backend):
-    """Ghost width 2 must carry TWO interior edge layers, not one.
+@pytest.mark.parametrize("bpa,owner", [
+    ((2, 1), IDENTITY),
+    ((4, 1), [0, 0, 1, 1]),
+])
+def test_ghost_width_two_exchange(backend, bpa, owner):
+    """Ghost width 2 must carry TWO interior edge layers, not one, and
+    fill two boundary layers at the domain edges.
 
-    Regression for the hardcoded-width bug: the seed's ``exchange_ghosts``
-    never accepted a ghost width, so any field with ``ghost != 1`` was
-    silently corrupted (wrong slabs sent, wrong slabs filled).
+    Regression for the hardcoded-width bug: the seed's exchange never
+    accepted a ghost width, so any field with ``ghost != 1`` was silently
+    corrupted (wrong slabs sent, wrong slabs filled).
     """
+    g = 2
     shape = (8, 6)
     field = _global_field(shape, comps=1, seed=7)
-    out = run_spmd(2, _ghost2_exchange, field, shape, backend=backend)
-    for loc, cx in out:
-        bx = 4
-        # Both low-ghost layers equal the periodic neighbour's TOP TWO
-        # interior layers, in order; both high-ghost layers its bottom two.
-        for j, row in enumerate(range(-2, 0)):
-            np.testing.assert_array_equal(
-                loc[0, j, 2:-2],
-                field[0, (cx * bx + row) % shape[0], :],
-            )
-        for j, row in enumerate(range(bx, bx + 2)):
-            np.testing.assert_array_equal(
-                loc[0, -2 + j, 2:-2],
-                field[0, (cx * bx + row) % shape[0], :],
-            )
-
-
-@pytest.mark.parametrize("backend", ["thread", "process"])
-def test_ghost_width_two_block_exchange(backend):
-    """Ghost width 2 through the block-forest routine, remote neighbours."""
-    from repro.distributed.exchange import exchange_block_ghosts
-    from repro.grid.blockforest import BlockForest
-
-    g = 2
-    shape = (8, 6)
-    field = _global_field(shape, comps=1, seed=3)
     spec = BoundarySpec.directional(2, bottom=Neumann(), top=Neumann())
-    forest = BlockForest(shape, (2, 1), (True, False))
-    owner = [0, 1]
-
-    def fn(comm):
-        arrays = {}
-        for b in forest.blocks:
-            if owner[b.id] != comm.rank:
-                continue
-            arr = np.zeros((1, b.shape[0] + 2 * g, b.shape[1] + 2 * g))
-            sl = tuple(slice(o, o + s) for o, s in zip(b.offset, b.shape))
-            arr[:, g:-g, g:-g] = field[(slice(None),) + sl]
-            arrays[b.id] = arr
-        exchange_block_ghosts(comm, forest, owner, arrays, 2, spec, ghost=g)
-        return arrays
-
-    out = run_spmd(2, fn, backend=backend)
-    for rank, arrays in enumerate(out):
-        for bid, arr in arrays.items():
-            x0 = forest.blocks[bid].offset[0]
-            for j, row in enumerate(range(-2, 0)):
-                np.testing.assert_array_equal(
-                    arr[0, j, 2:-2], field[0, (x0 + row) % shape[0], :]
-                )
+    forest = BlockForest(shape, bpa, (True, False))
+    owner = _owner(forest, owner)
+    results = run_spmd(
+        2, _exchange, forest, owner, field, spec, g, backend=backend
+    )
+    _assert_matches_reference(results, forest, _reference(field, spec, g), g)
+    # Both low-ghost layers of block 0 are the periodic neighbour's TOP
+    # TWO interior layers, in order.
+    np.testing.assert_array_equal(
+        results[0][0][0, :g, g:-g], field[0, -g:, :]
+    )
 
 
 def test_unsupported_ghost_width_raises():
-    """Widths the slab geometry cannot express fail loudly, not silently."""
+    """Widths the slab geometry cannot express fail loudly at
+    registration, on every rank, before any channel exists."""
+    forest = BlockForest((4, 4), (2, 1), (True, False))
+
+    def fn(comm):
+        with pytest.raises(ValueError, match="ghost width 3 unsupported"):
+            # blocks are 2 cells wide: fewer interior cells than ghosts
+            BlockHaloRegistry(comm, forest, [0, 1], 2, streams=[(1, 3)])
+        with pytest.raises(ValueError, match="ghost width must be >= 1"):
+            BlockHaloRegistry(comm, forest, [0, 1], 2, streams=[(1, 0)])
+        return True
+
+    assert run_spmd(2, fn) == [True, True]
+
+
+def test_exchange_reads_ghost_width_from_the_arrays():
+    """exchange() takes the width from the data: arrays of a stream
+    nobody registered are rejected instead of overflowing the slot or
+    exchanging the wrong cells."""
+    forest = BlockForest((8, 8), (1, 1), (True, False))
     spec = BoundarySpec.directional(2)
 
     def fn(comm):
-        cart = CartComm(comm, (1, 1), (True, False))
-        ok = np.zeros((1, 8, 8))
-        with pytest.raises(ValueError, match="ghost width"):
-            # extent 8 < 3*3: fewer interior cells than ghost layers
-            exchange_ghosts(cart, ok, 2, spec, ghost=3)
-        with pytest.raises(ValueError, match="ghost width"):
-            exchange_ghosts(cart, ok, 2, spec, ghost=0)
+        registry = BlockHaloRegistry(
+            comm, forest, [0], 2, streams=[(1, 1), (2, 2)]
+        )
+        registry.exchange({0: np.zeros((1, 10, 10))}, spec)
+        registry.exchange({0: np.zeros((2, 12, 12))}, spec)
+        for shape in ((1, 12, 12),    # width 2 registered for 2 comps only
+                      (2, 14, 14),    # width 3: no such stream
+                      (1, 11, 11),    # odd extent: no integer width
+                      (1, 10, 12)):   # axes disagree on the width
+            with pytest.raises(ValueError, match="block 0"):
+                registry.exchange({0: np.zeros(shape)}, spec)
         return True
 
     assert run_spmd(1, fn) == [True]
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
-def test_cart_halo_registry_matches_legacy(backend):
-    """exchange_ghosts through registered channels == staged messages."""
-    from repro.distributed.halo import CartHaloRegistry
-
-    shape = (8, 8)
-    field = _global_field(shape, comps=2, seed=13)
-    spec = BoundarySpec.directional(2, bottom=Neumann(), top=Dirichlet(0.5))
-
-    def fn(comm, use_halo):
-        cart = CartComm(comm, (2, 2), (True, False))
-        cx, cz = cart.coords()
-        loc = np.zeros((2, 6, 6))
-        loc[:, 1:-1, 1:-1] = field[:, cx * 4 : cx * 4 + 4, cz * 4 : cz * 4 + 4]
-        halo = None
-        if use_halo:
-            halo = CartHaloRegistry(cart, 2, (4, 4), streams=[(2, 1)])
-            assert halo.n_channels > 0
-        for _ in range(2):   # two rounds: exercises slot double buffering
-            exchange_ghosts(cart, loc, 2, spec, halo=halo)
-        return loc
-
-    legacy = run_spmd(4, fn, False, backend=backend)
-    halo = run_spmd(4, fn, True, backend=backend)
-    for a, b in zip(halo, legacy):
-        np.testing.assert_array_equal(a, b)
-
-
 def test_timer_accumulates():
+    forest = BlockForest((8,), (2,), (True,))
+    spec = BoundarySpec(handlers=((Neumann(), Neumann()),))
+    field = _global_field((8,), comps=1)
+
     def fn(comm):
-        cart = CartComm(comm, (2,), (True,))
-        loc = np.zeros((1, 6))
-        loc[0, 1:-1] = comm.rank
         timer = ExchangeTimer()
-        spec = BoundarySpec(handlers=((Neumann(), Neumann()),))
         # periodic axis: neighbours exist, handlers unused
-        exchange_ghosts(cart, loc, 1, spec, timer=timer)
-        exchange_ghosts(cart, loc, 1, spec, timer=timer)
+        _exchange(comm, forest, [0, 1], field, spec, rounds=2, timer=timer)
         return timer
 
     timers = run_spmd(2, fn)
+    assert timers[0].calls == 2
     assert timers[0].messages == 4
+    assert timers[0].bytes == 4 * 8
     assert timers[0].seconds > 0

@@ -94,6 +94,14 @@ class TestFaultPlan:
         assert seen == [("nan_inject", 2, None)]
 
 
+def _on_backend(dsim, backend):
+    """The fixture's simulation, re-created on *backend*."""
+    return DistributedSimulation(
+        dsim.shape, dsim.forest.blocks_per_axis, system=dsim.system,
+        kernel=dsim.kernel, backend=backend,
+    )
+
+
 class TestRecoveryMatrix:
     """Acceptance matrix: every fault kind recovers to the unfaulted result."""
 
@@ -111,13 +119,15 @@ class TestRecoveryMatrix:
                          id="nan-blow-up"),
         ],
     )
-    def test_campaign_recovers_and_matches(self, setup, tmp_path, faults):
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_campaign_recovers_and_matches(self, setup, tmp_path, faults,
+                                           backend):
         dsim, phi0, mu0, reference = setup
         plan = FaultPlan(faults, seed=SEED)
         print(plan.describe())
         store = CheckpointStore(tmp_path, keep=3, fault_plan=plan)
         result = run_campaign(
-            dsim, STEPS, phi0, mu0,
+            _on_backend(dsim, backend), STEPS, phi0, mu0,
             store=store, checkpoint_every=3, fault_plan=plan,
         )
         assert result.restarts >= 1
@@ -146,13 +156,14 @@ class TestRecoveryMatrix:
         assert results[0] < 0.3  # the send returned without the lag
         np.testing.assert_array_equal(results[1], np.arange(5.0))
 
-    def test_delayed_message_is_harmless(self, setup, tmp_path):
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_delayed_message_is_harmless(self, setup, tmp_path, backend):
         dsim, phi0, mu0, reference = setup
         plan = FaultPlan([Fault(kind="msg_delay", step=4, rank=0)], seed=SEED)
         print(plan.describe())
         store = CheckpointStore(tmp_path, keep=3)
         result = run_campaign(
-            dsim, STEPS, phi0, mu0,
+            _on_backend(dsim, backend), STEPS, phi0, mu0,
             store=store, checkpoint_every=3, fault_plan=plan,
         )
         assert result.restarts == 0
@@ -308,6 +319,120 @@ class TestFaultyComm:
         gathered = results[0]
         assert not np.isnan(gathered[0]).any()
         assert np.isnan(gathered[1]).any()
+
+
+def _channel_pair(comm, plan):
+    """A FaultyComm plus one halo channel in each direction (2 ranks)."""
+    fc = FaultyComm(comm, plan)
+    peer = 1 - comm.rank
+    send = fc.register_halo(peer, 0, 6)
+    return fc, send, fc.accept_halo(peer, 0)
+
+
+@pytest.mark.parametrize("backend", ["thread", "process"])
+class TestHaloChannelFaults:
+    """Message faults on ghost traffic fire at the halo-channel notify —
+    the path every run, faulted or not, exchanges ghosts through."""
+
+    def test_drop_raises_on_sender(self, backend):
+        plan = FaultPlan([Fault(kind="msg_drop", step=0, rank=0)], seed=SEED)
+
+        def fn(comm):
+            _, send, recv = _channel_pair(comm, plan)
+            send.slot()[:] = 1.0
+            send.notify(6)
+            recv.wait()
+
+        with pytest.raises(InjectedFault, match="msg_drop") as info:
+            run_spmd(2, fn, backend=backend)
+        assert info.value.simmpi_rank == 0
+
+    def test_corrupt_poisons_the_packed_slot(self, backend):
+        plan = FaultPlan([Fault(kind="msg_corrupt", step=0, rank=0)], seed=SEED)
+
+        def fn(comm):
+            _, send, recv = _channel_pair(comm, plan)
+            send.slot()[:] = 1.0
+            send.notify(4)      # only the packed prefix is poisoned
+            return recv.wait().copy()
+
+        results = run_spmd(2, fn, backend=backend)
+        assert not np.isnan(results[0]).any()   # rank 1's slot is clean
+        assert np.isnan(results[1][:4]).any()
+        assert not np.isnan(results[1][:4]).all()
+        assert not np.isnan(results[1][4:]).any()
+
+    def test_delayed_notify_is_not_overtaken(self, backend):
+        # A second notify overtaking the delayed one would be, by
+        # design, a sequence-skew error on the receiver: it must wait
+        # for the timer.  The first notify still returns at once (a late
+        # delivery is not a stalled rank).
+        plan = FaultPlan([Fault(kind="msg_delay", step=0, rank=0,
+                                delay=0.4)], seed=SEED)
+
+        def fn(comm):
+            _, send, recv = _channel_pair(comm, plan)
+            lags, got = [], []
+            for round_ in range(2):
+                send.slot()[:] = 10.0 * comm.rank + round_
+                t0 = _time.monotonic()
+                send.notify(6)
+                lags.append(_time.monotonic() - t0)
+            for round_ in range(2):
+                got.append(float(recv.wait()[0]))
+            return lags, got
+
+        results = run_spmd(2, fn, backend=backend)
+        (first, second), got0 = results[0]
+        assert first < 0.3 <= second
+        assert got0 == [10.0, 11.0]
+        assert results[1][1] == [0.0, 1.0]
+
+    def test_fault_injected_run_registers_halo_channels(
+        self, backend, setup, tmp_path
+    ):
+        """A run with a fault plan takes the production exchange path."""
+        from repro.telemetry import RunTelemetry
+
+        dsim, phi0, mu0, reference = setup
+        plan = FaultPlan([Fault(kind="msg_delay", step=1, rank=1)], seed=SEED)
+        telemetry = RunTelemetry(directory=tmp_path)
+        result = _on_backend(dsim, backend).run(
+            STEPS, phi0, mu0, fault_plan=plan, telemetry=telemetry,
+        )
+        registered = [e for e in telemetry.merge_events()
+                      if e["kind"] == "halo_channels_registered"]
+        assert len(registered) == 2
+        assert all(e["data"]["channels"] > 0 for e in registered)
+        assert "halo_channels" not in result.report["config"]
+        assert len(plan.fired()) == 1
+        np.testing.assert_array_equal(result.phi, reference.phi)
+
+
+def test_killed_process_rank_leaves_no_halo_segment(setup, tmp_path):
+    """A process-backend rank_kill mid-run tears the world down with its
+    halo channels registered; once the campaign relaunched and finished,
+    no ``repro-smm-<dead pid>-*`` segment may be left in /dev/shm."""
+    import os
+
+    if not os.path.isdir("/dev/shm"):
+        pytest.skip("no /dev/shm on this platform")
+
+    def segments():
+        return {n for n in os.listdir("/dev/shm") if n.startswith("repro-smm-")}
+
+    dsim, phi0, mu0, reference = setup
+    before = segments()
+    plan = FaultPlan([Fault(kind="rank_kill", step=5, rank=1)], seed=SEED)
+    print(plan.describe())
+    result = run_campaign(
+        _on_backend(dsim, "process"), STEPS, phi0, mu0,
+        store=CheckpointStore(tmp_path, keep=3), checkpoint_every=3,
+        fault_plan=plan,
+    )
+    assert result.restarts == 1
+    np.testing.assert_allclose(result.phi, reference.phi, atol=1e-5)
+    assert segments() - before == set()
 
 
 class TestElasticCampaign:

@@ -1,11 +1,13 @@
 """Persistent registered halo channels: protocol, equivalence, counters.
 
-The ISSUE 10 acceptance criteria distilled: registered-halo exchange is
-bitwise-identical to the legacy staged path (down to checkpoint CRCs)
-across backends, rank counts and schedules; a 2-rank process-backend run
-sends at least 3x fewer steady-state control-pipe messages with ZERO
-acks; channels survive an elastic shrink through re-registration; the
-protocol fails loudly when its lockstep discipline is violated.
+Halo channels are the only ghost-exchange path, so the referees are the
+serial ``Simulation`` (bitwise for Algorithm 1, 1e-11 for Algorithm 2)
+across backends, rank counts and schedules, and thread-vs-process
+checkpoint manifests down to their CRC32s; a 2-rank process-backend run
+costs exactly one control-pipe message per send channel per exchange
+round with ZERO acks and zero fresh segments; channels survive an
+elastic shrink through re-registration; the protocol fails loudly when
+its lockstep discipline is violated.
 """
 
 import json
@@ -15,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.core.nucleation import smooth_phase_field, voronoi_initial_condition
+from repro.core.solver import Simulation
 from repro.distributed import DistributedSimulation
 from repro.simmpi import run_spmd
 from repro.thermo.system import TernaryEutecticSystem
@@ -24,23 +27,29 @@ STEPS = 3
 
 
 @pytest.fixture(scope="module")
-def initial_state():
+def serial():
+    """The serial referee: initial state, physics and result."""
     system = TernaryEutecticSystem()
     phi0, mu0 = voronoi_initial_condition(
         system, SHAPE, solid_height=4, n_seeds=4
     )
     phi0 = smooth_phase_field(phi0, 2)
-    return system, phi0, mu0
+    sim = Simulation(shape=SHAPE, system=system, kernel="buffered")
+    sim.initialize(phi0, mu0)
+    sim.step(STEPS)
+    return dict(system=system, phi0=phi0, mu0=mu0, params=sim.params,
+                temperature=sim.temperature,
+                phi=sim.phi.interior_src.copy(), mu=sim.mu.interior_src.copy())
 
 
-def _run(initial_state, backend, halo, *, n_ranks, overlap=False,
-         bpa=(2, 2, 1), **kwargs):
-    system, phi0, mu0 = initial_state
+def _run(serial, backend, *, n_ranks, overlap=False, bpa=(2, 2, 1),
+         **kwargs):
     sim = DistributedSimulation(
-        SHAPE, bpa, system=system, kernel="buffered", overlap=overlap,
-        n_ranks=n_ranks, backend=backend, halo_channels=halo,
+        SHAPE, bpa, system=serial["system"], params=serial["params"],
+        temperature=serial["temperature"], kernel="buffered",
+        overlap=overlap, n_ranks=n_ranks, backend=backend,
     )
-    return sim.run(STEPS, phi0, mu0, **kwargs)
+    return sim.run(STEPS, serial["phi0"], serial["mu0"], **kwargs)
 
 
 def _crc(arr):
@@ -166,56 +175,40 @@ class TestChannelProtocol:
 class TestSolverEquivalence:
     @pytest.mark.parametrize("backend", ["thread", "process"])
     @pytest.mark.parametrize("n_ranks", [1, 2, 4])
-    def test_halo_matches_legacy_bitwise(self, initial_state, backend,
-                                         n_ranks):
-        res_h = _run(initial_state, backend, True, n_ranks=n_ranks)
-        res_l = _run(initial_state, backend, False, n_ranks=n_ranks)
-        np.testing.assert_array_equal(res_h.phi, res_l.phi)
-        np.testing.assert_array_equal(res_h.mu, res_l.mu)
-        assert _crc(res_h.phi) == _crc(res_l.phi)
-        assert _crc(res_h.mu) == _crc(res_l.mu)
+    def test_matches_serial_bitwise(self, serial, backend, n_ranks):
+        res = _run(serial, backend, n_ranks=n_ranks)
+        np.testing.assert_array_equal(res.phi, serial["phi"])
+        np.testing.assert_array_equal(res.mu, serial["mu"])
 
     @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_halo_matches_legacy_with_overlap(self, initial_state, backend):
+    def test_matches_serial_with_overlap(self, serial, backend):
         """Algorithm 2's conditional deferred mu exchange keeps every
         channel in lockstep (the skip decision is collective)."""
-        res_h = _run(initial_state, backend, True, n_ranks=2, overlap=True)
-        res_l = _run(initial_state, backend, False, n_ranks=2, overlap=True)
-        np.testing.assert_array_equal(res_h.phi, res_l.phi)
-        np.testing.assert_array_equal(res_h.mu, res_l.mu)
+        res = _run(serial, backend, n_ranks=2, overlap=True)
+        np.testing.assert_allclose(res.phi, serial["phi"], atol=1e-11)
+        np.testing.assert_allclose(res.mu, serial["mu"], atol=1e-11)
 
-    def test_env_var_opt_out(self, initial_state, monkeypatch):
-        """REPRO_SIMMPI_HALO_CHANNELS=0 selects the legacy path (and the
-        default of the unset env is on)."""
-        from repro.distributed.halo import halo_channels_enabled
-
-        monkeypatch.delenv("REPRO_SIMMPI_HALO_CHANNELS", raising=False)
-        assert halo_channels_enabled(None) is True
-        monkeypatch.setenv("REPRO_SIMMPI_HALO_CHANNELS", "0")
-        assert halo_channels_enabled(None) is False
-        assert halo_channels_enabled(True) is True  # param beats env
-        res_env = _run(initial_state, "thread", None, n_ranks=2)
-        res_leg = _run(initial_state, "thread", False, n_ranks=2)
-        np.testing.assert_array_equal(res_env.phi, res_leg.phi)
-
-    def test_checkpoint_crcs_identical(self, initial_state, tmp_path):
-        """Halo vs legacy down to sharded-checkpoint manifest CRC32s."""
+    def test_checkpoint_crcs_identical(self, serial, tmp_path):
+        """Thread vs process, two blocks packed per channel, down to
+        sharded-checkpoint manifest CRC32s."""
         from repro.resilience.store import ShardedCheckpointStore
 
         tables = {}
-        for name, halo in (("halo", True), ("legacy", False)):
-            store = ShardedCheckpointStore(tmp_path / name)
-            _run(initial_state, "thread", halo, n_ranks=2,
-                 shard_store=store, checkpoint_every=STEPS)
+        for backend in ("thread", "process"):
+            store = ShardedCheckpointStore(tmp_path / backend)
+            res = _run(serial, backend, n_ranks=2,
+                       shard_store=store, checkpoint_every=STEPS)
             with open(store.manifest_for(STEPS)) as fh:
                 manifest = json.load(fh)
-            tables[name] = {
+            tables[backend] = {
                 arr_name: meta["crc32"]
                 for entry in manifest["shards"]
                 for arr_name, meta in entry["arrays"].items()
             }
-        assert tables["halo"]
-        assert tables["halo"] == tables["legacy"]
+            assert _crc(res.phi) == _crc(serial["phi"])
+            assert _crc(res.mu) == _crc(serial["mu"])
+        assert tables["thread"]
+        assert tables["thread"] == tables["process"]
 
 
 # -- elastic shrink -----------------------------------------------------------
@@ -262,34 +255,36 @@ class TestShrinkReregistration:
 
 
 class TestSteadyStateCounters:
-    def test_process_halo_cuts_pipe_messages_3x_with_zero_acks(self):
-        """2-rank process backend, multi-block decomposition: registered
-        channels must send >= 3x fewer steady-state control-pipe
-        messages than the legacy staged path, with zero acks."""
+    def test_process_run_costs_one_pipe_message_per_channel_round(
+        self, tmp_path
+    ):
+        """2-rank process backend, multi-block decomposition: the step
+        loop posts exactly one control-pipe message per send channel per
+        exchange round — no acks, no fresh segments."""
         from repro.telemetry import RunTelemetry
 
         system = TernaryEutecticSystem()
         shape = (6, 6, 16)
+        steps = 3
         phi0, mu0 = voronoi_initial_condition(
             system, shape, solid_height=5, n_seeds=4
         )
-
-        def counters(halo):
-            sim = DistributedSimulation(
-                shape, (2, 2, 4), system=system, n_ranks=2,
-                backend="process", halo_channels=halo,
-            )
-            res = sim.run(3, phi0, mu0, telemetry=RunTelemetry())
-            return res
-
-        res_h = counters(True)
-        res_l = counters(False)
-        np.testing.assert_array_equal(res_h.phi, res_l.phi)
-        assert res_h.counters["halo_acks"] == 0
-        assert res_h.counters["pipe_messages"] * 3 <= (
-            res_l.counters["pipe_messages"]
+        sim = DistributedSimulation(
+            shape, (2, 2, 4), system=system, n_ranks=2, backend="process",
         )
-        # packing also collapses the exchange-level message count
-        assert res_h.counters["halo_messages"] * 3 <= (
-            res_l.counters["halo_messages"]
-        )
+        telemetry = RunTelemetry(directory=tmp_path)
+        res = sim.run(steps, phi0, mu0, telemetry=telemetry)
+        registered = [
+            e for e in telemetry.merge_events()
+            if e["kind"] == "halo_channels_registered"
+        ]
+        assert len(registered) == 2
+        # every channel has one send and one receive endpoint
+        send_channels = sum(e["data"]["channels"] for e in registered) // 2
+        assert send_channels == 4
+        rounds = 2 * steps          # Algorithm 1: phi + mu exchange
+        assert res.counters["halo_acks"] == 0
+        assert res.counters["segments_created"] == 0
+        assert res.counters["pipe_messages"] == send_channels * rounds
+        # the exchange timers also see the two set-up exchanges
+        assert res.counters["halo_messages"] == send_channels * (rounds + 2)

@@ -6,7 +6,7 @@ import pytest
 from repro.core.nucleation import smooth_phase_field, voronoi_initial_condition
 from repro.core.solver import Simulation
 from repro.distributed import DistributedSimulation
-from repro.distributed.exchange import exchange_block_ghosts
+from repro.distributed.halo import BlockHaloRegistry
 from repro.grid.blockforest import BlockForest
 from repro.grid.boundary import BoundarySpec
 from repro.simmpi import run_spmd
@@ -83,43 +83,38 @@ def _two_step_reference(reference):
     return sim.phi.interior_src.copy()
 
 
-class TestExchangeBlockGhosts:
+class TestBlockHaloRegistry:
     def test_local_copy_matches_messages(self):
-        """Same-rank copies and remote messages fill identical ghosts."""
+        """Same-rank copies (1 rank) and halo channels (4 ranks) of the
+        one registry fill identical ghosts."""
         forest = BlockForest((8, 8), (2, 2), periodicity=(True, False))
         rng = np.random.default_rng(0)
         global_field = rng.normal(size=(1, 8, 8))
         spec = BoundarySpec.directional(2)
 
-        def local_arrays():
+        def exchanged(comm, owner):
             arrays = {}
             for b in forest.blocks:
+                if owner[b.id] != comm.rank:
+                    continue
                 a = np.zeros((1, 6, 6))
                 a[:, 1:-1, 1:-1] = global_field[
                     :, b.offset[0]: b.offset[0] + 4, b.offset[1]: b.offset[1] + 4
                 ]
                 arrays[b.id] = a
-            return arrays
+            registry = BlockHaloRegistry(
+                comm, forest, owner, 2, streams=[(1, 1)]
+            )
+            registry.exchange(arrays, spec)
+            return arrays, registry.n_channels
 
         # all blocks on one rank (copies only)
-        def one_rank(comm):
-            arrays = local_arrays()
-            exchange_block_ghosts(
-                comm, forest, [0, 0, 0, 0], arrays, 2, spec
-            )
-            return arrays
+        copies, n_channels = run_spmd(1, exchanged, [0, 0, 0, 0])[0]
+        assert n_channels == 0
 
-        copies = run_spmd(1, one_rank)[0]
-
-        # one block per rank (messages only)
-        def four_ranks(comm):
-            b = forest.blocks[comm.rank]
-            arrays = {b.id: local_arrays()[b.id]}
-            exchange_block_ghosts(
-                comm, forest, [0, 1, 2, 3], arrays, 2, spec
-            )
-            return arrays[b.id]
-
-        messaged = run_spmd(4, four_ranks)
+        # one block per rank (channels only)
+        messaged = run_spmd(4, exchanged, [0, 1, 2, 3])
         for bid in range(4):
-            np.testing.assert_array_equal(copies[bid], messaged[bid])
+            arrays, n_channels = messaged[bid]
+            assert n_channels > 0
+            np.testing.assert_array_equal(copies[bid], arrays[bid])

@@ -209,6 +209,32 @@ class TestCli:
         self._write_bench(results, "x", mlups=5.0, created=201.0)
         assert _main([str(results), "--history", str(history)]) == 0
 
+    def test_gate_treats_a_dropped_series_as_retired(self, tmp_path, capsys):
+        # A benchmark that stops emitting a series (fig7's
+        # legacy_pipe_messages_per_step, once the legacy path was gone)
+        # retires it: no verdict, no gate failure — the old entries stay
+        # on file as the record.
+        results = tmp_path / "results"
+        history = tmp_path / "history.jsonl"
+        both = {"halo_pipe_messages_per_step": 8.0,
+                "legacy_pipe_messages_per_step": 64.0}
+        for i in range(3):
+            self._write_bench(results, "x", series=both, created=100.0 + i)
+            assert _main([str(results), "--history", str(history),
+                          "--gate"]) == 0
+        capsys.readouterr()
+        self._write_bench(results, "x", created=200.0,
+                          series={"halo_pipe_messages_per_step": 8.0})
+        assert _main([str(results), "--history", str(history),
+                      "--gate"]) == 0
+        out = capsys.readouterr().out
+        assert "series/halo_pipe_messages_per_step" in out
+        assert "legacy" not in out
+        assert "regression" not in out
+        kept = [e["metrics"] for e in load_history(history)]
+        assert "series/legacy_pipe_messages_per_step" in kept[0]
+        assert "series/legacy_pipe_messages_per_step" not in kept[-1]
+
     def test_gate_ignores_smoke_regressions(self, tmp_path):
         results = tmp_path / "results"
         history = tmp_path / "history.jsonl"

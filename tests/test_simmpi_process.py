@@ -151,39 +151,6 @@ def _best_fit_freelist(comm):
     return None
 
 
-def _irecv_into_paths(comm):
-    """irecv_into on both completion paths (posted-first and held)."""
-    peer = 1 - comm.rank
-    staged = np.full((48, 48), float(comm.rank + 1))   # >= INLINE_MAX
-    inline = np.arange(4, dtype=float) + comm.rank
-    out_staged = np.zeros((48, 48))
-    out_inline = np.zeros(4)
-    # posted path: receive announced before the payload arrives
-    req1 = comm.irecv_into(out_staged, peer, tag=11)
-    comm.send(staged, peer, tag=11)
-    comm.send(inline, peer, tag=12)
-    got1 = req1.wait()
-    comm.barrier()   # by now tag-12 sits in the held list
-    req2 = comm.irecv_into(out_inline, peer, tag=12)
-    got2 = req2.wait()
-    return (got1 is out_staged, got2 is out_inline,
-            float(out_staged[0, 0]), float(out_inline[0]))
-
-
-def _irecv_into_shape_mismatch(comm):
-    peer = 1 - comm.rank
-    if comm.rank == 0:
-        comm.send(np.zeros((4, 4)), peer, tag=1)
-        comm.recv(peer, tag=2)
-        return True
-    out = np.zeros((2, 8))
-    req = comm.irecv_into(out, peer, tag=1)
-    with pytest.raises(ValueError, match="shape mismatch"):
-        req.wait()
-    comm.send(0, peer, tag=2)
-    return True
-
-
 class _Unpicklable(Exception):
     def __init__(self):
         super().__init__("cannot cross process boundary")
@@ -310,14 +277,3 @@ class TestStagingAndCompletion:
         (first-fit needed three)."""
         out = run_spmd(2, _best_fit_freelist, backend="process")
         assert out[0] == 2
-
-    def test_irecv_into_fills_caller_buffer_on_both_paths(self):
-        out = run_spmd(2, _irecv_into_paths, backend="process")
-        for rank, (same1, same2, staged_val, inline_val) in enumerate(out):
-            assert same1 and same2  # wait() returns the caller's array
-            assert staged_val == float((1 - rank) + 1)
-            assert inline_val == float(1 - rank)
-
-    def test_irecv_into_shape_mismatch_raises(self):
-        out = run_spmd(2, _irecv_into_shape_mismatch, backend="process")
-        assert out == [True, True]
