@@ -50,14 +50,14 @@ def _measured_backend_rate(backend: str, n_ranks: int) -> float:
     """
     phi, mu, _, system, _ = make_scenario("interface", BACKEND_SHAPE, seed=0)
     interior = (slice(None),) + (slice(1, -1),) * len(BACKEND_SHAPE)
-    sim = DistributedSimulation(
+    with DistributedSimulation(
         BACKEND_SHAPE, (1, 1, 4), system=system, kernel="buffered",
         n_ranks=n_ranks, backend=backend,
-    )
-    sim.run(1, phi[interior], mu[interior])  # warm up workers/caches
-    t0 = time.perf_counter()
-    sim.run(BACKEND_STEPS, phi[interior], mu[interior])
-    wall = time.perf_counter() - t0
+    ) as sim:
+        sim.run(1, phi[interior], mu[interior])  # open the world, warm caches
+        t0 = time.perf_counter()
+        sim.run(BACKEND_STEPS, phi[interior], mu[interior])
+        wall = time.perf_counter() - t0
     return rate_of(wall / BACKEND_STEPS, int(np.prod(BACKEND_SHAPE)))
 
 
@@ -72,14 +72,14 @@ def _process_pipe_timings() -> dict | None:
 
     phi, mu, _, system, _ = make_scenario("interface", BACKEND_SHAPE, seed=0)
     interior = (slice(None),) + (slice(1, -1),) * len(BACKEND_SHAPE)
-    sim = DistributedSimulation(
+    with DistributedSimulation(
         BACKEND_SHAPE, (1, 1, 4), system=system, kernel="buffered",
         n_ranks=2, backend="process",
-    )
-    result = sim.run(
-        BACKEND_STEPS, phi[interior], mu[interior],
-        telemetry=RunTelemetry(run_id="fig7-pipe"),
-    )
+    ) as sim:
+        result = sim.run(
+            BACKEND_STEPS, phi[interior], mu[interior],
+            telemetry=RunTelemetry(run_id="fig7-pipe"),
+        )
     return result.timing
 
 
@@ -101,14 +101,14 @@ def _halo_counters() -> dict:
 
     phi, mu, _, system, _ = make_scenario("interface", BACKEND_SHAPE, seed=0)
     interior = (slice(None),) + (slice(1, -1),) * len(BACKEND_SHAPE)
-    sim = DistributedSimulation(
+    with DistributedSimulation(
         BACKEND_SHAPE, (2, 2, 4), system=system, kernel="buffered",
         n_ranks=2, backend="process",
-    )
-    res = sim.run(
-        BACKEND_STEPS, phi[interior], mu[interior],
-        telemetry=RunTelemetry(run_id="fig7-halo-counters"),
-    )
+    ) as sim:
+        res = sim.run(
+            BACKEND_STEPS, phi[interior], mu[interior],
+            telemetry=RunTelemetry(run_id="fig7-halo-counters"),
+        )
     return {
         key: res.counters[key] / BACKEND_STEPS
         for key in ("halo_messages", "pipe_messages", "halo_acks",

@@ -44,12 +44,11 @@ def _telemetry_anchor_run(tmp_dir):
     phi0, mu0 = voronoi_initial_condition(system, shape, solid_height=4,
                                           n_seeds=4)
     phi0 = smooth_phase_field(phi0, 2)
-    d = DistributedSimulation(shape, (2, 1, 1), system=system,
-                              kernel="buffered", overlap=True)
-    res = d.run(steps, phi0, mu0,
-                telemetry=RunTelemetry(directory=tmp_dir, run_id="fig8",
-                                       trace=True))
-    return res
+    with DistributedSimulation(shape, (2, 1, 1), system=system,
+                               kernel="buffered", overlap=True) as d:
+        return d.run(steps, phi0, mu0,
+                     telemetry=RunTelemetry(directory=tmp_dir, run_id="fig8",
+                                            trace=True))
 
 
 def test_fig8_model_and_report(benchmark, results_dir, tmp_path):
@@ -155,14 +154,12 @@ def test_real_runtime_exchange(benchmark, overlap):
     system = TernaryEutecticSystem()
     phi0, mu0 = voronoi_initial_condition(system, shape, solid_height=5, n_seeds=4)
     phi0 = smooth_phase_field(phi0, 2)
-    d = DistributedSimulation(shape, (2, 2, 1), system=system,
-                              kernel="buffered", overlap=overlap)
     benchmark.group = "fig8-real-exchange"
-
-    def run():
-        return d.run(3, phi0, mu0)
-
-    res = benchmark.pedantic(run, rounds=2, iterations=1)
+    with DistributedSimulation(shape, (2, 2, 1), system=system,
+                               kernel="buffered", overlap=overlap) as d:
+        res = benchmark.pedantic(
+            lambda: d.run(3, phi0, mu0), rounds=2, iterations=1
+        )
     phi_s = np.mean([s.comm_phi_seconds for s in res.stats])
     mu_s = np.mean([s.comm_mu_seconds for s in res.stats])
     benchmark.extra_info["comm_phi_ms_per_step"] = phi_s / 3 * 1e3

@@ -112,9 +112,10 @@ def test_real_distributed_weak_scaling_anchor(benchmark, results_dir):
                 system, shape, solid_height=3, n_seeds=4
             )
             phi0 = smooth_phase_field(phi0, 1)
-            d = DistributedSimulation(shape, bpa, system=system, kernel="buffered")
-            sec = time_call(lambda: d.run(2, phi0, mu0), min_time=0.5,
-                            max_repeats=5)
+            with DistributedSimulation(shape, bpa, system=system,
+                                       kernel="buffered") as d:
+                sec = time_call(lambda: d.run(2, phi0, mu0), min_time=0.5,
+                                max_repeats=5)
             rows[ranks] = int(np.prod(shape)) * 2 / sec / 1e6
 
     benchmark.pedantic(measure, rounds=1, iterations=1)

@@ -42,12 +42,13 @@ def main() -> None:
           f"{'max |dphi|':>12} {'comm KiB/rank':>14}")
     for bpa in [(2, 1, 1), (2, 2, 1), (2, 2, 2), (1, 1, 4)]:
         for overlap, label in [(False, "Alg. 1"), (True, "Alg. 2")]:
-            dist = DistributedSimulation(
+            # the ranks stay resident between run() calls; `with` ends them
+            with DistributedSimulation(
                 SHAPE, bpa, system=system, params=ref.params,
                 temperature=ref.temperature, kernel="buffered",
                 overlap=overlap,
-            )
-            res = dist.run(STEPS, phi0, mu0)
+            ) as dist:
+                res = dist.run(STEPS, phi0, mu0)
             err = np.abs(res.phi - ref.phi.interior_src).max()
             kib = np.mean([s.comm_bytes for s in res.stats]) / 1024.0
             print(f"{str(bpa):>10} {dist.n_ranks:>6} {label:>10} "
@@ -55,11 +56,11 @@ def main() -> None:
             assert err < 1e-10, "decomposition changed the physics!"
 
     # byte accounting: phi vs mu ghost volumes
-    dist = DistributedSimulation(
+    with DistributedSimulation(
         SHAPE, (2, 2, 1), system=system, params=ref.params,
         temperature=ref.temperature, kernel="buffered",
-    )
-    res = dist.run(1, phi0, mu0)
+    ) as dist:
+        res = dist.run(1, phi0, mu0)
     print("\nper-rank ghost-exchange totals after 1 step "
           "(phi carries 4 values/cell, mu carries 2):")
     for s in res.stats:

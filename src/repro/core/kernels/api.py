@@ -79,6 +79,7 @@ class KernelContext:
         self.t_eut = s.t_eutectic
         self._scratch: OrderedDict = OrderedDict()
         self._scratch_owner: int | None = None
+        self._scratch_thread: threading.Thread | None = None
 
     @property
     def dim(self) -> int:
@@ -108,19 +109,20 @@ class KernelContext:
           calls reusing one context are fine).
         """
         tid = threading.get_ident()
-        owner = self._scratch_owner
-        if owner is None:
-            self._scratch_owner = tid
-        elif owner != tid:
-            live = {t.ident for t in threading.enumerate()}
-            if owner in live:
+        if self._scratch_owner != tid:
+            # Liveness is asked of the owner's Thread object, not of its
+            # ident: idents are reused, so a resident rank's next thread
+            # may carry the ident a *different* rank's context remembers.
+            owner = self._scratch_thread
+            if owner is not None and owner.is_alive():
                 raise RuntimeError(
                     "KernelContext scratch is single-thread-owned: used "
                     f"from thread {tid} while owned by live thread "
-                    f"{owner}; build one context per rank/thread with "
-                    "make_context() instead of sharing"
+                    f"{self._scratch_owner}; build one context per "
+                    "rank/thread with make_context() instead of sharing"
                 )
             self._scratch_owner = tid
+            self._scratch_thread = threading.current_thread()
         key = (name, tuple(shape), np.dtype(dtype).str)
         buf = self._scratch.get(key)
         if buf is None:

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import logging
 import time as _time
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,7 +45,7 @@ from repro.grid.balance import assign_blocks
 from repro.grid.blockforest import BlockForest
 from repro.grid.boundary import BoundarySpec, Dirichlet, Neumann
 from repro.grid.field import Field
-from repro.simmpi.runtime import run_spmd
+from repro.simmpi.runtime import open_world
 from repro.thermo.system import TernaryEutecticSystem
 
 __all__ = ["DistributedSimulation", "DistributedResult", "RankStats"]
@@ -88,6 +89,41 @@ class DistributedResult:
     trace_path: object = None
 
 
+#: Key of a rank's :class:`_RankState` in ``comm.resident``.
+_STATE = "repro.distributed.solver"
+
+
+@dataclass
+class _RankState:
+    """What a rank sets up once per world and keeps between calls.
+
+    Reachable from the world, which the simulation's finalizer closes —
+    so it must hold no reference to the simulation.
+    """
+
+    comm: object             # fault-wrapped when the world has a fault plan
+    ctx: object              # KernelContext, compiled kernels warmed
+    compile_seconds: float
+    owned: list              # this rank's blocks
+    phi_fields: dict         # block id -> resident Field
+    mu_fields: dict
+    halo: BlockHaloRegistry
+    phi_global: np.ndarray   # world-shared: initial state in, result out
+    mu_global: np.ndarray
+
+
+@dataclass
+class _Resident:
+    """A simulation's open world and what was fixed when it was opened."""
+
+    world: object
+    close: object            # weakref.finalize: closes the world, once
+    phi: np.ndarray          # world-shared global arrays
+    mu: np.ndarray
+    fault_plan: object       # injection is installed at channel registration
+    started: bool = False    # ranks have set themselves up
+
+
 class DistributedSimulation:
     """SPMD phase-field run over a block partition.
 
@@ -114,6 +150,14 @@ class DistributedSimulation:
         OS process per rank, field buffers in shared memory, kernels
         genuinely parallel).  Results are bitwise identical between the
         two: per-block arithmetic does not depend on where a rank runs.
+
+    The ranks are **resident**: the first :meth:`run` opens the world —
+    ranks launched, kernel context built and warmed, block fields
+    allocated, halo channels registered — and every later :meth:`run` is
+    a command to those ranks.  The world ends at :meth:`close` (or the
+    end of a ``with`` block), when the simulation is garbage-collected
+    and at interpreter exit; a :meth:`run` that raises destroys it first
+    and the next one opens a fresh world.
     """
 
     def __init__(
@@ -171,6 +215,43 @@ class DistributedSimulation:
             if mu_bc is not None
             else BoundarySpec.directional(self.dim, bottom=Neumann(), top=Dirichlet(0.0))
         )
+        self._resident: _Resident | None = None
+
+    def __getstate__(self) -> dict:
+        # run() commands to resident process ranks pickle the simulation;
+        # the world itself stays with the process that opened it.
+        return {**self.__dict__, "_resident": None}
+
+    # ------------------------------------------------------------------ #
+    # world lifetime
+    # ------------------------------------------------------------------ #
+
+    def _open(self, fault_plan) -> _Resident:
+        world = open_world(self.n_ranks, self.backend)
+        self._resident = _Resident(
+            world,
+            # also runs when the simulation is collected and at exit
+            weakref.finalize(self, world.close),
+            world.shared_array((self.system.n_phases,) + self.shape),
+            world.shared_array((self.system.n_solutes,) + self.shape),
+            fault_plan,
+        )
+        return self._resident
+
+    def close(self) -> None:
+        """End the resident ranks and free their memory; idempotent.
+
+        The next :meth:`run` opens a new world.
+        """
+        if self._resident is not None:
+            self._resident.close()
+            self._resident = None
+
+    def __enter__(self) -> "DistributedSimulation":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     # ------------------------------------------------------------------ #
 
@@ -272,34 +353,48 @@ class DistributedSimulation:
         ):
             raise ValueError("shard_store requires checkpoint_every >= 1")
 
+        resident = self._resident
+        if (resident is None or resident.world.closed
+                or resident.fault_plan is not fault_plan):
+            self.close()
+            resident = self._open(fault_plan)
         wall0 = _time.perf_counter()
-        results = run_spmd(
-            self.n_ranks, self._rank_main, steps, phi0, mu0,
-            t0=t0, step0=step0, fault_plan=fault_plan, guard=guard,
-            telemetry=telemetry, shard_store=shard_store,
-            checkpoint_every=checkpoint_every,
-            backend=self.backend,
-        )
+        resident.phi[...] = phi0
+        resident.mu[...] = mu0
+        # The world's first command carries what ranks set up from.
+        setup = None if resident.started else (resident.phi, resident.mu)
+        resident.started = True
+        try:
+            results = resident.world.call(
+                self._rank_run, steps, setup=setup,
+                t0=t0, step0=step0, fault_plan=fault_plan, guard=guard,
+                telemetry=telemetry, shard_store=shard_store,
+                checkpoint_every=checkpoint_every,
+            )
+        except BaseException as exc:
+            # The world closed itself; keep what its ranks had counted.
+            counted = [
+                getattr(error, "store_stats", None)
+                for error in getattr(exc, "simmpi_errors", ())
+            ]
+            raise
+        else:
+            counted = [extra.get("store_stats") for _st, extra in results]
+        finally:
+            for counts in counted:
+                if counts is not None:
+                    shard_store.absorb(counts)
         wall = _time.perf_counter() - wall0
 
-        phi = np.empty_like(phi0)
-        mu = np.empty_like(mu0)
-        stats = []
-        extras = []
-        for rank_result in results:
-            blocks, st, extra = rank_result
-            stats.append(st)
-            extras.append(extra)
-            for bid, (phi_loc, mu_loc) in blocks.items():
-                block = self.forest.blocks[bid]
-                sl = (slice(None),) + self._block_slices(block)
-                phi[sl] = phi_loc
-                mu[sl] = mu_loc
-        result = DistributedResult(phi=phi, mu=mu, stats=stats)
+        result = DistributedResult(
+            phi=np.array(resident.phi, dtype=phi0.dtype),
+            mu=np.array(resident.mu, dtype=mu0.dtype),
+            stats=[st for st, _extra in results],
+        )
         if telemetry is not None:
             self._finalize_telemetry(
-                result, telemetry, extras, steps=steps, wall=wall,
-                fault_plan=fault_plan, guard=guard,
+                result, telemetry, [extra for _st, extra in results],
+                steps=steps, wall=wall, fault_plan=fault_plan, guard=guard,
             )
         return result
 
@@ -392,28 +487,79 @@ class DistributedSimulation:
 
     # ------------------------------------------------------------------ #
 
-    def _rank_main(self, comm, steps: int, phi0, mu0, *,
-                   t0: float = 0.0, step0: int = 0,
-                   fault_plan=None, guard: bool = False,
-                   telemetry=None, shard_store=None,
-                   checkpoint_every: int | None = None):
+    def _rank_setup(self, comm, phi_global, mu_global,
+                    fault_plan) -> _RankState:
+        """What a rank does once per world (collective)."""
         if fault_plan is not None:
             from repro.resilience.faults import FaultyComm
 
             comm = FaultyComm(comm, fault_plan)
-            comm.step = step0
         ctx = make_context(self.system, self.params)
         compile_seconds = 0.0
         if self.kernel in COMPILED_RUNGS:
-            # Compile/warm once per rank *before* the timed loop starts, so
-            # JIT or dlopen cost never pollutes the per-step timings.
+            # Compile/warm before any timed loop starts, so JIT or dlopen
+            # cost never pollutes the per-step timings.
             from repro.core.kernels import compiled
 
             compile_seconds = compiled.warmup(ctx, dim=self.dim)
-        phi_kernel = get_phi_kernel(self.kernel)
-        mu_kernel = get_mu_kernel(self.kernel)
-        split = get_split_mu_kernel(self.kernel)
         owned = [b for b in self.forest.blocks if self.owner[b.id] == comm.rank]
+
+        # Under the process backend this places the double buffers in
+        # shared memory, so ghost slabs between co-resident ranks move
+        # by memcpy; thread ranks get None (plain heap arrays).
+        allocator = (
+            comm.field_allocator() if hasattr(comm, "field_allocator")
+            else None
+        )
+        phi_fields = {
+            b.id: Field(self.system.n_phases, b.shape, allocator=allocator)
+            for b in owned
+        }
+        mu_fields = {
+            b.id: Field(self.system.n_solutes, b.shape, allocator=allocator)
+            for b in owned
+        }
+        ghost = next(iter(phi_fields.values())).ghost if phi_fields else 1
+        # Collective: every rank registers its send channels and accepts
+        # its receive channels here, once — every exchange after it runs
+        # ack- and staging-free.
+        halo = BlockHaloRegistry(
+            comm, self.forest, self.owner, self.dim,
+            streams=[
+                (self.system.n_phases, ghost),
+                (self.system.n_solutes, ghost),
+            ],
+        )
+        return _RankState(
+            comm, ctx, compile_seconds, owned, phi_fields, mu_fields, halo,
+            phi_global, mu_global,
+        )
+
+    def _rank_run(self, comm, steps: int, *, setup=None,
+                  t0: float = 0.0, step0: int = 0,
+                  fault_plan=None, guard: bool = False,
+                  telemetry=None, shard_store=None,
+                  checkpoint_every: int | None = None):
+        """One :meth:`run` as a resident rank executes it.
+
+        *setup* — the world-shared global arrays — comes with the first
+        command of a world only; the rank sets itself up from it.
+        """
+        state = comm.resident.get(_STATE)
+        fresh = state is None
+        if fresh:
+            state = comm.resident[_STATE] = self._rank_setup(
+                comm, *setup, fault_plan
+            )
+        comm = state.comm
+        if fault_plan is not None:
+            # This call's copy of the plan: the one whose fires reach
+            # the caller (it equals the resident one where ranks share
+            # the caller's memory).
+            comm.plan = fault_plan
+            comm.step = step0
+        if shard_store is not None:
+            shard_store = shard_store.rank_view()
 
         tree = events = heartbeat = registry = None
         if telemetry is not None:
@@ -425,42 +571,54 @@ class DistributedSimulation:
             # timestamped span; tracer=None keeps the hot path at one
             # attribute check per measurement.
             tree = TimingTree(tracer=telemetry.open_tracer(comm.rank))
-            if compile_seconds:
-                tree.record("compile", compile_seconds)
-            if hasattr(comm, "attach_timing"):
-                # Process backend: time the pipe control-message phases
-                # (send/recv/ack) under comm/pipe so the fig7 RunReport
-                # quantifies transport overhead.
-                comm.attach_timing(tree)
+            if fresh and state.compile_seconds:
+                tree.record("compile", state.compile_seconds)
             events = telemetry.open_events(comm.rank)
-            if hasattr(comm, "attach_events"):
-                # Process backend: route transport degradation and
-                # shared-memory reclamation events into the rank's log.
-                comm.attach_events(events)
             registry = MetricsRegistry()
-            cells_owned = sum(int(np.prod(b.shape)) for b in owned)
+            cells_owned = sum(int(np.prod(b.shape)) for b in state.owned)
             heartbeat = Heartbeat(
                 registry, cells_per_step=cells_owned,
                 every=telemetry.heartbeat_every, events=events,
             )
             events.emit(
                 "run_start", steps=steps, step0=step0,
-                blocks=len(owned), cells=cells_owned,
+                blocks=len(state.owned), cells=cells_owned,
             )
+            if fresh:
+                events.emit(
+                    "halo_channels_registered",
+                    channels=state.halo.n_channels,
+                )
+        # Process backend: time the pipe control-message phases
+        # (send/recv/ack) under comm/pipe and route transport degradation
+        # and shared-memory reclamation events into the rank's log — for
+        # this call only, the transport outlives it.
+        attach = hasattr(comm, "attach_timing")
+        if attach:
+            comm.attach_timing(tree)
+            comm.attach_events(events)
         try:
-            return self._rank_loop(
-                comm, steps, phi0, mu0, t0=t0, step0=step0,
+            stats, extra = self._rank_loop(
+                state, steps, t0=t0, step0=step0,
                 fault_plan=fault_plan, guard=guard,
-                ctx=ctx, phi_kernel=phi_kernel, mu_kernel=mu_kernel,
-                split=split, owned=owned, tree=tree, events=events,
+                tree=tree, events=events,
                 heartbeat=heartbeat, registry=registry,
                 shard_store=shard_store, checkpoint_every=checkpoint_every,
             )
         except BaseException as exc:
+            if shard_store is not None:
+                exc.store_stats = shard_store.stats
             if events is not None:
                 events.emit("rank_failed", "ERROR", error=repr(exc))
                 events.close()
             raise
+        finally:
+            if attach:
+                comm.attach_timing(None)
+                comm.attach_events(None)
+        if shard_store is not None:
+            extra["store_stats"] = shard_store.stats
+        return stats, extra
 
     def _sharded_checkpoint(self, comm, shard_store, owned,
                             phi_fields, mu_fields, *, step: int,
@@ -519,64 +677,30 @@ class DistributedSimulation:
                     failed_ranks=failed,
                 )
 
-    def _rank_loop(self, comm, steps: int, phi0, mu0, *,
+    def _rank_loop(self, state: _RankState, steps: int, *,
                    t0: float, step0: int, fault_plan, guard: bool,
-                   ctx, phi_kernel, mu_kernel, split, owned,
                    tree, events, heartbeat, registry,
                    shard_store=None, checkpoint_every=None):
+        comm, ctx, owned = state.comm, state.ctx, state.owned
+        phi_fields, mu_fields = state.phi_fields, state.mu_fields
+        halo_reg = state.halo
+        phi_kernel = get_phi_kernel(self.kernel)
+        mu_kernel = get_mu_kernel(self.kernel)
+        split = get_split_mu_kernel(self.kernel)
 
-        # initial state: root scatters per-rank block bundles
-        if comm.rank == 0:
-            pieces = [dict() for _ in range(self.n_ranks)]
-            for b in self.forest.blocks:
-                sl = (slice(None),) + self._block_slices(b)
-                pieces[self.owner[b.id]][b.id] = (
-                    np.ascontiguousarray(phi0[sl]),
-                    np.ascontiguousarray(mu0[sl]),
-                )
-        else:
-            pieces = None
-        mine = comm.scatter(pieces, root=0)
-
-        # Under the process backend this places the double buffers in
-        # shared memory, so ghost slabs between co-resident ranks move
-        # by memcpy; thread ranks get None (plain heap arrays).
-        allocator = (
-            comm.field_allocator() if hasattr(comm, "field_allocator")
-            else None
-        )
-
-        phi_fields: dict[int, Field] = {}
-        mu_fields: dict[int, Field] = {}
+        # Initial state: each rank copies its block slices out of the
+        # world-shared global arrays.  The resident fields still hold the
+        # previous call in dst and in the ghosts; every cell a sweep reads
+        # is rewritten first.
         for b in owned:
-            phi_loc, mu_loc = mine[b.id]
-            pf = Field(self.system.n_phases, b.shape, allocator=allocator)
-            mf = Field(self.system.n_solutes, b.shape, allocator=allocator)
-            pf.set_interior(phi_loc, "src")
-            mf.set_interior(mu_loc, "src")
-            phi_fields[b.id] = pf
-            mu_fields[b.id] = mf
+            sl = (slice(None),) + self._block_slices(b)
+            phi_fields[b.id].set_interior(state.phi_global[sl], "src")
+            mu_fields[b.id].set_interior(state.mu_global[sl], "src")
 
         timer_phi = ExchangeTimer(tree, "comm/phi")
         timer_mu = ExchangeTimer(tree, "comm/mu")
         tracer = tree.tracer if tree is not None else None
         _pc = _time.perf_counter
-
-        ghost = next(iter(phi_fields.values())).ghost if phi_fields else 1
-        # Collective: every rank registers its send channels and accepts
-        # its receive channels here, once — the steady-state loop then
-        # runs ack- and staging-free.
-        halo_reg = BlockHaloRegistry(
-            comm, self.forest, self.owner, self.dim,
-            streams=[
-                (self.system.n_phases, ghost),
-                (self.system.n_solutes, ghost),
-            ],
-        )
-        if events is not None:
-            events.emit(
-                "halo_channels_registered", channels=halo_reg.n_channels,
-            )
 
         def exchange(fields: dict[int, Field], buffer: str, spec, timer):
             halo_reg.exchange(
@@ -782,14 +906,13 @@ class DistributedSimulation:
             comm_messages=timer_phi.messages + timer_mu.messages,
             n_blocks=len(owned),
         )
-        out = {
-            b.id: (
-                phi_fields[b.id].interior_src.copy(),
-                mu_fields[b.id].interior_src.copy(),
-            )
-            for b in owned
-        }
-        extra = None
+        # Result: each rank copies its interiors back into the shared
+        # global arrays (disjoint slices, so no rank waits for another).
+        for b in owned:
+            sl = (slice(None),) + self._block_slices(b)
+            state.phi_global[sl] = phi_fields[b.id].interior_src
+            state.mu_global[sl] = mu_fields[b.id].interior_src
+        extra = {}
         if tree is not None:
             from repro.telemetry.reduce import reduce_tree_over_ranks
 
@@ -844,4 +967,4 @@ class DistributedSimulation:
                 "spans": spans_gathered,
                 "trace_stats": trace_stats,
             }
-        return out, stats, extra
+        return stats, extra

@@ -117,6 +117,9 @@ def run_campaign(
     simulation to the survivors, reloads the newest committed manifest —
     which restores on any rank count — and resumes.  Transient failures
     restart at the same size, exactly as with a plain store.
+
+    The campaign leaves no rank world open: *dsim* and every simulation
+    shrunk from it are closed before it returns or raises.
     """
     if checkpoint_every < 1:
         raise ValueError("checkpoint_every must be >= 1")
@@ -183,113 +186,123 @@ def run_campaign(
 
     checkpoint()
 
-    while step_now < steps:
-        # a sharded store checkpoints from inside the run, so the whole
-        # remainder is one chunk; a plain store checkpoints per chunk
-        chunk = (
-            steps - step_now if sharded
-            else min(checkpoint_every, steps - step_now)
-        )
-        try:
-            res = dsim.run(
-                chunk, phi, mu,
-                t0=time_now, step0=step_now,
-                fault_plan=fault_plan, guard=guard,
-                telemetry=telemetry,
-                shard_store=store if sharded else None,
-                checkpoint_every=checkpoint_every if sharded else None,
+    # Every simulation the campaign steps — the caller's and each shrunk
+    # one — has its resident world closed on the way out; in between, a
+    # world is re-formed only by the failure that destroyed it.
+    stepped = [dsim]
+    try:
+        while step_now < steps:
+            # a sharded store checkpoints from inside the run, so the whole
+            # remainder is one chunk; a plain store checkpoints per chunk
+            chunk = (
+                steps - step_now if sharded
+                else min(checkpoint_every, steps - step_now)
             )
-        except _RECOVERABLE as exc:
-            restarts += 1
-            restart_reasons.append(repr(exc))
-            logger.warning(
-                "campaign chunk failed at step %d (%r); restart %d/%d",
-                step_now, exc, restarts, max_restarts,
-            )
-            if isinstance(exc, RankTimeout):
-                # Deadline/watchdog containment verdict: a hung rank was
-                # detected and converted into a recoverable failure.
-                hangs_detected += 1
-                if events is not None:
-                    events.emit(
-                        "hang_detected", "ERROR", step=step_now,
-                        op=exc.op, timeout=exc.timeout,
-                        ranks=list(exc.failed_ranks),
-                    )
-            if restarts > max_restarts:
-                if events is not None:
-                    events.emit(
-                        "campaign_failed", "ERROR",
-                        step=step_now, error=repr(exc), restarts=restarts - 1,
-                    )
-                    events.close()
-                raise DivergenceError(
-                    step=step_now,
-                    violations=[f"restart budget exhausted: {exc}"],
-                    attempts=restarts - 1,
-                ) from exc
-            lost = sorted(set(_lost_ranks(exc)))
-            if sharded and lost and dsim.n_ranks - len(lost) >= 1:
-                old_n = dsim.n_ranks
-                new_n = old_n - len(lost)
-                rank_failures += len(lost)
-                shrinks += 1
-                if events is not None:
-                    for rank in lost:
-                        events.emit(
-                            "rank_failed", "ERROR", rank=rank,
-                            step=step_now, error=repr(exc),
-                        )
-                    events.emit(
-                        "comm_shrunk", "WARNING",
-                        old_ranks=old_n, new_ranks=new_n, lost=lost,
-                    )
-                dsim = dsim.shrunk(new_n)
+            try:
+                res = dsim.run(
+                    chunk, phi, mu,
+                    t0=time_now, step0=step_now,
+                    fault_plan=fault_plan, guard=guard,
+                    telemetry=telemetry,
+                    shard_store=store if sharded else None,
+                    checkpoint_every=checkpoint_every if sharded else None,
+                )
+            except _RECOVERABLE as exc:
+                restarts += 1
+                restart_reasons.append(repr(exc))
                 logger.warning(
-                    "rank(s) %s lost permanently; shrinking %d -> %d ranks",
-                    lost, old_n, new_n,
+                    "campaign chunk failed at step %d (%r); restart %d/%d",
+                    step_now, exc, restarts, max_restarts,
                 )
+                if isinstance(exc, RankTimeout):
+                    # Deadline/watchdog containment verdict: a hung rank was
+                    # detected and converted into a recoverable failure.
+                    hangs_detected += 1
+                    if events is not None:
+                        events.emit(
+                            "hang_detected", "ERROR", step=step_now,
+                            op=exc.op, timeout=exc.timeout,
+                            ranks=list(exc.failed_ranks),
+                        )
+                if restarts > max_restarts:
+                    if events is not None:
+                        events.emit(
+                            "campaign_failed", "ERROR",
+                            step=step_now, error=repr(exc), restarts=restarts - 1,
+                        )
+                        events.close()
+                    raise DivergenceError(
+                        step=step_now,
+                        violations=[f"restart budget exhausted: {exc}"],
+                        attempts=restarts - 1,
+                    ) from exc
+                lost = sorted(set(_lost_ranks(exc)))
+                if sharded and lost and dsim.n_ranks - len(lost) >= 1:
+                    old_n = dsim.n_ranks
+                    new_n = old_n - len(lost)
+                    rank_failures += len(lost)
+                    shrinks += 1
+                    if events is not None:
+                        for rank in lost:
+                            events.emit(
+                                "rank_failed", "ERROR", rank=rank,
+                                step=step_now, error=repr(exc),
+                            )
+                        events.emit(
+                            "comm_shrunk", "WARNING",
+                            old_ranks=old_n, new_ranks=new_n, lost=lost,
+                        )
+                    dsim = dsim.shrunk(new_n)
+                    stepped.append(dsim)
+                    logger.warning(
+                        "rank(s) %s lost permanently; shrinking %d -> %d ranks",
+                        lost, old_n, new_n,
+                    )
+                    if events is not None:
+                        events.emit(
+                            "reshard", n_ranks=new_n,
+                            n_blocks=dsim.forest.n_blocks,
+                            owner=[int(r) for r in dsim.owner],
+                        )
+                state = store.load_latest()
+                if state is None:
+                    # every generation failed verification: cold restart
+                    phi = np.array(phi0, dtype=float)
+                    mu = np.array(mu0, dtype=float)
+                    time_now, step_now = 0.0, 0
+                    logger.warning("no loadable checkpoint; cold restart from t=0")
+                else:
+                    phi, mu = state["phi"], state["mu"]
+                    time_now, step_now = state["time"], state["step_count"]
                 if events is not None:
                     events.emit(
-                        "reshard", n_ranks=new_n,
-                        n_blocks=dsim.forest.n_blocks,
-                        owner=[int(r) for r in dsim.owner],
+                        "restart", "WARNING", step=step_now,
+                        error=repr(exc), attempt=restarts,
                     )
-            state = store.load_latest()
-            if state is None:
-                # every generation failed verification: cold restart
-                phi = np.array(phi0, dtype=float)
-                mu = np.array(mu0, dtype=float)
-                time_now, step_now = 0.0, 0
-                logger.warning("no loadable checkpoint; cold restart from t=0")
-            else:
-                phi, mu = state["phi"], state["mu"]
-                time_now, step_now = state["time"], state["step_count"]
-            if events is not None:
-                events.emit(
-                    "restart", "WARNING", step=step_now,
-                    error=repr(exc), attempt=restarts,
-                )
-            continue
-        phi, mu = res.phi, res.mu
-        time_now += chunk * dsim.params.dt
-        step_now += chunk
-        if telemetry is not None and res.timing is not None:
-            from repro.telemetry.reduce import accumulate_reduced
+                continue
+            phi, mu = res.phi, res.mu
+            time_now += chunk * dsim.params.dt
+            step_now += chunk
+            if telemetry is not None and res.timing is not None:
+                from repro.telemetry.reduce import accumulate_reduced
 
-            timing_total = (
-                res.timing if timing_total is None
-                else accumulate_reduced(timing_total, res.timing)
-            )
-            for name, value in (res.counters or {}).items():
-                if name.startswith("mlups"):
-                    counters_total[name] = max(
-                        counters_total.get(name, 0.0), value
-                    )
-                else:
-                    counters_total[name] = counters_total.get(name, 0) + value
-        if not sharded:
-            checkpoint()
+                timing_total = (
+                    res.timing if timing_total is None
+                    else accumulate_reduced(timing_total, res.timing)
+                )
+                for name, value in (res.counters or {}).items():
+                    if name.startswith("mlups"):
+                        counters_total[name] = max(
+                            counters_total.get(name, 0.0), value
+                        )
+                    else:
+                        counters_total[name] = counters_total.get(name, 0) + value
+            if not sharded:
+                checkpoint()
+
+    finally:
+        for sim in stepped:
+            sim.close()
 
     if sharded:
         checkpoints_written = store.stats["manifests_published"]

@@ -102,6 +102,19 @@ class FaultPlan:
         #: faults that already happened in a killed child.
         self.on_fire = None
 
+    def __getstate__(self) -> dict:
+        # A plan crosses a process boundary with every command sent to a
+        # resident rank: the lock and the fire callback stay behind and
+        # the receiving rank installs its own.
+        state = self.__dict__.copy()
+        del state["_lock"]
+        state["on_fire"] = None
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._lock = threading.Lock()
+
     @classmethod
     def random(cls, seed: int, *, steps: int, n_ranks: int = 1,
                kinds=FAULT_KINDS, n_faults: int = 1) -> "FaultPlan":
@@ -242,14 +255,25 @@ class FaultyComm:
 
     def __init__(self, comm, plan: FaultPlan):
         self._comm = comm
-        self._plan = plan
         self._step = 0
+        self.plan = plan
+
+    @property
+    def plan(self) -> FaultPlan:
+        """The schedule consulted for every fault.  A resident rank sets
+        it at the start of each call: the call's copy of the plan is the
+        one wired to report fires back to the caller."""
+        return self._plan
+
+    @plan.setter
+    def plan(self, plan: FaultPlan) -> None:
+        self._plan = plan
         # Process backend: hand the plan to the transport so it can
         # fire receive-side faults (ack_drop) the proxy never sees.
-        transport = getattr(comm, "_transport", None)
+        transport = getattr(self._comm, "_transport", None)
         if transport is not None and hasattr(transport, "fault_plan"):
             transport.fault_plan = plan
-            transport.fault_step = 0
+            transport.fault_step = self._step
 
     @property
     def step(self) -> int:

@@ -11,6 +11,7 @@ actually loads.
 
 from __future__ import annotations
 
+import copy
 import errno
 import logging
 import os
@@ -195,6 +196,37 @@ class ShardedCheckpointStore:
             "io_retries": 0,
             "checkpoints_skipped": 0,
         }
+
+    def __getstate__(self) -> dict:
+        # Crosses a process boundary with every command sent to a
+        # resident rank; the lock is recreated on the other side.
+        state = self.__dict__.copy()
+        del state["_lock"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._lock = threading.Lock()
+
+    def rank_view(self) -> "ShardedCheckpointStore":
+        """This store as one rank of an SPMD run writes through it: same
+        directory and policies, statistics counted from zero.
+
+        A rank's store may be the caller's own object (thread backend), a
+        forked or an unpickled copy (process backend); counting into a
+        view and handing the counts back for :meth:`absorb` gives the
+        caller the same totals on every backend.
+        """
+        view = copy.copy(self)
+        view._lock = threading.Lock()
+        view.stats = dict.fromkeys(self.stats, 0)
+        return view
+
+    def absorb(self, stats: dict) -> None:
+        """Fold the counts of a :meth:`rank_view` into this store."""
+        with self._lock:
+            for name, count in stats.items():
+                self.stats[name] += count
 
     # ------------------------------------------------------------------ #
     # paths

@@ -17,7 +17,10 @@ parallel, which is what turns Fig. 7 into a measured curve).
 
 Main entry points:
 
-* :func:`repro.simmpi.runtime.run_spmd` — launch an SPMD function,
+* :func:`repro.simmpi.runtime.open_world` — a resident world of ranks
+  that runs SPMD functions call after call until it is closed,
+* :func:`repro.simmpi.runtime.run_spmd` — launch an SPMD function once
+  (open a world, one call, close),
 * :func:`repro.simmpi.runtime.run_spmd_elastic` — launch with ULFM-style
   failure containment (peer death becomes a typed
   :class:`~repro.simmpi.comm.RankFailure`; survivors
@@ -37,7 +40,7 @@ from repro.simmpi.comm import (
 )
 from repro.simmpi.deadline import Deadline, DeadlinePolicy
 from repro.simmpi.liveness import WatchdogConfig
-from repro.simmpi.runtime import run_spmd, run_spmd_elastic
+from repro.simmpi.runtime import open_world, run_spmd, run_spmd_elastic
 from repro.simmpi.cart import CartComm
 
 BACKENDS = ("thread", "process")
@@ -52,6 +55,7 @@ __all__ = [
     "RemoteError",
     "Request",
     "WatchdogConfig",
+    "open_world",
     "run_spmd",
     "run_spmd_elastic",
     "CartComm",

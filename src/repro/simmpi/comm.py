@@ -30,6 +30,7 @@ __all__ = [
     "RemoteError",
     "RankFailure",
     "RankTimeout",
+    "raise_selected",
 ]
 
 ANY_SOURCE = -1
@@ -97,6 +98,30 @@ class RankTimeout(RankFailure):
 
 def _rebuild_rank_timeout(op, timeout, peers):
     return RankTimeout(op, timeout, peers=peers)
+
+
+def raise_selected(errors) -> None:
+    """Re-raise the exception a world reports for one call's per-rank
+    *errors* (``None`` entries are ranks that succeeded); a no-op when no
+    rank failed.
+
+    The first primary failure (anything but a :class:`RemoteError`) wins;
+    among the secondary aborts a typed :class:`RankFailure` — a deadline
+    or watchdog verdict naming the stalled peer — beats a generic
+    :class:`RemoteError` echo, so containment decisions survive error
+    selection.  The raised exception carries the whole list as
+    ``simmpi_errors``: what the other ranks had to say is not lost.
+    """
+    raised = [e for e in errors if e is not None]
+    for wanted in (
+        lambda e: not isinstance(e, RemoteError),
+        lambda e: isinstance(e, RankFailure),
+        lambda e: True,
+    ):
+        chosen = next((e for e in raised if wanted(e)), None)
+        if chosen is not None:
+            chosen.simmpi_errors = list(errors)
+            raise chosen
 
 
 def _copy_payload(obj):
@@ -484,6 +509,10 @@ class Communicator:
         self.deadlines = (
             DeadlinePolicy.from_env() if deadlines is None else deadlines
         )
+        #: Rank-owned storage that lives as long as the world: what an
+        #: SPMD function sets up in one call of a resident world and
+        #: finds again in the next (see :mod:`repro.simmpi.runtime`).
+        self.resident: dict = {}
 
     # -- point to point ----------------------------------------------------
 

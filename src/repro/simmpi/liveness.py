@@ -5,11 +5,14 @@ the parent launcher cannot tell it apart from a rank doing a long
 compute unless the rank *reports progress*.  This module provides both
 halves of that protocol:
 
-* :class:`LivenessBeacon` — a daemon thread inside each child process
-  that periodically publishes the transport's monotonically increasing
-  progress counter over the rank's result pipe (``("hb", rank, count)``
-  control messages, interleaved safely with the final result under a
-  shared lock).
+* :class:`LivenessBeacon` — a daemon thread inside each rank process
+  that, for the duration of one call of the world, periodically
+  publishes the transport's monotonically increasing progress counter
+  over the rank's result pipe (``("hb", rank, count)`` control messages,
+  interleaved safely with the call's result under a shared lock).  An
+  idle resident rank sends nothing: nobody reads the pipe between calls,
+  and a full pipe would block the beacon while it holds the lock the
+  next result needs.
 * :class:`RankMonitor` — parent-side bookkeeping that distinguishes
   *slow* from *hung*: a rank whose counter keeps advancing is slow and
   left alone; a rank whose counter froze longer than
@@ -109,7 +112,10 @@ class LivenessBeacon:
         self._thread.start()
 
     def stop(self) -> None:
+        """Stop and wait out a heartbeat in flight, so none trails the
+        rank's result into a pipe nobody reads between calls."""
         self._stop.set()
+        self._thread.join()
 
     def _run(self) -> None:
         while not self._stop.wait(self._interval):

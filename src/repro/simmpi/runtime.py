@@ -1,10 +1,14 @@
-"""SPMD launcher for the simulated MPI runtime.
+"""SPMD worlds and launchers for the simulated MPI runtime.
 
-:func:`run_spmd` plays the role of ``mpiexec``: it spawns one worker per
-rank, hands each a :class:`Communicator`, runs the same function
-everywhere and collects the per-rank return values.  A failure on any rank
-sets a world-wide flag so peers blocked in communication abort instead of
-deadlocking, and the first exception is re-raised in the caller.
+:func:`open_world` plays the role of ``mpiexec``: it gives the caller a
+**resident world** — one worker per rank, each with a
+:class:`Communicator` — on which ``call(fn, ...)`` runs the same function
+everywhere and collects the per-rank return values, as often as the
+caller likes; ranks keep what they set up between calls.  A failure on
+any rank sets a world-wide flag so peers blocked in communication abort
+instead of deadlocking, the world is closed, and the first exception is
+re-raised in the caller.  :func:`run_spmd` is the one-shot form: open a
+world, one call, close.
 
 Two execution backends share these semantics:
 
@@ -23,57 +27,25 @@ import logging
 import os
 import threading
 
-from repro.simmpi.comm import Communicator, RankFailure, RemoteError, _World
+import numpy as np
 
-__all__ = ["run_spmd", "run_spmd_elastic", "run_spmd_resilient"]
+from repro.simmpi.comm import Communicator, RemoteError, _World, raise_selected
+
+__all__ = [
+    "ThreadWorld",
+    "open_world",
+    "run_spmd",
+    "run_spmd_elastic",
+    "run_spmd_resilient",
+]
 
 logger = logging.getLogger(__name__)
 
 
-def run_spmd(n_ranks: int, fn, *args, backend: str | None = None,
-             **kwargs) -> list:
-    """Run ``fn(comm, *args, **kwargs)`` on *n_ranks* simulated ranks.
-
-    Returns the list of per-rank return values (rank order).  Exceptions
-    raised by any rank abort the whole run and are re-raised (peers'
-    secondary :class:`RemoteError` aborts are suppressed).  The re-raised
-    exception carries the failing rank as a ``simmpi_rank`` attribute.
-
-    *backend* selects the execution substrate: ``"thread"`` (default) or
-    ``"process"`` (see the module docstring for the trade-off).  When
-    ``None``, the ``REPRO_SIMMPI_BACKEND`` environment variable decides,
-    defaulting to ``"thread"``.
-    """
-    if n_ranks < 1:
-        raise ValueError("need at least one rank")
-    if backend is None:
-        backend = os.environ.get("REPRO_SIMMPI_BACKEND", "thread")
-    if backend == "process":
-        from repro.simmpi.transport import run_spmd_processes
-
-        return run_spmd_processes(n_ranks, fn, args, kwargs)
-    if backend != "thread":
-        raise ValueError(
-            f"unknown simmpi backend {backend!r}; use 'thread' or 'process'"
-        )
-    world = _World(n_ranks)
-    results: list = [None] * n_ranks
-    errors: list = [None] * n_ranks
-
-    def entry(rank: int) -> None:
-        comm = Communicator(world, rank)
-        try:
-            results[rank] = fn(comm, *args, **kwargs)
-        except BaseException as exc:  # noqa: BLE001 - repropagated below
-            exc.simmpi_rank = rank
-            errors[rank] = exc
-            if not isinstance(exc, RemoteError):
-                logger.error("rank %d failed: %r", rank, exc)
-            world.failed.set()
-            world.barrier.abort()
-
+def _run_rank_threads(n_ranks: int, entry, prefix: str) -> None:
+    """Run ``entry(rank)`` on one thread per rank and wait for all."""
     threads = [
-        threading.Thread(target=entry, args=(r,), name=f"simmpi-rank-{r}")
+        threading.Thread(target=entry, args=(r,), name=f"{prefix}-{r}")
         for r in range(n_ranks)
     ]
     for t in threads:
@@ -81,21 +53,116 @@ def run_spmd(n_ranks: int, fn, *args, backend: str | None = None,
     for t in threads:
         t.join()
 
-    primary = next(
-        (e for e in errors if e is not None and not isinstance(e, RemoteError)),
-        None,
-    )
-    if primary is not None:
-        raise primary
-    # Among secondary aborts, prefer a typed RankFailure (e.g. a
-    # RankTimeout naming the stalled peer) over a generic RemoteError.
-    failure = next((e for e in errors if isinstance(e, RankFailure)), None)
-    if failure is not None:
-        raise failure
-    secondary = next((e for e in errors if e is not None), None)
-    if secondary is not None:
-        raise secondary
-    return results
+
+class ThreadWorld:
+    """Resident world of the thread backend.
+
+    What stays resident is the rank *state* — the mailboxes, the barrier
+    and one :class:`Communicator` per rank with its ``resident``
+    storage — not the threads: every :meth:`call` starts one
+    ``simmpi-rank-<r>`` thread per rank and joins them, which is cheap,
+    and leaves no idle thread behind for a later ``fork`` to trip over.
+    """
+
+    def __init__(self, n_ranks: int) -> None:
+        self.size = n_ranks
+        self.closed = False
+        self._world = _World(n_ranks)
+        self._comms = [Communicator(self._world, r) for r in range(n_ranks)]
+
+    def shared_array(self, shape, dtype=np.float64) -> np.ndarray:
+        """Array every rank can address: thread ranks share the heap."""
+        return np.empty(tuple(shape), dtype=dtype)
+
+    def call(self, fn, *args, **kwargs) -> list:
+        """Run ``fn(comm, *args, **kwargs)`` on every rank; the per-rank
+        return values in rank order.  A failure on any rank, or an
+        interrupt of the wait, closes the world before it is re-raised."""
+        if self.closed:
+            raise RuntimeError("this simmpi world is closed")
+        world = self._world
+        results: list = [None] * self.size
+        errors: list = [None] * self.size
+
+        def entry(rank: int) -> None:
+            try:
+                results[rank] = fn(self._comms[rank], *args, **kwargs)
+            except BaseException as exc:  # noqa: BLE001 - re-raised below
+                exc.simmpi_rank = rank
+                errors[rank] = exc
+                if not isinstance(exc, RemoteError):
+                    logger.error("rank %d failed: %r", rank, exc)
+                world.failed.set()
+                world.barrier.abort()
+
+        try:
+            _run_rank_threads(self.size, entry, "simmpi-rank")
+        except BaseException:
+            # Interrupted while waiting: make blocked ranks give up.
+            world.failed.set()
+            world.barrier.abort()
+            self.close()
+            raise
+        if any(e is not None for e in errors):
+            self.close()
+        raise_selected(errors)
+        return results
+
+    def close(self) -> None:
+        """Drop the rank state; idempotent."""
+        self.closed = True
+        for comm in self._comms:
+            comm.resident.clear()
+        self._comms = []
+
+
+def open_world(n_ranks: int, backend: str | None = None):
+    """A resident world of *n_ranks* ranks on *backend*.
+
+    The world offers ``call(fn, *args, **kwargs)`` — run an SPMD function
+    on its ranks and return the per-rank results — any number of times,
+    ``shared_array(shape)`` for arrays the caller and every rank address,
+    and ``close()``.  Ranks keep what they set up in ``comm.resident``
+    between calls.  A call that raises closes the world first, so a world
+    is either healthy or gone.  The deadline and watchdog policies are
+    read from the environment here, once per world.
+
+    *backend* is ``"thread"`` or ``"process"`` (see the module
+    docstring); ``None`` defers to ``REPRO_SIMMPI_BACKEND``, defaulting
+    to ``"thread"``.
+    """
+    if n_ranks < 1:
+        raise ValueError("need at least one rank")
+    if backend is None:
+        backend = os.environ.get("REPRO_SIMMPI_BACKEND", "thread")
+    if backend == "process":
+        from repro.simmpi.transport import ProcessWorld
+
+        return ProcessWorld(n_ranks)
+    if backend != "thread":
+        raise ValueError(
+            f"unknown simmpi backend {backend!r}; use 'thread' or 'process'"
+        )
+    return ThreadWorld(n_ranks)
+
+
+def run_spmd(n_ranks: int, fn, *args, backend: str | None = None,
+             **kwargs) -> list:
+    """Run ``fn(comm, *args, **kwargs)`` on *n_ranks* simulated ranks.
+
+    One call on a world opened for it and closed after it.  Returns the
+    list of per-rank return values (rank order).  Exceptions raised by
+    any rank abort the whole run and are re-raised (peers' secondary
+    :class:`RemoteError` aborts are suppressed).  The re-raised exception
+    carries the failing rank as a ``simmpi_rank`` attribute.
+
+    *backend* selects the execution substrate, as in :func:`open_world`.
+    """
+    world = open_world(n_ranks, backend)
+    try:
+        return world.call(fn, *args, **kwargs)
+    finally:
+        world.close()
 
 
 def run_spmd_elastic(n_ranks: int, fn, *args, **kwargs) -> tuple[list, dict]:
@@ -130,14 +197,7 @@ def run_spmd_elastic(n_ranks: int, fn, *args, **kwargs) -> tuple[list, dict]:
                 logger.warning("rank %d died (contained): %r", rank, exc)
             world.mark_dead(rank)
 
-    threads = [
-        threading.Thread(target=entry, args=(r,), name=f"simmpi-elastic-{r}")
-        for r in range(n_ranks)
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    _run_rank_threads(n_ranks, entry, "simmpi-elastic")
     failures = {r: e for r, e in enumerate(errors) if e is not None}
     if failures:
         logger.info(

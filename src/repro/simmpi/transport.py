@@ -2,7 +2,8 @@
 
 Threads share one GIL, so the thread backend of :mod:`repro.simmpi` can
 *model* — but never *measure* — intranode parallel speedup.  This module
-provides the measured path: one OS process per rank, tiny control
+provides the measured path: one resident OS process per rank
+(:class:`ProcessWorld`: forked once, commanded many times), tiny control
 messages over per-pair pipes, and bulk array payloads staged through
 POSIX shared memory (:mod:`multiprocessing.shared_memory`), so a
 ghost-slab transfer between co-resident ranks is two ``memcpy`` calls
@@ -25,7 +26,7 @@ waits.  That is the eager/rendezvous protocol of a real MPI: symmetric
 bulk exchanges are only guaranteed deadlock-free when receives are
 posted before sends, which is exactly Algorithm 2's
 post-receives-first discipline.  Ghost exchange does not travel this way:
-it uses the registered halo channels at the end of this module, which
+it uses the registered halo channels further down this module, which
 need neither staging nor acks; the staged protocol serves point-to-point
 messages and the collectives.
 """
@@ -33,15 +34,18 @@ messages and the collectives.
 from __future__ import annotations
 
 import logging
+import mmap
 import os
 import pickle
 import re
+import signal
 import threading
 import time
 import traceback
 import uuid
 import warnings
 from multiprocessing import connection as _mpc
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,10 +56,10 @@ from repro.simmpi.comm import (
     Communicator,
     HaloRecvChannel,
     HaloSendChannel,
-    RankFailure,
     RankTimeout,
     RemoteError,
     _copy_payload,
+    raise_selected,
 )
 from repro.simmpi.deadline import DeadlinePolicy
 from repro.simmpi.liveness import LivenessBeacon, RankMonitor, WatchdogConfig
@@ -65,8 +69,8 @@ __all__ = [
     "INLINE_MAX",
     "ProcessCommunicator",
     "ProcessRequest",
+    "ProcessWorld",
     "RankTransport",
-    "run_spmd_processes",
     "sweep_orphaned_segments",
 ]
 
@@ -702,9 +706,12 @@ class RankTransport:
     def counters(self) -> dict:
         """Control-traffic totals since transport creation.
 
-        The solver snapshots this dict immediately before and after the
-        step loop; the difference divided by step count is the
-        steady-state per-step message cost the fig7 report gates on.
+        ``pipe_messages`` counts every message this rank wrote to a
+        pipe: control posts to peers and, one per call of the world, the
+        result sent to the caller.  The solver snapshots this dict
+        immediately before and after the step loop; the difference
+        divided by step count is the steady-state per-step message cost
+        the fig7 report gates on.
         """
         return {
             "pipe_messages": self.ctrl_sent,
@@ -868,6 +875,7 @@ class ProcessCommunicator(Communicator):
         self._transport = transport
         self.rank = transport.rank
         self.size = transport.size
+        self.resident: dict = {}
 
     def send(self, obj, dest: int, tag: int = 0) -> None:
         self._transport.send(obj, dest, tag)
@@ -938,7 +946,7 @@ class ProcessCommunicator(Communicator):
         return self._transport.alloc_shared_array
 
 
-# -- launcher ----------------------------------------------------------------
+# -- resident world ----------------------------------------------------------
 
 
 def _transportable(exc: BaseException, rank: int) -> BaseException:
@@ -974,19 +982,68 @@ def _find_fault_plan(args, kwargs):
     return None
 
 
-def _child_entry(rank, size, fn, args, kwargs, readers, writers,
-                 failed, barrier, result_conn, watchdog=None,
-                 reclaimed=()) -> None:
-    """Per-rank process body: run *fn*, report result or failure.
+#: Command payload that ends a rank's command loop.
+_SHUTDOWN = b""
+
+
+class _RankEnds(NamedTuple):
+    """The pipe ends one rank process owns."""
+
+    commands: object   # read end: pickled commands from the parent
+    results: object    # write end: results, heartbeats, fault notes
+    readers: dict      # source rank -> read end of its control pipe
+    writers: dict      # dest rank -> write end of the control pipe
+
+    def close(self) -> None:
+        for conn in (self.commands, self.results,
+                     *self.readers.values(), *self.writers.values()):
+            conn.close()
+
+
+def _exit_on_sigterm(signum, frame):
+    raise SystemExit(128 + signum)
+
+
+def _abort_world(failed, barrier) -> None:
+    """Raise the world's failure flag and break its barrier, so ranks
+    blocked in communication give up."""
+    failed.set()
+    try:
+        barrier.abort()
+    except Exception:
+        pass
+
+
+def _rank_process(rank, size, command, ends, parent_ends, failed, barrier,
+                  watchdog, deadlines, reclaimed) -> None:
+    """Body of one resident rank process: serve commands until told to stop.
+
+    *command* — ``(fn, args, kwargs)`` — is the world's first call,
+    inherited through ``fork`` so closures and lambdas work; every later
+    one arrives pickled on the command pipe.  The loop ends on the
+    shutdown command, on EOF of the command pipe (the parent is gone —
+    fork handed this process every pipe end of the world, so all but its
+    own are closed first, or the EOF would never come) and after any
+    command that raised: a failed call destroys the world.  A terminated
+    rank (the parent's last resort) unwinds the same way, so its
+    shared-memory segments are unlinked on every exit but ``SIGKILL``.
 
     The result pipe doubles as the liveness channel: with an armed
-    *watchdog* a :class:`~repro.simmpi.liveness.LivenessBeacon` thread
-    streams ``("hb", rank, progress)`` messages, and a fault plan found
-    in the arguments notifies ``("fault", rank, (kind, step, rank))``
-    at fire time so the parent's plan copy stays in sync across
-    restarts (fork gives each child an independent copy).
+    *watchdog* a :class:`~repro.simmpi.liveness.LivenessBeacon` streams
+    ``("hb", rank, progress)`` for the duration of each command — never
+    while the rank idles, when nobody reads the pipe — and a fault plan
+    found in the arguments notifies ``("fault", rank, (kind, step,
+    rank))`` at fire time so the parent's copy stays in sync.
     """
-    transport = RankTransport(rank, size, readers, writers, failed, barrier)
+    signal.signal(signal.SIGTERM, _exit_on_sigterm)
+    for conn in parent_ends:
+        conn.close()
+    for other in range(size):
+        if other != rank:
+            ends[other].close()
+    mine = ends[rank]
+    transport = RankTransport(rank, size, mine.readers, mine.writers,
+                              failed, barrier, deadlines)
     if rank == 0 and reclaimed:
         transport.note_reclaimed(reclaimed)
     comm = ProcessCommunicator(transport)
@@ -995,246 +1052,323 @@ def _child_entry(rank, size, fn, args, kwargs, readers, writers,
     def report(msg) -> bool:
         try:
             with result_lock:
-                result_conn.send(msg)
+                mine.results.send(msg)
             return True
         except Exception:
             return False
 
-    plan = _find_fault_plan(args, kwargs)
-    if plan is not None:
-        plan.on_fire = lambda record: report(("fault", rank, record))
-    beacon = None
-    if watchdog is not None and watchdog.enabled:
-        beacon = LivenessBeacon(
-            result_conn, result_lock, rank,
-            lambda: (transport.progress_count, transport.progress_stamp),
-            watchdog.heartbeat,
-        )
-        beacon.start()
-    try:
-        result = fn(comm, *args, **kwargs)
-    except BaseException as exc:  # noqa: BLE001 - reported to the parent
-        failed.set()
-        try:
-            barrier.abort()
-        except Exception:
-            pass
+    def fail(exc: BaseException) -> None:
+        _abort_world(failed, barrier)
         if not isinstance(exc, RemoteError):
             logger.error("rank %d failed: %r", rank, exc)
         report(("err", rank, _transportable(exc, rank)))
-    else:
+
+    def serve(command) -> bool:
+        """Run one command and report it; False once the rank must exit."""
+        beacon = None
+        try:
+            if isinstance(command, bytes):
+                command = pickle.loads(command)
+            fn, args, kwargs = command
+            plan = _find_fault_plan(args, kwargs)
+            if plan is not None:
+                plan.on_fire = lambda record: report(("fault", rank, record))
+            if watchdog.enabled:
+                beacon = LivenessBeacon(
+                    mine.results, result_lock, rank,
+                    lambda: (transport.progress_count,
+                             transport.progress_stamp),
+                    watchdog.heartbeat,
+                )
+                beacon.start()
+            result = fn(comm, *args, **kwargs)
+        except BaseException as exc:  # noqa: BLE001 - reported to the parent
+            fail(exc)
+            return False
+        finally:
+            if beacon is not None:
+                beacon.stop()
         try:
             with result_lock:
-                result_conn.send(("ok", rank, result))
+                mine.results.send(("ok", rank, result))
         except Exception as exc:  # unpicklable/oversized result
-            failed.set()
-            try:
-                barrier.abort()
-            except Exception:
-                pass
-            report(("err", rank, _transportable(exc, rank)))
-    finally:
-        if beacon is not None:
-            beacon.stop()
-        transport.close()
-        with result_lock:
-            result_conn.close()
-
-
-def run_spmd_processes(n_ranks: int, fn, args: tuple = (),
-                       kwargs: dict | None = None,
-                       watchdog: WatchdogConfig | None = None) -> list:
-    """Run ``fn(comm, *args, **kwargs)`` on *n_ranks* OS processes.
-
-    The process-backend twin of the thread launcher in
-    :func:`repro.simmpi.runtime.run_spmd`, with identical result and
-    error semantics: per-rank return values in rank order, first
-    non-:class:`RemoteError` exception re-raised with ``simmpi_rank``
-    set, secondary aborts suppressed (among those, a typed
-    :class:`RankFailure` — e.g. a :class:`RankTimeout` from the
-    deadline layer — is preferred, so containment decisions survive
-    error selection).  Prefers the ``fork`` start method (no pickling
-    of *fn* or its closure) and falls back to ``spawn`` where fork is
-    unavailable, in which case *fn*, *args* and *kwargs* must be
-    picklable.
-
-    *watchdog* (default: from ``REPRO_SIMMPI_HANG_TIMEOUT``) arms hang
-    detection: children heartbeat their transport progress counters,
-    and a rank whose counter freezes beyond the hang timeout — while
-    some peer still advanced, or past the grace factor — is killed and
-    reported as a :class:`RankTimeout` naming it, which elastic
-    campaigns turn into a shrink-and-resume.
-    """
-    import multiprocessing as mp
-
-    kwargs = {} if kwargs is None else kwargs
-    watchdog = WatchdogConfig.from_env() if watchdog is None else watchdog
-    reclaimed = sweep_orphaned_segments()
-    parent_plan = _find_fault_plan(args, kwargs)
-    method = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
-    ctx = mp.get_context(method)
-    failed = ctx.Event()
-    barrier = ctx.Barrier(n_ranks)
-
-    # One one-way control pipe per ordered rank pair: readers[j][i] is
-    # rank j's read end of the i -> j channel.
-    readers: list[dict] = [{} for _ in range(n_ranks)]
-    writers: list[dict] = [{} for _ in range(n_ranks)]
-    for i in range(n_ranks):
-        for j in range(n_ranks):
-            if i == j:
-                continue
-            r, w = ctx.Pipe(duplex=False)
-            readers[j][i] = r
-            writers[i][j] = w
-
-    procs = []
-    result_conns = []
-    for rank in range(n_ranks):
-        res_r, res_w = ctx.Pipe(duplex=False)
-        result_conns.append(res_r)
-        proc = ctx.Process(
-            target=_child_entry,
-            args=(rank, n_ranks, fn, args, kwargs,
-                  readers[rank], writers[rank], failed, barrier, res_w,
-                  watchdog, tuple(reclaimed)),
-            name=f"simmpi-rank-{rank}",
-            daemon=True,
-        )
-        procs.append((proc, res_w))
-    for proc, _ in procs:
-        proc.start()
-    # Drop the parent's copies of channel/result write ends so EOF
-    # detection reflects the children alone.
-    for rank in range(n_ranks):
-        for conn in readers[rank].values():
-            conn.close()
-        for conn in writers[rank].values():
-            conn.close()
-    for _, res_w in procs:
-        res_w.close()
-
-    results: list = [None] * n_ranks
-    errors: list = [None] * n_ranks
-    pending = {result_conns[r]: r for r in range(n_ranks)}
-    monitor = RankMonitor(watchdog, n_ranks) if watchdog.enabled else None
-
-    def record_error(rank: int, err: BaseException) -> None:
-        err.simmpi_rank = rank
-        errors[rank] = err
-        if not isinstance(err, RemoteError):
-            logger.error("rank %d failed: %r", rank, err)
-
-    def consume(rank: int, msg: tuple) -> bool:
-        """Handle one child message; True when the rank is finished."""
-        kind = msg[0]
-        if kind == "hb":
-            if monitor is not None:
-                monitor.beat(rank, msg[2])
+            fail(exc)
             return False
-        if kind == "fault":
-            if parent_plan is not None:
-                fkind, fstep, frank = msg[2]
-                parent_plan.mark_fired(fkind, fstep, frank)
-            return False
-        if kind == "ok":
-            results[rank] = msg[2]
-            return True
-        record_error(rank, msg[2])   # "err"
+        transport.ctrl_sent += 1
         return True
 
-    wait_timeout = (
-        0.25 if monitor is None else min(0.25, watchdog.heartbeat)
-    )
-    while pending:
-        ready = _mpc.wait(list(pending), timeout=wait_timeout)
-        for conn in ready:
-            if conn not in pending:
-                continue
-            rank = pending[conn]
-            while True:
-                try:
-                    msg = conn.recv()
-                except (EOFError, OSError):
-                    del pending[conn]
-                    record_error(rank, RemoteError(
-                        f"rank {rank} exited without reporting a result"
-                    ))
-                    break
-                if consume(rank, msg):
-                    del pending[conn]
-                    break
-                if not conn.poll():
-                    break
-        if not ready:
-            # Liveness sweep: a hard-killed child never sets the failure
-            # flag itself, so the parent does it on its behalf.
-            for conn, rank in list(pending.items()):
-                proc = procs[rank][0]
-                if not proc.is_alive() and not conn.poll():
-                    record_error(rank, RemoteError(
-                        f"rank {rank} died (exit code {proc.exitcode})"
-                    ))
-                    failed.set()
+    try:
+        while command is not None and serve(command):
+            try:
+                command = mine.commands.recv_bytes()
+            except (EOFError, OSError, KeyboardInterrupt):
+                break
+            if command == _SHUTDOWN:
+                break
+    finally:
+        transport.close()
+        with result_lock:
+            mine.results.close()
+
+
+class ProcessWorld:
+    """Resident world of the process backend: launch once, call many.
+
+    The process-backend twin of :class:`repro.simmpi.runtime.ThreadWorld`
+    with identical result and error semantics: per-rank return values in
+    rank order, first non-:class:`RemoteError` exception re-raised with
+    ``simmpi_rank`` set, secondary aborts suppressed (see
+    :func:`~repro.simmpi.comm.raise_selected`).  Ranks are daemonic
+    processes forked at the **first** :meth:`call` — which they inherit,
+    closure and all — and kept until :meth:`close`; later calls are
+    pickled commands.  Any exception leaving a call closes the world
+    first, so no half-alive world is ever left behind.
+
+    The watchdog (``REPRO_SIMMPI_HANG_TIMEOUT``, read like the deadline
+    policy when the world opens) arms hang detection for the duration of
+    each call: ranks heartbeat their transport progress counters, and a
+    rank whose counter freezes beyond the hang timeout — while some peer
+    still advanced, or past the grace factor — is killed and reported as
+    a :class:`RankTimeout` naming it, which elastic campaigns turn into a
+    shrink-and-resume.  Idle time between calls is never a freeze: the
+    monitor is per call.
+    """
+
+    def __init__(self, n_ranks: int) -> None:
+        import multiprocessing as mp
+
+        if "fork" not in mp.get_all_start_methods():
+            raise RuntimeError(
+                "the simmpi process backend needs the fork start method"
+            )
+        self.size = n_ranks
+        self.closed = False
+        self._ctx = mp.get_context("fork")
+        self._watchdog = WatchdogConfig.from_env()
+        self._deadlines = DeadlinePolicy.from_env()
+        self._owner = os.getpid()
+        self._procs: list = []       # forked at the first call
+        self._commands: list = []    # write ends, one per rank
+        self._results: list = []     # read ends, one per rank
+        self._failed = self._ctx.Event()
+        self._barrier = self._ctx.Barrier(n_ranks)
+        self._calling = False
+
+    def shared_array(self, shape, dtype=np.float64) -> np.ndarray:
+        """Array in an anonymous shared mapping.
+
+        Must be allocated before the first :meth:`call`: ranks inherit
+        the mapping through ``fork`` when the array is among that call's
+        arguments.  It has no name, so there is nothing to unlink and
+        nothing a killed process could leave behind; the memory goes
+        when the last process holding the array drops it.
+        """
+        if self._procs:
+            raise RuntimeError(
+                "shared arrays must be allocated before the first call"
+            )
+        count = int(np.prod(shape))
+        buf = mmap.mmap(-1, max(count * np.dtype(dtype).itemsize, 1))
+        return np.frombuffer(buf, dtype=dtype, count=count).reshape(shape)
+
+    def call(self, fn, *args, **kwargs) -> list:
+        """Run ``fn(comm, *args, **kwargs)`` on every rank.
+
+        The first call forks the ranks; later ones must be picklable.
+        """
+        if self.closed:
+            raise RuntimeError("this simmpi world is closed")
+        self._calling = True
+        try:
+            if not self._procs:
+                self._spawn((fn, args, kwargs))
+            else:
+                payload = pickle.dumps((fn, args, kwargs),
+                                       protocol=pickle.HIGHEST_PROTOCOL)
+                for conn in self._commands:
                     try:
-                        barrier.abort()
-                    except Exception:
+                        conn.send_bytes(payload)
+                    except OSError:
+                        pass  # dead rank: the liveness sweep reports it
+            results = self._collect(_find_fault_plan(args, kwargs))
+        except BaseException:
+            self.close()
+            raise
+        self._calling = False
+        return results
+
+    def _spawn(self, command) -> None:
+        n = self.size
+        ctx = self._ctx
+        reclaimed = tuple(sweep_orphaned_segments())
+        # One one-way control pipe per ordered rank pair: readers[j][i]
+        # is rank j's read end of the i -> j channel.
+        readers: list[dict] = [{} for _ in range(n)]
+        writers: list[dict] = [{} for _ in range(n)]
+        for i in range(n):
+            for j in range(n):
+                if i != j:
+                    readers[j][i], writers[i][j] = ctx.Pipe(duplex=False)
+        ends = []
+        for rank in range(n):
+            cmd_r, cmd_w = ctx.Pipe(duplex=False)
+            res_r, res_w = ctx.Pipe(duplex=False)
+            self._commands.append(cmd_w)
+            self._results.append(res_r)
+            ends.append(_RankEnds(cmd_r, res_w, readers[rank], writers[rank]))
+        parent_ends = self._commands + self._results
+        self._procs = [
+            ctx.Process(
+                target=_rank_process,
+                args=(rank, n, command, ends, parent_ends, self._failed,
+                      self._barrier, self._watchdog, self._deadlines,
+                      reclaimed),
+                name=f"simmpi-rank-{rank}",
+                daemon=True,
+            )
+            for rank in range(n)
+        ]
+        for proc in self._procs:
+            proc.start()
+        # Drop this process's copies of the rank ends so EOF on a result
+        # pipe reflects its rank alone.
+        for rank_ends in ends:
+            rank_ends.close()
+
+    def _abort(self) -> None:
+        _abort_world(self._failed, self._barrier)
+
+    def _collect(self, plan) -> list:
+        """Wait for every rank's report of the current call."""
+        n = self.size
+        watchdog = self._watchdog
+        results: list = [None] * n
+        errors: list = [None] * n
+        pending = {self._results[r]: r for r in range(n)}
+        monitor = RankMonitor(watchdog, n) if watchdog.enabled else None
+
+        def record_error(rank: int, err: BaseException) -> None:
+            err.simmpi_rank = rank
+            errors[rank] = err
+            if not isinstance(err, RemoteError):
+                logger.error("rank %d failed: %r", rank, err)
+
+        def consume(rank: int, msg: tuple) -> bool:
+            """Handle one rank message; True when the rank has reported."""
+            kind = msg[0]
+            if kind == "hb":
+                if monitor is not None:
+                    monitor.beat(rank, msg[2])
+                return False
+            if kind == "fault":
+                if plan is not None:
+                    fkind, fstep, frank = msg[2]
+                    plan.mark_fired(fkind, fstep, frank)
+                return False
+            if kind == "ok":
+                results[rank] = msg[2]
+                return True
+            record_error(rank, msg[2])   # "err"
+            return True
+
+        wait_timeout = (
+            0.25 if monitor is None else min(0.25, watchdog.heartbeat)
+        )
+        while pending:
+            ready = _mpc.wait(list(pending), timeout=wait_timeout)
+            for conn in ready:
+                if conn not in pending:
+                    continue
+                rank = pending[conn]
+                while True:
+                    try:
+                        msg = conn.recv()
+                    except (EOFError, OSError):
+                        del pending[conn]
+                        record_error(rank, RemoteError(
+                            f"rank {rank} exited without reporting a result"
+                        ))
+                        break
+                    if consume(rank, msg):
+                        del pending[conn]
+                        break
+                    if not conn.poll():
+                        break
+            if not ready:
+                # Liveness sweep: a hard-killed rank never sets the
+                # failure flag itself, so the parent does it on its behalf.
+                for conn, rank in list(pending.items()):
+                    proc = self._procs[rank]
+                    if not proc.is_alive() and not conn.poll():
+                        record_error(rank, RemoteError(
+                            f"rank {rank} died (exit code {proc.exitcode})"
+                        ))
+                        self._abort()
+                        del pending[conn]
+            if monitor is not None and pending:
+                suspect = monitor.hung_rank(sorted(pending.values()))
+                if suspect is not None:
+                    conn = next(c for c, r in pending.items() if r == suspect)
+                    # Drain queued messages first: fire notifications must
+                    # not be lost, and a just-landed result supersedes the
+                    # hang verdict.
+                    finished = False
+                    try:
+                        while conn.poll():
+                            finished = (consume(suspect, conn.recv())
+                                        or finished)
+                    except (EOFError, OSError):
                         pass
                     del pending[conn]
-        if monitor is not None and pending:
-            suspect = monitor.hung_rank(sorted(pending.values()))
-            if suspect is not None:
-                conn = next(c for c, r in pending.items() if r == suspect)
-                # Drain queued messages first: fire notifications must
-                # not be lost, and a just-landed result supersedes the
-                # hang verdict.
-                finished = False
-                try:
-                    while conn.poll():
-                        finished = consume(suspect, conn.recv()) or finished
-                except (EOFError, OSError):
-                    pass
-                del pending[conn]
-                if not finished:
-                    record_error(suspect, RankTimeout(
-                        "liveness", watchdog.hang_timeout, peers=(suspect,)
-                    ))
-                    failed.set()
-                    try:
-                        barrier.abort()
-                    except Exception:
-                        pass
-                    proc = procs[suspect][0]
-                    if proc.is_alive():
-                        logger.error(
-                            "watchdog: killing hung rank %d (pid %s)",
-                            suspect, proc.pid,
-                        )
-                        proc.kill()
+                    if not finished:
+                        record_error(suspect, RankTimeout(
+                            "liveness", watchdog.hang_timeout,
+                            peers=(suspect,)
+                        ))
+                        self._abort()
+                        proc = self._procs[suspect]
+                        if proc.is_alive():
+                            logger.error(
+                                "watchdog: killing hung rank %d (pid %s)",
+                                suspect, proc.pid,
+                            )
+                            proc.kill()
+        raise_selected(errors)
+        return results
 
-    deadline = time.monotonic() + _JOIN_GRACE
-    for proc, _ in procs:
-        proc.join(timeout=max(0.1, deadline - time.monotonic()))
-    for proc, _ in procs:
-        if proc.is_alive():
-            logger.warning("terminating straggler process %s", proc.name)
-            proc.terminate()
-            proc.join(timeout=5)
-    for conn in result_conns:
-        conn.close()
+    def close(self) -> None:
+        """End the ranks and reclaim their segments; idempotent.
 
-    primary = next(
-        (e for e in errors if e is not None and not isinstance(e, RemoteError)),
-        None,
-    )
-    if primary is not None:
-        raise primary
-    # Among secondary aborts, a typed RankFailure (deadline/watchdog
-    # containment verdict) beats a generic RemoteError echo.
-    failure = next((e for e in errors if isinstance(e, RankFailure)), None)
-    if failure is not None:
-        raise failure
-    secondary = next((e for e in errors if e is not None), None)
-    if secondary is not None:
-        raise secondary
-    return results
+        Live ranks get the shutdown command and unlink their own
+        segments on the way out; stragglers are terminated after the
+        grace period, and whatever a hard-killed rank left in
+        ``/dev/shm`` is reclaimed.  A no-op in a forked copy of the
+        world: only the process that opened it may close it.
+        """
+        if self.closed or os.getpid() != self._owner:
+            return
+        self.closed = True
+        if self._calling:
+            self._abort()   # interrupted mid-call: unblock waiting ranks
+        for conn in self._commands:
+            try:
+                conn.send_bytes(_SHUTDOWN)
+            except OSError:
+                pass
+            conn.close()
+        deadline = time.monotonic() + _JOIN_GRACE
+        for proc in self._procs:
+            proc.join(timeout=max(0.1, deadline - time.monotonic()))
+        for proc in self._procs:
+            if proc.is_alive():
+                logger.warning("terminating straggler process %s", proc.name)
+                proc.terminate()
+                proc.join(timeout=5)
+            if proc.is_alive():
+                proc.kill()
+                proc.join()
+        for conn in self._results:
+            conn.close()
+        if any(proc.exitcode != 0 for proc in self._procs):
+            sweep_orphaned_segments()
+

@@ -12,7 +12,7 @@ from repro.grid.timeloop import Timeloop
 from repro.resilience.campaign import run_campaign
 from repro.resilience.faults import Fault, FaultPlan
 from repro.resilience.guards import GuardedSimulation
-from repro.resilience.store import CheckpointStore
+from repro.resilience.store import CheckpointStore, ShardedCheckpointStore
 from repro.telemetry import (
     EventLog,
     Heartbeat,
@@ -242,6 +242,28 @@ class TestCampaignTelemetry:
         assert "checkpoint" in kinds
         assert "restart" in kinds
         assert "campaign_end" in kinds
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_sharded_campaign_counts_every_manifest(
+        self, tmp_path, initial_state, backend
+    ):
+        """Shards are written and manifests published inside the ranks;
+        their counts reach the caller's store — and the report — on
+        either backend."""
+        system, phi0, mu0 = initial_state
+        d = DistributedSimulation(SHAPE, (2, 2, 3), system=system,
+                                  kernel="buffered", n_ranks=2,
+                                  backend=backend)
+        store = ShardedCheckpointStore(tmp_path / "ck", keep=8)
+        res = run_campaign(
+            d, 8, phi0, mu0, store=store, checkpoint_every=2,
+            telemetry=RunTelemetry(directory=tmp_path / "tel", run_id="sh"),
+        )
+        # the initial state plus one generation every two steps
+        assert res.checkpoints_written == len(store.manifests()) == 5
+        assert res.report["counters"]["checkpoints_written"] == res.checkpoints_written
+        assert store.stats["manifests_published"] == 5
+        assert store.stats["shards_written"] == 10
 
     def test_unfaulted_campaign_matches_plain_run(self, tmp_path, initial_state):
         system, phi0, mu0 = initial_state
