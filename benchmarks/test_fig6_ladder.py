@@ -37,8 +37,8 @@ from conftest import (
 SCENARIOS = ("interface", "liquid", "solid")
 #: Rungs measured: the full ladder minus the pure-Python reference,
 #: filtered to what this environment can run (the compiled rungs need
-#: numba or a C toolchain + cffi; the registry reports them unavailable
-#: rather than erroring).
+#: a C toolchain + cffi; the registry reports them unavailable rather
+#: than erroring).
 FAST_RUNGS = [r for r in LADDER if r != "reference" and rung_available(r)]
 #: Best NumPy rung the compiled speedup gate compares against.
 BEST_NUMPY = "shortcut"

@@ -24,22 +24,22 @@ buffered            staggered-value buffering (Fig. 3)         face-flux arrays
 shortcut            region-dependent term skipping             boolean-mask gather/
                                                                scatter on interface
                                                                and front cells
-compiled            hand-vectorized compiled kernel            per-cell compiled loop
-                                                               (numba ``@njit`` or
-                                                               generated C via cffi)
+compiled            specialised compiled kernel with           C sweeps (cffi):
+                    staggered buffers                          compile-time N, K, dim;
+                                                               each face flux once
 compiled_shortcuts  compiled kernel + region skipping          same, with per-cell
                                                                region branches
 =================== ========================================= =====================
 
 The two ``compiled*`` rungs are backed by :mod:`repro.core.kernels.compiled`
-and need either numba or a C toolchain + cffi.  They register
+and need a C toolchain + cffi.  They register
 unconditionally but may be *unavailable*; query :func:`rung_available` /
 :func:`available_rungs`, or let :func:`repro.core.kernels.compiled.maybe_fallback`
 degrade them to their NumPy twins (``compiled`` -> ``buffered``,
 ``compiled_shortcuts`` -> ``shortcut``) with a :class:`RuntimeWarning` —
 the solvers do this automatically.  Backend choice is controlled by the
-``REPRO_KERNEL_BACKEND`` environment variable (``auto`` | ``numba`` |
-``cffi`` | ``none``).  Compiled rungs are pinned to the reference by the
+``REPRO_KERNEL_BACKEND`` environment variable (``auto`` | ``cffi`` |
+``none``).  Compiled rungs are pinned to the reference by the
 equivalence suite at the same documented tolerance (atol 1e-11) as the
 NumPy rungs; bitwise identity is not promised because the compiled code
 uses the analytic 2x2 chi solve and the O(N) driving-force form of the

@@ -159,7 +159,7 @@ LADDER = (
     "compiled", "compiled_shortcuts",
 )
 
-#: Rungs backed by a compiled backend (numba or generated-C/cffi); they
+#: Rungs backed by the compiled backend (C built through cffi); they
 #: register unconditionally but may be *unavailable* in a given
 #: environment — query :func:`rung_available` before invoking.
 COMPILED_RUNGS = ("compiled", "compiled_shortcuts")
@@ -204,7 +204,7 @@ def rung_available(name: str) -> bool:
     """Whether a ladder rung is usable in this environment.
 
     NumPy rungs are always available; the compiled rungs depend on a
-    usable backend (numba installed, or a C toolchain + cffi).  Unknown
+    usable backend (a C toolchain + cffi).  Unknown
     names are simply reported unavailable.
     """
     _ensure_loaded()

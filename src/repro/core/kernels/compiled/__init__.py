@@ -1,31 +1,28 @@
 """Compiled rungs of the optimization ladder (``compiled`` / ``compiled_shortcuts``).
 
-The paper's ladder ends in compiled, explicitly vectorized kernels
-(Sec. 3.3, Figs. 5-6); these rungs are that stage for the reproduction.
-Two interchangeable backends compile the *same* per-cell loop algorithm
-(:mod:`~repro.core.kernels.compiled.loops`):
+The paper's ladder ends in compiled, specialised kernels (Sec. 3.3,
+Figs. 5-6); these rungs are that stage for the reproduction.  There is
+one backend and one source of the algorithm: the C text in
+:mod:`~repro.core.kernels.compiled.cffi_backend`, built with the system C
+compiler and loaded via cffi ABI mode (OpenMP threading when the
+toolchain has it).  The pure-Python ``reference`` rung and the NumPy
+rungs are its referees.
 
-``numba``
-    ``@njit(parallel=True, fastmath=False)`` over the loop bodies —
-    preferred when numba is installed.
-``cffi``
-    A generated-C transcription built with the system C compiler and
-    loaded via cffi ABI mode (OpenMP threading) — covers environments
-    without numba but with a C toolchain.
+Nothing is compiled until a compiled rung (or :func:`available`) is
+first asked for.  ``REPRO_KERNEL_BACKEND`` selects ``auto`` (default) |
+``cffi`` | ``none``.  When the backend is unusable (no cffi, no C
+compiler, build failure) the registry reports the rungs unavailable
+(:func:`repro.core.kernels.api.rung_available`) and the solvers degrade
+to the equivalent NumPy rung with a warning instead of erroring.
 
-Selection is lazy: nothing is imported or compiled until a compiled rung
-is actually requested.  ``REPRO_KERNEL_BACKEND`` picks the backend
-(``auto`` | ``numba`` | ``cffi`` | ``none``; default ``auto`` = numba
-first, then cffi).  When no backend is usable the registry reports the
-rungs unavailable (:func:`repro.core.kernels.api.rung_available`) and
-the solvers degrade to the equivalent NumPy rung with a warning instead
-of erroring.
-
-Both rungs run the per-cell loops; they differ exactly like the NumPy
+Both rungs run the same sweeps — compile-time-specialised instantiations
+(``N = 4, K = 2``, 2-D and 3-D; a run-time-generic one otherwise), T(z)
+slice-coefficient precomputation, staggered face buffers that evaluate
+each face flux once — and differ exactly like the NumPy
 ``buffered``/``shortcut`` pair:
 
 ``compiled``
-    tz slice-coefficient precomputation, every term on every cell.
+    every term on every cell.
 ``compiled_shortcuts``
     adds the region shortcuts as *real per-cell branches* (the paper's
     winning "cellwise with shortcuts" strategy): inactive cells copy
@@ -36,13 +33,15 @@ Tolerance policy: the equivalence suite pins both rungs to the
 pure-Python reference at the same ``atol=1e-11`` as the NumPy rungs.
 Bitwise identity with the reference is *not* guaranteed (the compiled
 rungs use the analytic 2x2 susceptibility solve and the O(N) driving
-force form, like the optimized NumPy rungs), but the two compiled
-backends are transcriptions of one algorithm and agree with the
-un-jitted loop bodies to machine precision.
+force form, like the optimized NumPy rungs).  What *is* guaranteed
+bitwise: a block's result is a pure function of its ghosted input,
+independent of the block's shape and position and of the OpenMP thread
+count — the property the bitwise serial-vs-distributed tests rest on.
 
-The kernels allocate all temporaries on the per-thread stack and never
-touch ``KernelContext.get_scratch`` — they are safe under
-``parallel=True`` and place no thread-ownership claim on the context.
+The kernels allocate their scratch per call, private to each OpenMP
+thread, and never touch ``KernelContext.get_scratch`` — they may be
+entered from several Python threads at once and place no
+thread-ownership claim on the context.
 """
 
 from __future__ import annotations
@@ -58,6 +57,7 @@ from repro.core.kernels.api import (
     register,
     register_split_mu,
 )
+from repro.core.kernels.compiled import cffi_backend
 
 __all__ = [
     "BACKENDS",
@@ -71,8 +71,8 @@ __all__ = [
     "warmup",
 ]
 
-#: Probe order of ``REPRO_KERNEL_BACKEND=auto``.
-BACKENDS = ("numba", "cffi")
+#: Backends ``REPRO_KERNEL_BACKEND`` can name (``auto`` probes them).
+BACKENDS = ("cffi",)
 
 _selection: tuple[str | None, str | None] | None = None  # (name, reason)
 _forced: str | None = None
@@ -80,18 +80,6 @@ _forced: str | None = None
 
 class CompiledBackendUnavailable(RuntimeError):
     """A compiled rung was invoked but no backend is usable."""
-
-
-def _module(name: str):
-    if name == "numba":
-        from repro.core.kernels.compiled import numba_backend
-
-        return numba_backend
-    if name == "cffi":
-        from repro.core.kernels.compiled import cffi_backend
-
-        return cffi_backend
-    raise ValueError(f"unknown compiled backend {name!r}; have {BACKENDS}")
 
 
 def _resolve() -> tuple[str | None, str | None]:
@@ -104,21 +92,13 @@ def _resolve() -> tuple[str | None, str | None]:
         if _forced is not None
         else os.environ.get("REPRO_KERNEL_BACKEND", "auto").strip().lower()
     )
-    if choice in ("", "auto"):
-        reasons = []
-        for name in BACKENDS:
-            if _module(name).available():
-                _selection = (name, None)
-                return _selection
-            reasons.append(f"{name}: {_module(name).build_error()}")
-        _selection = (None, "; ".join(reasons))
+    if choice in ("", "auto", "cffi"):
+        if cffi_backend.available():
+            _selection = ("cffi", None)
+        else:
+            _selection = (None, f"cffi: {cffi_backend.build_error()}")
     elif choice in ("none", "off", "disabled"):
         _selection = (None, "disabled via REPRO_KERNEL_BACKEND")
-    elif choice in BACKENDS:
-        if _module(choice).available():
-            _selection = (choice, None)
-        else:
-            _selection = (None, f"{choice}: {_module(choice).build_error()}")
     else:
         _selection = (
             None,
@@ -156,7 +136,7 @@ def available() -> bool:
 
 def available_backends() -> tuple[str, ...]:
     """All backends usable in this environment (selection-independent)."""
-    return tuple(n for n in BACKENDS if _module(n).available())
+    return BACKENDS if cffi_backend.available() else ()
 
 
 def backend_module():
@@ -165,23 +145,26 @@ def backend_module():
     if name is None:
         raise CompiledBackendUnavailable(
             f"no compiled kernel backend is available ({reason}); install "
-            "numba or a C toolchain, or select a NumPy rung "
+            "cffi and a C compiler, or select a NumPy rung "
             "(e.g. kernel='shortcut')"
         )
-    return _module(name)
+    return cffi_backend
 
 
 # --------------------------------------------------------------------------
 # KernelContext packing and geometry
 # --------------------------------------------------------------------------
 
-def _flat64(arr) -> np.ndarray:
-    return np.ascontiguousarray(arr, dtype=np.float64).reshape(-1)
+def _c64(arr) -> np.ndarray:
+    return np.ascontiguousarray(arr, dtype=np.float64)
 
 
 def _pack(ctx: KernelContext) -> dict:
-    """Flattened plain-array constants of *ctx* (cached on the context).
+    """Constants of *ctx* as the backend takes them (cached on the context).
 
+    Converted once: ``phi`` / ``mu`` are the trailing constant arguments
+    of ``phi_step_raw`` / ``mu_step_raw`` as cdata (each keeps its array
+    alive), ``geom`` caches the geometry vector per ghosted shape.
     ``set_dt`` and friends rebuild the context, so per-object caching is
     safe; the pack is read-only shared state and thread-safe to reuse.
     """
@@ -192,36 +175,42 @@ def _pack(ctx: KernelContext) -> dict:
                 "compiled kernels support at most 8 phases / 4 solutes "
                 f"(got N={ctx.n_phases}, K={ctx.n_solutes})"
             )
+        ptr = cffi_backend.pointer
         p = ctx.params
+        scal = ptr(np.array(
+            [p.dx, p.dt, ctx.eps, ctx.gamma_triple, ctx.t_eut]
+        ))
+        inv_curv, c_eq, c_slope, diff = (
+            ptr(_c64(a))
+            for a in (ctx.inv_curv, ctx.c_eq, ctx.c_slope, ctx.diff)
+        )
         pk = {
-            "gamma": _flat64(ctx.gamma),
-            "tau": _flat64(ctx.tau),
-            "inv_curv": _flat64(ctx.inv_curv),
-            "c_eq": _flat64(ctx.c_eq),
-            "c_slope": _flat64(ctx.c_slope),
-            "latent": _flat64(ctx.latent),
-            "diff": _flat64(ctx.diff),
-            "scal": np.array(
-                [p.dx, p.dt, ctx.eps, ctx.gamma_triple, ctx.t_eut]
-            ),
+            "phi": (scal, ptr(_c64(ctx.gamma)), ptr(_c64(ctx.tau)),
+                    inv_curv, c_eq, c_slope, ptr(_c64(ctx.latent)), diff),
+            "mu": (scal, inv_curv, c_eq, c_slope, diff),
             "anti_trapping": 1 if p.anti_trapping else 0,
+            "geom": {},
         }
         ctx._compiled_pack = pk
     return pk
 
 
-def _geometry(ctx: KernelContext, ghosted_shape) -> tuple[np.ndarray, tuple]:
+def _geometry(ctx: KernelContext, pk: dict, ghosted_shape) -> tuple:
     """``(geom, interior_shape)`` for a ghosted spatial shape."""
-    interior = tuple(s - 2 for s in ghosted_shape)
-    if len(interior) == 3:
-        dim3, (n0, n1, n2) = 1, interior
-    else:
-        dim3, n0, (n1, n2) = 0, 1, interior
-    geom = np.array(
-        [dim3, n0, n1, n2, ctx.n_phases, ctx.n_solutes, ctx.liquid],
-        dtype=np.int64,
-    )
-    return geom, interior
+    cached = pk["geom"].get(ghosted_shape)
+    if cached is None:
+        interior = tuple(s - 2 for s in ghosted_shape)
+        if len(interior) == 3:
+            dim3, (n0, n1, n2) = 1, interior
+        else:
+            dim3, n0, (n1, n2) = 0, 1, interior
+        geom = np.array(
+            [dim3, n0, n1, n2, ctx.n_phases, ctx.n_solutes, ctx.liquid],
+            dtype=np.int64,
+        )
+        cached = (cffi_backend.pointer(geom, "long long[]"), interior)
+        pk["geom"][ghosted_shape] = cached
+    return cached
 
 
 # --------------------------------------------------------------------------
@@ -231,15 +220,13 @@ def _geometry(ctx: KernelContext, ghosted_shape) -> tuple[np.ndarray, tuple]:
 def _phi_compiled(ctx, phi_src, mu_src, t_ghost, shortcuts: bool):
     be = backend_module()
     pk = _pack(ctx)
-    geom, interior = _geometry(ctx, phi_src.shape[1:])
-    out = np.empty(ctx.n_phases * int(np.prod(interior)))
+    geom, interior = _geometry(ctx, pk, phi_src.shape[1:])
+    out = np.empty((ctx.n_phases,) + interior)
     be.phi_step_raw(
-        _flat64(phi_src), _flat64(mu_src), _flat64(t_ghost), out,
-        geom, pk["scal"], pk["gamma"], pk["tau"], pk["inv_curv"],
-        pk["c_eq"], pk["c_slope"], pk["latent"], pk["diff"],
-        1 if shortcuts else 0,
+        _c64(phi_src), _c64(mu_src), _c64(t_ghost), out,
+        geom, *pk["phi"], 1 if shortcuts else 0,
     )
-    return out.reshape((ctx.n_phases,) + interior)
+    return out
 
 
 def _mu_compiled(ctx, mu_src, phi_src, phi_dst, t_old, t_new,
@@ -247,20 +234,18 @@ def _mu_compiled(ctx, mu_src, phi_src, phi_dst, t_old, t_new,
                  seed: np.ndarray | None = None):
     be = backend_module()
     pk = _pack(ctx)
-    geom, interior = _geometry(ctx, mu_src.shape[1:])
+    geom, interior = _geometry(ctx, pk, mu_src.shape[1:])
     if seed is None:
-        out = np.empty(ctx.n_solutes * int(np.prod(interior)))
+        out = np.empty((ctx.n_solutes,) + interior)
     else:
         # neighbour part: accumulate onto a copy of the local partial
-        out = _flat64(seed).copy()
+        out = np.array(seed, dtype=np.float64, order="C")
     be.mu_step_raw(
-        _flat64(mu_src), _flat64(phi_src), _flat64(phi_dst),
-        _flat64(t_old), _flat64(t_new), out,
-        geom, pk["scal"], pk["inv_curv"], pk["c_eq"], pk["c_slope"],
-        pk["diff"], pk["anti_trapping"], 1 if shortcuts else 0,
-        int(include_at), int(only_at),
+        _c64(mu_src), _c64(phi_src), _c64(phi_dst), _c64(t_old), _c64(t_new),
+        out, geom, *pk["mu"], pk["anti_trapping"], 1 if shortcuts else 0,
+        include_at, only_at,
     )
-    return out.reshape((ctx.n_solutes,) + interior)
+    return out
 
 
 @register("phi", "compiled")
@@ -297,8 +282,7 @@ def _make_split(shortcuts: bool):
                             shortcuts, include_at=0)
 
     def neighbor(ctx, mu_partial, mu_src, phi_src, phi_dst, t_old):
-        pk = _pack(ctx)
-        if not pk["anti_trapping"]:
+        if not ctx.params.anti_trapping:
             return mu_partial
         return _mu_compiled(ctx, mu_src, phi_src, phi_dst, t_old, t_old,
                             shortcuts, include_at=1, only_at=1,
@@ -319,8 +303,8 @@ def warmup(ctx: KernelContext, dim: int | None = None) -> float:
     """Compile/load the backend against *ctx* on a tiny dummy problem.
 
     Runs every entry point (both shortcut variants, full and split mu)
-    on a one-cell domain so that JIT compilation, the shared-library
-    build and the constants pack are all paid for *before* any timed
+    on a one-cell domain so that the shared-library build (when the cache
+    is cold) and the constants pack are paid for *before* any timed
     stepping — the recorded return value (seconds) is what the
     benchmarks report as compile cost so warmup never pollutes MLUP/s.
     Raises :class:`CompiledBackendUnavailable` when no backend is usable.

@@ -1,29 +1,67 @@
-"""Generated-C compiled backend (cffi ABI mode, OpenMP threading).
+"""The compiled kernels: generated C, built on demand, loaded through cffi.
 
-A line-for-line C transcription of the per-cell loops in
-:mod:`repro.core.kernels.compiled.loops`, compiled on demand with the
-system C compiler into a shared library and loaded through ``cffi``'s ABI
-mode (``dlopen``) — no setuptools machinery, no build at install time.
-The paper's ladder ends in explicitly vectorized compiled kernels; this
-backend is the equivalent rung for environments without numba (ROADMAP
-lists "Numba ``@njit(parallel=True)`` or a generated-C/cffi kernel" as
-interchangeable options for it).
+The C text below is the single source of the ``compiled`` /
+``compiled_shortcuts`` rungs.  It is built with the system C compiler
+into a shared library and loaded through ``cffi``'s ABI mode
+(``dlopen``) — no setuptools machinery, no build at install time.
+``reference.py`` and the NumPy rungs are its referees
+(``tests/test_kernels_equivalence.py``, ``tests/test_kernels_compiled.py``).
+
+Layout conventions
+------------------
+* Fields arrive C-contiguous with the component axis leading: a ghosted
+  field of interior shape ``(n0, n1, n2)`` (``n0 == 1`` and no x-ghosts
+  in 2-D) is indexed as ``field[comp * cs + cell]`` where ``cs`` is the
+  ghosted cells-per-component stride.  Outputs are interior-only with
+  stride ``ocs``.
+* ``geom = [dim3, n0, n1, n2, N, K, liquid]`` (int64) and
+  ``scal = [dx, dt, eps, gamma_triple, t_eut]`` (float64) carry the
+  :class:`~repro.core.kernels.api.KernelContext` constants; matrices are
+  flattened row-major (``gamma[a*N+b]``, ``inv_curv[(a*K+i)*K+j]``).
+
+What the sweeps contain (the paper's node-level ladder, Sec. 3.3)
+-----------------------------------------------------------------
+* **Specialisation.**  Each sweep body is written once in terms of
+  ``N``, ``K`` and the number of axes and instantiated with them as
+  compile-time constants for the shipped dataset (``N = 4, K = 2`` in
+  2-D and 3-D), plus one run-time-generic instantiation for any other
+  ``N <= 8, K <= 4``.  The instantiation is chosen once per call.
+* **T(z) precomputation.**  Slice coefficient tables, once per sweep.
+* **Staggered face buffers.**  The flux through a face is evaluated once,
+  in the ``+d`` orientation, by the cell below it, and read back by the
+  cell above from O(plane) scratch: one slot for the previous z-cell,
+  one line of slots for the previous y-line, one plane for the previous
+  x-plane.  Every slot carries the ghosted index of the cell that wrote
+  it and is valid only for the cell directly above that writer; a cell
+  that finds no valid slot (block boundary, first line of a thread's
+  share, a neighbour skipped by a shortcut) evaluates the face itself.
+  Both evaluations give the same bits (DESIGN.md, "Compiled kernels"),
+  so a block's result is a pure function of its ghosted input,
+  independent of block shape, position and thread count.
+* **Shortcuts** (``compiled_shortcuts`` only) are per-cell branches:
+  inactive cells copy through, non-diffuse active cells skip the driving
+  force, non-front cells skip anti-trapping.  A face therefore keeps its
+  diffusive value and its diffusive-plus-anti-trapping value separately,
+  and each cell takes the one its own flag asks for.
 
 Compilation policy
 ------------------
-* The C source is hashed (together with the compiler identity); the
+* One translation unit, built at :func:`load`.  Source, cdef, compiler
+  path and the flags actually used are hashed into the file name; the
   shared object is cached under ``_build/`` next to this module
   (override with ``REPRO_COMPILED_CACHE``), so each environment compiles
-  exactly once.  Builds go to a temp name and ``os.replace`` in, so
-  concurrent processes race benignly.
-* No ``-ffast-math``: the equivalence suite pins the compiled rungs to
-  the pure-Python reference at the same tolerance as the NumPy rungs,
-  which IEEE-breaking optimizations would void.
+  exactly once.  The compiler reads the source from stdin and the object
+  is published by temp name + ``os.replace``, so processes that start
+  together against an empty cache each build privately and race benignly.
+* ``-O3 -ffp-contract=off``, no ``-ffast-math``, no ``-march``: the
+  equivalence suite pins the compiled rungs to the pure-Python reference
+  at the same tolerance as the NumPy rungs, and buffer reuse is bit-exact
+  only under IEEE semantics without contraction.
 * ``-fopenmp`` is attempted first and dropped if the toolchain lacks it;
   the library records which variant is loaded (:func:`num_threads`).
 
-Parallel safety: every temporary lives on the per-thread stack inside
-the OpenMP loop; the kernels never touch ``KernelContext.get_scratch``.
+Parallel safety: all scratch is allocated per call and private to one
+OpenMP thread; the kernels never touch ``KernelContext.get_scratch``.
 """
 
 from __future__ import annotations
@@ -34,25 +72,24 @@ import subprocess
 import tempfile
 from pathlib import Path
 
-import numpy as np
-
 __all__ = [
     "available",
     "load",
     "build_error",
     "num_threads",
+    "pointer",
     "phi_step_raw",
     "mu_step_raw",
 ]
 
 _CDEF = """
-void repro_phi_step(
+int repro_phi_step(
     const double *phi, const double *mu, const double *tg, double *out,
     const long long *geom, const double *scal,
     const double *gamma, const double *tau, const double *inv_curv,
     const double *c_eq, const double *c_slope, const double *latent,
     const double *diff, int shortcuts);
-void repro_mu_step(
+int repro_mu_step(
     const double *mu, const double *phi_src, const double *phi_dst,
     const double *t_old, const double *t_new, double *out,
     const long long *geom, const double *scal,
@@ -62,8 +99,6 @@ void repro_mu_step(
 int repro_num_threads(void);
 """
 
-# C transcription of loops.py (kept in the same order, term by term, so
-# the two stay auditable against each other).
 _C_SOURCE = r"""
 #include <math.h>
 #include <stdlib.h>
@@ -76,6 +111,10 @@ _C_SOURCE = r"""
 #define MAXK 4
 #define TOL 1e-9
 #define GRAD_TOL 1e-12
+/* Forced inlining is what instantiates a body: N, K and NAX reach it as
+   literal constants from the dispatch in phi_share / mu_share. */
+#define BODY static inline __attribute__((always_inline))
+#define SHARE static __attribute__((noinline))
 
 typedef long long i64;
 
@@ -88,133 +127,172 @@ int repro_num_threads(void)
 #endif
 }
 
-void repro_phi_step(
-    const double *phi, const double *mu, const double *tg, double *out,
-    const i64 *geom, const double *scal,
-    const double *gamma, const double *tau, const double *inv_curv,
-    const double *c_eq, const double *c_slope, const double *latent,
-    const double *diff, int shortcuts)
+/* Threads of a sweep: each gets a contiguous share of the (i0, i1)
+   lines, so never more threads than lines. */
+static int team_size(i64 lines)
 {
-    const int dim3 = (int)geom[0];
-    const i64 n0 = geom[1], n1 = geom[2], n2 = geom[3];
-    const int N = (int)geom[4], K = (int)geom[5];
-    const double dx = scal[0], dt = scal[1], eps = scal[2];
-    const double gt = scal[3], t_eut = scal[4];
-    const i64 g1 = n1 + 2, g2 = n2 + 2;
-    const i64 g0 = dim3 ? n0 + 2 : 1;
-    const i64 cs = g0 * g1 * g2;
-    const i64 ocs = n0 * n1 * n2;
-    const int nax = dim3 ? 3 : 2;
-    const double pref = 16.0 / (M_PI * M_PI);
-    (void)diff;
+    const i64 t = repro_num_threads();
+    return (int)(t < lines ? t : (lines > 0 ? lines : 1));
+}
 
-    /* T(z) slice coefficients, once per sweep (the tz optimization) */
-    double *cmin_z = (double *)malloc((size_t)(n2 * N * K) * sizeof(double));
-    double *lat_z = (double *)malloc((size_t)(n2 * N) * sizeof(double));
-    for (i64 iz = 0; iz < n2; iz++) {
-        const double dT = tg[iz + 1] - t_eut;
-        for (int a = 0; a < N; a++) {
-            lat_z[iz * N + a] = latent[a] * dT;
-            for (int i = 0; i < K; i++)
-                cmin_z[(iz * N + a) * K + i] =
-                    c_eq[a * K + i] + c_slope[a * K + i] * dT;
+/* Slot of the staggered buffer that holds the face below cell
+   (i1, i2) along axis d: the previous z-cell, y-line or x-plane. */
+BODY i64 face_slot(const int NAX, int d, i64 n2, i64 i1, i64 i2)
+{
+    if (d == NAX - 1) return 0;
+    if (d == NAX - 2) return 1 + i2;
+    return 1 + n2 + i1 * n2 + i2;
+}
+
+static i64 face_slots(int nax, i64 n1, i64 n2)
+{
+    return 1 + n2 + (nax == 3 ? n1 * n2 : 0);
+}
+
+/* ------------------------------------------------------------------ */
+/* phi sweep (Eqs. 1-2)                                                */
+/* ------------------------------------------------------------------ */
+
+typedef struct {
+    const double *phi, *mu, *tg, *gamma, *tau, *inv_curv;
+    const double *cmin_z, *lat_z;  /* T(z) tables */
+    double *out;
+    double *scratch;               /* per_thread doubles for each thread */
+    i64 n0, n1, n2, slots, per_thread;
+    double dx, dt, eps, gt;
+    int N, K, nax, shortcuts;
+} phi_args;
+
+/* dA/d(grad phi_a) through the face between a lower and an upper cell,
+   oriented along +d. */
+BODY void phi_face(const int N, const double *lo, const double *up,
+                   double g2[MAXN][MAXN], double inv_dx, double *f)
+{
+    double avg[MAXN], dd[MAXN];
+    for (int a = 0; a < N; a++) {
+        avg[a] = 0.5 * (lo[a] + up[a]);
+        dd[a] = (up[a] - lo[a]) * inv_dx;
+    }
+    for (int a = 0; a < N; a++) {
+        double acc = 0.0;
+        for (int b = 0; b < N; b++) {
+            if (b == a || g2[a][b] == 0.0) continue;
+            acc += g2[a][b]
+                * (avg[b] * avg[b] * dd[a] - avg[a] * avg[b] * dd[b]);
         }
+        f[a] = acc;
+    }
+}
+
+/* Lines [p_lo, p_hi) of the (i0, i1) plane, with private face buffers:
+   fbuf[slot * N + a] written by the cell stamp[slot]. */
+BODY void phi_lines(const int N, const int K, const int NAX,
+                    const phi_args *A, i64 p_lo, i64 p_hi,
+                    double *fbuf, i64 *stamp)
+{
+    const double *phi = A->phi, *mu = A->mu, *tg = A->tg;
+    const double *cmin_z = A->cmin_z, *lat_z = A->lat_z;
+    double *out = A->out;
+    const i64 n1 = A->n1, n2 = A->n2;
+    const i64 g1 = n1 + 2, g2 = n2 + 2;
+    const i64 cs = (NAX == 3 ? A->n0 + 2 : 1) * g1 * g2;
+    const i64 ocs = A->n0 * n1 * n2;
+    const double dt = A->dt, eps = A->eps, gt = A->gt;
+    const double inv_dx = 1.0 / A->dx, inv_2dx = 1.0 / (2.0 * A->dx);
+    const int shortcuts = A->shortcuts;
+    const double pref = 16.0 / (M_PI * M_PI);
+    i64 off[3] = {g2, 1, 0};
+    if (NAX == 3) { off[0] = g1 * g2; off[1] = g2; off[2] = 1; }
+
+    /* sweep constants, local so that no store can alias them */
+    double gam2[MAXN][MAXN], gamw[MAXN][MAXN], rate[MAXN];
+    double ic[MAXN][MAXK][MAXK];
+    for (int a = 0; a < N; a++) {
+        rate[a] = dt / (A->tau[a] * eps);
+        for (int b = 0; b < N; b++) {
+            gam2[a][b] = 2.0 * A->gamma[a * N + b];
+            gamw[a][b] = pref * A->gamma[a * N + b];
+        }
+        for (int i = 0; i < K; i++)
+            for (int j = 0; j < K; j++)
+                ic[a][i][j] = A->inv_curv[(a * K + i) * K + j];
     }
 
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-    for (i64 p01 = 0; p01 < n0 * n1; p01++) {
+    for (i64 p01 = p_lo; p01 < p_hi; p01++) {
         const i64 i0 = p01 / n1;
         const i64 i1 = p01 - i0 * n1;
-        i64 off[3];
-        i64 base01;
-        if (dim3) {
-            off[0] = g1 * g2; off[1] = g2; off[2] = 1;
-            base01 = ((i0 + 1) * g1 + (i1 + 1)) * g2;
-        } else {
-            off[0] = g2; off[1] = 1; off[2] = 0;
-            base01 = (i1 + 1) * g2;
-        }
-        double phi_c[MAXN], mu_c[MAXK], grad[3][MAXN];
+        const i64 base01 =
+            NAX == 3 ? ((i0 + 1) * g1 + (i1 + 1)) * g2 : (i1 + 1) * g2;
+        double pc[MAXN], pp[3][MAXN], pm[3][MAXN], mu_c[MAXK];
+        double grad[3][MAXN], face[2][MAXN];
         double rhs[MAXN], psi[MAXN], vnew[MAXN], u[MAXN];
         for (i64 i2 = 0; i2 < n2; i2++) {
             const i64 c = base01 + i2 + 1;
-            const i64 oc = (i0 * n1 + i1) * n2 + i2;
-            for (int a = 0; a < N; a++) phi_c[a] = phi[a * cs + c];
-            for (int i = 0; i < K; i++) mu_c[i] = mu[i * cs + c];
+            const i64 oc = p01 * n2 + i2;
+            for (int a = 0; a < N; a++) pc[a] = phi[a * cs + c];
 
             int diffuse = 1;
             if (shortcuts) {
                 for (int a = 0; a < N; a++)
-                    if (phi_c[a] >= 1.0 - TOL) { diffuse = 0; break; }
+                    if (pc[a] >= 1.0 - TOL) { diffuse = 0; break; }
                 int active = diffuse;
-                for (int d = 0; d < nax && !active; d++)
+                for (int d = 0; d < NAX && !active; d++)
                     for (int si = 0; si < 2 && !active; si++) {
                         const i64 nb = c + (i64)(1 - 2 * si) * off[d];
                         for (int a = 0; a < N; a++)
-                            if (fabs(phi[a * cs + nb] - phi_c[a]) > TOL) {
+                            if (fabs(phi[a * cs + nb] - pc[a]) > TOL) {
                                 active = 1;
                                 break;
                             }
                     }
                 if (!active) {
                     /* bulk cell with uniform neighbourhood: fixed point */
-                    for (int a = 0; a < N; a++)
-                        out[a * ocs + oc] = phi_c[a];
+                    for (int a = 0; a < N; a++) out[a * ocs + oc] = pc[a];
                     continue;
                 }
             }
 
-            /* centered phase gradients */
-            for (int d = 0; d < nax; d++) {
-                const i64 o = off[d];
-                for (int a = 0; a < N; a++)
-                    grad[d][a] =
-                        (phi[a * cs + c + o] - phi[a * cs + c - o])
-                        / (2.0 * dx);
-            }
+            for (int i = 0; i < K; i++) mu_c[i] = mu[i * cs + c];
+            /* neighbours and centred phase gradients */
+            for (int d = 0; d < NAX; d++)
+                for (int a = 0; a < N; a++) {
+                    pp[d][a] = phi[a * cs + c + off[d]];
+                    pm[d][a] = phi[a * cs + c - off[d]];
+                    grad[d][a] = (pp[d][a] - pm[d][a]) * inv_2dx;
+                }
 
             /* dA/dphi_a */
             for (int a = 0; a < N; a++) {
                 double acc = 0.0;
                 for (int b = 0; b < N; b++) {
-                    if (b == a) continue;
-                    const double g = gamma[a * N + b];
-                    if (g == 0.0) continue;
+                    if (b == a || gam2[a][b] == 0.0) continue;
                     double dot = 0.0;
-                    for (int d = 0; d < nax; d++)
-                        dot += (phi_c[a] * grad[d][b]
-                                - phi_c[b] * grad[d][a]) * grad[d][b];
-                    acc += 2.0 * g * dot;
+                    for (int d = 0; d < NAX; d++)
+                        dot += (pc[a] * grad[d][b]
+                                - pc[b] * grad[d][a]) * grad[d][b];
+                    acc += gam2[a][b] * dot;
                 }
                 rhs[a] = acc;
             }
 
-            /* - div(dA/d grad phi_a) via the 2*dim face fluxes */
-            for (int d = 0; d < nax; d++) {
-                const i64 o = off[d];
-                for (int si = 0; si < 2; si++) {
-                    const int s = 1 - 2 * si;
-                    const i64 nb = c + (i64)s * o;
-                    for (int a = 0; a < N; a++) {
-                        const double pna = phi[a * cs + nb];
-                        double acc = 0.0;
-                        for (int b = 0; b < N; b++) {
-                            if (b == a) continue;
-                            const double g = gamma[a * N + b];
-                            if (g == 0.0) continue;
-                            const double pnb = phi[b * cs + nb];
-                            const double avg_a = 0.5 * (phi_c[a] + pna);
-                            const double avg_b = 0.5 * (phi_c[b] + pnb);
-                            const double da = s * (pna - phi_c[a]) / dx;
-                            const double db = s * (pnb - phi_c[b]) / dx;
-                            acc += 2.0 * g
-                                * (avg_b * avg_b * da - avg_a * avg_b * db);
-                        }
-                        rhs[a] -= s * acc / dx;
-                    }
+            /* - div(dA/d grad phi_a): lower face from the buffer when the
+               cell below left it there, upper face into the buffer */
+            for (int d = 0; d < NAX; d++) {
+                const i64 slot = face_slot(NAX, d, n2, i1, i2);
+                double *kept = fbuf + slot * N;
+                for (int side = 0; side < 2; side++) {
+                    if (!side && stamp[slot] == c - off[d])
+                        for (int a = 0; a < N; a++) face[0][a] = kept[a];
+                    else
+                        phi_face(N, side ? pc : pm[d], side ? pp[d] : pc,
+                                 gam2, inv_dx, face[side]);
                 }
+                for (int a = 0; a < N; a++) {
+                    rhs[a] -= face[1][a] * inv_dx;
+                    rhs[a] += face[0][a] * inv_dx;
+                    kept[a] = face[1][a];
+                }
+                stamp[slot] = c;
             }
 
             const double t = tg[i2 + 1];
@@ -224,14 +302,14 @@ void repro_phi_step(
             for (int a = 0; a < N; a++) {
                 double acc = 0.0;
                 for (int b = 0; b < N; b++)
-                    if (b != a) acc += pref * gamma[a * N + b] * phi_c[b];
+                    if (b != a) acc += gamw[a][b] * pc[b];
                 if (gt != 0.0) {
                     double acc3 = 0.0;
                     for (int b = 0; b < N; b++) {
                         if (b == a) continue;
                         for (int e = b + 1; e < N; e++) {
                             if (e == a) continue;
-                            acc3 += phi_c[b] * phi_c[e];
+                            acc3 += pc[b] * pc[e];
                         }
                     }
                     acc += gt * acc3;
@@ -242,16 +320,14 @@ void repro_phi_step(
             /* driving force (diffuse cells only under shortcuts) */
             if (!shortcuts || diffuse) {
                 double sq_sum = 0.0;
-                for (int a = 0; a < N; a++) sq_sum += phi_c[a] * phi_c[a];
+                for (int a = 0; a < N; a++) sq_sum += pc[a] * pc[a];
                 sq_sum += 1e-300;
                 for (int a = 0; a < N; a++) {
                     double quad = 0.0;
                     for (int i = 0; i < K; i++) {
-                        quad += inv_curv[(a * K + i) * K + i]
-                            * mu_c[i] * mu_c[i];
+                        quad += ic[a][i][i] * mu_c[i] * mu_c[i];
                         for (int j = i + 1; j < K; j++)
-                            quad += 2.0 * inv_curv[(a * K + i) * K + j]
-                                * mu_c[i] * mu_c[j];
+                            quad += 2.0 * ic[a][i][j] * mu_c[i] * mu_c[j];
                     }
                     double lin = 0.0;
                     for (int i = 0; i < K; i++)
@@ -260,10 +336,10 @@ void repro_phi_step(
                 }
                 double weighted = 0.0;
                 for (int a = 0; a < N; a++)
-                    weighted += phi_c[a] * phi_c[a] * psi[a];
+                    weighted += pc[a] * pc[a] * psi[a];
                 weighted /= sq_sum;
                 for (int a = 0; a < N; a++)
-                    rhs[a] += (2.0 / sq_sum) * phi_c[a] * (psi[a] - weighted);
+                    rhs[a] += (2.0 / sq_sum) * pc[a] * (psi[a] - weighted);
             }
 
             /* Lagrange term, explicit Euler, simplex projection */
@@ -271,7 +347,7 @@ void repro_phi_step(
             for (int a = 0; a < N; a++) mean += rhs[a];
             mean /= N;
             for (int a = 0; a < N; a++)
-                vnew[a] = phi_c[a] - (dt / (tau[a] * eps)) * (rhs[a] - mean);
+                vnew[a] = pc[a] - rate[a] * (rhs[a] - mean);
 
             /* Michelot/Condat: sort desc, last positive pivot, clip */
             for (int a = 0; a < N; a++) u[a] = vnew[a];
@@ -293,74 +369,235 @@ void repro_phi_step(
             }
         }
     }
-    free(cmin_z);
-    free(lat_z);
 }
 
-void repro_mu_step(
-    const double *mu, const double *phi_src, const double *phi_dst,
-    const double *t_old, const double *t_new, double *out,
-    const i64 *geom, const double *scal,
-    const double *inv_curv, const double *c_eq, const double *c_slope,
-    const double *diff, int anti_trapping, int shortcuts,
-    int include_at, int only_at)
+/* One thread's share of the sweep: its lines, its face buffer and
+   stamps, the instantiation that fits. */
+SHARE void phi_share(const phi_args *A, i64 tid, i64 nt)
 {
-    const int dim3 = (int)geom[0];
+    const i64 lines = A->n0 * A->n1;
+    const i64 lo = lines * tid / nt, hi = lines * (tid + 1) / nt;
+    double *fbuf = A->scratch + tid * A->per_thread;
+    i64 *stamp = (i64 *)(fbuf + A->slots * A->N);
+    for (i64 s = 0; s < A->slots; s++) stamp[s] = -1;
+    if (A->N == 4 && A->K == 2 && A->nax == 3)
+        phi_lines(4, 2, 3, A, lo, hi, fbuf, stamp);
+    else if (A->N == 4 && A->K == 2)
+        phi_lines(4, 2, 2, A, lo, hi, fbuf, stamp);
+    else
+        phi_lines(A->N, A->K, A->nax, A, lo, hi, fbuf, stamp);
+}
+
+int repro_phi_step(
+    const double *phi, const double *mu, const double *tg, double *out,
+    const i64 *geom, const double *scal,
+    const double *gamma, const double *tau, const double *inv_curv,
+    const double *c_eq, const double *c_slope, const double *latent,
+    const double *diff, int shortcuts)
+{
+    const int nax = geom[0] ? 3 : 2;
     const i64 n0 = geom[1], n1 = geom[2], n2 = geom[3];
     const int N = (int)geom[4], K = (int)geom[5];
-    const int ell = (int)geom[6];
-    const double dx = scal[0], dt = scal[1], eps = scal[2];
     const double t_eut = scal[4];
-    const i64 g1 = n1 + 2, g2 = n2 + 2;
-    const i64 g0 = dim3 ? n0 + 2 : 1;
-    const i64 cs = g0 * g1 * g2;
-    const i64 ocs = n0 * n1 * n2;
-    const int nax = dim3 ? 3 : 2;
-    const double pref_at = M_PI * eps / 4.0;
+    const i64 slots = face_slots(nax, n1, n2);
+    const int team = team_size(n0 * n1);
+    (void)diff;
 
-    /* T(z) coefficients at cell centres and growth-axis faces */
-    double *cmin_c = (double *)malloc((size_t)(n2 * N * K) * sizeof(double));
-    double *cmin_f =
-        (double *)malloc((size_t)((n2 + 1) * N * K) * sizeof(double));
+    /* per call: T(z) tables, then each thread's face buffer + stamps */
+    const i64 per_thread = slots * (N + 1);
+    double *mem = (double *)malloc(
+        (size_t)(n2 * N * (K + 1) + team * per_thread) * sizeof(double));
+    if (!mem) return 1;
+    double *cmin_z = mem, *lat_z = cmin_z + n2 * N * K;
     for (i64 iz = 0; iz < n2; iz++) {
-        const double dT = t_old[iz + 1] - t_eut;
-        for (int a = 0; a < N; a++)
+        const double dT = tg[iz + 1] - t_eut;
+        for (int a = 0; a < N; a++) {
+            lat_z[iz * N + a] = latent[a] * dT;
             for (int i = 0; i < K; i++)
-                cmin_c[(iz * N + a) * K + i] =
+                cmin_z[(iz * N + a) * K + i] =
                     c_eq[a * K + i] + c_slope[a * K + i] * dT;
+        }
     }
-    for (i64 f = 0; f < n2 + 1; f++) {
-        const double dT = 0.5 * (t_old[f] + t_old[f + 1]) - t_eut;
-        for (int a = 0; a < N; a++)
-            for (int i = 0; i < K; i++)
-                cmin_f[(f * N + a) * K + i] =
-                    c_eq[a * K + i] + c_slope[a * K + i] * dT;
-    }
-
+    const phi_args A = {
+        .phi = phi, .mu = mu, .tg = tg, .gamma = gamma, .tau = tau,
+        .inv_curv = inv_curv, .cmin_z = cmin_z, .lat_z = lat_z, .out = out,
+        .scratch = lat_z + n2 * N, .n0 = n0, .n1 = n1, .n2 = n2,
+        .slots = slots, .per_thread = per_thread,
+        .dx = scal[0], .dt = scal[1], .eps = scal[2], .gt = scal[3],
+        .N = N, .K = K, .nax = nax, .shortcuts = shortcuts,
+    };
 #ifdef _OPENMP
-#pragma omp parallel for schedule(static)
+    if (team > 1) {
+#pragma omp parallel num_threads(team)
+        phi_share(&A, omp_get_thread_num(), omp_get_num_threads());
+    } else
 #endif
-    for (i64 p01 = 0; p01 < n0 * n1; p01++) {
+        phi_share(&A, 0, 1);
+    free(mem);
+    return 0;
+}
+
+/* ------------------------------------------------------------------ */
+/* mu sweep (Eqs. 3-4)                                                 */
+/* ------------------------------------------------------------------ */
+
+typedef struct {
+    const double *mu, *phi_src, *phi_dst, *t_old, *t_new;
+    const double *inv_curv, *c_slope, *diff;
+    const double *cmin_c, *cmin_f;  /* T(z) tables: centres, z-faces */
+    double *out;
+    double *scratch;                /* per_thread doubles for each thread */
+    i64 n0, n1, n2, slots, per_thread;
+    double dx, dt, eps;
+    int N, K, nax, ell, anti_trapping, shortcuts, include_at, only_at;
+} mu_args;
+
+/* Everything a face evaluation needs besides the two cells. */
+typedef struct {
+    const double *mu, *ps, *pd;
+    i64 cs, off[3];
+    double inv_dx, inv_2dx, dt, pref_at;
+    int ell;
+    double ic[MAXN][MAXK][MAXK], diff[MAXN];
+} mu_face_env;
+
+/* M grad mu through the face between cells cl (lower) and cu (upper),
+   oriented along +d, added to flux. */
+BODY void mu_face_diffusive(const int N, const int K, const mu_face_env *E,
+                            i64 cl, i64 cu, double *flux)
+{
+    double dmu[MAXK];
+    for (int i = 0; i < K; i++)
+        dmu[i] = (E->mu[i * E->cs + cu] - E->mu[i * E->cs + cl]) * E->inv_dx;
+    for (int a = 0; a < N; a++) {
+        double w = 0.5 * (E->ps[a * E->cs + cl] + E->ps[a * E->cs + cu]);
+        if (w < 0.0) w = 0.0;
+        else if (w > 1.0) w = 1.0;
+        for (int i = 0; i < K; i++) {
+            double acc = 0.0;
+            for (int j = 0; j < K; j++) acc += E->ic[a][i][j] * dmu[j];
+            flux[i] += w * E->diff[a] * acc;
+        }
+    }
+}
+
+/* Unit normal of one phase at the face (cl, cu) along axis d: the face
+   difference along d, the mean of the two centred differences across. */
+BODY void face_normal(const int NAX, const mu_face_env *E, const double *p,
+                      int d, i64 cl, i64 cu, double *n)
+{
+    double g[3], nsq = 0.0;
+    for (int e = 0; e < NAX; e++) {
+        if (e == d) {
+            g[e] = (p[cu] - p[cl]) * E->inv_dx;
+        } else {
+            const i64 oe = E->off[e];
+            g[e] = 0.5 * ((p[cl + oe] - p[cl - oe]) * E->inv_2dx
+                          + (p[cu + oe] - p[cu - oe]) * E->inv_2dx);
+        }
+        nsq += g[e] * g[e];
+    }
+    const double norm = sqrt(nsq);
+    for (int e = 0; e < NAX; e++)
+        n[e] = norm > GRAD_TOL ? g[e] / norm : 0.0;
+}
+
+/* Anti-trapping current through the same face, subtracted from flux;
+   cm is the T(z) coefficient row of the face. */
+BODY void mu_face_antitrapping(const int N, const int K, const int NAX,
+                               const mu_face_env *E, int d, i64 cl, i64 cu,
+                               const double *cm, double *flux)
+{
+    const i64 cs = E->cs;
+    const int ell = E->ell;
+    double phi_f[MAXN], dphidt_f[MAXN], mu_f[MAXK];
+    double nl[3], na[3], c_l[MAXK];
+    double sqs = 0.0;
+    for (int a = 0; a < N; a++) {
+        const double lo = E->ps[a * cs + cl], up = E->ps[a * cs + cu];
+        double v = 0.5 * (lo + up);
+        if (v < 0.0) v = 0.0;
+        else if (v > 1.0) v = 1.0;
+        phi_f[a] = v;
+        dphidt_f[a] = 0.5 * ((E->pd[a * cs + cl] - lo)
+                             + (E->pd[a * cs + cu] - up)) / E->dt;
+        sqs += v * v;
+    }
+    sqs += 1e-300;
+    for (int i = 0; i < K; i++)
+        mu_f[i] = 0.5 * (E->mu[i * cs + cl] + E->mu[i * cs + cu]);
+    face_normal(NAX, E, E->ps + ell * cs, d, cl, cu, nl);
+    /* c_l(mu_f, T_face) */
+    for (int i = 0; i < K; i++) {
+        double acc = 0.0;
+        for (int j = 0; j < K; j++) acc += E->ic[ell][i][j] * mu_f[j];
+        c_l[i] = cm[ell * K + i] + acc;
+    }
+    for (int a = 0; a < N; a++) {
+        if (a == ell) continue;
+        face_normal(NAX, E, E->ps + a * cs, d, cl, cu, na);
+        const double amp = sqrt(phi_f[a] * phi_f[ell]) * phi_f[ell] / sqs;
+        double dot = 0.0;
+        for (int e = 0; e < NAX; e++) dot += na[e] * nl[e];
+        const double scalf = E->pref_at * amp * dphidt_f[a] * dot * na[d];
+        for (int i = 0; i < K; i++) {
+            double c_ai = cm[a * K + i];
+            for (int j = 0; j < K; j++) c_ai += E->ic[a][i][j] * mu_f[j];
+            flux[i] -= scalf * (c_l[i] - c_ai);
+        }
+    }
+}
+
+/* Lines [p_lo, p_hi) of the (i0, i1) plane, with private face buffers.
+   A slot keeps the diffusive flux (fdiff, written by sdiff[slot]) and
+   the complete flux including anti-trapping (ffull, by sfull[slot]). */
+BODY void mu_lines(const int N, const int K, const int NAX,
+                   const mu_args *A, i64 p_lo, i64 p_hi,
+                   double *fdiff, double *ffull, i64 *sdiff, i64 *sfull)
+{
+    const double *mu = A->mu, *phi_src = A->phi_src, *phi_dst = A->phi_dst;
+    const double *t_old = A->t_old, *t_new = A->t_new;
+    const double *cmin_c = A->cmin_c, *cmin_f = A->cmin_f;
+    double *out = A->out;
+    const i64 n1 = A->n1, n2 = A->n2;
+    const i64 g1 = n1 + 2, g2 = n2 + 2;
+    const i64 cs = (NAX == 3 ? A->n0 + 2 : 1) * g1 * g2;
+    const i64 ocs = A->n0 * n1 * n2;
+    const double dt = A->dt;
+    const int ell = A->ell, shortcuts = A->shortcuts;
+    const int include_at = A->include_at, only_at = A->only_at;
+
+    /* sweep constants, local so that no store can alias them */
+    mu_face_env E;
+    double c_slope[MAXN][MAXK];
+    E.mu = mu; E.ps = phi_src; E.pd = phi_dst; E.cs = cs;
+    E.off[0] = g2; E.off[1] = 1; E.off[2] = 0;
+    if (NAX == 3) { E.off[0] = g1 * g2; E.off[1] = g2; E.off[2] = 1; }
+    E.inv_dx = 1.0 / A->dx; E.inv_2dx = 1.0 / (2.0 * A->dx);
+    E.dt = dt; E.pref_at = M_PI * A->eps / 4.0; E.ell = ell;
+    for (int a = 0; a < N; a++) {
+        E.diff[a] = A->diff[a];
+        for (int i = 0; i < K; i++) {
+            c_slope[a][i] = A->c_slope[a * K + i];
+            for (int j = 0; j < K; j++)
+                E.ic[a][i][j] = A->inv_curv[(a * K + i) * K + j];
+        }
+    }
+    const i64 *off = E.off;
+    const double inv_dx = E.inv_dx;
+
+    for (i64 p01 = p_lo; p01 < p_hi; p01++) {
         const i64 i0 = p01 / n1;
         const i64 i1 = p01 - i0 * n1;
-        i64 off[3];
-        i64 base01;
-        if (dim3) {
-            off[0] = g1 * g2; off[1] = g2; off[2] = 1;
-            base01 = ((i0 + 1) * g1 + (i1 + 1)) * g2;
-        } else {
-            off[0] = g2; off[1] = 1; off[2] = 0;
-            base01 = (i1 + 1) * g2;
-        }
+        const i64 base01 =
+            NAX == 3 ? ((i0 + 1) * g1 + (i1 + 1)) * g2 : (i1 + 1) * g2;
         double phio[MAXN], phin[MAXN], mu_c[MAXK];
         double h_old[MAXN], h_new[MAXN];
-        double rhs[MAXK], dmu[MAXK], flux[MAXK];
-        double phi_f[MAXN], dphidt_f[MAXN], mu_f[MAXK];
-        double gl[3], nl[3], ga[3], na[3], c_l[MAXK];
+        double rhs[MAXK], face[2][MAXK];
         double chi[MAXK][MAXK], sol[MAXK];
         for (i64 i2 = 0; i2 < n2; i2++) {
             const i64 c = base01 + i2 + 1;
-            const i64 oc = (i0 * n1 + i1) * n2 + i2;
+            const i64 oc = p01 * n2 + i2;
             const double told = t_old[i2 + 1];
             const double tnew = t_new[i2 + 1];
             for (int a = 0; a < N; a++) {
@@ -375,7 +612,7 @@ void repro_mu_step(
                 for (int a = 0; a < N; a++)
                     if (phio[a] >= 1.0 - TOL) { diffuse = 0; break; }
                 active = diffuse;
-                for (int d = 0; d < nax && !active; d++)
+                for (int d = 0; d < NAX && !active; d++)
                     for (int si = 0; si < 2 && !active; si++) {
                         const i64 nb = c + (i64)(1 - 2 * si) * off[d];
                         for (int a = 0; a < N; a++)
@@ -386,7 +623,7 @@ void repro_mu_step(
                     }
                 if (active) {
                     int near = phi_src[ell * cs + c] > TOL;
-                    for (int d = 0; d < nax && !near; d++)
+                    for (int d = 0; d < NAX && !near; d++)
                         for (int si = 0; si < 2; si++) {
                             const i64 nb = c + (i64)(1 - 2 * si) * off[d];
                             if (phi_src[ell * cs + nb] > TOL) {
@@ -400,9 +637,10 @@ void repro_mu_step(
                 }
             }
 
-            const int do_at = anti_trapping && front;
+            const int do_at = A->anti_trapping && front;
             if (only_at && !do_at)
                 continue;  /* out already holds the local partial result */
+            const int want_at = do_at && include_at;
 
             /* Moelans interpolation weights of both time levels */
             double sqo = 0.0, sqn = 0.0;
@@ -426,8 +664,7 @@ void repro_mu_step(
                         for (int i = 0; i < K; i++) {
                             double c_ai = cmin_c[(i2 * N + a) * K + i];
                             for (int j = 0; j < K; j++)
-                                c_ai += inv_curv[(a * K + i) * K + j]
-                                    * mu_c[j];
+                                c_ai += E.ic[a][i][j] * mu_c[j];
                             rhs[i] -= dh * c_ai / dt;
                         }
                     }
@@ -437,132 +674,52 @@ void repro_mu_step(
                 for (int i = 0; i < K; i++) {
                     double acc = 0.0;
                     for (int a = 0; a < N; a++)
-                        acc += h_new[a] * c_slope[a * K + i];
+                        acc += h_new[a] * c_slope[a][i];
                     rhs[i] -= acc * fac;
                 }
             }
 
-            /* face fluxes: div(M grad mu - J_at) */
-            for (int d = 0; d < nax; d++) {
-                const i64 o = off[d];
-                for (int si = 0; si < 2; si++) {
-                    const int s = 1 - 2 * si;
-                    const i64 nb = c + (i64)s * o;
+            /* div(M grad mu - J_at): per axis the lower face (side 0,
+               reusing what the cell below left in the slot) and the
+               upper face (side 1, left in the slot for the cell above).
+               A value that stops at the diffusive part is continued,
+               never re-summed. */
+            for (int d = 0; d < NAX; d++) {
+                const i64 slot = face_slot(NAX, d, n2, i1, i2);
+                double *kdiff = fdiff + slot * K, *kfull = ffull + slot * K;
+                for (int side = 0; side < 2; side++) {
+                    const i64 cl = side ? c : c - off[d];
+                    const i64 cu = side ? c + off[d] : c;
+                    const double *cm = d == NAX - 1
+                        ? cmin_f + (i2 + side) * N * K
+                        : cmin_c + i2 * N * K;
+                    double *flux = face[side];
+                    int have = 0;  /* 1: diffusive part, 2: complete */
                     for (int i = 0; i < K; i++) flux[i] = 0.0;
-                    if (!only_at) {
-                        for (int i = 0; i < K; i++)
-                            dmu[i] = s * (mu[i * cs + nb] - mu_c[i]) / dx;
-                        for (int a = 0; a < N; a++) {
-                            double w = 0.5 * (phio[a] + phi_src[a * cs + nb]);
-                            if (w < 0.0) w = 0.0;
-                            else if (w > 1.0) w = 1.0;
-                            for (int i = 0; i < K; i++) {
-                                double acc = 0.0;
-                                for (int j = 0; j < K; j++)
-                                    acc += inv_curv[(a * K + i) * K + j]
-                                        * dmu[j];
-                                flux[i] += w * diff[a] * acc;
-                            }
-                        }
+                    if (!side && want_at && sfull[slot] == cl) {
+                        for (int i = 0; i < K; i++) flux[i] = kfull[i];
+                        have = 2;
+                    } else if (!side && !only_at && sdiff[slot] == cl) {
+                        for (int i = 0; i < K; i++) flux[i] = kdiff[i];
+                        have = 1;
                     }
-                    if (do_at && include_at) {
-                        /* anti-trapping current through this face */
-                        double sqs = 0.0;
-                        for (int a = 0; a < N; a++) {
-                            double v = 0.5 * (phio[a] + phi_src[a * cs + nb]);
-                            if (v < 0.0) v = 0.0;
-                            else if (v > 1.0) v = 1.0;
-                            phi_f[a] = v;
-                            dphidt_f[a] = 0.5 * (
-                                (phin[a] - phio[a])
-                                + (phi_dst[a * cs + nb]
-                                   - phi_src[a * cs + nb])) / dt;
-                            sqs += v * v;
-                        }
-                        sqs += 1e-300;
-                        for (int i = 0; i < K; i++)
-                            mu_f[i] = 0.5 * (mu_c[i] + mu[i * cs + nb]);
-                        /* liquid normal at the face */
-                        double normsq = 0.0;
-                        for (int e = 0; e < nax; e++) {
-                            if (e == d) {
-                                gl[e] = s * (phi_src[ell * cs + nb]
-                                             - phi_src[ell * cs + c]) / dx;
-                            } else {
-                                const i64 oe = off[e];
-                                gl[e] = 0.5 * (
-                                    (phi_src[ell * cs + c + oe]
-                                     - phi_src[ell * cs + c - oe])
-                                    / (2.0 * dx)
-                                    + (phi_src[ell * cs + nb + oe]
-                                       - phi_src[ell * cs + nb - oe])
-                                    / (2.0 * dx));
-                            }
-                            normsq += gl[e] * gl[e];
-                        }
-                        const double norm_l = sqrt(normsq);
-                        for (int e = 0; e < nax; e++)
-                            nl[e] = norm_l > GRAD_TOL ? gl[e] / norm_l : 0.0;
-                        /* c_l(mu_f, T_face) */
-                        i64 fz = -1;
-                        if (d == nax - 1) {
-                            fz = s > 0 ? i2 + 1 : i2;
-                            for (int i = 0; i < K; i++)
-                                c_l[i] = cmin_f[(fz * N + ell) * K + i];
-                        } else {
-                            for (int i = 0; i < K; i++)
-                                c_l[i] = cmin_c[(i2 * N + ell) * K + i];
-                        }
-                        for (int i = 0; i < K; i++) {
-                            double acc = 0.0;
-                            for (int j = 0; j < K; j++)
-                                acc += inv_curv[(ell * K + i) * K + j]
-                                    * mu_f[j];
-                            c_l[i] += acc;
-                        }
-                        for (int a = 0; a < N; a++) {
-                            if (a == ell) continue;
-                            double nsq = 0.0;
-                            for (int e = 0; e < nax; e++) {
-                                if (e == d) {
-                                    ga[e] = s * (phi_src[a * cs + nb]
-                                                 - phi_src[a * cs + c]) / dx;
-                                } else {
-                                    const i64 oe = off[e];
-                                    ga[e] = 0.5 * (
-                                        (phi_src[a * cs + c + oe]
-                                         - phi_src[a * cs + c - oe])
-                                        / (2.0 * dx)
-                                        + (phi_src[a * cs + nb + oe]
-                                           - phi_src[a * cs + nb - oe])
-                                        / (2.0 * dx));
-                                }
-                                nsq += ga[e] * ga[e];
-                            }
-                            const double norm_a = sqrt(nsq);
-                            for (int e = 0; e < nax; e++)
-                                na[e] = norm_a > GRAD_TOL
-                                    ? ga[e] / norm_a : 0.0;
-                            const double amp =
-                                sqrt(phi_f[a] * phi_f[ell])
-                                * phi_f[ell] / sqs;
-                            double dot = 0.0;
-                            for (int e = 0; e < nax; e++)
-                                dot += na[e] * nl[e];
-                            const double scalf =
-                                pref_at * amp * dphidt_f[a] * dot * na[d];
-                            for (int i = 0; i < K; i++) {
-                                double c_ai = fz >= 0
-                                    ? cmin_f[(fz * N + a) * K + i]
-                                    : cmin_c[(i2 * N + a) * K + i];
-                                for (int j = 0; j < K; j++)
-                                    c_ai += inv_curv[(a * K + i) * K + j]
-                                        * mu_f[j];
-                                flux[i] -= scalf * (c_l[i] - c_ai);
-                            }
-                        }
+                    if (!have && !only_at)
+                        mu_face_diffusive(N, K, &E, cl, cu, flux);
+                    if (side && !only_at) {
+                        for (int i = 0; i < K; i++) kdiff[i] = flux[i];
+                        sdiff[slot] = c;
                     }
-                    for (int i = 0; i < K; i++) rhs[i] += s * flux[i] / dx;
+                    if (have < 2 && want_at)
+                        mu_face_antitrapping(N, K, NAX, &E, d, cl, cu, cm,
+                                             flux);
+                    if (side && want_at) {
+                        for (int i = 0; i < K; i++) kfull[i] = flux[i];
+                        sfull[slot] = c;
+                    }
+                }
+                for (int i = 0; i < K; i++) {
+                    rhs[i] += face[1][i] * inv_dx;
+                    rhs[i] -= face[0][i] * inv_dx;
                 }
             }
 
@@ -570,10 +727,10 @@ void repro_mu_step(
             if (K == 2) {
                 double ca = 0.0, cb = 0.0, cc = 0.0, cd = 0.0;
                 for (int a = 0; a < N; a++) {
-                    ca += h_new[a] * inv_curv[a * 4 + 0];
-                    cb += h_new[a] * inv_curv[a * 4 + 1];
-                    cc += h_new[a] * inv_curv[a * 4 + 2];
-                    cd += h_new[a] * inv_curv[a * 4 + 3];
+                    ca += h_new[a] * E.ic[a][0][0];
+                    cb += h_new[a] * E.ic[a][0][1];
+                    cc += h_new[a] * E.ic[a][1][0];
+                    cd += h_new[a] * E.ic[a][1][1];
                 }
                 const double det = ca * cd - cb * cc;
                 sol[0] = (cd * rhs[0] - cb * rhs[1]) / det;
@@ -583,7 +740,7 @@ void repro_mu_step(
                     for (int j = 0; j < K; j++) {
                         double acc = 0.0;
                         for (int a = 0; a < N; a++)
-                            acc += h_new[a] * inv_curv[(a * K + i) * K + j];
+                            acc += h_new[a] * E.ic[a][i][j];
                         chi[i][j] = acc;
                     }
                     sol[i] = rhs[i];
@@ -627,15 +784,97 @@ void repro_mu_step(
             }
         }
     }
-    free(cmin_c);
-    free(cmin_f);
+}
+
+/* One thread's share of the sweep: its lines, its two face buffers and
+   their stamps, the instantiation that fits. */
+SHARE void mu_share(const mu_args *A, i64 tid, i64 nt)
+{
+    const i64 lines = A->n0 * A->n1, slots = A->slots;
+    const i64 lo = lines * tid / nt, hi = lines * (tid + 1) / nt;
+    double *fdiff = A->scratch + tid * A->per_thread;
+    double *ffull = fdiff + slots * A->K;
+    i64 *sdiff = (i64 *)(ffull + slots * A->K), *sfull = sdiff + slots;
+    for (i64 s = 0; s < 2 * slots; s++) sdiff[s] = -1;
+    if (A->N == 4 && A->K == 2 && A->nax == 3)
+        mu_lines(4, 2, 3, A, lo, hi, fdiff, ffull, sdiff, sfull);
+    else if (A->N == 4 && A->K == 2)
+        mu_lines(4, 2, 2, A, lo, hi, fdiff, ffull, sdiff, sfull);
+    else
+        mu_lines(A->N, A->K, A->nax, A, lo, hi, fdiff, ffull, sdiff, sfull);
+}
+
+int repro_mu_step(
+    const double *mu, const double *phi_src, const double *phi_dst,
+    const double *t_old, const double *t_new, double *out,
+    const i64 *geom, const double *scal,
+    const double *inv_curv, const double *c_eq, const double *c_slope,
+    const double *diff, int anti_trapping, int shortcuts,
+    int include_at, int only_at)
+{
+    const int nax = geom[0] ? 3 : 2;
+    const i64 n0 = geom[1], n1 = geom[2], n2 = geom[3];
+    const int N = (int)geom[4], K = (int)geom[5];
+    const double t_eut = scal[4];
+    const i64 slots = face_slots(nax, n1, n2);
+    const int team = team_size(n0 * n1);
+
+    /* per call: T(z) tables at cell centres and growth-axis faces, then
+       each thread's two face buffers + two stamp arrays */
+    const i64 per_thread = slots * (2 * K + 2);
+    double *mem = (double *)malloc(
+        (size_t)((2 * n2 + 1) * N * K + team * per_thread) * sizeof(double));
+    if (!mem) return 1;
+    double *cmin_c = mem, *cmin_f = cmin_c + n2 * N * K;
+    for (i64 iz = 0; iz < n2; iz++) {
+        const double dT = t_old[iz + 1] - t_eut;
+        for (int a = 0; a < N; a++)
+            for (int i = 0; i < K; i++)
+                cmin_c[(iz * N + a) * K + i] =
+                    c_eq[a * K + i] + c_slope[a * K + i] * dT;
+    }
+    for (i64 f = 0; f < n2 + 1; f++) {
+        const double dT = 0.5 * (t_old[f] + t_old[f + 1]) - t_eut;
+        for (int a = 0; a < N; a++)
+            for (int i = 0; i < K; i++)
+                cmin_f[(f * N + a) * K + i] =
+                    c_eq[a * K + i] + c_slope[a * K + i] * dT;
+    }
+    const mu_args A = {
+        .mu = mu, .phi_src = phi_src, .phi_dst = phi_dst,
+        .t_old = t_old, .t_new = t_new, .inv_curv = inv_curv,
+        .c_slope = c_slope, .diff = diff, .cmin_c = cmin_c, .cmin_f = cmin_f,
+        .out = out, .scratch = cmin_f + (n2 + 1) * N * K,
+        .n0 = n0, .n1 = n1, .n2 = n2, .slots = slots,
+        .per_thread = per_thread,
+        .dx = scal[0], .dt = scal[1], .eps = scal[2],
+        .N = N, .K = K, .nax = nax, .ell = (int)geom[6],
+        .anti_trapping = anti_trapping, .shortcuts = shortcuts,
+        .include_at = include_at, .only_at = only_at,
+    };
+#ifdef _OPENMP
+    if (team > 1) {
+#pragma omp parallel num_threads(team)
+        mu_share(&A, omp_get_thread_num(), omp_get_num_threads());
+    } else
+#endif
+        mu_share(&A, 0, 1);
+    free(mem);
+    return 0;
 }
 """
 
 _CC_CANDIDATES = ("cc", "gcc", "clang")
+#: Tried in order; the first list the toolchain accepts is the build.
+_FLAG_SETS = (
+    ("-O3", "-ffp-contract=off", "-fopenmp"),  # threaded build first
+    ("-O3", "-ffp-contract=off"),              # serial fallback
+)
+_BUILD_TIMEOUT_S = 300
 
 _lib = None
-_ffi = None
+_from_buffer = None  # ffi.from_buffer and the ctype of a field, resolved once
+_F64 = None
 _build_error: str | None = None
 _loaded = False
 
@@ -657,33 +896,47 @@ def _find_cc() -> str | None:
     return None
 
 
-def _compile(cc: str, cache: Path, tag: str) -> Path:
-    """Compile the kernel library into the cache (atomic publish)."""
+def _tag(cc: str, flags: tuple[str, ...]) -> str:
+    """Cache key of one build: everything that determines the object."""
+    text = "\0".join((_C_SOURCE, _CDEF, cc, *flags))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _compile(cc: str, cache: Path) -> Path:
+    """Build the kernel library into the cache, or find it there.
+
+    The source reaches the compiler on stdin and the object is moved into
+    place under its final name, so a concurrent process sees either no
+    file or a complete one.
+    """
     cache.mkdir(parents=True, exist_ok=True)
-    target = cache / f"repro_kernels_{tag}.so"
-    if target.exists():
-        return target
-    src = cache / f"repro_kernels_{tag}.c"
-    src.write_text(_C_SOURCE)
-    fd, tmp = tempfile.mkstemp(
-        suffix=".so", prefix="repro_kernels_", dir=str(cache)
-    )
-    os.close(fd)
-    base = [cc, "-O3", "-fPIC", "-shared", str(src), "-o", tmp, "-lm"]
-    attempts = (
-        base[:1] + ["-fopenmp"] + base[1:],  # threaded build first
-        base,                                # serial fallback
-    )
-    last = None
-    for cmd in attempts:
-        proc = subprocess.run(
-            cmd, capture_output=True, text=True, timeout=300
-        )
-        if proc.returncode == 0:
-            os.replace(tmp, target)
+    builds = [
+        (flags, cache / f"repro_kernels_{_tag(cc, flags)}.so")
+        for flags in _FLAG_SETS
+    ]
+    for _, target in builds:
+        if target.exists():
             return target
-        last = proc.stderr.strip()
-    os.unlink(tmp)
+    last = None
+    for flags, target in builds:
+        fd, tmp = tempfile.mkstemp(
+            suffix=".so", prefix="repro_kernels_", dir=str(cache)
+        )
+        os.close(fd)
+        try:
+            proc = subprocess.run(
+                [cc, *flags, "-fPIC", "-shared", "-x", "c", "-",
+                 "-o", tmp, "-lm"],
+                input=_C_SOURCE, capture_output=True, text=True,
+                timeout=_BUILD_TIMEOUT_S,
+            )
+            if proc.returncode == 0:
+                os.replace(tmp, target)
+                return target
+            last = proc.stderr.strip()
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
     raise RuntimeError(f"C kernel build failed with {cc}: {last}")
 
 
@@ -694,7 +947,7 @@ def load():
     toolchain or cffi is present (the registry then reports the compiled
     rungs unavailable instead of erroring).
     """
-    global _lib, _ffi, _build_error, _loaded
+    global _lib, _from_buffer, _F64, _build_error, _loaded
     if _loaded:
         return _lib
     _loaded = True
@@ -707,17 +960,14 @@ def load():
     if cc is None:
         _build_error = f"no C compiler found (tried {_CC_CANDIDATES})"
         return None
-    tag = hashlib.sha256(
-        (_C_SOURCE + _CDEF + cc).encode()
-    ).hexdigest()[:16]
     try:
-        path = _compile(cc, _cache_dir(), tag)
+        path = _compile(cc, _cache_dir())
         ffi = cffi.FFI()
         ffi.cdef(_CDEF)
         _lib = ffi.dlopen(str(path))
-        _ffi = ffi
-    except (RuntimeError, OSError) as exc:
-        _build_error = str(exc)
+        _from_buffer, _F64 = ffi.from_buffer, ffi.typeof("double[]")
+    except (RuntimeError, OSError, subprocess.SubprocessError) as exc:
+        _build_error = str(exc) or repr(exc)
         _lib = None
     return _lib
 
@@ -739,32 +989,41 @@ def num_threads() -> int:
     return int(lib.repro_num_threads()) if lib is not None else 0
 
 
-def _ptr(arr: np.ndarray, ctype: str = "const double *"):
-    return _ffi.cast(ctype, arr.ctypes.data)
+def pointer(arr, ctype: str = "double[]"):
+    """cdata view of a C-contiguous array (keeps *arr* alive)."""
+    load()
+    return _from_buffer(ctype, arr)
+
+
+def _check(status: int) -> None:
+    if status:
+        raise MemoryError("compiled kernel could not allocate its scratch")
 
 
 def phi_step_raw(phi, mu, tg, out, geom, scal, gamma, tau, inv_curv,
                  c_eq, c_slope, latent, diff, shortcuts):
-    """Flat-array phi sweep (same signature as ``loops.phi_cellwise``)."""
-    lib = load()
-    lib.repro_phi_step(
-        _ptr(phi), _ptr(mu), _ptr(tg), _ptr(out, "double *"),
-        _ptr(geom, "const long long *"), _ptr(scal),
-        _ptr(gamma), _ptr(tau), _ptr(inv_curv), _ptr(c_eq),
-        _ptr(c_slope), _ptr(latent), _ptr(diff), int(shortcuts),
-    )
+    """Phi sweep.  The fields *phi*, *mu*, *tg*, *out* are C-contiguous
+    float64 arrays (not checked here); *geom* and the constants are cdata
+    from :func:`pointer`, converted once by the caller."""
+    lib, fb, f64 = load(), _from_buffer, _F64
+    _check(lib.repro_phi_step(
+        fb(f64, phi), fb(f64, mu), fb(f64, tg), fb(f64, out), geom, scal,
+        gamma, tau, inv_curv, c_eq, c_slope, latent, diff, shortcuts,
+    ))
     return out
 
 
 def mu_step_raw(mu, phi_src, phi_dst, t_old, t_new, out, geom, scal,
                 inv_curv, c_eq, c_slope, diff,
                 anti_trapping, shortcuts, include_at, only_at):
-    """Flat-array mu sweep (same signature as ``loops.mu_cellwise``)."""
-    lib = load()
-    lib.repro_mu_step(
-        _ptr(mu), _ptr(phi_src), _ptr(phi_dst), _ptr(t_old), _ptr(t_new),
-        _ptr(out, "double *"), _ptr(geom, "const long long *"), _ptr(scal),
-        _ptr(inv_curv), _ptr(c_eq), _ptr(c_slope), _ptr(diff),
-        int(anti_trapping), int(shortcuts), int(include_at), int(only_at),
-    )
+    """Mu sweep.  The fields *mu* ... *out* are C-contiguous float64
+    arrays (not checked here); *geom* and the constants are cdata from
+    :func:`pointer`, converted once by the caller."""
+    lib, fb, f64 = load(), _from_buffer, _F64
+    _check(lib.repro_mu_step(
+        fb(f64, mu), fb(f64, phi_src), fb(f64, phi_dst), fb(f64, t_old),
+        fb(f64, t_new), fb(f64, out), geom, scal,
+        inv_curv, c_eq, c_slope, diff,
+        anti_trapping, shortcuts, include_at, only_at,
+    ))
     return out

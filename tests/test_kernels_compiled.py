@@ -2,20 +2,35 @@
 
 Three layers are pinned here:
 
-* the backend-neutral per-cell loop bodies (pure Python, always
-  testable) against the reference kernel,
 * the selection machinery — ``REPRO_KERNEL_BACKEND`` / ``set_backend``,
   availability reporting, the documented fallback to the NumPy twins —
   which must behave sensibly whether or not a backend exists,
-* the live backend (numba or generated-C/cffi), when one is usable:
-  registry-invoked equivalence, the split mu sweep of the overlap
-  schedule, warmup, and end-to-end solver integration.
+* the build cache of the cffi backend (key, concurrent cold builds,
+  error reporting),
+* the live backend, when it is usable: registry-invoked equivalence with
+  the reference (shipped and generic instantiations, ``dx != 1``), the
+  split mu sweep of the overlap schedule, warmup, end-to-end solver
+  integration, and the bitwise guarantees the staggered face buffers must
+  keep — a block's result is a pure function of its ghosted input,
+  whatever the block shape, the OpenMP thread count or the number of
+  Python threads inside the library.  With the C text as the single
+  source of the algorithm, these are what tells an algorithm bug (wrong
+  against the reference everywhere) from a buffering bug (wrong only
+  where a face is reused).
 """
 
+import os
+import subprocess
+import sys
+import threading
 import warnings
+import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.kernels import (
     COMPILED_RUNGS,
@@ -28,7 +43,13 @@ from repro.core.kernels import (
     rung_available,
 )
 from repro.core.kernels import compiled
+from repro.core.kernels.compiled import cffi_backend
+from repro.core.parameters import PhaseFieldParameters
 from repro.core.scenarios import fill_ghosts_periodic, make_scenario
+from repro.thermo.calphad import CalphadData
+from repro.thermo.parabolic import ParabolicFreeEnergy
+from repro.thermo.phases import Component, Phase, PhaseSet
+from repro.thermo.system import TernaryEutecticSystem
 
 HAVE_BACKEND = compiled.available()
 needs_backend = pytest.mark.skipif(
@@ -36,16 +57,21 @@ needs_backend = pytest.mark.skipif(
 )
 
 SHAPE = (4, 5, 7)
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-@pytest.fixture()
-def interface3d():
-    phi, mu, tg, system, params = make_scenario("interface", SHAPE, seed=2)
+def _state(shape, seed=2, system=None, params=None):
+    """Ghosted inputs of both sweeps on the interface scenario and what
+    the reference kernels make of them."""
+    dim = len(shape)
+    phi, mu, tg, system, params = make_scenario(
+        "interface", shape, system=system, params=params, seed=seed
+    )
     ctx = make_context(system, params)
     ref_phi = get_phi_kernel("reference")(ctx, phi, mu, tg)
     phi_dst = phi.copy()
-    phi_dst[(slice(None),) + (slice(1, -1),) * 3] = ref_phi
-    fill_ghosts_periodic(phi_dst, 3)
+    phi_dst[(slice(None),) + (slice(1, -1),) * dim] = ref_phi
+    fill_ghosts_periodic(phi_dst, dim)
     t_new = tg - 0.015
     ref_mu = get_mu_kernel("reference")(ctx, mu, phi, phi_dst, tg, t_new)
     return dict(
@@ -55,60 +81,55 @@ def interface3d():
 
 
 @pytest.fixture()
+def interface3d():
+    return _state(SHAPE)
+
+
+def _entry_points(rung, s):
+    """phi, mu, mu-local and mu-neighbour of *rung* on the state *s*."""
+    ctx = s["ctx"]
+    local, neighbor = get_split_mu_kernel(rung)
+    mu_args = (s["mu"], s["phi"], s["phi_dst"], s["tg"], s["t_new"])
+    partial = local(ctx, *mu_args)
+    return {
+        "phi": get_phi_kernel(rung)(ctx, s["phi"], s["mu"], s["tg"]),
+        "mu": get_mu_kernel(rung)(ctx, *mu_args),
+        "mu_local": partial,
+        "mu_neighbor": neighbor(
+            ctx, partial, s["mu"], s["phi"], s["phi_dst"], s["tg"]
+        ),
+    }
+
+
+def _binary_eutectic():
+    """A 3-phase / 1-solute system: nothing the shipped instantiations
+    (N = 4, K = 2) cover, so it runs the generic one."""
+    te = 800.0
+
+    def fe(curv, c_eq, c_slope, latent):
+        return ParabolicFreeEnergy(
+            curvature=np.array([[curv]]), c_eq=np.array([c_eq]),
+            c_slope=np.array([c_slope]), latent_slope=latent, t_eutectic=te,
+        )
+
+    return TernaryEutecticSystem(CalphadData(
+        phase_set=PhaseSet(
+            phases=(Phase("alpha"), Phase("beta"),
+                    Phase("liquid", is_liquid=True)),
+            components=(Component("B"), Component("A", solvent=True)),
+        ),
+        free_energies=(fe(28.0, 0.1, -6e-4, 0.17), fe(34.0, 0.8, 4e-4, 0.16),
+                       fe(9.0, 0.4, 0.0, 0.0)),
+        t_eutectic=te, liquid_c_eq=np.array([0.4]),
+        diffusivities=(1e-4, 1e-4, 1.0),
+    ))
+
+
+@pytest.fixture()
 def restore_backend():
     """Undo any set_backend() override after the test."""
     yield
     compiled.set_backend(None)
-
-
-# ---------------------------------------------------------------------------
-# backend-neutral loop bodies (no backend required)
-# ---------------------------------------------------------------------------
-
-
-class TestLoopBodies:
-    """The pure-Python loop spec is the single source of the compiled
-    algorithm; pin it to the reference directly (interpreted, no backend
-    needed), so a backend bug can be told apart from an algorithm bug."""
-
-    @pytest.mark.parametrize("shortcuts", [0, 1])
-    def test_phi_cellwise_matches_reference(self, interface3d, shortcuts):
-        from repro.core.kernels.compiled import loops
-
-        s = interface3d
-        ctx = s["ctx"]
-        pk = compiled._pack(ctx)
-        geom, interior = compiled._geometry(ctx, s["phi"].shape[1:])
-        out = np.empty(ctx.n_phases * int(np.prod(interior)))
-        loops.phi_cellwise(
-            compiled._flat64(s["phi"]), compiled._flat64(s["mu"]),
-            compiled._flat64(s["tg"]), out, geom, pk["scal"], pk["gamma"],
-            pk["tau"], pk["inv_curv"], pk["c_eq"], pk["c_slope"],
-            pk["latent"], pk["diff"], shortcuts,
-        )
-        np.testing.assert_allclose(
-            out.reshape((ctx.n_phases,) + interior), s["ref_phi"], atol=1e-11
-        )
-
-    @pytest.mark.parametrize("shortcuts", [0, 1])
-    def test_mu_cellwise_matches_reference(self, interface3d, shortcuts):
-        from repro.core.kernels.compiled import loops
-
-        s = interface3d
-        ctx = s["ctx"]
-        pk = compiled._pack(ctx)
-        geom, interior = compiled._geometry(ctx, s["mu"].shape[1:])
-        out = np.empty(ctx.n_solutes * int(np.prod(interior)))
-        loops.mu_cellwise(
-            compiled._flat64(s["mu"]), compiled._flat64(s["phi"]),
-            compiled._flat64(s["phi_dst"]), compiled._flat64(s["tg"]),
-            compiled._flat64(s["t_new"]), out, geom, pk["scal"],
-            pk["inv_curv"], pk["c_eq"], pk["c_slope"], pk["diff"],
-            pk["anti_trapping"], shortcuts, 1, 0,
-        )
-        np.testing.assert_allclose(
-            out.reshape((ctx.n_solutes,) + interior), s["ref_mu"], atol=1e-11
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +194,70 @@ class TestSelection:
 
 
 # ---------------------------------------------------------------------------
-# live backend (skipped without numba or a C toolchain + cffi)
+# build cache of the cffi backend
+# ---------------------------------------------------------------------------
+
+_PROBE = (
+    f"import sys; sys.path.insert(0, {str(SRC)!r}); "
+    "from repro.core.kernels.compiled import cffi_backend as b; "
+    "print(b.available(), b.build_error())"
+)
+
+
+class TestBuildCache:
+    def test_flags_are_part_of_the_cache_key(self):
+        threaded, serial = cffi_backend._FLAG_SETS
+        assert threaded != serial
+        assert cffi_backend._tag("cc", threaded) != cffi_backend._tag(
+            "cc", serial
+        )
+        assert cffi_backend._tag("cc", serial) != cffi_backend._tag(
+            "gcc", serial
+        )
+
+    def test_build_timeout_is_reported_not_raised(self, monkeypatch, tmp_path):
+        """A compiler that hangs must leave a reason behind (and no temp
+        file), not escape ``available()`` and not read as 'unavailable
+        for no reason'."""
+        pytest.importorskip("cffi")
+
+        def hang(cmd, **kwargs):
+            raise subprocess.TimeoutExpired(cmd, kwargs["timeout"])
+
+        for name, fresh in (("_loaded", False), ("_lib", None),
+                            ("_build_error", None)):
+            monkeypatch.setattr(cffi_backend, name, fresh)
+        monkeypatch.setattr(cffi_backend, "_find_cc", lambda: "/bin/cc")
+        monkeypatch.setenv("REPRO_COMPILED_CACHE", str(tmp_path))
+        monkeypatch.setattr(subprocess, "run", hang)
+        assert cffi_backend.available() is False
+        assert "timed out" in cffi_backend.build_error()
+        assert list(tmp_path.iterdir()) == []
+
+    @needs_backend
+    def test_concurrent_cold_builds_all_succeed(self, tmp_path):
+        """Four processes started together against an empty cache: every
+        one ends up with a working library and the cache with exactly one
+        object (nothing half-written is ever visible)."""
+        env = dict(os.environ, REPRO_COMPILED_CACHE=str(tmp_path),
+                   REPRO_KERNEL_BACKEND="cffi")
+        procs = [
+            subprocess.Popen(
+                [sys.executable, "-c", _PROBE], env=env, text=True,
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            )
+            for _ in range(4)
+        ]
+        for proc in procs:
+            out, err = proc.communicate(timeout=300)
+            assert proc.returncode == 0, err
+            assert out.split() == ["True", "None"], (out, err)
+        assert len(list(tmp_path.glob("*.so"))) == 1
+        assert [p.name for p in tmp_path.iterdir() if p.suffix != ".so"] == []
+
+
+# ---------------------------------------------------------------------------
+# live backend (skipped without a C toolchain + cffi)
 # ---------------------------------------------------------------------------
 
 
@@ -224,6 +308,197 @@ class TestCompiledBackend:
             np.testing.assert_allclose(
                 out_mu, ref_mu, atol=1e-11, err_msg=rung
             )
+
+
+def _assert_matches_reference(s):
+    for rung in COMPILED_RUNGS:
+        got = _entry_points(rung, s)
+        for name, ref in (("phi", "ref_phi"), ("mu", "ref_mu"),
+                          ("mu_neighbor", "ref_mu")):
+            np.testing.assert_allclose(
+                got[name], s[ref], atol=1e-11, err_msg=f"{rung} {name}"
+            )
+
+
+@needs_backend
+class TestInstantiations:
+    @pytest.mark.parametrize("shape", [(4, 5, 7), (6, 9)])
+    def test_generic_instantiation_matches_reference(self, shape):
+        """N = 3, K = 1 runs the run-time-generic instantiation and the
+        general (K != 2) susceptibility solve."""
+        system = _binary_eutectic()
+        assert (system.n_phases, system.n_solutes) == (3, 1)
+        _assert_matches_reference(_state(shape, seed=1, system=system))
+
+    @pytest.mark.parametrize("dx", [0.5, 0.3])
+    @pytest.mark.parametrize("shape", [(4, 5, 7), (6, 9)])
+    def test_grid_spacing_other_than_one(self, shape, dx):
+        """The sweeps multiply by 1/dx and 1/(2 dx) computed once; that
+        is exact only for powers of two and must stay within tolerance
+        otherwise."""
+        system = TernaryEutecticSystem()
+        params = PhaseFieldParameters.for_system(
+            system, dim=len(shape), dx=dx
+        )
+        _assert_matches_reference(_state(shape, params=params))
+
+
+# whole-array results the cut-outs are compared with: shape -> (state,
+# {rung: entry points}); computed once, the reference kernel is slow
+_WHOLE: dict = {}
+
+
+def _speckle(s, seed):
+    """Overwrite a third of the cells of state *s* with isolated grains.
+
+    The interface scenario varies along z only, so neighbours across a
+    face nearly always agree on being front cells or not.  Grains of
+    pure solid, of solid with a liquid trace below the front threshold,
+    of two solids and of solid plus melt put every combination of the
+    shortcut flags on the two sides of a face, with an anti-trapping
+    current through it that is tiny but not zero.
+    """
+    rng = np.random.default_rng(seed)
+    dim = s["phi"].ndim - 1
+    ell = s["ctx"].liquid
+    solids = [a for a in range(s["ctx"].n_phases) if a != ell]
+    grains = []
+    for a in solids:
+        b = solids[(solids.index(a) + 1) % len(solids)]
+        grains += [{a: 1.0}, {a: 1.0 - 5e-10, ell: 5e-10},
+                   {a: 0.5, b: 0.5}, {a: 0.7, ell: 0.3}]
+    for name in ("phi", "phi_dst"):
+        interior = s[name][(slice(None),) + (slice(1, -1),) * dim]
+        for idx in np.ndindex(interior.shape[1:]):
+            if rng.random() < 1 / 3:
+                interior[(slice(None),) + idx] = 0.0
+                for a, v in grains[rng.integers(len(grains))].items():
+                    interior[(a,) + idx] = v
+        fill_ghosts_periodic(s[name], dim)
+    return s
+
+
+def _whole(shape):
+    if shape not in _WHOLE:
+        s = _speckle(_state(shape, seed=5), seed=7)
+        _WHOLE[shape] = (s, {r: _entry_points(r, s) for r in COMPILED_RUNGS})
+    return _WHOLE[shape]
+
+
+@st.composite
+def _sub_boxes(draw, shape):
+    """Per axis ``(first cell, extent)`` of a sub-box of *shape*."""
+    box = []
+    for n in shape:
+        lo = draw(st.integers(0, n - 1))
+        box.append((lo, draw(st.integers(1, n - lo))))
+    return tuple(box)
+
+
+def _cut(arr, box):
+    """The ghosted cut-out of a ghosted array around the interior *box*."""
+    lead = (slice(None),) * (arr.ndim - len(box))
+    return np.ascontiguousarray(
+        arr[lead + tuple(slice(lo, lo + n + 2) for lo, n in box)]
+    )
+
+
+def _check_block_independence(shape, box):
+    s, whole = _whole(shape)
+    (z0, nz) = box[-1]
+    sub = dict(
+        ctx=s["ctx"], phi=_cut(s["phi"], box), mu=_cut(s["mu"], box),
+        phi_dst=_cut(s["phi_dst"], box),
+        tg=s["tg"][z0:z0 + nz + 2].copy(),
+        t_new=s["t_new"][z0:z0 + nz + 2].copy(),
+    )
+    region = (slice(None),) + tuple(slice(lo, lo + n) for lo, n in box)
+    for rung in COMPILED_RUNGS:
+        for name, got in _entry_points(rung, sub).items():
+            assert np.array_equal(got, whole[rung][name][region]), (
+                rung, name, box
+            )
+
+
+@needs_backend
+class TestBitwiseGuarantees:
+    """What the staggered buffers must not change: reuse or recompute, a
+    face contributes the same bits, so a result depends on the ghosted
+    input alone."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(box=_sub_boxes((5, 4, 9)))
+    def test_block_independence_3d(self, box):
+        """Any cut-out block — down to one cell, at any offset — gives
+        the bits the whole array gives there: the property the bitwise
+        serial-vs-distributed tests of Algorithm 1 rest on."""
+        _check_block_independence((5, 4, 9), box)
+
+    @settings(max_examples=40, deadline=None)
+    @given(box=_sub_boxes((9, 14)))
+    def test_block_independence_2d(self, box):
+        _check_block_independence((9, 14), box)
+
+    def test_thread_count_independence(self):
+        """One sweep of every entry point on (5, 6, 7), in a process per
+        OMP_NUM_THREADS: same CRC whatever the thread count."""
+        code = (
+            f"import sys; sys.path[:0] = [{str(SRC)!r}, {str(SRC.parent)!r}]\n"
+            "from tests.test_kernels_compiled import _crc_of_one_sweep\n"
+            "print(_crc_of_one_sweep())\n"
+        )
+        seen = {}
+        for threads in (1, 2, 3):
+            done = subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, text=True,
+                timeout=300,
+                env={**os.environ, "OMP_NUM_THREADS": str(threads)},
+            )
+            assert done.returncode == 0, done.stderr
+            used, crc = done.stdout.split()
+            if threads > 1 and used == "1":
+                pytest.skip("kernel library was built without OpenMP")
+            assert int(used) == threads
+            seen[threads] = crc
+        assert len(set(seen.values())) == 1, seen
+
+    def test_concurrent_entry_from_python_threads(self):
+        """cffi releases the GIL, so thread ranks are inside the library
+        at the same time: scratch must be per call."""
+        states = [_state((4, 5, 6), seed=3), _state((3, 6, 5), seed=4)]
+        expected = [_entry_points("compiled_shortcuts", s) for s in states]
+        failures = []
+        start = threading.Barrier(len(states))
+
+        def sweep(s, want):
+            start.wait()
+            for _ in range(50):
+                got = _entry_points("compiled_shortcuts", s)
+                if not all(np.array_equal(got[k], want[k]) for k in want):
+                    failures.append(s["phi"].shape)
+                    return
+
+        workers = [
+            threading.Thread(target=sweep, args=pair)
+            for pair in zip(states, expected)
+        ]
+        for t in workers:
+            t.start()
+        for t in workers:
+            t.join(timeout=120)
+            assert not t.is_alive()
+        assert failures == []
+
+
+def _crc_of_one_sweep() -> str:
+    """``"<kernel threads> <crc>"`` of all entry points of both rungs on
+    the (5, 6, 7) interface block (run by the thread-count test)."""
+    s = _state((5, 6, 7), seed=6)
+    crc = 0
+    for rung in COMPILED_RUNGS:
+        for name, arr in sorted(_entry_points(rung, s).items()):
+            crc = zlib.crc32(np.ascontiguousarray(arr).tobytes(), crc)
+    return f"{cffi_backend.num_threads()} {crc}"
 
 
 @needs_backend

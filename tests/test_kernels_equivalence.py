@@ -22,7 +22,7 @@ from repro.core.scenarios import SCENARIOS, fill_ghosts_periodic, make_scenario
 SHAPE = (5, 4, 9)
 ALL_RUNGS = [r for r in LADDER if r != "reference"]
 #: Parametrization list: compiled rungs are marked skip (not silently
-#: dropped) when no backend (numba or a C toolchain + cffi) is usable.
+#: dropped) when the backend (a C toolchain + cffi) is not usable.
 RUNGS = [
     pytest.param(
         r,
