@@ -41,7 +41,7 @@ def _solid_solute_deviation(sim) -> float:
     system = sim.system
     phi = sim.phi.interior_src
     mu = sim.mu.interior_src
-    t = sim._slice_temps(sim.time)[1:-1]
+    t = sim.slice_temperatures(sim.time)[1:-1]
     temp = sim.ctx.broadcast_slices(t)
     h = moelans_h(phi)
     c = system.concentration(h, mu, temp)
@@ -72,8 +72,8 @@ def test_antitrapping_ablation(benchmark, results_dir):
 
         kern = get_mu_kernel("buffered")
         for label, sim in (("on", sim_on), ("off", sim_off)):
-            t_old = sim._slice_temps(sim.time)
-            t_new = sim._slice_temps(sim.time + sim.params.dt)
+            t_old = sim.slice_temperatures(sim.time)
+            t_new = sim.slice_temperatures(sim.time + sim.params.dt)
             sec = time_call(lambda s=sim, a=t_old, b=t_new: kern(
                 s.ctx, s.mu.src, s.phi.src, s.phi.src, a, b))
             data[f"rate_{label}"] = rate_of(sec, int(np.prod(sim.shape)))

@@ -2,7 +2,7 @@
 
 :class:`Simulation` owns the double-buffered fields, boundary handling,
 frozen temperature and moving window, and advances them with a selectable
-kernel rung:
+kernel rung through the one step of :mod:`repro.core.stepper`:
 
 1. ``phi_dst <- phi-kernel(phi_src, mu_src)``
 2. phi ghost-layer update (boundaries; exchange in multi-block runs)
@@ -10,9 +10,12 @@ kernel rung:
 4. mu ghost-layer update
 5. swap both fields
 
-The distributed driver in :mod:`repro.distributed.solver` reuses the same
-kernels and boundary spec and adds the inter-block ghost exchange and the
-communication-hiding schedule of Algorithm 2.
+It is the one-block instance of that step, whose ghost layers come from
+the boundary conditions alone; the distributed driver in
+:mod:`repro.distributed.solver` runs the same step over many blocks with
+the inter-block ghost exchange, and the communication-hiding schedule of
+Algorithm 2.  :func:`problem_defaults` is the directional-solidification
+set-up both drivers start from.
 """
 
 from __future__ import annotations
@@ -26,12 +29,54 @@ from repro.core.moving_window import MovingWindow, shift_along_growth_axis
 from repro.core.nucleation import voronoi_initial_condition
 from repro.core.parameters import PhaseFieldParameters
 from repro.core.regions import classify, front_position
+from repro.core.stepper import Stepper, slice_temperatures
 from repro.core.temperature import ConstantTemperature, FrozenTemperature
 from repro.grid.boundary import BoundarySpec, Dirichlet, Neumann, apply_boundaries
 from repro.grid.field import Field
 from repro.thermo.system import TernaryEutecticSystem
 
-__all__ = ["Simulation", "SimulationReport"]
+__all__ = ["Simulation", "SimulationReport", "problem_defaults"]
+
+
+def problem_defaults(
+    shape: tuple[int, ...],
+    system: TernaryEutecticSystem | None = None,
+    params: PhaseFieldParameters | None = None,
+    temperature: FrozenTemperature | ConstantTemperature | None = None,
+    phi_bc: BoundarySpec | None = None,
+    mu_bc: BoundarySpec | None = None,
+):
+    """``(system, params, temperature, phi_bc, mu_bc)`` of a run on the
+    interior *shape* (growth axis last), each ``None`` replaced by the
+    paper's directional-solidification default.
+
+    Defaults: the Ag-Al-Cu dataset, parameters from
+    :meth:`PhaseFieldParameters.for_system`, a gentle gradient pulled at
+    constant velocity with the eutectic isotherm near mid-height, and
+    the Fig. 2 boundaries (periodic transverse, Neumann bottom, Dirichlet
+    top for mu at the far-field melt value).  Raises ``ValueError`` when
+    *params* was made for another dimension than *shape*.
+    """
+    dim = len(shape)
+    system = system if system is not None else TernaryEutecticSystem()
+    if params is None:
+        params = PhaseFieldParameters.for_system(system, dim=dim)
+    if params.dim != dim:
+        raise ValueError(f"params.dim={params.dim} does not match shape {shape}")
+    if temperature is None:
+        nz = shape[-1]
+        temperature = FrozenTemperature(
+            t_ref=system.t_eutectic,
+            gradient=4.0 / nz,
+            velocity=0.02,
+            z0=0.45 * nz * params.dx,
+            dx=params.dx,
+        )
+    if phi_bc is None:
+        phi_bc = BoundarySpec.directional(dim)
+    if mu_bc is None:
+        mu_bc = BoundarySpec.directional(dim, bottom=Neumann(), top=Dirichlet(0.0))
+    return system, params, temperature, phi_bc, mu_bc
 
 
 @dataclass
@@ -53,20 +98,13 @@ class Simulation:
     ----------
     shape:
         Interior cell counts; the growth direction is the last axis.
-    system:
-        Alloy thermodynamics (defaults to the Ag-Al-Cu dataset).
-    params:
-        Model/numerics parameters (defaults via
-        :meth:`PhaseFieldParameters.for_system`).
-    temperature:
-        A :class:`FrozenTemperature` or :class:`ConstantTemperature`;
-        defaults to a gentle gradient pulled at constant velocity with the
-        eutectic isotherm near mid-height.
+    system, params, temperature, phi_bc, mu_bc:
+        Alloy thermodynamics, model/numerics parameters, a
+        :class:`FrozenTemperature` or :class:`ConstantTemperature`, and
+        the boundary specs; each ``None`` takes the directional default
+        of :func:`problem_defaults`.
     kernel:
         Optimization-ladder rung used for both sweeps.
-    phi_bc, mu_bc:
-        Boundary specs; default to the Fig. 2 setup (periodic transverse,
-        Neumann bottom, Dirichlet top for mu at the far-field melt value).
     moving_window:
         Optional :class:`MovingWindow` policy.
     imex:
@@ -89,16 +127,10 @@ class Simulation:
     ):
         self.shape = tuple(shape)
         self.dim = len(shape)
-        self.system = system if system is not None else TernaryEutecticSystem()
-        self.params = (
-            params
-            if params is not None
-            else PhaseFieldParameters.for_system(self.system, dim=self.dim)
+        (self.system, self.params, self.temperature, self.phi_bc,
+         self.mu_bc) = problem_defaults(
+            self.shape, system, params, temperature, phi_bc, mu_bc
         )
-        if self.params.dim != self.dim:
-            raise ValueError(
-                f"params.dim={self.params.dim} does not match shape {shape}"
-            )
         self.ctx = make_context(self.system, self.params)
         from repro.core.kernels import COMPILED_RUNGS, compiled
 
@@ -115,39 +147,12 @@ class Simulation:
         if imex:
             from repro.core.imex import semi_implicit_mu_step
 
-            def _imex_mu(ctx, mu_src, phi_src, phi_dst, t_old, t_new):
-                return semi_implicit_mu_step(
-                    ctx, mu_src, phi_src, phi_dst, t_old, t_new
-                )
-
-            self._mu_kernel = _imex_mu
+            self._mu_kernel = semi_implicit_mu_step
         else:
             self._mu_kernel = get_mu_kernel(kernel)
 
-        nz = shape[-1]
-        if temperature is None:
-            te = self.system.t_eutectic
-            temperature = FrozenTemperature(
-                t_ref=te,
-                gradient=4.0 / nz,
-                velocity=0.02,
-                z0=0.45 * nz * self.params.dx,
-                dx=self.params.dx,
-            )
-        self.temperature = temperature
-
         self.phi = Field(self.system.n_phases, self.shape)
         self.mu = Field(self.system.n_solutes, self.shape)
-        self.phi_bc = (
-            phi_bc if phi_bc is not None else BoundarySpec.directional(self.dim)
-        )
-        self.mu_bc = (
-            mu_bc
-            if mu_bc is not None
-            else BoundarySpec.directional(
-                self.dim, bottom=Neumann(), top=Dirichlet(0.0)
-            )
-        )
         self.moving_window = moving_window
         self.time = 0.0
         self.step_count = 0
@@ -249,38 +254,37 @@ class Simulation:
     # time stepping
     # ------------------------------------------------------------------ #
 
-    def _slice_temps(self, t: float) -> np.ndarray:
-        """Ghosted slice temperatures (nz + 2 values) at time *t*."""
-        nz = self.shape[-1]
-        return self.temperature.at_time(t, nz + 2, self.z_offset - 1)
+    def slice_temperatures(self, t: float) -> np.ndarray:
+        """Ghosted slice temperatures (nz + 2 values) at time *t* in the
+        current (window-shifted) frame."""
+        return slice_temperatures(
+            self.temperature, t, self.z_offset, self.shape[-1]
+        )
 
     def step(self, n: int = 1) -> None:
         """Advance *n* explicit-Euler time steps (Algorithm 1)."""
+        stepper = Stepper(
+            self.ctx, self._phi_kernel, self._mu_kernel, self.temperature,
+            self.params.dt,
+            lambda buffer: apply_boundaries(getattr(self.phi, buffer), self.phi_bc),
+            lambda buffer: apply_boundaries(getattr(self.mu, buffer), self.mu_bc),
+        )
+        after = []
+        if self.moving_window is not None and self.moving_window.enabled:
+            after.append(self._shift_window)
+        nz = self.shape[-1]
         for _ in range(n):
-            t_old = self._slice_temps(self.time)
-            t_new = self._slice_temps(self.time + self.params.dt)
-
-            self.phi.interior_dst[...] = self._phi_kernel(
-                self.ctx, self.phi.src, self.mu.src, t_old
-            )
-            apply_boundaries(self.phi.dst, self.phi_bc)
-
-            self.mu.interior_dst[...] = self._mu_kernel(
-                self.ctx, self.mu.src, self.phi.src, self.phi.dst, t_old, t_new
-            )
-            apply_boundaries(self.mu.dst, self.mu_bc)
-
-            self.phi.swap()
-            self.mu.swap()
+            stepper.step([(self.phi, self.mu, self.z_offset, nz)], self.time)
             self.time += self.params.dt
             self.step_count += 1
-            self._maybe_shift_window()
+            for hook in after:
+                hook(self.step_count, self.time)
 
-    def _maybe_shift_window(self) -> None:
+    def _shift_window(self, step: int, _t: float) -> None:
+        """Post-step hook ``(step, time)``: move the frame with the
+        front every ``check_every`` steps."""
         mw = self.moving_window
-        if mw is None or not mw.enabled:
-            return
-        if self.step_count % mw.check_every:
+        if step % mw.check_every:
             return
         nz = self.shape[-1]
         fz = self.front_position()
@@ -327,7 +331,7 @@ class Simulation:
         """
         from repro.core.interpolation import moelans_h
 
-        t = self._slice_temps(self.time)[1:-1]
+        t = self.slice_temperatures(self.time)[1:-1]
         temp = self.ctx.broadcast_slices(t)
         h = moelans_h(self.phi.interior_src)
         c = self.system.concentration(h, self.mu.interior_src, temp)

@@ -360,3 +360,15 @@ class BlockHaloRegistry:
                 )
         if timer is not None:
             timer.add(time.perf_counter() - t0, nbytes, nmsg)
+
+    def field_sync(self, fields: dict, spec, timer: ExchangeTimer | None = None):
+        """The sync of a :class:`repro.core.stepper.Stepper` over this
+        registry: ``sync(buffer)`` runs :meth:`exchange` on buffer
+        ``"src"`` or ``"dst"`` of every Field in *fields* (block id ->
+        :class:`~repro.grid.field.Field`)."""
+        def sync(buffer: str) -> None:
+            self.exchange(
+                {bid: getattr(f, buffer) for bid, f in fields.items()},
+                spec, timer=timer,
+            )
+        return sync

@@ -8,9 +8,10 @@ domain edge).  This package provides:
 * :mod:`repro.grid.field` — ghosted double-buffered fields,
 * :mod:`repro.grid.boundary` — Dirichlet/Neumann/periodic handlers,
 * :mod:`repro.grid.blockforest` — the block partition and neighbourhood,
-* :mod:`repro.grid.balance` — block-to-process assignment,
-* :mod:`repro.grid.timeloop` — functor scheduling incl. the
-  communication-hiding order of Algorithm 2.
+* :mod:`repro.grid.balance` — block-to-process assignment.
+
+The time step that runs over them (Algorithms 1 and 2) is
+:mod:`repro.core.stepper`.
 """
 
 from repro.grid.field import Field

@@ -10,8 +10,8 @@ This package reproduces that operational layer:
   :mod:`repro.io.checkpoint`; corrupt generations are quarantined.
 * :mod:`repro.resilience.guards` — per-step physical invariants
   (finiteness, partition of unity, Gibbs-simplex bounds, solute
-  conservation), Timeloop watchdog functors, and
-  :class:`GuardedSimulation` with rollback + dt-backoff retry.
+  conservation), the distributed ranks' per-step finite-value guard
+  hook, and :class:`GuardedSimulation` with rollback + dt-backoff retry.
 * :mod:`repro.resilience.faults` — deterministic seeded
   :class:`FaultPlan` (rank kills, dropped/corrupted/delayed ghost
   messages, truncated checkpoints, NaN injection, checkpoint-write I/O
@@ -36,8 +36,8 @@ from repro.resilience.faults import FAULT_KINDS, Fault, FaultPlan, FaultyComm, s
 from repro.resilience.guards import (
     GuardedSimulation,
     StateGuard,
-    attach_watchdog,
     find_violations,
+    finite_guard,
 )
 from repro.resilience.retry import RetryPolicy, retry_io
 from repro.resilience.store import CheckpointStore, ShardedCheckpointStore
@@ -56,8 +56,8 @@ __all__ = [
     "stall",
     "GuardedSimulation",
     "StateGuard",
-    "attach_watchdog",
     "find_violations",
+    "finite_guard",
     "CheckpointStore",
     "ShardedCheckpointStore",
     "RetryPolicy",

@@ -357,15 +357,6 @@ def _finalize_campaign_telemetry(
     events.close()
     merged_events = telemetry.merge_events()
     cells = int(np.prod(dsim.shape))
-    fault_stats = None
-    if fault_plan is not None:
-        fault_stats = {
-            "fired": [
-                {"kind": f.kind, "step": s, "rank": r}
-                for f, s, r in fault_plan.fired()
-            ],
-            "pending": len(fault_plan.pending()),
-        }
     def _count_kind(kind: str) -> int:
         return sum(1 for r in merged_events if r.get("kind") == kind)
 
@@ -412,7 +403,7 @@ def _finalize_campaign_telemetry(
             "restarts": result.restarts,
             "violations": restart_reasons,
         },
-        fault_stats=fault_stats,
+        fault_stats=None if fault_plan is None else fault_plan.summary(),
         event_stats={
             "count": len(merged_events) or event_count,
             "path": (

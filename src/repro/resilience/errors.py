@@ -20,8 +20,8 @@ __all__ = [
 class InvariantViolation(RuntimeError):
     """A per-step guardrail check failed (NaN/Inf, phase-sum drift, ...).
 
-    Raised by watchdog functors and the distributed per-step guard; the
-    guarded drivers catch it and roll back to the last good checkpoint.
+    Raised by the distributed per-step guard hook; the guarded drivers
+    catch it and roll back to the last good checkpoint.
     """
 
     def __init__(self, violations, *, step: int | None = None,

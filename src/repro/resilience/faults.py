@@ -29,7 +29,7 @@ import numpy as np
 from repro.resilience.errors import InjectedFault
 
 __all__ = ["FAULT_KINDS", "Fault", "FaultPlan", "FaultyComm", "poison",
-           "stall"]
+           "rank_fault_hook", "stall"]
 
 logger = logging.getLogger(__name__)
 
@@ -190,6 +190,16 @@ class FaultPlan:
         with self._lock:
             return [f for i, f in enumerate(self.faults) if i not in self._fired]
 
+    def summary(self) -> dict:
+        """The run report's ``faults`` section: what fired, and where."""
+        return {
+            "fired": [
+                {"kind": f.kind, "step": s, "rank": r}
+                for f, s, r in self.fired()
+            ],
+            "pending": len(self.pending()),
+        }
+
     def describe(self) -> str:
         """Reproduction string (seed + schedule) for test reports."""
         lines = [f"FaultPlan(seed={self.seed})"]
@@ -226,6 +236,50 @@ def stall(comm, max_seconds: float, poll: float = 0.05) -> None:
             )
         _time.sleep(poll)
     raise InjectedFault("rank_stall", rank=getattr(comm, "rank", None))
+
+
+def rank_fault_hook(comm, plan: FaultPlan, phi_field=None, events=None):
+    """The step-start faults of one rank, as a hook ``(step, time)``.
+
+    Advances the fault clock of *comm* (a :class:`FaultyComm`) and fires
+    what *plan* schedules for this rank at *step*: ``rank_kill`` /
+    ``kill_rank`` raise :class:`InjectedFault`, ``rank_slow`` pauses,
+    ``rank_stall`` hangs until contained (:func:`stall`) and
+    ``nan_inject`` poisons the interior of *phi_field* (when the rank
+    owns a block).  Each fire is logged to *events* when given.
+    """
+    rank = comm.rank
+
+    def emit(level: str, **data) -> None:
+        if events is not None:
+            events.emit("fault", level, **data)
+
+    def inject(step: int, _t: float) -> None:
+        comm.step = step
+        for kind in ("rank_kill", "kill_rank"):
+            if plan.fires(kind, step=step, rank=rank) is not None:
+                emit("ERROR", fault=kind, step=step)
+                raise InjectedFault(kind, step=step, rank=rank)
+        fault = plan.fires("rank_slow", step=step, rank=rank)
+        if fault is not None:
+            # Transient straggler: the rank pauses but keeps its
+            # heartbeat alive, so the watchdog must NOT kill it.
+            emit("WARNING", fault="rank_slow", step=step, seconds=fault.delay)
+            _time.sleep(fault.delay)
+        fault = plan.fires("rank_stall", step=step, rank=rank)
+        if fault is not None:
+            # Permanent hang: freeze this rank's progress until a peer
+            # deadline or the watchdog contains it (the delay is only a
+            # safety cap for undeadlined runs).
+            emit("ERROR", fault="rank_stall", step=step,
+                 cap_seconds=fault.delay)
+            stall(comm, fault.delay)
+        fault = plan.fires("nan_inject", step=step, rank=rank)
+        if fault is not None and phi_field is not None:
+            emit("WARNING", fault="nan_inject", step=step)
+            poison(phi_field.interior_src)
+
+    return inject
 
 
 def poison(arr: np.ndarray) -> None:

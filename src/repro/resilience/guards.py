@@ -15,6 +15,7 @@ attempt budget is spent.
 from __future__ import annotations
 
 import logging
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,7 +26,7 @@ from repro.resilience.faults import poison
 __all__ = [
     "find_violations",
     "StateGuard",
-    "attach_watchdog",
+    "finite_guard",
     "GuardedSimulation",
 ]
 
@@ -109,24 +110,39 @@ class StateGuard:
         return out
 
 
-def attach_watchdog(timeloop, sim, guard: StateGuard | None = None,
-                    name: str = "watchdog"):
-    """Register an invariant-checking functor on a Timeloop.
+def finite_guard(fields, rank: int, record, *, events=None):
+    """The per-step finite-value check of one rank, as a hook
+    ``(step, time)``.
 
-    The functor raises :class:`InvariantViolation` when any guard check
-    fails; through :class:`repro.grid.timeloop.FunctorError` the failure
-    is annotated with the functor name and step number.  Returns the
-    functor handle (category ``"watchdog"``, so timing reports separate
-    guard overhead from compute and communication).
+    *fields* lists ``(block_id, phi Field, mu Field)``; after a step the
+    interiors of their ``src`` buffers must be finite, else the hook
+    emits a ``guard_trip`` event (to *events*, when given), logs a
+    warning and raises :class:`InvariantViolation` carrying the step and
+    *rank* — the cheap check that turns silent NaN contamination (e.g.
+    from a corrupted ghost message) into an abort.  Each check's wall
+    time goes to ``record("guard", seconds)``.
     """
-    guard = StateGuard() if guard is None else guard
+    def check(step: int, _t: float) -> None:
+        mark = time.perf_counter()
+        for bid, phi, mu in fields:
+            if not (np.isfinite(phi.interior_src).all()
+                    and np.isfinite(mu.interior_src).all()):
+                if events is not None:
+                    events.emit(
+                        "guard_trip", "ERROR", block=bid, step=step,
+                        reason="non-finite field values",
+                    )
+                logger.warning(
+                    "guard tripped: non-finite values in block %d at step "
+                    "%d (rank %d)", bid, step, rank,
+                )
+                raise InvariantViolation(
+                    f"non-finite field values in block {bid}",
+                    step=step, rank=rank,
+                )
+        record("guard", time.perf_counter() - mark)
 
-    def check() -> None:
-        violations = guard.violations(sim)
-        if violations:
-            raise InvariantViolation(violations, step=sim.step_count)
-
-    return timeloop.add(name, check, category="watchdog")
+    return check
 
 
 class GuardedSimulation:

@@ -344,6 +344,72 @@ class ShardedCheckpointStore:
         with self._lock:
             self.stats["checkpoints_skipped"] += 1
 
+    def rank_hook(self, comm, fields, *, every: int, topology: dict,
+                  kernel: str = "", events=None):
+        """One rank's after-step hook ``(step, time)``: a two-phase
+        sharded checkpoint of *fields* — ``(block_id, phi Field, mu
+        Field)`` triples — whenever *step*, the global count of steps
+        done, is a multiple of *every* (so boundaries are stable across
+        restarts, whatever step a call starts from).
+
+        Collective over *comm*.  Write phase: this rank durably writes
+        its own shard (bounded retries inside :meth:`write_rank_shard`).
+        Publish phase: manifest entries are gathered to rank 0, which
+        commits the generation only when every rank succeeded; otherwise
+        the checkpoint is skipped — never half-published — with a logged
+        event, and the run continues.
+        """
+        def checkpoint(step: int, t: float) -> None:
+            if step % every == 0:
+                self._checkpoint_from_rank(
+                    comm, {bid: (phi.interior_src, mu.interior_src)
+                           for bid, phi, mu in fields},
+                    step=step, time=t, topology=topology, kernel=kernel,
+                    events=events,
+                )
+
+        return checkpoint
+
+    def _checkpoint_from_rank(self, comm, blocks: dict, *, step: int,
+                              time: float, topology: dict, kernel: str,
+                              events) -> None:
+        entry = None
+        try:
+            entry = self.write_rank_shard(
+                rank=comm.rank, step=step, blocks=blocks, events=events,
+            )
+        except OSError as exc:
+            logger.error(
+                "rank %d: shard write failed persistently at step %d: %r",
+                comm.rank, step, exc,
+            )
+            if events is not None:
+                events.emit(
+                    "checkpoint_skipped", "ERROR", step=step, error=repr(exc),
+                )
+        entries = comm.gather(entry, root=0)
+        if comm.rank != 0:
+            return
+        if all(e is not None for e in entries):
+            path = self.publish_manifest(
+                entries, step=step, time=time, topology=topology,
+                kernel=kernel,
+            )
+            if events is not None:
+                events.emit("checkpoint", step=step, path=str(path))
+        else:
+            self.note_skipped()
+            failed = [r for r, e in enumerate(entries) if e is None]
+            logger.warning(
+                "checkpoint at step %d skipped: rank(s) %s failed their "
+                "shard write", step, failed,
+            )
+            if events is not None:
+                events.emit(
+                    "checkpoint_skipped", "WARNING", step=step,
+                    failed_ranks=failed,
+                )
+
     def save_global(self, state: dict, *, forest, owner, n_ranks: int,
                     events=None) -> Path:
         """Shard and commit a gathered global state (initial checkpoints).

@@ -18,7 +18,7 @@ substrate:
   modules use ``logging.getLogger(__name__)`` and never configure
   handlers themselves;
 * :mod:`repro.telemetry.counters` — counters/gauges, rolling MLUP/s
-  window and the Timeloop heartbeat functor;
+  window and the per-step :class:`Heartbeat` sampler;
 * :mod:`repro.telemetry.report` — versioned, schema-validated JSON run
   reports (the ``BENCH_*.json`` performance trajectory);
 * :mod:`repro.telemetry.tracing` — opt-in (``REPRO_TRACE=1``) bounded
@@ -28,7 +28,8 @@ substrate:
   efficiency (the Fig. 8 number), per-rank step-time imbalance and the
   process-backend pipe-latency histogram;
 * :mod:`repro.telemetry.session` — :class:`RunTelemetry`, the opt-in
-  switch drivers accept.
+  switch drivers accept, and :class:`RankTelemetry`, one rank's share
+  of a telemetry-enabled call.
 """
 
 from repro.telemetry.counters import (
@@ -37,7 +38,6 @@ from repro.telemetry.counters import (
     Heartbeat,
     MetricsRegistry,
     RollingRate,
-    attach_heartbeat,
 )
 from repro.telemetry.events import (
     EVENT_SCHEMA_VERSION,
@@ -70,7 +70,7 @@ from repro.telemetry.report import (
     validate_run_report,
     write_run_report,
 )
-from repro.telemetry.session import RunTelemetry
+from repro.telemetry.session import RankTelemetry, RunTelemetry
 from repro.telemetry.spans import (
     overlap_efficiency,
     per_rank_imbalance,
@@ -115,7 +115,6 @@ __all__ = [
     "RollingRate",
     "MetricsRegistry",
     "Heartbeat",
-    "attach_heartbeat",
     "RUN_REPORT_VERSION",
     "RUN_REPORT_SCHEMA",
     "config_hash",
@@ -123,6 +122,7 @@ __all__ = [
     "validate_run_report",
     "write_run_report",
     "load_run_report",
+    "RankTelemetry",
     "RunTelemetry",
     "Span",
     "SpanRecorder",

@@ -1,11 +1,11 @@
-"""Counters, gauges and the Timeloop heartbeat functor.
+"""Counters, gauges and the per-step heartbeat.
 
 The paper's runs are steered by a handful of live quantities: cells
 updated (the MLUP/s numerator), bytes moved through the ghost-layer
 exchange, and failure counts.  This module provides the accumulators —
 :class:`Counter`, :class:`Gauge`, :class:`RollingRate` — bundled in a
-:class:`MetricsRegistry`, plus :func:`attach_heartbeat`, which registers
-a sampling functor on a :class:`~repro.grid.timeloop.Timeloop` so the
+:class:`MetricsRegistry`, plus :class:`Heartbeat`, whose
+:meth:`~Heartbeat.sample` a driver registers as a post-step hook so the
 registry is updated (and optionally emitted as ``heartbeat`` events)
 once per time step without touching the sweeps themselves.
 """
@@ -22,7 +22,6 @@ __all__ = [
     "RollingRate",
     "MetricsRegistry",
     "Heartbeat",
-    "attach_heartbeat",
 ]
 
 
@@ -143,7 +142,7 @@ class MetricsRegistry:
 
 
 class Heartbeat:
-    """Per-step sampler shared by the Timeloop functor and manual loops.
+    """Per-step sampler of a run's progress.
 
     Every :meth:`sample` advances the ``cells_updated`` counter by
     *cells_per_step*, feeds the rolling MLUP/s window, and (every
@@ -181,27 +180,3 @@ class Heartbeat:
                 mlups=self.registry.rate.mlups(),
                 **extra,
             )
-
-    def __call__(self) -> None:
-        self.sample()
-
-
-def attach_heartbeat(
-    timeloop,
-    registry: MetricsRegistry,
-    *,
-    cells_per_step: int,
-    every: int = 1,
-    events=None,
-    name: str = "heartbeat",
-):
-    """Register a :class:`Heartbeat` functor on a Timeloop.
-
-    The functor runs last in every step (category ``"telemetry"``, so
-    timing reports separate its — tiny — overhead from compute and
-    communication).  Returns the functor handle.
-    """
-    hb = Heartbeat(
-        registry, cells_per_step=cells_per_step, every=every, events=events
-    )
-    return timeloop.add(name, hb, category="telemetry")

@@ -171,9 +171,7 @@ def build_run_report(
     """Assemble a schema-valid run report dict.
 
     *timings* is a merged reduced timing tree
-    (:mod:`repro.telemetry.reduce`) or a
-    :meth:`~repro.grid.timeloop.Timeloop.timing_report` dump; *series*
-    carries optional figure data (e.g. the Fig. 6 ladder table).
+    (:mod:`repro.telemetry.reduce`); *series* carries optional figure data (e.g. the Fig. 6 ladder table).
     *elastic_stats* — rank-failure/shrink/I-O-retry accounting from an
     elastic campaign — adds the optional ``elastic`` section.
     *liveness_stats* — hang-detection and degradation accounting from
@@ -392,17 +390,8 @@ def load_run_report(path) -> dict:
 
 
 def _flatten_timings(timings: dict) -> list[tuple[str, dict]]:
-    """``(path, stats)`` rows from either timing representation.
-
-    Handles both the cross-rank-reduced tree (nested ``children`` dicts)
-    and a :meth:`~repro.grid.timeloop.Timeloop.timing_report` dump
-    (flat ``functors`` table).
-    """
+    """``(path, stats)`` rows of a cross-rank-reduced timing tree."""
     rows: list[tuple[str, dict]] = []
-    if "functors" in timings:
-        for name, stats in timings["functors"].items():
-            rows.append((name, stats))
-        return rows
 
     def walk(node: dict, prefix: str) -> None:
         for name, child in node.get("children", {}).items():

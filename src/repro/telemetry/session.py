@@ -1,4 +1,4 @@
-"""Run-level telemetry configuration.
+"""Run-level telemetry configuration and its per-rank share.
 
 :class:`RunTelemetry` is the one knob a driver exposes: pass an instance
 to :meth:`repro.distributed.solver.DistributedSimulation.run` (or
@@ -8,17 +8,26 @@ events, samples counters, reduces the trees across ranks and emits a
 :mod:`~repro.telemetry.report` JSON summary.  Pass ``None`` (the
 default) and the hot path runs exactly as before — telemetry is strictly
 opt-in, so it cannot regress an untelemetered benchmark.
+
+:class:`RankTelemetry` is what one rank records during one such call;
+:meth:`RunTelemetry.finish` merges the ranks' records into the result.
 """
 
 from __future__ import annotations
 
 import logging
+import math
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
+from repro.telemetry.counters import Heartbeat, MetricsRegistry
 from repro.telemetry.events import EventLog, attach_log_events, merge_event_logs
+from repro.telemetry.timing import TimingTree
 
-__all__ = ["RunTelemetry"]
+__all__ = ["RankTelemetry", "RunTelemetry"]
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -119,3 +128,181 @@ class RunTelemetry:
         if self.directory is None:
             return None
         return self.directory / f"report-{self.run_id}.json"
+
+    def finish(self, result, extras: list, *, config: dict, steps: int,
+               wall: float, fault_plan=None) -> None:
+        """Merge the ranks' :meth:`RankTelemetry.finish` records into
+        *result* (``timing``, ``counters``, ``spans``, ``trace_path``,
+        ``report``) and write the run report and Chrome trace when the
+        session has a directory.  *config* is the run's configuration
+        record; its ``shape`` and ``n_ranks`` size the report.
+        """
+        from repro.telemetry.report import build_run_report, write_run_report
+
+        extras = [extra or {} for extra in extras]
+        result.timing = next((e["tree"] for e in extras if e.get("tree")), None)
+        counters: dict = {}
+        for extra in extras:
+            for name, value in extra.get("counters", {}).items():
+                if name.startswith("mlups"):
+                    counters[name] = max(counters.get(name, 0.0), value)
+                else:
+                    counters[name] = counters.get(name, 0) + value
+        result.counters = counters
+
+        cells = math.prod(config["shape"])
+        merged_events = self.merge_events()
+        event_count = len(merged_events) or sum(
+            e.get("event_count", 0) for e in extras
+        )
+        tracing_stats = None
+        spans = next(
+            (e["spans"] for e in extras if e.get("spans") is not None), None
+        )
+        if spans is not None:
+            from repro.telemetry.spans import tracing_section
+            from repro.telemetry.tracing import write_chrome_trace
+
+            trace_stats = next(
+                (e["trace_stats"] for e in extras if e.get("trace_stats")), []
+            )
+            tracing_stats = tracing_section(spans, trace_stats)
+            result.spans = spans
+            trace_path = self.trace_path()
+            if trace_path is not None:
+                result.trace_path = write_chrome_trace(trace_path, spans)
+                logger.info("chrome trace written to %s", result.trace_path)
+        result.report = build_run_report(
+            run_id=self.run_id,
+            config=config,
+            grid_shape=config["shape"],
+            n_ranks=config["n_ranks"],
+            steps=steps,
+            wall_seconds=wall,
+            mlups=steps * cells / wall / 1.0e6 if wall > 0 else 0.0,
+            timings=result.timing,
+            counters=counters,
+            event_stats={
+                "count": event_count,
+                "path": (
+                    str(self.directory / "events-merged.jsonl")
+                    if self.directory is not None else None
+                ),
+            },
+            fault_stats=None if fault_plan is None else fault_plan.summary(),
+            tracing_stats=tracing_stats,
+        )
+        path = self.report_path()
+        if path is not None:
+            write_run_report(path, result.report)
+            logger.info("run report written to %s", path)
+
+
+class RankTelemetry:
+    """What one rank records during one call of a telemetry-enabled run.
+
+    Opening it starts the rank's :class:`TimingTree` (with a span tracer
+    when tracing is on), event log, :class:`MetricsRegistry` and
+    :class:`Heartbeat`, and emits ``run_start``.  :attr:`before_step` and
+    :attr:`after_step` are the step hooks ``(step, time)`` it needs: the
+    whole-step span (tracing only) and the heartbeat.  The call then
+    ends in :meth:`finish` — counters, ``run_end``, the cross-rank tree
+    reduction and the span gather, all collective — or in :meth:`fail`.
+    """
+
+    def __init__(self, telemetry: RunTelemetry, comm, *, steps: int,
+                 step0: int, blocks: int, cells: int):
+        self.comm = comm
+        self.tree = TimingTree(tracer=telemetry.open_tracer(comm.rank))
+        self.tracer = self.tree.tracer
+        self.events = telemetry.open_events(comm.rank)
+        self.registry = MetricsRegistry()
+        self.heartbeat = Heartbeat(
+            self.registry, cells_per_step=cells,
+            every=telemetry.heartbeat_every, events=self.events,
+        )
+        self._transport0 = None
+        self._step_began = 0.0
+        # Whole-step spans go to the tracer only (not the tree), so the
+        # aggregated breakdown keeps its shape; per-rank step totals are
+        # the imbalance signal of the report's "tracing" section.
+        spans = self.tracer is not None
+        self.before_step = [self._span_start] if spans else []
+        self.after_step = [self._span_end] if spans else []
+        self.after_step.append(self._heartbeat)
+        self.events.emit(
+            "run_start", steps=steps, step0=step0, blocks=blocks, cells=cells,
+        )
+
+    def _span_start(self, step: int, t: float) -> None:
+        self._step_began = time.perf_counter()
+
+    def _span_end(self, step: int, t: float) -> None:
+        self.tracer.record(
+            "step", self._step_began, time.perf_counter(), step=step
+        )
+
+    def _heartbeat(self, step: int, t: float) -> None:
+        self.heartbeat.sample(global_step=step)
+
+    def loop_started(self) -> None:
+        """Snapshot the transport counters (process backend): what
+        :meth:`finish` reports is the step loop's steady-state control
+        traffic, set-up and initial exchanges excluded."""
+        if hasattr(self.comm, "transport_counters"):
+            self._transport0 = self.comm.transport_counters()
+
+    def fail(self, exc: BaseException) -> None:
+        """Log ``rank_failed`` and close the event log."""
+        self.events.emit("rank_failed", "ERROR", error=repr(exc))
+        self.events.close()
+
+    def finish(self, steps: int, exchanges: dict) -> dict:
+        """End the call: the rank's ``extra`` record for
+        :meth:`RunTelemetry.finish`.
+
+        *exchanges* maps a field name to the
+        :class:`~repro.distributed.halo.ExchangeTimer` of its ghost
+        exchanges.  Collective over the rank's communicator.
+        """
+        from repro.telemetry.reduce import reduce_tree_over_ranks
+
+        comm, registry, events = self.comm, self.registry, self.events
+        timers = list(exchanges.values())
+        registry.counter("halo_bytes").add(sum(t.bytes for t in timers))
+        registry.counter("halo_messages").add(sum(t.messages for t in timers))
+        if self._transport0 is not None:
+            # zeros on the thread backend, so report shapes agree
+            before, after = self._transport0, comm.transport_counters()
+            for name, key in (("pipe_messages", "pipe_messages"),
+                              ("halo_acks", "acks"),
+                              ("segments_created", "segments_created")):
+                registry.counter(name).add(after[key] - before[key])
+        events.emit(
+            "run_end",
+            steps_done=steps,
+            comm_seconds=sum(t.seconds for t in timers),
+            **{f"exchange_{name}": t.stats() for name, t in exchanges.items()},
+        )
+        event_count = events.count()
+        events.close()
+        merged = reduce_tree_over_ranks(comm, self.tree)
+        spans = trace_stats = None
+        if self.tracer is not None:
+            # Per-rank span buffers travel to rank 0 over the same simmpi
+            # collectives the run used; every rank resolved the same
+            # trace switch, so the gather is uniform.
+            gathered = comm.gather(
+                (self.tracer.drain(), self.tracer.stats()), root=0
+            )
+            if gathered is not None:
+                spans = [s for rank_spans, _ in gathered for s in rank_spans]
+                trace_stats = [st for _, st in gathered]
+        return {
+            "tree": merged,
+            "tree_local": self.tree.to_dict(),
+            "counters": registry.snapshot(),
+            "event_count": event_count,
+            "spans": spans,
+            "trace_stats": trace_stats,
+        }

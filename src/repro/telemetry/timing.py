@@ -119,10 +119,8 @@ class TimingTree:
     :meth:`scope` context manager); a scope started while another is open
     becomes its child, so repeated step loops build a stable tree whose
     totals are the per-functor breakdown of the run.  Externally measured
-    durations enter through :meth:`record` — this is what the
-    :class:`~repro.grid.timeloop.Timeloop` uses so that its functor
-    accumulators and the tree agree exactly rather than only to within
-    timer resolution.
+    durations enter through :meth:`record` — this is what the step's
+    sweeps, exchanges and guard use.
 
     An optional :class:`~repro.telemetry.tracing.SpanRecorder` attached
     as *tracer* additionally receives every completed scope as a

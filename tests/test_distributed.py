@@ -95,3 +95,15 @@ def test_bad_initial_shapes(reference):
         d.run(1, np.zeros((4, 2, 2, 2)), reference["mu0"])
     with pytest.raises(ValueError, match="mu0"):
         d.run(1, reference["phi0"], np.zeros((2, 2, 2, 2)))
+
+
+def test_params_for_another_dimension_rejected_at_construction():
+    """A 2-D parameter set on a 3-D domain is refused before any world
+    exists, with the message ``Simulation`` gives."""
+    from repro.core.parameters import PhaseFieldParameters
+
+    system = TernaryEutecticSystem()
+    params = PhaseFieldParameters.for_system(system, dim=2)
+    with pytest.raises(ValueError, match="params.dim=2 does not match shape"):
+        DistributedSimulation((8, 8, 16), (1, 1, 2), system=system,
+                              params=params)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core.solver import Simulation
-from repro.grid.timeloop import FunctorError, Timeloop
 from repro.resilience import (
     CheckpointStore,
     DivergenceError,
@@ -13,7 +12,6 @@ from repro.resilience import (
     GuardedSimulation,
     InvariantViolation,
     StateGuard,
-    attach_watchdog,
     find_violations,
 )
 from repro.resilience.faults import poison
@@ -62,18 +60,25 @@ class TestInvariants:
         assert any("mass" in s for s in guard.violations(sim))
 
 
-class TestWatchdog:
-    def test_watchdog_raises_annotated(self, sim):
-        tl = Timeloop()
-        tl.add("step", lambda: sim.step())
-        handle = attach_watchdog(tl, sim)
-        assert handle.category == "watchdog"
-        tl.run(2)
-        poison(sim.phi.interior_src)
-        with pytest.raises(FunctorError, match="watchdog") as info:
-            tl.run(1)
-        assert isinstance(info.value.original, InvariantViolation)
-        assert info.value.original.violations
+class TestDistributedGuard:
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_guard_raises_at_the_step_after_the_injection(self, backend):
+        """A NaN injected before step k is caught by the guard hook after
+        it: InvariantViolation at step k + 1, on the rank that owns it."""
+        from repro.distributed import DistributedSimulation
+
+        sim = Simulation(shape=(6, 6, 8), kernel="buffered")
+        sim.initialize_voronoi(seed=1, n_seeds=3)
+        plan = FaultPlan([Fault(kind="nan_inject", step=2, rank=1)])
+        with DistributedSimulation(
+            (6, 6, 8), (1, 1, 2), kernel="buffered", backend=backend,
+        ) as dsim:
+            with pytest.raises(InvariantViolation) as info:
+                dsim.run(5, sim.phi.interior_src, sim.mu.interior_src,
+                         guard=True, fault_plan=plan)
+        assert info.value.step == 3
+        assert info.value.rank == 1
+        assert info.value.violations
 
 
 class TestGuardedSimulation:

@@ -1,14 +1,12 @@
-"""End-to-end telemetry: timeloop agreement, counters, runs, campaigns."""
+"""End-to-end telemetry: counters, runs, campaigns."""
 
 import json
-import time
 
 import numpy as np
 import pytest
 
 from repro.core.nucleation import smooth_phase_field, voronoi_initial_condition
 from repro.distributed import DistributedSimulation
-from repro.grid.timeloop import Timeloop
 from repro.resilience.campaign import run_campaign
 from repro.resilience.faults import Fault, FaultPlan
 from repro.resilience.guards import GuardedSimulation
@@ -18,8 +16,6 @@ from repro.telemetry import (
     Heartbeat,
     MetricsRegistry,
     RunTelemetry,
-    TimingTree,
-    attach_heartbeat,
     read_events,
 )
 from repro.telemetry.report import validate_run_report
@@ -37,35 +33,6 @@ def initial_state():
     return system, smooth_phase_field(phi0, 2), mu0
 
 
-class TestTimeloopTreeAgreement:
-    def test_tree_matches_functor_accumulators_exactly(self):
-        # the timeloop measures each functor once and records the same
-        # value into the tree, so the two views agree exactly — not just
-        # within timer resolution
-        tree = TimingTree()
-        loop = Timeloop(tree=tree)
-        f1 = loop.add("sweep", lambda: time.sleep(0.001))
-        f2 = loop.add("halo", lambda: None, category="comm")
-        loop.run(4)
-        assert tree.node("timeloop/sweep").stats.total == f1.seconds
-        assert tree.node("timeloop/halo").stats.total == f2.seconds
-        assert tree.node("timeloop/sweep").stats.count == f1.calls == 4
-        report = loop.timing_report()
-        assert report["functors"]["sweep"]["total"] == f1.seconds
-        assert report["functors"]["halo"]["category"] == "comm"
-        assert report["steps"] == 4
-
-    def test_timing_report_fields(self):
-        loop = Timeloop()
-        loop.add("a", lambda: None)
-        loop.run(3)
-        row = loop.timing_report()["functors"]["a"]
-        assert set(row) >= {"category", "calls", "total", "avg", "min", "max"}
-        assert row["calls"] == 3
-        assert row["min"] <= row["avg"] <= row["max"]
-        assert row["seconds"] == row["total"]  # deprecated alias
-
-
 class TestCountersAndHeartbeat:
     def test_heartbeat_advances_counters_and_emits(self):
         registry = MetricsRegistry()
@@ -77,15 +44,6 @@ class TestCountersAndHeartbeat:
         assert snap["cells_updated"] == 400
         assert snap["mlups"] > 0 and snap["mlups_window"] > 0
         assert events.count("heartbeat") == 2  # every 2nd tick
-
-    def test_attach_heartbeat_runs_in_timeloop(self):
-        loop = Timeloop()
-        registry = MetricsRegistry()
-        attach_heartbeat(loop, registry, cells_per_step=10)
-        loop.run(5)
-        assert registry.counter("cells_updated").value == 50
-        report = loop.timing_report()
-        assert report["functors"]["heartbeat"]["category"] == "telemetry"
 
     def test_counter_rejects_negative(self):
         registry = MetricsRegistry()
