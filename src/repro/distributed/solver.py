@@ -76,7 +76,7 @@ class DistributedResult:
     summed per-rank counter snapshots, and *report* the schema-valid
     :mod:`repro.telemetry.report` document of the run.  With span
     tracing on (``REPRO_TRACE=1`` or ``RunTelemetry(trace=True)``),
-    *spans* holds the per-rank span timeline gathered to rank 0 and
+    *spans* holds every rank's span timeline, in rank order, and
     *trace_path* the exported Chrome trace-event JSON (``None`` when the
     telemetry session has no directory).
     """
@@ -419,8 +419,8 @@ class DistributedSimulation:
         }
         ghost = next(iter(phi_fields.values())).ghost if phi_fields else 1
         # Collective: every rank registers its send channels and accepts
-        # its receive channels here, once — every exchange after it runs
-        # ack- and staging-free.
+        # its receive channels here, once — every exchange after it is a
+        # pack, one notify per channel and an unpack.
         halo = BlockHaloRegistry(
             comm, self.forest, self.owner, self.dim,
             streams=[

@@ -5,10 +5,8 @@ guarded drivers consult at well-defined points: the start of each time
 step (``rank_kill`` / ``kill_rank`` / ``rank_stall`` / ``rank_slow`` /
 ``nan_inject``), each outgoing message — a halo-channel notify for
 ghost traffic, a send for point-to-point and collectives —
-(``msg_drop`` / ``msg_corrupt`` / ``msg_delay``), each received staged
-segment (``ack_drop``, process backend; staged segments carry
-collectives and point-to-point payloads only, never ghost slabs) and
-each checkpoint write (``ckpt_truncate`` after commit;
+(``msg_drop`` / ``msg_corrupt`` / ``msg_delay``) and each checkpoint
+write (``ckpt_truncate`` after commit;
 ``io_enospc`` / ``io_torn_write`` during the write, exercised through
 the sharded store's retry layer).  Every fault fires **once** — the whole point of
 recovery testing is that the retry after a restart runs clean — and the
@@ -51,9 +49,6 @@ FAULT_KINDS = (
     "msg_corrupt",    # a message arrives NaN-poisoned (for ghost traffic:
                       # the packed halo slot behind the notify)
     "msg_delay",      # a message is delivered late (must be harmless)
-    "ack_drop",       # the process transport loses one segment ack: the
-                      # sender's channel slot leaks and it eventually
-                      # blocks (silent-NIC analog; deadline-contained)
     "ckpt_truncate",  # a finished checkpoint file is cut short on disk
     "nan_inject",     # a field value blows up to NaN mid-run
     "io_enospc",      # a checkpoint write fails with ENOSPC (full disk)
@@ -309,37 +304,12 @@ class FaultyComm:
 
     def __init__(self, comm, plan: FaultPlan):
         self._comm = comm
-        self._step = 0
+        #: The schedule consulted for every fault.  A resident rank sets
+        #: it at the start of each call: the call's copy of the plan is
+        #: the one wired to report fires back to the caller.
         self.plan = plan
-
-    @property
-    def plan(self) -> FaultPlan:
-        """The schedule consulted for every fault.  A resident rank sets
-        it at the start of each call: the call's copy of the plan is the
-        one wired to report fires back to the caller."""
-        return self._plan
-
-    @plan.setter
-    def plan(self, plan: FaultPlan) -> None:
-        self._plan = plan
-        # Process backend: hand the plan to the transport so it can
-        # fire receive-side faults (ack_drop) the proxy never sees.
-        transport = getattr(self._comm, "_transport", None)
-        if transport is not None and hasattr(transport, "fault_plan"):
-            transport.fault_plan = plan
-            transport.fault_step = self._step
-
-    @property
-    def step(self) -> int:
-        """Simulation clock; the driver advances it once per time step."""
-        return self._step
-
-    @step.setter
-    def step(self, value: int) -> None:
-        self._step = value
-        transport = getattr(self._comm, "_transport", None)
-        if transport is not None and hasattr(transport, "fault_step"):
-            transport.fault_step = value
+        #: Simulation clock; the rank loop advances it once per time step.
+        self.step = 0
 
     @property
     def rank(self) -> int:
@@ -351,12 +321,12 @@ class FaultyComm:
 
     def _outgoing(self, obj, collective: bool = False):
         """Apply any scheduled message fault to an outgoing payload."""
-        if self._plan.fires("msg_drop", step=self.step, rank=self.rank):
+        if self.plan.fires("msg_drop", step=self.step, rank=self.rank):
             # the transfer fails outright; the sending rank notices and
             # aborts — peers waiting on the message see the world fail
             # instead of deadlocking on a payload that will never arrive
             raise InjectedFault("msg_drop", step=self.step, rank=self.rank)
-        fault = self._plan.fires("msg_corrupt", step=self.step, rank=self.rank)
+        fault = self.plan.fires("msg_corrupt", step=self.step, rank=self.rank)
         if fault is not None and isinstance(obj, np.ndarray):
             obj = np.array(obj, dtype=float)
             obj.flat[::3] = np.nan
@@ -364,7 +334,7 @@ class FaultyComm:
             # A collective contribution leaving late IS late delivery:
             # the caller blocks inside the collective until the message
             # lands anyway, so sleeping here delays nothing else.
-            fault = self._plan.fires("msg_delay", step=self.step,
+            fault = self.plan.fires("msg_delay", step=self.step,
                                      rank=self.rank)
             if fault is not None:
                 _time.sleep(fault.delay)
@@ -379,7 +349,7 @@ class FaultyComm:
         matching machinery *delay* seconds later.  Returns the started
         timer when the send was taken over, else ``None``.
         """
-        fault = self._plan.fires("msg_delay", step=self.step, rank=self.rank)
+        fault = self.plan.fires("msg_delay", step=self.step, rank=self.rank)
         if fault is None:
             return None
         payload = obj.copy() if isinstance(obj, np.ndarray) else obj
@@ -485,9 +455,9 @@ class _FaultyHaloSend:
             self._late.join()
             self._late = None
         step, rank = faulty.step, faulty.rank
-        if faulty._plan.fires("msg_drop", step=step, rank=rank):
+        if faulty.plan.fires("msg_drop", step=step, rank=rank):
             raise InjectedFault("msg_drop", step=step, rank=rank)
-        if faulty._plan.fires("msg_corrupt", step=step, rank=rank):
+        if faulty.plan.fires("msg_corrupt", step=step, rank=rank):
             channel.slot()[:used:3] = np.nan
         self._late = faulty._delayed_send(
             channel.message(used), channel.dest, channel.notify_tag

@@ -704,7 +704,7 @@ class Communicator:
         return self._world.stats[self.rank]
 
     def transport_counters(self) -> dict:
-        """Low-level transport counters (pipe posts, acks, segments).
+        """Low-level transport counters (pipe messages, segments).
 
         The thread backend has no control pipes and no shared-memory
         segments, so everything is zero; the keys exist so telemetry
@@ -713,7 +713,7 @@ class Communicator:
         :meth:`repro.simmpi.transport.ProcessCommunicator.
         transport_counters`).
         """
-        return {"pipe_messages": 0, "acks": 0, "segments_created": 0}
+        return {"pipe_messages": 0, "segments_created": 0}
 
     # -- memory placement ----------------------------------------------------
 

@@ -3,8 +3,8 @@
 The paper's 262k-core runs are governed by the slowest participant; a
 rank that *hangs* (stuck NIC, wedged I/O) rather than crashes would
 deadlock the whole world forever, because every blocking wait in the
-runtime — ``recv``, ``barrier``, channel-slot waits in the process
-transport — polls without a bound.  This module supplies the bound: a
+runtime — ``recv``, ``barrier``, waits for room in a full pipe of the
+process transport — polls without a bound.  This module supplies the bound: a
 :class:`DeadlinePolicy` maps each blocking-operation class to an
 optional timeout, and a started :class:`Deadline` is checked on every
 poll cycle, raising a typed :class:`~repro.simmpi.comm.RankTimeout`
@@ -23,14 +23,12 @@ Operation classes (``<OP>`` in the override variables):
 ``recv``
     Blocking receives and posted-receive completion (both backends).
 ``send``
-    Channel-slot waits of the process transport (a sender blocked on a
-    full channel whose receiver never acks).
+    Waits of the process transport for room in a full pipe (a peer
+    that never receives).
 ``barrier``
     Barrier waits (both backends).
 ``shrink``
     The survivor rendezvous of :meth:`Communicator.shrink`.
-``ack``
-    The ack drain in the process transport's teardown.
 """
 
 from __future__ import annotations
@@ -43,7 +41,7 @@ from typing import Mapping
 __all__ = ["DEADLINE_OPS", "Deadline", "DeadlinePolicy"]
 
 #: Blocking-operation classes a policy can bound.
-DEADLINE_OPS = ("recv", "send", "barrier", "shrink", "ack")
+DEADLINE_OPS = ("recv", "send", "barrier", "shrink")
 
 _ENV = "REPRO_SIMMPI_TIMEOUT"
 

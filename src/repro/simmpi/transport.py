@@ -3,13 +3,13 @@
 Threads share one GIL, so the thread backend of :mod:`repro.simmpi` can
 *model* — but never *measure* — intranode parallel speedup.  This module
 provides the measured path: one resident OS process per rank
-(:class:`ProcessWorld`: forked once, commanded many times), tiny control
-messages over per-pair pipes, and bulk array payloads staged through
-POSIX shared memory (:mod:`multiprocessing.shared_memory`), so a
-ghost-slab transfer between co-resident ranks is two ``memcpy`` calls
-instead of a pickle round-trip through a pipe.  The same mechanism backs
-:class:`~repro.grid.field.Field` buffers via
-:meth:`ProcessCommunicator.field_allocator`.
+(:class:`ProcessWorld`: forked once, commanded many times), every
+message pickled onto a one-way pipe per ordered rank pair, and ghost
+slabs in POSIX shared memory (:mod:`multiprocessing.shared_memory`):
+the registered halo channels further down this module keep their slots
+in segments, so a ghost round is one ``memcpy`` plus a tiny notify
+message.  The same segments back :class:`~repro.grid.field.Field`
+buffers via :meth:`ProcessCommunicator.field_allocator`.
 
 Semantics mirror the thread backend's :class:`~repro.simmpi.comm.
 Communicator`: ``(source, tag)`` matching with ``ANY_SOURCE`` /
@@ -18,17 +18,16 @@ binomial-tree collectives (inherited — they are built purely on
 ``send``/``recv``), and world-abort failure propagation with
 ``simmpi_rank`` annotation on the re-raised exception.
 
-The one deliberate difference is **bounded buffering**: each ordered
-rank pair allows :data:`CHANNEL_SLOTS` in-flight shared-memory payloads;
-a sender that exhausts them blocks, *making progress on its own incoming
-traffic* (acks, plus messages completing posted receives) while it
-waits.  That is the eager/rendezvous protocol of a real MPI: symmetric
-bulk exchanges are only guaranteed deadlock-free when receives are
-posted before sends, which is exactly Algorithm 2's
-post-receives-first discipline.  Ghost exchange does not travel this way:
-it uses the registered halo channels further down this module, which
-need neither staging nor acks; the staged protocol serves point-to-point
-messages and the collectives.
+An OS pipe holds only 64 KiB, so the one rule that keeps the pipes
+deadlock-free is that **no rank issues a pipe write that can block**.
+A message goes out in pieces of at most ``PIPE_BUF`` bytes, the size
+the OS writes atomically and always accepts once ``poll`` reports the
+pipe writable; before each piece that would not fit, the sender drains
+its own incoming pipes (completing posted receives, holding the rest)
+until the peer has made room.  A rank waiting to send thus never stops
+reading, so two ranks bursting at each other both make progress,
+whether or not their receives were posted first; a peer that never
+reads at all is bounded by the ``"send"`` deadline.
 """
 
 from __future__ import annotations
@@ -38,6 +37,7 @@ import mmap
 import os
 import pickle
 import re
+import select
 import signal
 import threading
 import time
@@ -45,6 +45,7 @@ import traceback
 import uuid
 import warnings
 from multiprocessing import connection as _mpc
+from multiprocessing import shared_memory
 from typing import NamedTuple
 
 import numpy as np
@@ -65,8 +66,6 @@ from repro.simmpi.deadline import DeadlinePolicy
 from repro.simmpi.liveness import LivenessBeacon, RankMonitor, WatchdogConfig
 
 __all__ = [
-    "CHANNEL_SLOTS",
-    "INLINE_MAX",
     "ProcessCommunicator",
     "ProcessRequest",
     "ProcessWorld",
@@ -76,15 +75,10 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-#: Array/pickle payloads at or above this byte size go through shared
-#: memory; smaller ones ride inline in the control pipe.  Small enough
-#: that inline messages can never fill an OS pipe buffer (64 KiB on
-#: Linux) before the control tuple of a staged payload gets through.
-INLINE_MAX = int(os.environ.get("REPRO_SIMMPI_INLINE_MAX", 8192))
-
-#: In-flight shared-memory payloads allowed per ordered rank pair
-#: before the sender blocks (the "eager limit").
-CHANNEL_SLOTS = int(os.environ.get("REPRO_SIMMPI_CHANNEL_SLOTS", 4))
+#: Bytes of a message per pipe write: ``PIPE_BUF`` less the 4-byte
+#: length header ``Connection.send_bytes`` puts in front, so every write
+#: is atomic — all of it lands, or none and ``EAGAIN``.
+_PIECE = select.PIPE_BUF - 4
 
 #: Seconds between failure-flag checks while blocked.
 _POLL = 0.05
@@ -119,8 +113,8 @@ def sweep_orphaned_segments(directory: str = "/dev/shm"
     """Reclaim shared-memory segments whose owning process is dead.
 
     A hard-killed rank (watchdog, SIGKILL, node crash) never runs
-    :meth:`RankTransport.close`, so its staged payloads and field
-    buffers stay pinned in ``/dev/shm`` until the machine reboots —
+    :meth:`RankTransport.close`, so its field buffers and halo
+    segments stay pinned in ``/dev/shm`` until the machine reboots —
     which is precisely how repeated hang-containment eventually ENOSPCs
     the segment pool.  This startup sweep unlinks every
     ``repro-smm-<pid>-*`` segment whose *pid* no longer exists and
@@ -158,69 +152,60 @@ def _matches(want_source: int, want_tag: int, source: int, tag: int) -> bool:
             and want_tag in (ANY_TAG, tag))
 
 
-class _PostedRecv:
-    """A pre-announced receive (``MPI_Irecv`` style).
+class ProcessRequest:
+    """A posted receive (``MPI_Irecv`` style) and its request handle
+    (mirrors :class:`Request`).
 
-    The transport completes posted receives *during send-side blocking*
-    as well as in ``recv``/``wait`` — that asymmetry is what makes
-    post-receives-first exchanges deadlock-free under bounded channels.
+    The transport completes posted receives wherever it drains its
+    pipes — in ``recv``/``wait`` and while a send waits for room — so a
+    posted payload never waits in the held list.
     """
 
-    __slots__ = ("source", "tag", "done", "payload")
+    __slots__ = ("_transport", "source", "tag", "done", "payload")
 
-    def __init__(self, source: int, tag: int) -> None:
+    def __init__(self, transport: "RankTransport", source: int, tag: int):
+        self._transport = transport
         self.source = source
         self.tag = tag
         self.done = False
         self.payload = None
 
-
-class ProcessRequest:
-    """Request handle of the process backend (mirrors :class:`Request`)."""
-
-    def __init__(self, transport: "RankTransport", posted: _PostedRecv):
-        self._transport = transport
-        self._posted = posted
-
     def wait(self):
         """Complete the receive; returns the payload."""
-        return self._transport.complete(self._posted)
+        return self._transport.complete(self)
 
     def test(self) -> bool:
         """Non-destructive readiness check."""
         self._transport.progress(block=False)
-        return self._posted.done
+        return self.done
 
 
 class RankTransport:
-    """Per-rank message engine: pipes for control, shared memory for bulk.
+    """Per-rank message engine over one one-way pipe per rank pair.
 
-    Single-threaded by design — each rank is one process running one
-    thread, so no locking is needed anywhere.  Wire format (tuples over
-    ``multiprocessing.Pipe``):
+    Each rank is one process running one thread (plus, under fault
+    injection, delayed-delivery timers that only ever send).  Every
+    message is one pickled tuple:
 
     ``("inl", source, tag, payload)``
-        Small array, pickled by the pipe itself (snapshot at send time).
-    ``("inlb", source, tag, bytes)``
-        Small non-array object, pre-pickled.
-    ``("shm", source, tag, seq, segname, shape, dtypestr)``
-        Large array staged raw into a shared-memory segment.
-    ``("shb", source, tag, seq, segname, nbytes)``
-        Large non-array object, pickled into a segment.
-    ``("ack", seq)``
-        Receiver consumed segment *seq*; the sender may reuse it.
+        A point-to-point message; pickling at send time snapshots the
+        payload.
+    ``("halo_att", segname)``
+        One-time confirmation that the peer attached a halo segment.
+
+    It travels as pieces of at most :data:`_PIECE` bytes, each one
+    ``send_bytes`` write.  Every piece but the last is exactly
+    :data:`_PIECE` bytes long, so a shorter piece — empty if need be —
+    ends the message, and the receiver reassembles per incoming pipe.
 
     With a :class:`~repro.telemetry.timing.TimingTree` attached
     (:meth:`attach_timing`), the pipe phases are timed under
-    ``comm/pipe``: ``send`` (control-message writes, including any block
-    on a full channel), ``stage`` (segment claims, i.e. back-pressure
-    waits; contained in the ``send`` total), ``recv`` (progress-engine
-    drains, including poll waits) and ``ack`` (segment-release
-    notifications; fired from inside a drain, so also contained in the
-    ``recv`` total).  This is the process-backend transport overhead the
-    fig7 RunReport quantifies, and with tracing on
-    (:mod:`repro.telemetry.tracing`) each phase call becomes a
-    ``comm/pipe/*`` span feeding the pipe-latency histogram.
+    ``comm/pipe``: ``send`` (message writes, including waits for a full
+    pipe to drain) and ``recv`` (progress-engine drains, including poll
+    waits and the drains a waiting send makes).  This is the
+    process-backend transport overhead the fig7 RunReport quantifies,
+    and with tracing on (:mod:`repro.telemetry.tracing`) each phase call
+    becomes a ``comm/pipe/*`` span feeding the pipe-latency histogram.
     """
 
     def __init__(self, rank: int, size: int, readers: dict, writers: dict,
@@ -229,7 +214,14 @@ class RankTransport:
         self.rank = rank
         self.size = size
         self._readers = dict(readers)   # source rank -> read Connection
+        self._sources = {}              # read fd -> source rank
+        self._inbox = select.poll()     # POLLIN on every read end
+        for src, conn in self._readers.items():
+            self._sources[conn.fileno()] = src
+            self._inbox.register(conn, select.POLLIN)
         self._writers = dict(writers)   # dest rank -> write Connection
+        for conn in self._writers.values():
+            os.set_blocking(conn.fileno(), False)   # a full pipe: EAGAIN
         self._failed = failed           # mp.Event: world abort flag
         self._barrier = barrier         # mp.Barrier over all ranks
         self.deadlines = (
@@ -237,47 +229,39 @@ class RankTransport:
         )
         self.stats = CommStats()
         self._held: list[tuple] = []            # arrived, not yet matched
-        self._posted: list[_PostedRecv] = []    # posted, not yet arrived
-        self._seq = 0
-        self._outstanding: dict[int, tuple[int, object]] = {}  # seq -> (dest, seg)
-        self._out_count: dict[int, int] = {}    # dest -> staged in flight
-        self._free: dict[int, list] = {}        # dest -> reusable segments
+        self._posted: list[ProcessRequest] = []  # posted, not yet arrived
+        self._pieces: dict = {}                 # source rank -> pieces
         self._attached: dict[str, object] = {}  # segname -> SharedMemory
         self._field_segments: list = []         # owned Field backing segments
         self._halo_segments: list = []          # owned halo channel segments
         self._halo_unconfirmed: set = set()     # names awaiting peer attach
         #: Control-traffic accounting (the fig7 message-count story):
-        #: every pipe post, every segment ack sent, every shared-memory
-        #: segment created.  The solver snapshots these around the step
-        #: loop, so RunReports carry *steady-state* per-step costs.
+        #: every message posted to a pipe, every shared-memory segment
+        #: created.  The solver snapshots these around the step loop, so
+        #: RunReports carry *steady-state* per-step costs.
         self.ctrl_sent = 0
-        self.acks_sent = 0
         self.segments_created = 0
         self._closed = False
         self._timing = None                     # optional TimingTree
-        #: Monotonic liveness counter: bumped by every send, every
-        #: dispatched incoming message and every solver step
-        #: (:meth:`note_progress`).  The watchdog reads it through the
-        #: heartbeat stream — frozen counter = hang suspect.  The stamp
-        #: records *when* (CLOCK_MONOTONIC, comparable across processes
-        #: on one host) the counter last moved, so the parent can order
-        #: freezes exactly instead of by quantized heartbeat arrival.
+        #: Monotonic liveness counter: bumped by every send, every pipe
+        #: piece written or read (so a long message is progress on both
+        #: ends) and every solver step (:meth:`note_progress`).  The
+        #: watchdog reads it through the heartbeat stream — frozen
+        #: counter = hang suspect.  The stamp records *when*
+        #: (CLOCK_MONOTONIC, comparable across processes on one host) the
+        #: counter last moved, so the parent can order freezes exactly
+        #: instead of by quantized heartbeat arrival.
         self.progress_count = 0
         self.progress_stamp = time.monotonic()
-        #: Receive-side fault injection (set by FaultyComm): the plan is
-        #: consulted for ``ack_drop`` when a staged segment is consumed.
-        self.fault_plan = None
-        self.fault_step = 0
         self._events = None                     # optional EventLog
-        self._degraded = False                  # sticky inline-only mode
         self.degradations = 0
         self._reclaimed: list[tuple[str, int]] = []
-        # Pipe writes are normally single-threaded; the lock exists for
-        # the rare out-of-band senders (delayed-delivery fault timers).
+        # Held across a whole message, so its pieces are contiguous on
+        # the pipe even when a delayed-delivery fault timer sends too.
         self._post_lock = threading.Lock()
 
     def attach_timing(self, tree) -> None:
-        """Time the pipe phases (send/recv/ack) into *tree* under
+        """Time the pipe phases (send/recv) into *tree* under
         ``comm/pipe``; ``None`` detaches and restores the untimed path."""
         self._timing = tree
 
@@ -302,111 +286,99 @@ class RankTransport:
 
     # -- sending -------------------------------------------------------------
 
+    def _timed(self, path: str, fn, *args):
+        """``fn(*args)``, timed into the attached tree under *path*."""
+        if self._timing is None:
+            return fn(*args)
+        t0 = time.perf_counter()
+        try:
+            return fn(*args)
+        finally:
+            self._timing.record(path, time.perf_counter() - t0)
+
     def send(self, obj, dest: int, tag: int) -> None:
         """Send with thread-backend semantics: payload snapshot at call time."""
-        if self._timing is not None:
-            t0 = time.perf_counter()
-            try:
-                self._send(obj, dest, tag)
-            finally:
-                self._timing.record("comm/pipe/send", time.perf_counter() - t0)
-            return
-        self._send(obj, dest, tag)
+        self._timed("comm/pipe/send", self._send, obj, dest, tag)
 
     def _send(self, obj, dest: int, tag: int) -> None:
         if not 0 <= dest < self.size:
             raise ValueError(f"invalid destination rank {dest}")
         self.stats.account_send(obj)
-        self.progress_count += 1
-        self.progress_stamp = time.monotonic()
+        self.note_progress()
         if dest == self.rank:
             # Self-send: deliver through the normal dispatch path so it
             # can complete a posted receive or join the held list.
             self._dispatch(("inl", self.rank, tag, _copy_payload(obj)))
             return
-        if isinstance(obj, np.ndarray) and not obj.dtype.hasobject:
-            if obj.nbytes >= INLINE_MAX and not self._degraded:
-                staged = self._try_stage(dest, obj.nbytes)
-                if staged is not None:
-                    seq, seg = staged
-                    view = np.ndarray(obj.shape, dtype=obj.dtype,
-                                      buffer=seg.buf)
-                    np.copyto(view, obj)
-                    self._post(dest, ("shm", self.rank, tag, seq, seg.name,
-                                      obj.shape, obj.dtype.str))
-                    return
-            # Connection.send pickles immediately => snapshot.  Also the
-            # degraded path for large arrays when staging is unavailable.
-            self._post(dest, ("inl", self.rank, tag, obj))
-            return
-        buf = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-        if len(buf) >= INLINE_MAX and not self._degraded:
-            staged = self._try_stage(dest, len(buf))
-            if staged is not None:
-                seq, seg = staged
-                seg.buf[:len(buf)] = buf
-                self._post(dest, ("shb", self.rank, tag, seq, seg.name,
-                                  len(buf)))
-                return
-        self._post(dest, ("inlb", self.rank, tag, buf))
+        self._post(dest, ("inl", self.rank, tag, obj))
 
     def send_inline(self, obj, dest: int, tag: int) -> None:
-        """Thread-safe out-of-band send, always inline-pickled.
+        """Thread-safe out-of-band send.
 
         Used by delayed-delivery fault timers, which run on a side
-        thread: the payload bypasses channel-slot accounting and the
-        shared-memory pool (both single-thread-only) and rides the
-        control pipe, whose writes are serialized by the post lock.
+        thread: the message rides the pipe like any other, serialized by
+        the post lock, but a full pipe is waited out without draining —
+        the progress engine belongs to the rank's own thread.
         """
-        buf = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
         if dest == self.rank:
             raise ValueError("send_inline cannot target the own rank")
-        self._post(dest, ("inlb", self.rank, tag, buf))
+        self._post(dest, ("inl", self.rank, tag, obj), drain=False)
 
-    def _post(self, dest: int, msg: tuple) -> None:
+    def _post(self, dest: int, msg: tuple, drain: bool = True) -> None:
+        buf = pickle.dumps(msg, protocol=pickle.HIGHEST_PROTOCOL)
+        conn = self._writers[dest]
         try:
             with self._post_lock:
-                self._writers[dest].send(msg)
-        except (BrokenPipeError, OSError):
+                # Up to len(buf) inclusive: a message whose length is a
+                # multiple of _PIECE ends in an empty piece.
+                for start in range(0, len(buf) + 1, _PIECE):
+                    size = min(_PIECE, len(buf) - start)
+                    while True:
+                        try:
+                            conn.send_bytes(buf, start, size)
+                            break
+                        except BlockingIOError:
+                            self._wait_for_room(dest, drain)
+                    self.note_progress()
+                self.ctrl_sent += 1
+        except OSError:
             # Peer process is gone; surface as a secondary failure so the
             # launcher's primary-error selection stays meaningful.
             self._check_failed()
             raise RemoteError(f"rank {dest} is unreachable") from None
-        self.ctrl_sent += 1
 
-    def _try_stage(self, dest: int, nbytes: int):
-        """:meth:`_stage`, degrading to ``None`` when the pool is gone."""
-        if self._timing is not None:
-            # Staging is where a sender blocks on channel back-pressure
-            # (all CHANNEL_SLOTS in flight), so its own scope under
-            # comm/pipe separates "waiting for a free segment" from the
-            # plain control-message write cost in comm/pipe/send.
-            t0 = time.perf_counter()
-            try:
-                return self._try_stage_untimed(dest, nbytes)
-            finally:
-                self._timing.record(
-                    "comm/pipe/stage", time.perf_counter() - t0,
-                )
-        return self._try_stage_untimed(dest, nbytes)
+    def _wait_for_room(self, dest: int, drain: bool) -> None:
+        """Wait until the full pipe to *dest* polls writable again.
 
-    def _try_stage_untimed(self, dest: int, nbytes: int):
-        try:
-            return self._stage(dest, nbytes)
-        except OSError as exc:
-            self._degrade(exc)
-            return None
+        With *drain* this rank keeps emptying its own incoming pipes
+        meanwhile, so a peer that waits for room towards this rank gets
+        it: no two ranks can wait on each other here.  Draining writes
+        nothing, which is what makes it safe inside a send.
+        """
+        deadline = self.deadlines.start("send", peers=(dest,))
+        fd = self._writers[dest].fileno()
+        watch = select.poll()
+        watch.register(fd, select.POLLOUT)
+        for conn in self._readers.values() if drain else ():
+            watch.register(conn, select.POLLIN)
+        while True:
+            self._check_failed()
+            if deadline is not None:
+                deadline.check()
+            if drain:
+                self.progress(block=False)
+            if any(ready == fd for ready, _ in watch.poll(_POLL * 1000)):
+                return
 
     def _degrade(self, exc: OSError) -> None:
-        """Switch permanently to inline-pickle payloads (pool exhausted)."""
+        """Note a failed segment creation; warns once per rank."""
         self.degradations += 1
-        if self._degraded:
+        if self.degradations > 1:
             return
-        self._degraded = True
         message = (
             f"rank {self.rank}: shared-memory segment creation failed "
-            f"({exc!r}); transport degraded to inline-pickle payloads — "
-            "slower, but the run continues"
+            f"({exc!r}); fields fall back to private memory and ghost "
+            "slabs to pickled messages — slower, but the run continues"
         )
         logger.warning(message)
         warnings.warn(message, RuntimeWarning, stacklevel=4)
@@ -414,70 +386,25 @@ class RankTransport:
             self._events.emit("transport_degraded", "WARNING",
                               error=repr(exc))
 
-    def _stage(self, dest: int, nbytes: int):
-        """Claim a channel slot + segment towards *dest* (may block)."""
-        from multiprocessing import shared_memory
-
-        deadline = self.deadlines.start("send", peers=(dest,))
-        while self._out_count.get(dest, 0) >= CHANNEL_SLOTS:
-            self._check_failed()
-            if deadline is not None:
-                deadline.check()
-            self.progress(block=True)   # drain acks / complete posted recvs
-        seg = None
-        free = self._free.setdefault(dest, [])
-        # Best fit, not first fit: the smallest segment that holds the
-        # payload.  First-fit let a small message claim a large segment
-        # in insertion order, forcing a fresh (syscall + mmap) segment
-        # creation for the next large send even though a perfectly good
-        # one sat idle in the freelist.
-        best = -1
-        for i, cand in enumerate(free):
-            if cand.size >= nbytes and (best < 0
-                                        or cand.size < free[best].size):
-                best = i
-        if best >= 0:
-            seg = free.pop(best)
-        else:
-            seg = shared_memory.SharedMemory(create=True,
-                                             size=max(int(nbytes), 1),
-                                             name=_segment_name())
-            self.segments_created += 1
-        self._seq += 1
-        self._outstanding[self._seq] = (dest, seg)
-        self._out_count[dest] = self._out_count.get(dest, 0) + 1
-        return self._seq, seg
-
     # -- receiving -----------------------------------------------------------
 
     def recv(self, source: int, tag: int):
         """Blocking receive; returns the payload."""
-        msg = self._take_held(source, tag)
-        if msg is not None:
-            self.stats.recvs += 1
-            return self._fetch(msg)
-        posted = _PostedRecv(source, tag)
-        self._posted.append(posted)
-        return self.complete(posted)
+        return self.complete(self.irecv(source, tag))
 
     def irecv(self, source: int, tag: int) -> ProcessRequest:
-        """Eagerly posted receive (unlike the thread backend's lazy one).
-
-        Posting up front is load-bearing here: a sender blocked on a full
-        channel completes the receiver's posted receives, so exchanges
-        that post receives before sending cannot deadlock.
-        """
-        posted = _PostedRecv(source, tag)
+        """Eagerly posted receive (unlike the thread backend's lazy one):
+        whatever drains this rank's pipes completes it."""
+        posted = ProcessRequest(self, source, tag)
         msg = self._take_held(source, tag)
-        if msg is not None:
-            posted.payload = self._fetch(msg)
-            posted.done = True
-            self.stats.recvs += 1
-        else:
+        if msg is None:
             self._posted.append(posted)
-        return ProcessRequest(self, posted)
+        else:
+            posted.payload, posted.done = msg[3], True
+            self.stats.recvs += 1
+        return posted
 
-    def complete(self, posted: _PostedRecv):
+    def complete(self, posted: ProcessRequest):
         """Drive progress until *posted* is done; returns its payload."""
         deadline = self.deadlines.start(
             "recv", peers=(posted.source,) if posted.source >= 0 else ()
@@ -505,115 +432,50 @@ class RankTransport:
     # -- progress engine -----------------------------------------------------
 
     def progress(self, block: bool) -> None:
-        """Drain every readable control pipe, dispatching each message."""
-        if self._timing is not None:
-            t0 = time.perf_counter()
-            try:
-                self._progress(block)
-            finally:
-                self._timing.record("comm/pipe/recv", time.perf_counter() - t0)
-            return
-        self._progress(block)
+        """Drain every readable pipe, dispatching each whole message."""
+        self._timed("comm/pipe/recv", self._progress, block)
 
     def _progress(self, block: bool) -> None:
-        if not self._readers:
-            if block:
-                time.sleep(_POLL)
-            return
-        try:
-            ready = _mpc.wait(list(self._readers.values()),
-                              timeout=_POLL if block else 0)
-        except OSError:
-            ready = []
-        for conn in ready:
-            while True:
+        timeout = _POLL * 1000 if block else 0
+        while ready := self._inbox.poll(timeout):   # one piece per pipe
+            timeout = 0
+            for fd, _ in ready:
+                src = self._sources[fd]
                 try:
-                    msg = conn.recv()
+                    piece = self._readers[src].recv_bytes()
                 except (EOFError, OSError):
-                    src = next((s for s, c in self._readers.items()
-                                if c is conn), None)
-                    if src is not None:
-                        del self._readers[src]
+                    self._inbox.unregister(fd)
+                    del self._readers[src]
                     if not self._failed.is_set():
                         raise RemoteError(
                             f"rank {src} closed its channel unexpectedly"
                         ) from None
-                    break
-                self._dispatch(msg)
-                if not conn.poll():
-                    break
+                    continue
+                self.note_progress()
+                pieces = self._pieces.setdefault(src, [])
+                pieces.append(piece)
+                if len(piece) < _PIECE:   # the message's last piece
+                    del self._pieces[src]
+                    self._dispatch(pickle.loads(b"".join(pieces)))
 
     def _dispatch(self, msg: tuple) -> None:
-        self.progress_count += 1
-        self.progress_stamp = time.monotonic()
-        kind = msg[0]
-        if kind == "ack":
-            dest, seg = self._outstanding.pop(msg[1])
-            self._out_count[dest] -= 1
-            free = self._free.setdefault(dest, [])
-            free.append(seg)
-            if len(free) > CHANNEL_SLOTS:     # bound the per-dest freelist
-                free.sort(key=lambda s: s.size)
-                self._release(free.pop(0))
-            return
-        if kind == "halo_att":
+        if msg[0] == "halo_att":
             # One-time registration confirmation: the peer attached this
-            # halo segment, so teardown may unlink it.  Not a
-            # steady-state ack — it fires once per channel at setup.
+            # halo segment, so teardown may unlink it.
             self._halo_unconfirmed.discard(msg[1])
             return
         source, tag = msg[1], msg[2]
         for posted in self._posted:
             if not posted.done and _matches(posted.source, posted.tag,
                                             source, tag):
-                posted.payload = self._fetch(msg)
+                posted.payload = msg[3]
                 posted.done = True
                 self._posted.remove(posted)
                 self.stats.recvs += 1
                 return
         self._held.append(msg)
 
-    def _fetch(self, msg: tuple):
-        """Materialize a payload; ack staged segments back to the sender."""
-        kind = msg[0]
-        if kind == "inl":
-            return msg[3]
-        if kind == "inlb":
-            return pickle.loads(msg[3])
-        if kind == "shm":
-            _, source, _tag, seq, name, shape, dtypestr = msg
-            shm = self._attach(name)
-            payload = np.ndarray(shape, dtype=np.dtype(dtypestr),
-                                 buffer=shm.buf).copy()
-        else:  # "shb"
-            _, source, _tag, seq, name, nbytes = msg
-            shm = self._attach(name)
-            payload = pickle.loads(bytes(shm.buf[:nbytes]))
-        if self.fault_plan is not None and self.fault_plan.fires(
-            "ack_drop", step=self.fault_step, rank=self.rank
-        ) is not None:
-            # The ack vanishes: the sender's channel slot leaks, and once
-            # it exhausts its slots it blocks — the deadline layer (or
-            # watchdog) must contain the resulting stall.
-            logger.warning(
-                "rank %d: dropping ack for segment seq %d from rank %d "
-                "(injected ack_drop)", self.rank, seq, source,
-            )
-            return payload
-        if self._timing is not None:
-            t0 = time.perf_counter()
-            try:
-                self._post(source, ("ack", seq))
-            finally:
-                self._timing.record("comm/pipe/ack", time.perf_counter() - t0)
-        else:
-            self._post(source, ("ack", seq))
-        self.acks_sent += 1
-        return payload
-
     def _attach(self, name: str):
-        from multiprocessing import shared_memory
-
         shm = self._attached.get(name)
         if shm is None:
             try:
@@ -667,20 +529,14 @@ class RankTransport:
         field buffers live in shared memory; segments are unlinked when
         the transport closes (rank function returned or died).
         """
-        from multiprocessing import shared_memory
-
         nbytes = int(np.prod(shape)) * np.dtype(dtype).itemsize
         try:
-            seg = shared_memory.SharedMemory(create=True, size=max(nbytes, 1),
-                                             name=_segment_name())
+            seg = self._create_segment(nbytes, self._field_segments)
         except OSError as exc:
-            # Degradation ladder, same rung as _try_stage: no segment
-            # pool left means plain heap arrays (ghosts fall back to
-            # pickled messages) — slower, never fatal.
+            # Degradation ladder: no segment pool left means plain heap
+            # arrays — slower, never fatal.
             self._degrade(exc)
             return np.zeros(tuple(shape), dtype=dtype)
-        self._field_segments.append(seg)
-        self.segments_created += 1
         arr = np.ndarray(tuple(shape), dtype=dtype, buffer=seg.buf)
         arr.fill(0)
         return arr
@@ -693,13 +549,15 @@ class RankTransport:
         back to heap slots + per-round inline messages, not to a
         different array kind).
         """
-        from multiprocessing import shared_memory
-
-        seg = shared_memory.SharedMemory(create=True,
-                                         size=max(int(nbytes), 1),
-                                         name=_segment_name())
-        self._halo_segments.append(seg)
+        seg = self._create_segment(nbytes, self._halo_segments)
         self._halo_unconfirmed.add(seg.name)
+        return seg
+
+    def _create_segment(self, nbytes: int, owned: list):
+        """New segment of *nbytes*, listed in *owned* for :meth:`close`."""
+        seg = shared_memory.SharedMemory(create=True, size=max(int(nbytes), 1),
+                                         name=_segment_name())
+        owned.append(seg)
         self.segments_created += 1
         return seg
 
@@ -707,15 +565,14 @@ class RankTransport:
         """Control-traffic totals since transport creation.
 
         ``pipe_messages`` counts every message this rank wrote to a
-        pipe: control posts to peers and, one per call of the world, the
-        result sent to the caller.  The solver snapshots this dict
-        immediately before and after the step loop; the difference
-        divided by step count is the steady-state per-step message cost
-        the fig7 report gates on.
+        pipe, however many pieces it took: messages to peers and, one
+        per call of the world, the result sent to the caller.  The solver
+        snapshots this dict immediately before and after the step loop;
+        the difference divided by step count is the steady-state per-step
+        message cost the fig7 report gates on.
         """
         return {
             "pipe_messages": self.ctrl_sent,
-            "acks": self.acks_sent,
             "segments_created": self.segments_created,
         }
 
@@ -724,11 +581,11 @@ class RankTransport:
     def close(self) -> None:
         """Release every owned segment and detach from attached ones.
 
-        Staged payloads the peers have not consumed yet are drained
-        first (bounded wait for their acks, ``MPI_Finalize`` style), as
-        are pending halo-channel attach confirmations, so a rank that
-        sends (or registers a channel) and returns immediately cannot
-        unlink a segment before the receiver attached to it.  On a
+        Pending halo-channel attach confirmations are waited for first
+        (bounded), so a rank that registers a channel and returns
+        immediately cannot unlink a segment before the receiver attached
+        to it.  Messages need no such wait: a send returns only once its
+        last piece is in the pipe, which outlives the writer.  On a
         failed world the wait is skipped — peers are going down anyway
         and their attach errors surface as suppressed secondary
         failures.
@@ -736,25 +593,14 @@ class RankTransport:
         if self._closed:
             return
         self._closed = True
-        grace = self.deadlines.limit("ack")
-        if grace is None:
-            grace = _JOIN_GRACE / 2
-        deadline = time.monotonic() + grace
-        while ((self._outstanding or self._halo_unconfirmed)
-               and not self._failed.is_set()
+        deadline = time.monotonic() + _JOIN_GRACE / 2
+        while (self._halo_unconfirmed and not self._failed.is_set()
                and time.monotonic() < deadline):
             try:
                 self.progress(block=True)
             except RemoteError:
                 break
-        for _dest, seg in self._outstanding.values():
-            self._release(seg)
-        for free in self._free.values():
-            for seg in free:
-                self._release(seg)
-        for seg in self._field_segments:
-            self._release(seg)
-        for seg in self._halo_segments:
+        for seg in self._field_segments + self._halo_segments:
             self._release(seg)
         for shm in self._attached.values():
             try:
@@ -782,14 +628,14 @@ class _ProcessHaloSend(HaloSendChannel):
 
     The registration handle is the segment *name* (attached lazily by
     the receiver), so steady-state rounds are one raw memcpy into the
-    mapped slot plus one tiny notify over the control pipe — no staging,
-    no ack, no pickling of the payload.
+    mapped slot plus one tiny notify over the pipe — no pickling of the
+    payload.
 
     Degradation ladder: if the segment pool is exhausted at registration
     time the slots fall back to plain heap memory, the handle ships as
-    ``None``, and every :meth:`notify` carries the packed prefix inline
-    — same sticky-inline rung as :meth:`RankTransport._degrade`, chosen
-    once at setup so the per-round protocol never changes mid-run.
+    ``None``, and every :meth:`notify` carries the packed prefix inline,
+    chosen once at setup so the per-round protocol never changes
+    mid-run.
     """
 
     def __init__(self, transport: RankTransport, comm, dest: int,

@@ -56,9 +56,10 @@ class RunTelemetry:
         ``None`` (default) defers to the ``REPRO_TRACE`` environment
         variable; ``True`` / ``False`` force it per run.  When on, every
         rank records timestamped spans of its timed scopes, the spans
-        are gathered to rank 0, exported as a Chrome trace-event JSON
-        next to the run report, and the report gains a ``"tracing"``
-        section (overlap efficiency, per-rank imbalance, pipe latency).
+        return with each rank's result and are exported as a Chrome
+        trace-event JSON next to the run report, and the report gains a
+        ``"tracing"`` section (overlap efficiency, per-rank imbalance,
+        pipe latency).
     trace_sample:
         Keep one of every N spans (``None`` → ``REPRO_TRACE_SAMPLE``,
         default keep all).
@@ -86,9 +87,7 @@ class RunTelemetry:
         """Per-rank :class:`~repro.telemetry.tracing.SpanRecorder`.
 
         ``None`` when tracing is off — the instance knobs override the
-        ``REPRO_TRACE*`` environment variables.  Every rank of a run
-        resolves the same configuration, so the span gather stays a
-        uniform collective.
+        ``REPRO_TRACE*`` environment variables.
         """
         from repro.telemetry.tracing import recorder_from_env
 
@@ -156,17 +155,15 @@ class RunTelemetry:
             e.get("event_count", 0) for e in extras
         )
         tracing_stats = None
-        spans = next(
-            (e["spans"] for e in extras if e.get("spans") is not None), None
-        )
-        if spans is not None:
+        traced = [e for e in extras if e.get("spans") is not None]
+        if traced:
             from repro.telemetry.spans import tracing_section
             from repro.telemetry.tracing import write_chrome_trace
 
-            trace_stats = next(
-                (e["trace_stats"] for e in extras if e.get("trace_stats")), []
+            spans = [s for e in traced for s in e["spans"]]
+            tracing_stats = tracing_section(
+                spans, [e["trace_stats"] for e in traced]
             )
-            tracing_stats = tracing_section(spans, trace_stats)
             result.spans = spans
             trace_path = self.trace_path()
             if trace_path is not None:
@@ -206,8 +203,8 @@ class RankTelemetry:
     :class:`Heartbeat`, and emits ``run_start``.  :attr:`before_step` and
     :attr:`after_step` are the step hooks ``(step, time)`` it needs: the
     whole-step span (tracing only) and the heartbeat.  The call then
-    ends in :meth:`finish` — counters, ``run_end``, the cross-rank tree
-    reduction and the span gather, all collective — or in :meth:`fail`.
+    ends in :meth:`finish` — counters, ``run_end`` and the collective
+    cross-rank tree reduction — or in :meth:`fail`.
     """
 
     def __init__(self, telemetry: RunTelemetry, comm, *, steps: int,
@@ -274,10 +271,8 @@ class RankTelemetry:
         if self._transport0 is not None:
             # zeros on the thread backend, so report shapes agree
             before, after = self._transport0, comm.transport_counters()
-            for name, key in (("pipe_messages", "pipe_messages"),
-                              ("halo_acks", "acks"),
-                              ("segments_created", "segments_created")):
-                registry.counter(name).add(after[key] - before[key])
+            for name in ("pipe_messages", "segments_created"):
+                registry.counter(name).add(after[name] - before[name])
         events.emit(
             "run_end",
             steps_done=steps,
@@ -289,15 +284,9 @@ class RankTelemetry:
         merged = reduce_tree_over_ranks(comm, self.tree)
         spans = trace_stats = None
         if self.tracer is not None:
-            # Per-rank span buffers travel to rank 0 over the same simmpi
-            # collectives the run used; every rank resolved the same
-            # trace switch, so the gather is uniform.
-            gathered = comm.gather(
-                (self.tracer.drain(), self.tracer.stats()), root=0
-            )
-            if gathered is not None:
-                spans = [s for rank_spans, _ in gathered for s in rank_spans]
-                trace_stats = [st for _, st in gathered]
+            # Each rank's spans ride its own result back to the caller,
+            # which concatenates them in rank order.
+            spans, trace_stats = self.tracer.drain(), self.tracer.stats()
         return {
             "tree": merged,
             "tree_local": self.tree.to_dict(),

@@ -65,8 +65,8 @@ DEFAULT_BUFFER = 65536
 
 #: One recorded scope execution.  ``args`` is ``None`` or a small dict of
 #: JSON-ready annotations (bytes moved, step index, ...).  Plain
-#: namedtuple: cheap to create in the hot path and pickles compactly for
-#: the cross-rank gather.
+#: namedtuple: cheap to create in the hot path and pickles compactly into
+#: the rank's result.
 Span = namedtuple("Span", ["scope", "rank", "tid", "t_start", "t_end", "args"])
 
 

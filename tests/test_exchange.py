@@ -116,12 +116,10 @@ def test_corner_ghosts_consistent():
 
 @pytest.mark.parametrize("backend", ["thread", "process"])
 def test_large_slab_exchange_both_backends(backend):
-    """Slabs far beyond the transport's inline threshold, exchanged
+    """Slabs larger than an OS pipe holds (64 KiB), exchanged
     symmetrically by two ranks splitting a periodic axis."""
-    from repro.simmpi.transport import INLINE_MAX
-
-    # slab = comps * 1 * (nz + 2) doubles; pick nz so it dwarfs INLINE_MAX
-    shape = (8, int(INLINE_MAX) // 4)
+    # slab = comps * 1 * (nz + 2) doubles: 4 * 2050 * 8 B = 64.06 KiB
+    shape = (8, 2048)
     field = _global_field(shape, comps=4, seed=5)
     spec = BoundarySpec.directional(2, bottom=Neumann(), top=Neumann())
     forest = BlockForest(shape, (2, 1), (True, False))

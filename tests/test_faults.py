@@ -73,7 +73,7 @@ class TestFaultPlan:
         assert str(SEED) in text and "msg_drop" in text
 
     def test_hang_fault_kinds_exist(self):
-        for kind in ("rank_stall", "rank_slow", "ack_drop"):
+        for kind in ("rank_stall", "rank_slow"):
             assert kind in FAULT_KINDS
             Fault(kind=kind, step=1)  # accepted by the validator
 

@@ -15,8 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.resilience import Fault, FaultPlan, FaultyComm
-from repro.simmpi.comm import RankFailure, RankTimeout, RemoteError
+from repro.simmpi.comm import RankFailure, RankTimeout
 from repro.simmpi.deadline import DEADLINE_OPS, Deadline, DeadlinePolicy
 from repro.simmpi.liveness import RankMonitor, WatchdogConfig
 from repro.simmpi.runtime import run_spmd
@@ -46,12 +45,12 @@ class TestDeadlinePolicy:
             "REPRO_SIMMPI_TIMEOUT": "10",
             "REPRO_SIMMPI_TIMEOUT_RECV": "0.5",
             "REPRO_SIMMPI_TIMEOUT_BARRIER": "off",
-            "REPRO_SIMMPI_TIMEOUT_ACK": "-1",
+            "REPRO_SIMMPI_TIMEOUT_SHRINK": "-1",
         })
         assert policy.limit("recv") == 0.5
         assert policy.limit("send") == 10.0
         assert policy.limit("barrier") is None
-        assert policy.limit("ack") is None
+        assert policy.limit("shrink") is None
 
     @pytest.mark.parametrize("raw", ["", "none", "OFF", "0", "-3"])
     def test_disabling_spellings(self, raw):
@@ -217,32 +216,6 @@ class TestProcessBackendDeadlines:
             run_spmd(2, fn, backend="process")
         assert info.value.op == "recv"
 
-    def test_ack_drop_leaks_slot_until_send_deadline(self, monkeypatch):
-        """A dropped segment ack leaks the channel slot; with a single
-        slot the next large send blocks and the send deadline converts
-        the silent loss into a typed timeout."""
-        monkeypatch.setattr("repro.simmpi.transport.CHANNEL_SLOTS", 1)
-        monkeypatch.setenv("REPRO_SIMMPI_TIMEOUT_SEND", "0.5")
-        plan = FaultPlan([Fault(kind="ack_drop", step=0, rank=1)])
-
-        def fn(comm):
-            fc = FaultyComm(comm, plan)
-            payload = np.arange(4096, dtype=float)  # staged, not inline
-            if comm.rank == 0:
-                fc.send(payload, dest=1, tag=1)
-                fc.send(payload, dest=1, tag=2)  # blocks on leaked slot
-                return "sent-both"
-            first = comm.recv(0, tag=1)  # ack dropped here
-            try:
-                comm.recv(0, tag=2)
-            except RemoteError:
-                pass
-            return first.sum()
-
-        with pytest.raises(RankTimeout) as info:
-            run_spmd(2, fn, backend="process")
-        assert info.value.op == "send"
-
 
 @needs_fork
 class TestWatchdog:
@@ -289,16 +262,28 @@ class TestDegradation:
         monkeypatch.setattr(
             "multiprocessing.shared_memory.SharedMemory", boom
         )
+        # a deadlocked exchange fails in seconds instead of hanging
+        monkeypatch.setenv("REPRO_SIMMPI_HANG_TIMEOUT", "1")
 
         def fn(comm):
-            payload = np.full(4096, float(comm.rank))  # above INLINE_MAX
             other = 1 - comm.rank
-            received = comm.sendrecv(
-                payload, dest=other, source=other, sendtag=5
-            )
-            np.testing.assert_array_equal(
-                received, np.full(4096, float(other))
-            )
+            for cid, n in enumerate((4096, 1 << 17)):  # 32 KiB, 1 MiB
+                payload = np.full(n, float(comm.rank))
+                received = comm.sendrecv(
+                    payload, dest=other, source=other, sendtag=5
+                )
+                np.testing.assert_array_equal(
+                    received, np.full(n, float(other))
+                )
+                # the halo channel degrades to heap slots whose every
+                # notify carries the packed slab inline
+                send = comm.register_halo(other, cid, n)
+                recv = comm.accept_halo(other, cid)
+                send.slot()[:] = payload
+                send.notify()
+                np.testing.assert_array_equal(
+                    recv.wait(), np.full(n, float(other))
+                )
             return comm._transport.degradations
 
         degradations = run_spmd(2, fn, backend="process")

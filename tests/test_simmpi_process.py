@@ -4,19 +4,21 @@ Everything here runs real OS processes; keep rank counts and payload
 sizes small so the shard stays fast.  Semantics under test mirror the
 thread-backend tests: tag matching, collectives, snapshot-on-send,
 exception propagation with ``simmpi_rank``, plus the process-specific
-pieces — shared-memory staging, bounded channels with posted receives,
-and the shared-memory Field allocator.
+pieces — messages larger than a pipe holds, bursts that need a sender
+to keep draining its own pipes, the send deadline, and the
+shared-memory Field allocator.
 """
 
 import os
+import threading
+import time
 
 import numpy as np
 import pytest
 
 from repro.grid.field import Field
 from repro.simmpi import run_spmd
-from repro.simmpi.comm import RemoteError
-from repro.simmpi.transport import CHANNEL_SLOTS, INLINE_MAX
+from repro.simmpi.comm import RankTimeout, RemoteError
 
 PARENT_PID = os.getpid()
 
@@ -50,7 +52,10 @@ def _snapshot_semantics(comm):
     # Sender mutates after send but before the receiver consumes: the
     # receiver must still see the values at send time (copy-on-send).
     if comm.rank == 0:
-        arr = np.arange(int(INLINE_MAX), dtype=float)  # forces shm staging
+        # 32 KiB: many pipe pieces, yet all in the pipe before the
+        # barrier — a send that outgrows the 64 KiB pipe returns only
+        # once the receiver drains, and this one waits in the barrier
+        arr = np.arange(4096, dtype=float)
         comm.send(arr, 1, tag=1)
         arr.fill(-1.0)
         comm.barrier()
@@ -88,28 +93,69 @@ def _boom(comm):
     comm.recv(source=2, tag=99)
 
 
-def _rendezvous(comm):
-    """More in-flight large messages than channel slots, both directions.
+def _posted_burst(comm, n_msgs, nbytes):
+    """Receives posted first, then *n_msgs* sends of *nbytes* each way.
 
-    With receives posted first this completes (blocked senders make
-    progress by completing the peer's posted receives); the old
-    send-before-recv pattern would deadlock at CHANNEL_SLOTS+1.
+    Either direction alone overfills a pipe, so both ranks wait for room
+    at the same time; each must keep draining its own pipes meanwhile.
     """
-    n_msgs = CHANNEL_SLOTS + 2
     peer = 1 - comm.rank
     reqs = [comm.irecv(peer, tag=i) for i in range(n_msgs)]
     for i in range(n_msgs):
-        payload = np.full(int(INLINE_MAX) // 8 + 16, comm.rank * 1000 + i,
-                          dtype=float)
+        payload = np.full(nbytes // 8, comm.rank * 1000 + i, dtype=float)
         comm.send(payload, peer, tag=i)
     return [float(r.wait()[0]) for r in reqs]
 
 
-def _sendrecv_cycle(comm):
+def _sendrecv_cycle(comm, n):
     peer = 1 - comm.rank
-    big = np.full(int(INLINE_MAX) // 8 + 1, float(comm.rank))
+    big = np.full(n, float(comm.rank))
     got = comm.sendrecv(big, dest=peer, source=peer)
+    assert got.shape == (n,) and (got == float(peer)).all()
     return float(got[0])
+
+
+def _lengths_across_a_piece(comm, lengths):
+    """One message of every length in *lengths*; with the range spanning
+    a pipe piece, one of them pickles to exactly a whole piece."""
+    if comm.rank == 0:
+        for k in lengths:
+            comm.send(bytes([k % 251]) * k, 1, tag=1)
+        return None
+    got = [comm.recv(0, tag=1) for _ in lengths]
+    return got == [bytes([k % 251]) * k for k in lengths]
+
+
+def _send_to_deaf_peer(comm):
+    if comm.rank == 0:
+        comm.send(np.zeros(1 << 17), 1, tag=1)   # 1 MiB, never received
+        return "sent"
+    while not comm.aborted():
+        time.sleep(0.02)
+    return "peer-released"
+
+
+def _side_thread_sends(comm, n_threads, n_msgs, n):
+    """Rank 0 sends multi-piece messages from its own thread and, at the
+    same time, from *n_threads* side threads through ``send_inline`` (as
+    delayed-delivery fault timers do); rank 1 gets every one whole."""
+    if comm.rank == 1:
+        return [[float(comm.recv(0, tag=t)[-1]) for _ in range(n_msgs)]
+                for t in range(n_threads + 1)]
+
+    def spray(t):
+        for i in range(n_msgs):
+            comm._transport.send_inline(np.full(n, 1000.0 * t + i), 1, t)
+
+    threads = [threading.Thread(target=spray, args=(t,))
+               for t in range(1, n_threads + 1)]
+    for thread in threads:
+        thread.start()
+    for i in range(n_msgs):
+        comm.send(np.full(n, float(i)), 1, tag=0)
+    for thread in threads:
+        thread.join(timeout=30)
+    return [thread.is_alive() for thread in threads]
 
 
 def _field_in_shared_memory(comm):
@@ -128,29 +174,6 @@ def _self_send(comm):
     return float(req.wait().sum())
 
 
-def _best_fit_freelist(comm):
-    """Freelist reuse scenario: small + large segments recycled in the
-    order [large, small]; first-fit would burn the large one on the next
-    small send and be forced to create a third segment."""
-    small = int(INLINE_MAX) // 8 * 2     # 2x inline threshold, in doubles
-    large = small * 4
-    if comm.rank == 0:
-        comm.send(np.full(large, 1.0), 1, tag=1)
-        comm.send(np.full(small, 2.0), 1, tag=2)
-        comm.recv(1, tag=9)   # token: both acks are already in the pipe
-        comm.send(np.full(small, 3.0), 1, tag=3)
-        comm.send(np.full(large, 4.0), 1, tag=4)
-        comm.recv(1, tag=9)
-        return comm.transport_counters()["segments_created"]
-    for tag in (1, 2):
-        comm.recv(0, tag=tag)
-    comm.send(0, 0, tag=9)
-    for tag in (3, 4):
-        comm.recv(0, tag=tag)
-    comm.send(0, 0, tag=9)
-    return None
-
-
 class _Unpicklable(Exception):
     def __init__(self):
         super().__init__("cannot cross process boundary")
@@ -166,7 +189,7 @@ def _raise_unpicklable(comm):
 def _stats_probe(comm):
     if comm.rank == 0:
         comm.send(np.arange(8.0), 1, tag=2)
-        comm.send(np.arange(int(INLINE_MAX), dtype=float), 1, tag=2)
+        comm.send(np.arange(8192, dtype=float), 1, tag=2)
         return comm.stats.sends, comm.stats.bytes_sent
     comm.recv(0, tag=2)
     comm.recv(0, tag=2)
@@ -225,15 +248,54 @@ class TestProcessBackendBasics:
 
 
 class TestBoundedChannels:
+    """An OS pipe holds 64 KiB; no rank may block writing into one.
+
+    Each test arms the watchdog, so a transport deadlock fails in
+    seconds with ``RankTimeout("liveness")`` instead of hanging.
+    """
+
+    @pytest.fixture(autouse=True)
+    def _watchdog(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SIMMPI_HANG_TIMEOUT", "1")
+
     def test_posted_receives_make_symmetric_bursts_safe(self):
-        out = run_spmd(2, _rendezvous, backend="process")
-        n_msgs = CHANNEL_SLOTS + 2
-        assert out[0] == [1000.0 + i for i in range(n_msgs)]
-        assert out[1] == [float(i) for i in range(n_msgs)]
+        for n_msgs, nbytes in ((40, 7000), (200, 1024)):
+            out = run_spmd(2, _posted_burst, n_msgs, nbytes,
+                           backend="process")
+            assert out[0] == [1000.0 + i for i in range(n_msgs)]
+            assert out[1] == [float(i) for i in range(n_msgs)]
+
+    def test_every_message_length_across_a_pipe_piece(self):
+        out = run_spmd(2, _lengths_across_a_piece, range(3900, 4300),
+                       backend="process")
+        assert out[1] is True
 
     def test_sendrecv_cycle_with_large_payloads(self):
-        out = run_spmd(2, _sendrecv_cycle, backend="process")
-        assert out == [1.0, 0.0]
+        # 8 KiB, then 1 MiB each way at once: sixteen pipes' worth in
+        # flight in both directions
+        for n in (1025, 1 << 17):
+            out = run_spmd(2, _sendrecv_cycle, n, backend="process")
+            assert out == [1.0, 0.0]
+
+    def test_side_thread_sends_keep_messages_whole(self):
+        n_threads, n_msgs = 4, 20
+        out = run_spmd(2, _side_thread_sends, n_threads, n_msgs, 3000,
+                       backend="process")
+        assert out[0] == [False] * n_threads   # every sender finished
+        assert out[1] == [[1000.0 * t + i for i in range(n_msgs)]
+                          for t in range(n_threads + 1)]
+
+    def test_send_to_a_peer_that_never_receives_hits_send_deadline(
+        self, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_SIMMPI_HANG_TIMEOUT", "5")
+        monkeypatch.setenv("REPRO_SIMMPI_TIMEOUT_SEND", "0.5")
+        t0 = time.monotonic()
+        with pytest.raises(RankTimeout) as info:
+            run_spmd(2, _send_to_deaf_peer, backend="process")
+        assert info.value.op == "send"
+        assert info.value.failed_ranks == (1,)
+        assert time.monotonic() - t0 < 4
 
 
 class TestFailurePropagation:
@@ -265,15 +327,6 @@ class TestSharedMemoryIntegration:
         out = run_spmd(2, _stats_probe, backend="process")
         sends, nbytes = out[0]
         assert sends == 2
-        assert nbytes == 8 * 8 + int(INLINE_MAX) * 8
+        assert nbytes == 8 * 8 + 8192 * 8
         assert out[1] == 2
 
-
-class TestStagingAndCompletion:
-    def test_best_fit_freelist_reuses_both_segments(self):
-        """Regression for first-fit staging: with [large, small] free, a
-        small send must claim the small segment so the following large
-        send can reuse the large one — exactly two segments ever created
-        (first-fit needed three)."""
-        out = run_spmd(2, _best_fit_freelist, backend="process")
-        assert out[0] == 2

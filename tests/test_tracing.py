@@ -290,6 +290,11 @@ class TestDistributedTracing:
         assert tracing["overlap"]["exchange_seconds"] > 0
         assert sorted(tracing["imbalance"]["per_rank"]) == ["0", "1"]
         assert tracing["imbalance"]["ratio"] >= 1.0
+        # every rank's spans came back with its own result, in rank order
+        ranks = [span.rank for span in res.spans]
+        assert sorted(set(ranks)) == [0, 1]
+        assert ranks == sorted(ranks)
+        assert tracing["spans"] == len(res.spans)
         # exported Chrome trace: valid, both ranks, compute AND exchange
         assert res.trace_path == telemetry.trace_path()
         doc = load_chrome_trace(res.trace_path)
