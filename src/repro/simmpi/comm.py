@@ -738,6 +738,9 @@ _TAG_BCAST = -101
 _TAG_GATHER = -102
 _TAG_SCATTER = -103
 _TAG_REDUCE = -104
+#: Process-backend barrier tokens: counted by the transport as they
+#: arrive, never matched by a receive.
+_TAG_BARRIER = -105
 
 #: Halo channels occupy the band below the collective tags, growing
 #: downward two tags per channel (notify + registration).

@@ -26,8 +26,9 @@ pipe writable; before each piece that would not fit, the sender drains
 its own incoming pipes (completing posted receives, holding the rest)
 until the peer has made room.  A rank waiting to send thus never stops
 reading, so two ranks bursting at each other both make progress,
-whether or not their receives were posted first; a peer that never
-reads at all is bounded by the ``"send"`` deadline.
+whether or not their receives were posted first.  The barrier is made
+of pipe tokens, so a rank waiting in it keeps reading too; a peer that
+never reads at all is bounded by the ``"send"`` deadline.
 """
 
 from __future__ import annotations
@@ -59,6 +60,7 @@ from repro.simmpi.comm import (
     HaloSendChannel,
     RankTimeout,
     RemoteError,
+    _TAG_BARRIER,
     _copy_payload,
     raise_selected,
 )
@@ -189,7 +191,8 @@ class RankTransport:
 
     ``("inl", source, tag, payload)``
         A point-to-point message; pickling at send time snapshots the
-        payload.
+        payload.  Tag ``_TAG_BARRIER`` marks a barrier token
+        (:meth:`barrier_wait`), which is counted, not matched.
     ``("halo_att", segname)``
         One-time confirmation that the peer attached a halo segment.
 
@@ -209,8 +212,7 @@ class RankTransport:
     """
 
     def __init__(self, rank: int, size: int, readers: dict, writers: dict,
-                 failed, barrier,
-                 deadlines: DeadlinePolicy | None = None) -> None:
+                 failed, deadlines: DeadlinePolicy | None = None) -> None:
         self.rank = rank
         self.size = size
         self._readers = dict(readers)   # source rank -> read Connection
@@ -223,7 +225,6 @@ class RankTransport:
         for conn in self._writers.values():
             os.set_blocking(conn.fileno(), False)   # a full pipe: EAGAIN
         self._failed = failed           # mp.Event: world abort flag
-        self._barrier = barrier         # mp.Barrier over all ranks
         self.deadlines = (
             DeadlinePolicy.from_env() if deadlines is None else deadlines
         )
@@ -231,6 +232,7 @@ class RankTransport:
         self._held: list[tuple] = []            # arrived, not yet matched
         self._posted: list[ProcessRequest] = []  # posted, not yet arrived
         self._pieces: dict = {}                 # source rank -> pieces
+        self._tokens = [0] * size               # barrier tokens per source
         self._attached: dict[str, object] = {}  # segname -> SharedMemory
         self._field_segments: list = []         # owned Field backing segments
         self._halo_segments: list = []          # owned halo channel segments
@@ -465,6 +467,9 @@ class RankTransport:
             self._halo_unconfirmed.discard(msg[1])
             return
         source, tag = msg[1], msg[2]
+        if tag == _TAG_BARRIER:
+            self._tokens[source] += 1
+            return
         for posted in self._posted:
             if not posted.done and _matches(posted.source, posted.tag,
                                             source, tag):
@@ -507,18 +512,31 @@ class RankTransport:
     # -- synchronization -----------------------------------------------------
 
     def barrier_wait(self) -> None:
-        limit = self.deadlines.limit("barrier")
-        t0 = time.monotonic()
-        try:
-            self._barrier.wait(timeout=limit)
-        except threading.BrokenBarrierError:
-            if (limit is not None and time.monotonic() - t0 >= limit
-                    and not self._failed.is_set()):
-                # Nobody died — the barrier genuinely timed out.  The mp
-                # barrier is broken for everyone now; peers see the
-                # failure flag this deadline sets via the launcher.
-                raise RankTimeout("barrier", limit) from None
-            raise RemoteError("barrier broken by a failed peer") from None
+        """Dissemination barrier over the pipes.
+
+        In round *k* (1, 2, 4, … below the world size) each rank sends a
+        token to ``rank + k`` and waits for the one from ``rank - k``;
+        after the last round every rank has heard, directly or not, from
+        every other.  Waiting drains this rank's pipes like a receive
+        does, so a peer whose send needs room in a pipe towards this rank
+        gets it while this rank sits in the barrier.  Tokens are counted
+        per source, never matched, so no receive can take one; a source
+        only ever sends this rank the tokens of one round, so a fast
+        rank's token for the next barrier just waits in the count.
+        """
+        deadline = self.deadlines.start("barrier")
+        k = 1
+        while k < self.size:
+            self._post((self.rank + k) % self.size,
+                       ("inl", self.rank, _TAG_BARRIER, None))
+            source = (self.rank - k) % self.size
+            while not self._tokens[source]:
+                self._check_failed()
+                if deadline is not None:
+                    deadline.check()
+                self.progress(block=True)
+            self._tokens[source] -= 1
+            k *= 2
 
     # -- shared-memory field allocation --------------------------------------
 
@@ -850,17 +868,7 @@ def _exit_on_sigterm(signum, frame):
     raise SystemExit(128 + signum)
 
 
-def _abort_world(failed, barrier) -> None:
-    """Raise the world's failure flag and break its barrier, so ranks
-    blocked in communication give up."""
-    failed.set()
-    try:
-        barrier.abort()
-    except Exception:
-        pass
-
-
-def _rank_process(rank, size, command, ends, parent_ends, failed, barrier,
+def _rank_process(rank, size, command, ends, parent_ends, failed,
                   watchdog, deadlines, reclaimed) -> None:
     """Body of one resident rank process: serve commands until told to stop.
 
@@ -889,7 +897,7 @@ def _rank_process(rank, size, command, ends, parent_ends, failed, barrier,
             ends[other].close()
     mine = ends[rank]
     transport = RankTransport(rank, size, mine.readers, mine.writers,
-                              failed, barrier, deadlines)
+                              failed, deadlines)
     if rank == 0 and reclaimed:
         transport.note_reclaimed(reclaimed)
     comm = ProcessCommunicator(transport)
@@ -904,7 +912,7 @@ def _rank_process(rank, size, command, ends, parent_ends, failed, barrier,
             return False
 
     def fail(exc: BaseException) -> None:
-        _abort_world(failed, barrier)
+        failed.set()   # ranks blocked in communication give up
         if not isinstance(exc, RemoteError):
             logger.error("rank %d failed: %r", rank, exc)
         report(("err", rank, _transportable(exc, rank)))
@@ -997,7 +1005,6 @@ class ProcessWorld:
         self._commands: list = []    # write ends, one per rank
         self._results: list = []     # read ends, one per rank
         self._failed = self._ctx.Event()
-        self._barrier = self._ctx.Barrier(n_ranks)
         self._calling = False
 
     def shared_array(self, shape, dtype=np.float64) -> np.ndarray:
@@ -1067,8 +1074,7 @@ class ProcessWorld:
             ctx.Process(
                 target=_rank_process,
                 args=(rank, n, command, ends, parent_ends, self._failed,
-                      self._barrier, self._watchdog, self._deadlines,
-                      reclaimed),
+                      self._watchdog, self._deadlines, reclaimed),
                 name=f"simmpi-rank-{rank}",
                 daemon=True,
             )
@@ -1080,9 +1086,6 @@ class ProcessWorld:
         # pipe reflects its rank alone.
         for rank_ends in ends:
             rank_ends.close()
-
-    def _abort(self) -> None:
-        _abort_world(self._failed, self._barrier)
 
     def _collect(self, plan) -> list:
         """Wait for every rank's report of the current call."""
@@ -1149,7 +1152,7 @@ class ProcessWorld:
                         record_error(rank, RemoteError(
                             f"rank {rank} died (exit code {proc.exitcode})"
                         ))
-                        self._abort()
+                        self._failed.set()
                         del pending[conn]
             if monitor is not None and pending:
                 suspect = monitor.hung_rank(sorted(pending.values()))
@@ -1171,7 +1174,7 @@ class ProcessWorld:
                             "liveness", watchdog.hang_timeout,
                             peers=(suspect,)
                         ))
-                        self._abort()
+                        self._failed.set()
                         proc = self._procs[suspect]
                         if proc.is_alive():
                             logger.error(
@@ -1195,7 +1198,7 @@ class ProcessWorld:
             return
         self.closed = True
         if self._calling:
-            self._abort()   # interrupted mid-call: unblock waiting ranks
+            self._failed.set()   # interrupted mid-call: unblock waiting ranks
         for conn in self._commands:
             try:
                 conn.send_bytes(_SHUTDOWN)

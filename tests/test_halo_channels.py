@@ -228,7 +228,12 @@ class TestShrinkReregistration:
                 send.slot()[:] = float(comm.rank)
                 send.notify()
                 first = float(recv.wait()[0])
+                comm.send("exchanged", 2)
             else:
+                # Die only once both peers are through the first exchange:
+                # a death sooner would revoke a peer's receive in it.
+                comm.recv(0)
+                comm.recv(1)
                 raise RuntimeError("node down")
             try:
                 comm.barrier()

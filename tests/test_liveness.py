@@ -216,6 +216,33 @@ class TestProcessBackendDeadlines:
             run_spmd(2, fn, backend="process")
         assert info.value.op == "recv"
 
+    def test_barrier_deadline_on_real_processes(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SIMMPI_TIMEOUT_BARRIER", "0.5")
+
+        def fn(comm):
+            if comm.rank == 0:
+                comm.barrier()  # rank 1 never arrives
+                return "passed"
+            while not comm.aborted():
+                time.sleep(0.02)
+            return "peer-released"
+
+        with pytest.raises(RankTimeout) as info:
+            run_spmd(2, fn, backend="process")
+        assert info.value.op == "barrier"
+        assert info.value.simmpi_rank == 0
+
+    def test_failed_peer_releases_the_barrier(self):
+        def fn(comm):
+            if comm.rank == 2:
+                raise ValueError("rank 2 exploded")
+            comm.barrier()  # rank 2 never arrives
+            return "passed"
+
+        with pytest.raises(ValueError, match="exploded") as info:
+            run_spmd(3, fn, backend="process")
+        assert info.value.simmpi_rank == 2
+
 
 @needs_fork
 class TestWatchdog:

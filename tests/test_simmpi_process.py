@@ -52,10 +52,9 @@ def _snapshot_semantics(comm):
     # Sender mutates after send but before the receiver consumes: the
     # receiver must still see the values at send time (copy-on-send).
     if comm.rank == 0:
-        # 32 KiB: many pipe pieces, yet all in the pipe before the
-        # barrier — a send that outgrows the 64 KiB pipe returns only
-        # once the receiver drains, and this one waits in the barrier
-        arr = np.arange(4096, dtype=float)
+        # 64 KiB: more than the pipe holds, so the send completes only
+        # while the receiver, waiting in the barrier, drains its pipes
+        arr = np.arange(8192, dtype=float)
         comm.send(arr, 1, tag=1)
         arr.fill(-1.0)
         comm.barrier()
@@ -124,6 +123,19 @@ def _lengths_across_a_piece(comm, lengths):
         return None
     got = [comm.recv(0, tag=1) for _ in lengths]
     return got == [bytes([k % 251]) * k for k in lengths]
+
+
+def _big_send_then_barrier(comm, n):
+    """Every rank sends *n* doubles around the ring, meets the others
+    in the barrier, and only then receives — a wildcard receive, which
+    must get the message and never a barrier token."""
+    comm.send(np.full(n, float(comm.rank)), (comm.rank + 1) % comm.size,
+              tag=5)
+    comm.barrier()
+    comm.barrier()
+    got = comm.recv()
+    assert comm.probe() is False
+    return float(got[-1])
 
 
 def _send_to_deaf_peer(comm):
@@ -276,6 +288,14 @@ class TestBoundedChannels:
         for n in (1025, 1 << 17):
             out = run_spmd(2, _sendrecv_cycle, n, backend="process")
             assert out == [1.0, 0.0]
+
+    def test_barrier_drains_pipes_for_large_sends(self):
+        # 1 MiB each, sixteen pipes' worth per rank, held up by peers
+        # that wait in two barriers before they receive
+        for n_ranks in (2, 3, 5):
+            out = run_spmd(n_ranks, _big_send_then_barrier, 1 << 17,
+                           backend="process")
+            assert out == [float((r - 1) % n_ranks) for r in range(n_ranks)]
 
     def test_side_thread_sends_keep_messages_whole(self):
         n_threads, n_msgs = 4, 20
