@@ -15,6 +15,20 @@ All kernels consume *ghosted* field arrays (one ghost layer) and return the
     slice temperatures of both time levels (the dT/dt source term of the
     frozen-temperature ansatz).
 
+Block-list sweeps
+-----------------
+A solver step runs each sweep over all blocks of a rank at once:
+``sweep(ctx, blocks, temps) -> nonfinite``, where *blocks* lists
+``(phi, mu, z_offset, nz)`` with double-buffered
+:class:`~repro.grid.field.Field` pairs and *temps* the ``(t_old, t_new)``
+slice temperatures of each block.  A sweep writes every block's result
+into the interior of its ``dst`` buffer and returns whether some value
+it stored there is non-finite — the step's NaN guard.  The compiled
+rungs do this in one C call: their kernels carry ``.blocks``, a factory
+of such sweeps, called once per ``Stepper`` so that a sweep may keep
+what lasts one solver call.  Every other kernel goes through
+:func:`loop_sweep`.
+
 The registry maps rung names (see package docstring) to implementations.
 """
 
@@ -175,6 +189,43 @@ MU_KERNELS: dict[str, object] = {}
 #: ``local(ctx, mu_src, phi_src, phi_dst, t_old, t_new) -> interior`` and
 #: ``neighbor(ctx, mu_partial, mu_src, phi_src, phi_dst, t_old) -> interior``.
 SPLIT_MU_KERNELS: dict[str, tuple] = {}
+
+
+#: Per-block kernel arguments of each sweep kind, from a block's
+#: ``(phi, mu)`` Fields and its ``(t_old, t_new)`` slice temperatures.
+_LOOP_ARGS = {
+    "phi": lambda phi, mu, t_old, t_new: (phi.src, mu.src, t_old),
+    "mu": lambda phi, mu, t_old, t_new: (
+        mu.src, phi.src, phi.dst, t_old, t_new),
+    "mu_neighbor": lambda phi, mu, t_old, t_new: (
+        mu.interior_dst, mu.src, phi.src, phi.dst, t_old),
+}
+
+
+def loop_sweep(kernel, kind: str):
+    """The block-list sweep of a per-block *kernel* of *kind* (``"phi"``,
+    ``"mu"`` — also the split-local part — or ``"mu_neighbor"``): one
+    kernel call per block, the result stored into the ``dst`` interior
+    and checked for non-finite values."""
+    args = _LOOP_ARGS[kind]
+    target = 0 if kind == "phi" else 1
+
+    def sweep(ctx, blocks, temps) -> bool:
+        nonfinite = False
+        for block, (t_old, t_new) in zip(blocks, temps):
+            out = kernel(ctx, *args(block[0], block[1], t_old, t_new))
+            block[target].interior_dst[...] = out
+            nonfinite |= not np.isfinite(out).all()
+        return nonfinite
+
+    return sweep
+
+
+def block_sweep(kernel, kind: str):
+    """A block-list sweep of *kernel*: a new one from its ``.blocks``
+    factory when it has one, else :func:`loop_sweep`."""
+    make = getattr(kernel, "blocks", None)
+    return make() if make is not None else loop_sweep(kernel, kind)
 
 
 def register(kind: str, name: str):

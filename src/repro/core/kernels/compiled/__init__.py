@@ -248,6 +248,126 @@ def _mu_compiled(ctx, mu_src, phi_src, phi_dst, t_old, t_new,
     return out
 
 
+def _target(arr) -> np.ndarray:
+    """A Field buffer the block sweeps point into (and write in place)."""
+    if arr.dtype != np.float64 or not arr.flags.c_contiguous:
+        raise TypeError(
+            "compiled block sweeps need C-contiguous float64 fields, got "
+            f"{arr.dtype} (contiguous: {arr.flags.c_contiguous})"
+        )
+    return arr
+
+
+def _check_block(ctx, phi, mu) -> None:
+    """The C sweeps index every buffer of a block by the geometry of its
+    ``phi.src``: all four must be of the context's component counts over
+    one ghosted shape."""
+    ghosted = phi.src.shape[1:]
+    if not (phi.src.shape == phi.dst.shape == (ctx.n_phases,) + ghosted
+            and mu.src.shape == mu.dst.shape
+            == (ctx.n_solutes,) + ghosted):
+        raise ValueError(
+            f"block buffers phi {phi.src.shape}/{phi.dst.shape}, mu "
+            f"{mu.src.shape}/{mu.dst.shape} do not hold {ctx.n_phases} "
+            f"phases and {ctx.n_solutes} solutes over one ghosted shape"
+        )
+
+
+class _FieldTables:
+    """Pointer tables of the Field buffers a block-list sweep reads and
+    writes, and of the blocks' geometries.
+
+    One instance serves one sweep, which belongs to one ``Stepper`` —
+    one solver call — whose buffers only trade the ``src`` / ``dst``
+    roles from step to step.  So each buffer set is tabled once and
+    found again by the identity of its arrays; the entry holds them (and
+    the context pack the geometries live in), so no id is reused while
+    it lives.  At most ``LIMIT`` sets are kept.  Slice temperatures are
+    new every step and tabled per call instead.
+    """
+
+    LIMIT = 4
+
+    def __init__(self, buffers):
+        #: ``buffers(phi, mu)``: the arrays of one block the sweep uses.
+        self.buffers = buffers
+        self._sets: dict = {}
+
+    def __call__(self, ctx, pk, blocks) -> tuple:
+        """``(tables, geometry table)`` of *blocks*."""
+        arrays = [self.buffers(phi, mu) for phi, mu, _z, _n in blocks]
+        key = (id(pk), *(id(a) for per in arrays for a in per))
+        entry = self._sets.get(key)
+        if entry is None:
+            for phi, mu, _z, _n in blocks:
+                _check_block(ctx, phi, mu)
+            if len(self._sets) >= self.LIMIT:
+                self._sets.clear()
+            be = backend_module()
+            geoms = [_geometry(ctx, pk, per[0].shape[1:])[0]
+                     for per in arrays]
+            tables = [be.table([_target(a) for a in column])
+                      for column in zip(*arrays)]
+            # the last item holds everything the tables point into
+            entry = self._sets[key] = (
+                [t for t, _ in tables], be.geometry_table(geoms),
+                (pk, arrays, geoms, tables),
+            )
+        return entry[0], entry[1]
+
+
+def _temperature_table(temps, which: int):
+    return backend_module().table([_c64(t[which]) for t in temps])
+
+
+def _phi_blocks(shortcuts: bool):
+    """Factory of block-list phi sweeps (see :mod:`repro.core.kernels.api`)."""
+    def make():
+        fields = _FieldTables(lambda phi, mu: (phi.src, mu.src, phi.dst))
+
+        def sweep(ctx, blocks, temps) -> bool:
+            if not blocks:
+                return False
+            pk = _pack(ctx)
+            (phi, mu, dst), geom = fields(ctx, pk, blocks)
+            t_old, _keep = _temperature_table(temps, 0)
+            return backend_module().phi_blocks_raw(
+                len(blocks), phi, mu, t_old, dst, geom, *pk["phi"],
+                1 if shortcuts else 0,
+            )
+
+        return sweep
+
+    return make
+
+
+def _mu_blocks(shortcuts: bool, include_at: int = 1, only_at: int = 0):
+    """Factory of block-list mu sweeps; *only_at* is the seeded
+    split-neighbour part, which runs at ``t_new = t_old`` and only with
+    anti-trapping."""
+    def make():
+        fields = _FieldTables(
+            lambda phi, mu: (mu.src, phi.src, phi.dst, mu.dst))
+
+        def sweep(ctx, blocks, temps) -> bool:
+            if not blocks or (only_at and not ctx.params.anti_trapping):
+                return False
+            pk = _pack(ctx)
+            (mu, phi_src, phi_dst, dst), geom = fields(ctx, pk, blocks)
+            t_old, _keep_old = _temperature_table(temps, 0)
+            t_new, _keep_new = (
+                (t_old, None) if only_at else _temperature_table(temps, 1))
+            return backend_module().mu_blocks_raw(
+                len(blocks), mu, phi_src, phi_dst, t_old, t_new, dst, geom,
+                *pk["mu"], pk["anti_trapping"], 1 if shortcuts else 0,
+                include_at, only_at,
+            )
+
+        return sweep
+
+    return make
+
+
 @register("phi", "compiled")
 def phi_step_compiled(ctx, phi_src, mu_src, t_ghost):
     """Compiled phi sweep (tz precomputation, no shortcuts)."""
@@ -288,9 +408,15 @@ def _make_split(shortcuts: bool):
                             shortcuts, include_at=1, only_at=1,
                             seed=mu_partial)
 
+    local.blocks = _mu_blocks(shortcuts, include_at=0)
+    neighbor.blocks = _mu_blocks(shortcuts, include_at=1, only_at=1)
     return local, neighbor
 
 
+phi_step_compiled.blocks = _phi_blocks(False)
+phi_step_compiled_shortcuts.blocks = _phi_blocks(True)
+mu_step_compiled.blocks = _mu_blocks(False)
+mu_step_compiled_shortcuts.blocks = _mu_blocks(True)
 register_split_mu("compiled", *_make_split(False))
 register_split_mu("compiled_shortcuts", *_make_split(True))
 

@@ -80,6 +80,10 @@ __all__ = [
     "pointer",
     "phi_step_raw",
     "mu_step_raw",
+    "table",
+    "geometry_table",
+    "phi_blocks_raw",
+    "mu_blocks_raw",
 ]
 
 _CDEF = """
@@ -96,6 +100,18 @@ int repro_mu_step(
     const double *inv_curv, const double *c_eq, const double *c_slope,
     const double *diff, int anti_trapping, int shortcuts,
     int include_at, int only_at);
+int repro_phi_blocks(
+    int nblocks, double **phi, double **mu, double **tg, double **dst,
+    long long **geom, const double *scal,
+    const double *gamma, const double *tau, const double *inv_curv,
+    const double *c_eq, const double *c_slope, const double *latent,
+    const double *diff, int shortcuts);
+int repro_mu_blocks(
+    int nblocks, double **mu, double **phi_src, double **phi_dst,
+    double **t_old, double **t_new, double **dst, long long **geom,
+    const double *scal, const double *inv_curv, const double *c_eq,
+    const double *c_slope, const double *diff, int anti_trapping,
+    int shortcuts, int include_at, int only_at);
 int repro_num_threads(void);
 """
 
@@ -862,6 +878,113 @@ int repro_mu_step(
     free(mem);
     return 0;
 }
+
+/* ------------------------------------------------------------------ */
+/* block lists: one call per sweep over a rank's blocks                */
+/* ------------------------------------------------------------------ */
+
+/* Status of a block-list sweep: a value it stored is not finite. */
+#define NONFINITE 2
+
+static i64 interior_cells(const i64 *geom)
+{
+    return geom[1] * geom[2] * geom[3];
+}
+
+/* Copy between an interior-only result `out` of ncomp components and
+   the interior of the ghosted field `f` of the same block.  store = 1
+   writes `out` into `f` and returns 1 when a written value is not
+   finite; store = 0 reads the interior of `f` into `out`. */
+static int interior_copy(double *out, double *f, const i64 *geom,
+                         int ncomp, int store)
+{
+    const i64 n0 = geom[1], n1 = geom[2], n2 = geom[3];
+    const i64 g1 = n1 + 2, g2 = n2 + 2, g0 = geom[0] ? n0 + 2 : 1;
+    const i64 cs = g0 * g1 * g2;
+    const i64 first = (geom[0] ? g1 * g2 : 0) + g2 + 1;
+    int bad = 0;
+    for (int c = 0; c < ncomp; c++)
+        for (i64 i0 = 0; i0 < n0; i0++)
+            for (i64 i1 = 0; i1 < n1; i1++, out += n2) {
+                double *row = f + c * cs + first + (i0 * g1 + i1) * g2;
+                if (store)
+                    for (i64 i2 = 0; i2 < n2; i2++) {
+                        row[i2] = out[i2];
+                        bad |= !isfinite(out[i2]);
+                    }
+                else
+                    for (i64 i2 = 0; i2 < n2; i2++) out[i2] = row[i2];
+            }
+    return bad;
+}
+
+/* Scratch for the interior result of the largest of the blocks. */
+static double *block_result(int nblocks, const i64 *const *geom, int ncomp)
+{
+    i64 most = 1;
+    for (int b = 0; b < nblocks; b++)
+        if (interior_cells(geom[b]) > most) most = interior_cells(geom[b]);
+    return (double *)malloc((size_t)(most * ncomp) * sizeof(double));
+}
+
+/* The phi sweep of every block: dst[b] is the ghosted buffer whose
+   interior receives block b's result. */
+int repro_phi_blocks(
+    int nblocks, const double *const *phi, const double *const *mu,
+    const double *const *tg, double *const *dst, const i64 *const *geom,
+    const double *scal, const double *gamma, const double *tau,
+    const double *inv_curv, const double *c_eq, const double *c_slope,
+    const double *latent, const double *diff, int shortcuts)
+{
+    if (nblocks < 1) return 0;
+    const int N = (int)geom[0][4];
+    double *out = block_result(nblocks, geom, N);
+    if (!out) return 1;
+    int bad = 0;
+    for (int b = 0; b < nblocks; b++) {
+        const int status = repro_phi_step(
+            phi[b], mu[b], tg[b], out, geom[b], scal, gamma, tau, inv_curv,
+            c_eq, c_slope, latent, diff, shortcuts);
+        if (status) {
+            free(out);
+            return status;
+        }
+        bad |= interior_copy(out, dst[b], geom[b], N, 1);
+    }
+    free(out);
+    return bad ? NONFINITE : 0;
+}
+
+/* The mu sweep of every block; with only_at (the split-neighbour part)
+   each block's result is seeded from the interior of dst[b]. */
+int repro_mu_blocks(
+    int nblocks, const double *const *mu, const double *const *phi_src,
+    const double *const *phi_dst, const double *const *t_old,
+    const double *const *t_new, double *const *dst, const i64 *const *geom,
+    const double *scal, const double *inv_curv, const double *c_eq,
+    const double *c_slope, const double *diff, int anti_trapping,
+    int shortcuts, int include_at, int only_at)
+{
+    if (nblocks < 1) return 0;
+    const int K = (int)geom[0][5];
+    double *out = block_result(nblocks, geom, K);
+    if (!out) return 1;
+    int bad = 0;
+    for (int b = 0; b < nblocks; b++) {
+        if (only_at) interior_copy(out, dst[b], geom[b], K, 0);
+        const int status = repro_mu_step(
+            mu[b], phi_src[b], phi_dst[b], t_old[b], t_new[b], out, geom[b],
+            scal, inv_curv, c_eq, c_slope, diff, anti_trapping, shortcuts,
+            include_at, only_at);
+        if (status) {
+            free(out);
+            return status;
+        }
+        bad |= interior_copy(out, dst[b], geom[b], K, 1);
+    }
+    free(out);
+    return bad ? NONFINITE : 0;
+}
 """
 
 _CC_CANDIDATES = ("cc", "gcc", "clang")
@@ -875,6 +998,7 @@ _BUILD_TIMEOUT_S = 300
 _lib = None
 _from_buffer = None  # ffi.from_buffer and the ctype of a field, resolved once
 _F64 = None
+_new = None  # ffi.new, for the pointer tables of the block sweeps
 _build_error: str | None = None
 _loaded = False
 
@@ -947,7 +1071,7 @@ def load():
     toolchain or cffi is present (the registry then reports the compiled
     rungs unavailable instead of erroring).
     """
-    global _lib, _from_buffer, _F64, _build_error, _loaded
+    global _lib, _from_buffer, _F64, _new, _build_error, _loaded
     if _loaded:
         return _lib
     _loaded = True
@@ -966,6 +1090,7 @@ def load():
         ffi.cdef(_CDEF)
         _lib = ffi.dlopen(str(path))
         _from_buffer, _F64 = ffi.from_buffer, ffi.typeof("double[]")
+        _new = ffi.new
     except (RuntimeError, OSError, subprocess.SubprocessError) as exc:
         _build_error = str(exc) or repr(exc)
         _lib = None
@@ -995,9 +1120,16 @@ def pointer(arr, ctype: str = "double[]"):
     return _from_buffer(ctype, arr)
 
 
-def _check(status: int) -> None:
-    if status:
+#: Status of a block-list sweep that stored a non-finite value.
+NONFINITE = 2
+
+
+def _check(status: int) -> bool:
+    """Raise on a failed scratch allocation; True when a block-list
+    sweep reports a non-finite stored value."""
+    if status == 1:
         raise MemoryError("compiled kernel could not allocate its scratch")
+    return status == NONFINITE
 
 
 def phi_step_raw(phi, mu, tg, out, geom, scal, gamma, tau, inv_curv,
@@ -1027,3 +1159,43 @@ def mu_step_raw(mu, phi_src, phi_dst, t_old, t_new, out, geom, scal,
         anti_trapping, shortcuts, include_at, only_at,
     ))
     return out
+
+
+def table(arrays):
+    """``(double *[] cdata, buffers)``: the pointer table of C-contiguous
+    float64 *arrays* (not checked here).  The table points into the
+    buffers, which keep the arrays alive: hold the pair while it is used."""
+    buffers = [_from_buffer(_F64, a) for a in arrays]
+    return _new("double *[]", buffers), buffers
+
+
+def geometry_table(geoms):
+    """``long long *[]`` of geometry cdata (which the caller keeps alive)."""
+    return _new("long long *[]", geoms)
+
+
+def phi_blocks_raw(n, phi, mu, tg, dst, geom, scal, gamma, tau, inv_curv,
+                   c_eq, c_slope, latent, diff, shortcuts) -> bool:
+    """Phi sweep of *n* blocks in one call.  *phi*, *mu*, *tg* and *dst*
+    are pointer tables (:func:`table`) of the ghosted inputs, the slice
+    temperatures and the ghosted buffers whose interiors receive the
+    results, *geom* the blocks' :func:`geometry_table`.  True when a
+    stored value is non-finite."""
+    return _check(load().repro_phi_blocks(
+        n, phi, mu, tg, dst, geom,
+        scal, gamma, tau, inv_curv, c_eq, c_slope, latent, diff, shortcuts,
+    ))
+
+
+def mu_blocks_raw(n, mu, phi_src, phi_dst, t_old, t_new, dst, geom, scal,
+                  inv_curv, c_eq, c_slope, diff,
+                  anti_trapping, shortcuts, include_at, only_at) -> bool:
+    """Mu sweep of *n* blocks in one call (tables as in
+    :func:`phi_blocks_raw`); with *only_at* each block's result is
+    seeded from the interior of its *dst*.  True when a stored value is
+    non-finite."""
+    return _check(load().repro_mu_blocks(
+        n, mu, phi_src, phi_dst, t_old, t_new, dst, geom,
+        scal, inv_curv, c_eq, c_slope, diff,
+        anti_trapping, shortcuts, include_at, only_at,
+    ))

@@ -18,11 +18,19 @@ through :meth:`repro.distributed.halo.BlockHaloRegistry.exchange`.
 Everything else a step may carry (progress ticks, faults, guard,
 heartbeat, checkpoints, the moving window) is a hook its caller
 registers around :meth:`Stepper.step` only when asked for.
+
+Each sweep is one call over the whole block list
+(:func:`repro.core.kernels.api.block_sweep`): one C call with the GIL
+released once on the compiled rungs.  It also reports whether a value it
+stored is non-finite, which is all the NaN guard needs
+(:attr:`Stepper.nonfinite`).
 """
 
 from __future__ import annotations
 
 import time
+
+from repro.core.kernels.api import block_sweep
 
 __all__ = ["Stepper", "slice_temperatures"]
 
@@ -67,67 +75,73 @@ class Stepper:
     def __init__(self, ctx, phi_kernel, mu_kernel, temperature, dt,
                  sync_phi, sync_mu, tree=None):
         self.ctx = ctx
-        self.phi_kernel = phi_kernel
-        self.mu_kernel = mu_kernel
         self.temperature = temperature
         self.dt = dt
         self.sync_phi = sync_phi
         self.sync_mu = sync_mu
         #: ``record(path, seconds)`` into *tree*, or a no-op without one.
         self.record = _discard if tree is None else tree.record
-        overlap = isinstance(mu_kernel, tuple)
-        self._sweeps = self._algorithm2 if overlap else self._algorithm1
+        self.phi_sweep = block_sweep(phi_kernel, "phi")
+        # Sweeps hold what lasts the call (the compiled rungs' pointer
+        # tables); no bound method is stored on self, so no reference
+        # cycle keeps them past it.
+        self.overlap = isinstance(mu_kernel, tuple)
+        if self.overlap:
+            local, neighbor = mu_kernel
+            self.mu_sweeps = (block_sweep(local, "mu"),
+                              block_sweep(neighbor, "mu_neighbor"))
+        else:
+            self.mu_sweeps = (block_sweep(mu_kernel, "mu"),)
         self._mu_ghosts_stale = False
+        #: Whether the last step left a non-finite value in the interior
+        #: of some block.
+        self.nonfinite = False
 
     def step(self, blocks, t: float) -> None:
         """Advance every ``(phi, mu, z_offset, nz)`` block of *blocks*
         (double-buffered :class:`~repro.grid.field.Field` pairs) from
         time *t* by one ``dt``; the new state ends up in ``src``."""
-        temps = [
-            (slice_temperatures(self.temperature, t, z_off, nz),
-             slice_temperatures(self.temperature, t + self.dt, z_off, nz))
-            for _phi, _mu, z_off, nz in blocks
-        ]
-        self._sweeps(blocks, temps)
+        sweeps = self._algorithm2 if self.overlap else self._algorithm1
+        self.nonfinite = sweeps(blocks, self._temperatures(blocks, t))
         for phi, mu, _z_off, _nz in blocks:
             phi.swap()
             mu.swap()
 
-    def _phi_sweep(self, blocks, temps) -> None:
-        ctx, kernel = self.ctx, self.phi_kernel
-        mark = time.perf_counter()
-        for (phi, mu, _z, _n), (t_old, _t_new) in zip(blocks, temps):
-            phi.interior_dst[...] = kernel(ctx, phi.src, mu.src, t_old)
-        self.record("compute/phi", time.perf_counter() - mark)
+    def _temperatures(self, blocks, t: float) -> list:
+        """``(t_old, t_new)`` of every block, built once per distinct
+        ``(z_offset, nz)``."""
+        slices = {}
+        for _phi, _mu, z_off, nz in blocks:
+            if (z_off, nz) not in slices:
+                slices[z_off, nz] = (
+                    slice_temperatures(self.temperature, t, z_off, nz),
+                    slice_temperatures(self.temperature, t + self.dt,
+                                       z_off, nz),
+                )
+        return [slices[z_off, nz] for _phi, _mu, z_off, nz in blocks]
 
-    def _algorithm1(self, blocks, temps) -> None:
-        ctx, kernel = self.ctx, self.mu_kernel
-        self._phi_sweep(blocks, temps)
+    def _sweep(self, name: str, sweep, blocks, temps) -> bool:
+        mark = time.perf_counter()
+        nonfinite = sweep(self.ctx, blocks, temps)
+        self.record(name, time.perf_counter() - mark)
+        return nonfinite
+
+    def _algorithm1(self, blocks, temps) -> bool:
+        nonfinite = self._sweep("compute/phi", self.phi_sweep, blocks, temps)
         self.sync_phi("dst")
-        mark = time.perf_counter()
-        for (phi, mu, _z, _n), (t_old, t_new) in zip(blocks, temps):
-            mu.interior_dst[...] = kernel(
-                ctx, mu.src, phi.src, phi.dst, t_old, t_new
-            )
-        self.record("compute/mu", time.perf_counter() - mark)
+        nonfinite |= self._sweep("compute/mu", self.mu_sweeps[0], blocks,
+                                 temps)
         self.sync_mu("dst")
+        return nonfinite
 
-    def _algorithm2(self, blocks, temps) -> None:
-        ctx, (local, neighbor) = self.ctx, self.mu_kernel
-        self._phi_sweep(blocks, temps)
+    def _algorithm2(self, blocks, temps) -> bool:
+        local, neighbor = self.mu_sweeps
+        nonfinite = self._sweep("compute/phi", self.phi_sweep, blocks, temps)
         if self._mu_ghosts_stale:
             self.sync_mu("src")
-        mark = time.perf_counter()
-        for (phi, mu, _z, _n), (t_old, t_new) in zip(blocks, temps):
-            mu.interior_dst[...] = local(
-                ctx, mu.src, phi.src, phi.dst, t_old, t_new
-            )
-        self.record("compute/mu_local", time.perf_counter() - mark)
+        nonfinite |= self._sweep("compute/mu_local", local, blocks, temps)
         self.sync_phi("dst")
-        mark = time.perf_counter()
-        for (phi, mu, _z, _n), (t_old, _t_new) in zip(blocks, temps):
-            mu.interior_dst[...] = neighbor(
-                ctx, mu.interior_dst, mu.src, phi.src, phi.dst, t_old
-            )
-        self.record("compute/mu_neighbor", time.perf_counter() - mark)
+        nonfinite |= self._sweep("compute/mu_neighbor", neighbor, blocks,
+                                 temps)
         self._mu_ghosts_stale = True
+        return nonfinite

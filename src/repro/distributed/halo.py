@@ -141,26 +141,6 @@ def _capacity(pairs, shapes, axis: int, streams) -> int:
     return best
 
 
-def _pack(slot: np.ndarray, views) -> int:
-    """Pack slab *views* contiguously into *slot*; returns elements used."""
-    offset = 0
-    for view in views:
-        n = view.size
-        np.copyto(slot[offset:offset + n].reshape(view.shape), view)
-        offset += n
-    return offset
-
-
-def _unpack(slot: np.ndarray, views) -> int:
-    """Scatter *slot* back into slab *views*; returns elements consumed."""
-    offset = 0
-    for view in views:
-        n = view.size
-        np.copyto(view, slot[offset:offset + n].reshape(view.shape))
-        offset += n
-    return offset
-
-
 class BlockHaloRegistry:
     """Halo channels of a block-forest decomposition (waLBerla style).
 
@@ -256,6 +236,11 @@ class BlockHaloRegistry:
             peer, axis, side = key
             self._recv[key] = comm.accept_halo(peer, axis * 2 + side)
 
+        #: field_sync plans: ``(id(spec), *ids of the arrays) -> (spec,
+        #: arrays, plan)``; an entry holds what its key names, so no id
+        #: is reused while it lives.
+        self._plans: dict[tuple, tuple] = {}
+
         # Per-axis channel orderings of the steady-state loop.
         self._send_by_axis = {
             k: [(key, self._send[key]) for key in sorted(self._send)
@@ -302,6 +287,89 @@ class BlockHaloRegistry:
                 )
         return g
 
+    def _plan(self, arrays: dict[int, np.ndarray], spec) -> tuple:
+        """Everything an exchange of *arrays* touches, as views built
+        once: per axis, the send channels with the slab views packed
+        into their slots, the same-rank ``(ghost, edge)`` copy pairs,
+        the receive channels with the ghost views they unpack into and
+        the boundary handlers of the domain edges; then the bytes and
+        messages of one exchange."""
+        g = self._ghost_width(arrays)
+        dim = self.dim
+        itemsize = next(iter(arrays.values())).itemsize if arrays else 8
+        axes = []
+        nbytes = nmsg = 0
+
+        def parts(views):
+            out, offset = [], 0
+            for view in views:
+                out.append((view, offset, offset + view.size))
+                offset += view.size
+            return out, offset
+
+        for k in range(dim):
+            sends = []
+            for (peer, axis, side), ch in self._send_by_axis[k]:
+                which = "send_hi" if side == 1 else "send_lo"
+                views, used = parts(
+                    arrays[bid][_slab(arrays[bid], dim, k, which, g)]
+                    for bid, _nb in self._send_plans[(peer, axis, side)]
+                )
+                sends.append((ch, views, used))
+                nbytes += used * itemsize
+                nmsg += 1
+            local = []
+            for bid, nb_id, side in self._local[k]:
+                arr, src = arrays[bid], arrays[nb_id]
+                recv_which = "recv_lo" if side == 0 else "recv_hi"
+                send_which = "send_hi" if side == 0 else "send_lo"
+                local.append((arr[_slab(arr, dim, k, recv_which, g)],
+                              src[_slab(src, dim, k, send_which, g)]))
+            recvs = []
+            for (peer, axis, side), ch in self._recv_by_axis[k]:
+                # The sender's high edge fills my low ghost and vice
+                # versa; *side* is the sender's.
+                which = "recv_lo" if side == 1 else "recv_hi"
+                views, _used = parts(
+                    arrays[nb_id][_slab(arrays[nb_id], dim, k, which, g)]
+                    for _bid, nb_id in self._recv_plans[(peer, axis, side)]
+                )
+                recvs.append((ch, views))
+            lo_h, hi_h = spec.handlers[k]
+            edges = []
+            for bid, side in self._edges[k]:
+                handler = lo_h if side == 0 else hi_h
+                edges.append((handler.fill,
+                              *handler.views(arrays[bid], dim, k, side, g)))
+            axes.append((sends, local, recvs, edges))
+        return axes, nbytes, nmsg
+
+    def _run(self, plan, t0: float, timer: ExchangeTimer | None) -> None:
+        """One exchange along a :meth:`_plan`, timed from *t0*."""
+        axes, nbytes, nmsg = plan
+        for sends, local, recvs, edges in axes:
+            # 1) pack + notify every outgoing channel of this axis; the
+            #    pack is the send-time snapshot of the slab.
+            for ch, views, used in sends:
+                slot = ch.slot()
+                for view, lo, hi in views:
+                    np.copyto(slot[lo:hi].reshape(view.shape), view)
+                ch.notify(used)
+            # 2) local copies between same-rank neighbours
+            for ghost, edge in local:
+                np.copyto(ghost, edge)
+            # 3) wait for every incoming channel, unpack straight into
+            #    the ghost slices (single copy out of the slot).
+            for ch, views in recvs:
+                slot = ch.wait()
+                for view, lo, hi in views:
+                    np.copyto(view, slot[lo:hi].reshape(view.shape))
+            # 4) boundary handlers at non-periodic domain edges
+            for fill, ghost, source in edges:
+                fill(ghost, source)
+        if timer is not None:
+            timer.add(time.perf_counter() - t0, nbytes, nmsg)
+
     def exchange(self, arrays: dict[int, np.ndarray], spec, *,
                  timer: ExchangeTimer | None = None) -> None:
         """Fill every ghost layer of *arrays* from neighbours or boundaries.
@@ -312,63 +380,30 @@ class BlockHaloRegistry:
         copy, remote neighbours through the registered channels; *spec*
         provides the handlers for non-periodic domain edges.  Axes are
         processed in dimensional order across all local blocks, keeping
-        edge and corner ghosts consistent.
+        edge and corner ghosts consistent.  The plan of the exchange is
+        built for this call and dropped after it.
         """
         t0 = time.perf_counter()
-        g = self._ghost_width(arrays)
-        dim = self.dim
-        itemsize = next(iter(arrays.values())).itemsize if arrays else 8
-        nbytes = 0
-        nmsg = 0
-        for k in range(dim):
-            # 1) pack + notify every outgoing channel of this axis; the
-            #    pack is the send-time snapshot of the slab.
-            for (peer, axis, side), ch in self._send_by_axis[k]:
-                which = "send_hi" if side == 1 else "send_lo"
-                used = _pack(ch.slot(), (
-                    arrays[bid][_slab(arrays[bid], dim, k, which, g)]
-                    for bid, _nb in self._send_plans[(peer, axis, side)]
-                ))
-                ch.notify(used)
-                nbytes += used * itemsize
-                nmsg += 1
-            # 2) local copies between same-rank neighbours
-            for bid, nb_id, side in self._local[k]:
-                arr = arrays[bid]
-                src = arrays[nb_id]
-                recv_which = "recv_lo" if side == 0 else "recv_hi"
-                send_which = "send_hi" if side == 0 else "send_lo"
-                arr[_slab(arr, dim, k, recv_which, g)] = src[
-                    _slab(src, dim, k, send_which, g)
-                ]
-            # 3) wait for every incoming channel, unpack straight into
-            #    the ghost slices (single copy out of the slot).
-            for (peer, axis, side), ch in self._recv_by_axis[k]:
-                slot = ch.wait()
-                # The sender's high edge fills my low ghost and vice
-                # versa; *side* is the sender's.
-                which = "recv_lo" if side == 1 else "recv_hi"
-                _unpack(slot, (
-                    arrays[nb_id][_slab(arrays[nb_id], dim, k, which, g)]
-                    for _bid, nb_id in self._recv_plans[(peer, axis, side)]
-                ))
-            # 4) boundary handlers at non-periodic domain edges
-            lo_h, hi_h = spec.handlers[k]
-            for bid, side in self._edges[k]:
-                (lo_h if side == 0 else hi_h).apply(
-                    arrays[bid], dim, k, side, g
-                )
-        if timer is not None:
-            timer.add(time.perf_counter() - t0, nbytes, nmsg)
+        self._run(self._plan(arrays, spec), t0, timer)
 
     def field_sync(self, fields: dict, spec, timer: ExchangeTimer | None = None):
         """The sync of a :class:`repro.core.stepper.Stepper` over this
-        registry: ``sync(buffer)`` runs :meth:`exchange` on buffer
-        ``"src"`` or ``"dst"`` of every Field in *fields* (block id ->
-        :class:`~repro.grid.field.Field`)."""
+        registry: ``sync(buffer)`` runs an exchange on buffer ``"src"``
+        or ``"dst"`` of every Field in *fields* (block id ->
+        :class:`~repro.grid.field.Field`).
+
+        The plan of each buffer is built on its first exchange and kept
+        by the registry, so the world's later calls walk the same views:
+        two plans per field set per world (its two buffers, which trade
+        the ``src`` / ``dst`` roles every step).
+        """
         def sync(buffer: str) -> None:
-            self.exchange(
-                {bid: getattr(f, buffer) for bid, f in fields.items()},
-                spec, timer=timer,
-            )
+            t0 = time.perf_counter()
+            arrays = {bid: getattr(f, buffer) for bid, f in fields.items()}
+            key = (id(spec), *map(id, arrays.values()))
+            entry = self._plans.get(key)
+            if entry is None:
+                entry = self._plans[key] = (
+                    spec, arrays, self._plan(arrays, spec))
+            self._run(entry[2], t0, timer)
         return sync

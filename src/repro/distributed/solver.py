@@ -588,7 +588,7 @@ class DistributedSimulation:
             from repro.resilience.guards import finite_guard
 
             after.append(finite_guard(
-                fields, comm.rank, stepper.record, events=events,
+                stepper, fields, comm.rank, events=events,
             ))
         if tel is not None:
             after.extend(tel.after_step)

@@ -33,6 +33,12 @@ def _edge_slices(arr_ndim: int, dim: int, k: int, side: int, g: int):
     return tuple(ghost), tuple(edge)
 
 
+# A handler fills the ghost layers of one side of one axis of a ghosted
+# array: ``views`` picks the ghost slab and the slab it is filled from,
+# ``fill`` computes it, and ``apply`` is the two together.  Exchange
+# plans keep the views and call ``fill`` every step.
+
+
 @dataclass(frozen=True)
 class Periodic:
     """Wrap-around: the ghost layer copies the opposite interior edge.
@@ -41,21 +47,33 @@ class Periodic:
     exchange instead; this handler covers the single-block case.
     """
 
-    def apply(self, arr: np.ndarray, dim: int, k: int, side: int, g: int = 1) -> None:
+    def views(self, arr: np.ndarray, dim: int, k: int, side: int, g: int = 1):
         ax = arr.ndim - dim + k
         ghost, _ = _edge_slices(arr.ndim, dim, k, side, g)
         src = [slice(None)] * arr.ndim
         src[ax] = slice(-2 * g, -g) if side == 0 else slice(g, 2 * g)
-        arr[ghost] = arr[tuple(src)]
+        return arr[ghost], arr[tuple(src)]
+
+    def fill(self, ghost: np.ndarray, source: np.ndarray) -> None:
+        np.copyto(ghost, source)
+
+    def apply(self, arr: np.ndarray, dim: int, k: int, side: int, g: int = 1) -> None:
+        self.fill(*self.views(arr, dim, k, side, g))
 
 
 @dataclass(frozen=True)
 class Neumann:
     """Zero-gradient: the ghost layer mirrors the adjacent interior edge."""
 
-    def apply(self, arr: np.ndarray, dim: int, k: int, side: int, g: int = 1) -> None:
+    def views(self, arr: np.ndarray, dim: int, k: int, side: int, g: int = 1):
         ghost, edge = _edge_slices(arr.ndim, dim, k, side, g)
-        arr[ghost] = arr[edge]
+        return arr[ghost], arr[edge]
+
+    def fill(self, ghost: np.ndarray, source: np.ndarray) -> None:
+        np.copyto(ghost, source)
+
+    def apply(self, arr: np.ndarray, dim: int, k: int, side: int, g: int = 1) -> None:
+        self.fill(*self.views(arr, dim, k, side, g))
 
 
 @dataclass(frozen=True)
@@ -68,12 +86,18 @@ class Dirichlet:
 
     value: object = 0.0
 
-    def apply(self, arr: np.ndarray, dim: int, k: int, side: int, g: int = 1) -> None:
+    def views(self, arr: np.ndarray, dim: int, k: int, side: int, g: int = 1):
         ghost, edge = _edge_slices(arr.ndim, dim, k, side, g)
-        v = np.asarray(self.value, dtype=arr.dtype)
+        return arr[ghost], arr[edge]
+
+    def fill(self, ghost: np.ndarray, source: np.ndarray) -> None:
+        v = np.asarray(self.value, dtype=ghost.dtype)
         if v.ndim == 1:
-            v = v.reshape((-1,) + (1,) * dim)
-        arr[ghost] = 2.0 * v - arr[edge]
+            v = v.reshape((-1,) + (1,) * (ghost.ndim - 1))
+        np.subtract(2.0 * v, source, out=ghost)
+
+    def apply(self, arr: np.ndarray, dim: int, k: int, side: int, g: int = 1) -> None:
+        self.fill(*self.views(arr, dim, k, side, g))
 
 
 @dataclass(frozen=True)

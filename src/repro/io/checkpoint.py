@@ -38,6 +38,7 @@ logger = logging.getLogger(__name__)
 
 __all__ = [
     "CheckpointError",
+    "atomic_savez",
     "save_checkpoint",
     "save_state",
     "load_checkpoint",
@@ -80,19 +81,23 @@ def _fsync_dir(directory: Path) -> None:
         os.close(fd)
 
 
-def _atomic_savez(path: Path, payload: dict) -> None:
-    """Write an ``.npz`` archive atomically and durably.
+def atomic_savez(path: Path, payload: dict) -> None:
+    """Write an uncompressed ``.npz`` archive atomically and durably.
 
-    ``np.savez`` appends ``.npz`` to plain path arguments, so the archive
-    is written through an open file object under a ``.tmp`` name and only
-    renamed into place once it is fully on disk.  The temp file is fsynced
-    before the rename and the parent directory after it, so a *committed*
-    checkpoint survives a crash of the machine, not just of the process.
+    The one ``.npz`` writer of the checkpoint formats (single-file and
+    sharded).  ``np.savez`` appends ``.npz`` to plain path arguments, so
+    the archive is written through an open file object under a ``.tmp``
+    name and only renamed into place once it is fully on disk.  The temp
+    file is fsynced before the rename and the parent directory after it,
+    so a *committed* checkpoint survives a crash of the machine, not just
+    of the process.  Archives are stored uncompressed: zlib cost most of
+    a shard write and saves little on float32 fields; ``np.load`` reads
+    compressed archives of earlier versions all the same.
     """
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "wb") as fh:
-            np.savez_compressed(fh, **payload)
+            np.savez(fh, **payload)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -139,7 +144,7 @@ def save_state(
         },
         "meta": {"step_count": int(step_count), "kernel": kernel},
     }
-    _atomic_savez(
+    atomic_savez(
         path,
         dict(
             format_version=np.int64(_FORMAT_VERSION),

@@ -24,7 +24,9 @@ restarts possible after a rank failure.
 
 Fields are stored in float32 like the single-file format of
 :mod:`repro.io.checkpoint` ("checkpoints use only single precision to
-save disk space and I/O bandwidth", Sec. 3.2).
+save disk space and I/O bandwidth", Sec. 3.2), in an uncompressed
+``.npz`` written by :func:`repro.io.checkpoint.atomic_savez`; shards
+written compressed by earlier versions load the same way.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.io.checkpoint import CheckpointError, _fsync_dir
+from repro.io.checkpoint import CheckpointError, _fsync_dir, atomic_savez
 
 __all__ = [
     "SHARD_FORMAT_VERSION",
@@ -105,17 +107,7 @@ def write_shard(path, blocks: dict, *, rank: int) -> dict:
                 "shape": list(arr32.shape),
                 "dtype": str(arr32.dtype),
             }
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            np.savez_compressed(fh, **payload)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-        _fsync_dir(path.parent)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    atomic_savez(path, payload)
     return {
         "rank": int(rank),
         "file": path.name,

@@ -110,7 +110,7 @@ class StateGuard:
         return out
 
 
-def finite_guard(fields, rank: int, record, *, events=None):
+def finite_guard(stepper, fields, rank: int, *, events=None):
     """The per-step finite-value check of one rank, as a hook
     ``(step, time)``.
 
@@ -119,28 +119,34 @@ def finite_guard(fields, rank: int, record, *, events=None):
     emits a ``guard_trip`` event (to *events*, when given), logs a
     warning and raises :class:`InvariantViolation` carrying the step and
     *rank* — the cheap check that turns silent NaN contamination (e.g.
-    from a corrupted ghost message) into an abort.  Each check's wall
-    time goes to ``record("guard", seconds)``.
+    from a corrupted ghost message) into an abort.
+
+    The check is a by-product of the sweeps: *stepper*'s
+    :attr:`~repro.core.stepper.Stepper.nonfinite` says whether the step
+    stored a non-finite value, and only then are the blocks scanned, to
+    name the first bad one.  Each check's wall time goes to
+    ``stepper.record("guard", seconds)``.
     """
     def check(step: int, _t: float) -> None:
         mark = time.perf_counter()
-        for bid, phi, mu in fields:
-            if not (np.isfinite(phi.interior_src).all()
-                    and np.isfinite(mu.interior_src).all()):
-                if events is not None:
-                    events.emit(
-                        "guard_trip", "ERROR", block=bid, step=step,
-                        reason="non-finite field values",
+        if stepper.nonfinite:
+            for bid, phi, mu in fields:
+                if not (np.isfinite(phi.interior_src).all()
+                        and np.isfinite(mu.interior_src).all()):
+                    if events is not None:
+                        events.emit(
+                            "guard_trip", "ERROR", block=bid, step=step,
+                            reason="non-finite field values",
+                        )
+                    logger.warning(
+                        "guard tripped: non-finite values in block %d at "
+                        "step %d (rank %d)", bid, step, rank,
                     )
-                logger.warning(
-                    "guard tripped: non-finite values in block %d at step "
-                    "%d (rank %d)", bid, step, rank,
-                )
-                raise InvariantViolation(
-                    f"non-finite field values in block {bid}",
-                    step=step, rank=rank,
-                )
-        record("guard", time.perf_counter() - mark)
+                    raise InvariantViolation(
+                        f"non-finite field values in block {bid}",
+                        step=step, rank=rank,
+                    )
+        stepper.record("guard", time.perf_counter() - mark)
 
     return check
 

@@ -145,7 +145,7 @@ class TestDurableFormat:
             fh.write(b"half a checkpoint")
             raise OSError("simulated crash mid-write")
 
-        monkeypatch.setattr(ck.np, "savez_compressed", boom)
+        monkeypatch.setattr(ck.np, "savez", boom)
         with pytest.raises(OSError, match="mid-write"):
             save_checkpoint(path, sim)
         assert path.read_bytes() == before

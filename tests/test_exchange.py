@@ -230,3 +230,116 @@ def test_timer_accumulates():
     assert timers[0].messages == 4
     assert timers[0].bytes == 4 * 8
     assert timers[0].seconds > 0
+
+
+# -- exchange plans -------------------------------------------------------
+
+
+def test_exchange_keeps_no_plan_past_the_call():
+    """exchange() builds the plan of the arrays it is given and drops it:
+    a thousand calls with fresh arrays leave nothing behind."""
+    import tracemalloc
+
+    forest = BlockForest((8, 12), (2, 2), (True, False))
+    spec = BoundarySpec.directional(2, bottom=Neumann(), top=Dirichlet(1.5))
+    field = _global_field((8, 12))
+    ref = _reference(field, spec, 1)
+
+    def fn(comm):
+        registry = BlockHaloRegistry(comm, forest, [0, 0, 0, 0], 2,
+                                     streams=[(2, 1)])
+
+        def fresh():
+            return {b.id: np.zeros((2,) + tuple(s + 2 for s in b.shape))
+                    for b in forest.blocks}
+
+        # warm-up: NumPy keeps freed small buffers in caches of its own
+        for _ in range(1000):
+            registry.exchange(fresh(), spec)
+        tracemalloc.start()
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(1000):
+            arrays = fresh()
+            for b in forest.blocks:
+                arrays[b.id][:, 1:-1, 1:-1] = field[
+                    (slice(None),) + tuple(
+                        slice(o, o + s) for o, s in zip(b.offset, b.shape))
+                ]
+            registry.exchange(arrays, spec)
+        grown = tracemalloc.get_traced_memory()[0] - before
+        tracemalloc.stop()
+        return registry._plans, grown, arrays
+
+    plans, grown, arrays = run_spmd(1, fn)[0]
+    assert plans == {}
+    assert grown < 16 * 1024
+    _assert_matches_reference([arrays], forest, ref, 1)
+
+
+def test_field_sync_rejects_a_stream_with_the_exchange_message():
+    """A field_sync over Fields of no registered stream fails at its
+    first exchange with the message exchange() gives."""
+    from repro.grid.field import Field
+
+    forest = BlockForest((8, 8), (1, 1), (True, False))
+    spec = BoundarySpec.directional(2)
+
+    def fn(comm):
+        registry = BlockHaloRegistry(
+            comm, forest, [0], 2, streams=[(1, 1), (2, 2)]
+        )
+        messages = []
+        for comps, ghost in ((1, 2), (2, 3)):
+            fields = {0: Field(comps, (8, 8), ghost=ghost)}
+            for attempt in (
+                lambda: registry.exchange(
+                    {0: fields[0].src}, spec),
+                lambda: registry.field_sync(fields, spec)("src"),
+            ):
+                with pytest.raises(ValueError) as info:
+                    attempt()
+                messages.append(str(info.value))
+        return messages
+
+    messages = run_spmd(1, fn)[0]
+    streams = "[(1, 1), (2, 2)]"
+    assert messages == [
+        "block 0: array shape (1, 12, 12) is the ghosted block of no "
+        f"registered stream (n_components, ghost width) in {streams}",
+    ] * 2 + [
+        "block 0: array shape (2, 14, 14) is the ghosted block of no "
+        f"registered stream (n_components, ghost width) in {streams}",
+    ] * 2
+
+
+def test_field_sync_builds_two_plans_per_field_per_world(monkeypatch):
+    """A resident world plans each field's two buffers once: three
+    calls of 3 steps on 2 ranks build 2 fields x 2 buffers x 2 ranks
+    plans, and give the bits of one 9-step call."""
+    from repro.core.nucleation import voronoi_initial_condition
+    from repro.distributed import DistributedSimulation
+    from repro.thermo.system import TernaryEutecticSystem
+
+    built = []
+    plan = BlockHaloRegistry._plan
+
+    def counting(self, arrays, spec):
+        built.append(self.comm.rank)
+        return plan(self, arrays, spec)
+
+    system = TernaryEutecticSystem()
+    phi0, mu0 = voronoi_initial_condition(system, (8, 12), solid_height=4,
+                                          n_seeds=3)
+    with DistributedSimulation((8, 12), (2, 2), system=system,
+                               kernel="buffered", n_ranks=2) as once:
+        whole = once.run(9, phi0, mu0)
+    monkeypatch.setattr(BlockHaloRegistry, "_plan", counting)
+    with DistributedSimulation((8, 12), (2, 2), system=system,
+                               kernel="buffered", n_ranks=2) as dsim:
+        res = dsim.run(3, phi0, mu0)
+        for k in (1, 2):
+            res = dsim.run(3, res.phi, res.mu, t0=3 * k * dsim.params.dt,
+                           step0=3 * k)
+    assert sorted(built) == [0] * 4 + [1] * 4
+    np.testing.assert_array_equal(res.phi, whole.phi)
+    np.testing.assert_array_equal(res.mu, whole.mu)

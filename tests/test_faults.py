@@ -138,6 +138,46 @@ class TestRecoveryMatrix:
         np.testing.assert_allclose(result.phi, reference.phi, atol=1e-5)
         np.testing.assert_allclose(result.mu, reference.mu, atol=1e-5)
 
+    @pytest.mark.parametrize(
+        "faults",
+        [
+            pytest.param([Fault(kind="msg_corrupt", step=4, rank=0)],
+                         id="corrupted-ghost-message"),
+            pytest.param([Fault(kind="nan_inject", step=4, rank=1)],
+                         id="nan-blow-up"),
+        ],
+    )
+    def test_compiled_campaign_recovers_and_matches(self, setup, tmp_path,
+                                                    faults):
+        """The NaN recoveries on the compiled rung, whose block sweeps
+        report the non-finite values the guard trips on."""
+        from repro.core.kernels import rung_available
+
+        if not rung_available("compiled"):
+            pytest.skip("no compiled kernel backend available")
+        dsim, phi0, mu0, _reference = setup
+
+        def compiled_sim():
+            return DistributedSimulation(
+                dsim.shape, dsim.forest.blocks_per_axis, system=dsim.system,
+                kernel="compiled",
+            )
+
+        with compiled_sim() as plain:
+            reference = plain.run(STEPS, phi0, mu0)
+        plan = FaultPlan(faults, seed=SEED)
+        print(plan.describe())
+        result = run_campaign(
+            compiled_sim(), STEPS, phi0, mu0,
+            store=CheckpointStore(tmp_path, keep=3, fault_plan=plan),
+            checkpoint_every=3, fault_plan=plan,
+        )
+        assert result.restarts >= 1
+        assert result.steps == STEPS
+        assert len(result.faults_fired) == len(faults)
+        np.testing.assert_allclose(result.phi, reference.phi, atol=1e-5)
+        np.testing.assert_allclose(result.mu, reference.mu, atol=1e-5)
+
     def test_delayed_message_does_not_stall_the_sender(self):
         # regression (ISSUE 7): msg_delay used to sleep inline on the
         # sending rank, stalling it — the opposite of a *late delivery*.

@@ -490,6 +490,198 @@ class TestBitwiseGuarantees:
         assert failures == []
 
 
+# ---------------------------------------------------------------------------
+# block-list sweeps: one call over a rank's blocks
+# ---------------------------------------------------------------------------
+
+# whole speckled inputs the blocks are cut from: (dim, generic) -> state
+_INPUTS: dict = {}
+
+
+def _inputs(dim: int, generic: bool):
+    """Speckled ghosted inputs of both sweeps (no reference run)."""
+    key = (dim, generic)
+    if key not in _INPUTS:
+        shape = (5, 4, 9) if dim == 3 else (9, 14)
+        phi, mu, tg, system, params = make_scenario(
+            "interface", shape, seed=5,
+            system=_binary_eutectic() if generic else None,
+        )
+        s = dict(ctx=make_context(system, params), phi=phi, mu=mu, tg=tg,
+                 phi_dst=phi.copy(), t_new=tg - 0.015)
+        _INPUTS[key] = (shape, _speckle(s, seed=7))
+    return _INPUTS[key]
+
+
+def _blocks(s, boxes):
+    """``(blocks, temps)`` of a block list cut from the state *s*: each
+    block's Field pair holds its cut-out of the inputs and sits at the z
+    offset of its box."""
+    from repro.grid.field import Field
+
+    ctx, blocks, temps = s["ctx"], [], []
+    for box in boxes:
+        shape = tuple(n for _lo, n in box)
+        phi = Field(ctx.n_phases, shape)
+        mu = Field(ctx.n_solutes, shape)
+        phi.src[...] = _cut(s["phi"], box)
+        phi.dst[...] = _cut(s["phi_dst"], box)
+        mu.src[...] = _cut(s["mu"], box)
+        mu.dst.fill(np.nan)
+        z0, nz = box[-1]
+        blocks.append((phi, mu, z0, nz))
+        temps.append((s["tg"][z0:z0 + nz + 2].copy(),
+                      s["t_new"][z0:z0 + nz + 2].copy()))
+    return blocks, temps
+
+
+@st.composite
+def _block_lists(draw):
+    """A dimension, an instantiation and one to three sub-boxes (of
+    different shapes, at different z offsets) of its whole input."""
+    dim = draw(st.sampled_from([2, 3]))
+    generic = draw(st.booleans())
+    shape, _s = _inputs(dim, generic)
+    boxes = draw(st.lists(_sub_boxes(shape), min_size=1, max_size=3))
+    return dim, generic, boxes
+
+
+def _check_block_list(rung, s, boxes):
+    """Every block-list sweep of *rung* stores, in each block's ``dst``
+    interior, the bits the per-block kernel returns for that block."""
+    from repro.core.kernels.api import block_sweep
+
+    ctx = s["ctx"]
+    blocks, temps = _blocks(s, boxes)
+    phi_k, mu_k = get_phi_kernel(rung), get_mu_kernel(rung)
+    local, neighbor = get_split_mu_kernel(rung)
+
+    def check(kind, kernel, field, per_block):
+        want = [per_block(phi, mu, t_old, t_new).copy()
+                for (phi, mu, _z, _n), (t_old, t_new) in zip(blocks, temps)]
+        nonfinite = block_sweep(kernel, kind)(ctx, blocks, temps)
+        for block, expected in zip(blocks, want):
+            assert np.array_equal(block[field].interior_dst, expected), (
+                rung, kind, boxes)
+        assert nonfinite == (not all(np.isfinite(w).all() for w in want))
+
+    check("phi", phi_k, 0, lambda phi, mu, t_old, t_new: phi_k(
+        ctx, phi.src, mu.src, t_old))
+    check("mu", mu_k, 1, lambda phi, mu, t_old, t_new: mu_k(
+        ctx, mu.src, phi.src, phi.dst, t_old, t_new))
+    check("mu", local, 1, lambda phi, mu, t_old, t_new: local(
+        ctx, mu.src, phi.src, phi.dst, t_old, t_new))
+    # the neighbour part is seeded from the local part left in dst
+    check("mu_neighbor", neighbor, 1, lambda phi, mu, t_old, t_new: neighbor(
+        ctx, mu.interior_dst.copy(), mu.src, phi.src, phi.dst, t_old))
+
+
+@needs_backend
+class TestBlockListSweeps:
+    """``repro_phi_blocks`` / ``repro_mu_blocks``: one C call per sweep
+    over a block list, results stored in the ghosted ``dst`` interiors,
+    non-finite results reported by status."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=_block_lists())
+    def test_equal_to_per_block_calls(self, case):
+        """Bitwise equal to one kernel call per block — 2-D and 3-D, the
+        specialised (4, 2) and the generic instantiation, both rungs
+        (shortcuts off and on), full, split-local and seeded
+        split-neighbour µ, blocks at different z offsets."""
+        dim, generic, boxes = case
+        _shape, s = _inputs(dim, generic)
+        for rung in COMPILED_RUNGS:
+            _check_block_list(rung, s, boxes)
+
+    @pytest.mark.parametrize("poison", [np.nan, np.inf])
+    @pytest.mark.parametrize("rung", COMPILED_RUNGS)
+    def test_nonfinite_result_is_reported(self, rung, poison):
+        """A non-finite input value reaches the stored result of its
+        block, and the status says so."""
+        _shape, s = _inputs(3, False)
+        boxes = [((0, 3), (0, 2), (0, 4)), ((1, 3), (2, 2), (4, 5))]
+        blocks, temps = _blocks(s, boxes)
+        blocks[1][1].src[0, 2, 2, 3] = poison
+        ctx = s["ctx"]
+        assert not get_phi_kernel(rung).blocks()(ctx, blocks[:1], temps[:1])
+        assert get_mu_kernel(rung).blocks()(ctx, blocks, temps)
+        assert np.isfinite(blocks[0][1].interior_dst).all()
+        assert not np.isfinite(blocks[1][1].interior_dst).all()
+
+    @pytest.mark.parametrize("rung", COMPILED_RUNGS)
+    def test_one_sweep_follows_swapped_and_new_buffers(self, rung):
+        """A sweep keeps the pointer tables of the buffers it has seen:
+        after the buffers trade roles, or the blocks are replaced, it
+        must point at the arrays it is given, not at the ones it saw."""
+        from repro.core.kernels.api import block_sweep
+
+        _shape, s = _inputs(3, False)
+        ctx, phi_k = s["ctx"], get_phi_kernel(rung)
+        sweep = block_sweep(phi_k, "phi")
+        boxes = [((0, 3), (0, 2), (0, 4)), ((1, 3), (2, 2), (4, 5))]
+        blocks, temps = _blocks(s, boxes)
+        for step in range(4):
+            if step == 2:
+                blocks, temps = _blocks(s, boxes[::-1])
+            want = [phi_k(ctx, phi.src, mu.src, t_old)
+                    for (phi, mu, _z, _n), (t_old, _t) in zip(blocks, temps)]
+            sweep(ctx, blocks, temps)
+            for (phi, _mu, _z, _n), expected in zip(blocks, want):
+                assert np.array_equal(phi.interior_dst, expected), step
+            for phi, mu, _z, _n in blocks:
+                mu.dst[...] = mu.src
+                phi.swap()
+                mu.swap()
+
+    def test_mismatched_block_buffers_rejected(self):
+        """Pointers leave Python only for buffers of the block's shape
+        and the context's component counts."""
+        from repro.grid.field import Field
+
+        _shape, s = _inputs(3, False)
+        ctx = s["ctx"]
+        blocks, temps = _blocks(s, [((0, 3), (0, 2), (0, 4))])
+        phi = blocks[0][0]
+        for mu in (Field(ctx.n_solutes, (3, 2, 5)),
+                   Field(ctx.n_solutes + 1, (3, 2, 4))):
+            with pytest.raises(ValueError, match="ghosted shape"):
+                get_mu_kernel("compiled").blocks()(
+                    ctx, [(phi, mu, 0, 4)], temps)
+        with pytest.raises(TypeError, match="float64"):
+            get_phi_kernel("compiled").blocks()(ctx, [(
+                Field(ctx.n_phases, (3, 2, 4), dtype=np.float32),
+                Field(ctx.n_solutes, (3, 2, 4), dtype=np.float32), 0, 4,
+            )], temps)
+
+    def test_empty_block_list(self):
+        _shape, s = _inputs(3, False)
+        for rung in COMPILED_RUNGS:
+            assert get_phi_kernel(rung).blocks()(s["ctx"], [], []) is False
+            assert get_mu_kernel(rung).blocks()(s["ctx"], [], []) is False
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("rung", ["buffered", "shortcut"])
+def test_numpy_loop_sweep_equals_per_block_loop(rung, dim):
+    """The loop adapter of the NumPy rungs stores what the per-block
+    loop ``interior_dst[...] = kernel(...)`` stored, and reports a
+    non-finite result."""
+    _shape, s = _inputs(dim, False)
+    boxes = ([((0, 3), (0, 2), (0, 4)), ((1, 4), (2, 2), (4, 5))]
+             if dim == 3 else [((0, 5), (0, 6)), ((2, 4), (6, 8))])
+    _check_block_list(rung, s, boxes)
+    blocks, temps = _blocks(s, boxes)
+    blocks[0][0].src[(1,) + (2,) * dim] = np.nan
+    from repro.core.kernels.api import loop_sweep
+
+    phi_nonfinite = loop_sweep(get_phi_kernel(rung), "phi")(
+        s["ctx"], blocks, temps)
+    mu_nonfinite = loop_sweep(get_mu_kernel(rung), "mu")(
+        s["ctx"], blocks, temps)
+    assert phi_nonfinite or mu_nonfinite
+
+
 def _crc_of_one_sweep() -> str:
     """``"<kernel threads> <crc>"`` of all entry points of both rungs on
     the (5, 6, 7) interface block (run by the thread-count test)."""

@@ -13,7 +13,7 @@ import pytest
 from repro.core.nucleation import smooth_phase_field, voronoi_initial_condition
 from repro.distributed import DistributedSimulation
 from repro.io.checkpoint import CheckpointError
-from repro.io.sharded import load_shard, reshard, write_manifest
+from repro.io.sharded import load_shard, reshard, write_manifest, write_shard
 from repro.resilience import (
     Fault,
     FaultPlan,
@@ -75,6 +75,45 @@ class TestTwoPhaseCommit:
         np.testing.assert_array_equal(
             state["mu"], first.mu.astype(np.float32).astype(np.float64)
         )
+
+    def test_shards_are_uncompressed(self, setup, tmp_path):
+        """The float32 arrays are stored, not deflated."""
+        import zipfile
+
+        dsim, phi0, mu0 = setup
+        path = tmp_path / "shard.npz"
+        write_shard(path, _rank_blocks(dsim, phi0, mu0, 0), rank=0)
+        with zipfile.ZipFile(path) as zf:
+            assert {i.compress_type for i in zf.infolist()} == {
+                zipfile.ZIP_STORED
+            }
+
+    def test_compressed_shard_still_loads(self, setup, tmp_path):
+        """A shard written compressed, as earlier versions wrote it, still
+        loads and CRC-verifies against its manifest entry."""
+        dsim, phi0, mu0 = setup
+        blocks = _rank_blocks(dsim, phi0, mu0, 0)
+        path = tmp_path / "shard.npz"
+        entry = write_shard(path, blocks, rank=0)
+        with np.load(path) as data:
+            payload = {name: data[name] for name in data.files}
+        with open(path, "wb") as fh:
+            np.savez_compressed(fh, **payload)
+        loaded = load_shard(path, entry)
+        assert set(loaded) == set(blocks)
+        for bid, (phi, mu) in blocks.items():
+            np.testing.assert_array_equal(
+                loaded[bid][0], phi.astype(np.float32).astype(np.float64)
+            )
+            np.testing.assert_array_equal(
+                loaded[bid][1], mu.astype(np.float32).astype(np.float64)
+            )
+        # and the CRCs are checked on it: a flipped value is caught
+        payload[f"phi_{min(blocks)}"] = payload[f"phi_{min(blocks)}"] + 1
+        with open(path, "wb") as fh:
+            np.savez_compressed(fh, **payload)
+        with pytest.raises(CheckpointError):
+            load_shard(path, entry)
 
     def test_orphan_shards_without_manifest_never_load(self, setup, tmp_path):
         """A write phase with no publish is not a checkpoint."""

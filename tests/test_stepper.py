@@ -135,3 +135,24 @@ def test_blocks_see_their_own_slice_temperatures(system, params3d):
     full = sim.temperature.at_time(2.0, 10, -1)
     np.testing.assert_array_equal(seen[0], full[0:6])
     np.testing.assert_array_equal(seen[1], full[4:10])
+
+
+@pytest.mark.parametrize("split", [False, True])
+def test_stepper_dies_with_its_last_reference(sims, split):
+    """A stepper's sweeps may hold what lasts one call (the compiled
+    rungs' pointer tables): no reference cycle may keep them until the
+    cycle collector happens to run."""
+    import gc
+    import weakref
+
+    a, _b = sims
+    mu_kernel = (get_split_mu_kernel if split else get_mu_kernel)("buffered")
+    gc.disable()
+    try:
+        stepper = _stepper(a, mu_kernel)
+        stepper.step([(a.phi, a.mu, 0, SHAPE[-1])], 0.0)
+        ref = weakref.ref(stepper)
+        del stepper
+        assert ref() is None
+    finally:
+        gc.enable()
