@@ -46,7 +46,6 @@ thread-ownership claim on the context.
 
 from __future__ import annotations
 
-import os
 import time
 import warnings
 
@@ -58,6 +57,7 @@ from repro.core.kernels.api import (
     register_split_mu,
 )
 from repro.core.kernels.compiled import cffi_backend
+from repro.settings import KERNEL_BACKENDS, Settings
 
 __all__ = [
     "BACKENDS",
@@ -88,22 +88,21 @@ def _resolve() -> tuple[str | None, str | None]:
     if _selection is not None:
         return _selection
     choice = (
-        _forced
-        if _forced is not None
-        else os.environ.get("REPRO_KERNEL_BACKEND", "auto").strip().lower()
+        Settings.from_env().kernel_backend if _forced is None
+        else KERNEL_BACKENDS.get(_forced.strip().lower() or "auto")
     )
-    if choice in ("", "auto", "cffi"):
+    if choice in ("auto", "cffi"):
         if cffi_backend.available():
             _selection = ("cffi", None)
         else:
             _selection = (None, f"cffi: {cffi_backend.build_error()}")
-    elif choice in ("none", "off", "disabled"):
+    elif choice == "none":
         _selection = (None, "disabled via REPRO_KERNEL_BACKEND")
     else:
         _selection = (
             None,
-            f"unknown REPRO_KERNEL_BACKEND {choice!r} "
-            f"(expected auto|none|{'|'.join(BACKENDS)})",
+            f"unknown REPRO_KERNEL_BACKEND {_forced!r} "
+            f"(expected {'|'.join(KERNEL_BACKENDS)})",
         )
     return _selection
 

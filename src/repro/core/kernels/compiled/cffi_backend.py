@@ -72,6 +72,8 @@ import subprocess
 import tempfile
 from pathlib import Path
 
+from repro.settings import Settings
+
 __all__ = [
     "available",
     "load",
@@ -1004,7 +1006,7 @@ _loaded = False
 
 
 def _cache_dir() -> Path:
-    override = os.environ.get("REPRO_COMPILED_CACHE")
+    override = Settings.from_env().compiled_cache
     if override:
         return Path(override)
     return Path(__file__).resolve().parent / "_build"

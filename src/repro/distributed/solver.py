@@ -151,10 +151,12 @@ class DistributedSimulation:
         Use the Algorithm 2 communication-hiding schedule.
     backend:
         simmpi execution substrate for the SPMD region: ``"thread"``
-        (default — deterministic, GIL-serialized) or ``"process"`` (one
-        OS process per rank, field buffers in shared memory, kernels
-        genuinely parallel).  Results are bitwise identical between the
-        two: per-block arithmetic does not depend on where a rank runs.
+        (deterministic, GIL-serialized) or ``"process"`` (one OS process
+        per rank, field buffers in shared memory, kernels genuinely
+        parallel); ``None`` (default) defers to ``REPRO_SIMMPI_BACKEND``
+        when a world opens, as :func:`~repro.simmpi.runtime.open_world`
+        does.  Results are bitwise identical between the two: per-block
+        arithmetic does not depend on where a rank runs.
 
     The ranks are **resident**: the first :meth:`run` opens the world —
     ranks launched, kernel context built and warmed, block fields
@@ -178,7 +180,7 @@ class DistributedSimulation:
         mu_bc: BoundarySpec | None = None,
         n_ranks: int | None = None,
         balance_strategy: str = "contiguous",
-        backend: str = "thread",
+        backend: str | None = None,
     ):
         self.shape = tuple(shape)
         self.dim = len(shape)
@@ -204,6 +206,8 @@ class DistributedSimulation:
         self.balance_strategy = balance_strategy
         self.owner = assign_blocks(self.forest, self.n_ranks, balance_strategy)
 
+        #: :class:`~repro.settings.Settings` of the world last opened.
+        self.settings = None
         self._resident: _Resident | None = None
 
     def __getstate__(self) -> dict:
@@ -217,6 +221,7 @@ class DistributedSimulation:
 
     def _open(self, fault_plan) -> _Resident:
         world = open_world(self.n_ranks, self.backend)
+        self.settings = world.settings
         self._resident = _Resident(
             world,
             # also runs when the simulation is collected and at exit
@@ -375,9 +380,10 @@ class DistributedSimulation:
                     "n_ranks": self.n_ranks,
                     "kernel": self.kernel,
                     "overlap": self.overlap,
-                    "backend": self.backend,
+                    "backend": self.settings.backend,
                     "guard": guard,
                     "dt": self.params.dt,
+                    "settings": self.settings.as_dict(),
                 },
                 steps=steps, wall=wall, fault_plan=fault_plan,
             )

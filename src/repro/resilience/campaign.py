@@ -32,6 +32,7 @@ from repro.resilience.errors import (
     InvariantViolation,
 )
 from repro.resilience.store import ShardedCheckpointStore
+from repro.settings import Settings
 from repro.simmpi.comm import RankFailure, RankTimeout, RemoteError
 
 __all__ = ["CampaignResult", "run_campaign"]
@@ -360,9 +361,9 @@ def _finalize_campaign_telemetry(
     def _count_kind(kind: str) -> int:
         return sum(1 for r in merged_events if r.get("kind") == kind)
 
-    from repro.simmpi.deadline import DeadlinePolicy
-    from repro.simmpi.liveness import WatchdogConfig
-
+    # The settings of the last world the campaign ran on; a campaign
+    # that took no step opened none.
+    settings = dsim.settings or Settings.from_env()
     liveness_stats = {
         "hangs_detected": hangs_detected,
         "stalls_injected": (
@@ -373,8 +374,10 @@ def _finalize_campaign_telemetry(
         ),
         "transport_degradations": _count_kind("transport_degraded"),
         "shm_reclaimed": _count_kind("shm_reclaimed"),
-        "deadlines_enabled": DeadlinePolicy.from_env().enabled,
-        "watchdog_enabled": WatchdogConfig.from_env().enabled,
+        "deadlines_enabled": settings.deadlines.enabled,
+        # only process worlds arm the watchdog
+        "watchdog_enabled": (settings.backend == "process"
+                             and settings.watchdog.enabled),
     }
     report = build_run_report(
         run_id=telemetry.run_id,
@@ -387,6 +390,7 @@ def _finalize_campaign_telemetry(
             "guard": guard,
             "dt": dsim.params.dt,
             "campaign": True,
+            "settings": settings.as_dict(),
         },
         grid_shape=dsim.shape,
         n_ranks=dsim.n_ranks,

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.simmpi.deadline import DeadlinePolicy
+from repro.settings import Settings
 
 __all__ = [
     "ANY_SOURCE",
@@ -495,20 +495,18 @@ class Request:
 class Communicator:
     """Rank-local view of the world, mimicking ``mpi4py.MPI.Comm``.
 
-    *deadlines* bounds the blocking operations (see
-    :mod:`repro.simmpi.deadline`); by default it is read from the
-    environment, which leaves every wait unbounded unless
-    ``REPRO_SIMMPI_TIMEOUT`` (or a per-op override) is set.
+    *settings* are the world's :class:`~repro.settings.Settings`; their
+    deadline policy bounds the blocking operations (see
+    :mod:`repro.simmpi.deadline`), which leaves every wait unbounded
+    unless ``REPRO_SIMMPI_TIMEOUT`` (or a per-op override) is set.
     """
 
-    def __init__(self, world: _World, rank: int,
-                 deadlines: DeadlinePolicy | None = None):
+    def __init__(self, world: _World, rank: int, settings: Settings):
         self._world = world
         self.rank = rank
         self.size = world.size
-        self.deadlines = (
-            DeadlinePolicy.from_env() if deadlines is None else deadlines
-        )
+        self.settings = settings
+        self.deadlines = settings.deadlines
         #: Rank-owned storage that lives as long as the world: what an
         #: SPMD function sets up in one call of a resident world and
         #: finds again in the next (see :mod:`repro.simmpi.runtime`).
@@ -597,7 +595,7 @@ class Communicator:
             self.rank, deadline=self.deadlines.start("shrink")
         )
         return Communicator(new_world, order.index(self.rank),
-                            deadlines=self.deadlines)
+                            self.settings)
 
     def bcast(self, obj, root: int = 0):
         """Binomial-tree broadcast from *root*."""
@@ -741,6 +739,8 @@ _TAG_REDUCE = -104
 #: Process-backend barrier tokens: counted by the transport as they
 #: arrive, never matched by a receive.
 _TAG_BARRIER = -105
+#: Process-backend halo attach confirmations (payload: segment name).
+_TAG_ATTACHED = -106
 
 #: Halo channels occupy the band below the collective tags, growing
 #: downward two tags per channel (notify + registration).

@@ -16,7 +16,8 @@ suite and every existing workload run bit-for-bit unchanged unless
 ``REPRO_SIMMPI_TIMEOUT`` — or a per-op override such as
 ``REPRO_SIMMPI_TIMEOUT_RECV`` — is set to a positive number of seconds.
 A value ``<= 0`` (or empty) also means "no deadline", so a matrix job
-can switch the layer off explicitly.
+can switch the layer off explicitly.  :class:`repro.settings.Settings`
+reads the variables, once per world.
 
 Operation classes (``<OP>`` in the override variables):
 
@@ -33,34 +34,13 @@ Operation classes (``<OP>`` in the override variables):
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Mapping
 
+from repro.settings import DEADLINE_OPS, Settings
+
 __all__ = ["DEADLINE_OPS", "Deadline", "DeadlinePolicy"]
-
-#: Blocking-operation classes a policy can bound.
-DEADLINE_OPS = ("recv", "send", "barrier", "shrink")
-
-_ENV = "REPRO_SIMMPI_TIMEOUT"
-
-
-def _parse(raw: str | None) -> float | None:
-    """Timeout seconds from an environment value; ``None`` disables."""
-    if raw is None:
-        return None
-    raw = raw.strip()
-    if not raw or raw.lower() in ("none", "off"):
-        return None
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ValueError(
-            f"invalid simmpi timeout {raw!r}; expected seconds (float), "
-            "empty/'none'/'off' to disable"
-        ) from None
-    return value if value > 0 else None
 
 
 class Deadline:
@@ -104,15 +84,9 @@ class DeadlinePolicy:
     @classmethod
     def from_env(cls, environ: Mapping[str, str] | None = None
                  ) -> "DeadlinePolicy":
-        """Policy from ``REPRO_SIMMPI_TIMEOUT`` (+ ``_<OP>`` overrides)."""
-        env = os.environ if environ is None else environ
-        default = _parse(env.get(_ENV))
-        overrides = {}
-        for op in DEADLINE_OPS:
-            raw = env.get(f"{_ENV}_{op.upper()}")
-            if raw is not None:
-                overrides[op] = _parse(raw)
-        return cls(default=default, overrides=overrides)
+        """Policy from ``REPRO_SIMMPI_TIMEOUT`` (+ ``_<OP>`` overrides),
+        as :class:`~repro.settings.Settings` reads them."""
+        return Settings.from_env(environ).deadlines
 
     @property
     def enabled(self) -> bool:

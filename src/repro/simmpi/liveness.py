@@ -37,18 +37,16 @@ sharded checkpoint, resume.
 from __future__ import annotations
 
 import logging
-import os
 import threading
 import time
 from dataclasses import dataclass
 from typing import Mapping
 
+from repro.settings import Settings
+
 __all__ = ["LivenessBeacon", "RankMonitor", "WatchdogConfig"]
 
 logger = logging.getLogger(__name__)
-
-_ENV_HANG = "REPRO_SIMMPI_HANG_TIMEOUT"
-_ENV_BEAT = "REPRO_SIMMPI_HEARTBEAT"
 
 
 @dataclass(frozen=True)
@@ -67,26 +65,10 @@ class WatchdogConfig:
     @classmethod
     def from_env(cls, environ: Mapping[str, str] | None = None
                  ) -> "WatchdogConfig":
-        env = os.environ if environ is None else environ
-        raw = (env.get(_ENV_HANG) or "").strip()
-        hang: float | None = None
-        if raw and raw.lower() not in ("none", "off"):
-            try:
-                hang = float(raw)
-            except ValueError:
-                raise ValueError(
-                    f"invalid {_ENV_HANG}={raw!r}; expected seconds"
-                ) from None
-            if hang <= 0:
-                hang = None
-        beat_raw = (env.get(_ENV_BEAT) or "").strip()
-        if beat_raw:
-            beat = max(0.01, float(beat_raw))
-        elif hang is not None:
-            beat = max(0.01, hang / 4.0)
-        else:
-            beat = 0.25
-        return cls(hang_timeout=hang, heartbeat=beat)
+        """Config from ``REPRO_SIMMPI_HANG_TIMEOUT`` and
+        ``REPRO_SIMMPI_HEARTBEAT``, as :class:`~repro.settings.Settings`
+        reads them."""
+        return Settings.from_env(environ).watchdog
 
     @property
     def enabled(self) -> bool:

@@ -23,12 +23,13 @@ Two execution backends share these semantics:
 
 from __future__ import annotations
 
+import dataclasses
 import logging
-import os
 import threading
 
 import numpy as np
 
+from repro.settings import Settings
 from repro.simmpi.comm import Communicator, RemoteError, _World, raise_selected
 
 __all__ = [
@@ -62,13 +63,16 @@ class ThreadWorld:
     storage — not the threads: every :meth:`call` starts one
     ``simmpi-rank-<r>`` thread per rank and joins them, which is cheap,
     and leaves no idle thread behind for a later ``fork`` to trip over.
+    Every rank's communicator holds the world's *settings*.
     """
 
-    def __init__(self, n_ranks: int) -> None:
+    def __init__(self, n_ranks: int, settings: Settings) -> None:
         self.size = n_ranks
         self.closed = False
+        self.settings = settings
         self._world = _World(n_ranks)
-        self._comms = [Communicator(self._world, r) for r in range(n_ranks)]
+        self._comms = [Communicator(self._world, r, settings)
+                       for r in range(n_ranks)]
 
     def shared_array(self, shape, dtype=np.float64) -> np.ndarray:
         """Array every rank can address: thread ranks share the heap."""
@@ -124,26 +128,29 @@ def open_world(n_ranks: int, backend: str | None = None):
     ``shared_array(shape)`` for arrays the caller and every rank address,
     and ``close()``.  Ranks keep what they set up in ``comm.resident``
     between calls.  A call that raises closes the world first, so a world
-    is either healthy or gone.  The deadline and watchdog policies are
-    read from the environment here, once per world.
+    is either healthy or gone.  The world's
+    :class:`~repro.settings.Settings` are resolved here, once per world,
+    and kept as its ``settings``.
 
     *backend* is ``"thread"`` or ``"process"`` (see the module
     docstring); ``None`` defers to ``REPRO_SIMMPI_BACKEND``, defaulting
-    to ``"thread"``.
+    to ``"thread"``.  Either way it is the world's ``settings.backend``.
     """
     if n_ranks < 1:
         raise ValueError("need at least one rank")
-    if backend is None:
-        backend = os.environ.get("REPRO_SIMMPI_BACKEND", "thread")
-    if backend == "process":
+    settings = Settings.from_env()
+    if backend is not None:
+        if backend not in ("thread", "process"):
+            raise ValueError(
+                f"unknown simmpi backend {backend!r}; use 'thread' or "
+                "'process'"
+            )
+        settings = dataclasses.replace(settings, backend=backend)
+    if settings.backend == "process":
         from repro.simmpi.transport import ProcessWorld
 
-        return ProcessWorld(n_ranks)
-    if backend != "thread":
-        raise ValueError(
-            f"unknown simmpi backend {backend!r}; use 'thread' or 'process'"
-        )
-    return ThreadWorld(n_ranks)
+        return ProcessWorld(n_ranks, settings)
+    return ThreadWorld(n_ranks, settings)
 
 
 def run_spmd(n_ranks: int, fn, *args, backend: str | None = None,
@@ -183,11 +190,12 @@ def run_spmd_elastic(n_ranks: int, fn, *args, **kwargs) -> tuple[list, dict]:
     if n_ranks < 1:
         raise ValueError("need at least one rank")
     world = _World(n_ranks)
+    settings = Settings.from_env()
     results: list = [None] * n_ranks
     errors: list = [None] * n_ranks
 
     def entry(rank: int) -> None:
-        comm = Communicator(world, rank)
+        comm = Communicator(world, rank, settings)
         try:
             results[rank] = fn(comm, *args, **kwargs)
         except BaseException as exc:  # noqa: BLE001 - reported via failures

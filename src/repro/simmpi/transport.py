@@ -20,9 +20,9 @@ binomial-tree collectives (inherited — they are built purely on
 
 An OS pipe holds only 64 KiB, so the one rule that keeps the pipes
 deadlock-free is that **no rank issues a pipe write that can block**.
-A message goes out in pieces of at most ``PIPE_BUF`` bytes, the size
-the OS writes atomically and always accepts once ``poll`` reports the
-pipe writable; before each piece that would not fit, the sender drains
+A message goes out as one frame — a 4-byte length, then the pickle —
+written to the non-blocking pipe with as many ``os.write`` calls as it
+takes: a write takes what fits, and when nothing fits the sender drains
 its own incoming pipes (completing posted receives, holding the rest)
 until the peer has made room.  A rank waiting to send thus never stops
 reading, so two ranks bursting at each other both make progress,
@@ -40,6 +40,7 @@ import pickle
 import re
 import select
 import signal
+import struct
 import threading
 import time
 import traceback
@@ -60,12 +61,13 @@ from repro.simmpi.comm import (
     HaloSendChannel,
     RankTimeout,
     RemoteError,
+    _TAG_ATTACHED,
     _TAG_BARRIER,
     _copy_payload,
     raise_selected,
 )
-from repro.simmpi.deadline import DeadlinePolicy
-from repro.simmpi.liveness import LivenessBeacon, RankMonitor, WatchdogConfig
+from repro.settings import Settings
+from repro.simmpi.liveness import LivenessBeacon, RankMonitor
 
 __all__ = [
     "ProcessCommunicator",
@@ -77,10 +79,11 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-#: Bytes of a message per pipe write: ``PIPE_BUF`` less the 4-byte
-#: length header ``Connection.send_bytes`` puts in front, so every write
-#: is atomic — all of it lands, or none and ``EAGAIN``.
-_PIECE = select.PIPE_BUF - 4
+#: Frame header: the length of the pickle that follows.
+_LENGTH = struct.Struct("<I")
+
+#: Bytes one ``os.read`` of a ready pipe asks for: what the pipe holds.
+_READ = 1 << 16
 
 #: Seconds between failure-flag checks while blocked.
 _POLL = 0.05
@@ -187,19 +190,14 @@ class RankTransport:
 
     Each rank is one process running one thread (plus, under fault
     injection, delayed-delivery timers that only ever send).  Every
-    message is one pickled tuple:
-
-    ``("inl", source, tag, payload)``
-        A point-to-point message; pickling at send time snapshots the
-        payload.  Tag ``_TAG_BARRIER`` marks a barrier token
-        (:meth:`barrier_wait`), which is counted, not matched.
-    ``("halo_att", segname)``
-        One-time confirmation that the peer attached a halo segment.
-
-    It travels as pieces of at most :data:`_PIECE` bytes, each one
-    ``send_bytes`` write.  Every piece but the last is exactly
-    :data:`_PIECE` bytes long, so a shorter piece — empty if need be —
-    ends the message, and the receiver reassembles per incoming pipe.
+    message is one pickled ``(source, tag, payload)`` tuple — pickling
+    at send time snapshots the payload — and travels as one frame,
+    ``<u32 length><pickle>``, which the receiver cuts out of the bytes
+    it reads from each incoming pipe.  Two reserved tags belong to the
+    transport: ``_TAG_BARRIER`` marks a barrier token
+    (:meth:`barrier_wait`), counted, not matched; ``_TAG_ATTACHED``
+    confirms, once, that the peer attached the halo segment named in
+    the payload.
 
     With a :class:`~repro.telemetry.timing.TimingTree` attached
     (:meth:`attach_timing`), the pipe phases are timed under
@@ -212,26 +210,24 @@ class RankTransport:
     """
 
     def __init__(self, rank: int, size: int, readers: dict, writers: dict,
-                 failed, deadlines: DeadlinePolicy | None = None) -> None:
+                 failed, settings: Settings) -> None:
         self.rank = rank
         self.size = size
-        self._readers = dict(readers)   # source rank -> read Connection
-        self._sources = {}              # read fd -> source rank
+        self._sources = {fd: src for src, fd in readers.items()}
         self._inbox = select.poll()     # POLLIN on every read end
-        for src, conn in self._readers.items():
-            self._sources[conn.fileno()] = src
-            self._inbox.register(conn, select.POLLIN)
-        self._writers = dict(writers)   # dest rank -> write Connection
-        for conn in self._writers.values():
-            os.set_blocking(conn.fileno(), False)   # a full pipe: EAGAIN
+        for fd in self._sources:
+            self._inbox.register(fd, select.POLLIN)
+        # source rank -> bytes read that do not yet end a frame
+        self._unread = {src: bytearray() for src in readers}
+        self._writers = dict(writers)   # dest rank -> write fd
+        for fd in self._writers.values():
+            os.set_blocking(fd, False)  # a full pipe: partial write, EAGAIN
         self._failed = failed           # mp.Event: world abort flag
-        self.deadlines = (
-            DeadlinePolicy.from_env() if deadlines is None else deadlines
-        )
+        self.settings = settings
+        self.deadlines = settings.deadlines
         self.stats = CommStats()
         self._held: list[tuple] = []            # arrived, not yet matched
         self._posted: list[ProcessRequest] = []  # posted, not yet arrived
-        self._pieces: dict = {}                 # source rank -> pieces
         self._tokens = [0] * size               # barrier tokens per source
         self._attached: dict[str, object] = {}  # segname -> SharedMemory
         self._field_segments: list = []         # owned Field backing segments
@@ -246,8 +242,8 @@ class RankTransport:
         self._closed = False
         self._timing = None                     # optional TimingTree
         #: Monotonic liveness counter: bumped by every send, every pipe
-        #: piece written or read (so a long message is progress on both
-        #: ends) and every solver step (:meth:`note_progress`).  The
+        #: write or read (so a long message is progress on both ends)
+        #: and every solver step (:meth:`note_progress`).  The
         #: watchdog reads it through the heartbeat stream — frozen
         #: counter = hang suspect.  The stamp records *when*
         #: (CLOCK_MONOTONIC, comparable across processes on one host) the
@@ -258,8 +254,8 @@ class RankTransport:
         self._events = None                     # optional EventLog
         self.degradations = 0
         self._reclaimed: list[tuple[str, int]] = []
-        # Held across a whole message, so its pieces are contiguous on
-        # the pipe even when a delayed-delivery fault timer sends too.
+        # Held across a whole frame, so its bytes are contiguous on the
+        # pipe even when a delayed-delivery fault timer sends too.
         self._post_lock = threading.Lock()
 
     def attach_timing(self, tree) -> None:
@@ -310,9 +306,9 @@ class RankTransport:
         if dest == self.rank:
             # Self-send: deliver through the normal dispatch path so it
             # can complete a posted receive or join the held list.
-            self._dispatch(("inl", self.rank, tag, _copy_payload(obj)))
+            self._dispatch((self.rank, tag, _copy_payload(obj)))
             return
-        self._post(dest, ("inl", self.rank, tag, obj))
+        self._post(dest, tag, obj)
 
     def send_inline(self, obj, dest: int, tag: int) -> None:
         """Thread-safe out-of-band send.
@@ -324,23 +320,21 @@ class RankTransport:
         """
         if dest == self.rank:
             raise ValueError("send_inline cannot target the own rank")
-        self._post(dest, ("inl", self.rank, tag, obj), drain=False)
+        self._post(dest, tag, obj, drain=False)
 
-    def _post(self, dest: int, msg: tuple, drain: bool = True) -> None:
-        buf = pickle.dumps(msg, protocol=pickle.HIGHEST_PROTOCOL)
-        conn = self._writers[dest]
+    def _post(self, dest: int, tag: int, obj, drain: bool = True) -> None:
+        buf = pickle.dumps((self.rank, tag, obj),
+                           protocol=pickle.HIGHEST_PROTOCOL)
+        frame = memoryview(_LENGTH.pack(len(buf)) + buf)
+        fd = self._writers[dest]
         try:
             with self._post_lock:
-                # Up to len(buf) inclusive: a message whose length is a
-                # multiple of _PIECE ends in an empty piece.
-                for start in range(0, len(buf) + 1, _PIECE):
-                    size = min(_PIECE, len(buf) - start)
-                    while True:
-                        try:
-                            conn.send_bytes(buf, start, size)
-                            break
-                        except BlockingIOError:
-                            self._wait_for_room(dest, drain)
+                while frame:
+                    try:
+                        frame = frame[os.write(fd, frame):]
+                    except BlockingIOError:
+                        self._wait_for_room(dest, drain)
+                        continue
                     self.note_progress()
                 self.ctrl_sent += 1
         except OSError:
@@ -358,11 +352,11 @@ class RankTransport:
         nothing, which is what makes it safe inside a send.
         """
         deadline = self.deadlines.start("send", peers=(dest,))
-        fd = self._writers[dest].fileno()
+        fd = self._writers[dest]
         watch = select.poll()
         watch.register(fd, select.POLLOUT)
-        for conn in self._readers.values() if drain else ():
-            watch.register(conn, select.POLLIN)
+        for reader in self._sources if drain else ():
+            watch.register(reader, select.POLLIN)
         while True:
             self._check_failed()
             if deadline is not None:
@@ -402,7 +396,7 @@ class RankTransport:
         if msg is None:
             self._posted.append(posted)
         else:
-            posted.payload, posted.done = msg[3], True
+            posted.payload, posted.done = msg[2], True
             self.stats.recvs += 1
         return posted
 
@@ -423,11 +417,11 @@ class RankTransport:
 
     def probe(self, source: int, tag: int) -> bool:
         self.progress(block=False)
-        return any(_matches(source, tag, m[1], m[2]) for m in self._held)
+        return any(_matches(source, tag, m[0], m[1]) for m in self._held)
 
     def _take_held(self, source: int, tag: int):
         for i, msg in enumerate(self._held):
-            if _matches(source, tag, msg[1], msg[2]):
+            if _matches(source, tag, msg[0], msg[1]):
                 return self._held.pop(i)
         return None
 
@@ -439,41 +433,45 @@ class RankTransport:
 
     def _progress(self, block: bool) -> None:
         timeout = _POLL * 1000 if block else 0
-        while ready := self._inbox.poll(timeout):   # one piece per pipe
+        while ready := self._inbox.poll(timeout):   # one read per pipe
             timeout = 0
             for fd, _ in ready:
                 src = self._sources[fd]
                 try:
-                    piece = self._readers[src].recv_bytes()
-                except (EOFError, OSError):
+                    data = os.read(fd, _READ)
+                except OSError:
+                    data = b""
+                if not data:   # every write end closed: the peer is gone
                     self._inbox.unregister(fd)
-                    del self._readers[src]
+                    del self._sources[fd]
                     if not self._failed.is_set():
                         raise RemoteError(
                             f"rank {src} closed its channel unexpectedly"
-                        ) from None
+                        )
                     continue
                 self.note_progress()
-                pieces = self._pieces.setdefault(src, [])
-                pieces.append(piece)
-                if len(piece) < _PIECE:   # the message's last piece
-                    del self._pieces[src]
-                    self._dispatch(pickle.loads(b"".join(pieces)))
+                unread = self._unread[src]
+                unread += data
+                while len(unread) >= _LENGTH.size:
+                    end = _LENGTH.size + _LENGTH.unpack_from(unread)[0]
+                    if len(unread) < end:
+                        break
+                    msg = pickle.loads(unread[_LENGTH.size:end])
+                    del unread[:end]
+                    self._dispatch(msg)
 
     def _dispatch(self, msg: tuple) -> None:
-        if msg[0] == "halo_att":
-            # One-time registration confirmation: the peer attached this
-            # halo segment, so teardown may unlink it.
-            self._halo_unconfirmed.discard(msg[1])
-            return
-        source, tag = msg[1], msg[2]
+        source, tag, payload = msg
         if tag == _TAG_BARRIER:
             self._tokens[source] += 1
+            return
+        if tag == _TAG_ATTACHED:   # teardown may unlink this segment now
+            self._halo_unconfirmed.discard(payload)
             return
         for posted in self._posted:
             if not posted.done and _matches(posted.source, posted.tag,
                                             source, tag):
-                posted.payload = msg[3]
+                posted.payload = payload
                 posted.done = True
                 self._posted.remove(posted)
                 self.stats.recvs += 1
@@ -527,8 +525,7 @@ class RankTransport:
         deadline = self.deadlines.start("barrier")
         k = 1
         while k < self.size:
-            self._post((self.rank + k) % self.size,
-                       ("inl", self.rank, _TAG_BARRIER, None))
+            self._post((self.rank + k) % self.size, _TAG_BARRIER, None)
             source = (self.rank - k) % self.size
             while not self._tokens[source]:
                 self._check_failed()
@@ -583,7 +580,7 @@ class RankTransport:
         """Control-traffic totals since transport creation.
 
         ``pipe_messages`` counts every message this rank wrote to a
-        pipe, however many pieces it took: messages to peers and, one
+        pipe, however many writes it took: messages to peers and, one
         per call of the world, the result sent to the caller.  The solver
         snapshots this dict immediately before and after the step loop;
         the difference divided by step count is the steady-state per-step
@@ -603,7 +600,7 @@ class RankTransport:
         (bounded), so a rank that registers a channel and returns
         immediately cannot unlink a segment before the receiver attached
         to it.  Messages need no such wait: a send returns only once its
-        last piece is in the pipe, which outlives the writer.  On a
+        last byte is in the pipe, which outlives the writer.  On a
         failed world the wait is skipped — peers are going down anyway
         and their attach errors surface as suppressed secondary
         failures.
@@ -712,7 +709,7 @@ class _ProcessHaloRecv(HaloRecvChannel):
         # One-time attach confirmation: until it arrives the sender's
         # close() must not unlink the segment (a rank that registers and
         # exits immediately would otherwise race our attach).
-        self._transport._post(self.source, ("halo_att", handle))
+        self._transport._post(self.source, _TAG_ATTACHED, handle)
         return np.ndarray((2, self.capacity), dtype=self.dtype,
                           buffer=shm.buf)
 
@@ -739,6 +736,8 @@ class ProcessCommunicator(Communicator):
         self._transport = transport
         self.rank = transport.rank
         self.size = transport.size
+        self.settings = transport.settings
+        self.deadlines = transport.deadlines
         self.resident: dict = {}
 
     def send(self, obj, dest: int, tag: int = 0) -> None:
@@ -787,10 +786,6 @@ class ProcessCommunicator(Communicator):
     @property
     def stats(self) -> CommStats:
         return self._transport.stats
-
-    @property
-    def deadlines(self) -> DeadlinePolicy:
-        return self._transport.deadlines
 
     def attach_timing(self, tree) -> None:
         """Time the transport's pipe phases into *tree* (``comm/pipe/*``)."""
@@ -855,13 +850,14 @@ class _RankEnds(NamedTuple):
 
     commands: object   # read end: pickled commands from the parent
     results: object    # write end: results, heartbeats, fault notes
-    readers: dict      # source rank -> read end of its control pipe
-    writers: dict      # dest rank -> write end of the control pipe
+    readers: dict      # source rank -> read fd of its message pipe
+    writers: dict      # dest rank -> write fd of the message pipe
 
     def close(self) -> None:
-        for conn in (self.commands, self.results,
-                     *self.readers.values(), *self.writers.values()):
-            conn.close()
+        self.commands.close()
+        self.results.close()
+        for fd in (*self.readers.values(), *self.writers.values()):
+            os.close(fd)
 
 
 def _exit_on_sigterm(signum, frame):
@@ -869,7 +865,7 @@ def _exit_on_sigterm(signum, frame):
 
 
 def _rank_process(rank, size, command, ends, parent_ends, failed,
-                  watchdog, deadlines, reclaimed) -> None:
+                  settings, reclaimed) -> None:
     """Body of one resident rank process: serve commands until told to stop.
 
     *command* — ``(fn, args, kwargs)`` — is the world's first call,
@@ -883,7 +879,7 @@ def _rank_process(rank, size, command, ends, parent_ends, failed,
     shared-memory segments are unlinked on every exit but ``SIGKILL``.
 
     The result pipe doubles as the liveness channel: with an armed
-    *watchdog* a :class:`~repro.simmpi.liveness.LivenessBeacon` streams
+    watchdog a :class:`~repro.simmpi.liveness.LivenessBeacon` streams
     ``("hb", rank, progress)`` for the duration of each command — never
     while the rank idles, when nobody reads the pipe — and a fault plan
     found in the arguments notifies ``("fault", rank, (kind, step,
@@ -897,7 +893,7 @@ def _rank_process(rank, size, command, ends, parent_ends, failed,
             ends[other].close()
     mine = ends[rank]
     transport = RankTransport(rank, size, mine.readers, mine.writers,
-                              failed, deadlines)
+                              failed, settings)
     if rank == 0 and reclaimed:
         transport.note_reclaimed(reclaimed)
     comm = ProcessCommunicator(transport)
@@ -927,12 +923,12 @@ def _rank_process(rank, size, command, ends, parent_ends, failed,
             plan = _find_fault_plan(args, kwargs)
             if plan is not None:
                 plan.on_fire = lambda record: report(("fault", rank, record))
-            if watchdog.enabled:
+            if settings.watchdog.enabled:
                 beacon = LivenessBeacon(
                     mine.results, result_lock, rank,
                     lambda: (transport.progress_count,
                              transport.progress_stamp),
-                    watchdog.heartbeat,
+                    settings.watchdog.heartbeat,
                 )
                 beacon.start()
             result = fn(comm, *args, **kwargs)
@@ -978,8 +974,8 @@ class ProcessWorld:
     pickled commands.  Any exception leaving a call closes the world
     first, so no half-alive world is ever left behind.
 
-    The watchdog (``REPRO_SIMMPI_HANG_TIMEOUT``, read like the deadline
-    policy when the world opens) arms hang detection for the duration of
+    The watchdog of the world's *settings* (``REPRO_SIMMPI_HANG_TIMEOUT``)
+    arms hang detection for the duration of
     each call: ranks heartbeat their transport progress counters, and a
     rank whose counter freezes beyond the hang timeout — while some peer
     still advanced, or past the grace factor — is killed and reported as
@@ -988,7 +984,7 @@ class ProcessWorld:
     monitor is per call.
     """
 
-    def __init__(self, n_ranks: int) -> None:
+    def __init__(self, n_ranks: int, settings: Settings) -> None:
         import multiprocessing as mp
 
         if "fork" not in mp.get_all_start_methods():
@@ -998,8 +994,7 @@ class ProcessWorld:
         self.size = n_ranks
         self.closed = False
         self._ctx = mp.get_context("fork")
-        self._watchdog = WatchdogConfig.from_env()
-        self._deadlines = DeadlinePolicy.from_env()
+        self.settings = settings
         self._owner = os.getpid()
         self._procs: list = []       # forked at the first call
         self._commands: list = []    # write ends, one per rank
@@ -1054,14 +1049,14 @@ class ProcessWorld:
         n = self.size
         ctx = self._ctx
         reclaimed = tuple(sweep_orphaned_segments())
-        # One one-way control pipe per ordered rank pair: readers[j][i]
-        # is rank j's read end of the i -> j channel.
+        # One one-way message pipe per ordered rank pair: readers[j][i]
+        # is rank j's read fd of the i -> j channel.
         readers: list[dict] = [{} for _ in range(n)]
         writers: list[dict] = [{} for _ in range(n)]
         for i in range(n):
             for j in range(n):
                 if i != j:
-                    readers[j][i], writers[i][j] = ctx.Pipe(duplex=False)
+                    readers[j][i], writers[i][j] = os.pipe()
         ends = []
         for rank in range(n):
             cmd_r, cmd_w = ctx.Pipe(duplex=False)
@@ -1074,7 +1069,7 @@ class ProcessWorld:
             ctx.Process(
                 target=_rank_process,
                 args=(rank, n, command, ends, parent_ends, self._failed,
-                      self._watchdog, self._deadlines, reclaimed),
+                      self.settings, reclaimed),
                 name=f"simmpi-rank-{rank}",
                 daemon=True,
             )
@@ -1090,7 +1085,7 @@ class ProcessWorld:
     def _collect(self, plan) -> list:
         """Wait for every rank's report of the current call."""
         n = self.size
-        watchdog = self._watchdog
+        watchdog = self.settings.watchdog
         results: list = [None] * n
         errors: list = [None] * n
         pending = {self._results[r]: r for r in range(n)}

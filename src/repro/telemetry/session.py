@@ -53,8 +53,8 @@ class RunTelemetry:
         Threshold of the log capture.
     trace:
         Span tracing switch (see :mod:`repro.telemetry.tracing`).
-        ``None`` (default) defers to the ``REPRO_TRACE`` environment
-        variable; ``True`` / ``False`` force it per run.  When on, every
+        ``None`` (default) defers to the ``REPRO_TRACE`` setting of the
+        run's world; ``True`` / ``False`` force it per run.  When on, every
         rank records timestamped spans of its timed scopes, the spans
         return with each rank's result and are exported as a Chrome
         trace-event JSON next to the run report, and the report gains a
@@ -83,17 +83,17 @@ class RunTelemetry:
         if self.heartbeat_every < 1:
             raise ValueError("heartbeat_every must be >= 1")
 
-    def open_tracer(self, rank: int):
-        """Per-rank :class:`~repro.telemetry.tracing.SpanRecorder`.
+    def open_tracer(self, comm):
+        """:class:`~repro.telemetry.tracing.SpanRecorder` of *comm*'s rank.
 
         ``None`` when tracing is off — the instance knobs override the
-        ``REPRO_TRACE*`` environment variables.
+        ``REPRO_TRACE*`` settings of *comm*'s world.
         """
-        from repro.telemetry.tracing import recorder_from_env
+        from repro.telemetry.tracing import recorder_from_settings
 
-        return recorder_from_env(
-            rank, trace=self.trace, sample=self.trace_sample,
-            buffer_size=self.trace_buffer,
+        return recorder_from_settings(
+            comm.settings, comm.rank, trace=self.trace,
+            sample=self.trace_sample, buffer_size=self.trace_buffer,
         )
 
     def trace_path(self) -> Path | None:
@@ -210,7 +210,7 @@ class RankTelemetry:
     def __init__(self, telemetry: RunTelemetry, comm, *, steps: int,
                  step0: int, blocks: int, cells: int):
         self.comm = comm
-        self.tree = TimingTree(tracer=telemetry.open_tracer(comm.rank))
+        self.tree = TimingTree(tracer=telemetry.open_tracer(comm))
         self.tracer = self.tree.tracer
         self.events = telemetry.open_events(comm.rank)
         self.registry = MetricsRegistry()

@@ -11,9 +11,9 @@ on:
   the exact signal a :mod:`repro.grid.balance` rebalancer needs (the
   paper's scaling sections argue from this skew).
 * :func:`pipe_latency_histogram` — per-phase latency distribution of
-  the process backend's pipe control messages (``comm/pipe/send`` /
-  ``recv`` / ``ack`` / ``stage``), the ROADMAP's requested profile of
-  why the process backend loses to threads at small core counts.
+  the process backend's pipe messages (``comm/pipe/send`` /
+  ``recv``), the ROADMAP's requested profile of why the process backend
+  loses to threads at small core counts.
 
 :func:`tracing_section` bundles all three into the RunReport
 ``"tracing"`` section (validated by

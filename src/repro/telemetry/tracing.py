@@ -13,11 +13,12 @@ ring buffer, exportable as a Chrome trace-event JSON document that
 Tracing is **opt-in and near-zero cost when off**: the hot path carries
 one ``is None`` check per timed scope (the :class:`TimingTree` holds
 ``tracer=None`` unless a recorder was attached).  Activation is
-environment-driven so no call site changes per run:
+environment-driven, through :class:`repro.settings.Settings`, so no call
+site changes per run:
 
 ``REPRO_TRACE``
-    Truthy (anything but empty/``0``) enables span recording for
-    telemetry-enabled runs.
+    Truthy (anything but empty, ``0``, ``off`` or ``none``) enables
+    span recording for telemetry-enabled runs.
 ``REPRO_TRACE_SAMPLE``
     Keep one of every N offered spans (default 1 = keep all).
 ``REPRO_TRACE_BUFFER``
@@ -39,29 +40,25 @@ import time
 from collections import deque, namedtuple
 from pathlib import Path
 
+from repro.settings import DEFAULT_TRACE_BUFFER, Settings
+
 __all__ = [
     "Span",
     "SpanRecorder",
     "trace_enabled",
     "recorder_from_env",
+    "recorder_from_settings",
     "spans_to_chrome_trace",
     "write_chrome_trace",
     "validate_chrome_trace",
     "load_chrome_trace",
-    "ENV_TRACE",
-    "ENV_SAMPLE",
-    "ENV_BUFFER",
     "DEFAULT_BUFFER",
 ]
-
-ENV_TRACE = "REPRO_TRACE"
-ENV_SAMPLE = "REPRO_TRACE_SAMPLE"
-ENV_BUFFER = "REPRO_TRACE_BUFFER"
 
 #: Default ring-buffer capacity (spans per rank).  A 2-rank smoke run
 #: emits a few hundred spans; a long traced campaign rolls over instead
 #: of growing without bound.
-DEFAULT_BUFFER = 65536
+DEFAULT_BUFFER = DEFAULT_TRACE_BUFFER
 
 #: One recorded scope execution.  ``args`` is ``None`` or a small dict of
 #: JSON-ready annotations (bytes moved, step index, ...).  Plain
@@ -74,7 +71,7 @@ def trace_enabled(override: bool | None = None) -> bool:
     """Resolve the tracing switch (*override* beats ``REPRO_TRACE``)."""
     if override is not None:
         return bool(override)
-    return os.environ.get(ENV_TRACE, "") not in ("", "0")
+    return Settings.from_env().trace
 
 
 class SpanRecorder:
@@ -159,18 +156,8 @@ class SpanRecorder:
             }
 
 
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name, "")
-    if not raw:
-        return default
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{name} must be an integer, got {raw!r}") from exc
-    return value
-
-
-def recorder_from_env(
+def recorder_from_settings(
+    settings: Settings,
     rank: int = 0,
     *,
     trace: bool | None = None,
@@ -179,21 +166,26 @@ def recorder_from_env(
 ) -> SpanRecorder | None:
     """Build a :class:`SpanRecorder` if tracing is on, else ``None``.
 
-    Explicit keyword values beat the corresponding environment variables
+    Explicit keyword values beat the corresponding *settings*
     (``REPRO_TRACE`` / ``REPRO_TRACE_SAMPLE`` / ``REPRO_TRACE_BUFFER``),
     so drivers can force tracing per run (the fig8 benchmark does) while
     the env var flips whole sessions.
     """
-    if not trace_enabled(trace):
+    if not (settings.trace if trace is None else trace):
         return None
     return SpanRecorder(
         rank,
-        sample=_env_int(ENV_SAMPLE, 1) if sample is None else int(sample),
+        sample=settings.trace_sample if sample is None else int(sample),
         buffer_size=(
-            _env_int(ENV_BUFFER, DEFAULT_BUFFER)
-            if buffer_size is None else int(buffer_size)
+            settings.trace_buffer if buffer_size is None
+            else int(buffer_size)
         ),
     )
+
+
+def recorder_from_env(rank: int = 0, **knobs) -> SpanRecorder | None:
+    """:func:`recorder_from_settings` of the process environment."""
+    return recorder_from_settings(Settings.from_env(), rank, **knobs)
 
 
 # -- Chrome trace-event export ------------------------------------------------

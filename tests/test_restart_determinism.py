@@ -120,6 +120,26 @@ def test_elastic_shrink_matches_checkpoint_restart(setup, tmp_path):
     np.testing.assert_array_equal(result.mu, reference.mu)
 
 
+def test_thread_campaign_reports_no_watchdog(setup, tmp_path, monkeypatch):
+    """Only process worlds arm the watchdog: with the hang timeout set, a
+    thread-backend campaign's report says the watchdog was off."""
+    from repro.telemetry import RunTelemetry
+    from repro.telemetry.report import validate_run_report
+
+    monkeypatch.setenv("REPRO_SIMMPI_HANG_TIMEOUT", "1.5")
+    system, phi0, mu0 = setup
+    dsim = DistributedSimulation(
+        SHAPE, (2, 2), system=system, kernel="buffered", backend="thread"
+    )
+    result = run_campaign(
+        dsim, 2, phi0, mu0, store=CheckpointStore(tmp_path), checkpoint_every=2,
+        telemetry=RunTelemetry(),
+    )
+    validate_run_report(result.report)
+    assert result.report["liveness"]["watchdog_enabled"] is False
+    assert result.report["config"]["settings"]["hang_timeout"] == 1.5
+
+
 @pytest.mark.faults
 @pytest.mark.hangs
 @pytest.mark.timeout(600)

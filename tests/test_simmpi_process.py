@@ -10,11 +10,14 @@ shared-memory Field allocator.
 """
 
 import os
+import pickle
 import threading
 import time
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from repro.grid.field import Field
 from repro.simmpi import run_spmd
@@ -170,6 +173,82 @@ def _side_thread_sends(comm, n_threads, n_msgs, n):
     return [thread.is_alive() for thread in threads]
 
 
+def _payload(rank, tag, i, size):
+    return bytes([(rank * 7 + tag * 31 + i) % 251]) * size
+
+
+def _framed_streams(comm, sizes, side_sizes):
+    """Both ranks send ``sizes[rank]`` messages (tag 0) to each other at
+    once, rank 1 also *side_sizes* (tag 1) from a side thread through
+    ``send_inline``.  Rank 1 waits before it receives, so unless its own
+    sends made it drain, its first read takes a full pipe.  True when
+    every payload arrived whole and in order."""
+    peer = 1 - comm.rank
+    side = None
+    if comm.rank == 1:
+        def spray():
+            for i, size in enumerate(side_sizes):
+                comm._transport.send_inline(_payload(1, 1, i, size), 0, 1)
+
+        side = threading.Thread(target=spray)
+        side.start()
+    for i, size in enumerate(sizes[comm.rank]):
+        comm.send(_payload(comm.rank, 0, i, size), peer, tag=0)
+    expect = [(0, _payload(peer, 0, i, size))
+              for i, size in enumerate(sizes[peer])]
+    if comm.rank == 0:
+        expect += [(1, _payload(1, 1, i, size))
+                   for i, size in enumerate(side_sizes)]
+    else:
+        time.sleep(0.1)
+    got = [(tag, comm.recv(peer, tag=tag)) for tag, _ in expect]
+    if side is not None:
+        side.join(timeout=30)
+    return got == expect and comm.probe() is False
+
+
+def _frame_len(size):
+    """Pipe bytes of rank 0's tag-0 message of *size* payload bytes: the
+    4-byte length and the pickled ``(source, tag, payload)``."""
+    return 4 + len(pickle.dumps((0, 0, bytes(size)),
+                                protocol=pickle.HIGHEST_PROTOCOL))
+
+
+#: Payload sizes: small, near a 64 KiB pipe, and several pipes' worth.
+_SIZES = st.one_of(
+    st.integers(0, 200),
+    st.integers((1 << 16) - 64, (1 << 16) + 8),
+    st.integers(0, 3 << 16),
+)
+
+
+def _size_framed_to(length):
+    """A payload size whose frame is *length* bytes long, or None."""
+    size = max(0, length - _frame_len(0))
+    while size and _frame_len(size) > length:
+        size -= 1
+    return size if _frame_len(size) == length else None
+
+
+@st.composite
+def _straddling_stream(draw):
+    """Rank 0's message sizes, laid out for a Linux pipe of 16 pages: a
+    frame of 15 pages, one that leaves ``room`` bytes of the 16th page
+    free, then one too long for an atomic write whose length is
+    ``split <= room`` past a page multiple.  Its write puts ``split``
+    bytes into the free room and stops, so a read of the full pipe ends
+    ``split`` bytes into that frame: inside its 4-byte header for a
+    split of 1-3.  Elsewhere the sizes are just sizes."""
+    page = os.sysconf("SC_PAGE_SIZE")
+    room = draw(st.integers(1, 4))
+    split = draw(st.integers(1, room))
+    long = draw(st.integers(page, 3 << 16))
+    long += (split - _frame_len(long)) % page
+    sizes = [_size_framed_to(15 * page), _size_framed_to(page - room), long]
+    assume(None not in sizes and _frame_len(long) % page == split)
+    return sizes + draw(st.lists(_SIZES, max_size=2))
+
+
 def _field_in_shared_memory(comm):
     alloc = comm.field_allocator()
     assert alloc is not None
@@ -304,6 +383,18 @@ class TestBoundedChannels:
         assert out[0] == [False] * n_threads   # every sender finished
         assert out[1] == [[1000.0 * t + i for i in range(n_msgs)]
                           for t in range(n_threads + 1)]
+
+    @settings(max_examples=20, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(stream0=_straddling_stream(),
+           stream1=st.lists(_SIZES, max_size=4),
+           side_sizes=st.lists(_SIZES, max_size=4))
+    def test_frames_across_read_boundaries_arrive_whole_and_in_order(
+        self, stream0, stream1, side_sizes
+    ):
+        out = run_spmd(2, _framed_streams, [stream0, stream1], side_sizes,
+                       backend="process")
+        assert out == [True, True]
 
     def test_send_to_a_peer_that_never_receives_hits_send_deadline(
         self, monkeypatch
