@@ -88,11 +88,10 @@ def _halo_counters() -> dict:
 
     A 2-rank process decomposition (multi-block, so each rank has
     several neighbour exchanges per axis), counting exchange-level
-    messages, control-pipe messages and fresh shared-memory segments
-    across the step loop.  These are deterministic message counts, not
-    timings, so they gate in smoke mode too; the history entries catch a
-    transport regression (an extra message, a per-step segment
-    checkout) that wall-clock noise would hide.  The staged per-slab
+    messages and pipe messages across the step loop.  These are
+    deterministic message counts, not timings, so they gate in smoke
+    mode too; the history entries catch a transport regression (an extra
+    message) that wall-clock noise would hide.  The staged per-slab
     path this replaced cost 64 pipe messages per step on the same
     decomposition (``legacy_pipe_messages_per_step`` in
     ``benchmarks/results/history.jsonl``).
@@ -111,7 +110,7 @@ def _halo_counters() -> dict:
         )
     return {
         key: res.counters[key] / BACKEND_STEPS
-        for key in ("halo_messages", "pipe_messages", "segments_created")
+        for key in ("halo_messages", "pipe_messages")
     }
 
 
@@ -183,7 +182,6 @@ def test_fig7_model_and_report(benchmark, results_dir):
         timings=data["pipe_tree"],
         counters={
             "halo_messages": halo["halo_messages"],
-            "segments_created": halo["segments_created"],
             "pipe_messages": halo["pipe_messages"],
         },
         series={
@@ -194,11 +192,9 @@ def test_fig7_model_and_report(benchmark, results_dir):
             "backend_thread_mlups": data["thread"],
             "backend_process_mlups": data["process"],
             # per-step steady-state transport counters (lower is better;
-            # tracked by repro.perf.history so an extra message or a
-            # per-step segment checkout gates CI)
+            # tracked by repro.perf.history so an extra message gates CI)
             "halo_pipe_messages_per_step": halo["pipe_messages"],
             "halo_exchange_messages_per_step": halo["halo_messages"],
-            "halo_segments_created_per_step": halo["segments_created"],
         },
     )
 
@@ -236,9 +232,8 @@ def test_fig7_model_and_report(benchmark, results_dir):
         "",
         "steady-state transport counters per step (2 ranks, 2x2x4 blocks,"
         " process backend):",
-        f"{'exchange msgs':>14} {'pipe msgs':>10} {'new segments':>13}",
-        f"{halo['halo_messages']:>14.1f} {halo['pipe_messages']:>10.1f} "
-        f"{halo['segments_created']:>13.1f}",
+        f"{'exchange msgs':>14} {'pipe msgs':>10}",
+        f"{halo['halo_messages']:>14.1f} {halo['pipe_messages']:>10.1f}",
     ]
     write_report(results_dir, "fig7_intranode.txt", lines)
 
@@ -255,10 +250,8 @@ def test_fig7_model_and_report(benchmark, results_dir):
     assert {"send", "recv"} <= set(pipe)
     assert all(node["count"] > 0 for node in pipe.values())
     # registered halo channels: these are deterministic message counts,
-    # asserted in smoke mode too — one control-pipe message per send
-    # channel (4) per exchange round (2 a step), zero fresh segments per
-    # step
-    assert halo["segments_created"] == 0
+    # asserted in smoke mode too — one pipe message per send channel (4)
+    # per exchange round (2 a step)
     assert halo["pipe_messages"] == 8
     # real intranode speedup needs real cores: only gate on multi-core
     # runners, where 4 process ranks must beat 1 by >= 1.5x

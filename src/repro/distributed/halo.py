@@ -4,9 +4,9 @@ This is the one ghost-exchange routine of the repo, mirroring
 waLBerla's preregistered communication buffers and the MPI
 persistent-request idiom the paper's production code relies on: at
 topology construction every rank registers one double-buffered channel
-per (neighbour, axis, direction) — a shared-memory segment on the
-process backend, a plain shared ndarray on the thread backend — sized
-once from the ghosted field shapes and reused every step.  Fault
+per (neighbour, axis, direction) — two slots on the sender's heap,
+which the thread backend's receiver shares by reference — sized once
+from the ghosted field shapes and reused every step.  Fault
 campaigns run the same path; their injection layer wraps the send
 channels (see :class:`repro.resilience.faults.FaultyComm`).
 
@@ -20,10 +20,12 @@ instead.
 
 A steady-state exchange round packs the slab views of *all* blocks
 headed to one neighbour in one axis direction into the registered
-buffer (vectorized, contiguous), sends **one** tiny notify message
-carrying a sequence number, and unpacks on the receiver straight into
-the ghost slices: one notification per neighbour per axis direction,
-zero acks and zero segment checkouts.
+buffer (vectorized, contiguous), sends **one** notify message carrying
+a sequence number, and unpacks on the receiver straight into the ghost
+slices: one message per neighbour per axis direction and zero acks.
+On the process backend, where ranks share no memory, the notify also
+carries the packed slab, like the one MPI message per neighbour of the
+paper's Algorithms 1 and 2.
 
 Slot reuse without acks is safe because exchange rounds are lockstep —
 see :class:`repro.simmpi.comm.HaloSendChannel` for the inductive

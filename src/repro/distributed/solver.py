@@ -152,7 +152,7 @@ class DistributedSimulation:
     backend:
         simmpi execution substrate for the SPMD region: ``"thread"``
         (deterministic, GIL-serialized) or ``"process"`` (one OS process
-        per rank, field buffers in shared memory, kernels genuinely
+        per rank, ghost slabs in pipe messages, kernels genuinely
         parallel); ``None`` (default) defers to ``REPRO_SIMMPI_BACKEND``
         when a world opens, as :func:`~repro.simmpi.runtime.open_world`
         does.  Results are bitwise identical between the two: per-block
@@ -408,20 +408,11 @@ class DistributedSimulation:
             compile_seconds = compiled.warmup(ctx, dim=self.dim)
         owned = [b for b in self.forest.blocks if self.owner[b.id] == comm.rank]
 
-        # Under the process backend this places the double buffers in
-        # shared memory, so ghost slabs between co-resident ranks move
-        # by memcpy; thread ranks get None (plain heap arrays).
-        allocator = (
-            comm.field_allocator() if hasattr(comm, "field_allocator")
-            else None
-        )
         phi_fields = {
-            b.id: Field(self.system.n_phases, b.shape, allocator=allocator)
-            for b in owned
+            b.id: Field(self.system.n_phases, b.shape) for b in owned
         }
         mu_fields = {
-            b.id: Field(self.system.n_solutes, b.shape, allocator=allocator)
-            for b in owned
+            b.id: Field(self.system.n_solutes, b.shape) for b in owned
         }
         ghost = next(iter(phi_fields.values())).ghost if phi_fields else 1
         # Collective: every rank registers its send channels and accepts
@@ -481,14 +472,11 @@ class DistributedSimulation:
                 tel.events.emit(
                     "halo_channels_registered", channels=state.halo.n_channels,
                 )
-        # Process backend: time the pipe control-message phases
-        # (send/recv/ack) under comm/pipe and route transport degradation
-        # and shared-memory reclamation events into the rank's log — for
-        # this call only, the transport outlives it.
+        # Process backend: time the pipe phases (send/recv) under
+        # comm/pipe — for this call only, the transport outlives it.
         attach = hasattr(comm, "attach_timing")
         if attach:
             comm.attach_timing(tree)
-            comm.attach_events(tel.events if tel is not None else None)
         try:
             # Initial state: each rank copies its block slices out of the
             # world-shared global arrays.  The resident fields still hold
@@ -547,7 +535,6 @@ class DistributedSimulation:
         finally:
             if attach:
                 comm.attach_timing(None)
-                comm.attach_events(None)
         if shard_store is not None:
             extra["store_stats"] = shard_store.stats
         stats = RankStats(

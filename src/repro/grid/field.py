@@ -26,10 +26,9 @@ class Field:
         down-convert (Sec. 3.2).
     allocator:
         Optional ``allocator(shape, dtype) -> ndarray`` placing the two
-        buffers in special memory.  The simmpi process backend passes a
-        ``multiprocessing.shared_memory`` allocator here (via
-        ``Communicator.field_allocator()``) so ghost slabs move between
-        co-resident ranks by memcpy.  ``None`` means plain heap arrays.
+        buffers in special memory.  ``None`` means plain heap arrays,
+        which is what the solvers use on both simmpi backends: a process
+        rank's ghost slabs leave its heap packed into pipe messages.
         Buffers are zeroed either way.
     """
 

@@ -358,9 +358,6 @@ def _finalize_campaign_telemetry(
     events.close()
     merged_events = telemetry.merge_events()
     cells = int(np.prod(dsim.shape))
-    def _count_kind(kind: str) -> int:
-        return sum(1 for r in merged_events if r.get("kind") == kind)
-
     # The settings of the last world the campaign ran on; a campaign
     # that took no step opened none.
     settings = dsim.settings or Settings.from_env()
@@ -372,8 +369,6 @@ def _finalize_campaign_telemetry(
                 if f.kind in ("rank_stall", "rank_slow")
             )
         ),
-        "transport_degradations": _count_kind("transport_degraded"),
-        "shm_reclaimed": _count_kind("shm_reclaimed"),
         "deadlines_enabled": settings.deadlines.enabled,
         # only process worlds arm the watchdog
         "watchdog_enabled": (settings.backend == "process"

@@ -437,11 +437,11 @@ class _FaultyHaloSend:
 
     ``msg_drop`` raises on the sender before anything is published;
     ``msg_corrupt`` NaN-poisons the packed prefix of the current slot
-    (the notify itself carries only an integer sequence number, which
-    NaN cannot poison); ``msg_delay`` publishes the notify from a timer
-    while the sender moves on to the next slot.  An overtaken notify is
-    by design a loud sequence-skew error on the receiver, so the next
-    notify on this channel first waits for the delayed one to land.
+    before the notify publishes it; ``msg_delay`` publishes the notify
+    from a timer while the sender moves on to the next slot.  An
+    overtaken notify is by design a loud sequence-skew error on the
+    receiver, so the next notify on this channel first waits for the
+    delayed one to land.
     """
 
     def __init__(self, faulty: FaultyComm, channel):

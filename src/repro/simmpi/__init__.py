@@ -11,9 +11,9 @@ exercised end-to-end.
 
 Two backends share the Communicator semantics: ``backend="thread"``
 (default — one thread per rank; deterministic, GIL-serialized) and
-``backend="process"`` (one OS process per rank with shared-memory payload
-transport, :mod:`repro.simmpi.transport` — kernels genuinely run in
-parallel, which is what turns Fig. 7 into a measured curve).
+``backend="process"`` (one OS process per rank, every message a frame
+on a rank-pair pipe, :mod:`repro.simmpi.transport` — kernels genuinely
+run in parallel, which is what turns Fig. 7 into a measured curve).
 
 Main entry points:
 

@@ -343,8 +343,7 @@ class HaloSendChannel:
     topology setup and reused every step: two payload slots (double
     buffering) plus a monotonically increasing sequence counter.  A
     steady-state halo exchange packs the outgoing slab(s) into the
-    current slot and sends **one** tiny notify message — no per-message
-    ack, no segment checkout.
+    current slot and sends **one** notify message — no per-message ack.
 
     Slot reuse is safe without acks because exchange rounds are
     lockstep: the sender only reaches sequence ``n + 2`` (the same slot
@@ -358,7 +357,7 @@ class HaloSendChannel:
     This base class is the thread-backend implementation (the two ranks
     share one address space, so the slots are a plain ndarray handed to
     the receiver by reference); the process backend subclasses it to
-    place the slots in a named shared-memory segment (see
+    carry the packed slab in every notify instead (see
     :mod:`repro.simmpi.transport`).
     """
 
@@ -373,28 +372,25 @@ class HaloSendChannel:
         self.seq = 0
         self.notify_tag, self.reg_tag = _halo_tags(channel_id)
         self._comm = comm
-        self._slots = self._allocate(comm)
-        self._announce(comm)
+        self._slots = np.empty((2, self.capacity), dtype=self.dtype)
+        comm.send(
+            ("haloreg", self.channel_id, self.capacity, self.dtype.str,
+             self._handle()),
+            self.dest, tag=self.reg_tag,
+        )
 
     # -- backend hooks -------------------------------------------------------
 
-    def _allocate(self, comm) -> np.ndarray:
-        """Allocate the ``(2, capacity)`` slot array (thread: plain heap)."""
-        return np.empty((2, self.capacity), dtype=self.dtype)
+    def _handle(self):
+        """What the registration record hands the receiver (thread: the
+        slot array itself).
 
-    def _announce(self, comm) -> None:
-        """Ship the registration record to the receiver.
-
-        The slot array rides inside a tuple on purpose: the mailbox only
-        snapshots bare ndarray payloads, so the receiver ends up holding
-        a *reference* to the very same buffer — that aliasing is the
+        It rides inside a tuple on purpose: the mailbox only snapshots
+        bare ndarray payloads, so the receiver ends up holding a
+        *reference* to the very same buffer — that aliasing is the
         channel.
         """
-        comm.send(
-            ("haloreg", self.channel_id, self.capacity, self.dtype.str,
-             self._slots),
-            self.dest, tag=self.reg_tag,
-        )
+        return self._slots
 
     # -- steady-state protocol -----------------------------------------------
 
@@ -406,14 +402,13 @@ class HaloSendChannel:
         """Notify payload publishing the current slot: its sequence number.
 
         *used* (the packed element count) is ignored here — the receiver
-        aliases the whole slot — but the degraded process-backend channel
-        needs it to snapshot only the live prefix into its inline
-        fallback message.
+        aliases the whole slot — but the process-backend channel sends
+        that prefix of the slot along with the sequence number.
         """
         return self.seq
 
     def notify(self, used: int | None = None) -> None:
-        """Publish the current slot: one tiny control message, no ack."""
+        """Publish the current slot: one message, no ack."""
         self._comm.send(self.message(used), self.dest, tag=self.notify_tag)
         self.seq += 1
 
@@ -440,14 +435,9 @@ class HaloRecvChannel:
                 f"halo channel {channel_id} from rank {source}: malformed "
                 f"registration message {reg!r}"
             )
-        _, _, self.capacity, dtypestr, handle = reg
+        # thread backend: the sender's slot array, shared by reference
+        _, _, self.capacity, dtypestr, self._slots = reg
         self.dtype = np.dtype(dtypestr)
-        self._slots = self._attach(handle)
-
-    def _attach(self, handle) -> np.ndarray:
-        """Resolve the registration handle to the slot array (thread:
-        the handle *is* the sender's array, shared by reference)."""
-        return handle
 
     def wait(self) -> np.ndarray:
         """Block for the next notify; returns a flat view of its slot.
@@ -702,30 +692,15 @@ class Communicator:
         return self._world.stats[self.rank]
 
     def transport_counters(self) -> dict:
-        """Low-level transport counters (pipe messages, segments).
+        """Low-level transport counters (pipe messages).
 
-        The thread backend has no control pipes and no shared-memory
-        segments, so everything is zero; the keys exist so telemetry
-        snapshots have the same shape on both backends (the process
-        backend reports real values — see
+        The thread backend has no pipes, so the count is zero; the key
+        exists so telemetry snapshots have the same shape on both
+        backends (the process backend reports real values — see
         :meth:`repro.simmpi.transport.ProcessCommunicator.
         transport_counters`).
         """
-        return {"pipe_messages": 0, "segments_created": 0}
-
-    # -- memory placement ----------------------------------------------------
-
-    def field_allocator(self):
-        """Array allocator for rank-local field buffers, or ``None``.
-
-        Thread ranks already share one address space, so plain heap
-        NumPy arrays are the right placement and this returns ``None``.
-        The process backend overrides it with a shared-memory allocator
-        (see :meth:`repro.simmpi.transport.ProcessCommunicator.
-        field_allocator`) so ghost exchange between co-resident ranks is
-        a memcpy instead of a pickle round-trip.
-        """
-        return None
+        return {"pipe_messages": 0}
 
 
 def _add(a, b):
@@ -739,8 +714,6 @@ _TAG_REDUCE = -104
 #: Process-backend barrier tokens: counted by the transport as they
 #: arrive, never matched by a receive.
 _TAG_BARRIER = -105
-#: Process-backend halo attach confirmations (payload: segment name).
-_TAG_ATTACHED = -106
 
 #: Halo channels occupy the band below the collective tags, growing
 #: downward two tags per channel (notify + registration).

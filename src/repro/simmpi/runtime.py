@@ -15,10 +15,10 @@ Two execution backends share these semantics:
 * ``"thread"`` (default) — one thread per rank, unbounded in-process
   mailboxes.  Deterministic, debuggable, zero startup cost; kernels
   serialize on the GIL, so it models but does not measure speedup.
-* ``"process"`` — one OS process per rank with shared-memory payload
-  transport (:mod:`repro.simmpi.transport`).  Kernels genuinely run in
-  parallel; channels are bounded, so exchanges must post receives
-  before sending (the repo's exchange routines do).
+* ``"process"`` — one OS process per rank, every message a frame on a
+  rank-pair pipe (:mod:`repro.simmpi.transport`).  Kernels genuinely
+  run in parallel; a sender waiting for room in a full pipe keeps
+  draining its own, so no send order can deadlock.
 """
 
 from __future__ import annotations

@@ -3,13 +3,15 @@
 Threads share one GIL, so the thread backend of :mod:`repro.simmpi` can
 *model* — but never *measure* — intranode parallel speedup.  This module
 provides the measured path: one resident OS process per rank
-(:class:`ProcessWorld`: forked once, commanded many times), every
-message pickled onto a one-way pipe per ordered rank pair, and ghost
-slabs in POSIX shared memory (:mod:`multiprocessing.shared_memory`):
-the registered halo channels further down this module keep their slots
-in segments, so a ghost round is one ``memcpy`` plus a tiny notify
-message.  The same segments back :class:`~repro.grid.field.Field`
-buffers via :meth:`ProcessCommunicator.field_allocator`.
+(:class:`ProcessWorld`: forked once, commanded many times) and one
+one-way pipe per ordered rank pair, the only thing two ranks share.
+Every message is pickled onto its pipe, ghost slabs included: a
+registered halo channel packs the slab into a slot on the sender's heap
+and its notify carries the packed prefix in the message frame, the way
+the paper packs each neighbour's ghost layers into one MPI message.  The
+one array caller and ranks both address is
+:meth:`ProcessWorld.shared_array`, an anonymous mapping inherited
+through ``fork``.
 
 Semantics mirror the thread backend's :class:`~repro.simmpi.comm.
 Communicator`: ``(source, tag)`` matching with ``ANY_SOURCE`` /
@@ -37,17 +39,12 @@ import logging
 import mmap
 import os
 import pickle
-import re
 import select
-import signal
 import struct
 import threading
 import time
 import traceback
-import uuid
-import warnings
 from multiprocessing import connection as _mpc
-from multiprocessing import shared_memory
 from typing import NamedTuple
 
 import numpy as np
@@ -61,7 +58,6 @@ from repro.simmpi.comm import (
     HaloSendChannel,
     RankTimeout,
     RemoteError,
-    _TAG_ATTACHED,
     _TAG_BARRIER,
     _copy_payload,
     raise_selected,
@@ -74,7 +70,6 @@ __all__ = [
     "ProcessRequest",
     "ProcessWorld",
     "RankTransport",
-    "sweep_orphaned_segments",
 ]
 
 logger = logging.getLogger(__name__)
@@ -90,67 +85,6 @@ _POLL = 0.05
 
 #: Parent-side grace period before surviving children are terminated.
 _JOIN_GRACE = 30.0
-
-#: Name prefix of owned shared-memory segments: ``repro-smm-<pid>-<id>``.
-#: Embedding the owner pid lets :func:`sweep_orphaned_segments` reclaim
-#: segments whose owner died without running teardown (crashed or
-#: watchdog-killed ranks of a previous run).
-_SEG_PREFIX = "repro-smm"
-_SEG_RE = re.compile(rf"^{_SEG_PREFIX}-(\d+)-")
-
-
-def _segment_name() -> str:
-    return f"{_SEG_PREFIX}-{os.getpid()}-{uuid.uuid4().hex[:8]}"
-
-
-def _pid_alive(pid: int) -> bool:
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except (PermissionError, OSError):
-        return True
-    return True
-
-
-def sweep_orphaned_segments(directory: str = "/dev/shm"
-                            ) -> list[tuple[str, int]]:
-    """Reclaim shared-memory segments whose owning process is dead.
-
-    A hard-killed rank (watchdog, SIGKILL, node crash) never runs
-    :meth:`RankTransport.close`, so its field buffers and halo
-    segments stay pinned in ``/dev/shm`` until the machine reboots —
-    which is precisely how repeated hang-containment eventually ENOSPCs
-    the segment pool.  This startup sweep unlinks every
-    ``repro-smm-<pid>-*`` segment whose *pid* no longer exists and
-    returns ``(name, pid)`` pairs for telemetry (one ``shm_reclaimed``
-    event each, emitted once a rank attaches its event log).
-    """
-    reclaimed: list[tuple[str, int]] = []
-    if not os.path.isdir(directory):
-        return reclaimed
-    try:
-        names = os.listdir(directory)
-    except OSError:
-        return reclaimed
-    for name in names:
-        match = _SEG_RE.match(name)
-        if match is None:
-            continue
-        pid = int(match.group(1))
-        if pid == os.getpid() or _pid_alive(pid):
-            continue
-        try:
-            os.unlink(os.path.join(directory, name))
-        except (FileNotFoundError, PermissionError, OSError):
-            continue
-        logger.warning(
-            "reclaimed orphaned shared-memory segment %s (owner pid %d "
-            "is dead)", name, pid,
-        )
-        reclaimed.append((name, pid))
-    return reclaimed
-
 
 def _matches(want_source: int, want_tag: int, source: int, tag: int) -> bool:
     return (want_source in (ANY_SOURCE, source)
@@ -193,11 +127,9 @@ class RankTransport:
     message is one pickled ``(source, tag, payload)`` tuple — pickling
     at send time snapshots the payload — and travels as one frame,
     ``<u32 length><pickle>``, which the receiver cuts out of the bytes
-    it reads from each incoming pipe.  Two reserved tags belong to the
+    it reads from each incoming pipe.  One reserved tag belongs to the
     transport: ``_TAG_BARRIER`` marks a barrier token
-    (:meth:`barrier_wait`), counted, not matched; ``_TAG_ATTACHED``
-    confirms, once, that the peer attached the halo segment named in
-    the payload.
+    (:meth:`barrier_wait`), counted, not matched.
 
     With a :class:`~repro.telemetry.timing.TimingTree` attached
     (:meth:`attach_timing`), the pipe phases are timed under
@@ -229,17 +161,10 @@ class RankTransport:
         self._held: list[tuple] = []            # arrived, not yet matched
         self._posted: list[ProcessRequest] = []  # posted, not yet arrived
         self._tokens = [0] * size               # barrier tokens per source
-        self._attached: dict[str, object] = {}  # segname -> SharedMemory
-        self._field_segments: list = []         # owned Field backing segments
-        self._halo_segments: list = []          # owned halo channel segments
-        self._halo_unconfirmed: set = set()     # names awaiting peer attach
-        #: Control-traffic accounting (the fig7 message-count story):
-        #: every message posted to a pipe, every shared-memory segment
-        #: created.  The solver snapshots these around the step loop, so
+        #: Every message posted to a pipe (the fig7 message-count
+        #: story).  The solver snapshots it around the step loop, so
         #: RunReports carry *steady-state* per-step costs.
         self.ctrl_sent = 0
-        self.segments_created = 0
-        self._closed = False
         self._timing = None                     # optional TimingTree
         #: Monotonic liveness counter: bumped by every send, every pipe
         #: write or read (so a long message is progress on both ends)
@@ -251,9 +176,6 @@ class RankTransport:
         #: instead of by quantized heartbeat arrival.
         self.progress_count = 0
         self.progress_stamp = time.monotonic()
-        self._events = None                     # optional EventLog
-        self.degradations = 0
-        self._reclaimed: list[tuple[str, int]] = []
         # Held across a whole frame, so its bytes are contiguous on the
         # pipe even when a delayed-delivery fault timer sends too.
         self._post_lock = threading.Lock()
@@ -262,20 +184,6 @@ class RankTransport:
         """Time the pipe phases (send/recv) into *tree* under
         ``comm/pipe``; ``None`` detaches and restores the untimed path."""
         self._timing = tree
-
-    def attach_events(self, events) -> None:
-        """Stream transport telemetry (degradations, reclaimed segments)
-        into *events*; queued pre-attach happenings are flushed."""
-        self._events = events
-        if events is not None:
-            for name, pid in self._reclaimed:
-                events.emit("shm_reclaimed", "WARNING",
-                            segment=name, owner_pid=pid)
-            self._reclaimed = []
-
-    def note_reclaimed(self, reclaimed) -> None:
-        """Queue orphan-sweep results for the next :meth:`attach_events`."""
-        self._reclaimed.extend(reclaimed)
 
     def note_progress(self) -> None:
         """Bump the liveness counter (called by drivers once per step)."""
@@ -366,22 +274,6 @@ class RankTransport:
             if any(ready == fd for ready, _ in watch.poll(_POLL * 1000)):
                 return
 
-    def _degrade(self, exc: OSError) -> None:
-        """Note a failed segment creation; warns once per rank."""
-        self.degradations += 1
-        if self.degradations > 1:
-            return
-        message = (
-            f"rank {self.rank}: shared-memory segment creation failed "
-            f"({exc!r}); fields fall back to private memory and ghost "
-            "slabs to pickled messages — slower, but the run continues"
-        )
-        logger.warning(message)
-        warnings.warn(message, RuntimeWarning, stacklevel=4)
-        if self._events is not None:
-            self._events.emit("transport_degraded", "WARNING",
-                              error=repr(exc))
-
     # -- receiving -----------------------------------------------------------
 
     def recv(self, source: int, tag: int):
@@ -452,21 +344,21 @@ class RankTransport:
                 self.note_progress()
                 unread = self._unread[src]
                 unread += data
-                while len(unread) >= _LENGTH.size:
-                    end = _LENGTH.size + _LENGTH.unpack_from(unread)[0]
-                    if len(unread) < end:
-                        break
-                    msg = pickle.loads(unread[_LENGTH.size:end])
-                    del unread[:end]
-                    self._dispatch(msg)
+                end = 0
+                with memoryview(unread) as view:   # frames decode in place
+                    while len(unread) - end >= _LENGTH.size:
+                        start = end + _LENGTH.size
+                        stop = start + _LENGTH.unpack_from(view, end)[0]
+                        if len(unread) < stop:
+                            break
+                        self._dispatch(pickle.loads(view[start:stop]))
+                        end = stop
+                del unread[:end]   # only once the view is released
 
     def _dispatch(self, msg: tuple) -> None:
         source, tag, payload = msg
         if tag == _TAG_BARRIER:
             self._tokens[source] += 1
-            return
-        if tag == _TAG_ATTACHED:   # teardown may unlink this segment now
-            self._halo_unconfirmed.discard(payload)
             return
         for posted in self._posted:
             if not posted.done and _matches(posted.source, posted.tag,
@@ -477,31 +369,6 @@ class RankTransport:
                 self.stats.recvs += 1
                 return
         self._held.append(msg)
-
-    def _attach(self, name: str):
-        shm = self._attached.get(name)
-        if shm is None:
-            try:
-                shm = shared_memory.SharedMemory(name=name)
-            except FileNotFoundError:
-                # Only possible when the owning sender died mid-teardown
-                # and its segments were reclaimed: report as a secondary
-                # failure, never as the run's primary error.
-                self._check_failed()
-                raise RemoteError(
-                    f"shared segment {name} vanished (sender died?)"
-                ) from None
-            # Python 3.11 registers attached segments with the resource
-            # tracker as if this process owned them; undo that, or the
-            # tracker double-unlinks and warns at interpreter shutdown.
-            try:
-                from multiprocessing import resource_tracker
-
-                resource_tracker.unregister(shm._name, "shared_memory")
-            except Exception:
-                pass
-            self._attached[name] = shm
-        return shm
 
     def _check_failed(self) -> None:
         if self._failed.is_set():
@@ -535,47 +402,6 @@ class RankTransport:
             self._tokens[source] -= 1
             k *= 2
 
-    # -- shared-memory field allocation --------------------------------------
-
-    def alloc_shared_array(self, shape, dtype=np.float64) -> np.ndarray:
-        """Zero-filled array backed by an owned shared-memory segment.
-
-        Used as the :class:`~repro.grid.field.Field` allocator so rank
-        field buffers live in shared memory; segments are unlinked when
-        the transport closes (rank function returned or died).
-        """
-        nbytes = int(np.prod(shape)) * np.dtype(dtype).itemsize
-        try:
-            seg = self._create_segment(nbytes, self._field_segments)
-        except OSError as exc:
-            # Degradation ladder: no segment pool left means plain heap
-            # arrays — slower, never fatal.
-            self._degrade(exc)
-            return np.zeros(tuple(shape), dtype=dtype)
-        arr = np.ndarray(tuple(shape), dtype=dtype, buffer=seg.buf)
-        arr.fill(0)
-        return arr
-
-    def alloc_halo_segment(self, nbytes: int):
-        """Owned shared-memory segment backing a persistent halo channel.
-
-        Unlike :meth:`alloc_shared_array` the ``OSError`` propagates:
-        the halo channel itself owns the degradation decision (it falls
-        back to heap slots + per-round inline messages, not to a
-        different array kind).
-        """
-        seg = self._create_segment(nbytes, self._halo_segments)
-        self._halo_unconfirmed.add(seg.name)
-        return seg
-
-    def _create_segment(self, nbytes: int, owned: list):
-        """New segment of *nbytes*, listed in *owned* for :meth:`close`."""
-        seg = shared_memory.SharedMemory(create=True, size=max(int(nbytes), 1),
-                                         name=_segment_name())
-        owned.append(seg)
-        self.segments_created += 1
-        return seg
-
     def counters(self) -> dict:
         """Control-traffic totals since transport creation.
 
@@ -586,140 +412,36 @@ class RankTransport:
         the difference divided by step count is the steady-state per-step
         message cost the fig7 report gates on.
         """
-        return {
-            "pipe_messages": self.ctrl_sent,
-            "segments_created": self.segments_created,
-        }
-
-    # -- teardown ------------------------------------------------------------
-
-    def close(self) -> None:
-        """Release every owned segment and detach from attached ones.
-
-        Pending halo-channel attach confirmations are waited for first
-        (bounded), so a rank that registers a channel and returns
-        immediately cannot unlink a segment before the receiver attached
-        to it.  Messages need no such wait: a send returns only once its
-        last byte is in the pipe, which outlives the writer.  On a
-        failed world the wait is skipped — peers are going down anyway
-        and their attach errors surface as suppressed secondary
-        failures.
-        """
-        if self._closed:
-            return
-        self._closed = True
-        deadline = time.monotonic() + _JOIN_GRACE / 2
-        while (self._halo_unconfirmed and not self._failed.is_set()
-               and time.monotonic() < deadline):
-            try:
-                self.progress(block=True)
-            except RemoteError:
-                break
-        for seg in self._field_segments + self._halo_segments:
-            self._release(seg)
-        for shm in self._attached.values():
-            try:
-                shm.close()
-            except (BufferError, OSError):
-                pass
-
-    @staticmethod
-    def _release(seg) -> None:
-        try:
-            seg.close()
-        except BufferError:
-            # A live numpy view still references the buffer (e.g. a Field
-            # the rank function returned); unlinking is still safe — the
-            # mapping survives until the process exits.
-            pass
-        try:
-            seg.unlink()
-        except (FileNotFoundError, OSError):
-            pass
+        return {"pipe_messages": self.ctrl_sent}
 
 
 class _ProcessHaloSend(HaloSendChannel):
-    """Process-backend sender endpoint: slots in a named shm segment.
+    """Process-backend sender endpoint: every notify carries its slab.
 
-    The registration handle is the segment *name* (attached lazily by
-    the receiver), so steady-state rounds are one raw memcpy into the
-    mapped slot plus one tiny notify over the pipe — no pickling of the
-    payload.
-
-    Degradation ladder: if the segment pool is exhausted at registration
-    time the slots fall back to plain heap memory, the handle ships as
-    ``None``, and every :meth:`notify` carries the packed prefix inline,
-    chosen once at setup so the per-round protocol never changes
-    mid-run.
+    The slots are this rank's heap memory, which no other process can
+    read, so the registration hands over no slot array and each
+    :meth:`message` is ``(seq, packed prefix of the slot)``: one frame
+    on the pipe per channel per round.  The prefix is a view, pickled
+    when the frame is written; a delayed notify (``msg_delay``) pickles
+    it from its timer after :meth:`notify` returned, which is why the
+    channel keeps two slots.
     """
 
-    def __init__(self, transport: RankTransport, comm, dest: int,
-                 channel_id: int, capacity: int, dtype=np.float64) -> None:
-        self._transport = transport
-        self._seg = None
-        self._inline = False
-        super().__init__(comm, dest, channel_id, capacity, dtype)
-
-    def _allocate(self, comm) -> np.ndarray:
-        nbytes = 2 * int(self.capacity) * self.dtype.itemsize
-        try:
-            self._seg = self._transport.alloc_halo_segment(nbytes)
-        except OSError as exc:
-            self._transport._degrade(exc)
-            self._inline = True
-            return np.empty((2, self.capacity), dtype=self.dtype)
-        return np.ndarray((2, self.capacity), dtype=self.dtype,
-                          buffer=self._seg.buf)
-
-    def _announce(self, comm) -> None:
-        handle = None if self._seg is None else self._seg.name
-        comm.send(
-            ("haloreg", self.channel_id, self.capacity, self.dtype.str,
-             handle),
-            self.dest, tag=self.reg_tag,
-        )
+    def _handle(self):
+        return None   # the slab travels in every notify
 
     def message(self, used: int | None = None):
-        if self._inline:
-            n = self.capacity if used is None else int(used)
-            return self.seq, self._slots[self.seq % 2][:n]
-        return self.seq
+        return self.seq, self.slot()[:used]
 
 
 class _ProcessHaloRecv(HaloRecvChannel):
-    """Process-backend receiver endpoint: attaches the sender's segment.
-
-    A ``None`` handle means the sender degraded to heap slots; notifies
-    then arrive as ``(seq, payload)`` tuples whose payload is copied
-    into a local slot so callers see identical view semantics on every
-    rung of the ladder.
-    """
-
-    def __init__(self, transport: RankTransport, comm, source: int,
-                 channel_id: int) -> None:
-        self._transport = transport
-        self._inline = False
-        super().__init__(comm, source, channel_id)
-
-    def _attach(self, handle) -> np.ndarray:
-        if handle is None:
-            self._inline = True
-            return np.empty((2, self.capacity), dtype=self.dtype)
-        shm = self._transport._attach(handle)
-        # One-time attach confirmation: until it arrives the sender's
-        # close() must not unlink the segment (a rank that registers and
-        # exits immediately would otherwise race our attach).
-        self._transport._post(self.source, _TAG_ATTACHED, handle)
-        return np.ndarray((2, self.capacity), dtype=self.dtype,
-                          buffer=shm.buf)
+    """Process-backend receiver endpoint: :meth:`wait` checks the
+    notify's sequence number and returns the slab the frame carried."""
 
     def wait(self) -> np.ndarray:
-        if not self._inline:
-            return super().wait()
-        seq, payload = self._comm.recv(self.source, tag=self.notify_tag)
-        slot = self._slots[self._advance(seq) % 2]
-        slot[:payload.size] = payload
-        return slot
+        seq, slab = self._comm.recv(self.source, tag=self.notify_tag)
+        self._advance(seq)
+        return slab
 
 
 class ProcessCommunicator(Communicator):
@@ -755,13 +477,12 @@ class ProcessCommunicator(Communicator):
 
     def register_halo(self, dest: int, channel_id: int, capacity: int,
                       dtype=np.float64) -> HaloSendChannel:
-        """Sender endpoint of a halo channel, slots in shared memory."""
-        return _ProcessHaloSend(self._transport, self, dest, channel_id,
-                                capacity, dtype)
+        """Sender endpoint of a halo channel; slabs ride its notifies."""
+        return _ProcessHaloSend(self, dest, channel_id, capacity, dtype)
 
     def accept_halo(self, source: int, channel_id: int) -> HaloRecvChannel:
-        """Receiver endpoint; attaches the sender's slot segment."""
-        return _ProcessHaloRecv(self._transport, self, source, channel_id)
+        """Receiver endpoint of a halo channel."""
+        return _ProcessHaloRecv(self, source, channel_id)
 
     def transport_counters(self) -> dict:
         """Real control-traffic totals (see :meth:`RankTransport.counters`)."""
@@ -791,18 +512,9 @@ class ProcessCommunicator(Communicator):
         """Time the transport's pipe phases into *tree* (``comm/pipe/*``)."""
         self._transport.attach_timing(tree)
 
-    def attach_events(self, events) -> None:
-        """Stream transport telemetry events (degradations, reclaimed
-        segments) into *events*."""
-        self._transport.attach_events(events)
-
     def note_progress(self) -> None:
         """Bump the transport's liveness counter (watchdog heartbeat)."""
         self._transport.note_progress()
-
-    def field_allocator(self):
-        """Shared-memory array allocator for rank-local Field buffers."""
-        return self._transport.alloc_shared_array
 
 
 # -- resident world ----------------------------------------------------------
@@ -860,12 +572,8 @@ class _RankEnds(NamedTuple):
             os.close(fd)
 
 
-def _exit_on_sigterm(signum, frame):
-    raise SystemExit(128 + signum)
-
-
 def _rank_process(rank, size, command, ends, parent_ends, failed,
-                  settings, reclaimed) -> None:
+                  settings) -> None:
     """Body of one resident rank process: serve commands until told to stop.
 
     *command* — ``(fn, args, kwargs)`` — is the world's first call,
@@ -874,9 +582,9 @@ def _rank_process(rank, size, command, ends, parent_ends, failed,
     shutdown command, on EOF of the command pipe (the parent is gone —
     fork handed this process every pipe end of the world, so all but its
     own are closed first, or the EOF would never come) and after any
-    command that raised: a failed call destroys the world.  A terminated
-    rank (the parent's last resort) unwinds the same way, so its
-    shared-memory segments are unlinked on every exit but ``SIGKILL``.
+    command that raised: a failed call destroys the world.  The rank
+    owns nothing outside its own process but pipe ends, so however it
+    ends — terminated or killed included — it leaves nothing behind.
 
     The result pipe doubles as the liveness channel: with an armed
     watchdog a :class:`~repro.simmpi.liveness.LivenessBeacon` streams
@@ -885,7 +593,6 @@ def _rank_process(rank, size, command, ends, parent_ends, failed,
     found in the arguments notifies ``("fault", rank, (kind, step,
     rank))`` at fire time so the parent's copy stays in sync.
     """
-    signal.signal(signal.SIGTERM, _exit_on_sigterm)
     for conn in parent_ends:
         conn.close()
     for other in range(size):
@@ -894,8 +601,6 @@ def _rank_process(rank, size, command, ends, parent_ends, failed,
     mine = ends[rank]
     transport = RankTransport(rank, size, mine.readers, mine.writers,
                               failed, settings)
-    if rank == 0 and reclaimed:
-        transport.note_reclaimed(reclaimed)
     comm = ProcessCommunicator(transport)
     result_lock = threading.Lock()
 
@@ -956,7 +661,6 @@ def _rank_process(rank, size, command, ends, parent_ends, failed,
             if command == _SHUTDOWN:
                 break
     finally:
-        transport.close()
         with result_lock:
             mine.results.close()
 
@@ -1048,7 +752,6 @@ class ProcessWorld:
     def _spawn(self, command) -> None:
         n = self.size
         ctx = self._ctx
-        reclaimed = tuple(sweep_orphaned_segments())
         # One one-way message pipe per ordered rank pair: readers[j][i]
         # is rank j's read fd of the i -> j channel.
         readers: list[dict] = [{} for _ in range(n)]
@@ -1069,7 +772,7 @@ class ProcessWorld:
             ctx.Process(
                 target=_rank_process,
                 args=(rank, n, command, ends, parent_ends, self._failed,
-                      self.settings, reclaimed),
+                      self.settings),
                 name=f"simmpi-rank-{rank}",
                 daemon=True,
             )
@@ -1181,13 +884,12 @@ class ProcessWorld:
         return results
 
     def close(self) -> None:
-        """End the ranks and reclaim their segments; idempotent.
+        """End the ranks; idempotent.
 
-        Live ranks get the shutdown command and unlink their own
-        segments on the way out; stragglers are terminated after the
-        grace period, and whatever a hard-killed rank left in
-        ``/dev/shm`` is reclaimed.  A no-op in a forked copy of the
-        world: only the process that opened it may close it.
+        Live ranks get the shutdown command; stragglers are terminated
+        after the grace period, and killed if that does not end them.  A
+        no-op in a forked copy of the world: only the process that
+        opened it may close it.
         """
         if self.closed or os.getpid() != self._owner:
             return
@@ -1213,6 +915,4 @@ class ProcessWorld:
                 proc.join()
         for conn in self._results:
             conn.close()
-        if any(proc.exitcode != 0 for proc in self._procs):
-            sweep_orphaned_segments()
 

@@ -98,14 +98,11 @@ RUN_REPORT_SCHEMA = {
             "type": "object",
             "required": [
                 "hangs_detected", "stalls_injected",
-                "transport_degradations", "shm_reclaimed",
                 "deadlines_enabled", "watchdog_enabled",
             ],
             "properties": {
                 "hangs_detected": {"type": "integer", "minimum": 0},
                 "stalls_injected": {"type": "integer", "minimum": 0},
-                "transport_degradations": {"type": "integer", "minimum": 0},
-                "shm_reclaimed": {"type": "integer", "minimum": 0},
                 "deadlines_enabled": {"type": "boolean"},
                 "watchdog_enabled": {"type": "boolean"},
             },
@@ -214,7 +211,6 @@ def build_run_report(
     if liveness_stats is not None:
         report["liveness"] = {
             "hangs_detected": 0, "stalls_injected": 0,
-            "transport_degradations": 0, "shm_reclaimed": 0,
             "deadlines_enabled": False, "watchdog_enabled": False,
             **liveness_stats,
         }
@@ -315,8 +311,7 @@ def validate_run_report(report: dict) -> None:
     if "liveness" in report:
         liveness = report["liveness"]
         _require(isinstance(liveness, dict), "liveness must be an object")
-        for key in ("hangs_detected", "stalls_injected",
-                    "transport_degradations", "shm_reclaimed"):
+        for key in ("hangs_detected", "stalls_injected"):
             _require(
                 key in liveness
                 and isinstance(liveness[key], int) and liveness[key] >= 0,
@@ -469,8 +464,6 @@ def summarize_run_report(report: dict) -> list[str]:
         lines.append(
             f"liveness: hangs {lv['hangs_detected']}  "
             f"stalls {lv['stalls_injected']}  "
-            f"degradations {lv['transport_degradations']}  "
-            f"shm_reclaimed {lv['shm_reclaimed']}  "
             f"deadlines {'on' if lv['deadlines_enabled'] else 'off'}  "
             f"watchdog {'on' if lv['watchdog_enabled'] else 'off'}"
         )

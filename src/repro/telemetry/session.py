@@ -271,8 +271,8 @@ class RankTelemetry:
         if self._transport0 is not None:
             # zeros on the thread backend, so report shapes agree
             before, after = self._transport0, comm.transport_counters()
-            for name in ("pipe_messages", "segments_created"):
-                registry.counter(name).add(after[name] - before[name])
+            registry.counter("pipe_messages").add(
+                after["pipe_messages"] - before["pipe_messages"])
         events.emit(
             "run_end",
             steps_done=steps,

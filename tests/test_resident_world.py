@@ -33,7 +33,6 @@ from repro.distributed import solver as dsolver
 from repro.resilience.errors import InjectedFault, InvariantViolation
 from repro.resilience.faults import Fault, FaultPlan
 from repro.resilience.store import ShardedCheckpointStore
-from repro.simmpi.transport import sweep_orphaned_segments
 from repro.telemetry import RunTelemetry
 from repro.thermo.system import TernaryEutecticSystem
 
@@ -188,6 +187,21 @@ def test_rank_pids_survive_calls_and_change_after_a_failure(system, states):
     assert _segments() == before
 
 
+def test_an_open_world_holds_no_named_segment(system, states):
+    """Ranks share only pipes: while the world is open, with fields and
+    halo channels in use, no rank owns a ``/dev/shm`` segment."""
+    phi0, mu0 = states[0]
+    with _sim(system, "process") as sim:
+        res = sim.run(ODD, phi0, mu0)
+        assert all(st.n_blocks >= 2 and st.comm_bytes > 0
+                   for st in res.stats)   # ghosts crossed ranks
+        pids = _rank_pids()
+        assert len(pids) == 2
+        assert _left_by(pids) == []
+        ref_phi, _ = _serial(system, "buffered", phi0, mu0, ODD)
+        np.testing.assert_array_equal(res.phi, ref_phi)
+
+
 def test_rank_kill_destroys_the_world_and_the_retry_runs_clean(system, states):
     phi0, mu0 = states[0]
     before = _segments()
@@ -229,9 +243,8 @@ def test_fault_plan_is_a_setup_input(system, states):
 # (iv) per-call attachments end with their call
 # --------------------------------------------------------------------- #
 
-def _transport_attachments(comm):
-    transport = comm._transport
-    return transport._timing, transport._events
+def _transport_timing(comm):
+    return comm._transport._timing
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -252,7 +265,7 @@ def test_plain_call_after_a_telemetry_call(system, states, backend, tmp_path):
         np.testing.assert_array_equal(plain.mu, traced.mu)
         if backend == "process":
             world = sim._resident.world
-            assert world.call(_transport_attachments) == [(None, None)] * 2
+            assert world.call(_transport_timing) == [None] * 2
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -403,7 +416,6 @@ def test_ranks_of_a_killed_parent_exit_on_their_own(tmp_path):
         proc.wait(timeout=10)
         # EOF on the command pipe is the ranks' backstop
         assert _wait_gone(pids, 10.0)
-        sweep_orphaned_segments()
         assert _left_by(pids + [proc.pid]) == []
     finally:
         proc.kill()
@@ -420,10 +432,9 @@ def _probe(comm):
 
 
 def test_whole_call_transport_counters_on_later_calls(system, states):
-    """Second and later calls, telemetry off: no segment is created and
-    the ranks post one notify per send
-    channel per exchange round — plus, per rank, the result of the call
-    (each probe's own result lands after its snapshot)."""
+    """Second and later calls, telemetry off: the ranks post one notify
+    per send channel per exchange round — plus, per rank, the result of
+    the call (each probe's own result lands after its snapshot)."""
     phi0, mu0 = states[0]
     steps = 3
     with _sim(system, "process") as sim:
@@ -433,15 +444,11 @@ def test_whole_call_transport_counters_on_later_calls(system, states):
             snap0 = world.call(_probe)
             res = sim.run(steps, res.phi, res.mu)
             snap1 = world.call(_probe)
-            diff = {
-                key: sum(c1[key] - c0[key]
-                         for (c0, _), (c1, _) in zip(snap0, snap1))
-                for key in ("pipe_messages", "segments_created")
-            }
+            sent = sum(c1["pipe_messages"] - c0["pipe_messages"]
+                       for (c0, _), (c1, _) in zip(snap0, snap1))
             send_channels = sum(n for _, n in snap0) // 2
             rounds = 2 + 2 * steps           # two initial + phi, mu per step
-            assert diff["segments_created"] == 0
-            assert diff["pipe_messages"] == (
+            assert sent == (
                 send_channels * rounds + 2 * world.size
             )
 

@@ -5,8 +5,7 @@ sizes small so the shard stays fast.  Semantics under test mirror the
 thread-backend tests: tag matching, collectives, snapshot-on-send,
 exception propagation with ``simmpi_rank``, plus the process-specific
 pieces — messages larger than a pipe holds, bursts that need a sender
-to keep draining its own pipes, the send deadline, and the
-shared-memory Field allocator.
+to keep draining its own pipes, and the send deadline.
 """
 
 import os
@@ -19,7 +18,6 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from repro.grid.field import Field
 from repro.simmpi import run_spmd
 from repro.simmpi.comm import RankTimeout, RemoteError
 
@@ -249,16 +247,6 @@ def _straddling_stream(draw):
     return sizes + draw(st.lists(_SIZES, max_size=2))
 
 
-def _field_in_shared_memory(comm):
-    alloc = comm.field_allocator()
-    assert alloc is not None
-    f = Field(3, (4, 5), allocator=alloc)
-    f.src[...] = comm.rank + 0.5
-    # the transport tracks every Field backing segment it allocated
-    n_segments = len(comm._transport._field_segments)
-    return n_segments, float(f.src[0, 0, 0]), f.src.shape
-
-
 def _self_send(comm):
     req = comm.irecv(comm.rank, tag=5)
     comm.send(np.arange(3, dtype=float), comm.rank, tag=5)
@@ -423,17 +411,6 @@ class TestFailurePropagation:
 
 
 class TestSharedMemoryIntegration:
-    def test_field_allocator_places_buffers_in_shared_memory(self):
-        out = run_spmd(2, _field_in_shared_memory, backend="process")
-        for rank, (n_segments, value, shape) in enumerate(out):
-            assert n_segments == 2  # src + dst
-            assert value == rank + 0.5
-            assert shape == (3, 6, 7)  # ghosted
-
-    def test_thread_backend_has_no_special_allocator(self):
-        out = run_spmd(2, lambda comm: comm.field_allocator())
-        assert out == [None, None]
-
     def test_comm_stats_accounted_per_rank(self):
         out = run_spmd(2, _stats_probe, backend="process")
         sends, nbytes = out[0]
