@@ -10,7 +10,8 @@ rank: thread ranks share the object, process ranks inherit it through
 An empty value means unset.  Second counts are parsed by one rule:
 empty, ``none`` or ``off`` (any case), zero or a negative number
 disable; anything else that is not a number is a :class:`ValueError`
-naming the variable, as is every other malformed value.
+naming the variable, as is every other malformed value and a
+``REPRO_SIMMPI_TIMEOUT_<OP>`` whose ``<OP>`` is no deadline operation.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ __all__ = ["DEADLINE_OPS", "DEFAULT_TRACE_BUFFER", "KERNEL_BACKENDS",
 
 #: Blocking-operation classes a deadline can bound: the ``<OP>`` of
 #: ``REPRO_SIMMPI_TIMEOUT_<OP>``.
-DEADLINE_OPS = ("recv", "send", "barrier", "shrink")
+DEADLINE_OPS = ("recv", "send", "barrier")
 
 #: Span ring-buffer capacity per rank when ``REPRO_TRACE_BUFFER`` is unset.
 DEFAULT_TRACE_BUFFER = 65536
@@ -56,6 +57,23 @@ def _seconds(environ: Mapping[str, str], name: str) -> float | None:
             "(float), empty/'none'/'off' to disable"
         ) from None
     return value if value > 0 else None
+
+
+def _timeout_ops(environ: Mapping[str, str]) -> dict[str, float | None]:
+    """The ``REPRO_SIMMPI_TIMEOUT_<OP>`` overrides set in *environ*; a
+    non-empty one whose ``<OP>`` is not in :data:`DEADLINE_OPS` is a
+    :class:`ValueError`, so a misspelt name is never ignored."""
+    names = {f"{_TIMEOUT}_{op.upper()}": op for op in DEADLINE_OPS}
+    for name in environ:
+        if (name.startswith(f"{_TIMEOUT}_") and name not in names
+                and (environ[name] or "").strip()):
+            raise ValueError(
+                f"unknown simmpi deadline operation {name}; expected "
+                f"{_TIMEOUT}_<OP> with <OP> one of "
+                f"{'|'.join(op.upper() for op in DEADLINE_OPS)}"
+            )
+    return {op: _seconds(environ, name) for name, op in names.items()
+            if name in environ}
 
 
 def _count(environ: Mapping[str, str], name: str, default: int) -> int:
@@ -113,10 +131,7 @@ class Settings:
                             {"thread": "thread", "process": "process"},
                             "thread"),
             timeout=_seconds(env, _TIMEOUT),
-            timeout_ops={
-                op: _seconds(env, f"{_TIMEOUT}_{op.upper()}")
-                for op in DEADLINE_OPS if f"{_TIMEOUT}_{op.upper()}" in env
-            },
+            timeout_ops=_timeout_ops(env),
             hang_timeout=hang,
             heartbeat=max(0.01, beat),
             trace=(env.get("REPRO_TRACE") or "").strip().lower()

@@ -21,10 +21,6 @@ Main entry points:
   that runs SPMD functions call after call until it is closed,
 * :func:`repro.simmpi.runtime.run_spmd` — launch an SPMD function once
   (open a world, one call, close),
-* :func:`repro.simmpi.runtime.run_spmd_elastic` — launch with ULFM-style
-  failure containment (peer death becomes a typed
-  :class:`~repro.simmpi.comm.RankFailure`; survivors
-  :meth:`~repro.simmpi.comm.Communicator.shrink` and continue),
 * :class:`repro.simmpi.comm.Communicator` — send/recv/collectives,
 * :class:`repro.simmpi.cart.CartComm` — cartesian topology helper,
 * :mod:`repro.simmpi.reduce_tree` — the log2(P) pairwise reduction
@@ -40,7 +36,7 @@ from repro.simmpi.comm import (
 )
 from repro.simmpi.deadline import Deadline, DeadlinePolicy
 from repro.simmpi.liveness import WatchdogConfig
-from repro.simmpi.runtime import open_world, run_spmd, run_spmd_elastic
+from repro.simmpi.runtime import open_world, run_spmd
 from repro.simmpi.cart import CartComm
 
 BACKENDS = ("thread", "process")
@@ -57,6 +53,5 @@ __all__ = [
     "WatchdogConfig",
     "open_world",
     "run_spmd",
-    "run_spmd_elastic",
     "CartComm",
 ]

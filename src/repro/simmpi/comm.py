@@ -45,21 +45,17 @@ class RemoteError(RuntimeError):
 
 
 class RankFailure(RemoteError):
-    """A peer rank died; the communicator is revoked (ULFM-style).
+    """A failure that names the peer rank(s) to blame; raised as its
+    subclass :class:`RankTimeout`.
 
-    Carries the identities of the dead ranks so survivors can decide how
-    to :meth:`Communicator.shrink`.  Once any rank is marked dead, every
-    operation on the old communicator that would have to *wait* raises
-    this instead of hanging; already-queued matching messages still
-    drain, mirroring how MPI ULFM lets posted receives complete.
+    :attr:`failed_ranks` is what a campaign reads to decide which ranks
+    its re-formed world leaves out (see
+    :func:`repro.resilience.campaign.run_campaign`).
     """
 
     def __init__(self, failed_ranks):
         self.failed_ranks = tuple(sorted(set(failed_ranks)))
-        super().__init__(
-            f"peer rank(s) {list(self.failed_ranks)} failed; "
-            "communicator revoked — shrink() to continue on survivors"
-        )
+        super().__init__(f"peer rank(s) {list(self.failed_ranks)} failed")
 
 
 class RankTimeout(RankFailure):
@@ -67,11 +63,12 @@ class RankTimeout(RankFailure):
 
     Raised instead of hanging when a :class:`~repro.simmpi.deadline.
     DeadlinePolicy` bounds the operation (``REPRO_SIMMPI_TIMEOUT``) or
-    when the process-backend watchdog declares a rank hung.  Subclasses
-    :class:`RankFailure` so every containment path — world abort,
-    elastic shrink, campaign restart — treats a hang exactly like a
-    rank death; :attr:`failed_ranks` carries the blamed peer(s) (may be
-    empty when no specific peer can be identified).
+    when the process-backend watchdog declares a rank hung.  It aborts
+    the world like any rank failure, and :func:`raise_selected` prefers
+    it over the peers' generic :class:`RemoteError` echoes, so a
+    campaign restart treats a hang exactly like a rank death;
+    :attr:`failed_ranks` carries the blamed peer(s) (may be empty when
+    no specific peer can be identified).
     """
 
     def __init__(self, op: str, timeout: float, *, peers=()):
@@ -165,17 +162,9 @@ class _Mailbox:
                         return src, tg, payload
                 if world.failed.is_set():
                     raise RemoteError("a peer rank failed while this rank waited")
-                dead = world.dead_ranks()
-                if dead:
-                    raise RankFailure(dead)
                 if deadline is not None:
                     deadline.check()
                 self._cond.wait(timeout=_POLL)
-
-    def kick(self) -> None:
-        """Wake all waiters so they re-check the world's failure state."""
-        with self._cond:
-            self._cond.notify_all()
 
     def probe(self, source: int, tag: int) -> bool:
         with self._cond:
@@ -191,9 +180,9 @@ class _PollBarrier:
     Replaces :class:`threading.Barrier`, whose ``wait(timeout=...)``
     *breaks* the barrier for everyone on a timeout — useless for
     polling.  This one polls a condition variable every ``_POLL``
-    seconds, re-checking the world's failure/death flags and the
-    caller's deadline, so a revoked or shrunk world (or an expired
-    deadline) surfaces as a typed exception instead of an eternal wait.
+    seconds, re-checking the world's failure flag and the caller's
+    deadline, so an aborted world (or an expired deadline) surfaces as
+    an exception instead of an eternal wait.
     """
 
     def __init__(self, parties: int) -> None:
@@ -216,7 +205,7 @@ class _PollBarrier:
     def wait(self, world: "_World | None" = None, deadline=None) -> None:
         with self._cond:
             if self._broken:
-                self._raise_broken(world)
+                self._raise_broken()
             self._count += 1
             if self._count >= self.parties:
                 self._count = 0
@@ -229,37 +218,29 @@ class _PollBarrier:
                 if self._generation != generation:
                     return
                 if self._broken:
-                    self._raise_broken(world)
-                if world is not None and (
-                    world.failed.is_set() or world.dead_ranks()
-                ):
+                    self._raise_broken()
+                if world is not None and world.failed.is_set():
                     self._broken = True
                     self._cond.notify_all()
-                    self._raise_broken(world)
+                    self._raise_broken()
                 if deadline is not None and deadline.expired():
                     self._broken = True
                     self._cond.notify_all()
                     deadline.check()
 
-    def _raise_broken(self, world: "_World | None") -> None:
-        dead = world.dead_ranks() if world is not None else ()
-        if dead:
-            raise RankFailure(dead)
+    @staticmethod
+    def _raise_broken() -> None:
         raise RemoteError("barrier broken by a failed peer")
 
 
 class _World:
     """Shared state of one SPMD run.
 
-    Two failure modes coexist:
-
-    * ``failed`` — fatal whole-world abort (:func:`~repro.simmpi.runtime.
-      run_spmd`): every blocked rank raises :class:`RemoteError` and the
-      run is torn down.
-    * ``dead`` — contained rank death (:func:`~repro.simmpi.runtime.
-      run_spmd_elastic`): the world is *revoked*, blocked survivors raise
-      :class:`RankFailure` and may rendezvous in :meth:`shrink` to obtain
-      a fresh sub-world spanning only the survivors.
+    A failure on any rank sets ``failed`` and aborts the barrier: every
+    rank blocked in a receive or the barrier raises :class:`RemoteError`,
+    the call returns and the world is closed
+    (:class:`~repro.simmpi.runtime.ThreadWorld`).  There is no recovery
+    inside a world; a campaign re-forms a new one.
     """
 
     def __init__(self, size: int) -> None:
@@ -268,57 +249,6 @@ class _World:
         self.barrier = _PollBarrier(size)
         self.failed = threading.Event()
         self.stats = [CommStats() for _ in range(size)]
-        self.dead: set[int] = set()
-        self._dead_lock = threading.Lock()
-        self._shrink_cond = threading.Condition()
-        self._shrink_waiting: set[int] = set()
-        self._shrink_result: tuple[list[int], "_World"] | None = None
-
-    def dead_ranks(self) -> tuple[int, ...]:
-        with self._dead_lock:
-            return tuple(sorted(self.dead))
-
-    def mark_dead(self, rank: int) -> None:
-        """Record a contained rank death and revoke the world.
-
-        Blocked peers are woken (mailboxes kicked, barrier aborted) so
-        they observe the death as a :class:`RankFailure` instead of
-        hanging on a message or barrier slot that will never be filled.
-        """
-        with self._dead_lock:
-            self.dead.add(rank)
-        self.barrier.abort()
-        for mailbox in self.mailboxes:
-            mailbox.kick()
-        with self._shrink_cond:
-            self._shrink_cond.notify_all()
-
-    def shrink_rendezvous(self, rank: int,
-                          deadline=None) -> tuple[list[int], "_World"]:
-        """Collective among survivors: agree on and build the sub-world.
-
-        Blocks until every currently-live rank has arrived (ranks that
-        die while others wait shrink the expected set further).  The
-        first completer builds one shared ``(survivor_order, new_world)``
-        pair; everyone returns the same object, so payload mailboxes and
-        the barrier are common to all survivors.
-        """
-        with self._shrink_cond:
-            self._shrink_waiting.add(rank)
-            self._shrink_cond.notify_all()
-            while True:
-                if self._shrink_result is not None:
-                    return self._shrink_result
-                with self._dead_lock:
-                    survivors = set(range(self.size)) - self.dead
-                if survivors and survivors <= self._shrink_waiting:
-                    order = sorted(survivors)
-                    self._shrink_result = (order, _World(len(order)))
-                    self._shrink_cond.notify_all()
-                    return self._shrink_result
-                if deadline is not None:
-                    deadline.check()
-                self._shrink_cond.wait(timeout=_POLL)
 
 
 def _halo_tags(channel_id: int) -> tuple[int, int]:
@@ -455,8 +385,7 @@ class HaloRecvChannel:
             raise RuntimeError(
                 f"halo channel {self.channel_id} from rank {self.source}: "
                 f"expected sequence {self.seq}, got {seq} — exchange rounds "
-                "out of lockstep (a skipped or repeated exchange round, or "
-                "a channel reused across a shrink)"
+                "out of lockstep (a skipped or repeated exchange round)"
             )
         self.seq += 1
         return seq
@@ -550,42 +479,20 @@ class Communicator:
         """Synchronize all ranks.
 
         The barrier polls (``_POLL`` cadence) rather than waiting
-        unboundedly, so a revoked/shrunk world — or an armed deadline
-        policy — can never strand a rank in an unkillable barrier.
+        unboundedly, so an aborted world — or an armed deadline policy —
+        can never strand a rank in an unkillable barrier.
         """
         self._world.barrier.wait(
             self._world, deadline=self.deadlines.start("barrier")
         )
 
-    # -- failure containment -------------------------------------------------
-
-    def failed_ranks(self) -> tuple[int, ...]:
-        """Ranks of this world marked dead (empty while healthy)."""
-        return self._world.dead_ranks()
-
     def aborted(self) -> bool:
-        """True once this world is failed or revoked.
+        """True once this world is aborted (a rank failed).
 
         Cheap enough to poll from a long-running loop; fault-injection
         stall loops use it to notice that peers gave up on this rank.
         """
-        return self._world.failed.is_set() or bool(self._world.dead_ranks())
-
-    def shrink(self) -> "Communicator":
-        """Build a working sub-communicator from the surviving ranks.
-
-        Collective over the survivors of a revoked world: every live rank
-        must call it (typically from its ``except RankFailure`` handler).
-        Ranks are renumbered densely — old rank order is preserved, so
-        survivor ``k`` of the sorted survivor list becomes new rank ``k``
-        — and the returned communicator has fresh mailboxes, barrier and
-        statistics.  The old communicator stays revoked.
-        """
-        order, new_world = self._world.shrink_rendezvous(
-            self.rank, deadline=self.deadlines.start("shrink")
-        )
-        return Communicator(new_world, order.index(self.rank),
-                            self.settings)
+        return self._world.failed.is_set()
 
     def bcast(self, obj, root: int = 0):
         """Binomial-tree broadcast from *root*."""

@@ -8,8 +8,8 @@ process transport — polls without a bound.  This module supplies the bound: a
 :class:`DeadlinePolicy` maps each blocking-operation class to an
 optional timeout, and a started :class:`Deadline` is checked on every
 poll cycle, raising a typed :class:`~repro.simmpi.comm.RankTimeout`
-(a :class:`~repro.simmpi.comm.RankFailure` subclass, so the elastic
-shrink-and-resume machinery treats a hang exactly like a death).
+that aborts the world and names the stalled peer, so a campaign
+re-forms its world without that rank, exactly as after a death.
 
 Deadlines are **disabled by default** (``None`` everywhere): the tier-1
 suite and every existing workload run bit-for-bit unchanged unless
@@ -28,8 +28,6 @@ Operation classes (``<OP>`` in the override variables):
     that never receives).
 ``barrier``
     Barrier waits (both backends).
-``shrink``
-    The survivor rendezvous of :meth:`Communicator.shrink`.
 """
 
 from __future__ import annotations

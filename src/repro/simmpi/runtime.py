@@ -7,8 +7,11 @@ everywhere and collects the per-rank return values, as often as the
 caller likes; ranks keep what they set up between calls.  A failure on
 any rank sets a world-wide flag so peers blocked in communication abort
 instead of deadlocking, the world is closed, and the first exception is
-re-raised in the caller.  :func:`run_spmd` is the one-shot form: open a
-world, one call, close.
+re-raised in the caller.  That is the only failure model: a world is
+never repaired in place, and a caller that wants to go on opens a new one
+(:func:`repro.resilience.campaign.run_campaign` re-forms a smaller world
+from its newest checkpoint).  :func:`run_spmd` is the one-shot form:
+open a world, one call, close.
 
 Two execution backends share these semantics:
 
@@ -32,27 +35,9 @@ import numpy as np
 from repro.settings import Settings
 from repro.simmpi.comm import Communicator, RemoteError, _World, raise_selected
 
-__all__ = [
-    "ThreadWorld",
-    "open_world",
-    "run_spmd",
-    "run_spmd_elastic",
-    "run_spmd_resilient",
-]
+__all__ = ["ThreadWorld", "open_world", "run_spmd"]
 
 logger = logging.getLogger(__name__)
-
-
-def _run_rank_threads(n_ranks: int, entry, prefix: str) -> None:
-    """Run ``entry(rank)`` on one thread per rank and wait for all."""
-    threads = [
-        threading.Thread(target=entry, args=(r,), name=f"{prefix}-{r}")
-        for r in range(n_ranks)
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
 
 
 class ThreadWorld:
@@ -99,8 +84,15 @@ class ThreadWorld:
                 world.failed.set()
                 world.barrier.abort()
 
+        threads = [
+            threading.Thread(target=entry, args=(r,), name=f"simmpi-rank-{r}")
+            for r in range(self.size)
+        ]
         try:
-            _run_rank_threads(self.size, entry, "simmpi-rank")
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
         except BaseException:
             # Interrupted while waiting: make blocked ranks give up.
             world.failed.set()
@@ -170,80 +162,3 @@ def run_spmd(n_ranks: int, fn, *args, backend: str | None = None,
         return world.call(fn, *args, **kwargs)
     finally:
         world.close()
-
-
-def run_spmd_elastic(n_ranks: int, fn, *args, **kwargs) -> tuple[list, dict]:
-    """Run *fn* with ULFM-style failure containment instead of world abort.
-
-    A rank whose function raises is marked **dead** in the world — it
-    does not tear the run down.  Peers blocked in communication observe
-    the death as a typed :class:`~repro.simmpi.comm.RankFailure` and may
-    call :meth:`~repro.simmpi.comm.Communicator.shrink` to obtain a
-    working sub-communicator of the survivors and finish their work.
-
-    Returns ``(results, failures)``: *results* is the per-rank return
-    value list (``None`` for dead ranks) and *failures* maps each dead
-    rank to the exception that killed it (each annotated with a
-    ``simmpi_rank`` attribute).  Nothing is re-raised — containment is
-    the whole point — so callers decide how to treat partial success.
-    """
-    if n_ranks < 1:
-        raise ValueError("need at least one rank")
-    world = _World(n_ranks)
-    settings = Settings.from_env()
-    results: list = [None] * n_ranks
-    errors: list = [None] * n_ranks
-
-    def entry(rank: int) -> None:
-        comm = Communicator(world, rank, settings)
-        try:
-            results[rank] = fn(comm, *args, **kwargs)
-        except BaseException as exc:  # noqa: BLE001 - reported via failures
-            exc.simmpi_rank = rank
-            errors[rank] = exc
-            if not isinstance(exc, RemoteError):
-                logger.warning("rank %d died (contained): %r", rank, exc)
-            world.mark_dead(rank)
-
-    _run_rank_threads(n_ranks, entry, "simmpi-elastic")
-    failures = {r: e for r, e in enumerate(errors) if e is not None}
-    if failures:
-        logger.info(
-            "elastic SPMD run finished with %d contained failure(s): ranks %s",
-            len(failures), sorted(failures),
-        )
-    return results, failures
-
-
-def run_spmd_resilient(
-    n_ranks: int,
-    fn,
-    make_args,
-    *,
-    max_attempts: int = 3,
-    retry_on: tuple = (Exception,),
-) -> list:
-    """Retry-with-restart wrapper around :func:`run_spmd`.
-
-    Each attempt gets a **fresh world** (mailboxes, barrier, failure
-    flag) and freshly built arguments: ``make_args(attempt, last_exc)``
-    returns the ``(args, kwargs)`` pair for attempt *attempt* (0-based),
-    letting the caller reload state from a checkpoint store and shrink
-    the remaining work between attempts.  Exceptions matching *retry_on*
-    trigger another attempt until *max_attempts* is exhausted, after
-    which the last exception is re-raised.
-    """
-    if max_attempts < 1:
-        raise ValueError("need at least one attempt")
-    last_exc = None
-    for attempt in range(max_attempts):
-        args, kwargs = make_args(attempt, last_exc)
-        try:
-            return run_spmd(n_ranks, fn, *args, **kwargs)
-        except retry_on as exc:  # noqa: PERF203 - retry loop
-            last_exc = exc
-            logger.warning(
-                "SPMD attempt %d/%d failed (%r); retrying",
-                attempt + 1, max_attempts, exc,
-            )
-    raise last_exc

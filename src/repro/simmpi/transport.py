@@ -491,15 +491,6 @@ class ProcessCommunicator(Communicator):
     def barrier(self) -> None:
         self._transport.barrier_wait()
 
-    def failed_ranks(self) -> tuple:
-        return ()
-
-    def shrink(self) -> "Communicator":
-        raise NotImplementedError(
-            "elastic shrink is a thread-backend feature; the process "
-            "backend uses whole-world abort (run_spmd semantics)"
-        )
-
     def aborted(self) -> bool:
         """True once any rank failed (world-abort flag set)."""
         return self._transport._failed.is_set()
@@ -683,9 +674,9 @@ class ProcessWorld:
     each call: ranks heartbeat their transport progress counters, and a
     rank whose counter freezes beyond the hang timeout — while some peer
     still advanced, or past the grace factor — is killed and reported as
-    a :class:`RankTimeout` naming it, which elastic campaigns turn into a
-    shrink-and-resume.  Idle time between calls is never a freeze: the
-    monitor is per call.
+    a :class:`RankTimeout` naming it, which a campaign answers by
+    re-forming its world without that rank.  Idle time between calls is
+    never a freeze: the monitor is per call.
     """
 
     def __init__(self, n_ranks: int, settings: Settings) -> None:

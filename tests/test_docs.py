@@ -28,3 +28,16 @@ def test_readme_env_table_lists_exactly_the_variables_in_src():
     assert not exact - in_src, "rows for variables nothing reads"
     for prefix in families:
         assert any(name.startswith(prefix) for name in in_src)
+
+
+def test_readme_timeout_row_names_exactly_the_deadline_ops():
+    """The ``REPRO_SIMMPI_TIMEOUT`` row lists the operations a deadline
+    can bound, no more and no fewer."""
+    from repro.settings import DEADLINE_OPS
+
+    row = re.search(
+        r"^\| `REPRO_SIMMPI_TIMEOUT` \|[^(]*\(([^)]*)\)",
+        (ROOT / "README.md").read_text(), re.M,
+    )
+    assert row is not None
+    assert tuple(re.findall(r"`(\w+)`", row.group(1))) == DEADLINE_OPS

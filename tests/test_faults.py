@@ -23,7 +23,7 @@ from repro.resilience import (
     ShardedCheckpointStore,
     run_campaign,
 )
-from repro.simmpi.runtime import run_spmd, run_spmd_resilient
+from repro.simmpi.runtime import run_spmd
 from repro.thermo.system import TernaryEutecticSystem
 
 pytestmark = pytest.mark.faults
@@ -238,32 +238,6 @@ class TestSpmdRetry:
         with pytest.raises(InjectedFault) as info:
             run_spmd(2, fn)
         assert info.value.simmpi_rank == 1
-
-    def test_run_spmd_resilient_retries_with_fresh_args(self):
-        plan = FaultPlan([Fault(kind="rank_kill", step=0, rank=0)], seed=SEED)
-        attempts_seen = []
-
-        def fn(comm, attempt):
-            fault = plan.fires("rank_kill", step=0, rank=comm.rank)
-            if fault is not None:
-                raise InjectedFault("rank_kill", rank=comm.rank)
-            return (comm.rank, attempt)
-
-        def make_args(attempt, last_exc):
-            attempts_seen.append((attempt, type(last_exc).__name__))
-            return (attempt,), {}
-
-        results = run_spmd_resilient(2, fn, make_args, max_attempts=3)
-        assert results == [(0, 1), (1, 1)]
-        assert attempts_seen[0] == (0, "NoneType")
-        assert attempts_seen[1][1] in ("InjectedFault", "RemoteError")
-
-    def test_run_spmd_resilient_exhausts(self):
-        def fn(comm):
-            raise RuntimeError("always broken")
-
-        with pytest.raises(RuntimeError, match="always broken"):
-            run_spmd_resilient(1, fn, lambda a, e: ((), {}), max_attempts=2)
 
 
 class TestFaultyComm:

@@ -4,8 +4,7 @@ Halo channels are the only ghost-exchange path, so the referees are the
 serial ``Simulation`` (bitwise for Algorithm 1, 1e-11 for Algorithm 2)
 across backends, rank counts and schedules, and thread-vs-process
 checkpoint manifests down to their CRC32s; a 2-rank process-backend run
-costs exactly one pipe message per send channel per exchange round;
-channels survive an elastic shrink through re-registration; the
+costs exactly one pipe message per send channel per exchange round; the
 protocol fails loudly when its lockstep discipline is violated.
 """
 
@@ -174,51 +173,6 @@ class TestSolverEquivalence:
             assert _crc(res.mu) == _crc(serial["mu"])
         assert tables["thread"]
         assert tables["thread"] == tables["process"]
-
-
-# -- elastic shrink -----------------------------------------------------------
-
-
-class TestShrinkReregistration:
-    def test_channels_reregister_on_shrunk_communicator(self):
-        """After a rank loss + shrink, survivors rebuild their channels
-        on the sub-communicator and exchange again."""
-        from repro.simmpi import RankFailure, run_spmd_elastic
-
-        def fn(comm):
-            if comm.size >= 3 and comm.rank < 2:
-                # A working channel pair on the original world first.
-                peer = 1 - comm.rank
-                send = comm.register_halo(peer, 0, 4)
-                recv = comm.accept_halo(peer, 0)
-                send.slot()[:] = float(comm.rank)
-                send.notify()
-                first = float(recv.wait()[0])
-                comm.send("exchanged", 2)
-            else:
-                # Die only once both peers are through the first exchange:
-                # a death sooner would revoke a peer's receive in it.
-                comm.recv(0)
-                comm.recv(1)
-                raise RuntimeError("node down")
-            try:
-                comm.barrier()
-            except RankFailure:
-                sub = comm.shrink()
-                # Re-registration: fresh channels, fresh sequence zero.
-                peer = 1 - sub.rank
-                send = sub.register_halo(peer, 0, 4)
-                recv = sub.accept_halo(peer, 0)
-                send.slot()[:] = 10.0 + sub.rank
-                send.notify()
-                second = float(recv.wait()[0])
-                return first, second
-            return None
-
-        results, failures = run_spmd_elastic(3, fn)
-        assert set(failures) == {2}
-        assert results[0] == (1.0, 11.0)
-        assert results[1] == (0.0, 10.0)
 
 
 # -- steady-state message counts (the fig7 gate) ------------------------------

@@ -43,12 +43,10 @@ class TestDeadlinePolicy:
             "REPRO_SIMMPI_TIMEOUT": "10",
             "REPRO_SIMMPI_TIMEOUT_RECV": "0.5",
             "REPRO_SIMMPI_TIMEOUT_BARRIER": "off",
-            "REPRO_SIMMPI_TIMEOUT_SHRINK": "-1",
         })
         assert policy.limit("recv") == 0.5
         assert policy.limit("send") == 10.0
         assert policy.limit("barrier") is None
-        assert policy.limit("shrink") is None
 
     @pytest.mark.parametrize("raw", ["", "none", "OFF", "0", "-3"])
     def test_disabling_spellings(self, raw):

@@ -25,7 +25,7 @@ CASES = {
         f"REPRO_SIMMPI_TIMEOUT_{op.upper()}": (
             lambda s, op=op: s.deadlines.limit(op), "0.5", 0.5, None, None,
             "soon")
-        for op in ("recv", "send", "barrier", "shrink")
+        for op in ("recv", "send", "barrier")
     },
     "REPRO_SIMMPI_HANG_TIMEOUT": (
         lambda s: s.watchdog.hang_timeout, "2", 2.0, None, None, "never"),
@@ -95,8 +95,17 @@ def test_as_dict_is_json_ready():
     record = Settings.from_env({"REPRO_SIMMPI_TIMEOUT": "3",
                                 "REPRO_SIMMPI_TIMEOUT_RECV": "off"}).as_dict()
     assert json.loads(json.dumps(record)) == record
-    assert record["timeout"] == {"recv": None, "send": 3.0, "barrier": 3.0,
-                                 "shrink": 3.0}
+    assert record["timeout"] == {"recv": None, "send": 3.0, "barrier": 3.0}
+
+
+@pytest.mark.parametrize("name", ["REPRO_SIMMPI_TIMEOUT_RECIEVE",
+                                  "REPRO_SIMMPI_TIMEOUT_SHRINK"])
+def test_unknown_deadline_operation_is_rejected(name):
+    with pytest.raises(ValueError, match=name) as info:
+        Settings.from_env({name: "5"})
+    assert "RECV|SEND|BARRIER" in str(info.value)
+    # an empty value means unset, for a misspelt name too
+    assert Settings.from_env({name: ""}).deadlines.enabled is False
 
 
 def test_only_settings_reads_the_environment():

@@ -185,76 +185,3 @@ class TestStats:
 
         with pytest.raises(ValueError, match="one item per rank"):
             run_spmd(2, fn)
-
-
-class TestElastic:
-    """Failure containment: peer death -> RankFailure -> shrink -> continue."""
-
-    def test_rank_failure_is_typed_and_names_the_dead(self):
-        from repro.simmpi import RankFailure, run_spmd_elastic
-
-        def fn(comm):
-            if comm.rank == 1:
-                raise RuntimeError("node down")
-            try:
-                comm.recv(source=1, tag=7)
-            except RankFailure as exc:
-                return exc.failed_ranks
-            return "message arrived?!"
-
-        results, failures = run_spmd_elastic(3, fn)
-        assert set(failures) == {1}
-        assert isinstance(failures[1], RuntimeError)
-        assert failures[1].simmpi_rank == 1
-        assert results[0] == (1,)
-        assert results[2] == (1,)
-
-    def test_shrink_builds_working_subcommunicator(self):
-        from repro.simmpi import RankFailure, run_spmd_elastic
-
-        def fn(comm):
-            if comm.rank == 2:
-                raise RuntimeError("gone")
-            try:
-                comm.barrier()
-            except RankFailure:
-                sub = comm.shrink()
-                # dense renumbering preserving old rank order
-                total = sub.allreduce(comm.rank)
-                return (sub.rank, sub.size, total)
-            return "barrier passed?!"
-
-        results, failures = run_spmd_elastic(4, fn)
-        assert set(failures) == {2}
-        # survivors 0,1,3 -> new ranks 0,1,2; sum of old ranks = 4
-        assert results[0] == (0, 3, 4)
-        assert results[1] == (1, 3, 4)
-        assert results[3] == (2, 3, 4)
-
-    def test_queued_messages_still_drain_after_revocation(self):
-        from repro.simmpi import RankFailure, run_spmd_elastic
-
-        def fn(comm):
-            if comm.rank == 0:
-                comm.send(np.arange(3), dest=1, tag=5)
-                raise RuntimeError("died after send")
-            # wait until the sender is dead, then drain its message
-            while not comm.failed_ranks():
-                pass
-            got = comm.recv(source=0, tag=5)
-            with pytest.raises(RankFailure):
-                comm.recv(source=0, tag=6)  # never sent -> typed failure
-            return got.sum()
-
-        results, failures = run_spmd_elastic(2, fn)
-        assert set(failures) == {0}
-        assert results[1] == 3
-
-    def test_contained_failures_do_not_raise(self):
-        from repro.simmpi import run_spmd_elastic
-
-        results, failures = run_spmd_elastic(
-            1, lambda c: (_ for _ in ()).throw(ValueError("solo death"))
-        )
-        assert results == [None]
-        assert isinstance(failures[0], ValueError)
