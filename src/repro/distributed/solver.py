@@ -259,10 +259,10 @@ class DistributedSimulation:
 
         The domain, forest geometry, physics and schedule are identical —
         only the block-to-rank assignment is re-derived — so a shrunk
-        simulation continued from a (resharded) checkpoint reproduces the
-        original run bit-for-bit: per-block arithmetic does not depend on
-        which rank owns the block.  Used by the elastic campaign driver
-        after a permanent rank loss.
+        simulation continued from a checkpoint written on more ranks
+        reproduces the original run bit-for-bit: per-block arithmetic
+        does not depend on which rank owns the block.  Used by the
+        campaign driver after a permanent rank loss.
         """
         if not 1 <= n_ranks <= self.forest.n_blocks:
             raise ValueError(

@@ -16,11 +16,10 @@ protocol:
 
 Because the manifest records the full topology
 (:meth:`repro.grid.blockforest.BlockForest.meta` plus the block-owner
-map), a checkpoint written by N ranks can be **resharded** and restored
-on any M ≥ 1 ranks: :func:`reshard` rebuilds the identical forest,
-reassigns blocks to the surviving process count and regroups the stored
-block arrays per new rank — the loader that makes shrink-and-resume
-restarts possible after a rank failure.
+map), :func:`load_sharded` reassembles the global state whatever the
+writing rank count, so a checkpoint written by N ranks restores on any
+M ≥ 1 ranks — what makes shrink-and-resume restarts possible after a
+rank failure.
 
 Fields are stored in float32 like the single-file format of
 :mod:`repro.io.checkpoint` ("checkpoints use only single precision to
@@ -50,7 +49,6 @@ __all__ = [
     "write_manifest",
     "load_shard",
     "load_sharded",
-    "reshard",
 ]
 
 logger = logging.getLogger(__name__)
@@ -255,7 +253,7 @@ def load_sharded(manifest_file) -> dict:
     trusted.  Returns the usual state dict (``phi`` / ``mu`` as float64
     global arrays, ``time``, ``step_count``, ``z_offset``, ``kernel``)
     plus ``blocks`` (``{block_id: (phi, mu)}``) and the recorded
-    ``topology`` so callers can reshard.
+    ``topology``.
     """
     manifest_file = Path(manifest_file)
     manifest = _read_manifest(manifest_file)
@@ -300,33 +298,3 @@ def load_sharded(manifest_file) -> dict:
         "topology": topology,
         "format_version": SHARD_FORMAT_VERSION,
     }
-
-
-def reshard(state: dict, n_ranks: int, *, strategy: str = "contiguous") -> dict:
-    """Regroup a loaded sharded checkpoint for a new process count.
-
-    *state* is the result of :func:`load_sharded` (written by N ranks);
-    the blocks are reassigned to *n_ranks* ranks by re-running the same
-    deterministic decomposition the distributed driver uses
-    (:func:`repro.grid.balance.assign_blocks` over the manifest's forest),
-    so loading a 4-rank checkpoint on 2 ranks hands each new rank exactly
-    the blocks it would own in a fresh 2-rank run.
-
-    Returns ``{"owner": [...], "blocks_by_rank": {rank: {bid: (phi,
-    mu)}}, "n_ranks": M}``.
-    """
-    from repro.grid.balance import assign_blocks
-    from repro.grid.blockforest import BlockForest
-
-    forest = BlockForest.from_meta(state["topology"])
-    if n_ranks < 1:
-        raise ValueError("need at least one rank")
-    if n_ranks > forest.n_blocks:
-        raise CheckpointError(
-            f"cannot reshard {forest.n_blocks} blocks onto {n_ranks} ranks"
-        )
-    owner = assign_blocks(forest, n_ranks, strategy)
-    blocks_by_rank: dict[int, dict] = {r: {} for r in range(n_ranks)}
-    for bid, (phi_loc, mu_loc) in state["blocks"].items():
-        blocks_by_rank[owner[bid]][bid] = (phi_loc, mu_loc)
-    return {"owner": owner, "blocks_by_rank": blocks_by_rank, "n_ranks": n_ranks}

@@ -5,9 +5,11 @@ hundreds of thousands of cores; they finish because the tooling around
 them survives crashes, torn checkpoint writes and numerical blow-ups.
 This package reproduces that operational layer:
 
-* :mod:`repro.resilience.store` — rotating store of the last K good
+* :mod:`repro.resilience.store` — rotating stores of the last K good
   checkpoints over the atomic, checksummed writer of
-  :mod:`repro.io.checkpoint`; corrupt generations are quarantined.
+  :mod:`repro.io.checkpoint` (single-file, for :class:`GuardedSimulation`)
+  and of two-phase sharded generations (for campaigns); corrupt
+  generations are quarantined.
 * :mod:`repro.resilience.guards` — per-step physical invariants
   (finiteness, partition of unity, Gibbs-simplex bounds, solute
   conservation), the distributed ranks' per-step finite-value guard
@@ -18,11 +20,10 @@ This package reproduces that operational layer:
   failures).
 * :mod:`repro.resilience.retry` — bounded exponential-backoff retry with
   deterministic jitter for transient checkpoint I/O failures.
-* :mod:`repro.resilience.campaign` — chunked distributed campaigns that
-  relaunch from the checkpoint store after any rank failure; with a
-  :class:`ShardedCheckpointStore` they run elastically, shrinking to the
-  surviving ranks after a permanent rank loss and resuming from the
-  newest committed sharded checkpoint.
+* :mod:`repro.resilience.campaign` — distributed campaigns whose ranks
+  checkpoint in-run through a :class:`ShardedCheckpointStore` and that
+  relaunch from its newest committed generation after any rank failure,
+  shrinking to the surviving ranks after a permanent rank loss.
 """
 
 from repro.resilience.campaign import CampaignResult, run_campaign

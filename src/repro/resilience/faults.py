@@ -6,9 +6,10 @@ step (``rank_kill`` / ``kill_rank`` / ``rank_stall`` / ``rank_slow`` /
 ``nan_inject``), each outgoing message — a halo-channel notify for
 ghost traffic, a send for point-to-point and collectives —
 (``msg_drop`` / ``msg_corrupt`` / ``msg_delay``) and each checkpoint
-write (``ckpt_truncate`` after commit;
-``io_enospc`` / ``io_torn_write`` during the write, exercised through
-the sharded store's retry layer).  Every fault fires **once** — the whole point of
+a store commits (``ckpt_truncate`` tears the committed file — for a
+sharded generation, one of its shards — so the load path must
+quarantine it; ``io_enospc`` / ``io_torn_write`` fail a shard write
+inside the sharded store's retry layer).  Every fault fires **once** — the whole point of
 recovery testing is that the retry after a restart runs clean — and the
 plan records what fired, so a failing test can print the exact schedule
 (and seed) needed to reproduce it.  Scheduling the same fault K times at
@@ -33,13 +34,15 @@ logger = logging.getLogger(__name__)
 
 FAULT_KINDS = (
     "rank_kill",      # the rank raises InjectedFault (transient process
-                      # crash; the campaign restarts at the same size)
-    "kill_rank",      # the rank is lost permanently (node death); an
-                      # elastic campaign shrinks to the survivors
+                      # crash; the world aborts and the campaign
+                      # relaunches at the same size from the newest
+                      # checkpoint)
+    "kill_rank",      # the rank is lost permanently (node death); the
+                      # campaign shrinks to the survivors
     "rank_stall",     # the rank hangs: it stops communicating without
                       # raising, for up to `delay` seconds (permanent from
                       # the peers' view; deadline/watchdog must contain it
-                      # and the elastic campaign shrinks to the survivors)
+                      # and the campaign shrinks to the survivors)
     "rank_slow",      # the rank pauses for `delay` seconds then continues
                       # (transient OS-jitter analog; must be harmless
                       # below the hang threshold)
@@ -49,7 +52,9 @@ FAULT_KINDS = (
     "msg_corrupt",    # a message arrives NaN-poisoned (for ghost traffic:
                       # the packed halo slot behind the notify)
     "msg_delay",      # a message is delivered late (must be harmless)
-    "ckpt_truncate",  # a finished checkpoint file is cut short on disk
+    "ckpt_truncate",  # a committed checkpoint is cut short on disk (a
+                      # sharded generation: its first shard); loading
+                      # quarantines it and falls back a generation
     "nan_inject",     # a field value blows up to NaN mid-run
     "io_enospc",      # a checkpoint write fails with ENOSPC (full disk)
     "io_torn_write",  # a checkpoint write tears: a prefix reaches the

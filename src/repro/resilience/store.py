@@ -22,7 +22,6 @@ from repro.io.checkpoint import CheckpointError, load_checkpoint, save_state
 from repro.io.sharded import (
     load_sharded,
     manifest_path,
-    reshard,
     shard_path,
     write_manifest,
     write_shard,
@@ -32,6 +31,15 @@ from repro.resilience.retry import RetryPolicy, retry_io
 __all__ = ["CheckpointStore", "ShardedCheckpointStore"]
 
 logger = logging.getLogger(__name__)
+
+
+def _truncate(path: Path, fraction: float) -> None:
+    """Cut *path* short to *fraction* of its bytes (at least one): the
+    torn storage the ``ckpt_truncate`` and ``io_torn_write`` faults
+    model."""
+    size = path.stat().st_size
+    with open(path, "r+b") as fh:
+        fh.truncate(max(1, int(size * fraction)))
 
 
 class CheckpointStore:
@@ -118,11 +126,8 @@ class CheckpointStore:
         if self.fault_plan is None:
             return
         fault = self.fault_plan.fires("ckpt_truncate", step=step)
-        if fault is None:
-            return
-        size = path.stat().st_size
-        with open(path, "r+b") as fh:
-            fh.truncate(max(1, int(size * fault.fraction)))
+        if fault is not None:
+            _truncate(path, fault.fraction)
 
     def _rotate(self) -> None:
         paths = self.checkpoints()
@@ -162,15 +167,17 @@ class ShardedCheckpointStore:
     and rank 0 commits the generation by publishing a manifest — a
     checkpoint without a manifest was interrupted mid-write and is never
     loaded.  Because the manifest records the domain topology and block
-    ownership, :meth:`load_latest` restores on **any** process count
-    (N→M resharding), which is what lets a campaign shrink after a rank
-    failure and resume.
+    ownership, :meth:`load_latest` hands back the global state whatever
+    the writing process count, which is what lets a campaign shrink after
+    a rank failure (``dsim.shrunk``) and resume.
 
     Writes go through a bounded exponential-backoff retry
     (:mod:`repro.resilience.retry`); scheduled ``io_enospc`` /
     ``io_torn_write`` faults from *fault_plan* are injected inside the
     retried attempt, so one scheduled fault exercises the retry path and
-    K ≥ attempts scheduled faults model a persistent outage.
+    K ≥ attempts scheduled faults model a persistent outage.  A
+    ``ckpt_truncate`` fault tears a generation after it is committed
+    (:meth:`publish_manifest`).
 
     Thread-safe: simulated ranks share one instance across threads.
     """
@@ -316,9 +323,7 @@ class ShardedCheckpointStore:
             # the final name before the device errors out — the retry must
             # overwrite the torn file with a complete one
             write_shard(path, blocks, rank=rank)
-            size = path.stat().st_size
-            with open(path, "r+b") as fh:
-                fh.truncate(max(1, int(size * fault.fraction)))
+            _truncate(path, fault.fraction)
             raise OSError(errno.EIO, "injected: torn write")
 
     # ------------------------------------------------------------------ #
@@ -328,7 +333,12 @@ class ShardedCheckpointStore:
     def publish_manifest(self, shard_entries: list[dict], *, step: int,
                          time: float, topology: dict, z_offset: int = 0,
                          kernel: str = "") -> Path:
-        """Commit one generation (write-all-then-publish), then rotate."""
+        """Commit one generation (write-all-then-publish), then rotate.
+
+        A ``ckpt_truncate`` fault scheduled for *step* then cuts the
+        generation's first shard short: torn storage under a committed
+        manifest, which :meth:`load_latest` must quarantine.
+        """
         path = write_manifest(
             self.manifest_for(step), shard_entries,
             step=step, time=time, topology=topology,
@@ -336,6 +346,11 @@ class ShardedCheckpointStore:
         )
         with self._lock:
             self.stats["manifests_published"] += 1
+        fault = (None if self.fault_plan is None
+                 else self.fault_plan.fires("ckpt_truncate", step=step))
+        if fault is not None:
+            _truncate(self.directory / shard_entries[0]["file"],
+                      fault.fraction)
         self._rotate()
         return path
 
@@ -442,7 +457,7 @@ class ShardedCheckpointStore:
         )
 
     # ------------------------------------------------------------------ #
-    # load / reshard
+    # load
     # ------------------------------------------------------------------ #
 
     def load_latest(self) -> dict | None:
@@ -459,20 +474,6 @@ class ShardedCheckpointStore:
             except CheckpointError as exc:
                 self._quarantine(path, exc)
         return None
-
-    def load_resharded(self, n_ranks: int, *,
-                       strategy: str = "contiguous") -> dict | None:
-        """:meth:`load_latest` plus the N→M regrouping for *n_ranks*.
-
-        The returned state carries a ``reshard`` key: the new owner map
-        and each new rank's block bundle
-        (:func:`repro.io.sharded.reshard`).
-        """
-        state = self.load_latest()
-        if state is None:
-            return None
-        state["reshard"] = reshard(state, n_ranks, strategy=strategy)
-        return state
 
     # ------------------------------------------------------------------ #
     # housekeeping

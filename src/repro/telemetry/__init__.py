@@ -55,7 +55,6 @@ from repro.telemetry.logsetup import (
     rank_formatter,
 )
 from repro.telemetry.reduce import (
-    accumulate_reduced,
     as_reduced,
     merge_rank_trees,
     merge_reduced,
@@ -96,7 +95,6 @@ __all__ = [
     "TimingPool",
     "as_reduced",
     "merge_reduced",
-    "accumulate_reduced",
     "merge_rank_trees",
     "reduce_tree_over_ranks",
     "EVENT_SCHEMA_VERSION",

@@ -32,7 +32,6 @@ from repro.simmpi.reduce_tree import run_pairwise_reduction
 __all__ = [
     "as_reduced",
     "merge_reduced",
-    "accumulate_reduced",
     "merge_rank_trees",
     "reduce_tree_over_ranks",
 ]
@@ -62,19 +61,10 @@ def as_reduced(tree_dict: dict) -> dict:
     }
 
 
-def _combine(a: dict, b: dict, *, across_ranks: bool) -> dict:
-    n_ranks = a["n_ranks"] + b["n_ranks"] if across_ranks else max(
-        a["n_ranks"], b["n_ranks"]
-    )
-    if across_ranks:
-        rank_min = min(a["rank_min"], b["rank_min"])
-        rank_max = max(a["rank_max"], b["rank_max"])
-        rank_total = a["rank_avg"] * a["n_ranks"] + b["rank_avg"] * b["n_ranks"]
-    else:
-        # serial accumulation (e.g. campaign chunks): per-rank totals add
-        rank_min = a["rank_min"] + b["rank_min"]
-        rank_max = a["rank_max"] + b["rank_max"]
-        rank_total = (a["rank_avg"] + b["rank_avg"]) * n_ranks
+def merge_reduced(a: dict, b: dict) -> dict:
+    """Combine two reduced nodes from *different* ranks (associative)."""
+    n_ranks = a["n_ranks"] + b["n_ranks"]
+    rank_total = a["rank_avg"] * a["n_ranks"] + b["rank_avg"] * b["n_ranks"]
     out = {
         "name": a["name"] or b["name"],
         "count": a["count"] + b["count"],
@@ -83,8 +73,8 @@ def _combine(a: dict, b: dict, *, across_ranks: bool) -> dict:
         if a["count"] and b["count"]
         else (a["call_min"] if a["count"] else b["call_min"]),
         "call_max": max(a["call_max"], b["call_max"]),
-        "rank_min": rank_min,
-        "rank_max": rank_max,
+        "rank_min": min(a["rank_min"], b["rank_min"]),
+        "rank_max": max(a["rank_max"], b["rank_max"]),
         "rank_avg": rank_total / n_ranks if n_ranks else 0.0,
         "n_ranks": n_ranks,
         "children": {},
@@ -99,23 +89,8 @@ def _combine(a: dict, b: dict, *, across_ranks: bool) -> dict:
         elif cb is None:
             out["children"][name] = ca
         else:
-            out["children"][name] = _combine(ca, cb, across_ranks=across_ranks)
+            out["children"][name] = merge_reduced(ca, cb)
     return out
-
-
-def merge_reduced(a: dict, b: dict) -> dict:
-    """Combine two reduced nodes from *different* ranks (associative)."""
-    return _combine(a, b, across_ranks=True)
-
-
-def accumulate_reduced(a: dict, b: dict) -> dict:
-    """Combine two reduced trees of the *same* ranks across run chunks.
-
-    Counts and totals add; ``n_ranks`` stays put, and the per-rank
-    extremes add pessimistically (a rank at the minimum of every chunk
-    cannot have spent less than the summed minima).
-    """
-    return _combine(a, b, across_ranks=False)
 
 
 def merge_rank_trees(tree_dicts: list[dict]) -> dict:

@@ -169,8 +169,8 @@ def build_run_report(
 
     *timings* is a merged reduced timing tree
     (:mod:`repro.telemetry.reduce`); *series* carries optional figure data (e.g. the Fig. 6 ladder table).
-    *elastic_stats* — rank-failure/shrink/I-O-retry accounting from an
-    elastic campaign — adds the optional ``elastic`` section.
+    *elastic_stats* — rank-failure/shrink/I-O-retry accounting from a
+    campaign — adds the optional ``elastic`` section.
     *liveness_stats* — hang-detection and degradation accounting from
     the deadline/watchdog layer — adds the optional ``liveness``
     section.  *tracing_stats* — the span-derived overlap / imbalance /

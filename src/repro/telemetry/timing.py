@@ -244,7 +244,7 @@ class TimingTree:
         return tree
 
     def merge(self, other: "TimingTree") -> None:
-        """Fold another tree (e.g. a later campaign chunk) into this one."""
+        """Fold another tree (e.g. a later run) into this one."""
         self.root.merge(other.root)
 
     def reset(self) -> None:

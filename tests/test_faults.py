@@ -13,7 +13,6 @@ from repro.core.nucleation import smooth_phase_field, voronoi_initial_condition
 from repro.distributed import DistributedSimulation
 from repro.resilience import (
     FAULT_KINDS,
-    CheckpointStore,
     DivergenceError,
     Fault,
     FaultPlan,
@@ -125,7 +124,7 @@ class TestRecoveryMatrix:
         dsim, phi0, mu0, reference = setup
         plan = FaultPlan(faults, seed=SEED)
         print(plan.describe())
-        store = CheckpointStore(tmp_path, keep=3, fault_plan=plan)
+        store = ShardedCheckpointStore(tmp_path, keep=3, fault_plan=plan)
         result = run_campaign(
             _on_backend(dsim, backend), STEPS, phi0, mu0,
             store=store, checkpoint_every=3, fault_plan=plan,
@@ -169,7 +168,7 @@ class TestRecoveryMatrix:
         print(plan.describe())
         result = run_campaign(
             compiled_sim(), STEPS, phi0, mu0,
-            store=CheckpointStore(tmp_path, keep=3, fault_plan=plan),
+            store=ShardedCheckpointStore(tmp_path, keep=3, fault_plan=plan),
             checkpoint_every=3, fault_plan=plan,
         )
         assert result.restarts >= 1
@@ -201,7 +200,7 @@ class TestRecoveryMatrix:
         dsim, phi0, mu0, reference = setup
         plan = FaultPlan([Fault(kind="msg_delay", step=4, rank=0)], seed=SEED)
         print(plan.describe())
-        store = CheckpointStore(tmp_path, keep=3)
+        store = ShardedCheckpointStore(tmp_path, keep=3)
         result = run_campaign(
             _on_backend(dsim, backend), STEPS, phi0, mu0,
             store=store, checkpoint_every=3, fault_plan=plan,
@@ -218,7 +217,7 @@ class TestRecoveryMatrix:
             seed=SEED,
         )
         print(plan.describe())
-        store = CheckpointStore(tmp_path, keep=3)
+        store = ShardedCheckpointStore(tmp_path, keep=3)
         with pytest.raises(DivergenceError) as info:
             run_campaign(
                 dsim, STEPS, phi0, mu0,
@@ -441,7 +440,7 @@ def test_killed_process_rank_leaves_no_halo_segment(setup, tmp_path):
     print(plan.describe())
     result = run_campaign(
         _on_backend(dsim, "process"), STEPS, phi0, mu0,
-        store=CheckpointStore(tmp_path, keep=3), checkpoint_every=3,
+        store=ShardedCheckpointStore(tmp_path, keep=3), checkpoint_every=3,
         fault_plan=plan,
     )
     assert result.restarts == 1

@@ -132,12 +132,31 @@ def test_thread_campaign_reports_no_watchdog(setup, tmp_path, monkeypatch):
         SHAPE, (2, 2), system=system, kernel="buffered", backend="thread"
     )
     result = run_campaign(
-        dsim, 2, phi0, mu0, store=CheckpointStore(tmp_path), checkpoint_every=2,
+        dsim, 2, phi0, mu0, store=ShardedCheckpointStore(tmp_path),
+        checkpoint_every=2,
         telemetry=RunTelemetry(),
     )
     validate_run_report(result.report)
     assert result.report["liveness"]["watchdog_enabled"] is False
     assert result.report["config"]["settings"]["hang_timeout"] == 1.5
+
+
+def test_campaign_rejects_a_plain_store(setup, tmp_path):
+    """Campaigns checkpoint only in-run through the sharded store: a
+    single-file store is refused before any world opens or any file is
+    written."""
+    import multiprocessing
+
+    system, phi0, mu0 = setup
+    dsim = DistributedSimulation(
+        SHAPE, (2, 1), system=system, kernel="buffered", backend="process"
+    )
+    before = multiprocessing.active_children()
+    with pytest.raises(TypeError, match="ShardedCheckpointStore"):
+        run_campaign(dsim, 2, phi0, mu0, store=CheckpointStore(tmp_path))
+    assert dsim.settings is None  # set when a world opens
+    assert multiprocessing.active_children() == before
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.faults

@@ -1,4 +1,4 @@
-"""Two-phase sharded checkpoints: commit protocol, N→M reshard, I/O faults.
+"""Two-phase sharded checkpoints: commit protocol, N→M restore, I/O faults.
 
 The elastic-restart format of :mod:`repro.io.sharded` /
 :class:`repro.resilience.store.ShardedCheckpointStore`: per-rank shards
@@ -13,7 +13,7 @@ import pytest
 from repro.core.nucleation import smooth_phase_field, voronoi_initial_condition
 from repro.distributed import DistributedSimulation
 from repro.io.checkpoint import CheckpointError
-from repro.io.sharded import load_shard, reshard, write_manifest, write_shard
+from repro.io.sharded import load_shard, write_manifest, write_shard
 from repro.resilience import (
     Fault,
     FaultPlan,
@@ -193,32 +193,11 @@ class TestReshardRestore:
         np.testing.assert_array_equal(resumed_m.phi, resumed4.phi)
         np.testing.assert_array_equal(resumed_m.mu, resumed4.mu)
 
-    def test_reshard_partitions_all_blocks(self, setup, tmp_path):
-        dsim, phi0, mu0 = setup
-        store = ShardedCheckpointStore(tmp_path)
-        store.save_global(_state(dsim, phi0, mu0, 0),
-                          forest=dsim.forest, owner=dsim.owner,
-                          n_ranks=dsim.n_ranks)
-        state = store.load_resharded(2)
-        plan = state["reshard"]
-        assert plan["n_ranks"] == 2
-        seen = sorted(
-            bid for blocks in plan["blocks_by_rank"].values() for bid in blocks
-        )
-        assert seen == [b.id for b in dsim.forest.blocks]
-        for rank, blocks in plan["blocks_by_rank"].items():
-            for bid in blocks:
-                assert plan["owner"][bid] == rank
-
-    def test_reshard_onto_too_many_ranks_rejected(self, setup, tmp_path):
-        dsim, phi0, mu0 = setup
-        store = ShardedCheckpointStore(tmp_path)
-        store.save_global(_state(dsim, phi0, mu0, 0),
-                          forest=dsim.forest, owner=dsim.owner,
-                          n_ranks=dsim.n_ranks)
-        state = store.load_latest()
-        with pytest.raises(CheckpointError, match="reshard"):
-            reshard(state, dsim.forest.n_blocks + 1)
+    def test_shrunk_onto_no_or_too_many_ranks_rejected(self, setup):
+        dsim = setup[0]
+        for m_ranks in (0, dsim.forest.n_blocks + 1):
+            with pytest.raises(ValueError, match="blocks on"):
+                dsim.shrunk(m_ranks)
 
 
 class TestQuarantine:
@@ -348,6 +327,27 @@ class TestInjectedIoFaults:
         )
         assert store.stats["io_retries"] == 1
         load_shard(store.shard_for(N, 0), entry)
+
+    def test_ckpt_truncate_quarantines_generation_older_served(
+        self, setup, tmp_path
+    ):
+        """A generation torn after its commit is quarantined on load."""
+        dsim, phi0, mu0 = setup
+        plan = FaultPlan([Fault(kind="ckpt_truncate", step=M)])
+        store = ShardedCheckpointStore(tmp_path, fault_plan=plan)
+        for step in (N, M):
+            store.save_global(_state(dsim, phi0, mu0, step),
+                              forest=dsim.forest, owner=dsim.owner,
+                              n_ranks=dsim.n_ranks)
+        assert len(plan.fired()) == 1
+        assert store.steps() == [N, M]  # committed, then torn
+
+        state = store.load_latest()
+        assert state["step_count"] == N
+        assert store.manifest_for(M).name in {
+            p.name for p in store.quarantined()
+        }
+        assert store.steps() == [N]
 
     def test_persistent_outage_exhausts_and_raises(self, setup, tmp_path):
         dsim, phi0, mu0 = setup

@@ -173,7 +173,7 @@ class TestCampaignTelemetry:
         plan = FaultPlan([Fault("rank_kill", step=2, rank=1)])
         res = run_campaign(
             d, 4, phi0, mu0,
-            store=CheckpointStore(tmp_path / "ck"),
+            store=ShardedCheckpointStore(tmp_path / "ck"),
             checkpoint_every=2,
             fault_plan=plan,
             telemetry=RunTelemetry(directory=tmp_path / "tel", run_id="camp"),
@@ -181,11 +181,11 @@ class TestCampaignTelemetry:
         assert res.steps == 4
         assert res.restarts == 1
 
-        # chunk trees accumulated: still a 2-rank breakdown, with the
-        # full campaign's compute calls
+        # the finishing launch's 2-rank breakdown: it resumed from the
+        # step-2 checkpoint, so it made the last 2 steps' compute calls
         comp = res.timing["children"]["compute"]
         assert comp["n_ranks"] == 2
-        assert comp["children"]["phi"]["count"] == 4 * 2
+        assert comp["children"]["phi"]["count"] == 2 * 2
 
         validate_run_report(res.report)
         assert res.report["guards"]["restarts"] == 1
@@ -229,7 +229,7 @@ class TestCampaignTelemetry:
                                   kernel="buffered")
         res = run_campaign(
             d, 4, phi0, mu0,
-            store=CheckpointStore(tmp_path / "ck"),
+            store=ShardedCheckpointStore(tmp_path / "ck"),
             checkpoint_every=2,
             telemetry=RunTelemetry(directory=tmp_path / "tel", run_id="ok"),
         )
@@ -237,6 +237,30 @@ class TestCampaignTelemetry:
         np.testing.assert_allclose(res.phi, ref.phi, rtol=0, atol=5e-7)
         assert res.restarts == 0
         assert res.report["guards"]["violations"] == []
+
+    def test_campaign_report_is_the_finishing_launch_report(
+        self, tmp_path, initial_state
+    ):
+        """The campaign report keeps what its finishing launch reported:
+        the launch's config (backend included) plus ``campaign``, and
+        the span tracing section."""
+        system, phi0, mu0 = initial_state
+        d = DistributedSimulation(SHAPE, (2, 1, 1), system=system,
+                                  kernel="buffered")
+        with d:
+            plain = d.run(4, phi0, mu0, guard=True, telemetry=RunTelemetry())
+        res = run_campaign(
+            d, 4, phi0, mu0,
+            store=ShardedCheckpointStore(tmp_path / "ck"),
+            checkpoint_every=2,
+            telemetry=RunTelemetry(trace=True, run_id="traced"),
+        )
+        validate_run_report(res.report)
+        assert res.report["config"] == {
+            **plain.report["config"], "campaign": True,
+        }
+        assert "backend" in res.report["config"]
+        assert res.report["tracing"]["spans"] > 0
 
 
 class TestGuardedSimulationEvents:

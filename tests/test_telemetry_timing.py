@@ -6,7 +6,6 @@ import pytest
 
 from repro.simmpi.runtime import run_spmd
 from repro.telemetry.reduce import (
-    accumulate_reduced,
     as_reduced,
     merge_rank_trees,
     merge_reduced,
@@ -169,19 +168,6 @@ class TestReduction:
         assert phi_l["n_ranks"] == phi_s["n_ranks"] == 4
         assert phi_l["total"] == pytest.approx(phi_s["total"])
         assert phi_l["rank_avg"] == pytest.approx(phi_s["rank_avg"])
-
-    def test_accumulate_reduced_chunks(self):
-        # two campaign chunks of the same 2-rank world: rank count stays
-        # 2 while totals add
-        c1 = merge_rank_trees([self._tree(0.2).to_dict(),
-                               self._tree(0.4).to_dict()])
-        c2 = merge_rank_trees([self._tree(0.1).to_dict(),
-                               self._tree(0.3).to_dict()])
-        acc = accumulate_reduced(c1, c2)
-        phi = acc["children"]["compute"]["children"]["phi"]
-        assert phi["n_ranks"] == 2
-        assert phi["total"] == pytest.approx(1.0)
-        assert phi["count"] == 4
 
     @pytest.mark.parametrize("n_ranks", [2, 3, 4])
     def test_reduce_over_ranks_spmd(self, n_ranks):
