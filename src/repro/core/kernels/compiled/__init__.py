@@ -164,7 +164,7 @@ def _pack(ctx: KernelContext) -> dict:
     Converted once: ``phi`` / ``mu`` are the trailing constant arguments
     of ``phi_step_raw`` / ``mu_step_raw`` as cdata (each keeps its array
     alive), ``geom`` caches the geometry vector per ghosted shape.
-    ``set_dt`` and friends rebuild the context, so per-object caching is
+    A changed time step builds a new context, so per-object caching is
     safe; the pack is read-only shared state and thread-safe to reuse.
     """
     pk = getattr(ctx, "_compiled_pack", None)

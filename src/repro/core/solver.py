@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.interpolation import moelans_h
 from repro.core.kernels import get_mu_kernel, get_phi_kernel, make_context
 from repro.core.moving_window import MovingWindow, shift_along_growth_axis
 from repro.core.nucleation import voronoi_initial_condition
@@ -35,7 +36,8 @@ from repro.grid.boundary import BoundarySpec, Dirichlet, Neumann, apply_boundari
 from repro.grid.field import Field
 from repro.thermo.system import TernaryEutecticSystem
 
-__all__ = ["Simulation", "SimulationReport", "problem_defaults"]
+__all__ = ["Simulation", "SimulationReport", "problem_defaults",
+           "solute_content"]
 
 
 def problem_defaults(
@@ -77,6 +79,18 @@ def problem_defaults(
     if mu_bc is None:
         mu_bc = BoundarySpec.directional(dim, bottom=Neumann(), top=Dirichlet(0.0))
     return system, params, temperature, phi_bc, mu_bc
+
+
+def solute_content(system, phi, mu, temps) -> np.ndarray:
+    """Total independent-component content ``sum_cells c(phi, mu, T)``
+    (Eq. 3, conserved up to boundary fluxes) of the interiors *phi* /
+    *mu*, whose z slices sit at the temperatures *temps* (last axis; any
+    leading axes match leading spatial axes, e.g. a stack of blocks)."""
+    t = np.asarray(temps, dtype=float)
+    t = t.reshape(t.shape[:-1] + (1,) * (phi.ndim - 1 - t.ndim)
+                  + t.shape[-1:])
+    c = system.concentration(moelans_h(phi), mu, t)
+    return c.reshape(c.shape[0], -1).sum(axis=1)
 
 
 @dataclass
@@ -209,25 +223,9 @@ class Simulation:
         apply_boundaries(getattr(self.phi, buffer), self.phi_bc)
         apply_boundaries(getattr(self.mu, buffer), self.mu_bc)
 
-    def state_dict(self) -> dict:
-        """Restorable snapshot of the interior state and clock.
-
-        The dict matches the layout of
-        :func:`repro.io.checkpoint.load_checkpoint`, so it can be fed to
-        :meth:`load_state` or to ``repro.io.checkpoint.save_state``.
-        """
-        return {
-            "phi": self.phi.interior_src.copy(),
-            "mu": self.mu.interior_src.copy(),
-            "time": self.time,
-            "step_count": self.step_count,
-            "z_offset": self.z_offset,
-            "shape": self.shape,
-            "kernel": self.kernel_name,
-        }
-
     def load_state(self, state: dict) -> None:
-        """Restore a :meth:`state_dict`-shaped snapshot (clock included)."""
+        """Restore a :func:`repro.io.checkpoint.load_checkpoint` state
+        (clock included)."""
         if tuple(state["shape"]) != self.shape:
             raise ValueError(
                 f"state shape {tuple(state['shape'])} does not match "
@@ -237,18 +235,6 @@ class Simulation:
         self.time = float(state["time"])
         self.step_count = int(state["step_count"])
         self.z_offset = int(state["z_offset"])
-
-    def set_dt(self, dt: float) -> None:
-        """Change the time step (rebuilds the kernel context).
-
-        Used by the resilience layer's rollback-with-backoff: after a
-        numerical blow-up the run resumes from the last checkpoint with a
-        smaller explicit-Euler step.
-        """
-        if dt <= 0:
-            raise ValueError(f"dt must be positive, got {dt}")
-        self.params = self.params.with_(dt=dt)
-        self.ctx = make_context(self.system, self.params)
 
     # ------------------------------------------------------------------ #
     # time stepping
@@ -324,18 +310,12 @@ class Simulation:
         return phi_i.reshape(phi_i.shape[0], -1).mean(axis=1)
 
     def solute_mass(self) -> np.ndarray:
-        """Total independent-component content ``sum_cells c(phi, mu, T)``.
-
-        Conserved (up to boundary fluxes) by the mu update — the property
-        test anchoring Eq. (3).
-        """
-        from repro.core.interpolation import moelans_h
-
-        t = self.slice_temperatures(self.time)[1:-1]
-        temp = self.ctx.broadcast_slices(t)
-        h = moelans_h(self.phi.interior_src)
-        c = self.system.concentration(h, self.mu.interior_src, temp)
-        return c.reshape(c.shape[0], -1).sum(axis=1)
+        """Total solute content of the current state
+        (:func:`solute_content`)."""
+        return solute_content(
+            self.system, self.phi.interior_src, self.mu.interior_src,
+            self.slice_temperatures(self.time)[1:-1],
+        )
 
     def regions(self):
         """Region masks of the current state (bulk/interface/front/...)."""

@@ -41,8 +41,8 @@ from repro.core.kernels import (
     make_context,
 )
 from repro.core.parameters import PhaseFieldParameters
-from repro.core.solver import problem_defaults
-from repro.core.stepper import Stepper
+from repro.core.solver import problem_defaults, solute_content
+from repro.core.stepper import Stepper, slice_temperatures
 from repro.core.temperature import ConstantTemperature, FrozenTemperature
 from repro.distributed.halo import BlockHaloRegistry, ExchangeTimer
 from repro.grid.balance import assign_blocks
@@ -504,8 +504,9 @@ class DistributedSimulation:
                 for b in owned
             ]
             before, after = self._hooks(
-                state, stepper, fault_plan=fault_plan, guard=guard, tel=tel,
-                shard_store=shard_store, checkpoint_every=checkpoint_every,
+                state, stepper, t0=t0, fault_plan=fault_plan, guard=guard,
+                tel=tel, shard_store=shard_store,
+                checkpoint_every=checkpoint_every,
             )
             if tel is not None:
                 tel.loop_started()
@@ -547,16 +548,17 @@ class DistributedSimulation:
         )
         return stats, extra
 
-    def _hooks(self, state: _RankState, stepper: Stepper, *, fault_plan,
-               guard: bool, tel, shard_store, checkpoint_every):
+    def _hooks(self, state: _RankState, stepper: Stepper, *, t0: float,
+               fault_plan, guard: bool, tel, shard_store, checkpoint_every):
         """``(before, after)``: what runs around each step of one call.
 
         Hooks are called ``hook(step, time)`` — before a step with its
         global index and start time, after it with the count of steps
         done and the time reached — and registered only when the call
         asked for them: before, the step span's start, the progress
-        tick and the faults; after, the guard, the span's end, the
-        heartbeat and the checkpoint.
+        tick and the faults; after, the finite guard, the span's end,
+        the heartbeat, the invariant guard and the checkpoint (which
+        fires the I/O faults of *fault_plan*).
         """
         comm, owned = state.comm, state.owned
         events = tel.events if tel is not None else None
@@ -586,8 +588,22 @@ class DistributedSimulation:
         if tel is not None:
             after.extend(tel.after_step)
         if shard_store is not None:
+            if guard:
+                from repro.resilience.guards import invariant_guard
+
+                def content(phi, mu, t: float):  # of the stacked blocks
+                    return solute_content(self.system, phi, mu, [
+                        slice_temperatures(self.temperature, t, b.offset[-1],
+                                           b.shape[-1])[1:-1] for b in owned
+                    ])
+
+                after.append(invariant_guard(
+                    comm, fields, content, t0=t0, every=checkpoint_every,
+                    record=stepper.record, events=events,
+                ))
             after.append(shard_store.rank_hook(
                 comm, fields, every=checkpoint_every,
                 topology=self.topology(), kernel=self.kernel, events=events,
+                fault_plan=fault_plan,
             ))
         return before, after

@@ -34,6 +34,8 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.picklable import PicklableError
+
 logger = logging.getLogger(__name__)
 
 __all__ = [
@@ -52,7 +54,7 @@ _SUPPORTED_VERSIONS = (1, 2)
 _CHECKED_ARRAYS = ("phi", "mu")
 
 
-class CheckpointError(ValueError):
+class CheckpointError(PicklableError, ValueError):
     """A checkpoint file is corrupt, incomplete or incompatible."""
 
 

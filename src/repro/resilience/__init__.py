@@ -1,29 +1,25 @@
-"""Resilience subsystem: durable checkpoints, guardrails, fault injection.
+"""Resilience subsystem: one recovery loop over durable sharded checkpoints.
 
 Production phase-field campaigns (Sec. 6 of the paper) run for days on
-hundreds of thousands of cores; they finish because the tooling around
-them survives crashes, torn checkpoint writes and numerical blow-ups.
-This package reproduces that operational layer:
+hundreds of thousands of cores; they finish because the job system
+relaunches them from single-precision checkpoints (Sec. 4) after
+crashes, torn checkpoint writes and numerical blow-ups:
 
-* :mod:`repro.resilience.store` — rotating stores of the last K good
-  checkpoints over the atomic, checksummed writer of
-  :mod:`repro.io.checkpoint` (single-file, for :class:`GuardedSimulation`)
-  and of two-phase sharded generations (for campaigns); corrupt
-  generations are quarantined.
-* :mod:`repro.resilience.guards` — per-step physical invariants
-  (finiteness, partition of unity, Gibbs-simplex bounds, solute
-  conservation), the distributed ranks' per-step finite-value guard
-  hook, and :class:`GuardedSimulation` with rollback + dt-backoff retry.
+* :mod:`repro.resilience.campaign` — :func:`run_campaign`, the one
+  recovery loop: ranks checkpoint in-run, and after any failure the
+  campaign relaunches (at the same ``dt``, on the survivors after a rank
+  loss) from the newest committed generation.  A guarded serial run is
+  a campaign on a one-rank thread world.
+* :mod:`repro.resilience.store` — the rotating store of two-phase
+  sharded generations; corrupt generations are quarantined.
+* :mod:`repro.resilience.guards` — a rank's guards: finite values every
+  step, the physical invariants at checkpoint steps.
 * :mod:`repro.resilience.faults` — deterministic seeded
   :class:`FaultPlan` (rank kills, dropped/corrupted/delayed ghost
   messages, truncated checkpoints, NaN injection, checkpoint-write I/O
-  failures).
+  failures); a call's ``fault_plan`` is its only way in.
 * :mod:`repro.resilience.retry` — bounded exponential-backoff retry with
   deterministic jitter for transient checkpoint I/O failures.
-* :mod:`repro.resilience.campaign` — distributed campaigns whose ranks
-  checkpoint in-run through a :class:`ShardedCheckpointStore` and that
-  relaunch from its newest committed generation after any rank failure,
-  shrinking to the surviving ranks after a permanent rank loss.
 """
 
 from repro.resilience.campaign import CampaignResult, run_campaign
@@ -35,13 +31,13 @@ from repro.resilience.errors import (
 )
 from repro.resilience.faults import FAULT_KINDS, Fault, FaultPlan, FaultyComm, stall
 from repro.resilience.guards import (
-    GuardedSimulation,
-    StateGuard,
+    content_violation,
     find_violations,
     finite_guard,
+    invariant_guard,
 )
 from repro.resilience.retry import RetryPolicy, retry_io
-from repro.resilience.store import CheckpointStore, ShardedCheckpointStore
+from repro.resilience.store import ShardedCheckpointStore
 
 __all__ = [
     "CampaignResult",
@@ -55,11 +51,10 @@ __all__ = [
     "FaultPlan",
     "FaultyComm",
     "stall",
-    "GuardedSimulation",
-    "StateGuard",
+    "content_violation",
     "find_violations",
     "finite_guard",
-    "CheckpointStore",
+    "invariant_guard",
     "ShardedCheckpointStore",
     "RetryPolicy",
     "retry_io",

@@ -112,8 +112,11 @@ def run_campaign(
     ``rank_stall`` fault or :class:`~repro.simmpi.comm.RankFailure`)
     first shrinks the simulation to the survivors; the manifest restores
     on any rank count.  Transient failures relaunch at the same size.
-    Exhausting *max_restarts* raises a structured
-    :class:`DivergenceError` chained to the last failure.
+    Relaunches keep ``dt``: exhausting *max_restarts* raises a structured
+    :class:`DivergenceError` chained to the last failure.  *guard* adds
+    the rank guards of :mod:`repro.resilience.guards`, whose violations
+    restart the campaign before the failing generation is committed;
+    *fault_plan* is the only way faults enter, the checkpoint's included.
 
     *telemetry* (a :class:`repro.telemetry.RunTelemetry`) is forwarded to
     every launch; the finishing launch's merged timing tree becomes

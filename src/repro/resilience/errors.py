@@ -2,12 +2,14 @@
 
 :class:`CheckpointError` lives in :mod:`repro.io.checkpoint` (the layer
 that raises it) and is re-exported here so campaign code can catch every
-resilience-related failure from one module.
+resilience-related failure from one module.  All pickle by state
+(:class:`repro.picklable.PicklableError`).
 """
 
 from __future__ import annotations
 
 from repro.io.checkpoint import CheckpointError
+from repro.picklable import PicklableError
 
 __all__ = [
     "CheckpointError",
@@ -17,11 +19,11 @@ __all__ = [
 ]
 
 
-class InvariantViolation(RuntimeError):
-    """A per-step guardrail check failed (NaN/Inf, phase-sum drift, ...).
+class InvariantViolation(PicklableError, RuntimeError):
+    """A guard check failed (NaN/Inf, phase-sum drift, solute content).
 
-    Raised by the distributed per-step guard hook; the guarded drivers
-    catch it and roll back to the last good checkpoint.
+    Raised by a rank's guard hooks; :func:`repro.resilience.run_campaign`
+    catches it and restarts from the newest committed checkpoint.
     """
 
     def __init__(self, violations, *, step: int | None = None,
@@ -38,8 +40,8 @@ class InvariantViolation(RuntimeError):
         )
 
 
-class DivergenceError(RuntimeError):
-    """Rollback-with-retry exhausted its attempts.
+class DivergenceError(PicklableError, RuntimeError):
+    """A campaign exhausted its restart budget.
 
     Carries the structured failure record a campaign driver needs to
     report: the step the run could not get past, the violations seen
@@ -56,7 +58,7 @@ class DivergenceError(RuntimeError):
         )
 
 
-class InjectedFault(RuntimeError):
+class InjectedFault(PicklableError, RuntimeError):
     """A fault fired by a :class:`repro.resilience.faults.FaultPlan`.
 
     Models an external failure (rank crash, lost message); campaign

@@ -1,15 +1,17 @@
 """Deterministic fault injection.
 
-A :class:`FaultPlan` is a seeded, reproducible list of faults that the
-guarded drivers consult at well-defined points: the start of each time
-step (``rank_kill`` / ``kill_rank`` / ``rank_stall`` / ``rank_slow`` /
-``nan_inject``), each outgoing message — a halo-channel notify for
-ghost traffic, a send for point-to-point and collectives —
-(``msg_drop`` / ``msg_corrupt`` / ``msg_delay``) and each checkpoint
-a store commits (``ckpt_truncate`` tears the committed file — for a
-sharded generation, one of its shards — so the load path must
-quarantine it; ``io_enospc`` / ``io_torn_write`` fail a shard write
-inside the sharded store's retry layer).  Every fault fires **once** — the whole point of
+A :class:`FaultPlan` is a seeded, reproducible list of faults.  It has
+one way in: the ``fault_plan`` of a
+:meth:`~repro.distributed.DistributedSimulation.run` (or
+:func:`~repro.resilience.run_campaign`) call, whose ranks consult it at
+well-defined points: the start of each time step (``rank_kill`` /
+``kill_rank`` / ``rank_stall`` / ``rank_slow`` / ``nan_inject``), each
+outgoing message — a halo-channel notify for ghost traffic, a send for
+point-to-point and collectives — (``msg_drop`` / ``msg_corrupt`` /
+``msg_delay``) and each sharded checkpoint (``io_enospc`` /
+``io_torn_write`` fail a shard write inside the store's retry layer;
+``ckpt_truncate`` tears one shard of the committed generation, so the
+load path must quarantine it).  Every fault fires **once** — the whole point of
 recovery testing is that the retry after a restart runs clean — and the
 plan records what fired, so a failing test can print the exact schedule
 (and seed) needed to reproduce it.  Scheduling the same fault K times at

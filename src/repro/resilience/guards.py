@@ -1,51 +1,59 @@
-"""Guarded time-stepping: per-step invariants, rollback, dt backoff.
+"""Guards of a distributed run: finite values every step, physics at
+checkpoint steps.
 
 The explicit scheme of the paper is only conditionally stable; on a
 multi-day campaign a too-aggressive ``dt`` (or a cosmic-ray bit flip)
 shows up as NaNs or a drifting phase sum long before anyone looks at the
-output.  :class:`StateGuard` encodes the model's cheap physical
-invariants; :class:`GuardedSimulation` checks them while stepping and,
-on violation, rolls back to the last checkpoint of a
-:class:`~repro.resilience.store.CheckpointStore` — retrying with a
-smaller time step when the same failure repeats, and raising a
-structured :class:`~repro.resilience.errors.DivergenceError` once the
-attempt budget is spent.
+output.  A rank of a guarded :class:`~repro.distributed.DistributedSimulation`
+call registers two after-step hooks:
+
+* :func:`finite_guard` — every step, whether the sweeps stored a
+  non-finite value (cheap: the sweeps report it);
+* :func:`invariant_guard` — at every checkpoint step, before the rank
+  writes its shard: the model's physical invariants
+  (:func:`find_violations` on its blocks, the world's solute content).
+
+Either raises :class:`~repro.resilience.errors.InvariantViolation`;
+:func:`repro.resilience.run_campaign` restarts from the newest committed
+generation, so a state that breaks an invariant is never committed.
 """
 
 from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.resilience.errors import DivergenceError, InvariantViolation
-from repro.resilience.faults import poison
+from repro.resilience.errors import InvariantViolation
 
 __all__ = [
+    "content_violation",
     "find_violations",
-    "StateGuard",
     "finite_guard",
-    "GuardedSimulation",
+    "invariant_guard",
 ]
 
 logger = logging.getLogger(__name__)
 
+#: Largest deviation of the phase sum from 1 in any cell.
+SUM_TOL = 1e-6
+#: Largest excursion of a phi value outside ``[0, 1]``.
+BOUNDS_TOL = 1e-6
+#: Largest relative change of any solute component's world content
+#: between two checks.  Boundary fluxes through the open top make some
+#: change legitimate, so the bound is loose.
+CONTENT_RTOL = 0.25
 
-def find_violations(
-    phi: np.ndarray,
-    mu: np.ndarray,
-    *,
-    sum_tol: float = 1e-6,
-    bounds_tol: float = 1e-6,
-) -> list[str]:
+
+def find_violations(phi: np.ndarray, mu: np.ndarray) -> list[str]:
     """Check the cheap per-state invariants; return violation messages.
 
     * all phi and mu values finite,
-    * the order parameters sum to 1 in every cell (partition of unity),
+    * the order parameters sum to 1 in every cell (partition of unity,
+      up to :data:`SUM_TOL`),
     * every phi value lies inside the Gibbs simplex bounds ``[0, 1]``
-      (up to *bounds_tol* — the projection of
+      (up to :data:`BOUNDS_TOL` — the projection of
       :mod:`repro.core.simplex` guarantees this for a healthy state).
     """
     violations: list[str] = []
@@ -58,56 +66,40 @@ def find_violations(
         return violations
     sums = phi.sum(axis=0)
     err = float(np.abs(sums - 1.0).max()) if sums.size else 0.0
-    if err > sum_tol:
-        violations.append(f"phase sum deviates from 1 by {err:.3e} (tol {sum_tol:.1e})")
+    if err > SUM_TOL:
+        violations.append(f"phase sum deviates from 1 by {err:.3e} (tol {SUM_TOL:.1e})")
     lo, hi = float(phi.min()), float(phi.max())
-    if lo < -bounds_tol or hi > 1.0 + bounds_tol:
+    if lo < -BOUNDS_TOL or hi > 1.0 + BOUNDS_TOL:
         violations.append(
             f"phi leaves the Gibbs simplex bounds: min {lo:.3e}, max {hi:.3e}"
         )
     return violations
 
 
-@dataclass
-class StateGuard:
-    """Configurable invariant checker for a :class:`Simulation`.
+def content_violation(content, reference) -> str | None:
+    """Why the solute *content* breaks conservation against *reference*
+    (both per component, e.g. from
+    :func:`repro.core.solver.solute_content`), or ``None``.
 
-    *mass_drift_rtol* bounds the relative drift of the total solute
-    content (:meth:`Simulation.solute_mass`, the conservation law of
-    Eq. (3)) against a captured reference; boundary fluxes through the
-    open top make small drift legitimate, so the default is loose.  Set
-    it to ``None`` to disable the conservation check.
+    A relative change above :data:`CONTENT_RTOL` in any component, or a
+    non-finite content, is a violation.
     """
+    scale = np.maximum(np.abs(reference), 1e-30)
+    change = float(np.abs((content - reference) / scale).max())
+    if change <= CONTENT_RTOL:
+        return None
+    return (f"solute content changed by {change:.3e} relative "
+            f"(tol {CONTENT_RTOL:.2g})")
 
-    sum_tol: float = 1e-6
-    bounds_tol: float = 1e-6
-    mass_drift_rtol: float | None = 0.25
-    _mass_ref: np.ndarray | None = field(default=None, repr=False)
 
-    def capture_reference(self, sim) -> None:
-        """Record the conservation reference from the current state."""
-        if self.mass_drift_rtol is not None:
-            self._mass_ref = sim.solute_mass()
-
-    def violations(self, sim) -> list[str]:
-        """All violated invariants of *sim*'s current state."""
-        out = find_violations(
-            sim.phi.interior_src,
-            sim.mu.interior_src,
-            sum_tol=self.sum_tol,
-            bounds_tol=self.bounds_tol,
-        )
-        if out or self.mass_drift_rtol is None or self._mass_ref is None:
-            return out
-        mass = sim.solute_mass()
-        scale = np.maximum(np.abs(self._mass_ref), 1e-30)
-        drift = float(np.abs((mass - self._mass_ref) / scale).max())
-        if drift > self.mass_drift_rtol:
-            out.append(
-                f"solute mass drifted by {drift:.3e} relative "
-                f"(tol {self.mass_drift_rtol:.1e})"
-            )
-        return out
+def _trip(events, rank: int, step: int, reason: str, block=None):
+    """Report a guard trip (event, warning) and return its exception."""
+    if events is not None:
+        events.emit("guard_trip", "ERROR", block=block, step=step,
+                    reason=reason)
+    logger.warning("guard tripped at step %d (rank %d): %s",
+                   step, rank, reason)
+    return InvariantViolation(reason, step=step, rank=rank)
 
 
 def finite_guard(stepper, fields, rank: int, *, events=None):
@@ -133,156 +125,55 @@ def finite_guard(stepper, fields, rank: int, *, events=None):
             for bid, phi, mu in fields:
                 if not (np.isfinite(phi.interior_src).all()
                         and np.isfinite(mu.interior_src).all()):
-                    if events is not None:
-                        events.emit(
-                            "guard_trip", "ERROR", block=bid, step=step,
-                            reason="non-finite field values",
-                        )
-                    logger.warning(
-                        "guard tripped: non-finite values in block %d at "
-                        "step %d (rank %d)", bid, step, rank,
-                    )
-                    raise InvariantViolation(
-                        f"non-finite field values in block {bid}",
-                        step=step, rank=rank,
-                    )
+                    raise _trip(events, rank, step,
+                                f"non-finite field values in block {bid}",
+                                block=bid)
         stepper.record("guard", time.perf_counter() - mark)
 
     return check
 
 
-class GuardedSimulation:
-    """Run a :class:`Simulation` under invariant guards with rollback.
+def invariant_guard(comm, fields, content, *, t0: float, every: int,
+                    record, events=None):
+    """The checkpoint-step invariant check of one rank, as a hook
+    ``(step, time)`` to register before the checkpoint hook.
 
-    Parameters
-    ----------
-    sim:
-        The wrapped simulation (stepped in place).
-    store:
-        Checkpoint store used for both the periodic checkpoints and the
-        rollback source.
-    guard:
-        Invariant configuration; defaults to :class:`StateGuard`.
-    check_every / checkpoint_every:
-        Cadence (in steps) of the guard checks and of the good-state
-        checkpoints.
-    max_retries:
-        Rollback budget before :class:`DivergenceError`.
-    dt_backoff:
-        Factor applied to ``dt`` when a rollback does **not** get past
-        the previous failure point — a repeating blow-up means the step
-        size itself is the problem.  A transient fault (e.g. an injected
-        NaN that does not recur) is retried at the original ``dt``, so an
-        undisturbed replay stays comparable to an unfaulted run.
-    fault_plan:
-        Optional :class:`FaultPlan`; ``nan_inject`` faults scheduled for
-        a step poison the phase field just before that step runs.
-    events:
-        Optional :class:`repro.telemetry.events.EventLog`; guard trips,
-        rollbacks, dt backoffs and checkpoint writes are emitted as
-        structured events in addition to the stdlib log records.
+    *fields* lists the rank's ``(block_id, phi Field, mu Field)`` (one
+    block shape); ``content(phi, mu, t)`` is the solute content at time
+    *t* of their interiors stacked along axis 1.  Whenever *step* is a
+    multiple of *every*, the hook runs :func:`find_violations` on the
+    stack, then allreduces the world's content now and at the previous
+    check (the first at *t0*, the call's start) and compares them with
+    :func:`content_violation`.  A violation trips as in
+    :func:`finite_guard`; wall time goes to ``record("guard", s)``.
     """
+    def stacked():
+        return (np.stack([phi.interior_src for _b, phi, _m in fields], 1),
+                np.stack([mu.interior_src for _b, _p, mu in fields], 1))
 
-    def __init__(
-        self,
-        sim,
-        store,
-        *,
-        guard: StateGuard | None = None,
-        check_every: int = 1,
-        checkpoint_every: int = 8,
-        max_retries: int = 3,
-        dt_backoff: float = 0.5,
-        fault_plan=None,
-        events=None,
-    ):
-        if check_every < 1 or checkpoint_every < 1:
-            raise ValueError("check_every and checkpoint_every must be >= 1")
-        if not 0.0 < dt_backoff < 1.0:
-            raise ValueError("dt_backoff must lie in (0, 1)")
-        self.sim = sim
-        self.store = store
-        self.guard = StateGuard() if guard is None else guard
-        self.check_every = check_every
-        self.checkpoint_every = checkpoint_every
-        self.max_retries = max_retries
-        self.dt_backoff = dt_backoff
-        self.fault_plan = fault_plan
-        self.events = events
-        self.rollbacks = 0
-        self._last_failure_step: int | None = None
+    mark = time.perf_counter()
+    previous = content(*stacked(), t0)
+    record("guard", time.perf_counter() - mark)
 
-    def _emit(self, kind: str, level: str = "INFO", **data) -> None:
-        if self.events is not None:
-            self.events.emit(kind, level, **data)
+    def check(step: int, t: float) -> None:
+        nonlocal previous
+        if step % every:
+            return
+        mark = time.perf_counter()
+        phi, mu = stacked()
+        if find_violations(phi, mu):
+            for bid, phi_b, mu_b in fields:
+                found = find_violations(phi_b.interior_src, mu_b.interior_src)
+                if found:
+                    raise _trip(events, comm.rank, step,
+                                f"block {bid}: " + "; ".join(found),
+                                block=bid)
+        now = content(phi, mu, t)
+        before, after = comm.allreduce(np.stack([previous, now]))
+        reason = content_violation(after, before)
+        if reason is not None:
+            raise _trip(events, comm.rank, step, reason)
+        previous = now
+        record("guard", time.perf_counter() - mark)
 
-    def run(self, steps: int):
-        """Advance *steps* guarded steps; returns the simulation report.
-
-        The state on entry is checkpointed first, so even a violation in
-        the very first step has a rollback target.
-        """
-        sim = self.sim
-        if self.guard.mass_drift_rtol is not None and self.guard._mass_ref is None:
-            self.guard.capture_reference(sim)
-        self.store.save(sim)
-        target = sim.step_count + steps
-        retries = 0
-        while sim.step_count < target:
-            if self.fault_plan is not None:
-                fault = self.fault_plan.fires("nan_inject", step=sim.step_count)
-                if fault is not None:
-                    poison(sim.phi.interior_src)
-                    self._emit("fault", "WARNING", fault="nan_inject",
-                               step=sim.step_count)
-            sim.step()
-            at_checkpoint = sim.step_count % self.checkpoint_every == 0
-            due = sim.step_count % self.check_every == 0
-            if due or at_checkpoint or sim.step_count >= target:
-                violations = self.guard.violations(sim)
-                if violations:
-                    retries += 1
-                    self._emit("guard_trip", "ERROR",
-                               step=sim.step_count, violations=violations)
-                    self._rollback(violations, retries)
-                    continue
-            if at_checkpoint:
-                self.store.save(sim)
-                self._emit("checkpoint", step=sim.step_count)
-                retries = 0
-        return sim.report()
-
-    def _rollback(self, violations: list[str], retries: int) -> None:
-        sim = self.sim
-        failed_at = sim.step_count
-        logger.warning(
-            "guard tripped at step %d (retry %d/%d): %s",
-            failed_at, retries, self.max_retries, "; ".join(violations),
-        )
-        if retries > self.max_retries:
-            raise DivergenceError(
-                step=failed_at, violations=violations, attempts=retries - 1
-            )
-        state = self.store.load_latest()
-        if state is None:
-            raise DivergenceError(
-                step=failed_at,
-                violations=violations + ["no loadable checkpoint to roll back to"],
-                attempts=retries - 1,
-            )
-        sim.load_state(state)
-        if (
-            self._last_failure_step is not None
-            and failed_at <= self._last_failure_step
-        ):
-            new_dt = sim.params.dt * self.dt_backoff
-            logger.warning(
-                "repeated failure at step %d: backing off dt to %.3e",
-                failed_at, new_dt,
-            )
-            sim.set_dt(new_dt)
-            self._emit("dt_backoff", "WARNING", step=failed_at, dt=new_dt)
-        self._last_failure_step = failed_at
-        self.rollbacks += 1
-        self._emit("rollback", "WARNING", failed_at=failed_at,
-                   resumed_at=sim.step_count, attempt=retries)
+    return check

@@ -1,10 +1,10 @@
-"""Rotating store of the last K good checkpoints.
+"""Rotating store of the last K good sharded checkpoints.
 
 The paper's production campaigns (Sec. 6) checkpoint periodically and
 keep several generations, because a crash can strike *during* a
 checkpoint write and the newest file may be the broken one.  The store
-pairs the atomic, checksummed writer of :mod:`repro.io.checkpoint` with
-a load path that walks generations newest-first, quarantines anything
+pairs the two-phase sharded writer of :mod:`repro.io.sharded` with a
+load path that walks generations newest-first, quarantines anything
 that fails verification, and hands back the newest checkpoint that
 actually loads.
 """
@@ -18,7 +18,7 @@ import os
 import threading
 from pathlib import Path
 
-from repro.io.checkpoint import CheckpointError, load_checkpoint, save_state
+from repro.io.checkpoint import CheckpointError
 from repro.io.sharded import (
     load_sharded,
     manifest_path,
@@ -28,7 +28,7 @@ from repro.io.sharded import (
 )
 from repro.resilience.retry import RetryPolicy, retry_io
 
-__all__ = ["CheckpointStore", "ShardedCheckpointStore"]
+__all__ = ["ShardedCheckpointStore"]
 
 logger = logging.getLogger(__name__)
 
@@ -42,128 +42,28 @@ def _truncate(path: Path, fraction: float) -> None:
         fh.truncate(max(1, int(size * fraction)))
 
 
-class CheckpointStore:
-    """Directory of ``<prefix>-<step>.npz`` checkpoints with rotation.
-
-    Parameters
-    ----------
-    directory:
-        Where checkpoints live; created if missing.
-    keep:
-        Number of most-recent checkpoints retained; older generations are
-        deleted after each successful save.
-    prefix:
-        File-name prefix (lets several campaigns share a directory).
-    fault_plan:
-        Optional :class:`repro.resilience.faults.FaultPlan`; a
-        ``ckpt_truncate`` fault scheduled for the saved step truncates
-        the file *after* it reaches its final name, simulating torn
-        storage that atomic rename alone cannot prevent.
-    """
-
-    def __init__(self, directory, *, keep: int = 3, prefix: str = "ck",
-                 fault_plan=None):
-        if keep < 1:
-            raise ValueError("keep must be at least 1")
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self.keep = keep
-        self.prefix = prefix
-        self.fault_plan = fault_plan
-
-    # ------------------------------------------------------------------ #
-    # paths
-    # ------------------------------------------------------------------ #
-
-    def path_for(self, step: int) -> Path:
-        """Checkpoint path of a given step count."""
-        return self.directory / f"{self.prefix}-{step:010d}.npz"
-
-    def _step_of(self, path: Path) -> int:
-        return int(path.stem.split("-")[-1])
-
-    def checkpoints(self) -> list[Path]:
-        """Present checkpoint files, oldest first."""
-        paths = self.directory.glob(f"{self.prefix}-*.npz")
-        return sorted(paths, key=self._step_of)
-
-    @property
-    def quarantine_dir(self) -> Path:
-        return self.directory / "quarantine"
-
-    def quarantined(self) -> list[Path]:
-        """Files moved aside after failing verification."""
-        if not self.quarantine_dir.exists():
-            return []
-        return sorted(self.quarantine_dir.iterdir())
-
-    # ------------------------------------------------------------------ #
-    # save
-    # ------------------------------------------------------------------ #
-
-    def save_state(self, state: dict) -> Path:
-        """Write a ``state_dict``-shaped snapshot, then rotate."""
-        step = int(state["step_count"])
-        path = self.path_for(step)
-        save_state(
-            path,
-            phi=state["phi"],
-            mu=state["mu"],
-            time=state["time"],
-            step_count=step,
-            z_offset=int(state.get("z_offset", 0)),
-            kernel=state.get("kernel", ""),
-        )
-        self._maybe_truncate(path, step)
-        self._rotate()
-        return path
-
-    def save(self, sim) -> Path:
-        """Checkpoint a :class:`repro.core.solver.Simulation`."""
-        return self.save_state(sim.state_dict())
-
-    def _maybe_truncate(self, path: Path, step: int) -> None:
-        if self.fault_plan is None:
-            return
-        fault = self.fault_plan.fires("ckpt_truncate", step=step)
-        if fault is not None:
-            _truncate(path, fault.fraction)
-
-    def _rotate(self) -> None:
-        paths = self.checkpoints()
-        for path in paths[: max(0, len(paths) - self.keep)]:
-            path.unlink(missing_ok=True)
-
-    # ------------------------------------------------------------------ #
-    # load
-    # ------------------------------------------------------------------ #
-
-    def load_latest(self) -> dict | None:
-        """Newest checkpoint that verifies, or ``None`` if none does.
-
-        Corrupt generations (truncated archives, checksum or shape
-        mismatches, unsupported versions) are moved into
-        ``quarantine/`` — never deleted, so they stay available for
-        post-mortems — and the walk continues with the next-older file.
-        """
-        for path in reversed(self.checkpoints()):
-            try:
-                return load_checkpoint(path)
-            except CheckpointError as exc:
-                self._quarantine(path, exc)
-        return None
-
-    def _quarantine(self, path: Path, exc: CheckpointError) -> None:
-        logger.warning("quarantining corrupt checkpoint %s: %s", path, exc)
-        self.quarantine_dir.mkdir(exist_ok=True)
-        os.replace(path, self.quarantine_dir / path.name)
+def _inject_io_fault(plan, path: Path, *, step: int, rank: int,
+                     blocks: dict) -> None:
+    """Fail one shard-write attempt as *plan* schedules for (*step*,
+    *rank*): ``io_enospc`` raises, ``io_torn_write`` leaves a torn file
+    under the final name, then raises."""
+    if plan.fires("io_enospc", step=step, rank=rank) is not None:
+        raise OSError(errno.ENOSPC, "injected: no space left on device")
+    fault = plan.fires("io_torn_write", step=step, rank=rank)
+    if fault is not None:
+        # model a non-atomic filesystem: a prefix of the shard reaches
+        # the final name before the device errors out — the retry must
+        # overwrite the torn file with a complete one
+        write_shard(path, blocks, rank=rank)
+        _truncate(path, fault.fraction)
+        raise OSError(errno.EIO, "injected: torn write")
 
 
 class ShardedCheckpointStore:
     """Store of two-phase sharded checkpoints with rotation and quarantine.
 
-    The elastic counterpart of :class:`CheckpointStore`: every simulated
-    rank writes its own block shard (:func:`repro.io.sharded.write_shard`)
+    Every simulated rank writes its own block shard
+    (:func:`repro.io.sharded.write_shard`)
     and rank 0 commits the generation by publishing a manifest — a
     checkpoint without a manifest was interrupted mid-write and is never
     loaded.  Because the manifest records the domain topology and block
@@ -172,18 +72,20 @@ class ShardedCheckpointStore:
     a rank failure (``dsim.shrunk``) and resume.
 
     Writes go through a bounded exponential-backoff retry
-    (:mod:`repro.resilience.retry`); scheduled ``io_enospc`` /
-    ``io_torn_write`` faults from *fault_plan* are injected inside the
-    retried attempt, so one scheduled fault exercises the retry path and
-    K ≥ attempts scheduled faults model a persistent outage.  A
-    ``ckpt_truncate`` fault tears a generation after it is committed
+    (:mod:`repro.resilience.retry`).  The store holds no fault plan: the
+    write and publish phases take the plan of the call they run in
+    (:meth:`rank_hook`'s *fault_plan*).  Scheduled ``io_enospc`` /
+    ``io_torn_write`` faults are injected inside the retried attempt, so
+    one scheduled fault exercises the retry path and K ≥ attempts
+    scheduled faults model a persistent outage; a ``ckpt_truncate``
+    fault tears a generation after it is committed
     (:meth:`publish_manifest`).
 
     Thread-safe: simulated ranks share one instance across threads.
     """
 
     def __init__(self, directory, *, keep: int = 3, prefix: str = "ck",
-                 fault_plan=None, retry_policy: RetryPolicy | None = None,
+                 retry_policy: RetryPolicy | None = None,
                  retry_seed: int = 0):
         if keep < 1:
             raise ValueError("keep must be at least 1")
@@ -191,7 +93,6 @@ class ShardedCheckpointStore:
         self.directory.mkdir(parents=True, exist_ok=True)
         self.keep = keep
         self.prefix = prefix
-        self.fault_plan = fault_plan
         self.retry_policy = (
             retry_policy if retry_policy is not None else RetryPolicy()
         )
@@ -276,7 +177,7 @@ class ShardedCheckpointStore:
     # ------------------------------------------------------------------ #
 
     def write_rank_shard(self, *, rank: int, step: int, blocks: dict,
-                         events=None) -> dict:
+                         events=None, fault_plan=None) -> dict:
         """Durably write one rank's shard; returns its manifest entry.
 
         Retries transient I/O failures with backoff (each retry emits an
@@ -286,8 +187,9 @@ class ShardedCheckpointStore:
         path = self.shard_for(step, rank)
 
         def attempt():
-            self._maybe_inject_io_fault(path, step=step, rank=rank,
-                                        blocks=blocks)
+            if fault_plan is not None:
+                _inject_io_fault(fault_plan, path, step=step, rank=rank,
+                                 blocks=blocks)
             return write_shard(path, blocks, rank=rank)
 
         def on_retry(attempt_i, exc, delay):
@@ -310,34 +212,18 @@ class ShardedCheckpointStore:
             self.stats["shards_written"] += 1
         return entry
 
-    def _maybe_inject_io_fault(self, path: Path, *, step: int, rank: int,
-                               blocks: dict) -> None:
-        if self.fault_plan is None:
-            return
-        fault = self.fault_plan.fires("io_enospc", step=step, rank=rank)
-        if fault is not None:
-            raise OSError(errno.ENOSPC, "injected: no space left on device")
-        fault = self.fault_plan.fires("io_torn_write", step=step, rank=rank)
-        if fault is not None:
-            # model a non-atomic filesystem: a prefix of the shard reaches
-            # the final name before the device errors out — the retry must
-            # overwrite the torn file with a complete one
-            write_shard(path, blocks, rank=rank)
-            _truncate(path, fault.fraction)
-            raise OSError(errno.EIO, "injected: torn write")
-
     # ------------------------------------------------------------------ #
     # publish phase (rank 0)
     # ------------------------------------------------------------------ #
 
     def publish_manifest(self, shard_entries: list[dict], *, step: int,
                          time: float, topology: dict, z_offset: int = 0,
-                         kernel: str = "") -> Path:
+                         kernel: str = "", fault_plan=None) -> Path:
         """Commit one generation (write-all-then-publish), then rotate.
 
-        A ``ckpt_truncate`` fault scheduled for *step* then cuts the
-        generation's first shard short: torn storage under a committed
-        manifest, which :meth:`load_latest` must quarantine.
+        A ``ckpt_truncate`` fault *fault_plan* schedules for *step* then
+        cuts the generation's first shard short: torn storage under a
+        committed manifest, which :meth:`load_latest` must quarantine.
         """
         path = write_manifest(
             self.manifest_for(step), shard_entries,
@@ -346,8 +232,8 @@ class ShardedCheckpointStore:
         )
         with self._lock:
             self.stats["manifests_published"] += 1
-        fault = (None if self.fault_plan is None
-                 else self.fault_plan.fires("ckpt_truncate", step=step))
+        fault = (None if fault_plan is None
+                 else fault_plan.fires("ckpt_truncate", step=step))
         if fault is not None:
             _truncate(self.directory / shard_entries[0]["file"],
                       fault.fraction)
@@ -360,12 +246,13 @@ class ShardedCheckpointStore:
             self.stats["checkpoints_skipped"] += 1
 
     def rank_hook(self, comm, fields, *, every: int, topology: dict,
-                  kernel: str = "", events=None):
+                  kernel: str = "", events=None, fault_plan=None):
         """One rank's after-step hook ``(step, time)``: a two-phase
         sharded checkpoint of *fields* — ``(block_id, phi Field, mu
         Field)`` triples — whenever *step*, the global count of steps
         done, is a multiple of *every* (so boundaries are stable across
-        restarts, whatever step a call starts from).
+        restarts, whatever step a call starts from), with the I/O faults
+        of *fault_plan*, the plan of the call the hook runs in.
 
         Collective over *comm*.  Write phase: this rank durably writes
         its own shard (bounded retries inside :meth:`write_rank_shard`).
@@ -380,18 +267,19 @@ class ShardedCheckpointStore:
                     comm, {bid: (phi.interior_src, mu.interior_src)
                            for bid, phi, mu in fields},
                     step=step, time=t, topology=topology, kernel=kernel,
-                    events=events,
+                    events=events, fault_plan=fault_plan,
                 )
 
         return checkpoint
 
     def _checkpoint_from_rank(self, comm, blocks: dict, *, step: int,
                               time: float, topology: dict, kernel: str,
-                              events) -> None:
+                              events, fault_plan) -> None:
         entry = None
         try:
             entry = self.write_rank_shard(
                 rank=comm.rank, step=step, blocks=blocks, events=events,
+                fault_plan=fault_plan,
             )
         except OSError as exc:
             logger.error(
@@ -408,7 +296,7 @@ class ShardedCheckpointStore:
         if all(e is not None for e in entries):
             path = self.publish_manifest(
                 entries, step=step, time=time, topology=topology,
-                kernel=kernel,
+                kernel=kernel, fault_plan=fault_plan,
             )
             if events is not None:
                 events.emit("checkpoint", step=step, path=str(path))

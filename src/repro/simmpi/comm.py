@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.picklable import PicklableError
 from repro.settings import Settings
 
 __all__ = [
@@ -40,7 +41,7 @@ ANY_TAG = -1
 _POLL = 0.05
 
 
-class RemoteError(RuntimeError):
+class RemoteError(PicklableError, RuntimeError):
     """Raised on ranks blocked in communication when a peer rank failed."""
 
 
@@ -84,17 +85,6 @@ class RankTimeout(RankFailure):
             f"simmpi {op} exceeded its {self.timeout:.3g}s deadline"
             f"{blame}; treating the stalled peer as failed",
         )
-
-    def __reduce__(self):
-        # The keyword-only *peers* defeats the default exception pickle
-        # (args holds only the message); the process backend ships these
-        # over result pipes, so rebuild from the typed parts instead.
-        return (_rebuild_rank_timeout,
-                (self.op, self.timeout, self.failed_ranks))
-
-
-def _rebuild_rank_timeout(op, timeout, peers):
-    return RankTimeout(op, timeout, peers=peers)
 
 
 def raise_selected(errors) -> None:

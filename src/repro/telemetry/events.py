@@ -1,7 +1,7 @@
 """Structured run events as JSON lines.
 
-Every notable runtime occurrence — step progress, guard trips, rollbacks,
-fault injections, checkpoint writes, campaign relaunches — is recorded as
+Every notable runtime occurrence — step progress, guard trips, fault
+injections, checkpoint writes, campaign relaunches — is recorded as
 one self-describing JSON object per line.  Each simulated rank writes its
 own file (``events-rank0000.jsonl`` ...) so no locking crosses rank
 boundaries, and rank 0 merges them into a single time-ordered stream

@@ -102,7 +102,13 @@ def _on_backend(dsim, backend):
 
 
 class TestRecoveryMatrix:
-    """Acceptance matrix: every fault kind recovers to the unfaulted result."""
+    """Acceptance matrix: every fault kind recovers to the unfaulted result.
+
+    The plan is passed to ``run_campaign`` only: it is the one way in for
+    every kind, the store's I/O faults included.  An I/O row is followed
+    by a crash, so the campaign restarts from the generation whose shard
+    write the fault made the store retry.
+    """
 
     @pytest.mark.parametrize(
         "faults",
@@ -116,6 +122,12 @@ class TestRecoveryMatrix:
                          id="truncated-checkpoint"),
             pytest.param([Fault(kind="nan_inject", step=4, rank=1)],
                          id="nan-blow-up"),
+            pytest.param([Fault(kind="io_enospc", step=6, rank=0),
+                          Fault(kind="rank_kill", step=7, rank=1)],
+                         id="enospc-shard-write"),
+            pytest.param([Fault(kind="io_torn_write", step=3, rank=1),
+                          Fault(kind="rank_kill", step=5, rank=0)],
+                         id="torn-shard-write"),
         ],
     )
     @pytest.mark.parametrize("backend", ["thread", "process"])
@@ -124,7 +136,7 @@ class TestRecoveryMatrix:
         dsim, phi0, mu0, reference = setup
         plan = FaultPlan(faults, seed=SEED)
         print(plan.describe())
-        store = ShardedCheckpointStore(tmp_path, keep=3, fault_plan=plan)
+        store = ShardedCheckpointStore(tmp_path, keep=3)
         result = run_campaign(
             _on_backend(dsim, backend), STEPS, phi0, mu0,
             store=store, checkpoint_every=3, fault_plan=plan,
@@ -132,6 +144,8 @@ class TestRecoveryMatrix:
         assert result.restarts >= 1
         assert result.steps == STEPS
         assert len(result.faults_fired) == len(faults)
+        if any(f.kind.startswith("io_") for f in faults):
+            assert result.io_retries == 1
         # recovered run matches the unfaulted one within float32
         # restart rounding
         np.testing.assert_allclose(result.phi, reference.phi, atol=1e-5)
@@ -168,7 +182,7 @@ class TestRecoveryMatrix:
         print(plan.describe())
         result = run_campaign(
             compiled_sim(), STEPS, phi0, mu0,
-            store=ShardedCheckpointStore(tmp_path, keep=3, fault_plan=plan),
+            store=ShardedCheckpointStore(tmp_path, keep=3),
             checkpoint_every=3, fault_plan=plan,
         )
         assert result.restarts >= 1
@@ -466,7 +480,7 @@ class TestElasticCampaign:
         dsim, phi0, mu0 = self._sim()
         plan = FaultPlan([Fault(kind="kill_rank", step=3, rank=1)], seed=SEED)
         print(plan.describe())
-        store = ShardedCheckpointStore(tmp_path, fault_plan=plan)
+        store = ShardedCheckpointStore(tmp_path)
         result = run_campaign(
             dsim, STEPS, phi0, mu0,
             store=store, checkpoint_every=2, fault_plan=plan,
@@ -487,7 +501,7 @@ class TestElasticCampaign:
             seed=SEED,
         )
         print(plan.describe())
-        store = ShardedCheckpointStore(tmp_path, fault_plan=plan)
+        store = ShardedCheckpointStore(tmp_path)
         result = run_campaign(
             dsim, STEPS, phi0, mu0,
             store=store, checkpoint_every=2, fault_plan=plan,
@@ -507,8 +521,7 @@ class TestElasticCampaign:
         )
         print(plan.describe())
         store = ShardedCheckpointStore(
-            tmp_path, fault_plan=plan,
-            retry_policy=RetryPolicy(attempts=4, base_delay=1e-4),
+            tmp_path, retry_policy=RetryPolicy(attempts=4, base_delay=1e-4),
         )
         result = run_campaign(
             dsim, STEPS, phi0, mu0,
@@ -530,8 +543,7 @@ class TestElasticCampaign:
         )
         print(plan.describe())
         store = ShardedCheckpointStore(
-            tmp_path, fault_plan=plan,
-            retry_policy=RetryPolicy(attempts=3, base_delay=1e-4),
+            tmp_path, retry_policy=RetryPolicy(attempts=3, base_delay=1e-4),
         )
         result = run_campaign(
             dsim, STEPS, phi0, mu0,
@@ -549,7 +561,7 @@ class TestElasticCampaign:
         plan = FaultPlan([Fault(kind="rank_slow", step=3, rank=1,
                                 delay=0.2)], seed=SEED)
         print(plan.describe())
-        store = ShardedCheckpointStore(tmp_path, fault_plan=plan)
+        store = ShardedCheckpointStore(tmp_path)
         result = run_campaign(
             dsim, STEPS, phi0, mu0,
             store=store, checkpoint_every=2, fault_plan=plan,
@@ -574,7 +586,7 @@ class TestElasticCampaign:
         plan = FaultPlan([Fault(kind="rank_stall", step=3, rank=1,
                                 delay=30.0)], seed=SEED)
         print(plan.describe())
-        store = ShardedCheckpointStore(tmp_path, fault_plan=plan)
+        store = ShardedCheckpointStore(tmp_path)
         t0 = _time.monotonic()
         result = run_campaign(
             dsim, STEPS, phi0, mu0,
@@ -603,8 +615,7 @@ class TestElasticCampaign:
         )
         print(plan.describe())
         store = ShardedCheckpointStore(
-            tmp_path / "ck", fault_plan=plan,
-            retry_policy=RetryPolicy(attempts=4, base_delay=1e-4),
+            tmp_path / "ck", retry_policy=RetryPolicy(attempts=4, base_delay=1e-4),
         )
         result = run_campaign(
             dsim, STEPS, phi0, mu0,

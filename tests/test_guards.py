@@ -1,4 +1,4 @@
-"""Tests of the invariant guardrails and rollback-with-backoff stepping."""
+"""Tests of the invariant guards and of the one recovery loop they feed."""
 
 import ast
 import os
@@ -10,15 +10,12 @@ import numpy as np
 import pytest
 
 from repro.core.kernels import rung_available
-from repro.core.solver import Simulation
+from repro.core.solver import Simulation, solute_content
 from repro.resilience import (
-    CheckpointStore,
-    DivergenceError,
     Fault,
     FaultPlan,
-    GuardedSimulation,
     InvariantViolation,
-    StateGuard,
+    content_violation,
     find_violations,
 )
 from repro.resilience.faults import poison
@@ -60,11 +57,20 @@ class TestInvariants:
         assert any("simplex" in s for s in v)
 
     def test_mass_drift_detected(self, sim):
-        guard = StateGuard(mass_drift_rtol=0.05)
-        guard.capture_reference(sim)
-        assert guard.violations(sim) == []
+        """The content check reads the one content formula, which is the
+        serial solver's solute mass and, over a stack of blocks (as a
+        rank calls it), their summed content."""
+        phi, mu = sim.phi.interior_src, sim.mu.interior_src
+        temps = sim.slice_temperatures(sim.time)[1:-1]
+        before = solute_content(sim.system, phi, mu, temps)
+        np.testing.assert_array_equal(before, sim.solute_mass())
+        pair = solute_content(sim.system, np.stack([phi, phi], 1),
+                              np.stack([mu, mu], 1), [temps, temps])
+        np.testing.assert_allclose(pair, 2 * before, rtol=1e-12)
+        assert content_violation(sim.solute_mass(), before) is None
         sim.mu.interior_src[...] += 1.0  # large artificial solute shift
-        assert any("mass" in s for s in guard.violations(sim))
+        assert "solute content" in content_violation(sim.solute_mass(), before)
+        assert content_violation(np.full_like(before, np.nan), before)
 
 
 #: Four blocks on two ranks (rank 0: blocks 0, 1; rank 1: blocks 2, 3),
@@ -217,54 +223,123 @@ class TestDistributedGuard:
         np.testing.assert_array_equal(result.mu, plain.mu)
 
 
-class TestGuardedSimulation:
-    def test_transient_fault_recovers_and_matches_unfaulted(self, sim, tmp_path):
-        plan = FaultPlan([Fault(kind="nan_inject", step=3)], seed=7)
-        store = CheckpointStore(tmp_path, keep=2)
-        guarded = GuardedSimulation(
-            sim, store, checkpoint_every=2, fault_plan=plan
-        )
-        dt0 = sim.params.dt
-        report = guarded.run(6)
-        assert report.steps == 6
-        assert guarded.rollbacks == 1
-        assert len(plan.fired()) == 1
-        # transient fault: retried at the original dt, not backed off
-        assert sim.params.dt == dt0
+class TestGuardedCampaign:
+    """A guarded run, serial or distributed, is ``run_campaign``: finite
+    values every step, physical invariants at every checkpoint step."""
 
-        clean = Simulation(
-            shape=(5, 8), kernel="buffered",
-            system=sim.system, params=sim.params, temperature=sim.temperature,
+    @pytest.mark.parametrize("faults", [
+        pytest.param([], id="unfaulted"),
+        pytest.param([Fault(kind="nan_inject", step=3)], id="nan-inject"),
+    ])
+    def test_one_rank_campaign_is_the_serial_run(self, faults, tmp_path):
+        """The serial solver needs no recovery loop of its own: a campaign
+        on a one-rank thread world steps it bitwise, and a NaN recovery
+        only adds the float32 rounding of the restart state."""
+        from repro.distributed import DistributedSimulation
+        from repro.resilience import ShardedCheckpointStore, run_campaign
+
+        sim = Simulation(shape=(6, 6, 10), kernel="buffered")
+        sim.initialize_voronoi(seed=5, solid_height=4, n_seeds=4, smooth=2)
+        phi0, mu0 = sim.phi.interior_src.copy(), sim.mu.interior_src.copy()
+        sim.step(8)
+        plan = FaultPlan(faults)
+        result = run_campaign(
+            DistributedSimulation((6, 6, 10), (1, 1, 1), n_ranks=1,
+                                  kernel="buffered", backend="thread"),
+            8, phi0, mu0,
+            store=ShardedCheckpointStore(tmp_path), checkpoint_every=2,
+            fault_plan=plan,
         )
-        clean.initialize_voronoi(seed=1, n_seeds=3)
-        clean.step(6)
-        # only float32 restart rounding separates the two runs
-        np.testing.assert_allclose(
-            sim.phi.interior_src, clean.phi.interior_src, atol=1e-6
+        assert result.restarts == len(faults)
+        assert len(result.faults_fired) == len(faults)
+        if faults:
+            np.testing.assert_allclose(result.phi, sim.phi.interior_src,
+                                       rtol=0, atol=1e-5)
+            np.testing.assert_allclose(result.mu, sim.mu.interior_src,
+                                       rtol=0, atol=1e-5)
+        else:
+            np.testing.assert_array_equal(result.phi, sim.phi.interior_src)
+            np.testing.assert_array_equal(result.mu, sim.mu.interior_src)
+
+    def test_broken_partition_of_unity_is_never_committed(self, tmp_path,
+                                                          monkeypatch):
+        """A state off the simplex at a checkpoint step trips the guard
+        before its shards are written: the campaign resumes from the
+        previous generation, and only the clean replay commits that step."""
+        from repro.core.stepper import Stepper
+        from repro.distributed import DistributedSimulation
+        from repro.resilience import ShardedCheckpointStore, run_campaign
+        from repro.telemetry import RunTelemetry
+        from repro.telemetry.events import read_events
+
+        phi0, mu0, _plan = _guard_inputs("healthy")
+
+        def sim():
+            return DistributedSimulation(GUARD_SHAPE, GUARD_BLOCKS,
+                                         kernel="buffered",
+                                         n_ranks=GUARD_RANKS,
+                                         backend="thread")
+
+        with sim() as plain:
+            reference = plain.run(8, phi0, mu0)
+        step = Stepper.step
+        dt = plain.params.dt
+        broken = []
+
+        def step_then_break(self, blocks, t):
+            # the step that ends at step count 6 leaves one cell's phase
+            # sum at 1.01, once
+            step(self, blocks, t)
+            if not broken and abs(t - 5 * dt) < dt / 2:
+                broken.append(t)
+                blocks[0][0].interior_src[(0, 1, 1, 1)] += 0.01
+
+        monkeypatch.setattr(Stepper, "step", step_then_break)
+        store = ShardedCheckpointStore(tmp_path / "ck", keep=8)
+        result = run_campaign(
+            sim(), 8, phi0, mu0, store=store, checkpoint_every=2,
+            telemetry=RunTelemetry(directory=tmp_path / "tel"),
         )
-        np.testing.assert_allclose(
-            sim.mu.interior_src, clean.mu.interior_src, atol=1e-6
+        assert len(broken) == 1
+        assert result.restarts == 1
+        # the initial state, 2 and 4 before the trip; 6 and 8 after it
+        assert result.checkpoints_written == 5
+        assert store.steps() == [0, 2, 4, 6, 8]
+        records = read_events(tmp_path / "tel" / "events-merged.jsonl")
+        trip = next(r for r in records if r["kind"] == "guard_trip")
+        assert trip["data"]["step"] == 6
+        assert "phase sum" in trip["data"]["reason"]
+        restart = next(r for r in records if r["kind"] == "restart")
+        assert restart["data"]["step"] == 4
+        assert [r["data"]["step"] for r in records
+                if r["kind"] == "checkpoint"] == [0, 2, 4, 6, 8]
+        np.testing.assert_allclose(result.phi, reference.phi, atol=1e-5)
+        np.testing.assert_allclose(result.mu, reference.mu, atol=1e-5)
+
+    def test_a_repeating_violation_exhausts_the_restart_budget(
+        self, tmp_path, monkeypatch
+    ):
+        """Restarts run at the same dt: a violation that recurs on every
+        replay ends in a DivergenceError at the last good generation."""
+        from repro.distributed import DistributedSimulation
+        from repro.resilience import (
+            DivergenceError,
+            ShardedCheckpointStore,
+            guards,
+            run_campaign,
         )
 
-    def test_persistent_violation_backs_off_then_raises(self, sim, tmp_path):
-        store = CheckpointStore(tmp_path, keep=2)
-        # impossible tolerance: every state violates, every retry fails
-        guarded = GuardedSimulation(
-            sim, store, guard=StateGuard(sum_tol=-1.0),
-            max_retries=2, dt_backoff=0.5,
-        )
-        dt0 = sim.params.dt
+        phi0, mu0, _plan = _guard_inputs("healthy")
+        monkeypatch.setattr(guards, "SUM_TOL", -1.0)  # every state violates
+
         with pytest.raises(DivergenceError) as info:
-            guarded.run(4)
+            run_campaign(
+                DistributedSimulation(GUARD_SHAPE, GUARD_BLOCKS,
+                                      kernel="buffered", n_ranks=GUARD_RANKS,
+                                      backend="thread"),
+                4, phi0, mu0, store=ShardedCheckpointStore(tmp_path),
+                checkpoint_every=2, max_restarts=2,
+            )
         assert info.value.attempts == 2
-        assert info.value.violations
-        assert info.value.step >= 1
-        # the repeated failure at the same step triggered dt backoff
-        assert sim.params.dt < dt0
-
-    def test_validates_cadence_arguments(self, sim, tmp_path):
-        store = CheckpointStore(tmp_path)
-        with pytest.raises(ValueError):
-            GuardedSimulation(sim, store, check_every=0)
-        with pytest.raises(ValueError):
-            GuardedSimulation(sim, store, dt_backoff=1.5)
+        assert info.value.step == 0
+        assert "invariant violation at step 2" in str(info.value)

@@ -295,13 +295,13 @@ def test_plan_and_store_cross_a_process_boundary(tmp_path):
     plan = FaultPlan([Fault("rank_kill", step=3, rank=1)], seed=7)
     plan.on_fire = lambda record: None
     plan.fires("rank_kill", step=3, rank=1)
-    store = ShardedCheckpointStore(tmp_path, fault_plan=plan)
+    store = ShardedCheckpointStore(tmp_path)
     store.note_skipped()
-    got = pickle.loads(pickle.dumps(store))
+    got, got_plan = pickle.loads(pickle.dumps((store, plan)))
     assert got.stats == store.stats
-    assert got.fault_plan.pending() == [] and got.fault_plan.on_fire is None
+    assert got_plan.pending() == [] and got_plan.on_fire is None
     got.note_skipped()               # the lock was recreated
-    assert got.fault_plan.fires("rank_kill", step=3, rank=1) is None
+    assert got_plan.fires("rank_kill", step=3, rank=1) is None
 
 
 # --------------------------------------------------------------------- #

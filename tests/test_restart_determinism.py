@@ -11,8 +11,8 @@ import pytest
 from repro.core.nucleation import smooth_phase_field, voronoi_initial_condition
 from repro.core.solver import Simulation
 from repro.distributed import DistributedSimulation
+from repro.io.checkpoint import load_checkpoint, save_state
 from repro.resilience import (
-    CheckpointStore,
     Fault,
     FaultPlan,
     ShardedCheckpointStore,
@@ -37,15 +37,16 @@ def test_serial_restart_matches_uninterrupted(setup, tmp_path):
     sim = Simulation(shape=SHAPE, system=system, kernel="buffered")
     sim.initialize(phi0, mu0)
     sim.step(N)
-    store = CheckpointStore(tmp_path, keep=2)
-    store.save(sim)
+    path = tmp_path / "ck.npz"
+    save_state(path, phi=sim.phi.interior_src, mu=sim.mu.interior_src,
+               time=sim.time, step_count=sim.step_count)
     sim.step(M - N)  # uninterrupted continuation
 
     fresh = Simulation(
         shape=SHAPE, system=system, kernel="buffered",
         params=sim.params, temperature=sim.temperature,
     )
-    fresh.load_state(store.load_latest())
+    fresh.load_state(load_checkpoint(path))
     assert fresh.step_count == N
     assert fresh.time == pytest.approx(N * sim.params.dt)
     fresh.step(M - N)
@@ -66,13 +67,10 @@ def test_distributed_restart_matches_uninterrupted(setup, tmp_path, overlap):
     uninterrupted = dsim.run(M, phi0, mu0)
 
     first = dsim.run(N, phi0, mu0)
-    store = CheckpointStore(tmp_path / f"overlap-{overlap}", keep=2)
-    store.save_state({
-        "phi": first.phi, "mu": first.mu,
-        "time": N * dsim.params.dt, "step_count": N,
-        "z_offset": 0, "kernel": dsim.kernel,
-    })
-    state = store.load_latest()
+    path = tmp_path / f"overlap-{overlap}.npz"
+    save_state(path, phi=first.phi, mu=first.mu, time=N * dsim.params.dt,
+               step_count=N, z_offset=0, kernel=dsim.kernel)
+    state = load_checkpoint(path)
     resumed = dsim.run(
         M - N, state["phi"], state["mu"],
         t0=state["time"], step0=state["step_count"],
@@ -91,7 +89,7 @@ def test_elastic_shrink_matches_checkpoint_restart(setup, tmp_path):
     dsim = DistributedSimulation(SHAPE, (2, 2), system=system, kernel="buffered")
     plan = FaultPlan([Fault(kind="kill_rank", step=5, rank=2)])
     print(plan.describe())
-    store = ShardedCheckpointStore(tmp_path / "elastic", fault_plan=plan)
+    store = ShardedCheckpointStore(tmp_path / "elastic")
     result = run_campaign(
         dsim, M, phi0, mu0, store=store, checkpoint_every=2, fault_plan=plan
     )
@@ -142,8 +140,8 @@ def test_thread_campaign_reports_no_watchdog(setup, tmp_path, monkeypatch):
 
 
 def test_campaign_rejects_a_plain_store(setup, tmp_path):
-    """Campaigns checkpoint only in-run through the sharded store: a
-    single-file store is refused before any world opens or any file is
+    """Campaigns checkpoint only in-run through the sharded store:
+    anything else is refused before any world opens or any file is
     written."""
     import multiprocessing
 
@@ -153,7 +151,7 @@ def test_campaign_rejects_a_plain_store(setup, tmp_path):
     )
     before = multiprocessing.active_children()
     with pytest.raises(TypeError, match="ShardedCheckpointStore"):
-        run_campaign(dsim, 2, phi0, mu0, store=CheckpointStore(tmp_path))
+        run_campaign(dsim, 2, phi0, mu0, store=tmp_path)
     assert dsim.settings is None  # set when a world opens
     assert multiprocessing.active_children() == before
     assert list(tmp_path.iterdir()) == []
@@ -186,7 +184,7 @@ def test_watchdog_contains_stalled_process_rank(setup, tmp_path, monkeypatch):
     )
     plan = FaultPlan([Fault(kind="rank_stall", step=5, rank=2, delay=30.0)])
     print(plan.describe())
-    store = ShardedCheckpointStore(tmp_path / "elastic", fault_plan=plan)
+    store = ShardedCheckpointStore(tmp_path / "elastic")
     t0 = _time.monotonic()
     result = run_campaign(
         dsim, M, phi0, mu0, store=store, checkpoint_every=2,

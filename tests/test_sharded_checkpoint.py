@@ -119,6 +119,7 @@ class TestTwoPhaseCommit:
         """A write phase with no publish is not a checkpoint."""
         dsim, phi0, mu0 = setup
         store = ShardedCheckpointStore(tmp_path)
+        assert store.load_latest() is None  # an empty store serves nothing
         for rank in range(dsim.n_ranks):
             store.write_rank_shard(
                 rank=rank, step=N, blocks=_rank_blocks(dsim, phi0, mu0, rank)
@@ -231,6 +232,14 @@ class TestQuarantine:
         assert {p.name for p in newest} <= names
         assert store.steps() == [N]
 
+        # once every generation is corrupt, nothing is served
+        self._corrupt_one_array(store.shards()[0])
+        assert store.load_latest() is None
+        assert store.steps() == [] and store.shards() == []
+        assert store.manifest_for(N).name in {
+            p.name for p in store.quarantined()
+        }
+
 
 class TestRotation:
     def test_keeps_last_k_generations(self, setup, tmp_path):
@@ -304,11 +313,11 @@ class TestInjectedIoFaults:
         dsim, phi0, mu0 = setup
         plan = FaultPlan([Fault(kind="io_enospc", step=N, rank=0)])
         store = ShardedCheckpointStore(
-            tmp_path, fault_plan=plan,
-            retry_policy=RetryPolicy(attempts=4, base_delay=1e-4),
+            tmp_path, retry_policy=RetryPolicy(attempts=4, base_delay=1e-4),
         )
         entry = store.write_rank_shard(
-            rank=0, step=N, blocks=_rank_blocks(dsim, phi0, mu0, 0)
+            rank=0, step=N, blocks=_rank_blocks(dsim, phi0, mu0, 0),
+            fault_plan=plan,
         )
         assert store.stats["io_retries"] == 1
         assert len(plan.fired()) == 1
@@ -319,11 +328,11 @@ class TestInjectedIoFaults:
         dsim, phi0, mu0 = setup
         plan = FaultPlan([Fault(kind="io_torn_write", step=N, rank=0)])
         store = ShardedCheckpointStore(
-            tmp_path, fault_plan=plan,
-            retry_policy=RetryPolicy(attempts=4, base_delay=1e-4),
+            tmp_path, retry_policy=RetryPolicy(attempts=4, base_delay=1e-4),
         )
         entry = store.write_rank_shard(
-            rank=0, step=N, blocks=_rank_blocks(dsim, phi0, mu0, 0)
+            rank=0, step=N, blocks=_rank_blocks(dsim, phi0, mu0, 0),
+            fault_plan=plan,
         )
         assert store.stats["io_retries"] == 1
         load_shard(store.shard_for(N, 0), entry)
@@ -334,11 +343,20 @@ class TestInjectedIoFaults:
         """A generation torn after its commit is quarantined on load."""
         dsim, phi0, mu0 = setup
         plan = FaultPlan([Fault(kind="ckpt_truncate", step=M)])
-        store = ShardedCheckpointStore(tmp_path, fault_plan=plan)
+        store = ShardedCheckpointStore(tmp_path)
         for step in (N, M):
-            store.save_global(_state(dsim, phi0, mu0, step),
-                              forest=dsim.forest, owner=dsim.owner,
-                              n_ranks=dsim.n_ranks)
+            entries = [
+                store.write_rank_shard(
+                    rank=rank, step=step,
+                    blocks=_rank_blocks(dsim, phi0, mu0, rank),
+                    fault_plan=plan,
+                )
+                for rank in range(dsim.n_ranks)
+            ]
+            store.publish_manifest(
+                entries, step=step, time=0.0, topology=dsim.topology(),
+                fault_plan=plan,
+            )
         assert len(plan.fired()) == 1
         assert store.steps() == [N, M]  # committed, then torn
 
@@ -355,11 +373,11 @@ class TestInjectedIoFaults:
             [Fault(kind="io_enospc", step=N, rank=0) for _ in range(8)]
         )
         store = ShardedCheckpointStore(
-            tmp_path, fault_plan=plan,
-            retry_policy=RetryPolicy(attempts=3, base_delay=1e-4),
+            tmp_path, retry_policy=RetryPolicy(attempts=3, base_delay=1e-4),
         )
         with pytest.raises(OSError):
             store.write_rank_shard(
-                rank=0, step=N, blocks=_rank_blocks(dsim, phi0, mu0, 0)
+                rank=0, step=N, blocks=_rank_blocks(dsim, phi0, mu0, 0),
+                fault_plan=plan,
             )
         assert store.stats["io_retries"] == 2  # attempts - 1

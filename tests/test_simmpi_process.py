@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from repro.simmpi import run_spmd
 from repro.simmpi.comm import RankTimeout, RemoteError
+from tests.test_exceptions import examples
 
 PARENT_PID = os.getpid()
 
@@ -265,6 +266,11 @@ def _raise_unpicklable(comm):
     comm.barrier()
 
 
+def _raise_example(comm, index):
+    if comm.rank == 1:
+        raise examples()[index]
+
+
 def _stats_probe(comm):
     if comm.rank == 0:
         comm.send(np.arange(8.0), 1, tag=2)
@@ -402,6 +408,23 @@ class TestFailurePropagation:
         with pytest.raises(ValueError, match="rank 2 exploded") as info:
             run_spmd(3, _boom, backend="process")
         assert info.value.simmpi_rank == 2
+
+    @pytest.mark.parametrize(
+        "index", range(len(examples())),
+        ids=[type(e).__name__ for e in examples()],
+    )
+    def test_failure_path_exceptions_reach_the_caller_intact(self, index):
+        """Each exception class of the failure path, raised in a rank
+        process, reaches the caller with its type, text and fields."""
+        raised = examples()[index]
+        with pytest.raises(type(raised)) as info:
+            run_spmd(2, _raise_example, index, backend="process")
+        got = info.value
+        assert type(got) is type(raised)
+        assert str(got) == str(raised)
+        fields = {k: v for k, v in got.__dict__.items()
+                  if k != "simmpi_errors"}
+        assert fields == {**raised.__dict__, "simmpi_rank": 1}
 
     def test_unpicklable_exception_is_wrapped(self):
         with pytest.raises(RuntimeError, match="_Unpicklable") as info:

@@ -9,8 +9,7 @@ from repro.core.nucleation import smooth_phase_field, voronoi_initial_condition
 from repro.distributed import DistributedSimulation
 from repro.resilience.campaign import run_campaign
 from repro.resilience.faults import Fault, FaultPlan
-from repro.resilience.guards import GuardedSimulation
-from repro.resilience.store import CheckpointStore, ShardedCheckpointStore
+from repro.resilience.store import ShardedCheckpointStore
 from repro.telemetry import (
     EventLog,
     Heartbeat,
@@ -261,27 +260,3 @@ class TestCampaignTelemetry:
         }
         assert "backend" in res.report["config"]
         assert res.report["tracing"]["spans"] > 0
-
-
-class TestGuardedSimulationEvents:
-    def test_rollback_emits_events(self, tmp_path):
-        from repro.core.solver import Simulation
-
-        sim = Simulation(shape=(6, 6, 10), kernel="buffered")
-        sim.initialize_voronoi(seed=5, solid_height=4, n_seeds=4, smooth=2)
-        events = EventLog()
-        guarded = GuardedSimulation(
-            sim,
-            CheckpointStore(tmp_path),
-            fault_plan=FaultPlan([Fault("nan_inject", step=2)]),
-            checkpoint_every=2,
-            events=events,
-        )
-        guarded.run(4)
-        assert guarded.rollbacks == 1
-        assert events.count("fault") == 1
-        assert events.count("guard_trip") == 1
-        assert events.count("rollback") == 1
-        assert events.count("checkpoint") >= 1
-        trip = next(r for r in events.records if r["kind"] == "guard_trip")
-        assert trip["data"]["violations"]
