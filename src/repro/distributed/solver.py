@@ -71,11 +71,11 @@ class RankStats:
 class DistributedResult:
     """Gathered outcome of a distributed run.
 
-    With telemetry enabled, *timing* carries the cross-rank-reduced
-    timing tree (see :mod:`repro.telemetry.reduce`), *counters* the
-    summed per-rank counter snapshots, and *report* the schema-valid
-    :mod:`repro.telemetry.report` document of the run.  With span
-    tracing on (``REPRO_TRACE=1`` or ``RunTelemetry(trace=True)``),
+    With telemetry enabled, *timing* carries the timing tree merged from
+    the trees the ranks returned (see :mod:`repro.telemetry.reduce`),
+    *counters* the summed per-rank counter snapshots, and *report* the
+    schema-valid :mod:`repro.telemetry.report` document of the run.
+    With span tracing on (``REPRO_TRACE=1`` or ``RunTelemetry(trace=True)``),
     *spans* holds every rank's span timeline, in rank order, and
     *trace_path* the exported Chrome trace-event JSON (``None`` when the
     telemetry session has no directory).
@@ -308,12 +308,13 @@ class DistributedSimulation:
 
         *telemetry* — a :class:`repro.telemetry.RunTelemetry` — makes
         every rank collect a timing tree (compute vs. communication vs.
-        guard, the Fig. 8 readout), stream structured events and sample
-        counters; the trees are reduced across ranks inside the SPMD
-        region and the merged breakdown, counter sums and a schema-valid
-        run report are attached to the result (and written to
-        ``telemetry.directory`` when set).  ``None`` leaves the hot path
-        untouched.
+        guard, the Fig. 8 readout), record structured events and sample
+        counters; each rank returns its records with its result, and the
+        merged breakdown, counter sums and a schema-valid run report are
+        attached to the result.  The events join ``telemetry``'s stream
+        — a failed call's too, from the ranks' exceptions — and stream,
+        report and trace are written to ``telemetry.directory`` when set.
+        ``None`` leaves the hot path untouched.
 
         *shard_store* — a
         :class:`~repro.resilience.store.ShardedCheckpointStore` — makes
@@ -352,18 +353,22 @@ class DistributedSimulation:
                 checkpoint_every=checkpoint_every,
             )
         except BaseException as exc:
-            # The world closed itself; keep what its ranks had counted.
-            counted = [
-                getattr(error, "store_stats", None)
+            # The world closed itself; keep what its ranks had counted
+            # and recorded: a failed rank's share rides its exception.
+            extras = [
+                getattr(error, "rank_extra", None) or {}
                 for error in getattr(exc, "simmpi_errors", ())
             ]
+            if telemetry is not None:
+                telemetry.absorb(extras)
+                telemetry.merge_events()
             raise
         else:
-            counted = [extra.get("store_stats") for _st, extra in results]
+            extras = [extra for _st, extra in results]
         finally:
-            for counts in counted:
-                if counts is not None:
-                    shard_store.absorb(counts)
+            for extra in extras:
+                if extra.get("store_stats") is not None:
+                    shard_store.absorb(extra["store_stats"])
         wall = _time.perf_counter() - wall0
 
         result = DistributedResult(
@@ -373,7 +378,7 @@ class DistributedSimulation:
         )
         if telemetry is not None:
             telemetry.finish(
-                result, [extra for _st, extra in results],
+                result, extras,
                 config={
                     "shape": list(self.shape),
                     "blocks_per_axis": list(self.forest.blocks_per_axis),
@@ -528,10 +533,11 @@ class DistributedSimulation:
             if tel is not None:
                 extra = tel.finish(steps, {"phi": timer_phi, "mu": timer_mu})
         except BaseException as exc:
-            if shard_store is not None:
-                exc.store_stats = shard_store.stats
-            if tel is not None:
-                tel.fail(exc)
+            exc.rank_extra = {
+                "store_stats": None if shard_store is None
+                else shard_store.stats,
+                "events": None if tel is None else tel.fail(exc),
+            }
             raise
         finally:
             if attach:

@@ -13,8 +13,9 @@ faults fire once, a recovered campaign converges to the unfaulted result
 up to the float32 rounding of the restart state.
 
 With a :class:`repro.telemetry.RunTelemetry` attached, the campaign
-streams structured events (checkpoint writes, restarts, shrinks) and
-emits one run report: the report of the launch that finished, plus the
+records its own structured events (checkpoint writes, restarts, shrinks)
+in the session's one stream, beside those its launches' ranks return,
+and emits one run report: the report of the launch that finished, plus the
 campaign's restarts, faults, elastic and liveness accounting and its
 campaign-wide steps, wall time and MLUP/s.
 """
@@ -148,7 +149,7 @@ def run_campaign(
     events = None
     wall0 = _time.perf_counter()
     if telemetry is not None:
-        events = telemetry.open_events(0)
+        events = telemetry.events
         events.emit(
             "campaign_start", steps=steps,
             checkpoint_every=checkpoint_every, n_ranks=dsim.n_ranks,
@@ -217,7 +218,7 @@ def run_campaign(
                             "campaign_failed", "ERROR",
                             step=step_now, error=repr(exc), restarts=restarts - 1,
                         )
-                        events.close()
+                        telemetry.merge_events()
                     raise DivergenceError(
                         step=step_now,
                         violations=[f"restart budget exhausted: {exc}"],
@@ -287,7 +288,7 @@ def run_campaign(
     )
     if telemetry is not None:
         _finalize_campaign_telemetry(
-            dsim, telemetry, events, result, res.report,
+            dsim, telemetry, result, res.report,
             wall=_time.perf_counter() - wall0, fault_plan=fault_plan,
             restart_reasons=restart_reasons, hangs_detected=hangs_detected,
         )
@@ -295,19 +296,16 @@ def run_campaign(
 
 
 def _finalize_campaign_telemetry(
-    dsim, telemetry, events, result: CampaignResult, launch: dict, *,
+    dsim, telemetry, result: CampaignResult, launch: dict, *,
     wall: float, fault_plan, restart_reasons: list[str], hangs_detected: int,
 ) -> None:
     """The finishing *launch*'s report, extended to the whole campaign."""
     from repro.telemetry.report import build_run_report, write_run_report
 
-    events.emit(
+    telemetry.events.emit(
         "campaign_end", steps=result.steps, restarts=result.restarts,
         checkpoints=result.checkpoints_written, wall_seconds=wall,
     )
-    event_count = events.count()
-    events.close()
-    merged_events = telemetry.merge_events()
     settings = dsim.settings  # of the world the finishing launch ran on
     report = build_run_report(
         run_id=telemetry.run_id,
@@ -329,13 +327,7 @@ def _finalize_campaign_telemetry(
             "violations": restart_reasons,
         },
         fault_stats=launch["faults"],
-        event_stats={
-            "count": len(merged_events) or event_count,
-            "path": (
-                str(telemetry.directory / "events-merged.jsonl")
-                if telemetry.directory is not None else None
-            ),
-        },
+        event_stats=telemetry.event_stats(),
         elastic_stats={
             "rank_failures": result.rank_failures,
             "shrinks": result.shrinks,

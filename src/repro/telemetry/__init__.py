@@ -6,17 +6,13 @@ timings are reduced across up to 262,144 cores, and the merged breakdown
 is what the figures plot.  This package reproduces that observability
 substrate:
 
-* :mod:`repro.telemetry.timing` — hierarchical :class:`TimingTree` and
-  flat :class:`TimingPool` of named scopes (count/total/min/avg/max),
-  the waLBerla ``TimingTree`` / ``TimingPool`` correspondence;
-* :mod:`repro.telemetry.reduce` — cross-rank reduction of the per-rank
-  trees over the pairwise log2(P) schedule of
-  :mod:`repro.simmpi.reduce_tree`;
-* :mod:`repro.telemetry.events` — versioned JSON-lines event log
-  (per-rank files, rank-0 merge) with stdlib ``logging`` forwarding;
-* :mod:`repro.telemetry.logsetup` — rank-tagged log formatting; library
-  modules use ``logging.getLogger(__name__)`` and never configure
-  handlers themselves;
+* :mod:`repro.telemetry.timing` — hierarchical :class:`TimingTree` of
+  named scopes (count/total/min/avg/max), the waLBerla ``TimingTree``
+  correspondence;
+* :mod:`repro.telemetry.reduce` — merging of the per-rank trees into one
+  breakdown with per-rank min/avg/max;
+* :mod:`repro.telemetry.events` — versioned JSON-lines event records,
+  kept in memory per rank and merged into one time-ordered stream;
 * :mod:`repro.telemetry.counters` — counters/gauges, rolling MLUP/s
   window and the per-step :class:`Heartbeat` sampler;
 * :mod:`repro.telemetry.report` — versioned, schema-validated JSON run
@@ -30,6 +26,11 @@ substrate:
 * :mod:`repro.telemetry.session` — :class:`RunTelemetry`, the opt-in
   switch drivers accept, and :class:`RankTelemetry`, one rank's share
   of a telemetry-enabled call.
+
+Everything a rank records — its tree, counters, events and spans — is
+plain data it returns with its call's result; the caller's
+:class:`RunTelemetry` merges it.  Library modules log through
+``logging.getLogger(__name__)`` and never configure handlers themselves.
 """
 
 from repro.telemetry.counters import (
@@ -42,24 +43,11 @@ from repro.telemetry.counters import (
 from repro.telemetry.events import (
     EVENT_SCHEMA_VERSION,
     EventLog,
-    EventLogHandler,
-    attach_log_events,
     merge_event_logs,
     read_events,
     validate_event,
 )
-from repro.telemetry.logsetup import (
-    RankTagFilter,
-    configure_logging,
-    current_rank,
-    rank_formatter,
-)
-from repro.telemetry.reduce import (
-    as_reduced,
-    merge_rank_trees,
-    merge_reduced,
-    reduce_tree_over_ranks,
-)
+from repro.telemetry.reduce import as_reduced, merge_rank_trees, merge_reduced
 from repro.telemetry.report import (
     RUN_REPORT_SCHEMA,
     RUN_REPORT_VERSION,
@@ -76,7 +64,7 @@ from repro.telemetry.spans import (
     pipe_latency_histogram,
     tracing_section,
 )
-from repro.telemetry.timing import TimerStats, TimingNode, TimingPool, TimingTree
+from repro.telemetry.timing import TimerStats, TimingNode, TimingTree
 from repro.telemetry.tracing import (
     Span,
     SpanRecorder,
@@ -92,22 +80,14 @@ __all__ = [
     "TimerStats",
     "TimingNode",
     "TimingTree",
-    "TimingPool",
     "as_reduced",
     "merge_reduced",
     "merge_rank_trees",
-    "reduce_tree_over_ranks",
     "EVENT_SCHEMA_VERSION",
     "EventLog",
-    "EventLogHandler",
-    "attach_log_events",
     "read_events",
     "merge_event_logs",
     "validate_event",
-    "current_rank",
-    "RankTagFilter",
-    "rank_formatter",
-    "configure_logging",
     "Counter",
     "Gauge",
     "RollingRate",

@@ -1,11 +1,10 @@
-"""Cross-rank reduction of timing trees.
+"""Cross-rank merging of timing trees.
 
 waLBerla reduces each rank's ``TimingTree`` over the whole communicator so
 that a 262,144-core run yields *one* per-functor breakdown with min / avg
-/ max over ranks.  Here the per-rank trees travel through the same
-pairwise log2(P) schedule the mesh-output pipeline uses
-(:func:`repro.simmpi.reduce_tree.run_pairwise_reduction`), so the
-reduction itself exercises the paper's communication structure.
+/ max over ranks.  Here each rank returns its ``TimingTree.to_dict()``
+with its call's result, and the caller folds the returned trees in rank
+order with :func:`merge_rank_trees` — no collective is spent on it.
 
 A **reduced tree** is a plain nested dict; every node carries:
 
@@ -27,17 +26,7 @@ from __future__ import annotations
 
 from functools import reduce as _functools_reduce
 
-from repro.simmpi.reduce_tree import run_pairwise_reduction
-
-__all__ = [
-    "as_reduced",
-    "merge_reduced",
-    "merge_rank_trees",
-    "reduce_tree_over_ranks",
-]
-
-#: Message tag of the timing-tree reduction rounds.
-_TAG_TIMING = -202
+__all__ = ["as_reduced", "merge_reduced", "merge_rank_trees"]
 
 
 def as_reduced(tree_dict: dict) -> dict:
@@ -99,16 +88,3 @@ def merge_rank_trees(tree_dicts: list[dict]) -> dict:
         raise ValueError("need at least one tree")
     return _functools_reduce(merge_reduced, (as_reduced(t) for t in tree_dicts))
 
-
-def reduce_tree_over_ranks(comm, tree, *, tag: int = _TAG_TIMING) -> dict | None:
-    """Reduce every rank's *tree* to one merged breakdown on rank 0.
-
-    *tree* is a :class:`~repro.telemetry.timing.TimingTree` or an
-    equivalent ``to_dict()`` dump.  Runs the pairwise log2(P) schedule of
-    :mod:`repro.simmpi.reduce_tree`; returns the reduced dict on rank 0
-    and ``None`` on every other rank.
-    """
-    tree_dict = tree.to_dict() if hasattr(tree, "to_dict") else tree
-    return run_pairwise_reduction(
-        comm, as_reduced(tree_dict), merge_reduced, tag=tag
-    )

@@ -3,14 +3,18 @@
 :class:`RunTelemetry` is the one knob a driver exposes: pass an instance
 to :meth:`repro.distributed.solver.DistributedSimulation.run` (or
 :func:`repro.resilience.campaign.run_campaign`) and the run collects a
-per-rank :class:`~repro.telemetry.timing.TimingTree`, streams structured
-events, samples counters, reduces the trees across ranks and emits a
-:mod:`~repro.telemetry.report` JSON summary.  Pass ``None`` (the
-default) and the hot path runs exactly as before — telemetry is strictly
-opt-in, so it cannot regress an untelemetered benchmark.
+per-rank :class:`~repro.telemetry.timing.TimingTree`, records structured
+events, samples counters and emits a :mod:`~repro.telemetry.report` JSON
+summary.  Pass ``None`` (the default) and the hot path runs exactly as
+before — telemetry is strictly opt-in, so it cannot regress an
+untelemetered benchmark.
 
-:class:`RankTelemetry` is what one rank records during one such call;
-:meth:`RunTelemetry.finish` merges the ranks' records into the result.
+:class:`RankTelemetry` is what one rank records during one such call:
+plain data — tree, counters, events, spans — that the rank returns with
+its result (its events ride its exception when the call fails).  No
+record costs a message of its own: :meth:`RunTelemetry.finish` merges
+the returned records into the result, and the :class:`RunTelemetry`
+instance keeps the run's one event stream.
 """
 
 from __future__ import annotations
@@ -22,7 +26,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.telemetry.counters import Heartbeat, MetricsRegistry
-from repro.telemetry.events import EventLog, attach_log_events, merge_event_logs
+from repro.telemetry.events import EventLog, merge_event_logs
+from repro.telemetry.reduce import merge_rank_trees
 from repro.telemetry.timing import TimingTree
 
 __all__ = ["RankTelemetry", "RunTelemetry"]
@@ -37,20 +42,14 @@ class RunTelemetry:
     Parameters
     ----------
     directory:
-        Where per-rank event logs, the merged event stream and the run
-        report land.  ``None`` keeps events in memory only (tests,
-        short-lived runs) — timing trees and counters still work.
+        Where the merged event stream (``events-merged.jsonl``), the run
+        report and the Chrome trace land.  ``None`` keeps everything in
+        memory only (tests, short-lived runs).
     run_id:
         Identifier stamped into the run report and file names.
     heartbeat_every:
         Steps between ``heartbeat`` events (counters are updated every
         step regardless).
-    capture_logs:
-        Forward ``repro.*`` log records into the rank-0 event log, so
-        modules that only use stdlib logging appear in the structured
-        stream too.
-    log_level:
-        Threshold of the log capture.
     trace:
         Span tracing switch (see :mod:`repro.telemetry.tracing`).
         ``None`` (default) defers to the ``REPRO_TRACE`` setting of the
@@ -71,8 +70,6 @@ class RunTelemetry:
     directory: str | Path | None = None
     run_id: str = "run"
     heartbeat_every: int = 1
-    capture_logs: bool = False
-    log_level: int = logging.INFO
     trace: bool | None = None
     trace_sample: int | None = None
     trace_buffer: int | None = None
@@ -82,6 +79,19 @@ class RunTelemetry:
             self.directory = Path(self.directory)
         if self.heartbeat_every < 1:
             raise ValueError("heartbeat_every must be >= 1")
+        #: The run's one event stream: what the caller emits itself (the
+        #: campaign driver) plus every record its ranks returned.
+        self.events = EventLog()
+
+    def __getstate__(self) -> dict:
+        # A rank's command carries the configuration, never the stream.
+        state = dict(self.__dict__)
+        del state["events"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.events = EventLog()
 
     def open_tracer(self, comm):
         """:class:`~repro.telemetry.tracing.SpanRecorder` of *comm*'s rank.
@@ -102,26 +112,29 @@ class RunTelemetry:
             return None
         return self.directory / f"trace-{self.run_id}.json"
 
-    def open_events(self, rank: int) -> EventLog:
-        """Per-rank event sink (file-backed when a directory is set)."""
-        return EventLog(self.directory, rank=rank)
-
-    def attach_log_capture(self, event_log: EventLog):
-        """Install the log-record forwarder if :attr:`capture_logs`."""
-        if not self.capture_logs:
+    def events_path(self) -> Path | None:
+        """Where the merged event stream lands (``None`` in-memory)."""
+        if self.directory is None:
             return None
-        return attach_log_events(event_log, level=self.log_level)
+        return self.directory / "events-merged.jsonl"
 
-    @staticmethod
-    def detach_log_capture(handler) -> None:
-        if handler is not None:
-            logging.getLogger("repro").removeHandler(handler)
+    def absorb(self, extras: list) -> None:
+        """Add the event records of the ranks' *extras* to the stream."""
+        for extra in extras:
+            self.events.records.extend(extra.get("events") or ())
 
     def merge_events(self) -> list[dict]:
-        """Merge the per-rank event files (no-op without a directory)."""
-        if self.directory is None:
-            return []
-        return merge_event_logs(self.directory)
+        """The run's event stream, ordered by ``(ts, rank, seq)``; also
+        written to :meth:`events_path` when the session has a directory."""
+        return merge_event_logs(self.events.records, self.events_path())
+
+    def event_stats(self) -> dict:
+        """The run report's ``events`` section (writes the stream)."""
+        path = self.events_path()
+        return {
+            "count": len(self.merge_events()),
+            "path": None if path is None else str(path),
+        }
 
     def report_path(self) -> Path | None:
         if self.directory is None:
@@ -132,14 +145,16 @@ class RunTelemetry:
                wall: float, fault_plan=None) -> None:
         """Merge the ranks' :meth:`RankTelemetry.finish` records into
         *result* (``timing``, ``counters``, ``spans``, ``trace_path``,
-        ``report``) and write the run report and Chrome trace when the
-        session has a directory.  *config* is the run's configuration
-        record; its ``shape`` and ``n_ranks`` size the report.
+        ``report``) and their events into the stream, and write the
+        stream, run report and Chrome trace when the session has a
+        directory.  *config* is the run's configuration record; its
+        ``shape`` and ``n_ranks`` size the report.
         """
         from repro.telemetry.report import build_run_report, write_run_report
 
         extras = [extra or {} for extra in extras]
-        result.timing = next((e["tree"] for e in extras if e.get("tree")), None)
+        self.absorb(extras)
+        result.timing = merge_rank_trees([e["tree"] for e in extras])
         counters: dict = {}
         for extra in extras:
             for name, value in extra.get("counters", {}).items():
@@ -150,10 +165,6 @@ class RunTelemetry:
         result.counters = counters
 
         cells = math.prod(config["shape"])
-        merged_events = self.merge_events()
-        event_count = len(merged_events) or sum(
-            e.get("event_count", 0) for e in extras
-        )
         tracing_stats = None
         traced = [e for e in extras if e.get("spans") is not None]
         if traced:
@@ -179,13 +190,7 @@ class RunTelemetry:
             mlups=steps * cells / wall / 1.0e6 if wall > 0 else 0.0,
             timings=result.timing,
             counters=counters,
-            event_stats={
-                "count": event_count,
-                "path": (
-                    str(self.directory / "events-merged.jsonl")
-                    if self.directory is not None else None
-                ),
-            },
+            event_stats=self.event_stats(),
             fault_stats=None if fault_plan is None else fault_plan.summary(),
             tracing_stats=tracing_stats,
         )
@@ -203,8 +208,8 @@ class RankTelemetry:
     :class:`Heartbeat`, and emits ``run_start``.  :attr:`before_step` and
     :attr:`after_step` are the step hooks ``(step, time)`` it needs: the
     whole-step span (tracing only) and the heartbeat.  The call then
-    ends in :meth:`finish` — counters, ``run_end`` and the collective
-    cross-rank tree reduction — or in :meth:`fail`.
+    ends in :meth:`finish` — counters, ``run_end`` and the rank's
+    records — or in :meth:`fail`.  Neither calls on the communicator.
     """
 
     def __init__(self, telemetry: RunTelemetry, comm, *, steps: int,
@@ -212,7 +217,7 @@ class RankTelemetry:
         self.comm = comm
         self.tree = TimingTree(tracer=telemetry.open_tracer(comm))
         self.tracer = self.tree.tracer
-        self.events = telemetry.open_events(comm.rank)
+        self.events = EventLog(comm.rank)
         self.registry = MetricsRegistry()
         self.heartbeat = Heartbeat(
             self.registry, cells_per_step=cells,
@@ -249,10 +254,10 @@ class RankTelemetry:
         if hasattr(self.comm, "transport_counters"):
             self._transport0 = self.comm.transport_counters()
 
-    def fail(self, exc: BaseException) -> None:
-        """Log ``rank_failed`` and close the event log."""
+    def fail(self, exc: BaseException) -> list[dict]:
+        """Log ``rank_failed``; the rank's event records, for the caller."""
         self.events.emit("rank_failed", "ERROR", error=repr(exc))
-        self.events.close()
+        return self.events.records
 
     def finish(self, steps: int, exchanges: dict) -> dict:
         """End the call: the rank's ``extra`` record for
@@ -260,10 +265,8 @@ class RankTelemetry:
 
         *exchanges* maps a field name to the
         :class:`~repro.distributed.halo.ExchangeTimer` of its ghost
-        exchanges.  Collective over the rank's communicator.
+        exchanges.
         """
-        from repro.telemetry.reduce import reduce_tree_over_ranks
-
         comm, registry, events = self.comm, self.registry, self.events
         timers = list(exchanges.values())
         registry.counter("halo_bytes").add(sum(t.bytes for t in timers))
@@ -279,19 +282,13 @@ class RankTelemetry:
             comm_seconds=sum(t.seconds for t in timers),
             **{f"exchange_{name}": t.stats() for name, t in exchanges.items()},
         )
-        event_count = events.count()
-        events.close()
-        merged = reduce_tree_over_ranks(comm, self.tree)
         spans = trace_stats = None
         if self.tracer is not None:
-            # Each rank's spans ride its own result back to the caller,
-            # which concatenates them in rank order.
             spans, trace_stats = self.tracer.drain(), self.tracer.stats()
         return {
-            "tree": merged,
-            "tree_local": self.tree.to_dict(),
+            "tree": self.tree.to_dict(),
             "counters": registry.snapshot(),
-            "event_count": event_count,
+            "events": events.records,
             "spans": spans,
             "trace_stats": trace_stats,
         }

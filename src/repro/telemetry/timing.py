@@ -1,20 +1,18 @@
-"""Hierarchical timing trees and flat timing pools (waLBerla style).
+"""Hierarchical timing trees (waLBerla style).
 
 waLBerla times every sweep and ghost-exchange functor through a
-``TimingPool`` / ``TimingTree`` pair: named scopes accumulate call count,
-total, min and max wall time, nested scopes form a tree, and the
-per-process trees are reduced across all MPI ranks into one breakdown —
+``TimingTree``: named scopes accumulate call count, total, min and max
+wall time, nested scopes form a tree, and the per-process trees are
+reduced across all MPI ranks into one breakdown —
 the data behind the paper's Fig. 8 "time spent in communication"
 measurement on up to 262,144 cores.  This module reproduces that
 substrate for the simulated runtime:
 
 * :class:`TimerStats` — count / total / min / max accumulator,
-* :class:`TimingTree` — nested named scopes (``with tree.scope("phi")``),
-* :class:`TimingPool` — flat named timers for ad-hoc instrumentation.
+* :class:`TimingTree` — nested named scopes (``with tree.scope("phi")``).
 
-Cross-rank reduction lives in :mod:`repro.telemetry.reduce`, which runs
-the per-rank trees through the pairwise log2(P) schedule of
-:mod:`repro.simmpi.reduce_tree`.
+Each rank returns its tree's :meth:`TimingTree.to_dict` with its call's
+result; :mod:`repro.telemetry.reduce` merges the returned trees.
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-__all__ = ["TimerStats", "TimingNode", "TimingTree", "TimingPool"]
+__all__ = ["TimerStats", "TimingNode", "TimingTree"]
 
 
 @dataclass
@@ -253,45 +251,3 @@ class TimingTree:
             raise RuntimeError("cannot reset while scopes are open")
         self.root = TimingNode("")
 
-
-class TimingPool:
-    """Flat dictionary of named timers (the waLBerla ``TimingPool``).
-
-    Where the tree captures the nesting of a schedule, the pool is for
-    ad-hoc instrumentation: ``with pool("io"): ...`` accumulates into the
-    named :class:`TimerStats` directly.
-    """
-
-    def __init__(self) -> None:
-        self._timers: dict[str, TimerStats] = {}
-
-    def __getitem__(self, name: str) -> TimerStats:
-        timer = self._timers.get(name)
-        if timer is None:
-            timer = TimerStats()
-            self._timers[name] = timer
-        return timer
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._timers
-
-    def __iter__(self):
-        return iter(self._timers.items())
-
-    def __len__(self) -> int:
-        return len(self._timers)
-
-    @contextmanager
-    def __call__(self, name: str):
-        t0 = time.perf_counter()
-        try:
-            yield
-        finally:
-            self[name].record(time.perf_counter() - t0)
-
-    def to_dict(self) -> dict:
-        return {name: t.to_dict() for name, t in self._timers.items()}
-
-    def merge(self, other: "TimingPool") -> None:
-        for name, timer in other:
-            self[name].merge(timer)

@@ -17,7 +17,7 @@ import pytest
 from repro.core.nucleation import smooth_phase_field, voronoi_initial_condition
 from repro.distributed import DistributedSimulation
 from repro.resilience.store import ShardedCheckpointStore
-from repro.telemetry import RunTelemetry
+from repro.telemetry import RunTelemetry, read_events
 from repro.thermo.system import TernaryEutecticSystem
 
 SHAPE = (8, 8, 16)
@@ -103,15 +103,18 @@ class TestTelemetryUnderProcesses:
         telemetry = RunTelemetry(directory=tmp_path, run_id="proc-test")
         _, res = _run(initial_state, "process", telemetry=telemetry)
 
-        # every rank's event file was written by its own process
-        rank_files = sorted(tmp_path.glob("events-rank*.jsonl"))
-        assert len(rank_files) == N_RANKS
+        # every rank's events came back from its own process, and the
+        # merged stream is on disk
         merged = telemetry.merge_events()
+        assert read_events(tmp_path / "events-merged.jsonl") == merged
         kinds = {e["kind"] for e in merged}
         assert {"run_start", "run_end"} <= kinds
         assert {e["rank"] for e in merged} == set(range(N_RANKS))
+        for rank in range(N_RANKS):
+            own = [e["kind"] for e in merged if e["rank"] == rank]
+            assert own[0] == "run_start" and own[-1] == "run_end"
 
-        # the cross-rank timing reduction ran inside the SPMD region
+        # every rank's tree came back with its result and was merged
         assert res.timing is not None
         top = set(res.timing["children"])
         assert {"compute", "comm"} <= top

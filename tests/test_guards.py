@@ -115,8 +115,8 @@ def _trip(kernel: str, backend: str, case: str, directory: Path):
                      telemetry=RunTelemetry(directory=directory))
     trips = [
         (r["rank"], r["data"]["step"], r["data"]["block"])
-        for path in sorted(directory.glob("events-rank*.jsonl"))
-        for r in read_events(path) if r["kind"] == "guard_trip"
+        for r in read_events(directory / "events-merged.jsonl")
+        if r["kind"] == "guard_trip"
     ]
     return info.value.step, info.value.rank, trips
 

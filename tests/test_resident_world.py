@@ -431,10 +431,14 @@ def _probe(comm):
     return comm.transport_counters(), halo.n_channels
 
 
-def test_whole_call_transport_counters_on_later_calls(system, states):
-    """Second and later calls, telemetry off: the ranks post one notify
-    per send channel per exchange round — plus, per rank, the result of
-    the call (each probe's own result lands after its snapshot)."""
+@pytest.mark.parametrize("telemetry", [None, RunTelemetry()],
+                         ids=["telemetry-off", "telemetry-on"])
+def test_whole_call_transport_counters_on_later_calls(system, states,
+                                                      telemetry):
+    """Second and later calls: the ranks post one notify per send channel
+    per exchange round — plus, per rank, the result of the call (each
+    probe's own result lands after its snapshot).  Telemetry adds no
+    message: each rank's records ride its result."""
     phi0, mu0 = states[0]
     steps = 3
     with _sim(system, "process") as sim:
@@ -442,7 +446,7 @@ def test_whole_call_transport_counters_on_later_calls(system, states):
         world = sim._resident.world
         for _ in range(2):
             snap0 = world.call(_probe)
-            res = sim.run(steps, res.phi, res.mu)
+            res = sim.run(steps, res.phi, res.mu, telemetry=telemetry)
             snap1 = world.call(_probe)
             sent = sum(c1["pipe_messages"] - c0["pipe_messages"]
                        for (c0, _), (c1, _) in zip(snap0, snap1))

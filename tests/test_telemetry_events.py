@@ -1,20 +1,18 @@
-"""Structured event log: schema, per-rank files, merge, log capture."""
+"""Structured event log: schema, merged stream, the session's stream."""
 
 import json
-import logging
+import pickle
 
 import pytest
 
-from repro.simmpi.runtime import run_spmd
 from repro.telemetry.events import (
     EVENT_SCHEMA_VERSION,
     EventLog,
-    attach_log_events,
     merge_event_logs,
     read_events,
     validate_event,
 )
-from repro.telemetry.logsetup import current_rank, rank_formatter
+from repro.telemetry.session import RunTelemetry
 
 
 class TestSchema:
@@ -59,33 +57,26 @@ class TestSchema:
 
 class TestFilesAndMerge:
     def test_round_trip(self, tmp_path):
-        with EventLog(tmp_path, rank=0) as log:
-            log.emit("run_start", steps=10)
-            log.emit("guard_trip", "ERROR", violations=["nan"])
-        records = read_events(tmp_path / "events-rank0000.jsonl")
+        log = EventLog(rank=0)
+        log.emit("run_start", steps=10)
+        log.emit("guard_trip", "ERROR", violations=["nan"])
+        merge_event_logs(log.records, tmp_path / "events-merged.jsonl")
+        records = read_events(tmp_path / "events-merged.jsonl")
         assert [r["kind"] for r in records] == ["run_start", "guard_trip"]
         assert records[1]["level"] == "ERROR"
         assert records == log.records
 
-    def test_append_across_instances(self, tmp_path):
-        # campaign chunks reopen the same per-rank file
-        with EventLog(tmp_path, rank=0) as log:
-            log.emit("chunk", n=1)
-        with EventLog(tmp_path, rank=0) as log:
-            log.emit("chunk", n=2)
-        records = read_events(tmp_path / "events-rank0000.jsonl")
-        assert [r["data"]["n"] for r in records] == [1, 2]
-
     def test_merge_orders_by_time(self, tmp_path):
         import time
 
-        logs = [EventLog(tmp_path, rank=r) for r in range(3)]
+        logs = [EventLog(rank=r) for r in range(3)]
         for i in range(4):
             logs[i % 3].emit("tick", i=i)
             time.sleep(0.002)  # guarantee distinct timestamps
-        for log in logs:
-            log.close()
-        merged = merge_event_logs(tmp_path)
+        merged = merge_event_logs(
+            [r for log in logs for r in log.records],
+            tmp_path / "events-merged.jsonl",
+        )
         assert [r["data"]["i"] for r in merged] == [0, 1, 2, 3]
         on_disk = [
             json.loads(line)
@@ -93,40 +84,27 @@ class TestFilesAndMerge:
         ]
         assert on_disk == merged
 
-    def test_rank_detected_from_spmd_thread(self, tmp_path):
-        def rank_main(comm):
-            assert current_rank() == comm.rank
-            with EventLog(tmp_path) as log:  # rank auto-detected
-                log.emit("hello")
-                return log.rank
 
-        ranks = run_spmd(3, rank_main)
-        assert ranks == [0, 1, 2]
-        merged = merge_event_logs(tmp_path)
-        assert sorted(r["rank"] for r in merged) == [0, 1, 2]
-
-
-class TestLogCapture:
-    def test_logging_records_become_events(self):
-        log = EventLog()
-        handler = attach_log_events(log, logger="repro.test_capture")
-        try:
-            logging.getLogger("repro.test_capture.sub").warning(
-                "disk %s is full", "/scratch"
-            )
-        finally:
-            logging.getLogger("repro.test_capture").removeHandler(handler)
-        assert log.count("log") == 1
-        rec = log.records[0]
-        assert rec["level"] == "WARNING"
-        assert rec["data"]["logger"] == "repro.test_capture.sub"
-        assert rec["data"]["message"] == "disk /scratch is full"
-        assert rec["data"]["origin_rank"] == 0
-
-    def test_formatter_carries_rank_tag(self):
-        fmt = rank_formatter()
-        record = logging.LogRecord(
-            "repro.x", logging.INFO, __file__, 1, "hi", (), None
+class TestSessionStream:
+    def test_stream_is_served_with_or_without_a_directory(self, tmp_path):
+        for directory in (None, tmp_path):
+            telemetry = RunTelemetry(directory=directory)
+            telemetry.events.emit("campaign_start")
+            rank1 = EventLog(rank=1)
+            rank1.emit("run_start")
+            telemetry.absorb([{"events": rank1.records}, {}])
+            kinds = [r["kind"] for r in telemetry.merge_events()]
+            assert kinds == ["campaign_start", "run_start"]
+            assert telemetry.event_stats()["count"] == 2
+        assert read_events(tmp_path / "events-merged.jsonl") == (
+            telemetry.merge_events()
         )
-        record.rank = 5
-        assert "[rank 5]" in fmt.format(record)
+
+    def test_stream_never_travels_with_the_configuration(self):
+        telemetry = RunTelemetry(run_id="cfg", heartbeat_every=2)
+        for i in range(100):
+            telemetry.events.emit("heartbeat", step=i)
+        copy = pickle.loads(pickle.dumps(telemetry))
+        assert copy == telemetry
+        assert copy.events.records == []
+        assert len(telemetry.events.records) == 100

@@ -88,10 +88,8 @@ class TestDistributedRunTelemetry:
         steps = 3
         d = DistributedSimulation(SHAPE, (2, 1, 1), system=system,
                                   kernel="buffered")
-        res = d.run(
-            steps, phi0, mu0, guard=True,
-            telemetry=RunTelemetry(directory=tmp_path, run_id="demo"),
-        )
+        telemetry = RunTelemetry(directory=tmp_path, run_id="demo")
+        res = d.run(steps, phi0, mu0, guard=True, telemetry=telemetry)
 
         # merged timing tree: both ranks contributed, comm + compute split
         tree = res.timing
@@ -114,9 +112,14 @@ class TestDistributedRunTelemetry:
         assert res.counters["halo_bytes"] > 0
         assert res.counters["halo_messages"] > 0
 
-        # events: per-rank files plus merged stream, parseable + valid
-        for rank in (0, 1):
-            records = read_events(tmp_path / f"events-rank{rank:04d}.jsonl")
+        # events: every rank's records in the merged stream, on disk too,
+        # parseable + valid
+        stream = read_events(tmp_path / "events-merged.jsonl")
+        assert stream == telemetry.merge_events()
+        per_rank = {
+            rank: [r for r in stream if r["rank"] == rank] for rank in (0, 1)
+        }
+        for records in per_rank.values():
             kinds = [r["kind"] for r in records]
             assert kinds[0] == "run_start" and kinds[-1] == "run_end"
             assert kinds.count("heartbeat") == steps
@@ -124,10 +127,7 @@ class TestDistributedRunTelemetry:
             json.loads(line)
             for line in (tmp_path / "events-merged.jsonl").read_text().splitlines()
         ]
-        assert len(merged) == sum(
-            len(read_events(tmp_path / f"events-rank{r:04d}.jsonl"))
-            for r in (0, 1)
-        )
+        assert len(merged) == sum(len(per_rank[r]) for r in (0, 1))
 
         # schema-valid run report with nonzero throughput
         validate_run_report(res.report)
@@ -145,23 +145,35 @@ class TestDistributedRunTelemetry:
         assert res.counters is None
         assert res.report is None
 
-    def test_guard_trip_emits_event(self, tmp_path, initial_state):
+    @pytest.mark.parametrize("directory", [True, False],
+                             ids=["directory", "in-memory"])
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_guard_trip_emits_event(self, tmp_path, initial_state, backend,
+                                    directory):
+        """A failed call's events come back on its ranks' exceptions and
+        join the session's stream, with or without a directory."""
         from repro.resilience.errors import InvariantViolation
 
         system, phi0, mu0 = initial_state
         d = DistributedSimulation(SHAPE, (2, 1, 1), system=system,
-                                  kernel="buffered")
+                                  kernel="buffered", backend=backend)
         plan = FaultPlan([Fault("nan_inject", step=1, rank=0)])
+        telemetry = RunTelemetry(directory=tmp_path if directory else None,
+                                 run_id="trip")
         with pytest.raises(InvariantViolation):
             d.run(3, phi0, mu0, guard=True, fault_plan=plan,
-                  telemetry=RunTelemetry(directory=tmp_path, run_id="trip"))
-        records = read_events(tmp_path / "events-rank0000.jsonl")
+                  telemetry=telemetry)
+        stream = telemetry.merge_events()
+        records = [r for r in stream if r["rank"] == 0]
         kinds = [r["kind"] for r in records]
         assert "fault" in kinds
         assert "guard_trip" in kinds
         trip = next(r for r in records if r["kind"] == "guard_trip")
         assert trip["level"] == "ERROR"
         assert trip["data"]["reason"]
+        assert {r["rank"] for r in stream if r["kind"] == "rank_failed"} == {0, 1}
+        if directory:
+            assert read_events(tmp_path / "events-merged.jsonl") == stream
 
 
 class TestCampaignTelemetry:
@@ -260,3 +272,21 @@ class TestCampaignTelemetry:
         }
         assert "backend" in res.report["config"]
         assert res.report["tracing"]["spans"] > 0
+
+    def test_event_count_is_the_stream_length(self, tmp_path, initial_state):
+        """The report's ``events.count`` reads the session's one stream,
+        whether or not the session has a directory."""
+        system, phi0, mu0 = initial_state
+        counts = []
+        for i, directory in enumerate((None, tmp_path / "tel")):
+            d = DistributedSimulation(SHAPE, (2, 1, 1), system=system,
+                                      kernel="buffered", backend="thread")
+            telemetry = RunTelemetry(directory=directory)
+            res = run_campaign(
+                d, 4, phi0, mu0,
+                store=ShardedCheckpointStore(tmp_path / f"ck{i}"),
+                checkpoint_every=2, telemetry=telemetry,
+            )
+            counts.append(res.report["events"]["count"])
+            assert counts[-1] == len(telemetry.merge_events())
+        assert counts[0] == counts[1]

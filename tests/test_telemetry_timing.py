@@ -1,17 +1,10 @@
-"""Timing trees, pools and their cross-rank reduction."""
-
-import time
+"""Timing trees and their cross-rank merge."""
 
 import pytest
 
 from repro.simmpi.runtime import run_spmd
-from repro.telemetry.reduce import (
-    as_reduced,
-    merge_rank_trees,
-    merge_reduced,
-    reduce_tree_over_ranks,
-)
-from repro.telemetry.timing import TimerStats, TimingPool, TimingTree
+from repro.telemetry.reduce import as_reduced, merge_rank_trees, merge_reduced
+from repro.telemetry.timing import TimerStats, TimingTree
 
 
 class TestTimerStats:
@@ -111,26 +104,6 @@ class TestTimingTree:
         assert tree.node("f").stats.count == 1
 
 
-class TestTimingPool:
-    def test_context_accumulation(self):
-        pool = TimingPool()
-        for _ in range(3):
-            with pool("io"):
-                time.sleep(0.001)
-        assert pool["io"].count == 3
-        assert pool["io"].total >= 0.003
-        assert "io" in pool and len(pool) == 1
-
-    def test_merge(self):
-        a, b = TimingPool(), TimingPool()
-        with a("x"):
-            pass
-        with b("x"):
-            pass
-        a.merge(b)
-        assert a["x"].count == 2
-
-
 class TestReduction:
     def _tree(self, seconds):
         tree = TimingTree()
@@ -175,12 +148,10 @@ class TestReduction:
             tree = TimingTree()
             tree.record("compute", 0.1 * (comm.rank + 1))
             tree.record("comm", 0.01)
-            return reduce_tree_over_ranks(comm, tree)
+            return tree.to_dict()
 
-        results = run_spmd(n_ranks, rank_main)
-        # the reduction lands on rank 0 only
-        assert all(r is None for r in results[1:])
-        merged = results[0]
+        # each rank returns its tree; the caller merges them in rank order
+        merged = merge_rank_trees(run_spmd(n_ranks, rank_main))
         comp = merged["children"]["compute"]
         assert comp["n_ranks"] == n_ranks
         assert comp["rank_min"] == pytest.approx(0.1)
@@ -220,10 +191,9 @@ class TestReduction:
         """Cross-rank reduction over genuinely different per-rank trees.
 
         Every rank records a shared scope plus one scope unique to
-        itself (``rank<r>/only``); the pairwise log2(P) reduction must
-        deliver all of them to rank 0 with correct per-scope rank
-        counts — no KeyError when one side of a pairwise merge lacks a
-        child the other has.
+        itself (``rank<r>/only``) and returns its tree; the merge must
+        keep all of them with correct per-scope rank counts — no
+        KeyError when one side of a merge lacks a child the other has.
         """
 
         def rank_main(comm):
@@ -232,10 +202,9 @@ class TestReduction:
             tree.record(f"rank{comm.rank}/only", 0.01 * (comm.rank + 1))
             if comm.rank % 2:
                 tree.record("odd_ranks_only", 0.5)
-            return reduce_tree_over_ranks(comm, tree)
+            return tree.to_dict()
 
-        results = run_spmd(n_ranks, rank_main)
-        merged = results[0]
+        merged = merge_rank_trees(run_spmd(n_ranks, rank_main))
         assert merged["children"]["compute"]["n_ranks"] == n_ranks
         for r in range(n_ranks):
             only = merged["children"][f"rank{r}"]["children"]["only"]
