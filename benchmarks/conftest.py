@@ -15,7 +15,10 @@ reports are still emitted and schema-validated.
 
 from __future__ import annotations
 
+import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -95,6 +98,27 @@ def time_call(fn, min_time: float | None = None, max_repeats: int = 60) -> float
         max_repeats=max_repeats,
     )
     return rate.seconds_median
+
+
+def on_one_core(call: str, timeout: float = 600):
+    """The JSON value printed by ``print(json.dumps(<call>))`` in a child
+    interpreter whose compiled kernels run one OpenMP thread.
+
+    *call* is a Python expression that may import benchmark modules.  The
+    paper's kernel figures are single-core measurements, and a team of
+    two threads on a shared two-core host times erratically (the same
+    call measured at 0.8 and at 5.5 MLUP/s).
+    """
+    here = Path(__file__).resolve().parent
+    path = [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH", "")]
+    done = subprocess.run(
+        [sys.executable, "-c",
+         f"import json, sys; print(json.dumps({call}))"],
+        capture_output=True, text=True, timeout=timeout, check=True,
+        env={**os.environ, "OMP_NUM_THREADS": "1",
+             "PYTHONPATH": os.pathsep.join(path)},
+    )
+    return json.loads(done.stdout.splitlines()[-1])
 
 
 def write_bench_report(

@@ -11,11 +11,19 @@ Paper numbers reproduced exactly by construction or by model:
 
 The FLOPs per cell of *this* implementation are measured dynamically with
 the instrumented arrays and cross-checked against the static cost model.
+Two measured rows place the compiled mu kernel on this host: its MLUP/s
+on one core with the scalar body and with the four-cell (SIMD) body, and
+the fraction of the host's nominal peak those rates imply at the counted
+FLOPs per cell, next to the paper's 0.27.  Reported, not gated.
 """
+
+from pathlib import Path
 
 import numpy as np
 
-from repro.core.kernels import get_mu_kernel, get_phi_kernel, make_context
+from repro.core.kernels import (
+    get_mu_kernel, get_phi_kernel, make_context, rung_available,
+)
 from repro.core.scenarios import fill_ghosts_periodic, make_scenario
 from repro.perf.flopcount import count_kernel_flops
 from repro.perf.kernel_analysis import (
@@ -25,10 +33,25 @@ from repro.perf.kernel_analysis import (
 )
 from repro.perf.machines import SUPERMUC
 from repro.perf.roofline import bytes_per_cell, roofline
-from conftest import write_report
+from conftest import on_one_core, write_report
 
 PAPER_MU_FLOPS = 1384.0
 PAPER_BYTES = 680.0
+#: Nominal double-precision FLOPs per cycle of the kernels' instruction
+#: mix on an AVX2 core: one 4-wide add and one 4-wide mul (no FMA; the
+#: build keeps -ffp-contract=off) — SuperMUC's 8 as well.
+HOST_FLOPS_PER_CYCLE = 8
+
+
+def _host_clock_hz() -> float | None:
+    """The clock /proc/cpuinfo reports for the first core, if any."""
+    try:
+        for line in Path("/proc/cpuinfo").read_text().splitlines():
+            if line.startswith("cpu MHz"):
+                return float(line.split(":")[1]) * 1e6
+    except (OSError, ValueError):
+        pass
+    return None
 
 
 def _dynamic_counts():
@@ -51,11 +74,34 @@ def _dynamic_counts():
     return phi_counts, mu_counts
 
 
+def mu_rates() -> list:
+    """``[scalar, simd, width]``: MLUP/s of the compiled mu kernel with
+    the scalar body and with the four-cell body on a 32^3 interface block
+    in this process (run on one core by the table)."""
+    from repro.core.kernels.compiled import cffi_backend
+    from repro.perf.metrics import measure_kernel_rate
+
+    edge = 32
+    phi, mu, tg, system, params = make_scenario("interface", (edge,) * 3)
+    ctx = make_context(system, params)
+    kern = get_mu_kernel("compiled")
+
+    def call():
+        kern(ctx, mu, phi, phi, tg, tg - 0.01)
+
+    with cffi_backend._scalar_sweeps():
+        scalar = measure_kernel_rate(call, edge ** 3, min_time=1.0)
+    simd = measure_kernel_rate(call, edge ** 3, min_time=1.0)
+    return [float(scalar), float(simd), cffi_backend.simd_width()]
+
+
 def test_roofline_table(benchmark, results_dir):
     data = {}
 
     def measure():
         data["phi_dyn"], data["mu_dyn"] = _dynamic_counts()
+        data["rates"] = (on_one_core("__import__('test_roofline').mu_rates()")
+                         if rung_available("compiled") else None)
 
     benchmark.pedantic(measure, rounds=1, iterations=1)
     phi_dyn, mu_dyn = data["phi_dyn"], data["mu_dyn"]
@@ -94,6 +140,24 @@ def test_roofline_table(benchmark, results_dir):
         "peak fraction at the paper's measured 4.2 MLUP/s per core: "
         f"{rl_paper.peak_fraction(4.2, SUPERMUC):.2f}  (paper: 0.27)",
     ]
+    rates, clock = data["rates"], _host_clock_hz()
+    if rates is not None:
+        scalar, simd, width = rates
+        lines += ["", "measured on this host, compiled mu-kernel, one core, "
+                      "32^3 interface block:"]
+        peak = clock * HOST_FLOPS_PER_CYCLE if clock else None
+        if peak:
+            lines.append(
+                f"  nominal peak {peak / 1e9:.1f} GFLOP/s per core "
+                f"({clock / 1e9:.2f} GHz x {HOST_FLOPS_PER_CYCLE} FLOP/cycle)")
+        for name, rate in (("scalar body", scalar),
+                           (f"four-cell body (SIMD width {width})", simd)):
+            gflops = rate * 1e6 * mu_dyn["flops"] / 1e9
+            frac = f"{gflops * 1e9 / peak:.2f}" if peak else "n/a"
+            lines.append(
+                f"  {name:<32}{rate:>7.2f} MLUP/s x {mu_dyn['flops']:.0f} "
+                f"FLOP = {gflops:.2f} GFLOP/s, fraction of peak {frac}"
+                "  (paper: 0.27)")
     write_report(results_dir, "roofline.txt", lines)
 
     # hard checks against the paper's numbers

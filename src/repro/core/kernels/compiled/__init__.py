@@ -22,7 +22,9 @@ each face flux once — and differ exactly like the NumPy
 ``buffered``/``shortcut`` pair:
 
 ``compiled``
-    every term on every cell.
+    every term on every cell; on a host with AVX2, four consecutive z
+    cells per vector (the paper's "four-cell" strategy), bitwise equal
+    to the scalar body.
 ``compiled_shortcuts``
     adds the region shortcuts as *real per-cell branches* (the paper's
     winning "cellwise with shortcuts" strategy): inactive cells copy

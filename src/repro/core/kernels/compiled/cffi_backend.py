@@ -43,22 +43,35 @@ What the sweeps contain (the paper's node-level ladder, Sec. 3.3)
   force, non-front cells skip anti-trapping.  A face therefore keeps its
   diffusive value and its diffusive-plus-anti-trapping value separately,
   and each cell takes the one its own flag asks for.
+* **Four cells per vector** (``compiled`` only): on a host with AVX2 the
+  shipped instantiations sweep W = 4 consecutive z cells in lockstep
+  (:func:`simd_width`).  Each lane performs the scalar body's IEEE
+  operations in its order and branches become bit blends, so the result
+  is bitwise the scalar body's (DESIGN.md, "The four-cell body").
 
 Compilation policy
 ------------------
-* One translation unit, built at :func:`load`.  Source, cdef, compiler
-  path and the flags actually used are hashed into the file name; the
-  shared object is cached under ``_build/`` next to this module
-  (override with ``REPRO_COMPILED_CACHE``), so each environment compiles
-  exactly once.  The compiler reads the source from stdin and the object
-  is published by temp name + ``os.replace``, so processes that start
+* Two translation units — the scalar bodies with every entry point, and
+  the four-cell bodies — compiled concurrently at :func:`load` and
+  linked into one shared object.  Sources, cdef, compiler path and the
+  flags actually used are hashed into the file name; the object is
+  cached under ``_build/`` next to this module (override with
+  ``REPRO_COMPILED_CACHE``), so each environment compiles exactly once.
+  The compiler reads each unit from stdin into a private directory and
+  the object is published by ``os.replace``, so processes that start
   together against an empty cache each build privately and race benignly.
-* ``-O3 -ffp-contract=off``, no ``-ffast-math``, no ``-march``: the
-  equivalence suite pins the compiled rungs to the pure-Python reference
-  at the same tolerance as the NumPy rungs, and buffer reuse is bit-exact
-  only under IEEE semantics without contraction.
+* ``-O3 -ffp-contract=off``, no ``-ffast-math``, no ``-march`` and no
+  ``-mfma``: the four-cell unit gets AVX2 from a ``target`` pragma and is
+  chosen at run time by ``__builtin_cpu_supports``, so the object runs
+  on any x86-64 host.  The equivalence suite pins the compiled rungs to
+  the pure-Python reference at the same tolerance as the NumPy rungs,
+  and buffer reuse and lane arithmetic are bit-exact only under IEEE
+  semantics without contraction.
 * ``-fopenmp`` is attempted first and dropped if the toolchain lacks it;
-  the library records which variant is loaded (:func:`num_threads`).
+  the library records which variant is loaded (:func:`num_threads`).  A
+  process forked after the library ran a team of more than one thread
+  sweeps on one thread (GNU OpenMP's team does not survive a fork) and
+  warns once.
 
 Parallel safety: all scratch is allocated per call and private to one
 OpenMP thread; the kernels never touch ``KernelContext.get_scratch``.
@@ -66,10 +79,14 @@ OpenMP thread; the kernels never touch ``KernelContext.get_scratch``.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import os
+import shutil
 import subprocess
 import tempfile
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from repro.settings import Settings
@@ -79,6 +96,7 @@ __all__ = [
     "load",
     "build_error",
     "num_threads",
+    "simd_width",
     "pointer",
     "phi_step_raw",
     "mu_step_raw",
@@ -115,43 +133,41 @@ int repro_mu_blocks(
     const double *c_slope, const double *diff, int anti_trapping,
     int shortcuts, int include_at, int only_at);
 int repro_num_threads(void);
+int repro_forked_after_team(void);
+int repro_set_simd(int on);
+int repro_simd_width(void);
 """
 
-_C_SOURCE = r"""
+_C_HEADER = r"""
 #include <math.h>
+#include <pthread.h>
 #include <stdlib.h>
+#include <string.h>
 
 #ifdef _OPENMP
 #include <omp.h>
+#endif
+
+/* The four-cell bodies need GCC's vector extensions on x86-64; anywhere
+   else every sweep runs the scalar body. */
+#if defined(__GNUC__) && !defined(__clang__) && defined(__x86_64__)
+#define SIMD 1
+#else
+#define SIMD 0
 #endif
 
 #define MAXN 8
 #define MAXK 4
 #define TOL 1e-9
 #define GRAD_TOL 1e-12
+/* Lanes of a four-cell vector: consecutive z cells. */
+#define W 4
 /* Forced inlining is what instantiates a body: N, K and NAX reach it as
    literal constants from the dispatch in phi_share / mu_share. */
 #define BODY static inline __attribute__((always_inline))
 #define SHARE static __attribute__((noinline))
 
 typedef long long i64;
-
-int repro_num_threads(void)
-{
-#ifdef _OPENMP
-    return omp_get_max_threads();
-#else
-    return 1;
-#endif
-}
-
-/* Threads of a sweep: each gets a contiguous share of the (i0, i1)
-   lines, so never more threads than lines. */
-static int team_size(i64 lines)
-{
-    const i64 t = repro_num_threads();
-    return (int)(t < lines ? t : (lines > 0 ? lines : 1));
-}
 
 /* Slot of the staggered buffer that holds the face below cell
    (i1, i2) along axis d: the previous z-cell, y-line or x-plane. */
@@ -162,6 +178,154 @@ BODY i64 face_slot(const int NAX, int d, i64 n2, i64 i1, i64 i2)
     return 1 + n2 + i1 * n2 + i2;
 }
 
+typedef struct {
+    const double *phi, *mu, *tg, *gamma, *tau, *inv_curv;
+    const double *cmin_z, *lat_z;  /* T(z) tables */
+    double *out;
+    double *scratch;               /* per_thread doubles for each thread */
+    i64 n0, n1, n2, slots, per_thread;
+    double dx, dt, eps, gt;
+    int N, K, nax, shortcuts, simd;
+} phi_args;
+
+typedef struct {
+    const double *mu, *phi_src, *phi_dst, *t_old, *t_new;
+    const double *inv_curv, *c_slope, *diff;
+    const double *cmin_c, *cmin_f;  /* T(z) tables: centres, z-faces */
+    double *out;
+    double *scratch;                /* per_thread doubles for each thread */
+    i64 n0, n1, n2, slots, per_thread;
+    double dx, dt, eps;
+    int N, K, nax, ell, anti_trapping, shortcuts, include_at, only_at, simd;
+} mu_args;
+
+/* Everything a face evaluation needs besides the two cells. */
+typedef struct {
+    const double *mu, *ps, *pd;
+    i64 cs, off[3];
+    double inv_dx, inv_2dx, dt, pref_at;
+    int ell;
+    double ic[MAXN][MAXK][MAXK], diff[MAXN];
+} mu_face_env;
+
+/* Sweep constants of the phi bodies. */
+BODY void phi_constants(const int N, const int K, const phi_args *A,
+                        double gam2[MAXN][MAXN], double gamw[MAXN][MAXN],
+                        double rate[MAXN], double ic[MAXN][MAXK][MAXK])
+{
+    const double pref = 16.0 / (M_PI * M_PI);
+    for (int a = 0; a < N; a++) {
+        rate[a] = A->dt / (A->tau[a] * A->eps);
+        for (int b = 0; b < N; b++) {
+            gam2[a][b] = 2.0 * A->gamma[a * N + b];
+            gamw[a][b] = pref * A->gamma[a * N + b];
+        }
+        for (int i = 0; i < K; i++)
+            for (int j = 0; j < K; j++)
+                ic[a][i][j] = A->inv_curv[(a * K + i) * K + j];
+    }
+}
+
+/* Sweep constants of the mu bodies: the face environment and the
+   concentration slopes. */
+BODY void mu_constants(const int N, const int K, const int NAX,
+                       const mu_args *A, mu_face_env *E,
+                       double c_slope[MAXN][MAXK])
+{
+    const i64 g1 = A->n1 + 2, g2 = A->n2 + 2;
+    E->mu = A->mu; E->ps = A->phi_src; E->pd = A->phi_dst;
+    E->cs = (NAX == 3 ? A->n0 + 2 : 1) * g1 * g2;
+    E->off[0] = g2; E->off[1] = 1; E->off[2] = 0;
+    if (NAX == 3) { E->off[0] = g1 * g2; E->off[1] = g2; E->off[2] = 1; }
+    E->inv_dx = 1.0 / A->dx; E->inv_2dx = 1.0 / (2.0 * A->dx);
+    E->dt = A->dt; E->pref_at = M_PI * A->eps / 4.0; E->ell = A->ell;
+    for (int a = 0; a < N; a++) {
+        E->diff[a] = A->diff[a];
+        for (int i = 0; i < K; i++) {
+            c_slope[a][i] = A->c_slope[a * K + i];
+            for (int j = 0; j < K; j++)
+                E->ic[a][i][j] = A->inv_curv[(a * K + i) * K + j];
+        }
+    }
+}
+
+#if SIMD
+/* The four-cell shares, in the SIMD unit. */
+#define UNIT __attribute__((visibility("hidden")))
+UNIT void phi_share_v(const phi_args *A, i64 lo, i64 hi,
+                      double *fbuf, i64 *stamp);
+UNIT void mu_share_v(const mu_args *A, i64 lo, i64 hi,
+                     double *fbuf, i64 *stamp);
+#endif
+"""
+
+_C_SOURCE = _C_HEADER + r"""
+
+/* GNU OpenMP's worker team does not survive a fork: a process forked
+   after this library ran a team of more than one thread would wait for
+   it in its first parallel region.  Such a process runs every sweep on
+   one thread. */
+static int team_ran = 0, forked_after_team = 0;
+
+static void after_fork_in_child(void)
+{
+    forked_after_team = team_ran;
+}
+
+__attribute__((constructor)) static void watch_forks(void)
+{
+    pthread_atfork(NULL, NULL, after_fork_in_child);
+}
+
+int repro_forked_after_team(void)
+{
+    return forked_after_team;
+}
+
+int repro_num_threads(void)
+{
+#ifdef _OPENMP
+    return forked_after_team ? 1 : omp_get_max_threads();
+#else
+    return 1;
+#endif
+}
+
+/* Lanes of the sweeps without shortcuts: W on a host with AVX2, else 1.
+   Chosen at load; set_simd(0) selects the scalar body everywhere. */
+static int lanes = 1;
+
+int repro_set_simd(int on)
+{
+#if SIMD
+    __builtin_cpu_init();
+    lanes = on && __builtin_cpu_supports("avx2") ? W : 1;
+#else
+    (void)on;
+#endif
+    return lanes;
+}
+
+int repro_simd_width(void)
+{
+    return lanes;
+}
+
+/* The four-cell body runs the shipped instantiations, without
+   shortcuts, on lines of at least W cells. */
+static int four_cell(int N, int K, i64 n2, int shortcuts)
+{
+    return lanes == W && N == 4 && K == 2 && n2 >= W && !shortcuts;
+}
+
+/* Threads of a sweep: each gets a contiguous share of the (i0, i1)
+   lines, so never more threads than lines. */
+static int team_size(i64 lines)
+{
+    const i64 t = repro_num_threads();
+    return (int)(t < lines ? t : (lines > 0 ? lines : 1));
+}
+
 static i64 face_slots(int nax, i64 n1, i64 n2)
 {
     return 1 + n2 + (nax == 3 ? n1 * n2 : 0);
@@ -170,16 +334,6 @@ static i64 face_slots(int nax, i64 n1, i64 n2)
 /* ------------------------------------------------------------------ */
 /* phi sweep (Eqs. 1-2)                                                */
 /* ------------------------------------------------------------------ */
-
-typedef struct {
-    const double *phi, *mu, *tg, *gamma, *tau, *inv_curv;
-    const double *cmin_z, *lat_z;  /* T(z) tables */
-    double *out;
-    double *scratch;               /* per_thread doubles for each thread */
-    i64 n0, n1, n2, slots, per_thread;
-    double dx, dt, eps, gt;
-    int N, K, nax, shortcuts;
-} phi_args;
 
 /* dA/d(grad phi_a) through the face between a lower and an upper cell,
    oriented along +d. */
@@ -215,26 +369,16 @@ BODY void phi_lines(const int N, const int K, const int NAX,
     const i64 g1 = n1 + 2, g2 = n2 + 2;
     const i64 cs = (NAX == 3 ? A->n0 + 2 : 1) * g1 * g2;
     const i64 ocs = A->n0 * n1 * n2;
-    const double dt = A->dt, eps = A->eps, gt = A->gt;
+    const double eps = A->eps, gt = A->gt;
     const double inv_dx = 1.0 / A->dx, inv_2dx = 1.0 / (2.0 * A->dx);
     const int shortcuts = A->shortcuts;
-    const double pref = 16.0 / (M_PI * M_PI);
     i64 off[3] = {g2, 1, 0};
     if (NAX == 3) { off[0] = g1 * g2; off[1] = g2; off[2] = 1; }
 
     /* sweep constants, local so that no store can alias them */
     double gam2[MAXN][MAXN], gamw[MAXN][MAXN], rate[MAXN];
     double ic[MAXN][MAXK][MAXK];
-    for (int a = 0; a < N; a++) {
-        rate[a] = dt / (A->tau[a] * eps);
-        for (int b = 0; b < N; b++) {
-            gam2[a][b] = 2.0 * A->gamma[a * N + b];
-            gamw[a][b] = pref * A->gamma[a * N + b];
-        }
-        for (int i = 0; i < K; i++)
-            for (int j = 0; j < K; j++)
-                ic[a][i][j] = A->inv_curv[(a * K + i) * K + j];
-    }
+    phi_constants(N, K, A, gam2, gamw, rate, ic);
 
     for (i64 p01 = p_lo; p01 < p_hi; p01++) {
         const i64 i0 = p01 / n1;
@@ -398,6 +542,11 @@ SHARE void phi_share(const phi_args *A, i64 tid, i64 nt)
     double *fbuf = A->scratch + tid * A->per_thread;
     i64 *stamp = (i64 *)(fbuf + A->slots * A->N);
     for (i64 s = 0; s < A->slots; s++) stamp[s] = -1;
+#if SIMD
+    if (A->simd)
+        phi_share_v(A, lo, hi, fbuf, stamp);
+    else
+#endif
     if (A->N == 4 && A->K == 2 && A->nax == 3)
         phi_lines(4, 2, 3, A, lo, hi, fbuf, stamp);
     else if (A->N == 4 && A->K == 2)
@@ -419,9 +568,11 @@ int repro_phi_step(
     const double t_eut = scal[4];
     const i64 slots = face_slots(nax, n1, n2);
     const int team = team_size(n0 * n1);
+    const int simd = four_cell(N, K, n2, shortcuts);
     (void)diff;
 
-    /* per call: T(z) tables, then each thread's face buffer + stamps */
+    /* per call: T(z) tables ([z][comp], component-major for the
+       four-cell body), then each thread's face buffer + stamps */
     const i64 per_thread = slots * (N + 1);
     double *mem = (double *)malloc(
         (size_t)(n2 * N * (K + 1) + team * per_thread) * sizeof(double));
@@ -430,9 +581,9 @@ int repro_phi_step(
     for (i64 iz = 0; iz < n2; iz++) {
         const double dT = tg[iz + 1] - t_eut;
         for (int a = 0; a < N; a++) {
-            lat_z[iz * N + a] = latent[a] * dT;
+            lat_z[simd ? a * n2 + iz : iz * N + a] = latent[a] * dT;
             for (int i = 0; i < K; i++)
-                cmin_z[(iz * N + a) * K + i] =
+                cmin_z[simd ? (a * K + i) * n2 + iz : (iz * N + a) * K + i] =
                     c_eq[a * K + i] + c_slope[a * K + i] * dT;
         }
     }
@@ -442,10 +593,11 @@ int repro_phi_step(
         .scratch = lat_z + n2 * N, .n0 = n0, .n1 = n1, .n2 = n2,
         .slots = slots, .per_thread = per_thread,
         .dx = scal[0], .dt = scal[1], .eps = scal[2], .gt = scal[3],
-        .N = N, .K = K, .nax = nax, .shortcuts = shortcuts,
+        .N = N, .K = K, .nax = nax, .shortcuts = shortcuts, .simd = simd,
     };
 #ifdef _OPENMP
     if (team > 1) {
+        __atomic_store_n(&team_ran, 1, __ATOMIC_RELAXED);
 #pragma omp parallel num_threads(team)
         phi_share(&A, omp_get_thread_num(), omp_get_num_threads());
     } else
@@ -458,26 +610,6 @@ int repro_phi_step(
 /* ------------------------------------------------------------------ */
 /* mu sweep (Eqs. 3-4)                                                 */
 /* ------------------------------------------------------------------ */
-
-typedef struct {
-    const double *mu, *phi_src, *phi_dst, *t_old, *t_new;
-    const double *inv_curv, *c_slope, *diff;
-    const double *cmin_c, *cmin_f;  /* T(z) tables: centres, z-faces */
-    double *out;
-    double *scratch;                /* per_thread doubles for each thread */
-    i64 n0, n1, n2, slots, per_thread;
-    double dx, dt, eps;
-    int N, K, nax, ell, anti_trapping, shortcuts, include_at, only_at;
-} mu_args;
-
-/* Everything a face evaluation needs besides the two cells. */
-typedef struct {
-    const double *mu, *ps, *pd;
-    i64 cs, off[3];
-    double inv_dx, inv_2dx, dt, pref_at;
-    int ell;
-    double ic[MAXN][MAXK][MAXK], diff[MAXN];
-} mu_face_env;
 
 /* M grad mu through the face between cells cl (lower) and cu (upper),
    oriented along +d, added to flux. */
@@ -588,19 +720,7 @@ BODY void mu_lines(const int N, const int K, const int NAX,
     /* sweep constants, local so that no store can alias them */
     mu_face_env E;
     double c_slope[MAXN][MAXK];
-    E.mu = mu; E.ps = phi_src; E.pd = phi_dst; E.cs = cs;
-    E.off[0] = g2; E.off[1] = 1; E.off[2] = 0;
-    if (NAX == 3) { E.off[0] = g1 * g2; E.off[1] = g2; E.off[2] = 1; }
-    E.inv_dx = 1.0 / A->dx; E.inv_2dx = 1.0 / (2.0 * A->dx);
-    E.dt = dt; E.pref_at = M_PI * A->eps / 4.0; E.ell = ell;
-    for (int a = 0; a < N; a++) {
-        E.diff[a] = A->diff[a];
-        for (int i = 0; i < K; i++) {
-            c_slope[a][i] = A->c_slope[a * K + i];
-            for (int j = 0; j < K; j++)
-                E.ic[a][i][j] = A->inv_curv[(a * K + i) * K + j];
-        }
-    }
+    mu_constants(N, K, NAX, A, &E, c_slope);
     const i64 *off = E.off;
     const double inv_dx = E.inv_dx;
 
@@ -814,6 +934,11 @@ SHARE void mu_share(const mu_args *A, i64 tid, i64 nt)
     double *ffull = fdiff + slots * A->K;
     i64 *sdiff = (i64 *)(ffull + slots * A->K), *sfull = sdiff + slots;
     for (i64 s = 0; s < 2 * slots; s++) sdiff[s] = -1;
+#if SIMD
+    if (A->simd)
+        mu_share_v(A, lo, hi, fdiff, sdiff);
+    else
+#endif
     if (A->N == 4 && A->K == 2 && A->nax == 3)
         mu_lines(4, 2, 3, A, lo, hi, fdiff, ffull, sdiff, sfull);
     else if (A->N == 4 && A->K == 2)
@@ -836,9 +961,11 @@ int repro_mu_step(
     const double t_eut = scal[4];
     const i64 slots = face_slots(nax, n1, n2);
     const int team = team_size(n0 * n1);
+    const int simd = four_cell(N, K, n2, shortcuts);
 
-    /* per call: T(z) tables at cell centres and growth-axis faces, then
-       each thread's two face buffers + two stamp arrays */
+    /* per call: T(z) tables at cell centres and growth-axis faces
+       ([z][comp], component-major for the four-cell body), then each
+       thread's two face buffers + two stamp arrays */
     const i64 per_thread = slots * (2 * K + 2);
     double *mem = (double *)malloc(
         (size_t)((2 * n2 + 1) * N * K + team * per_thread) * sizeof(double));
@@ -848,14 +975,15 @@ int repro_mu_step(
         const double dT = t_old[iz + 1] - t_eut;
         for (int a = 0; a < N; a++)
             for (int i = 0; i < K; i++)
-                cmin_c[(iz * N + a) * K + i] =
+                cmin_c[simd ? (a * K + i) * n2 + iz : (iz * N + a) * K + i] =
                     c_eq[a * K + i] + c_slope[a * K + i] * dT;
     }
     for (i64 f = 0; f < n2 + 1; f++) {
         const double dT = 0.5 * (t_old[f] + t_old[f + 1]) - t_eut;
         for (int a = 0; a < N; a++)
             for (int i = 0; i < K; i++)
-                cmin_f[(f * N + a) * K + i] =
+                cmin_f[simd ? (a * K + i) * (n2 + 1) + f
+                            : (f * N + a) * K + i] =
                     c_eq[a * K + i] + c_slope[a * K + i] * dT;
     }
     const mu_args A = {
@@ -868,10 +996,11 @@ int repro_mu_step(
         .dx = scal[0], .dt = scal[1], .eps = scal[2],
         .N = N, .K = K, .nax = nax, .ell = (int)geom[6],
         .anti_trapping = anti_trapping, .shortcuts = shortcuts,
-        .include_at = include_at, .only_at = only_at,
+        .include_at = include_at, .only_at = only_at, .simd = simd,
     };
 #ifdef _OPENMP
     if (team > 1) {
+        __atomic_store_n(&team_ran, 1, __ATOMIC_RELAXED);
 #pragma omp parallel num_threads(team)
         mu_share(&A, omp_get_thread_num(), omp_get_num_threads());
     } else
@@ -989,6 +1118,497 @@ int repro_mu_blocks(
 }
 """
 
+_C_SIMD = _C_HEADER + r"""
+#if SIMD
+#include <immintrin.h>
+#pragma GCC target("avx2")
+
+/* ------------------------------------------------------------------ */
+/* four-cell bodies: W consecutive z cells in lockstep                 */
+/* ------------------------------------------------------------------ */
+
+/* Each lane runs the scalar body's IEEE operations in the scalar order;
+   a branch becomes a compare and a bit blend of both sides, never a
+   masked addition (-0.0 + 0.0 is +0.0).  Differences from the scalar
+   body are in the bookkeeping only:
+   * the lower z face of a vector is its upper z face vector shifted by
+     one lane, the previous vector's last lane shifted in;
+   * the x/y face slots of W consecutive z cells are one vector, stored
+     component-major (fbuf[comp * slots + slot]); the stamps of a
+     vector's slots agree, so lane 0's answers for all;
+   * T(z) tables are component-major ([comp][z]), one vector per load;
+   * a line whose length is not a multiple of W ends with an overlapped
+     vector over its last W cells, which evaluates all its lower faces:
+     a recomputed cell or face has the bits of the first evaluation. */
+typedef double vd __attribute__((vector_size(8 * W)));
+typedef i64 vm __attribute__((vector_size(8 * W)));  /* lane masks */
+
+BODY vd vload(const double *p) { vd v; memcpy(&v, p, sizeof v); return v; }
+BODY void vstore(double *p, vd v) { memcpy(p, &v, sizeof v); }
+BODY vd vsplat(double x) { return (vd){x, x, x, x}; }
+BODY vm vlt(vd a, vd b) { return (vm)(a < b); }
+BODY vm vgt(vd a, vd b) { return (vm)(a > b); }
+/* m ? a : b, lane by lane */
+BODY vd vblend(vm m, vd a, vd b) { return (vd)((m & (vm)a) | (~m & (vm)b)); }
+BODY vd vsqrt(vd x) { return _mm256_sqrt_pd(x); }
+/* The lower neighbours' values of a vector: prev's last lane, then the
+   first W - 1 lanes of cur. */
+BODY vd vbelow(vd prev, vd cur)
+{
+    return __builtin_shuffle(prev, cur, (vm){3, 4, 5, 6});
+}
+/* if (v < 0) v = 0; else if (v > 1) v = 1; */
+BODY vd vclamp01(vd v)
+{
+    return vblend(vlt(v, vsplat(0.0)), vsplat(0.0),
+                  vblend(vgt(v, vsplat(1.0)), vsplat(1.0), v));
+}
+
+/* phi_face on W faces */
+BODY void phi_face_v(const int N, const vd *lo, const vd *up,
+                     double g2[MAXN][MAXN], double inv_dx, vd *f)
+{
+    vd avg[MAXN], dd[MAXN];
+    for (int a = 0; a < N; a++) {
+        avg[a] = 0.5 * (lo[a] + up[a]);
+        dd[a] = (up[a] - lo[a]) * inv_dx;
+    }
+    for (int a = 0; a < N; a++) {
+        vd acc = vsplat(0.0);
+        for (int b = 0; b < N; b++) {
+            if (b == a || g2[a][b] == 0.0) continue;
+            acc += g2[a][b]
+                * (avg[b] * avg[b] * dd[a] - avg[a] * avg[b] * dd[b]);
+        }
+        f[a] = acc;
+    }
+}
+
+/* phi_lines without shortcuts, W cells at a time (lines of >= W). */
+BODY void phi_lines_v(const int N, const int K, const int NAX,
+                      const phi_args *A, i64 p_lo, i64 p_hi,
+                      double *fbuf, i64 *stamp)
+{
+    const double *phi = A->phi, *mu = A->mu, *tg = A->tg;
+    const double *cmin_z = A->cmin_z, *lat_z = A->lat_z;
+    double *out = A->out;
+    const i64 n1 = A->n1, n2 = A->n2, slots = A->slots;
+    const i64 g1 = n1 + 2, g2 = n2 + 2;
+    const i64 cs = (NAX == 3 ? A->n0 + 2 : 1) * g1 * g2;
+    const i64 ocs = A->n0 * n1 * n2;
+    const double eps = A->eps, gt = A->gt;
+    const double inv_dx = 1.0 / A->dx, inv_2dx = 1.0 / (2.0 * A->dx);
+    i64 off[3] = {g2, 1, 0};
+    if (NAX == 3) { off[0] = g1 * g2; off[1] = g2; off[2] = 1; }
+
+    double gam2[MAXN][MAXN], gamw[MAXN][MAXN], rate[MAXN];
+    double ic[MAXN][MAXK][MAXK];
+    phi_constants(N, K, A, gam2, gamw, rate, ic);
+
+    for (i64 p01 = p_lo; p01 < p_hi; p01++) {
+        const i64 i0 = p01 / n1;
+        const i64 i1 = p01 - i0 * n1;
+        const i64 base01 =
+            NAX == 3 ? ((i0 + 1) * g1 + (i1 + 1)) * g2 : (i1 + 1) * g2;
+        vd zup[MAXN];  /* upper z faces of the previous vector */
+        for (i64 j = 0; j < n2; j += W) {
+            const i64 i2 = j + W <= n2 ? j : n2 - W;
+            const int tail = i2 != j;
+            const i64 c = base01 + i2 + 1;
+            const i64 oc = p01 * n2 + i2;
+            vd pc[MAXN], pp[3][MAXN], pm[3][MAXN], mu_c[MAXK];
+            vd grad[3][MAXN], face[2][MAXN];
+            vd rhs[MAXN], psi[MAXN], vnew[MAXN], u[MAXN];
+            for (int a = 0; a < N; a++) pc[a] = vload(phi + a * cs + c);
+            for (int i = 0; i < K; i++) mu_c[i] = vload(mu + i * cs + c);
+            for (int d = 0; d < NAX; d++)
+                for (int a = 0; a < N; a++) {
+                    pp[d][a] = vload(phi + a * cs + c + off[d]);
+                    pm[d][a] = vload(phi + a * cs + c - off[d]);
+                    grad[d][a] = (pp[d][a] - pm[d][a]) * inv_2dx;
+                }
+
+            for (int a = 0; a < N; a++) {
+                vd acc = vsplat(0.0);
+                for (int b = 0; b < N; b++) {
+                    if (b == a || gam2[a][b] == 0.0) continue;
+                    vd dot = vsplat(0.0);
+                    for (int d = 0; d < NAX; d++)
+                        dot += (pc[a] * grad[d][b]
+                                - pc[b] * grad[d][a]) * grad[d][b];
+                    acc += gam2[a][b] * dot;
+                }
+                rhs[a] = acc;
+            }
+
+            for (int d = 0; d < NAX; d++) {
+                phi_face_v(N, pc, pp[d], gam2, inv_dx, face[1]);
+                if (d == NAX - 1) {
+                    if (j > 0 && !tail)
+                        for (int a = 0; a < N; a++)
+                            face[0][a] = vbelow(zup[a], face[1][a]);
+                    else
+                        phi_face_v(N, pm[d], pc, gam2, inv_dx, face[0]);
+                    for (int a = 0; a < N; a++) zup[a] = face[1][a];
+                } else {
+                    const i64 slot = face_slot(NAX, d, n2, i1, i2);
+                    if (!tail && stamp[slot] == c - off[d])
+                        for (int a = 0; a < N; a++)
+                            face[0][a] = vload(fbuf + a * slots + slot);
+                    else
+                        phi_face_v(N, pm[d], pc, gam2, inv_dx, face[0]);
+                    for (int a = 0; a < N; a++)
+                        vstore(fbuf + a * slots + slot, face[1][a]);
+                    for (int l = 0; l < W; l++) stamp[slot + l] = c + l;
+                }
+                for (int a = 0; a < N; a++) {
+                    rhs[a] -= face[1][a] * inv_dx;
+                    rhs[a] += face[0][a] * inv_dx;
+                }
+            }
+
+            const vd t = vload(tg + i2 + 1);
+            for (int a = 0; a < N; a++) rhs[a] *= t * eps;
+
+            for (int a = 0; a < N; a++) {
+                vd acc = vsplat(0.0);
+                for (int b = 0; b < N; b++)
+                    if (b != a) acc += gamw[a][b] * pc[b];
+                if (gt != 0.0) {
+                    vd acc3 = vsplat(0.0);
+                    for (int b = 0; b < N; b++) {
+                        if (b == a) continue;
+                        for (int e = b + 1; e < N; e++) {
+                            if (e == a) continue;
+                            acc3 += pc[b] * pc[e];
+                        }
+                    }
+                    acc += gt * acc3;
+                }
+                rhs[a] += (t / eps) * acc;
+            }
+
+            vd sq_sum = vsplat(0.0);
+            for (int a = 0; a < N; a++) sq_sum += pc[a] * pc[a];
+            sq_sum += 1e-300;
+            for (int a = 0; a < N; a++) {
+                vd quad = vsplat(0.0);
+                for (int i = 0; i < K; i++) {
+                    quad += ic[a][i][i] * mu_c[i] * mu_c[i];
+                    for (int j2 = i + 1; j2 < K; j2++)
+                        quad += 2.0 * ic[a][i][j2] * mu_c[i] * mu_c[j2];
+                }
+                vd lin = vsplat(0.0);
+                for (int i = 0; i < K; i++)
+                    lin += mu_c[i] * vload(cmin_z + (a * K + i) * n2 + i2);
+                psi[a] = -0.5 * quad - lin + vload(lat_z + a * n2 + i2);
+            }
+            vd weighted = vsplat(0.0);
+            for (int a = 0; a < N; a++)
+                weighted += pc[a] * pc[a] * psi[a];
+            weighted /= sq_sum;
+            for (int a = 0; a < N; a++)
+                rhs[a] += (2.0 / sq_sum) * pc[a] * (psi[a] - weighted);
+
+            vd mean = vsplat(0.0);
+            for (int a = 0; a < N; a++) mean += rhs[a];
+            mean /= (double)N;
+            for (int a = 0; a < N; a++)
+                vnew[a] = pc[a] - rate[a] * (rhs[a] - mean);
+
+            /* the insertion sort as compare-swaps: a swap moves the
+               larger value up exactly where the scalar loop shifts */
+            for (int a = 0; a < N; a++) u[a] = vnew[a];
+            for (int a = 1; a < N; a++)
+                for (int b = a - 1; b >= 0; b--) {
+                    const vm lt = vlt(u[b], u[b + 1]);
+                    const vd hi = vblend(lt, u[b + 1], u[b]);
+                    u[b + 1] = vblend(lt, u[b], u[b + 1]);
+                    u[b] = hi;
+                }
+            vd css = vsplat(0.0), theta = vsplat(0.0);
+            for (int a = 0; a < N; a++) {
+                css += u[a];
+                const vd cand = u[a] + (1.0 - css) / (double)(a + 1);
+                theta = vblend(vgt(cand, vsplat(0.0)),
+                               (1.0 - css) / (a + 1.0), theta);
+            }
+            for (int a = 0; a < N; a++) {
+                const vd x = vnew[a] + theta;
+                vstore(out + a * ocs + oc,
+                       vblend(vgt(x, vsplat(0.0)), x, vsplat(0.0)));
+            }
+        }
+    }
+}
+
+UNIT void phi_share_v(const phi_args *A, i64 lo, i64 hi,
+                       double *fbuf, i64 *stamp)
+{
+    if (A->nax == 3)
+        phi_lines_v(4, 2, 3, A, lo, hi, fbuf, stamp);
+    else
+        phi_lines_v(4, 2, 2, A, lo, hi, fbuf, stamp);
+}
+
+/* Unswitching the mu body's uniform mode flags would double its
+   compile time and gains no measurable speed. */
+#pragma GCC optimize("no-unswitch-loops")
+
+/* mu_face_diffusive on the W faces from cl.. to cu.. */
+BODY void mu_face_diffusive_v(const int N, const int K,
+                              const mu_face_env *E, i64 cl, i64 cu, vd *flux)
+{
+    const i64 cs = E->cs;
+    vd dmu[MAXK];
+    for (int i = 0; i < K; i++)
+        dmu[i] = (vload(E->mu + i * cs + cu) - vload(E->mu + i * cs + cl))
+            * E->inv_dx;
+    for (int a = 0; a < N; a++) {
+        const vd w = vclamp01(
+            0.5 * (vload(E->ps + a * cs + cl) + vload(E->ps + a * cs + cu)));
+        for (int i = 0; i < K; i++) {
+            vd acc = vsplat(0.0);
+            for (int j = 0; j < K; j++) acc += E->ic[a][i][j] * dmu[j];
+            flux[i] += w * E->diff[a] * acc;
+        }
+    }
+}
+
+BODY void face_normal_v(const int NAX, const mu_face_env *E, const double *p,
+                        int d, i64 cl, i64 cu, vd *n)
+{
+    vd g[3], nsq = vsplat(0.0);
+    for (int e = 0; e < NAX; e++) {
+        if (e == d) {
+            g[e] = (vload(p + cu) - vload(p + cl)) * E->inv_dx;
+        } else {
+            const i64 oe = E->off[e];
+            g[e] = 0.5 * ((vload(p + cl + oe) - vload(p + cl - oe))
+                          * E->inv_2dx
+                          + (vload(p + cu + oe) - vload(p + cu - oe))
+                          * E->inv_2dx);
+        }
+        nsq += g[e] * g[e];
+    }
+    const vd norm = vsqrt(nsq);
+    const vm big = vgt(norm, vsplat(GRAD_TOL));
+    for (int e = 0; e < NAX; e++)
+        n[e] = vblend(big, g[e] / norm, vsplat(0.0));
+}
+
+/* mu_face_antitrapping on W faces; the T(z) coefficients of (a, i) are
+   the vector at cm + (a * K + i) * cstride. */
+BODY void mu_face_antitrapping_v(const int N, const int K, const int NAX,
+                                 const mu_face_env *E, int d, i64 cl, i64 cu,
+                                 const double *cm, i64 cstride, vd *flux)
+{
+    const i64 cs = E->cs;
+    const int ell = E->ell;
+    vd phi_f[MAXN], dphidt_f[MAXN], mu_f[MAXK];
+    vd nl[3], na[3], c_l[MAXK];
+    vd sqs = vsplat(0.0);
+    for (int a = 0; a < N; a++) {
+        const vd lo = vload(E->ps + a * cs + cl);
+        const vd up = vload(E->ps + a * cs + cu);
+        const vd v = vclamp01(0.5 * (lo + up));
+        phi_f[a] = v;
+        dphidt_f[a] = 0.5 * ((vload(E->pd + a * cs + cl) - lo)
+                             + (vload(E->pd + a * cs + cu) - up)) / E->dt;
+        sqs += v * v;
+    }
+    sqs += 1e-300;
+    for (int i = 0; i < K; i++)
+        mu_f[i] = 0.5 * (vload(E->mu + i * cs + cl)
+                         + vload(E->mu + i * cs + cu));
+    face_normal_v(NAX, E, E->ps + ell * cs, d, cl, cu, nl);
+    for (int i = 0; i < K; i++) {
+        vd acc = vsplat(0.0);
+        for (int j = 0; j < K; j++) acc += E->ic[ell][i][j] * mu_f[j];
+        c_l[i] = vload(cm + (ell * K + i) * cstride) + acc;
+    }
+    for (int a = 0; a < N; a++) {
+        if (a == ell) continue;
+        face_normal_v(NAX, E, E->ps + a * cs, d, cl, cu, na);
+        const vd amp = vsqrt(phi_f[a] * phi_f[ell]) * phi_f[ell] / sqs;
+        vd dot = vsplat(0.0);
+        for (int e = 0; e < NAX; e++) dot += na[e] * nl[e];
+        const vd scalf = E->pref_at * amp * dphidt_f[a] * dot * na[d];
+        for (int i = 0; i < K; i++) {
+            vd c_ai = vload(cm + (a * K + i) * cstride);
+            for (int j = 0; j < K; j++) c_ai += E->ic[a][i][j] * mu_f[j];
+            flux[i] -= scalf * (c_l[i] - c_ai);
+        }
+    }
+}
+
+/* The flux a mu sweep of this call takes through the W faces from
+   cl.. to cu..: diffusive unless only_at, minus anti-trapping when
+   wanted (without shortcuts every cell is active and a front cell). */
+BODY void mu_face_v(const int N, const int K, const int NAX,
+                    const mu_face_env *E, int diffusive, int at, int d,
+                    i64 cl, i64 cu, const double *cm, i64 cstride, vd *flux)
+{
+    for (int i = 0; i < K; i++) flux[i] = vsplat(0.0);
+    if (diffusive) mu_face_diffusive_v(N, K, E, cl, cu, flux);
+    if (at) mu_face_antitrapping_v(N, K, NAX, E, d, cl, cu, cm, cstride, flux);
+}
+
+/* mu_lines without shortcuts, W cells at a time (lines of >= W, K = 2):
+   one face buffer fbuf with stamps, holding whichever flux this call
+   takes. */
+BODY void mu_lines_v(const int N, const int K, const int NAX,
+                     const mu_args *A, i64 p_lo, i64 p_hi,
+                     double *fbuf, i64 *stamp)
+{
+    const double *mu = A->mu, *phi_src = A->phi_src, *phi_dst = A->phi_dst;
+    const double *t_old = A->t_old, *t_new = A->t_new;
+    const double *cmin_c = A->cmin_c, *cmin_f = A->cmin_f;
+    double *out = A->out;
+    const i64 n1 = A->n1, n2 = A->n2, slots = A->slots;
+    const i64 g1 = n1 + 2, g2 = n2 + 2;
+    const i64 cs = (NAX == 3 ? A->n0 + 2 : 1) * g1 * g2;
+    const i64 ocs = A->n0 * n1 * n2;
+    const double dt = A->dt;
+    const int only_at = A->only_at;
+    const int diffusive = !only_at;
+    const int at = A->anti_trapping && A->include_at;
+
+    mu_face_env E;
+    double c_slope[MAXN][MAXK];
+    mu_constants(N, K, NAX, A, &E, c_slope);
+    const i64 *off = E.off;
+    const double inv_dx = E.inv_dx;
+
+    for (i64 p01 = p_lo; p01 < p_hi; p01++) {
+        const i64 i0 = p01 / n1;
+        const i64 i1 = p01 - i0 * n1;
+        const i64 base01 =
+            NAX == 3 ? ((i0 + 1) * g1 + (i1 + 1)) * g2 : (i1 + 1) * g2;
+        vd zup[MAXK];  /* upper z faces of the previous vector */
+        for (i64 j = 0; j < n2; j += W) {
+            const i64 i2 = j + W <= n2 ? j : n2 - W;
+            const int tail = i2 != j;
+            const i64 c = base01 + i2 + 1;
+            const i64 oc = p01 * n2 + i2;
+            vd phio[MAXN], phin[MAXN], mu_c[MAXK];
+            vd h_old[MAXN], h_new[MAXN], rhs[MAXK], face[2][MAXK], sol[MAXK];
+            for (int a = 0; a < N; a++) {
+                phio[a] = vload(phi_src + a * cs + c);
+                phin[a] = vload(phi_dst + a * cs + c);
+            }
+            for (int i = 0; i < K; i++) mu_c[i] = vload(mu + i * cs + c);
+
+            vd sqo = vsplat(0.0), sqn = vsplat(0.0);
+            for (int a = 0; a < N; a++) {
+                sqo += phio[a] * phio[a];
+                sqn += phin[a] * phin[a];
+            }
+            sqo += 1e-300;
+            sqn += 1e-300;
+            for (int a = 0; a < N; a++) {
+                h_old[a] = phio[a] * phio[a] / sqo;
+                h_new[a] = phin[a] * phin[a] / sqn;
+            }
+
+            for (int i = 0; i < K; i++) rhs[i] = vsplat(0.0);
+            if (diffusive) {
+                for (int a = 0; a < N; a++) {
+                    const vd dh = h_new[a] - h_old[a];
+                    for (int i = 0; i < K; i++) {
+                        vd c_ai = vload(cmin_c + (a * K + i) * n2 + i2);
+                        for (int k = 0; k < K; k++)
+                            c_ai += E.ic[a][i][k] * mu_c[k];
+                        rhs[i] -= dh * c_ai / dt;
+                    }
+                }
+                const vd fac =
+                    (vload(t_new + i2 + 1) - vload(t_old + i2 + 1)) / dt;
+                for (int i = 0; i < K; i++) {
+                    vd acc = vsplat(0.0);
+                    for (int a = 0; a < N; a++)
+                        acc += h_new[a] * c_slope[a][i];
+                    rhs[i] -= acc * fac;
+                }
+            }
+
+            for (int d = 0; d < NAX; d++) {
+                const int z = d == NAX - 1;
+                /* T(z) rows: z faces below and above, or the centres */
+                const double *cm = z ? cmin_f + i2 : cmin_c + i2;
+                const i64 cstride = z ? n2 + 1 : n2;
+                mu_face_v(N, K, NAX, &E, diffusive, at, d, c, c + off[d],
+                          cm + z, cstride, face[1]);
+                if (z) {
+                    if (j > 0 && !tail)
+                        for (int i = 0; i < K; i++)
+                            face[0][i] = vbelow(zup[i], face[1][i]);
+                    else
+                        mu_face_v(N, K, NAX, &E, diffusive, at, d,
+                                  c - off[d], c, cm, cstride, face[0]);
+                    for (int i = 0; i < K; i++) zup[i] = face[1][i];
+                } else {
+                    const i64 slot = face_slot(NAX, d, n2, i1, i2);
+                    if (!tail && stamp[slot] == c - off[d])
+                        for (int i = 0; i < K; i++)
+                            face[0][i] = vload(fbuf + i * slots + slot);
+                    else
+                        mu_face_v(N, K, NAX, &E, diffusive, at, d,
+                                  c - off[d], c, cm, cstride, face[0]);
+                    for (int i = 0; i < K; i++)
+                        vstore(fbuf + i * slots + slot, face[1][i]);
+                    for (int l = 0; l < W; l++) stamp[slot + l] = c + l;
+                }
+                for (int i = 0; i < K; i++) {
+                    rhs[i] += face[1][i] * inv_dx;
+                    rhs[i] -= face[0][i] * inv_dx;
+                }
+            }
+
+            /* susceptibility solve, K = 2 */
+            vd ca = vsplat(0.0), cb = vsplat(0.0);
+            vd cc = vsplat(0.0), cd = vsplat(0.0);
+            for (int a = 0; a < N; a++) {
+                ca += h_new[a] * E.ic[a][0][0];
+                cb += h_new[a] * E.ic[a][0][1];
+                cc += h_new[a] * E.ic[a][1][0];
+                cd += h_new[a] * E.ic[a][1][1];
+            }
+            const vd det = ca * cd - cb * cc;
+            sol[0] = (cd * rhs[0] - cb * rhs[1]) / det;
+            sol[1] = (ca * rhs[1] - cc * rhs[0]) / det;
+
+            if (only_at) {
+                /* accumulate once per cell: the lanes an overlapped
+                   tail shares with the previous vector keep theirs */
+                const vm fresh = (vm){0, 1, 2, 3} >= (j - i2);
+                for (int i = 0; i < K; i++) {
+                    const vd old = vload(out + i * ocs + oc);
+                    vstore(out + i * ocs + oc,
+                           vblend(fresh, old + dt * sol[i], old));
+                }
+            } else {
+                for (int i = 0; i < K; i++)
+                    vstore(out + i * ocs + oc, mu_c[i] + dt * sol[i]);
+            }
+        }
+    }
+}
+
+UNIT void mu_share_v(const mu_args *A, i64 lo, i64 hi,
+                      double *fbuf, i64 *stamp)
+{
+    if (A->only_at && !A->anti_trapping)
+        return;  /* no cell has a neighbour part */
+    if (A->nax == 3)
+        mu_lines_v(4, 2, 3, A, lo, hi, fbuf, stamp);
+    else
+        mu_lines_v(4, 2, 2, A, lo, hi, fbuf, stamp);
+}
+
+#endif
+"""
+
 _CC_CANDIDATES = ("cc", "gcc", "clang")
 #: Tried in order; the first list the toolchain accepts is the build.
 _FLAG_SETS = (
@@ -996,6 +1616,9 @@ _FLAG_SETS = (
     ("-O3", "-ffp-contract=off"),              # serial fallback
 )
 _BUILD_TIMEOUT_S = 300
+#: Translation units, compiled concurrently and linked into one library:
+#: the scalar bodies with every entry point, and the four-cell bodies.
+_UNITS = (_C_SOURCE, _C_SIMD)
 
 _lib = None
 _from_buffer = None  # ffi.from_buffer and the ctype of a field, resolved once
@@ -1013,8 +1636,6 @@ def _cache_dir() -> Path:
 
 
 def _find_cc() -> str | None:
-    import shutil
-
     for cc in _CC_CANDIDATES:
         path = shutil.which(cc)
         if path:
@@ -1024,16 +1645,26 @@ def _find_cc() -> str | None:
 
 def _tag(cc: str, flags: tuple[str, ...]) -> str:
     """Cache key of one build: everything that determines the object."""
-    text = "\0".join((_C_SOURCE, _CDEF, cc, *flags))
+    text = "\0".join((*_UNITS, _CDEF, cc, *flags))
     return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _run_cc(cc: str, args: list[str], source: str | None = None):
+    """One compiler run, *source* on stdin: None, or why it failed."""
+    proc = subprocess.run(
+        [cc, *args], input=source, capture_output=True, text=True,
+        timeout=_BUILD_TIMEOUT_S,
+    )
+    return None if proc.returncode == 0 else proc.stderr.strip()
 
 
 def _compile(cc: str, cache: Path) -> Path:
     """Build the kernel library into the cache, or find it there.
 
-    The source reaches the compiler on stdin and the object is moved into
-    place under its final name, so a concurrent process sees either no
-    file or a complete one.
+    The translation units reach the compiler on stdin and compile
+    concurrently, one compiler process each, into a private directory;
+    the linked object is moved into place under its final name, so a
+    concurrent process sees either no file or a complete one.
     """
     cache.mkdir(parents=True, exist_ok=True)
     builds = [
@@ -1045,24 +1676,26 @@ def _compile(cc: str, cache: Path) -> Path:
             return target
     last = None
     for flags, target in builds:
-        fd, tmp = tempfile.mkstemp(
-            suffix=".so", prefix="repro_kernels_", dir=str(cache)
-        )
-        os.close(fd)
+        tmp = tempfile.mkdtemp(prefix="repro_kernels_", dir=str(cache))
         try:
-            proc = subprocess.run(
-                [cc, *flags, "-fPIC", "-shared", "-x", "c", "-",
-                 "-o", tmp, "-lm"],
-                input=_C_SOURCE, capture_output=True, text=True,
-                timeout=_BUILD_TIMEOUT_S,
-            )
-            if proc.returncode == 0:
-                os.replace(tmp, target)
+            objs = [os.path.join(tmp, f"unit{i}.o")
+                    for i in range(len(_UNITS))]
+            with ThreadPoolExecutor(len(_UNITS)) as pool:
+                failed = [why for why in pool.map(
+                    lambda unit, obj: _run_cc(
+                        cc, [*flags, "-fPIC", "-c", "-x", "c", "-",
+                             "-o", obj], unit),
+                    _UNITS, objs) if why is not None]
+            if failed:
+                last = failed[0]
+                continue
+            lib = os.path.join(tmp, "kernels.so")
+            last = _run_cc(cc, [*flags, "-shared", *objs, "-o", lib, "-lm"])
+            if last is None:
+                os.replace(lib, target)
                 return target
-            last = proc.stderr.strip()
         finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
+            shutil.rmtree(tmp, ignore_errors=True)
     raise RuntimeError(f"C kernel build failed with {cc}: {last}")
 
 
@@ -1093,6 +1726,8 @@ def load():
         _lib = ffi.dlopen(str(path))
         _from_buffer, _F64 = ffi.from_buffer, ffi.typeof("double[]")
         _new = ffi.new
+        _lib.repro_set_simd(1)
+        os.register_at_fork(after_in_child=_after_fork_in_child)
     except (RuntimeError, OSError, subprocess.SubprocessError) as exc:
         _build_error = str(exc) or repr(exc)
         _lib = None
@@ -1111,9 +1746,41 @@ def build_error() -> str | None:
 
 
 def num_threads() -> int:
-    """OpenMP thread count of the loaded library (1 = serial build)."""
+    """OpenMP thread count of the loaded library (1 = serial build, or a
+    process forked after the library ran a team of threads)."""
     lib = load()
     return int(lib.repro_num_threads()) if lib is not None else 0
+
+
+def _after_fork_in_child() -> None:
+    if _lib.repro_forked_after_team():
+        warnings.warn(
+            "this process was forked after the compiled kernels ran an "
+            "OpenMP team, which does not survive a fork: its kernel "
+            "sweeps run on one thread (set OMP_NUM_THREADS=1 in the "
+            "forking process to keep it from running a team)",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+
+
+def simd_width() -> int:
+    """Cells per lockstep vector of the sweeps without shortcuts: 4 on a
+    host with AVX2 (the four-cell body), 1 for the cellwise scalar body
+    (0 without a library)."""
+    lib = load()
+    return int(lib.repro_simd_width()) if lib is not None else 0
+
+
+@contextlib.contextmanager
+def _scalar_sweeps():
+    """Test hook: every sweep inside the block runs the scalar body."""
+    lib = load()
+    lib.repro_set_simd(0)
+    try:
+        yield
+    finally:
+        lib.repro_set_simd(1)
 
 
 def pointer(arr, ctype: str = "double[]"):

@@ -17,9 +17,14 @@ Three layers are pinned here:
   source of the algorithm, these are what tells an algorithm bug (wrong
   against the reference everywhere) from a buffering bug (wrong only
   where a face is reused).
+
+The four-cell (SIMD) body of ``compiled`` is pinned to the scalar body
+bit for bit, and a process forked after the library ran an OpenMP team
+must still finish its sweeps.
 """
 
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -757,3 +762,157 @@ class TestSolverIntegration:
         np.testing.assert_allclose(
             result.mu, single.mu.interior_src, atol=1e-13
         )
+
+
+# ---------------------------------------------------------------------------
+# the four-cell body of ``compiled`` against its scalar body
+# ---------------------------------------------------------------------------
+
+def _four_cell_inputs(dim, n2, generic, anti_trapping, dx, seed):
+    """Speckled inputs of both sweeps whose z lines are *n2* cells long."""
+    shape = (3, 4, n2) if dim == 3 else (5, n2)
+    system = _binary_eutectic() if generic else TernaryEutecticSystem()
+    params = PhaseFieldParameters.for_system(
+        system, dim=dim, dx=dx, anti_trapping=anti_trapping)
+    phi, mu, tg, system, params = make_scenario(
+        "interface", shape, system=system, params=params, seed=seed)
+    s = dict(ctx=make_context(system, params), phi=phi, mu=mu, tg=tg,
+             phi_dst=phi.copy(), t_new=tg - 0.015)
+    return _speckle(s, seed)
+
+
+def _sweep_steps(s, boxes, steps=3):
+    """Interiors stored by three steps of block-list sweeps of
+    ``compiled`` (phi, split mu, full mu) whose buffers swap roles after
+    each step, the ghosts refilled periodically per block."""
+    from repro.core.kernels.api import block_sweep
+
+    ctx = s["ctx"]
+    blocks, temps = _blocks(s, boxes)
+    local, neighbor = get_split_mu_kernel("compiled")
+    sweeps = [(block_sweep(get_phi_kernel("compiled"), "phi"), 0),
+              (block_sweep(local, "mu"), 1),
+              (block_sweep(neighbor, "mu_neighbor"), 1),
+              (block_sweep(get_mu_kernel("compiled"), "mu"), 1)]
+    stored = []
+    for _ in range(steps):
+        for sweep, field in sweeps:
+            sweep(ctx, blocks, temps)
+            stored += [block[field].interior_dst.copy() for block in blocks]
+        for phi, mu, _z, _n in blocks:
+            for f in (phi, mu):
+                fill_ghosts_periodic(f.dst, len(boxes[0]))
+                f.swap()
+    return stored
+
+
+@needs_backend
+class TestFourCellBody:
+    """Without shortcuts the sweeps run W = 4 consecutive z cells in
+    lockstep on an AVX2 host.  Each lane performs the scalar body's IEEE
+    operations in its order, so every entry point must store the scalar
+    body's bits: lines shorter than W (scalar body), lines ending in an
+    overlapped vector, whole vectors, the generic instantiation (always
+    scalar), and block lists whose buffers swap."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(dim=st.sampled_from([2, 3]),
+           n2=st.sampled_from([1, 2, 3, 5, 8, 14]),
+           generic=st.booleans(), anti_trapping=st.booleans(),
+           dx=st.sampled_from([1.0, 0.3]), seed=st.integers(0, 3))
+    def test_entry_points_equal_scalar_body(self, dim, n2, generic,
+                                            anti_trapping, dx, seed):
+        s = _four_cell_inputs(dim, n2, generic, anti_trapping, dx, seed)
+        got = _entry_points("compiled", s)
+        with cffi_backend._scalar_sweeps():
+            want = _entry_points("compiled", s)
+        for name in want:
+            assert np.array_equal(got[name], want[name]), name
+
+    @settings(max_examples=20, deadline=None)
+    @given(case=_block_lists())
+    def test_block_lists_equal_scalar_body(self, case):
+        dim, generic, boxes = case
+        _shape, s = _inputs(dim, generic)
+        got = _sweep_steps(s, boxes)
+        with cffi_backend._scalar_sweeps():
+            want = _sweep_steps(s, boxes)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b, equal_nan=True), boxes
+
+    def test_scalar_hook_restores_the_width(self):
+        width = cffi_backend.simd_width()
+        with cffi_backend._scalar_sweeps():
+            assert cffi_backend.simd_width() == 1
+        assert cffi_backend.simd_width() == width
+
+    def test_avx2_host_runs_four_cells(self):
+        try:
+            cpuinfo = Path("/proc/cpuinfo").read_text()
+        except OSError:
+            pytest.skip("no /proc/cpuinfo to read the CPU flags from")
+        if " avx2" not in cpuinfo:
+            pytest.skip("the CPU has no AVX2")
+        assert cffi_backend.simd_width() == 4
+
+
+# ---------------------------------------------------------------------------
+# a fork after the library ran an OpenMP team
+# ---------------------------------------------------------------------------
+
+_FORK_AFTER_TEAM = """
+import os, sys
+sys.path.insert(0, {src!r})
+import numpy as np
+from repro.core.kernels.compiled import cffi_backend
+from repro.core.solver import Simulation
+from repro.distributed import DistributedSimulation
+
+shape = (16, 16, 32)
+sim = Simulation(shape, kernel="compiled")
+sim.initialize_voronoi(seed=3)
+sim.step(2)  # runs a team of OMP_NUM_THREADS threads in this process
+phi0, mu0 = sim.phi.interior_src.copy(), sim.mu.interior_src.copy()
+results = []
+for backend in ("process", "thread"):
+    with DistributedSimulation(shape, (2, 1, 1), kernel="compiled",
+                               n_ranks=2, backend=backend) as dsim:
+        res = dsim.run(2, phi0, mu0)
+    results.append((res.phi, res.mu))
+read, write = os.pipe()
+pid = os.fork()
+if pid == 0:
+    os.write(write, str(cffi_backend.num_threads()).encode())
+    os._exit(0)
+os.waitpid(pid, 0)
+print(cffi_backend.num_threads(), os.read(read, 16).decode(),
+      all(np.array_equal(a, b) for a, b in zip(*results)))
+"""
+
+
+@needs_backend
+class TestForkAfterTeam:
+    def test_process_ranks_forked_after_a_team_finish(self):
+        """GNU OpenMP's team does not survive a fork: a process rank
+        forked after the caller stepped a threaded compiled sweep must
+        run its sweeps on one thread (and say so once), finish, and
+        store what thread ranks store."""
+        proc = subprocess.Popen(
+            [sys.executable, "-c", _FORK_AFTER_TEAM.format(src=str(SRC))],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env={**os.environ, "OMP_NUM_THREADS": "2"},
+            start_new_session=True,
+        )
+        try:
+            out, err = proc.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)  # the ranks too
+            proc.communicate()
+            pytest.fail("process ranks forked after a team hung")
+        assert proc.returncode == 0, err
+        threads, forked, equal = out.split()
+        if threads == "1":
+            pytest.skip("kernel library was built without OpenMP")
+        assert (threads, forked, equal) == ("2", "1", "True")
+        assert err.count("forked after the compiled kernels ran") == 3
