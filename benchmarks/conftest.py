@@ -58,6 +58,11 @@ def write_report(results_dir: Path, name: str, lines: list[str]) -> None:
 @pytest.fixture(scope="session")
 def bench_blocks():
     """Ghosted scenario blocks of the benchmark size, plus a phi_dst level."""
+    return make_bench_blocks()
+
+
+def make_bench_blocks() -> dict:
+    """The :func:`bench_blocks` data, for a child of :func:`on_one_core`."""
     from repro.core.kernels import get_phi_kernel
 
     blocks = {}

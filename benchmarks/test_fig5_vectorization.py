@@ -6,7 +6,8 @@ shortcuts, four-cell) benchmarked on interface / liquid / solid blocks of
 cell kernel with shortcuts performes best".
 
 Here: the NumPy analogs of the three strategies on the same three block
-compositions, plus — when a backend is usable — the three strategies in
+compositions (timed interleaved, so their shape check compares rungs
+under one host state), plus — when a backend is usable — the three strategies in
 compiled C: the scalar body of ``compiled`` ("cellwise", reached through
 the backend's test hook), ``compiled`` on AVX2 lanes ("four-cell") and
 ``compiled_shortcuts`` ("cellwise + shortcuts").  Shape assertions:
@@ -18,6 +19,7 @@ interface and solid rows of the C trio are reported as measured.
 """
 
 import contextlib
+import statistics
 import time
 
 import pytest
@@ -25,8 +27,8 @@ import pytest
 from repro.core.kernels import COMPILED_RUNGS, get_phi_kernel, rung_available
 from repro.core.kernels.strategies import STRATEGIES
 from conftest import (
-    BENCH_EDGE, SMOKE, on_one_core, rate_of, time_call, write_bench_report,
-    write_report,
+    BENCH_EDGE, BENCH_MIN_TIME, SMOKE, on_one_core, rate_of, time_call,
+    write_bench_report, write_report,
 )
 
 SCENARIOS = ("interface", "liquid", "solid")
@@ -63,6 +65,29 @@ def compiled_rows() -> dict:
                 sec = time_call(lambda k=kern: k(ctx, phi, mu, tg))
             rows[scenario][row] = rate_of(sec, BENCH_EDGE ** 3)
     return {"rows": rows, "simd": cffi_backend.simd_width()}
+
+
+def interleaved_seconds(calls: dict, min_time: float,
+                        max_rounds: int = 60) -> dict:
+    """Median seconds per call of each of *calls*, timed in one window:
+    rounds that call each once, in an order rotated every round, until
+    each has had *min_time* of wall clock (at least 5 and at most
+    *max_rounds* rounds).  A shape check between two rungs then compares
+    the same host state."""
+    names = list(calls)
+    samples = {name: [] for name in names}
+    for name in names:  # untimed first call
+        calls[name]()
+    rounds = 0
+    while rounds < 5 or (rounds < max_rounds and min(
+            sum(v) for v in samples.values()) < min_time):
+        for k in range(len(names)):
+            name = names[(rounds + k) % len(names)]
+            t0 = time.perf_counter()
+            calls[name]()
+            samples[name].append(time.perf_counter() - t0)
+        rounds += 1
+    return {name: statistics.median(v) for name, v in samples.items()}
 
 
 def _warm_compiled(b, name) -> float:
@@ -105,11 +130,13 @@ def test_fig5_shape_and_report(benchmark, bench_blocks, results_dir):
             if have_compiled:
                 # untimed, recorded: JIT/dlopen cost stays out of the rates
                 compile_seconds[scenario] = compiled.warmup(b["ctx"])
-            for strategy in STRATEGIES:
-                kern = get_phi_kernel(strategy)
-                sec = time_call(
-                    lambda k=kern, bb=b: k(bb["ctx"], bb["phi"], bb["mu"], bb["tg"])
-                )
+            # interleaved: the shortcut gate below compares these rungs
+            seconds = interleaved_seconds(
+                {strategy: lambda k=get_phi_kernel(strategy), bb=b: k(
+                    bb["ctx"], bb["phi"], bb["mu"], bb["tg"])
+                 for strategy in STRATEGIES},
+                min_time=BENCH_MIN_TIME)
+            for strategy, sec in seconds.items():
                 rows[scenario][strategy] = rate_of(sec, b["cells"])
         if have_compiled:
             trio = on_one_core(

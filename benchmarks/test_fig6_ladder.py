@@ -10,7 +10,6 @@ blocks; all optimizations combined give a large total speedup over the
 general-purpose baseline.
 """
 
-import os
 import time
 
 import numpy as np
@@ -28,6 +27,8 @@ from repro.core.scenarios import fill_ghosts_periodic, make_scenario
 from conftest import (
     BENCH_EDGE,
     SMOKE,
+    make_bench_blocks,
+    on_one_core,
     rate_of,
     time_call,
     write_bench_report,
@@ -42,6 +43,30 @@ SCENARIOS = ("interface", "liquid", "solid")
 FAST_RUNGS = [r for r in LADDER if r != "reference" and rung_available(r)]
 #: Best NumPy rung the compiled speedup gate compares against.
 BEST_NUMPY = "shortcut"
+#: The compiled rungs among them, measured on one core by the report.
+FAST_COMPILED = [r for r in FAST_RUNGS if r in COMPILED_RUNGS]
+
+
+def compiled_rows() -> dict:
+    """``{"phi": {scenario: {rung: MLUP/s}}, "mu": ..., "compile_seconds":
+    {scenario: s}}`` of the compiled rungs in this process (run on one
+    core by the report)."""
+    from repro.core.kernels import compiled
+
+    rows = {"phi": {}, "mu": {}, "compile_seconds": {}}
+    for scenario, b in make_bench_blocks().items():
+        # compile/load once per block, untimed and on the record
+        rows["compile_seconds"][scenario] = compiled.warmup(b["ctx"])
+        for kind in ("phi", "mu"):
+            rows[kind][scenario] = {}
+        for rung in FAST_COMPILED:
+            pk, mk = get_phi_kernel(rung), get_mu_kernel(rung)
+            sec = time_call(lambda: pk(b["ctx"], b["phi"], b["mu"], b["tg"]))
+            rows["phi"][scenario][rung] = rate_of(sec, b["cells"])
+            sec = time_call(lambda: mk(b["ctx"], b["mu"], b["phi"],
+                                       b["phi_dst"], b["tg"], b["t_new"]))
+            rows["mu"][scenario][rung] = rate_of(sec, b["cells"])
+    return rows
 
 
 def _warm_compiled(b, rung) -> float:
@@ -115,11 +140,9 @@ def test_fig6_shape_and_report(benchmark, bench_blocks, results_dir):
             b = bench_blocks[scenario]
             rows["phi"][scenario] = {}
             rows["mu"][scenario] = {}
-            if any(r in COMPILED_RUNGS for r in FAST_RUNGS):
-                # compile/load once per block, untimed and on the record —
-                # JIT warmup must never pollute the MLUP/s samples
-                compile_seconds[scenario] = compiled.warmup(b["ctx"])
             for rung in FAST_RUNGS:
+                if rung in COMPILED_RUNGS:
+                    continue
                 pk = get_phi_kernel(rung)
                 mk = get_mu_kernel(rung)
                 sec = time_call(lambda: pk(b["ctx"], b["phi"], b["mu"], b["tg"]))
@@ -129,6 +152,15 @@ def test_fig6_shape_and_report(benchmark, bench_blocks, results_dir):
                                b["tg"], b["t_new"])
                 )
                 rows["mu"][scenario][rung] = rate_of(sec, b["cells"])
+        if FAST_COMPILED:
+            # a team of two threads on a shared two-core host times
+            # erratically; the paper's ladder is a one-core measurement
+            one_core = on_one_core(
+                "__import__('test_fig6_ladder').compiled_rows()")
+            compile_seconds.update(one_core["compile_seconds"])
+            for kind in ("phi", "mu"):
+                for scenario in SCENARIOS:
+                    rows[kind][scenario].update(one_core[kind][scenario])
         for k in ("phi", "mu"):
             ref[k] = _reference_rate(k)
 
@@ -150,7 +182,8 @@ def test_fig6_shape_and_report(benchmark, bench_blocks, results_dir):
                 "compile_seconds": compile_seconds},
     )
 
-    lines = ["Fig. 6 reproduction: optimization-ladder MLUP/s", ""]
+    lines = ["Fig. 6 reproduction: optimization-ladder MLUP/s "
+             "(compiled rungs on one core)", ""]
     for kind in ("phi", "mu"):
         lines.append(f"{kind}-kernel   (pure-Python reference: "
                      f"{ref[kind]:.5f} MLUP/s on 6x6x8)")
@@ -164,6 +197,10 @@ def test_fig6_shape_and_report(benchmark, bench_blocks, results_dir):
                 f"{scenario:<12}"
                 + "".join(f"{vals[r]:>20.3f}" for r in FAST_RUNGS)
             )
+        if FAST_COMPILED:
+            lines.append("best compiled / best NumPy (gate >= 3x): " + ", ".join(
+                f"{s} {_compiled_over_numpy(rows[kind][s]):.1f}x"
+                for s in SCENARIOS))
         lines.append("")
     if compile_seconds:
         lines.append(
@@ -207,26 +244,22 @@ def test_fig6_shape_and_report(benchmark, bench_blocks, results_dir):
     # vs its C baseline; the Python gap is much larger)
     assert rows["phi"]["interface"]["shortcut"] > 10 * ref["phi"]
     assert rows["mu"]["interface"]["shortcut"] > 10 * ref["mu"]
-    # Compiled-rung speedup gate: the top of the compiled ladder must
-    # reach >= 3x the best NumPy rung on every kind and scenario.  The
-    # per-cell loop parallelizes over cell columns, so the gate arms only
-    # on >= 4-core runners (mirroring the fig7 speedup gate) — a starved
-    # single-core box cannot show the multi-core headline.  Plain
-    # ``compiled`` is not held to 3x by itself: on bulk blocks the NumPy
-    # shortcut rung skips nearly all work, and only the shortcut-enabled
-    # compiled rung is the apples-to-apples top of the ladder.
-    if any(r in COMPILED_RUNGS for r in FAST_RUNGS) and (
-        os.cpu_count() or 1
-    ) >= 4:
+    # Compiled-rung speedup gate: the top of the compiled ladder, on one
+    # core, must reach >= 3x the best NumPy rung (single-threaded too) on
+    # every kind and scenario.  The best compiled rung is compared, not
+    # plain ``compiled``: on bulk blocks the NumPy shortcut rung skips
+    # nearly all work, and ``compiled_shortcuts`` is the apples-to-apples
+    # top of the ladder there.
+    if FAST_COMPILED:
         for kind in ("phi", "mu"):
             for scenario in SCENARIOS:
                 vals = rows[kind][scenario]
-                best_compiled = max(
-                    v for r, v in vals.items() if r in COMPILED_RUNGS
-                )
-                best_numpy = max(
-                    v for r, v in vals.items() if r not in COMPILED_RUNGS
-                )
-                assert best_compiled >= 3.0 * best_numpy, (
+                assert _compiled_over_numpy(vals) >= 3.0, (
                     kind, scenario, vals
                 )
+
+
+def _compiled_over_numpy(vals: dict) -> float:
+    """Best compiled rate over best NumPy rate of one table row."""
+    return (max(v for r, v in vals.items() if r in COMPILED_RUNGS)
+            / max(v for r, v in vals.items() if r not in COMPILED_RUNGS))

@@ -48,6 +48,17 @@ What the sweeps contain (the paper's node-level ladder, Sec. 3.3)
   (:func:`simd_width`).  Each lane performs the scalar body's IEEE
   operations in its order and branches become bit blends, so the result
   is bitwise the scalar body's (DESIGN.md, "The four-cell body").
+* **Exact-zero skips** (the four-cell mu body only).  Per vector of four
+  faces or cells the mu body leaves out a term that is exactly +-0 on
+  every lane: the anti-trapping current of a solid phase whose face
+  amplitude ``phi_f[a] * phi_f[liquid]`` is 0 (bulk solid, bulk melt),
+  and the phase-change source of cells whose phi did not change.
+  Subtracting +-0 from a flux that started at +0.0 is the identity, so
+  the bits stay the scalar body's; a lane skips only when every value
+  the term reads is finite and below 2^240 (a NaN or inf input turns the
+  skip off where it is read).  Unlike the tolerance shortcuts of
+  ``compiled_shortcuts``, which drop terms that are small and so change
+  the result, these drop nothing but zeros.
 
 Compilation policy
 ------------------
@@ -205,6 +216,7 @@ typedef struct {
     i64 cs, off[3];
     double inv_dx, inv_2dx, dt, pref_at;
     int ell;
+    int tame;  /* four-cell body: the anti-trapping skips are safe */
     double ic[MAXN][MAXK][MAXK], diff[MAXN];
 } mu_face_env;
 
@@ -1148,6 +1160,10 @@ BODY void vstore(double *p, vd v) { memcpy(p, &v, sizeof v); }
 BODY vd vsplat(double x) { return (vd){x, x, x, x}; }
 BODY vm vlt(vd a, vd b) { return (vm)(a < b); }
 BODY vm vgt(vd a, vd b) { return (vm)(a > b); }
+BODY vm vle(vd a, vd b) { return (vm)(a <= b); }
+/* every lane of m set */
+BODY int vall(vm m) { return _mm256_movemask_pd((__m256d)m) == 0xF; }
+BODY vd vabs(vd x) { return (vd)((vm)x & ~(vm)vsplat(-0.0)); }
 /* m ? a : b, lane by lane */
 BODY vd vblend(vm m, vd a, vd b) { return (vd)((m & (vm)a) | (~m & (vm)b)); }
 BODY vd vsqrt(vd x) { return _mm256_sqrt_pd(x); }
@@ -1355,6 +1371,71 @@ UNIT void phi_share_v(const phi_args *A, i64 lo, i64 hi,
    compile time and gains no measurable speed. */
 #pragma GCC optimize("no-unswitch-loops")
 
+/* Exact-zero skips.  The mu body leaves out two terms where they are
+   +-0 on all W lanes:
+   * the anti-trapping term of a solid phase a through a face where
+     phi_f[a] * phi_f[ell] == 0 (its amplitude is a zero factor), and
+     the liquid normal with it when no phase is left;
+   * the phase-change source of a cell vector whose phi_dst equals
+     phi_src bitwise (h_new is h_old, dh is 0); h_new is reused.
+   A flux or rhs starts at +0.0 and a sum that starts there is never
+   -0.0, so subtracting +-0 leaves it bitwise unchanged.  A zero factor
+   gives +-0 only if every other factor is finite (0 * inf and 0 * NaN
+   are NaN), so a lane skips only when every value the term reads is
+   tame: |value| <= TAME for the phi, phi_dst and mu values read, its
+   stencils and ghosts included, and for the sweep constants, which
+   keeps every product the term forms below 2^500.  NaN is never tame;
+   a term with an untame lane is evaluated in full. */
+#define TAME 0x1p240
+
+/* Whether the sweep constants a skipped term reads are tame: 1/dx,
+   1/dt, the anti-trapping prefactor, the inverse curvatures and the
+   T(z) tables of the call. */
+BODY int tame_constants(const int N, const int K, const mu_args *A,
+                        const mu_face_env *E)
+{
+    double m = fabs(E->inv_dx) + fabs(E->inv_2dx) + fabs(E->pref_at)
+        + 1.0 / fabs(E->dt);
+    for (int a = 0; a < N; a++)
+        for (int i = 0; i < K; i++)
+            for (int j = 0; j < K; j++) m += fabs(E->ic[a][i][j]);
+    for (i64 k = 0; k < A->n2 * N * K; k++) m += fabs(A->cmin_c[k]);
+    for (i64 k = 0; k < (A->n2 + 1) * N * K; k++) m += fabs(A->cmin_f[k]);
+    return m <= TAME;
+}
+
+/* Whether the n >= W values from p are tame. */
+BODY vm tame_span(const double *p, i64 n)
+{
+    const vd big = vsplat(TAME);
+    vm ok = vle(vabs(vload(p + n - W)), big);
+    for (i64 k = 0; k + W <= n; k += W) ok &= vle(vabs(vload(p + k)), big);
+    return ok;
+}
+
+/* Whether the n values from ghosted cell `first` on are tame in every
+   component of phi_src, phi_dst and mu. */
+BODY int tame_cells(const int N, const int K, const mu_face_env *E,
+                    i64 first, i64 n)
+{
+    vm ok = (vm){-1, -1, -1, -1};
+    for (int a = 0; a < N; a++)
+        ok &= tame_span(E->ps + a * E->cs + first, n)
+            & tame_span(E->pd + a * E->cs + first, n);
+    for (int i = 0; i < K; i++)
+        ok &= tame_span(E->mu + i * E->cs + first, n);
+    return vall(ok);
+}
+
+/* Whether a cell vector's h_old (in [0, 1] or NaN) and mu are tame. */
+BODY int tame_centre(const int N, const int K, const vd *h, const vd *mu)
+{
+    vd m = vsplat(0.0);
+    for (int a = 0; a < N; a++) m += h[a];
+    for (int i = 0; i < K; i++) m += vabs(mu[i]);
+    return vall(vle(m, vsplat(TAME)));
+}
+
 /* mu_face_diffusive on the W faces from cl.. to cu.. */
 BODY void mu_face_diffusive_v(const int N, const int K,
                               const mu_face_env *E, i64 cl, i64 cu, vd *flux)
@@ -1398,26 +1479,33 @@ BODY void face_normal_v(const int NAX, const mu_face_env *E, const double *p,
 }
 
 /* mu_face_antitrapping on W faces; the T(z) coefficients of (a, i) are
-   the vector at cm + (a * K + i) * cstride. */
+   the vector at cm + (a * K + i) * cstride.  The term of a solid phase a
+   whose amplitude sqrt(phi_f[a] phi_f[ell]) is 0 on every lane is +-0
+   there and is left out, when every value it reads is tame. */
 BODY void mu_face_antitrapping_v(const int N, const int K, const int NAX,
                                  const mu_face_env *E, int d, i64 cl, i64 cu,
                                  const double *cm, i64 cstride, vd *flux)
 {
     const i64 cs = E->cs;
     const int ell = E->ell;
-    vd phi_f[MAXN], dphidt_f[MAXN], mu_f[MAXK];
+    vd lo[MAXN], up[MAXN], phi_f[MAXN], mu_f[MAXK];
     vd nl[3], na[3], c_l[MAXK];
     vd sqs = vsplat(0.0);
     for (int a = 0; a < N; a++) {
-        const vd lo = vload(E->ps + a * cs + cl);
-        const vd up = vload(E->ps + a * cs + cu);
-        const vd v = vclamp01(0.5 * (lo + up));
+        lo[a] = vload(E->ps + a * cs + cl);
+        up[a] = vload(E->ps + a * cs + cu);
+        const vd v = vclamp01(0.5 * (lo[a] + up[a]));
         phi_f[a] = v;
-        dphidt_f[a] = 0.5 * ((vload(E->pd + a * cs + cl) - lo)
-                             + (vload(E->pd + a * cs + cu) - up)) / E->dt;
         sqs += v * v;
     }
     sqs += 1e-300;
+    int live[MAXN], nlive = 0;
+    for (int a = 0; a < N; a++) {
+        live[a] = a != ell
+            && (!E->tame || !vall((vm)(phi_f[a] * phi_f[ell] == 0.0)));
+        nlive += live[a];
+    }
+    if (!nlive) return;
     for (int i = 0; i < K; i++)
         mu_f[i] = 0.5 * (vload(E->mu + i * cs + cl)
                          + vload(E->mu + i * cs + cu));
@@ -1428,12 +1516,15 @@ BODY void mu_face_antitrapping_v(const int N, const int K, const int NAX,
         c_l[i] = vload(cm + (ell * K + i) * cstride) + acc;
     }
     for (int a = 0; a < N; a++) {
-        if (a == ell) continue;
+        if (!live[a]) continue;
         face_normal_v(NAX, E, E->ps + a * cs, d, cl, cu, na);
+        const vd dphidt_f = 0.5 * ((vload(E->pd + a * cs + cl) - lo[a])
+                                   + (vload(E->pd + a * cs + cu) - up[a]))
+            / E->dt;
         const vd amp = vsqrt(phi_f[a] * phi_f[ell]) * phi_f[ell] / sqs;
         vd dot = vsplat(0.0);
         for (int e = 0; e < NAX; e++) dot += na[e] * nl[e];
-        const vd scalf = E->pref_at * amp * dphidt_f[a] * dot * na[d];
+        const vd scalf = E->pref_at * amp * dphidt_f * dot * na[d];
         for (int i = 0; i < K; i++) {
             vd c_ai = vload(cm + (a * K + i) * cstride);
             for (int j = 0; j < K; j++) c_ai += E->ic[a][i][j] * mu_f[j];
@@ -1477,14 +1568,37 @@ BODY void mu_lines_v(const int N, const int K, const int NAX,
     mu_face_env E;
     double c_slope[MAXN][MAXK];
     mu_constants(N, K, NAX, A, &E, c_slope);
+    const int tame = tame_constants(N, K, A, &E);
     const i64 *off = E.off;
     const double inv_dx = E.inv_dx;
+    /* A line reads three units (x-planes in 3-D, y-lines in 2-D) of the
+       ghosted fields: its own and one on either side.  Its anti-trapping
+       skips need all three tame.  Each unit is scanned once before its
+       first reader; in 3-D the plane after a line's three is scanned in
+       n1 slices, one per line of the plane before it. */
+    const i64 unit = NAX == 3 ? g1 * g2 : g2;
+    const i64 units = NAX == 3 ? A->n0 + 2 : g1;
+    i64 scanned = NAX == 3 ? p_lo / n1 : p_lo, untame = -1;
 
     for (i64 p01 = p_lo; p01 < p_hi; p01++) {
         const i64 i0 = p01 / n1;
         const i64 i1 = p01 - i0 * n1;
         const i64 base01 =
             NAX == 3 ? ((i0 + 1) * g1 + (i1 + 1)) * g2 : (i1 + 1) * g2;
+        if (at) {
+            const i64 u = NAX == 3 ? i0 : i1;  /* ghosted units u..u+2 */
+            for (; scanned <= u + 2; scanned++)
+                if (!tame_cells(N, K, &E, scanned * unit, unit))
+                    untame = scanned;
+            if (NAX == 3 && scanned < units) {
+                const i64 lo = p01 == p_lo ? 0 : unit * i1 / n1;
+                const i64 hi = unit * (i1 + 1) / n1;
+                if (!tame_cells(N, K, &E, scanned * unit + lo, hi - lo))
+                    untame = scanned;
+                scanned += i1 == n1 - 1;
+            }
+            E.tame = tame && untame < u;
+        }
         vd zup[MAXK];  /* upper z faces of the previous vector */
         for (i64 j = 0; j < n2; j += W) {
             const i64 i2 = j + W <= n2 ? j : n2 - W;
@@ -1493,35 +1607,40 @@ BODY void mu_lines_v(const int N, const int K, const int NAX,
             const i64 oc = p01 * n2 + i2;
             vd phio[MAXN], phin[MAXN], mu_c[MAXK];
             vd h_old[MAXN], h_new[MAXN], rhs[MAXK], face[2][MAXK], sol[MAXK];
+            vm changed = {0, 0, 0, 0};
             for (int a = 0; a < N; a++) {
                 phio[a] = vload(phi_src + a * cs + c);
                 phin[a] = vload(phi_dst + a * cs + c);
+                changed |= (vm)phio[a] ^ (vm)phin[a];
             }
             for (int i = 0; i < K; i++) mu_c[i] = vload(mu + i * cs + c);
+            /* phi unchanged bitwise on every lane: h_new is h_old */
+            const int steady = vall(changed == 0);
 
             vd sqo = vsplat(0.0), sqn = vsplat(0.0);
-            for (int a = 0; a < N; a++) {
-                sqo += phio[a] * phio[a];
-                sqn += phin[a] * phin[a];
-            }
+            for (int a = 0; a < N; a++) sqo += phio[a] * phio[a];
             sqo += 1e-300;
-            sqn += 1e-300;
+            if (!steady) {
+                for (int a = 0; a < N; a++) sqn += phin[a] * phin[a];
+                sqn += 1e-300;
+            }
             for (int a = 0; a < N; a++) {
                 h_old[a] = phio[a] * phio[a] / sqo;
-                h_new[a] = phin[a] * phin[a] / sqn;
+                h_new[a] = steady ? h_old[a] : phin[a] * phin[a] / sqn;
             }
 
             for (int i = 0; i < K; i++) rhs[i] = vsplat(0.0);
             if (diffusive) {
-                for (int a = 0; a < N; a++) {
-                    const vd dh = h_new[a] - h_old[a];
-                    for (int i = 0; i < K; i++) {
-                        vd c_ai = vload(cmin_c + (a * K + i) * n2 + i2);
-                        for (int k = 0; k < K; k++)
-                            c_ai += E.ic[a][i][k] * mu_c[k];
-                        rhs[i] -= dh * c_ai / dt;
+                if (!steady || !tame || !tame_centre(N, K, h_old, mu_c))
+                    for (int a = 0; a < N; a++) {
+                        const vd dh = h_new[a] - h_old[a];
+                        for (int i = 0; i < K; i++) {
+                            vd c_ai = vload(cmin_c + (a * K + i) * n2 + i2);
+                            for (int k = 0; k < K; k++)
+                                c_ai += E.ic[a][i][k] * mu_c[k];
+                            rhs[i] -= dh * c_ai / dt;
+                        }
                     }
-                }
                 const vd fac =
                     (vload(t_new + i2 + 1) - vload(t_old + i2 + 1)) / dt;
                 for (int i = 0; i < K; i++) {

@@ -10,14 +10,19 @@ by the buffered rung) and derives a port-pressure bound for a generic
 2-port (add + mul), 4-wide SIMD core.
 
 The counts are validated against the dynamic instrumentation of
-:mod:`repro.perf.flopcount` in the test suite.
+:mod:`repro.perf.flopcount` in the test suite.  They are *model* counts:
+the four-cell compiled mu body leaves out terms that are exactly zero,
+and :func:`skip_census` tells how much of a state it leaves out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["KernelCost", "phi_kernel_cost", "mu_kernel_cost", "port_pressure_bound"]
+import numpy as np
+
+__all__ = ["KernelCost", "phi_kernel_cost", "mu_kernel_cost",
+           "port_pressure_bound", "skip_census"]
 
 
 @dataclass(frozen=True)
@@ -170,3 +175,30 @@ def port_pressure_bound(
     if cycles <= 0:
         raise ValueError("cost must be positive")
     return cost.flops / (cycles * 2 * vector_width)
+
+
+def skip_census(phi, phi_dst, liquid: int, width: int = 4) -> tuple[float, float]:
+    """Shares of the four-cell vectors that take the exact-zero skips of
+    the compiled mu body on a state.
+
+    *phi* and *phi_dst* are ghosted 3-D phase fields whose z extent is a
+    multiple of *width*.  Returns ``(zero_at, steady)``: the share of the
+    face vectors (the upper faces of *width* consecutive z cells, along
+    every axis) through which every solid phase's anti-trapping amplitude
+    ``phi_f[a] * phi_f[liquid]`` is 0 on every lane, and the share of cell
+    vectors whose phi the step left bitwise unchanged on every lane.
+    """
+    inner = (slice(None),) + (slice(1, -1),) * 3
+    vectors = tuple(n - 2 for n in phi.shape[1:3]) + (
+        (phi.shape[3] - 2) // width, width)
+    zero = []
+    for d in range(3):
+        upper = (slice(None),) + tuple(
+            slice(2, None) if e == d else slice(1, -1) for e in range(3))
+        face = np.clip(0.5 * (phi[inner] + phi[upper]), 0.0, 1.0)
+        dead = np.all([face[a] * face[liquid] == 0.0
+                       for a in range(len(face)) if a != liquid], axis=0)
+        zero.append(dead.reshape(vectors).all(-1))
+    same = (phi.view(np.int64) == phi_dst.view(np.int64))[inner].all(0)
+    return (float(np.mean(zero)),
+            float(same.reshape(vectors).all(-1).mean()))

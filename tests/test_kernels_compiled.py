@@ -19,8 +19,10 @@ Three layers are pinned here:
   where a face is reused).
 
 The four-cell (SIMD) body of ``compiled`` is pinned to the scalar body
-bit for bit, and a process forked after the library ran an OpenMP team
-must still finish its sweeps.
+bit for bit — its exact-zero skips included, on grown states where most
+faces take them and beside NaN/inf inputs that forbid them — and a
+process forked after the library ran an OpenMP team must still finish
+its sweeps.
 """
 
 import os
@@ -855,6 +857,128 @@ class TestFourCellBody:
         if " avx2" not in cpuinfo:
             pytest.skip("the CPU has no AVX2")
         assert cffi_backend.simd_width() == 4
+
+
+# ---------------------------------------------------------------------------
+# the exact-zero skips of the four-cell mu body on grown states
+# ---------------------------------------------------------------------------
+
+GROWN_SHAPE = (16, 16, 64)
+_GROWN: dict = {}
+
+
+def _grown_state():
+    """Ghosted inputs of both sweeps after 30 ``compiled`` steps of the
+    interface scenario: bulk solid and bulk melt, where the anti-trapping
+    current and the phase-change source are exactly zero, beside a front
+    that has grown long enough to leave amplitudes below 1e-9 in it."""
+    if not _GROWN:
+        from repro.core.solver import Simulation
+
+        phi, mu, tg, system, params = make_scenario(
+            "interface", GROWN_SHAPE, seed=0)
+        inner = (slice(None),) + (slice(1, -1),) * 3
+        sim = Simulation(GROWN_SHAPE, kernel="compiled")
+        sim.initialize(phi[inner], mu[inner])
+        sim.step(30)
+        ctx = make_context(system, params)
+        phi = fill_ghosts_periodic(sim.phi.src.copy(), 3)
+        mu = fill_ghosts_periodic(sim.mu.src.copy(), 3)
+        phi_dst = phi.copy()
+        phi_dst[inner] = get_phi_kernel("compiled")(ctx, phi, mu, tg)
+        _GROWN.update(ctx=ctx, phi=phi, mu=mu, tg=tg,
+                      phi_dst=fill_ghosts_periodic(phi_dst, 3),
+                      t_new=tg - 0.015)
+    return dict(_GROWN)
+
+
+def _planted(s, where, value):
+    """*s* with *value* written beside a face in the bulk melt whose
+    anti-trapping term is skipped: into an edge ghost of a solid phase's
+    phi (read by a face normal), a face ghost of its phi_dst (read by
+    dphi/dt) or an interior mu cell."""
+    s = dict(s, phi=s["phi"].copy(), phi_dst=s["phi_dst"].copy(),
+             mu=s["mu"].copy())
+    solid = 1 if s["ctx"].liquid == 0 else 0
+    k = GROWN_SHAPE[-1] - 4
+    if where == "phi edge ghost":
+        s["phi"][solid, 0, 0, k] = value
+    elif where == "phi_dst ghost":
+        s["phi_dst"][solid, 0, 3, k] = value
+    else:
+        s["mu"][0, 5, 6, k] = value
+    return s
+
+
+def _mu_block_sweeps(s):
+    """Status and stored interior of the full, split-local and seeded
+    split-neighbour mu block-list sweeps of ``compiled`` over the whole
+    state as one block."""
+    from repro.core.kernels.api import block_sweep
+
+    ctx = s["ctx"]
+    blocks, temps = _blocks(s, [tuple((0, n) for n in GROWN_SHAPE)])
+    local, neighbor = get_split_mu_kernel("compiled")
+    out = []
+    for kernel, kind in ((get_mu_kernel("compiled"), "mu"), (local, "mu"),
+                         (neighbor, "mu_neighbor")):
+        status = block_sweep(kernel, kind)(ctx, blocks, temps)
+        out.append((status, blocks[0][1].interior_dst.copy()))
+    return out
+
+
+@needs_backend
+class TestExactZeroSkips:
+    """The four-cell mu body leaves out the anti-trapping term of a phase
+    whose face amplitude is 0 on all four lanes and the phase-change
+    source of cells whose phi did not change; both are +-0, so the
+    scalar body's bits must survive, on grown states where most faces
+    take the skip and beside non-finite inputs that forbid it."""
+
+    def test_grown_state_takes_the_skips(self):
+        from repro.perf.kernel_analysis import skip_census
+
+        s = _grown_state()
+        zero_at, steady = skip_census(s["phi"], s["phi_dst"], s["ctx"].liquid)
+        assert zero_at >= 0.5
+        assert steady >= 0.25
+
+    def test_entry_points_equal_scalar_body(self):
+        s = _grown_state()
+        got = _entry_points("compiled", s)
+        with cffi_backend._scalar_sweeps():
+            want = _entry_points("compiled", s)
+        for name in want:
+            assert np.array_equal(got[name], want[name]), name
+
+    @pytest.mark.parametrize("boxes", [
+        [((0, 16), (0, 16), (0, 64))],
+        [((0, 16), (0, 16), (0, 28)), ((0, 16), (0, 16), (28, 36))],
+        [((0, 7), (0, 16), (0, 64)), ((7, 9), (0, 16), (0, 64))],
+    ], ids=["one-block", "z-split", "x-split"])
+    def test_block_lists_equal_scalar_body(self, boxes):
+        s = _grown_state()
+        got = _sweep_steps(s, boxes)
+        with cffi_backend._scalar_sweeps():
+            want = _sweep_steps(s, boxes)
+        for a, b in zip(got, want, strict=True):
+            assert np.array_equal(a, b), boxes
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "where", ["phi edge ghost", "phi_dst ghost", "mu cell"])
+    def test_nonfinite_input_beside_a_skipped_face(self, where, value):
+        s = _planted(_grown_state(), where, value)
+        got, got_sweeps = _entry_points("compiled", s), _mu_block_sweeps(s)
+        with cffi_backend._scalar_sweeps():
+            want = _entry_points("compiled", s)
+            want_sweeps = _mu_block_sweeps(s)
+        for name in ("mu", "mu_local", "mu_neighbor"):
+            assert np.array_equal(got[name], want[name], equal_nan=True), name
+        for (status, stored), (want_status, want_stored) in zip(
+                got_sweeps, want_sweeps, strict=True):
+            assert status == want_status
+            assert np.array_equal(stored, want_stored, equal_nan=True)
 
 
 # ---------------------------------------------------------------------------
