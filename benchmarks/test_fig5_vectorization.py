@@ -7,15 +7,19 @@ cell kernel with shortcuts performes best".
 
 Here: the NumPy analogs of the three strategies on the same three block
 compositions (timed interleaved, so their shape check compares rungs
-under one host state), plus — when a backend is usable — the three strategies in
-compiled C: the scalar body of ``compiled`` ("cellwise", reached through
-the backend's test hook), ``compiled`` on AVX2 lanes ("four-cell") and
-``compiled_shortcuts`` ("cellwise + shortcuts").  Shape assertions:
-among the NumPy strategies, shortcuts fastest everywhere, with the
-largest margin on bulk (liquid) blocks; in C, four-cell at least 2x
-cellwise in every scenario (on an AVX2 host), and cellwise + shortcuts
-ahead of four-cell on the liquid block, where bulk dominates.  The
-interface and solid rows of the C trio are reported as measured.
+under one host state), plus — when a backend is usable — the paper's
+three strategies in compiled C and a fourth the paper could not build:
+the scalar bodies of ``compiled`` ("cellwise") and ``compiled_shortcuts``
+("cellwise + shortcuts"), both reached through the backend's test hook,
+and the same two rungs on AVX2 lanes ("four-cell" and "four-cell +
+shortcuts", whose shortcuts are lane predicates with whole-vector
+skips).  Shape assertions: among the NumPy strategies, shortcuts
+fastest everywhere, with the largest margin on bulk (liquid) blocks; in
+C, four-cell at least 2x cellwise in every scenario (on an AVX2 host),
+and cellwise + shortcuts ahead of four-cell on the liquid block, where
+bulk dominates.  The other rows of the C quartet are reported as
+measured, beside the share of each block's vectors whose four lanes all
+take a shortcut (:func:`repro.perf.kernel_analysis.shortcut_census`).
 """
 
 import contextlib
@@ -34,28 +38,33 @@ from conftest import (
 SCENARIOS = ("interface", "liquid", "solid")
 #: NumPy strategy rows plus the compiled rungs this environment can run.
 ROWS = list(STRATEGIES) + [r for r in COMPILED_RUNGS if rung_available(r)]
-#: The paper's three strategies in compiled C: row -> (rung, scalar body
-#: forced, paper label).
+#: The strategies in compiled C: row -> (rung, scalar body forced,
+#: label).  The first three are the paper's.
 COMPILED_STRATEGIES = {
     "compiled_cellwise": ("compiled", True, "cellwise"),
     "compiled_four_cell": ("compiled", False, "four-cell"),
-    "compiled_shortcuts": ("compiled_shortcuts", False,
-                           "cellwise+shortcuts"),
+    "compiled_cellwise_shortcuts": ("compiled_shortcuts", True,
+                                    "cellwise+shortcuts"),
+    "compiled_four_cell_shortcuts": ("compiled_shortcuts", False,
+                                     "four-cell+shortcuts"),
 }
 
 
 def compiled_rows() -> dict:
-    """``{"rows": {scenario: {row: MLUP/s}}, "simd": width}`` of the
-    compiled trio in this process (run on one core by the report)."""
+    """``{"rows": {scenario: {row: MLUP/s}}, "simd": width, "census":
+    {scenario: (inactive, non_diffuse, non_front)}}`` of the compiled
+    quartet in this process (run on one core by the report)."""
     from repro.core.kernels import make_context
     from repro.core.kernels.compiled import cffi_backend
     from repro.core.scenarios import make_scenario
+    from repro.perf.kernel_analysis import shortcut_census
 
-    rows = {}
+    rows, census = {}, {}
     for scenario in SCENARIOS:
         phi, mu, tg, system, params = make_scenario(
             scenario, (BENCH_EDGE,) * 3, seed=0)
         ctx = make_context(system, params)
+        census[scenario] = shortcut_census(phi, ctx.liquid)
         rows[scenario] = {}
         for row, (rung, scalar, _label) in COMPILED_STRATEGIES.items():
             kern = get_phi_kernel(rung)
@@ -64,7 +73,8 @@ def compiled_rows() -> dict:
             with body:
                 sec = time_call(lambda k=kern: k(ctx, phi, mu, tg))
             rows[scenario][row] = rate_of(sec, BENCH_EDGE ** 3)
-    return {"rows": rows, "simd": cffi_backend.simd_width()}
+    return {"rows": rows, "simd": cffi_backend.simd_width(),
+            "census": census}
 
 
 def interleaved_seconds(calls: dict, min_time: float,
@@ -117,10 +127,11 @@ def test_fig5_shape_and_report(benchmark, bench_blocks, results_dir):
     rows = {}
     compile_seconds = {}
     have_compiled = all(rung_available(r) for r in COMPILED_RUNGS)
-    # NumPy strategies, then the compiled trio
+    # NumPy strategies, then the compiled quartet
     report_rows = list(STRATEGIES) + (
         list(COMPILED_STRATEGIES) if have_compiled else [])
     simd = 0
+    census = {}
 
     def measure():
         nonlocal simd
@@ -139,11 +150,12 @@ def test_fig5_shape_and_report(benchmark, bench_blocks, results_dir):
             for strategy, sec in seconds.items():
                 rows[scenario][strategy] = rate_of(sec, b["cells"])
         if have_compiled:
-            trio = on_one_core(
+            quartet = on_one_core(
                 "__import__('test_fig5_vectorization').compiled_rows()")
-            simd = trio["simd"]
+            simd = quartet["simd"]
+            census.update(quartet["census"])
             for scenario in SCENARIOS:
-                rows[scenario].update(trio["rows"][scenario])
+                rows[scenario].update(quartet["rows"][scenario])
 
     wall0 = time.perf_counter()
     benchmark.pedantic(measure, rounds=1, iterations=1)
@@ -160,7 +172,8 @@ def test_fig5_shape_and_report(benchmark, bench_blocks, results_dir):
         steps=len(report_rows) * len(SCENARIOS),
         wall_seconds=wall,
         mlups=max(max(v.values()) for v in rows.values()),
-        series={"phi": rows, "compile_seconds": compile_seconds},
+        series={"phi": rows, "compile_seconds": compile_seconds,
+                "shortcut_census": census},
     )
 
     lines = ["Fig. 5 reproduction: phi-kernel MLUP/s by vectorization strategy",
@@ -177,14 +190,22 @@ def test_fig5_shape_and_report(benchmark, bench_blocks, results_dir):
     if have_compiled:
         lines += ["", f"compiled C, one core (SIMD width {simd}; cellwise = "
                       "scalar body of `compiled`, four-cell = `compiled`, "
-                      "cellwise+shortcuts = `compiled_shortcuts`)"]
+                      "+shortcuts = `compiled_shortcuts` on the same body)"]
         lines.append(f"{'scenario':<12}" + "".join(
             f"{label:>22}" for _r, _s, label in COMPILED_STRATEGIES.values()))
         for scenario, vals in rows.items():
             lines.append(f"{scenario:<12}" + "".join(
                 f"{vals[r]:>22.3f}" for r in COMPILED_STRATEGIES))
+        lines += ["", "four-cell vectors whose lanes all take a shortcut "
+                      "(shortcut_census):",
+                  f"{'scenario':<12}{'copy-through':>22}"
+                  f"{'no driving force':>22}{'no anti-trapping':>22}"]
+        for scenario, shares in census.items():
+            lines.append(f"{scenario:<12}" + "".join(
+                f"{v:>22.0%}" for v in shares))
     lines += ["", "paper shape: cellwise-with-shortcuts fastest in every scenario;",
-              "four-cell variant cannot take per-cell shortcuts."]
+              "four-cell variant cannot take per-cell shortcuts (here it "
+              "takes them per vector of four cells)."]
     if compile_seconds:
         lines.append(
             f"compiled backend: {compiled.backend_name()}; untimed "
@@ -214,7 +235,7 @@ def test_fig5_shape_and_report(benchmark, bench_blocks, results_dir):
                 assert (vals["compiled_four_cell"]
                         >= 2.0 * vals["compiled_cellwise"]), (scenario, vals)
         # the paper's crossover: where bulk dominates, skipping work
-        # beats doing it four cells at a time
+        # cell by cell beats doing it four cells at a time
         liquid = rows["liquid"]
-        assert liquid["compiled_shortcuts"] > liquid["compiled_four_cell"], (
-            liquid)
+        assert (liquid["compiled_cellwise_shortcuts"]
+                > liquid["compiled_four_cell"]), liquid

@@ -26,10 +26,13 @@ each face flux once — and differ exactly like the NumPy
     cells per vector (the paper's "four-cell" strategy), bitwise equal
     to the scalar body.
 ``compiled_shortcuts``
-    adds the region shortcuts as *real per-cell branches* (the paper's
-    winning "cellwise with shortcuts" strategy): inactive cells copy
-    through, the driving force runs on diffuse cells only, and the
-    anti-trapping current on solidification-front cells only.
+    adds the region shortcuts: inactive cells copy through, the driving
+    force runs on diffuse cells only, and the anti-trapping current on
+    solidification-front cells only.  The scalar body takes them as
+    per-cell branches (the paper's winning "cellwise with shortcuts"
+    strategy); on a host with AVX2 the four-cell body takes them per
+    vector of four cells, skipping where all lanes agree and blending
+    where they do not, bitwise equal to the scalar body.
 
 Tolerance policy: the equivalence suite pins both rungs to the
 pure-Python reference at the same ``atol=1e-11`` as the NumPy rungs.

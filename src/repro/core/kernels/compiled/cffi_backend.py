@@ -38,12 +38,15 @@ What the sweeps contain (the paper's node-level ladder, Sec. 3.3)
   Both evaluations give the same bits (DESIGN.md, "Compiled kernels"),
   so a block's result is a pure function of its ghosted input,
   independent of block shape, position and thread count.
-* **Shortcuts** (``compiled_shortcuts`` only) are per-cell branches:
-  inactive cells copy through, non-diffuse active cells skip the driving
-  force, non-front cells skip anti-trapping.  A face therefore keeps its
-  diffusive value and its diffusive-plus-anti-trapping value separately,
-  and each cell takes the one its own flag asks for.
-* **Four cells per vector** (``compiled`` only): on a host with AVX2 the
+* **Shortcuts** (``compiled_shortcuts`` only, a run-time flag of every
+  body): inactive cells copy through, non-diffuse active cells skip the
+  driving force, non-front cells skip anti-trapping.  A face therefore
+  keeps its diffusive value and its diffusive-plus-anti-trapping value
+  separately, and each cell takes the one its own flag asks for.  The
+  scalar body branches per cell; the four-cell body computes the flags
+  per lane with the same comparisons and skips a vector's work where
+  all four lanes agree, blending where they do not.
+* **Four cells per vector** (both rungs): on a host with AVX2 the
   shipped instantiations sweep W = 4 consecutive z cells in lockstep
   (:func:`simd_width`).  Each lane performs the scalar body's IEEE
   operations in its order and branches become bit blends, so the result
@@ -267,7 +270,7 @@ BODY void mu_constants(const int N, const int K, const int NAX,
 UNIT void phi_share_v(const phi_args *A, i64 lo, i64 hi,
                       double *fbuf, i64 *stamp);
 UNIT void mu_share_v(const mu_args *A, i64 lo, i64 hi,
-                     double *fbuf, i64 *stamp);
+                     double *fdiff, double *ffull, i64 *sdiff, i64 *sfull);
 #endif
 """
 
@@ -303,8 +306,8 @@ int repro_num_threads(void)
 #endif
 }
 
-/* Lanes of the sweeps without shortcuts: W on a host with AVX2, else 1.
-   Chosen at load; set_simd(0) selects the scalar body everywhere. */
+/* Lanes of the sweeps: W on a host with AVX2, else 1.  Chosen at load;
+   set_simd(0) selects the scalar body everywhere. */
 static int lanes = 1;
 
 int repro_set_simd(int on)
@@ -323,11 +326,12 @@ int repro_simd_width(void)
     return lanes;
 }
 
-/* The four-cell body runs the shipped instantiations, without
-   shortcuts, on lines of at least W cells. */
-static int four_cell(int N, int K, i64 n2, int shortcuts)
+/* The four-cell body runs the shipped instantiations, with or without
+   shortcuts (a run-time flag of both bodies), on lines of at least W
+   cells. */
+static int four_cell(int N, int K, i64 n2)
 {
-    return lanes == W && N == 4 && K == 2 && n2 >= W && !shortcuts;
+    return lanes == W && N == 4 && K == 2 && n2 >= W;
 }
 
 /* Threads of a sweep: each gets a contiguous share of the (i0, i1)
@@ -580,7 +584,7 @@ int repro_phi_step(
     const double t_eut = scal[4];
     const i64 slots = face_slots(nax, n1, n2);
     const int team = team_size(n0 * n1);
-    const int simd = four_cell(N, K, n2, shortcuts);
+    const int simd = four_cell(N, K, n2);
     (void)diff;
 
     /* per call: T(z) tables ([z][comp], component-major for the
@@ -948,7 +952,7 @@ SHARE void mu_share(const mu_args *A, i64 tid, i64 nt)
     for (i64 s = 0; s < 2 * slots; s++) sdiff[s] = -1;
 #if SIMD
     if (A->simd)
-        mu_share_v(A, lo, hi, fdiff, sdiff);
+        mu_share_v(A, lo, hi, fdiff, ffull, sdiff, sfull);
     else
 #endif
     if (A->N == 4 && A->K == 2 && A->nax == 3)
@@ -973,7 +977,7 @@ int repro_mu_step(
     const double t_eut = scal[4];
     const i64 slots = face_slots(nax, n1, n2);
     const int team = team_size(n0 * n1);
-    const int simd = four_cell(N, K, n2, shortcuts);
+    const int simd = four_cell(N, K, n2);
 
     /* per call: T(z) tables at cell centres and growth-axis faces
        ([z][comp], component-major for the four-cell body), then each
@@ -1146,12 +1150,18 @@ _C_SIMD = _C_HEADER + r"""
    * the lower z face of a vector is its upper z face vector shifted by
      one lane, the previous vector's last lane shifted in;
    * the x/y face slots of W consecutive z cells are one vector, stored
-     component-major (fbuf[comp * slots + slot]); the stamps of a
-     vector's slots agree, so lane 0's answers for all;
+     component-major (fbuf[comp * slots + slot]); a vector writes all W
+     of its slots or none, so lane 0's stamp answers for the vector;
    * T(z) tables are component-major ([comp][z]), one vector per load;
    * a line whose length is not a multiple of W ends with an overlapped
      vector over its last W cells, which evaluates all its lower faces:
-     a recomputed cell or face has the bits of the first evaluation. */
+     a recomputed cell or face has the bits of the first evaluation.
+   Shortcuts (compiled_shortcuts, a run-time flag) are lane predicates
+   with the scalar comparisons: a vector whose lanes all take a shortcut
+   skips the work, one whose lanes disagree does it and blends.  A
+   skipped vector writes no slot and no z face, so the vector after it
+   evaluates its lower z faces itself: zend, the c of the vector the
+   kept z faces belong below, answers per vector. */
 typedef double vd __attribute__((vector_size(8 * W)));
 typedef i64 vm __attribute__((vector_size(8 * W)));  /* lane masks */
 
@@ -1161,8 +1171,11 @@ BODY vd vsplat(double x) { return (vd){x, x, x, x}; }
 BODY vm vlt(vd a, vd b) { return (vm)(a < b); }
 BODY vm vgt(vd a, vd b) { return (vm)(a > b); }
 BODY vm vle(vd a, vd b) { return (vm)(a <= b); }
-/* every lane of m set */
+BODY vm vge(vd a, vd b) { return (vm)(a >= b); }
+#define ALL_LANES ((vm){-1, -1, -1, -1})
+/* every lane of m set; some lane of m set */
 BODY int vall(vm m) { return _mm256_movemask_pd((__m256d)m) == 0xF; }
+BODY int vany(vm m) { return _mm256_movemask_pd((__m256d)m) != 0; }
 BODY vd vabs(vd x) { return (vd)((vm)x & ~(vm)vsplat(-0.0)); }
 /* m ? a : b, lane by lane */
 BODY vd vblend(vm m, vd a, vd b) { return (vd)((m & (vm)a) | (~m & (vm)b)); }
@@ -1178,6 +1191,44 @@ BODY vd vclamp01(vd v)
 {
     return vblend(vlt(v, vsplat(0.0)), vsplat(0.0),
                   vblend(vgt(v, vsplat(1.0)), vsplat(1.0), v));
+}
+
+/* The scalar bodies' shortcut flags of the W cells from c, lane by lane,
+   with their comparisons and TOL (NaN compares false in both): diffuse,
+   no phase of pc at or above 1 - TOL; active, the return value, diffuse
+   or some phase of a face neighbour in p more than TOL from pc. */
+BODY vm lanes_active(const int N, const int NAX, const double *p, i64 cs,
+                     const i64 *off, i64 c, const vd *pc, vm *diffuse)
+{
+    vm dif = ALL_LANES;
+    for (int a = 0; a < N; a++) dif &= ~vge(pc[a], vsplat(1.0 - TOL));
+    vm act = dif;
+    for (int d = 0; d < NAX && !vall(act); d++)
+        for (int si = 0; si < 2; si++) {
+            const i64 nb = c + (i64)(1 - 2 * si) * off[d];
+            for (int a = 0; a < N; a++)
+                act |= vgt(vabs(vload(p + a * cs + nb) - pc[a]),
+                           vsplat(TOL));
+        }
+    *diffuse = dif;
+    return act;
+}
+
+/* The mu body's flags of the W cells from c: active, and front (active,
+   with liquid above TOL at the cell or a face neighbour). */
+BODY void lanes_front(const int N, const int NAX, const double *ps, i64 cs,
+                      const i64 *off, int ell, i64 c, vm *active, vm *front)
+{
+    vd pc[MAXN];
+    vm dif;
+    for (int a = 0; a < N; a++) pc[a] = vload(ps + a * cs + c);
+    *active = lanes_active(N, NAX, ps, cs, off, c, pc, &dif);
+    const double *pl = ps + ell * cs;
+    vm near = vgt(vload(pl + c), vsplat(TOL));
+    for (int d = 0; d < NAX; d++)
+        near |= vgt(vload(pl + c + off[d]), vsplat(TOL))
+            | vgt(vload(pl + c - off[d]), vsplat(TOL));
+    *front = near & *active;
 }
 
 /* phi_face on W faces */
@@ -1200,7 +1251,7 @@ BODY void phi_face_v(const int N, const vd *lo, const vd *up,
     }
 }
 
-/* phi_lines without shortcuts, W cells at a time (lines of >= W). */
+/* phi_lines, W cells at a time (lines of >= W). */
 BODY void phi_lines_v(const int N, const int K, const int NAX,
                       const phi_args *A, i64 p_lo, i64 p_hi,
                       double *fbuf, i64 *stamp)
@@ -1214,6 +1265,7 @@ BODY void phi_lines_v(const int N, const int K, const int NAX,
     const i64 ocs = A->n0 * n1 * n2;
     const double eps = A->eps, gt = A->gt;
     const double inv_dx = 1.0 / A->dx, inv_2dx = 1.0 / (2.0 * A->dx);
+    const int shortcuts = A->shortcuts;
     i64 off[3] = {g2, 1, 0};
     if (NAX == 3) { off[0] = g1 * g2; off[1] = g2; off[2] = 1; }
 
@@ -1226,7 +1278,10 @@ BODY void phi_lines_v(const int N, const int K, const int NAX,
         const i64 i1 = p01 - i0 * n1;
         const i64 base01 =
             NAX == 3 ? ((i0 + 1) * g1 + (i1 + 1)) * g2 : (i1 + 1) * g2;
-        vd zup[MAXN];  /* upper z faces of the previous vector */
+        /* upper z faces of the last vector: the lower z faces of the
+           vector from zend */
+        vd zup[MAXN];
+        i64 zend = -1;
         for (i64 j = 0; j < n2; j += W) {
             const i64 i2 = j + W <= n2 ? j : n2 - W;
             const int tail = i2 != j;
@@ -1236,6 +1291,16 @@ BODY void phi_lines_v(const int N, const int K, const int NAX,
             vd grad[3][MAXN], face[2][MAXN];
             vd rhs[MAXN], psi[MAXN], vnew[MAXN], u[MAXN];
             for (int a = 0; a < N; a++) pc[a] = vload(phi + a * cs + c);
+            vm diffuse = ALL_LANES, active = ALL_LANES;
+            if (shortcuts) {
+                active = lanes_active(N, NAX, phi, cs, off, c, pc, &diffuse);
+                if (!vany(active)) {
+                    /* bulk with uniform neighbourhood: a fixed point */
+                    for (int a = 0; a < N; a++)
+                        vstore(out + a * ocs + oc, pc[a]);
+                    continue;
+                }
+            }
             for (int i = 0; i < K; i++) mu_c[i] = vload(mu + i * cs + c);
             for (int d = 0; d < NAX; d++)
                 for (int a = 0; a < N; a++) {
@@ -1260,12 +1325,13 @@ BODY void phi_lines_v(const int N, const int K, const int NAX,
             for (int d = 0; d < NAX; d++) {
                 phi_face_v(N, pc, pp[d], gam2, inv_dx, face[1]);
                 if (d == NAX - 1) {
-                    if (j > 0 && !tail)
+                    if (zend == c)
                         for (int a = 0; a < N; a++)
                             face[0][a] = vbelow(zup[a], face[1][a]);
                     else
                         phi_face_v(N, pm[d], pc, gam2, inv_dx, face[0]);
                     for (int a = 0; a < N; a++) zup[a] = face[1][a];
+                    zend = c + W;
                 } else {
                     const i64 slot = face_slot(NAX, d, n2, i1, i2);
                     if (!tail && stamp[slot] == c - off[d])
@@ -1304,27 +1370,35 @@ BODY void phi_lines_v(const int N, const int K, const int NAX,
                 rhs[a] += (t / eps) * acc;
             }
 
-            vd sq_sum = vsplat(0.0);
-            for (int a = 0; a < N; a++) sq_sum += pc[a] * pc[a];
-            sq_sum += 1e-300;
-            for (int a = 0; a < N; a++) {
-                vd quad = vsplat(0.0);
-                for (int i = 0; i < K; i++) {
-                    quad += ic[a][i][i] * mu_c[i] * mu_c[i];
-                    for (int j2 = i + 1; j2 < K; j2++)
-                        quad += 2.0 * ic[a][i][j2] * mu_c[i] * mu_c[j2];
+            /* driving force, added by blend on the diffuse lanes */
+            if (vany(diffuse)) {
+                vd sq_sum = vsplat(0.0);
+                for (int a = 0; a < N; a++) sq_sum += pc[a] * pc[a];
+                sq_sum += 1e-300;
+                for (int a = 0; a < N; a++) {
+                    vd quad = vsplat(0.0);
+                    for (int i = 0; i < K; i++) {
+                        quad += ic[a][i][i] * mu_c[i] * mu_c[i];
+                        for (int j2 = i + 1; j2 < K; j2++)
+                            quad += 2.0 * ic[a][i][j2] * mu_c[i] * mu_c[j2];
+                    }
+                    vd lin = vsplat(0.0);
+                    for (int i = 0; i < K; i++)
+                        lin += mu_c[i]
+                            * vload(cmin_z + (a * K + i) * n2 + i2);
+                    psi[a] = -0.5 * quad - lin + vload(lat_z + a * n2 + i2);
                 }
-                vd lin = vsplat(0.0);
-                for (int i = 0; i < K; i++)
-                    lin += mu_c[i] * vload(cmin_z + (a * K + i) * n2 + i2);
-                psi[a] = -0.5 * quad - lin + vload(lat_z + a * n2 + i2);
+                vd weighted = vsplat(0.0);
+                for (int a = 0; a < N; a++)
+                    weighted += pc[a] * pc[a] * psi[a];
+                weighted /= sq_sum;
+                for (int a = 0; a < N; a++) {
+                    const vd sum =
+                        rhs[a] + (2.0 / sq_sum) * pc[a] * (psi[a] - weighted);
+                    rhs[a] = vall(diffuse) ? sum
+                        : vblend(diffuse, sum, rhs[a]);
+                }
             }
-            vd weighted = vsplat(0.0);
-            for (int a = 0; a < N; a++)
-                weighted += pc[a] * pc[a] * psi[a];
-            weighted /= sq_sum;
-            for (int a = 0; a < N; a++)
-                rhs[a] += (2.0 / sq_sum) * pc[a] * (psi[a] - weighted);
 
             vd mean = vsplat(0.0);
             for (int a = 0; a < N; a++) mean += rhs[a];
@@ -1349,10 +1423,12 @@ BODY void phi_lines_v(const int N, const int K, const int NAX,
                 theta = vblend(vgt(cand, vsplat(0.0)),
                                (1.0 - css) / (a + 1.0), theta);
             }
+            /* inactive lanes copy through */
             for (int a = 0; a < N; a++) {
                 const vd x = vnew[a] + theta;
+                const vd y = vblend(vgt(x, vsplat(0.0)), x, vsplat(0.0));
                 vstore(out + a * ocs + oc,
-                       vblend(vgt(x, vsplat(0.0)), x, vsplat(0.0)));
+                       vall(active) ? y : vblend(active, y, pc[a]));
             }
         }
     }
@@ -1533,44 +1609,221 @@ BODY void mu_face_antitrapping_v(const int N, const int K, const int NAX,
     }
 }
 
-/* The flux a mu sweep of this call takes through the W faces from
-   cl.. to cu..: diffusive unless only_at, minus anti-trapping when
-   wanted (without shortcuts every cell is active and a front cell). */
-BODY void mu_face_v(const int N, const int K, const int NAX,
-                    const mu_face_env *E, int diffusive, int at, int d,
-                    i64 cl, i64 cu, const double *cm, i64 cstride, vd *flux)
+/* Where the four-cell mu body keeps the faces a vector leaves for the
+   cells above it.  A face has two versions: 0, the diffusive flux (0
+   under only_at), and 1, that flux continued with the anti-trapping
+   current ("continued, never re-summed").  Per version v: the x/y slots
+   fb[v] with their stamps st[v], and the upper z faces z[v] of the last
+   vector, valid as the lower z faces of the vector from zend[v]. */
+typedef struct {
+    double *fb[2];
+    i64 *st[2];
+    vd z[2][MAXK];
+    i64 zend[2];
+} mu_kept;
+
+/* Version v of the lower faces of the W cells from c along d, if the
+   cells below kept it: shifted in from up (this vector's upper z faces
+   in version v) and z[v], or loaded from the slots.  A vector keeps all
+   W slots of a version or none, so lane 0's stamp answers for it. */
+BODY int kept_below(const int K, const int NAX, const mu_kept *P, int v,
+                    int d, i64 slots, i64 slot, i64 c, i64 cl, int tail,
+                    const vd *up, vd *lo)
 {
-    for (int i = 0; i < K; i++) flux[i] = vsplat(0.0);
-    if (diffusive) mu_face_diffusive_v(N, K, E, cl, cu, flux);
-    if (at) mu_face_antitrapping_v(N, K, NAX, E, d, cl, cu, cm, cstride, flux);
+    if (d == NAX - 1) {
+        if (P->zend[v] != c) return 0;
+        for (int i = 0; i < K; i++) lo[i] = vbelow(P->z[v][i], up[i]);
+    } else {
+        if (tail || P->st[v][slot] != cl) return 0;
+        for (int i = 0; i < K; i++)
+            lo[i] = vload(P->fb[v] + i * slots + slot);
+    }
+    return 1;
 }
 
-/* mu_lines without shortcuts, W cells at a time (lines of >= W, K = 2):
-   one face buffer fbuf with stamps, holding whichever flux this call
-   takes. */
+/* Keep version v of the upper faces up of the W cells from c. */
+BODY void keep_above(const int K, const int NAX, mu_kept *P, int v, int d,
+                     i64 slots, i64 slot, i64 c, const vd *up)
+{
+    if (d == NAX - 1) {
+        for (int i = 0; i < K; i++) P->z[v][i] = up[i];
+        P->zend[v] = c + W;
+    } else {
+        for (int i = 0; i < K; i++) vstore(P->fb[v] + i * slots + slot, up[i]);
+        for (int l = 0; l < W; l++) P->st[v][slot + l] = c + l;
+    }
+}
+
+/* The face terms of the W cells from c, added to rhs in the scalar
+   order (per axis the upper face, then the lower one), when every lane
+   takes version v: only that version is evaluated, in place, as the
+   scalar body does.  Version 0 is kept as well when keep0. */
+BODY void mu_faces_one(const int N, const int K, const int NAX,
+                       const mu_face_env *E, const mu_args *A, mu_kept *P,
+                       int keep0, int v, i64 c, i64 i1, i64 i2, int tail,
+                       vd *rhs)
+{
+    const i64 n2 = A->n2, slots = A->slots;
+    const int diffusive = !A->only_at;
+    for (int d = 0; d < NAX; d++) {
+        const int z = d == NAX - 1;
+        /* T(z) rows: z faces below and above, or the centres */
+        const double *cm = z ? A->cmin_f + i2 : A->cmin_c + i2;
+        const i64 cstride = z ? n2 + 1 : n2;
+        const i64 cl = c - E->off[d], slot = face_slot(NAX, d, n2, i1, i2);
+        vd up[MAXK], lo[MAXK];
+        /* lo holds version v of the lower faces (have) or version 0 to
+           continue (base); x/y slots are read before they are refilled */
+        int have = 0, base = 0;
+        if (!z) {
+            have = kept_below(K, NAX, P, v, d, slots, slot, c, cl, tail,
+                              up, lo);
+            if (!have && v)
+                base = kept_below(K, NAX, P, 0, d, slots, slot, c, cl, tail,
+                                  up, lo);
+        }
+        for (int i = 0; i < K; i++) up[i] = vsplat(0.0);
+        if (diffusive) mu_face_diffusive_v(N, K, E, c, c + E->off[d], up);
+        if (z) {
+            base = kept_below(K, NAX, P, 0, d, slots, slot, c, cl, tail,
+                              up, lo);
+            have = !v && base;
+        }
+        if (keep0) keep_above(K, NAX, P, 0, d, slots, slot, c, up);
+        if (v) {
+            mu_face_antitrapping_v(N, K, NAX, E, d, c, c + E->off[d],
+                                   cm + z, cstride, up);
+            if (z)
+                have = kept_below(K, NAX, P, 1, d, slots, slot, c, cl, tail,
+                                  up, lo);
+            keep_above(K, NAX, P, 1, d, slots, slot, c, up);
+        }
+        if (!have) {
+            if (!base) {
+                for (int i = 0; i < K; i++) lo[i] = vsplat(0.0);
+                if (diffusive) mu_face_diffusive_v(N, K, E, cl, c, lo);
+            }
+            if (v)
+                mu_face_antitrapping_v(N, K, NAX, E, d, cl, c, cm, cstride,
+                                       lo);
+        }
+        for (int i = 0; i < K; i++) {
+            rhs[i] += up[i] * E->inv_dx;
+            rhs[i] -= lo[i] * E->inv_dx;
+        }
+    }
+}
+
+/* What each lane takes: version 1 where want has it, else version 0. */
+BODY void take(const int K, vm want, int any, int all, vd f[2][MAXK],
+               vd *flux)
+{
+    for (int i = 0; i < K; i++)
+        flux[i] = all ? f[1][i] : any ? vblend(want, f[1][i], f[0][i])
+                                      : f[0][i];
+}
+
+/* mu_faces_one for a vector whose lanes, or whose last lane and the
+   next vector's first, disagree: version 0 is evaluated and kept, and
+   version 1 where some lane takes it (next_wants: the next vector's
+   first lane, which takes the last upper z face as its lower one). */
+BODY void mu_faces_two(const int N, const int K, const int NAX,
+                       const mu_face_env *E, const mu_args *A, mu_kept *P,
+                       vm want, int any, int all, int next_wants, i64 c,
+                       i64 i1, i64 i2, int tail, vd *rhs)
+{
+    const i64 n2 = A->n2, slots = A->slots;
+    for (int d = 0; d < NAX; d++) {
+        const int z = d == NAX - 1;
+        const double *cm = z ? A->cmin_f + i2 : A->cmin_c + i2;
+        const i64 cstride = z ? n2 + 1 : n2;
+        const i64 cl = c - E->off[d], slot = face_slot(NAX, d, n2, i1, i2);
+        const int full = any || (z && next_wants);
+        vd up[2][MAXK], lo[2][MAXK], face[2][MAXK];
+        int have0 = 0, have1 = 0;
+        if (!z) {
+            have1 = any && kept_below(K, NAX, P, 1, d, slots, slot, c, cl,
+                                      tail, up[1], lo[1]);
+            have0 = kept_below(K, NAX, P, 0, d, slots, slot, c, cl, tail,
+                               up[0], lo[0]);
+        }
+        for (int i = 0; i < K; i++) up[0][i] = vsplat(0.0);
+        mu_face_diffusive_v(N, K, E, c, c + E->off[d], up[0]);
+        for (int i = 0; i < K; i++) up[1][i] = up[0][i];
+        if (full)
+            mu_face_antitrapping_v(N, K, NAX, E, d, c, c + E->off[d],
+                                   cm + z, cstride, up[1]);
+        if (z) {
+            have0 = kept_below(K, NAX, P, 0, d, slots, slot, c, cl, tail,
+                               up[0], lo[0]);
+            have1 = any && kept_below(K, NAX, P, 1, d, slots, slot, c, cl,
+                                      tail, up[1], lo[1]);
+        }
+        keep_above(K, NAX, P, 0, d, slots, slot, c, up[0]);
+        if (full) keep_above(K, NAX, P, 1, d, slots, slot, c, up[1]);
+        if (!have0) {
+            for (int i = 0; i < K; i++) lo[0][i] = vsplat(0.0);
+            mu_face_diffusive_v(N, K, E, cl, c, lo[0]);
+        }
+        if (any && !have1) {
+            for (int i = 0; i < K; i++) lo[1][i] = lo[0][i];
+            mu_face_antitrapping_v(N, K, NAX, E, d, cl, c, cm, cstride,
+                                   lo[1]);
+        }
+        take(K, want, any, all, up, face[1]);
+        take(K, want, any, all, lo, face[0]);
+        for (int i = 0; i < K; i++) {
+            rhs[i] += face[1][i] * E->inv_dx;
+            rhs[i] -= face[0][i] * E->inv_dx;
+        }
+    }
+}
+
+/* mu_faces_two out of line, instantiated: a vector whose lanes disagree
+   is rare (the edges of the front), and the sweep loop keeps its
+   registers for the common one. */
+#define MIXED_FACES(NAX)                                                   \
+    static __attribute__((noinline)) void mu_faces_two_##NAX(              \
+        const mu_face_env *E, const mu_args *A, mu_kept *P, vm want,        \
+        int any, int all, int next_wants, i64 c, i64 i1, i64 i2, int tail,  \
+        vd *rhs)                                                            \
+    {                                                                       \
+        mu_faces_two(4, 2, NAX, E, A, P, want, any, all, next_wants, c, i1, \
+                     i2, tail, rhs);                                        \
+    }
+MIXED_FACES(3)
+MIXED_FACES(2)
+
+/* mu_lines, W cells at a time (lines of >= W, K = 2). */
 BODY void mu_lines_v(const int N, const int K, const int NAX,
                      const mu_args *A, i64 p_lo, i64 p_hi,
-                     double *fbuf, i64 *stamp)
+                     double *fdiff, double *ffull, i64 *sdiff, i64 *sfull)
 {
     const double *mu = A->mu, *phi_src = A->phi_src, *phi_dst = A->phi_dst;
     const double *t_old = A->t_old, *t_new = A->t_new;
-    const double *cmin_c = A->cmin_c, *cmin_f = A->cmin_f;
+    const double *cmin_c = A->cmin_c;
     double *out = A->out;
-    const i64 n1 = A->n1, n2 = A->n2, slots = A->slots;
+    const i64 n1 = A->n1, n2 = A->n2;
     const i64 g1 = n1 + 2, g2 = n2 + 2;
     const i64 cs = (NAX == 3 ? A->n0 + 2 : 1) * g1 * g2;
     const i64 ocs = A->n0 * n1 * n2;
     const double dt = A->dt;
-    const int only_at = A->only_at;
+    const int only_at = A->only_at, shortcuts = A->shortcuts;
     const int diffusive = !only_at;
     const int at = A->anti_trapping && A->include_at;
+    /* without shortcuts every lane of a call takes the same version */
+    const int keep0 = diffusive && (shortcuts || !at);
+    /* the front flag matters where a lane may take anti-trapping; else
+       the active flag alone, where the source is evaluated */
+    const int flag_front = shortcuts && A->anti_trapping
+        && (A->include_at || only_at);
 
     mu_face_env E;
     double c_slope[MAXN][MAXK];
     mu_constants(N, K, NAX, A, &E, c_slope);
     const int tame = tame_constants(N, K, A, &E);
     const i64 *off = E.off;
-    const double inv_dx = E.inv_dx;
+    mu_kept P = {.fb = {fdiff, ffull}, .st = {sdiff, sfull}};
     /* A line reads three units (x-planes in 3-D, y-lines in 2-D) of the
        ghosted fields: its own and one on either side.  Its anti-trapping
        skips need all three tame.  Each unit is scanned once before its
@@ -1599,14 +1852,45 @@ BODY void mu_lines_v(const int N, const int K, const int NAX,
             }
             E.tame = tame && untame < u;
         }
-        vd zup[MAXK];  /* upper z faces of the previous vector */
+        P.zend[0] = P.zend[1] = -1;
+        /* the flags of the vector from c_next, taken one vector ahead */
+        vm act_next = ALL_LANES, front_next = ALL_LANES;
+        i64 c_next = -1;
         for (i64 j = 0; j < n2; j += W) {
             const i64 i2 = j + W <= n2 ? j : n2 - W;
             const int tail = i2 != j;
             const i64 c = base01 + i2 + 1;
             const i64 oc = p01 * n2 + i2;
+            const int ahead = j + 2 * W <= n2;  /* the next vector aligned */
+            vm active = ALL_LANES, front = ALL_LANES;
+            if (flag_front) {
+                if (c_next == c) {
+                    active = act_next;
+                    front = front_next;
+                } else {
+                    lanes_front(N, NAX, phi_src, cs, off, E.ell, c,
+                                &active, &front);
+                }
+                if (ahead) {
+                    c_next = c + W;
+                    lanes_front(N, NAX, phi_src, cs, off, E.ell, c_next,
+                                &act_next, &front_next);
+                }
+            }
+            const vm none = {0, 0, 0, 0};
+            const vm do_at = A->anti_trapping ? front : none;
+            if (only_at && !vany(do_at))
+                continue;  /* out holds the local partial result */
+            const vm want = at ? front : none;
+            const int any = vany(want), all = vall(want);
+            /* the next vector's first lane takes this vector's last
+               upper z face as its lower face */
+            const int next_wants = at && ahead && front_next[0];
+            const int two = shortcuts && !only_at
+                && ((any && !all) || (ahead && next_wants != all));
+
             vd phio[MAXN], phin[MAXN], mu_c[MAXK];
-            vd h_old[MAXN], h_new[MAXN], rhs[MAXK], face[2][MAXK], sol[MAXK];
+            vd h_old[MAXN], h_new[MAXN], rhs[MAXK], sol[MAXK];
             vm changed = {0, 0, 0, 0};
             for (int a = 0; a < N; a++) {
                 phio[a] = vload(phi_src + a * cs + c);
@@ -1631,7 +1915,15 @@ BODY void mu_lines_v(const int N, const int K, const int NAX,
 
             for (int i = 0; i < K; i++) rhs[i] = vsplat(0.0);
             if (diffusive) {
-                if (!steady || !tame || !tame_centre(N, K, h_old, mu_c))
+                /* phase-change source on the active lanes, left out
+                   where it is +-0 on all of them */
+                const int source =
+                    !steady || !tame || !tame_centre(N, K, h_old, mu_c);
+                vm dif;
+                if (source && shortcuts && !flag_front)
+                    active = lanes_active(N, NAX, phi_src, cs, off, c, phio,
+                                          &dif);
+                if (source && vany(active)) {
                     for (int a = 0; a < N; a++) {
                         const vd dh = h_new[a] - h_old[a];
                         for (int i = 0; i < K; i++) {
@@ -1641,6 +1933,11 @@ BODY void mu_lines_v(const int N, const int K, const int NAX,
                             rhs[i] -= dh * c_ai / dt;
                         }
                     }
+                    /* inactive lanes keep the +0.0 the source started on */
+                    if (!vall(active))
+                        for (int i = 0; i < K; i++)
+                            rhs[i] = vblend(active, rhs[i], vsplat(0.0));
+                }
                 const vd fac =
                     (vload(t_new + i2 + 1) - vload(t_old + i2 + 1)) / dt;
                 for (int i = 0; i < K; i++) {
@@ -1651,38 +1948,15 @@ BODY void mu_lines_v(const int N, const int K, const int NAX,
                 }
             }
 
-            for (int d = 0; d < NAX; d++) {
-                const int z = d == NAX - 1;
-                /* T(z) rows: z faces below and above, or the centres */
-                const double *cm = z ? cmin_f + i2 : cmin_c + i2;
-                const i64 cstride = z ? n2 + 1 : n2;
-                mu_face_v(N, K, NAX, &E, diffusive, at, d, c, c + off[d],
-                          cm + z, cstride, face[1]);
-                if (z) {
-                    if (j > 0 && !tail)
-                        for (int i = 0; i < K; i++)
-                            face[0][i] = vbelow(zup[i], face[1][i]);
-                    else
-                        mu_face_v(N, K, NAX, &E, diffusive, at, d,
-                                  c - off[d], c, cm, cstride, face[0]);
-                    for (int i = 0; i < K; i++) zup[i] = face[1][i];
-                } else {
-                    const i64 slot = face_slot(NAX, d, n2, i1, i2);
-                    if (!tail && stamp[slot] == c - off[d])
-                        for (int i = 0; i < K; i++)
-                            face[0][i] = vload(fbuf + i * slots + slot);
-                    else
-                        mu_face_v(N, K, NAX, &E, diffusive, at, d,
-                                  c - off[d], c, cm, cstride, face[0]);
-                    for (int i = 0; i < K; i++)
-                        vstore(fbuf + i * slots + slot, face[1][i]);
-                    for (int l = 0; l < W; l++) stamp[slot + l] = c + l;
-                }
-                for (int i = 0; i < K; i++) {
-                    rhs[i] += face[1][i] * inv_dx;
-                    rhs[i] -= face[0][i] * inv_dx;
-                }
-            }
+            if (two && NAX == 3)
+                mu_faces_two_3(&E, A, &P, want, any, all, next_wants, c, i1,
+                               i2, tail, rhs);
+            else if (two)
+                mu_faces_two_2(&E, A, &P, want, any, all, next_wants, c, i1,
+                               i2, tail, rhs);
+            else
+                mu_faces_one(N, K, NAX, &E, A, &P, keep0,
+                             only_at ? 1 : all, c, i1, i2, tail, rhs);
 
             /* susceptibility solve, K = 2 */
             vd ca = vsplat(0.0), cb = vsplat(0.0);
@@ -1698,9 +1972,10 @@ BODY void mu_lines_v(const int N, const int K, const int NAX,
             sol[1] = (ca * rhs[1] - cc * rhs[0]) / det;
 
             if (only_at) {
-                /* accumulate once per cell: the lanes an overlapped
-                   tail shares with the previous vector keep theirs */
-                const vm fresh = (vm){0, 1, 2, 3} >= (j - i2);
+                /* accumulate once per cell, on the lanes with a
+                   neighbour part: the lanes an overlapped tail shares
+                   with the previous vector keep theirs */
+                const vm fresh = ((vm){0, 1, 2, 3} >= (j - i2)) & do_at;
                 for (int i = 0; i < K; i++) {
                     const vd old = vload(out + i * ocs + oc);
                     vstore(out + i * ocs + oc,
@@ -1715,14 +1990,14 @@ BODY void mu_lines_v(const int N, const int K, const int NAX,
 }
 
 UNIT void mu_share_v(const mu_args *A, i64 lo, i64 hi,
-                      double *fbuf, i64 *stamp)
+                      double *fdiff, double *ffull, i64 *sdiff, i64 *sfull)
 {
     if (A->only_at && !A->anti_trapping)
         return;  /* no cell has a neighbour part */
     if (A->nax == 3)
-        mu_lines_v(4, 2, 3, A, lo, hi, fbuf, stamp);
+        mu_lines_v(4, 2, 3, A, lo, hi, fdiff, ffull, sdiff, sfull);
     else
-        mu_lines_v(4, 2, 2, A, lo, hi, fbuf, stamp);
+        mu_lines_v(4, 2, 2, A, lo, hi, fdiff, ffull, sdiff, sfull);
 }
 
 #endif
@@ -1884,9 +2159,11 @@ def _after_fork_in_child() -> None:
 
 
 def simd_width() -> int:
-    """Cells per lockstep vector of the sweeps without shortcuts: 4 on a
-    host with AVX2 (the four-cell body), 1 for the cellwise scalar body
-    (0 without a library)."""
+    """Cells per lockstep vector of the sweeps of both rungs: 4 on a host
+    with AVX2 (the four-cell body, shortcuts as lane predicates), 1 for
+    the cellwise scalar body (0 without a library).  Lines of fewer than
+    four cells and the generic instantiation always run the scalar
+    body."""
     lib = load()
     return int(lib.repro_simd_width()) if lib is not None else 0
 

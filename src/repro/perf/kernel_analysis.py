@@ -12,7 +12,9 @@ by the buffered rung) and derives a port-pressure bound for a generic
 The counts are validated against the dynamic instrumentation of
 :mod:`repro.perf.flopcount` in the test suite.  They are *model* counts:
 the four-cell compiled mu body leaves out terms that are exactly zero,
-and :func:`skip_census` tells how much of a state it leaves out.
+and :func:`skip_census` tells how much of a state it leaves out;
+:func:`shortcut_census` does the same for the shortcuts of
+``compiled_shortcuts``.
 """
 
 from __future__ import annotations
@@ -22,7 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = ["KernelCost", "phi_kernel_cost", "mu_kernel_cost",
-           "port_pressure_bound", "skip_census"]
+           "port_pressure_bound", "skip_census", "shortcut_census"]
+
+#: The shortcut tolerance of the compiled bodies (``TOL`` in the C text).
+SHORTCUT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -202,3 +207,42 @@ def skip_census(phi, phi_dst, liquid: int, width: int = 4) -> tuple[float, float
     same = (phi.view(np.int64) == phi_dst.view(np.int64))[inner].all(0)
     return (float(np.mean(zero)),
             float(same.reshape(vectors).all(-1).mean()))
+
+
+def shortcut_census(phi, liquid: int, width: int = 4) -> tuple[float, float, float]:
+    """Shares of the four-cell vectors whose lanes all take a shortcut of
+    ``compiled_shortcuts`` on a state.
+
+    *phi* is a ghosted 2-D or 3-D phase field (the sweeps' ``phi_src``)
+    whose z extent is a multiple of *width*; *liquid* its liquid phase.
+    The cell flags are the scalar body's, with its comparisons: *diffuse*
+    (no phase at or above ``1 - TOL``), *active* (diffuse, or a face
+    neighbour more than ``TOL`` away in some phase) and *front* (active,
+    with liquid above ``TOL`` at the cell or a face neighbour).  Returns
+    ``(inactive, non_diffuse, non_front)``: the shares of the vectors of
+    *width* consecutive z cells where no lane is active (the phi sweep
+    copies them through), none is diffuse (it skips the driving force)
+    and none is a front cell (the mu sweep skips anti-trapping).
+    """
+    dim = phi.ndim - 1
+    if (phi.shape[-1] - 2) % width:
+        raise ValueError(f"z extent {phi.shape[-1] - 2} is not a multiple "
+                         f"of the vector width {width}")
+    inner = (slice(None),) + (slice(1, -1),) * dim
+    pc = phi[inner]
+    diffuse = ~np.any(pc >= 1.0 - SHORTCUT_TOL, axis=0)
+    active = diffuse.copy()
+    near = pc[liquid] > SHORTCUT_TOL
+    for d in range(dim):
+        for lo in (0, 2):
+            nb = phi[(slice(None),) + tuple(
+                slice(lo, lo + n - 2) if e == d else slice(1, -1)
+                for e, n in enumerate(phi.shape[1:]))]
+            active |= np.any(np.abs(nb - pc) > SHORTCUT_TOL, axis=0)
+            near |= nb[liquid] > SHORTCUT_TOL
+    vectors = pc.shape[1:-1] + (pc.shape[-1] // width, width)
+
+    def none_of(flag):
+        return float((~flag).reshape(vectors).all(-1).mean())
+
+    return none_of(active), none_of(diffuse), none_of(active & near)

@@ -18,11 +18,12 @@ Three layers are pinned here:
   against the reference everywhere) from a buffering bug (wrong only
   where a face is reused).
 
-The four-cell (SIMD) body of ``compiled`` is pinned to the scalar body
-bit for bit — its exact-zero skips included, on grown states where most
-faces take them and beside NaN/inf inputs that forbid them — and a
-process forked after the library ran an OpenMP team must still finish
-its sweeps.
+The four-cell (SIMD) body of both rungs is pinned to the scalar body bit
+for bit — its exact-zero skips included, on grown states where most
+faces take them and beside NaN/inf inputs that forbid them, and the
+shortcuts of ``compiled_shortcuts`` with lanes planted on either side of
+each predicate edge — and a process forked after the library ran an
+OpenMP team must still finish its sweeps.
 """
 
 import os
@@ -53,6 +54,7 @@ from repro.core.kernels import compiled
 from repro.core.kernels.compiled import cffi_backend
 from repro.core.parameters import PhaseFieldParameters
 from repro.core.scenarios import fill_ghosts_periodic, make_scenario
+from repro.perf.kernel_analysis import SHORTCUT_TOL
 from repro.thermo.calphad import CalphadData
 from repro.thermo.parabolic import ParabolicFreeEnergy
 from repro.thermo.phases import Component, Phase, PhaseSet
@@ -783,19 +785,19 @@ def _four_cell_inputs(dim, n2, generic, anti_trapping, dx, seed):
     return _speckle(s, seed)
 
 
-def _sweep_steps(s, boxes, steps=3):
-    """Interiors stored by three steps of block-list sweeps of
-    ``compiled`` (phi, split mu, full mu) whose buffers swap roles after
-    each step, the ghosts refilled periodically per block."""
+def _sweep_steps(s, boxes, steps=3, rung="compiled"):
+    """Interiors stored by three steps of block-list sweeps of *rung*
+    (phi, split mu, full mu) whose buffers swap roles after each step,
+    the ghosts refilled periodically per block."""
     from repro.core.kernels.api import block_sweep
 
     ctx = s["ctx"]
     blocks, temps = _blocks(s, boxes)
-    local, neighbor = get_split_mu_kernel("compiled")
-    sweeps = [(block_sweep(get_phi_kernel("compiled"), "phi"), 0),
+    local, neighbor = get_split_mu_kernel(rung)
+    sweeps = [(block_sweep(get_phi_kernel(rung), "phi"), 0),
               (block_sweep(local, "mu"), 1),
               (block_sweep(neighbor, "mu_neighbor"), 1),
-              (block_sweep(get_mu_kernel("compiled"), "mu"), 1)]
+              (block_sweep(get_mu_kernel(rung), "mu"), 1)]
     stored = []
     for _ in range(steps):
         for sweep, field in sweeps:
@@ -979,6 +981,150 @@ class TestExactZeroSkips:
                 got_sweeps, want_sweeps, strict=True):
             assert status == want_status
             assert np.array_equal(stored, want_stored, equal_nan=True)
+
+
+# ---------------------------------------------------------------------------
+# the shortcuts of ``compiled_shortcuts`` on the four-cell body
+# ---------------------------------------------------------------------------
+
+TOL = SHORTCUT_TOL
+ABOVE_TOL = np.nextafter(TOL, 1.0)
+#: Ghosted (x, y) of the line the planted lanes sit on, and the ghosted z
+#: of lane 2 of a vector in the bulk melt (every lane inactive) and of
+#: one in the solid (every lane active through its mixed solids, none a
+#: front cell) of the grown state.
+LINE, MELT, SOLID = (6, 7), 51, 7
+
+#: ``(phase, dx, dy, z, value)`` plants, relative to LINE, putting a lane
+#: on either side of each edge of the shortcut predicates.
+EDGE_PLANTS = {
+    # diffuse: no phase >= 1 - TOL
+    "melt at 1-TOL": [("liquid", 0, 0, MELT, 1.0 - TOL)],
+    "melt below 1-TOL": [
+        ("liquid", 0, 0, MELT, np.nextafter(1.0 - TOL, 0.0))],
+    # active: diffuse, or a neighbour more than TOL away
+    "neighbour TOL away": [("solid", 1, 0, MELT, TOL)],
+    "neighbour beyond TOL": [("solid", 1, 0, MELT, ABOVE_TOL)],
+    # front: active, with liquid above TOL at the cell or a neighbour
+    "liquid TOL": [("liquid", 0, 0, SOLID, TOL)],
+    "liquid beyond TOL": [("liquid", 0, 0, SOLID, ABOVE_TOL)],
+    "neighbour liquid TOL": [("liquid", 0, 1, SOLID, TOL)],
+    "neighbour liquid beyond TOL": [("liquid", 0, 1, SOLID, ABOVE_TOL)],
+}
+
+
+def _nonfinite_plants(value):
+    """*value* in a melt lane's phi, in a ghost beside a melt lane and in
+    the liquid of a ghost beside a solid lane."""
+    return {
+        "pc": [("liquid", 0, 0, MELT, value)],
+        "neighbour ghost": [("solid", -LINE[0], 0, MELT, value)],
+        "liquid ghost": [("liquid", -LINE[0], 0, SOLID, value)],
+    }
+
+
+def _plant(s, cells):
+    """*s* with each plant of *cells* written into phi, ghosts left as
+    they are."""
+    s = dict(s, phi=s["phi"].copy())
+    ell = s["ctx"].liquid
+    for phase, dx, dy, z, value in cells:
+        comp = ell if phase == "liquid" else (1 if ell == 0 else 0)
+        s["phi"][comp, LINE[0] + dx, LINE[1] + dy, z] = value
+    return s
+
+
+def _all_sweeps(rung, s):
+    """Entry points of *rung* on *s*, and status and stored interior of
+    its phi, full, split-local and seeded split-neighbour mu block-list
+    sweeps over the whole state as one block."""
+    from repro.core.kernels.api import block_sweep
+
+    ctx = s["ctx"]
+    local, neighbor = get_split_mu_kernel(rung)
+    out = {name: (None, arr) for name, arr in _entry_points(rung, s).items()}
+    blocks, temps = _blocks(s, [tuple((0, n) for n in GROWN_SHAPE)])
+    for name, kernel, kind, field in (
+            ("phi", get_phi_kernel(rung), "phi", 0),
+            ("mu", get_mu_kernel(rung), "mu", 1),
+            ("mu_local", local, "mu", 1),
+            ("mu_neighbor", neighbor, "mu_neighbor", 1)):
+        status = block_sweep(kernel, kind)(ctx, blocks, temps)
+        out[name + " sweep"] = (status, blocks[0][field].interior_dst.copy())
+    return out
+
+
+def _assert_scalar_bits(s):
+    """Every entry point and block-list sweep of ``compiled_shortcuts``
+    stores its scalar body's bits and status."""
+    got = _all_sweeps("compiled_shortcuts", s)
+    with cffi_backend._scalar_sweeps():
+        want = _all_sweeps("compiled_shortcuts", s)
+    for name, (status, arr) in want.items():
+        assert got[name][0] == status, name
+        assert np.array_equal(got[name][1], arr, equal_nan=True), name
+
+
+@needs_backend
+class TestFourCellShortcuts:
+    """``compiled_shortcuts`` runs the four-cell body with its shortcuts
+    as lane predicates: a vector whose four lanes all copy through, skip
+    the driving force or skip anti-trapping skips the work, one whose
+    lanes disagree does it and blends, and a face two lanes read with
+    different flags keeps both versions.  Every entry point must store
+    the scalar shortcut body's bits."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(dim=st.sampled_from([2, 3]),
+           n2=st.sampled_from([1, 2, 3, 5, 8, 14]),
+           anti_trapping=st.booleans(), dx=st.sampled_from([1.0, 0.3]),
+           seed=st.integers(0, 3))
+    def test_entry_points_equal_scalar_body(self, dim, n2, anti_trapping,
+                                            dx, seed):
+        s = _four_cell_inputs(dim, n2, False, anti_trapping, dx, seed)
+        got = _entry_points("compiled_shortcuts", s)
+        with cffi_backend._scalar_sweeps():
+            want = _entry_points("compiled_shortcuts", s)
+        for name in want:
+            assert np.array_equal(got[name], want[name]), name
+
+    @pytest.mark.parametrize("boxes", [
+        [((0, 16), (0, 16), (0, 64))],
+        [((0, 16), (0, 16), (0, 28)), ((0, 16), (0, 16), (28, 36))],
+        [((0, 7), (0, 16), (0, 64)), ((7, 9), (0, 16), (0, 64))],
+    ], ids=["one-block", "z-split", "x-split"])
+    def test_block_lists_equal_scalar_body(self, boxes):
+        s = _grown_state()
+        got = _sweep_steps(s, boxes, rung="compiled_shortcuts")
+        with cffi_backend._scalar_sweeps():
+            want = _sweep_steps(s, boxes, rung="compiled_shortcuts")
+        for a, b in zip(got, want, strict=True):
+            assert np.array_equal(a, b), boxes
+
+    def test_grown_state_takes_the_skips(self):
+        """The grown state has whole vectors on either side of each
+        shortcut, so the tests above take the skips as well as the
+        blends."""
+        from repro.perf.kernel_analysis import shortcut_census
+
+        s = _grown_state()
+        inactive, non_diffuse, non_front = shortcut_census(
+            s["phi"], s["ctx"].liquid)
+        assert inactive >= 0.25
+        assert non_diffuse >= 0.30
+        assert non_front >= 0.30
+        assert max(inactive, non_diffuse, non_front) < 1.0
+
+    @pytest.mark.parametrize("edge", list(EDGE_PLANTS))
+    def test_lane_at_a_predicate_edge(self, edge):
+        _assert_scalar_bits(_plant(_grown_state(), EDGE_PLANTS[edge]))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["pc", "neighbour ghost",
+                                       "liquid ghost"])
+    def test_nonfinite_input(self, where, value):
+        _assert_scalar_bits(
+            _plant(_grown_state(), _nonfinite_plants(value)[where]))
 
 
 # ---------------------------------------------------------------------------
