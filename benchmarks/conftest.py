@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import json
 import os
+import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -103,6 +105,29 @@ def time_call(fn, min_time: float | None = None, max_repeats: int = 60) -> float
         max_repeats=max_repeats,
     )
     return rate.seconds_median
+
+
+def interleaved_seconds(calls: dict, min_time: float,
+                        max_rounds: int = 60) -> dict:
+    """Median seconds per call of each of *calls*, timed in one window:
+    rounds that call each once, in an order rotated every round, until
+    each has had *min_time* of wall clock (at least 5 and at most
+    *max_rounds* rounds).  A shape check between two rungs then compares
+    the same host state."""
+    names = list(calls)
+    samples = {name: [] for name in names}
+    for name in names:  # untimed first call
+        calls[name]()
+    rounds = 0
+    while rounds < 5 or (rounds < max_rounds and min(
+            sum(v) for v in samples.values()) < min_time):
+        for k in range(len(names)):
+            name = names[(rounds + k) % len(names)]
+            t0 = time.perf_counter()
+            calls[name]()
+            samples[name].append(time.perf_counter() - t0)
+        rounds += 1
+    return {name: statistics.median(v) for name, v in samples.items()}
 
 
 def on_one_core(call: str, timeout: float = 600):

@@ -9,21 +9,21 @@ Here: the NumPy analogs of the three strategies on the same three block
 compositions (timed interleaved, so their shape check compares rungs
 under one host state), plus — when a backend is usable — the paper's
 three strategies in compiled C and a fourth the paper could not build:
-the scalar bodies of ``compiled`` ("cellwise") and ``compiled_shortcuts``
-("cellwise + shortcuts"), both reached through the backend's test hook,
-and the same two rungs on AVX2 lanes ("four-cell" and "four-cell +
-shortcuts", whose shortcuts are lane predicates with whole-vector
-skips).  Shape assertions: among the NumPy strategies, shortcuts
+``compiled`` ("cellwise") and ``compiled_shortcuts`` ("cellwise +
+shortcuts") on their body compiled at one lane, both reached through
+the backend's test hook, and the same two rungs on AVX2 lanes
+("four-cell" and "four-cell + shortcuts", whose shortcuts are lane
+predicates with whole-vector skips).  Shape assertions: among the NumPy strategies, shortcuts
 fastest everywhere, with the largest margin on bulk (liquid) blocks; in
 C, four-cell at least 2x cellwise in every scenario (on an AVX2 host),
 and cellwise + shortcuts ahead of four-cell on the liquid block, where
 bulk dominates.  The other rows of the C quartet are reported as
 measured, beside the share of each block's vectors whose four lanes all
 take a shortcut (:func:`repro.perf.kernel_analysis.shortcut_census`).
+The four C rows of a scenario are timed interleaved, like the NumPy
+ones.
 """
 
-import contextlib
-import statistics
 import time
 
 import pytest
@@ -31,15 +31,15 @@ import pytest
 from repro.core.kernels import COMPILED_RUNGS, get_phi_kernel, rung_available
 from repro.core.kernels.strategies import STRATEGIES
 from conftest import (
-    BENCH_EDGE, BENCH_MIN_TIME, SMOKE, on_one_core, rate_of, time_call,
-    write_bench_report, write_report,
+    BENCH_EDGE, BENCH_MIN_TIME, SMOKE, interleaved_seconds, on_one_core,
+    rate_of, write_bench_report, write_report,
 )
 
 SCENARIOS = ("interface", "liquid", "solid")
 #: NumPy strategy rows plus the compiled rungs this environment can run.
 ROWS = list(STRATEGIES) + [r for r in COMPILED_RUNGS if rung_available(r)]
-#: The strategies in compiled C: row -> (rung, scalar body forced,
-#: label).  The first three are the paper's.
+#: The strategies in compiled C: row -> (rung, W = 1 forced, label).
+#: The first three are the paper's.
 COMPILED_STRATEGIES = {
     "compiled_cellwise": ("compiled", True, "cellwise"),
     "compiled_four_cell": ("compiled", False, "four-cell"),
@@ -53,11 +53,22 @@ COMPILED_STRATEGIES = {
 def compiled_rows() -> dict:
     """``{"rows": {scenario: {row: MLUP/s}}, "simd": width, "census":
     {scenario: (inactive, non_diffuse, non_front)}}`` of the compiled
-    quartet in this process (run on one core by the report)."""
+    quartet in this process (run on one core by the report), its four
+    rows timed interleaved per scenario."""
     from repro.core.kernels import make_context
     from repro.core.kernels.compiled import cffi_backend
     from repro.core.scenarios import make_scenario
     from repro.perf.kernel_analysis import shortcut_census
+
+    def call(rung, cellwise, *args):
+        kern = get_phi_kernel(rung)
+        if not cellwise:
+            return lambda: kern(*args)
+
+        def cellwise_call():
+            with cffi_backend._scalar_sweeps():
+                kern(*args)
+        return cellwise_call
 
     rows, census = {}, {}
     for scenario in SCENARIOS:
@@ -65,39 +76,15 @@ def compiled_rows() -> dict:
             scenario, (BENCH_EDGE,) * 3, seed=0)
         ctx = make_context(system, params)
         census[scenario] = shortcut_census(phi, ctx.liquid)
-        rows[scenario] = {}
-        for row, (rung, scalar, _label) in COMPILED_STRATEGIES.items():
-            kern = get_phi_kernel(rung)
-            body = (cffi_backend._scalar_sweeps() if scalar
-                    else contextlib.nullcontext())
-            with body:
-                sec = time_call(lambda k=kern: k(ctx, phi, mu, tg))
-            rows[scenario][row] = rate_of(sec, BENCH_EDGE ** 3)
+        seconds = interleaved_seconds(
+            {row: call(rung, cellwise, ctx, phi, mu, tg)
+             for row, (rung, cellwise, _label) in COMPILED_STRATEGIES.items()},
+            min_time=BENCH_MIN_TIME)
+        rows[scenario] = {row: rate_of(sec, BENCH_EDGE ** 3)
+                          for row, sec in seconds.items()}
     return {"rows": rows, "simd": cffi_backend.simd_width(),
             "census": census}
 
-
-def interleaved_seconds(calls: dict, min_time: float,
-                        max_rounds: int = 60) -> dict:
-    """Median seconds per call of each of *calls*, timed in one window:
-    rounds that call each once, in an order rotated every round, until
-    each has had *min_time* of wall clock (at least 5 and at most
-    *max_rounds* rounds).  A shape check between two rungs then compares
-    the same host state."""
-    names = list(calls)
-    samples = {name: [] for name in names}
-    for name in names:  # untimed first call
-        calls[name]()
-    rounds = 0
-    while rounds < 5 or (rounds < max_rounds and min(
-            sum(v) for v in samples.values()) < min_time):
-        for k in range(len(names)):
-            name = names[(rounds + k) % len(names)]
-            t0 = time.perf_counter()
-            calls[name]()
-            samples[name].append(time.perf_counter() - t0)
-        rounds += 1
-    return {name: statistics.median(v) for name, v in samples.items()}
 
 
 def _warm_compiled(b, name) -> float:
@@ -188,9 +175,10 @@ def test_fig5_shape_and_report(benchmark, bench_blocks, results_dir):
             + "".join(f"{vals[s]:>22.3f}" for s in numpy_rows)
         )
     if have_compiled:
-        lines += ["", f"compiled C, one core (SIMD width {simd}; cellwise = "
-                      "scalar body of `compiled`, four-cell = `compiled`, "
-                      "+shortcuts = `compiled_shortcuts` on the same body)"]
+        lines += ["", f"compiled C, one core, interleaved (SIMD width "
+                      f"{simd}; cellwise = `compiled` at W = 1, four-cell = "
+                      "`compiled`, +shortcuts = `compiled_shortcuts` on the "
+                      "same body)"]
         lines.append(f"{'scenario':<12}" + "".join(
             f"{label:>22}" for _r, _s, label in COMPILED_STRATEGIES.values()))
         for scenario, vals in rows.items():

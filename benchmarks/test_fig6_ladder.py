@@ -26,7 +26,9 @@ from repro.core.kernels import (
 from repro.core.scenarios import fill_ghosts_periodic, make_scenario
 from conftest import (
     BENCH_EDGE,
+    BENCH_MIN_TIME,
     SMOKE,
+    interleaved_seconds,
     make_bench_blocks,
     on_one_core,
     rate_of,
@@ -50,22 +52,27 @@ FAST_COMPILED = [r for r in FAST_RUNGS if r in COMPILED_RUNGS]
 def compiled_rows() -> dict:
     """``{"phi": {scenario: {rung: MLUP/s}}, "mu": ..., "compile_seconds":
     {scenario: s}}`` of the compiled rungs in this process (run on one
-    core by the report)."""
+    core by the report), the rungs of each kernel and scenario timed
+    interleaved."""
     from repro.core.kernels import compiled
 
     rows = {"phi": {}, "mu": {}, "compile_seconds": {}}
     for scenario, b in make_bench_blocks().items():
         # compile/load once per block, untimed and on the record
         rows["compile_seconds"][scenario] = compiled.warmup(b["ctx"])
-        for kind in ("phi", "mu"):
-            rows[kind][scenario] = {}
-        for rung in FAST_COMPILED:
-            pk, mk = get_phi_kernel(rung), get_mu_kernel(rung)
-            sec = time_call(lambda: pk(b["ctx"], b["phi"], b["mu"], b["tg"]))
-            rows["phi"][scenario][rung] = rate_of(sec, b["cells"])
-            sec = time_call(lambda: mk(b["ctx"], b["mu"], b["phi"],
-                                       b["phi_dst"], b["tg"], b["t_new"]))
-            rows["mu"][scenario][rung] = rate_of(sec, b["cells"])
+        calls = {
+            "phi": {rung: lambda k=get_phi_kernel(rung): k(
+                b["ctx"], b["phi"], b["mu"], b["tg"])
+                for rung in FAST_COMPILED},
+            "mu": {rung: lambda k=get_mu_kernel(rung): k(
+                b["ctx"], b["mu"], b["phi"], b["phi_dst"], b["tg"],
+                b["t_new"])
+                for rung in FAST_COMPILED},
+        }
+        for kind, rungs in calls.items():
+            seconds = interleaved_seconds(rungs, min_time=BENCH_MIN_TIME)
+            rows[kind][scenario] = {rung: rate_of(sec, b["cells"])
+                                    for rung, sec in seconds.items()}
     return rows
 
 

@@ -12,11 +12,12 @@ Paper numbers reproduced exactly by construction or by model:
 The FLOPs per cell of *this* implementation are measured dynamically with
 the instrumented arrays and cross-checked against the static cost model.
 Two measured rows place the compiled mu kernel on this host: its MLUP/s
-on one core with the scalar body and with the four-cell (SIMD) body, and
+on one core with its body compiled at W = 1 (cellwise) and at W = 4
+(the four-cell, SIMD body), and
 the fraction of the host's nominal peak those rates imply at the counted
 FLOPs per cell, next to the paper's 0.27.  The counted FLOPs are model
-FLOPs, those of the full update: the four-cell body leaves out the
-anti-trapping terms and phase-change sources that are exactly zero, and
+FLOPs, those of the full update: the body leaves out the anti-trapping
+terms and phase-change sources that are exactly zero, and
 the census of the block (share of anti-trapping face vectors evaluated)
 is printed with the rates.  Reported, not gated.
 """
@@ -96,7 +97,7 @@ def _rate_block():
 
 def mu_rates() -> list:
     """``[scalar, simd, width]``: MLUP/s of the compiled mu kernel with
-    the scalar body and with the four-cell body on the block of
+    its body at W = 1 and at the host's width on the block of
     :func:`_rate_block` in this process (run on one core by the table)."""
     from repro.core.kernels.compiled import cffi_backend
     from repro.perf.metrics import measure_kernel_rate
@@ -176,7 +177,7 @@ def test_roofline_table(benchmark, results_dir):
             f"the anti-trapping face vectors and the phase-change source "
             f"of {1 - steady:.0%} of the cell vectors (the rest are "
             "exactly zero)")
-        for name, rate in (("scalar body", scalar),
+        for name, rate in (("W = 1 (cellwise) body", scalar),
                            (f"four-cell body (SIMD width {width})", simd)):
             gflops = rate * 1e6 * mu_dyn["flops"] / 1e9
             frac = f"{gflops * 1e9 / peak:.2f}" if peak else "n/a"

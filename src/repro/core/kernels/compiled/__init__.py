@@ -24,15 +24,15 @@ each face flux once — and differ exactly like the NumPy
 ``compiled``
     every term on every cell; on a host with AVX2, four consecutive z
     cells per vector (the paper's "four-cell" strategy), bitwise equal
-    to the scalar body.
+    to the same body compiled one cell per iteration ("cellwise").
 ``compiled_shortcuts``
     adds the region shortcuts: inactive cells copy through, the driving
     force runs on diffuse cells only, and the anti-trapping current on
-    solidification-front cells only.  The scalar body takes them as
-    per-cell branches (the paper's winning "cellwise with shortcuts"
-    strategy); on a host with AVX2 the four-cell body takes them per
-    vector of four cells, skipping where all lanes agree and blending
-    where they do not, bitwise equal to the scalar body.
+    solidification-front cells only.  Compiled one cell per iteration it
+    takes them per cell (the paper's winning "cellwise with shortcuts"
+    strategy); on a host with AVX2 it takes them per vector of four
+    cells, skipping where all lanes agree and blending where they do
+    not, with the same bits.
 
 Tolerance policy: the equivalence suite pins both rungs to the
 pure-Python reference at the same ``atol=1e-11`` as the NumPy rungs.

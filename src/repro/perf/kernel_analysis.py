@@ -215,7 +215,7 @@ def shortcut_census(phi, liquid: int, width: int = 4) -> tuple[float, float, flo
 
     *phi* is a ghosted 2-D or 3-D phase field (the sweeps' ``phi_src``)
     whose z extent is a multiple of *width*; *liquid* its liquid phase.
-    The cell flags are the scalar body's, with its comparisons: *diffuse*
+    The cell flags are the sweep body's, with its comparisons: *diffuse*
     (no phase at or above ``1 - TOL``), *active* (diffuse, or a face
     neighbour more than ``TOL`` away in some phase) and *front* (active,
     with liquid above ``TOL`` at the cell or a face neighbour).  Returns

@@ -22,7 +22,6 @@ Main entry points:
 * :func:`repro.simmpi.runtime.run_spmd` — launch an SPMD function once
   (open a world, one call, close),
 * :class:`repro.simmpi.comm.Communicator` — send/recv/collectives,
-* :class:`repro.simmpi.cart.CartComm` — cartesian topology helper,
 * :mod:`repro.simmpi.reduce_tree` — the log2(P) pairwise reduction
   schedule used by the mesh output pipeline.
 """
@@ -37,7 +36,6 @@ from repro.simmpi.comm import (
 from repro.simmpi.deadline import Deadline, DeadlinePolicy
 from repro.simmpi.liveness import WatchdogConfig
 from repro.simmpi.runtime import open_world, run_spmd
-from repro.simmpi.cart import CartComm
 
 BACKENDS = ("thread", "process")
 
@@ -53,5 +51,4 @@ __all__ = [
     "WatchdogConfig",
     "open_world",
     "run_spmd",
-    "CartComm",
 ]

@@ -18,14 +18,19 @@ Three layers are pinned here:
   against the reference everywhere) from a buffering bug (wrong only
   where a face is reused).
 
-The four-cell (SIMD) body of both rungs is pinned to the scalar body bit
+The sweep body of both rungs compiled at W = 4 (SIMD) is pinned to the
+same body compiled at W = 1 (the "scalar body" of the test names) bit
 for bit — its exact-zero skips included, on grown states where most
 faces take them and beside NaN/inf inputs that forbid them, and the
 shortcuts of ``compiled_shortcuts`` with lanes planted on either side of
-each predicate edge — and a process forked after the library ran an
-OpenMP team must still finish its sweeps.
+each predicate edge.  Both widths are pinned to digests of what the
+hand-written cellwise C body, which the W = 1 compile replaced, stored.
+A process forked after the library ran an OpenMP team must still finish
+its sweeps.
 """
 
+import contextlib
+import hashlib
 import os
 import signal
 import subprocess
@@ -1125,6 +1130,147 @@ class TestFourCellShortcuts:
     def test_nonfinite_input(self, where, value):
         _assert_scalar_bits(
             _plant(_grown_state(), _nonfinite_plants(value)[where]))
+
+
+# ---------------------------------------------------------------------------
+# the bits of the cellwise sweeps, pinned by digest
+# ---------------------------------------------------------------------------
+
+def _sha(arrays) -> str:
+    """Truncated sha256 of float64 *arrays* in turn, each NaN written as
+    the one quiet NaN (a payload is not part of the result)."""
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.array(a, dtype=np.float64)
+        a[np.isnan(a)] = np.nan
+        h.update(a.tobytes())
+    return h.hexdigest()[:32]
+
+
+def _ctx_arrays(ctx):
+    p = ctx.params
+    return (ctx.gamma, ctx.tau, ctx.inv_curv, ctx.c_eq, ctx.c_slope,
+            ctx.latent, ctx.diff,
+            [p.dx, p.dt, ctx.eps, ctx.gamma_triple, ctx.t_eut])
+
+
+def _pinned_cases(dim, generic):
+    """The speckled states of one (dim, generic) group: n2 in {1, 2, 3,
+    5, 8, 14} x anti-trapping off/on x dx in {1, 0.3}, seed 0."""
+    for n2 in (1, 2, 3, 5, 8, 14):
+        for anti_trapping in (False, True):
+            for dx in (1.0, 0.3):
+                yield _four_cell_inputs(dim, n2, generic, anti_trapping,
+                                        dx, 0)
+
+
+def _pinned_inputs(dim, generic):
+    return _sha(a for s in _pinned_cases(dim, generic)
+                for a in (*_ctx_arrays(s["ctx"]), s["phi"], s["mu"],
+                          s["tg"], s["phi_dst"], s["t_new"]))
+
+
+def _pinned_outputs(rung, dim, generic):
+    return _sha(a for s in _pinned_cases(dim, generic)
+                for a in _entry_points(rung, s).values())
+
+
+#: Digests of what every entry point stored, per (rung, dim, generic)
+#: group of :func:`_pinned_cases`, as the hand-written cellwise C body
+#: computed them before the cellwise sweeps became the four-cell body
+#: compiled at W = 1.
+PINNED_OUTPUTS = {
+    ("compiled", 2, False): "0b7b4c68a3ee8f5c083ff4417db899b9",
+    ("compiled", 2, True): "08c51146200134a503ead3a1adac4a02",
+    ("compiled", 3, False): "ec05c9f2a26332e8c42a04788e0523c7",
+    ("compiled", 3, True): "4bffae4b00da312cf05bc2d0dcc22163",
+    ("compiled_shortcuts", 2, False): "824d22bc94a6ac7cd7bf674f72e3071f",
+    ("compiled_shortcuts", 2, True): "7e276cbfb7efa520c9d88cfb66c5eee7",
+    ("compiled_shortcuts", 3, False): "ab8323d83cb1d6bd4cd8212da39f2a29",
+    ("compiled_shortcuts", 3, True): "0153177eb651db16dffa8ed015ca6978",
+}
+#: Digests of the groups' inputs and constants: the outputs above are
+#: the kernels' on these inputs only.
+PINNED_INPUTS = {
+    (2, False): "e5b706e52ff5260a820320896da82282",
+    (2, True): "4f0446c91b00bd657457b392facd9c5b",
+    (3, False): "b173541b999b1ab6b3100d1558dba1ed",
+    (3, True): "9797b860d1053ea301d525a61704c1bb",
+}
+#: Digests of the grown state's sweeps: its entry points, and three
+#: steps of block-list sweeps over each layout of ``GROWN_LAYOUTS``.
+PINNED_GROWN = {
+    ("compiled", "entry points"): "5467fb7e1d31f99d072a12d67b496f7a",
+    ("compiled", "one-block"): "4f8be7f5d0713ab725c44bd5b5855d11",
+    ("compiled", "z-split"): "8f1cbf548eedf41d2c5b6ae4e519c91a",
+    ("compiled", "x-split"): "d8de7e352b2786b778e93e07ce5cf156",
+    ("compiled_shortcuts", "entry points"): "5467fb7e1d31f99d072a12d67b496f7a",
+    ("compiled_shortcuts", "one-block"): "4f8be7f5d0713ab725c44bd5b5855d11",
+    ("compiled_shortcuts", "z-split"): "8f1cbf548eedf41d2c5b6ae4e519c91a",
+    ("compiled_shortcuts", "x-split"): "d8de7e352b2786b778e93e07ce5cf156",
+}
+#: Digest of the interface scenario the grown state grows from.
+PINNED_GROWN_INPUTS = "cfb9d6c762f9b2637710336010cc1391"
+GROWN_LAYOUTS = {
+    "one-block": [((0, 16), (0, 16), (0, 64))],
+    "z-split": [((0, 16), (0, 16), (0, 28)), ((0, 16), (0, 16), (28, 36))],
+    "x-split": [((0, 7), (0, 16), (0, 64)), ((7, 9), (0, 16), (0, 64))],
+}
+
+
+def _grown_outputs(rung, layout):
+    s = _grown_state()
+    if layout == "entry points":
+        return _sha(_entry_points(rung, s).values())
+    return _sha(_sweep_steps(s, GROWN_LAYOUTS[layout], rung=rung))
+
+
+def _grown_inputs():
+    phi, mu, tg, system, params = make_scenario(
+        "interface", GROWN_SHAPE, seed=0)
+    return _sha((*_ctx_arrays(make_context(system, params)), phi, mu, tg))
+
+
+def _width(width):
+    """The sweeps at the default width, or every one cellwise."""
+    return (cffi_backend._scalar_sweeps() if width == "cellwise"
+            else contextlib.nullcontext())
+
+
+def _require_inputs(got, want):
+    """The pinned outputs hold for the pinned inputs only: on a host
+    whose NumPy builds other scenario bits (its transcendental functions
+    are not correctly rounded everywhere) there is nothing to compare."""
+    if got != want:
+        pytest.skip(f"scenario inputs differ on this host ({got} != {want})")
+
+
+@needs_backend
+class TestPinnedBits:
+    """Every entry point and block-list sweep stores the bits the
+    hand-written cellwise C body stored, at the default width and with
+    every sweep cellwise.  The digests keep that body a referee after
+    its deletion; ``reference.py`` stays the allclose one."""
+
+    @pytest.mark.parametrize("width", ["default", "cellwise"])
+    @pytest.mark.parametrize(
+        "group", list(PINNED_OUTPUTS),
+        ids=[f"{r}-{d}d-{'generic' if g else 'shipped'}"
+             for r, d, g in PINNED_OUTPUTS])
+    def test_entry_points(self, group, width):
+        rung, dim, generic = group
+        _require_inputs(_pinned_inputs(dim, generic),
+                        PINNED_INPUTS[dim, generic])
+        with _width(width):
+            assert _pinned_outputs(rung, dim, generic) == PINNED_OUTPUTS[group]
+
+    @pytest.mark.parametrize("width", ["default", "cellwise"])
+    @pytest.mark.parametrize("sweep", list(PINNED_GROWN),
+                             ids=[f"{r}-{layout}" for r, layout in PINNED_GROWN])
+    def test_grown_state(self, sweep, width):
+        _require_inputs(_grown_inputs(), PINNED_GROWN_INPUTS)
+        with _width(width):
+            assert _grown_outputs(*sweep) == PINNED_GROWN[sweep]
 
 
 # ---------------------------------------------------------------------------
