@@ -5,23 +5,20 @@ shortcuts, four-cell) benchmarked on interface / liquid / solid blocks of
 60^3 on one SuperMUC core; "in all three parts of the domain, the single
 cell kernel with shortcuts performes best".
 
-Here: the NumPy analogs of the three strategies on the same three block
-compositions (timed interleaved, so their shape check compares rungs
-under one host state), plus — when a backend is usable — the paper's
-three strategies in compiled C and a fourth the paper could not build:
-``compiled`` ("cellwise") and ``compiled_shortcuts`` ("cellwise +
-shortcuts") on their body compiled at one lane, both reached through
-the backend's test hook, and the same two rungs on AVX2 lanes
-("four-cell" and "four-cell + shortcuts", whose shortcuts are lane
-predicates with whole-vector skips).  Shape assertions: among the NumPy strategies, shortcuts
-fastest everywhere, with the largest margin on bulk (liquid) blocks; in
-C, four-cell at least 2x cellwise in every scenario (on an AVX2 host),
-and cellwise + shortcuts ahead of four-cell on the liquid block, where
-bulk dominates.  The other rows of the C quartet are reported as
+Here: the paper's three strategies in compiled C and a fourth the paper
+could not build, all the one sweep body on one core: ``compiled``
+("cellwise") and ``compiled_shortcuts`` ("cellwise + shortcuts") on the
+body compiled at one lane, both reached through the backend's test hook,
+and the same two rungs on AVX2 lanes ("four-cell" and "four-cell +
+shortcuts", whose shortcuts are lane predicates with whole-vector
+skips).  The four rows of a scenario are timed interleaved.  Shape
+assertions: shortcuts gain more on the bulk (liquid) block than on the
+interface block, four-cell is at least 2x cellwise in every scenario (on
+an AVX2 host), and cellwise + shortcuts is ahead of four-cell on the
+liquid block, where bulk dominates.  The other rows are reported as
 measured, beside the share of each block's vectors whose four lanes all
 take a shortcut (:func:`repro.perf.kernel_analysis.shortcut_census`).
-The four C rows of a scenario are timed interleaved, like the NumPy
-ones.
+Without a compiled backend there is nothing to measure.
 """
 
 import time
@@ -29,15 +26,12 @@ import time
 import pytest
 
 from repro.core.kernels import COMPILED_RUNGS, get_phi_kernel, rung_available
-from repro.core.kernels.strategies import STRATEGIES
 from conftest import (
     BENCH_EDGE, BENCH_MIN_TIME, SMOKE, interleaved_seconds, on_one_core,
     rate_of, write_bench_report, write_report,
 )
 
 SCENARIOS = ("interface", "liquid", "solid")
-#: NumPy strategy rows plus the compiled rungs this environment can run.
-ROWS = list(STRATEGIES) + [r for r in COMPILED_RUNGS if rung_available(r)]
 #: The strategies in compiled C: row -> (rung, W = 1 forced, label).
 #: The first three are the paper's.
 COMPILED_STRATEGIES = {
@@ -48,6 +42,24 @@ COMPILED_STRATEGIES = {
     "compiled_four_cell_shortcuts": ("compiled_shortcuts", False,
                                      "four-cell+shortcuts"),
 }
+needs_compiled = pytest.mark.skipif(
+    not all(rung_available(r) for r in COMPILED_RUNGS),
+    reason="no compiled kernel backend available")
+
+
+def _strategy_call(row, *args):
+    """A call of the phi sweep of strategy *row* on *args*."""
+    from repro.core.kernels.compiled import cffi_backend
+
+    rung, cellwise, _label = COMPILED_STRATEGIES[row]
+    kern = get_phi_kernel(rung)
+    if not cellwise:
+        return lambda: kern(*args)
+
+    def cellwise_call():
+        with cffi_backend._scalar_sweeps():
+            kern(*args)
+    return cellwise_call
 
 
 def compiled_rows() -> dict:
@@ -60,16 +72,6 @@ def compiled_rows() -> dict:
     from repro.core.scenarios import make_scenario
     from repro.perf.kernel_analysis import shortcut_census
 
-    def call(rung, cellwise, *args):
-        kern = get_phi_kernel(rung)
-        if not cellwise:
-            return lambda: kern(*args)
-
-        def cellwise_call():
-            with cffi_backend._scalar_sweeps():
-                kern(*args)
-        return cellwise_call
-
     rows, census = {}, {}
     for scenario in SCENARIOS:
         phi, mu, tg, system, params = make_scenario(
@@ -77,8 +79,8 @@ def compiled_rows() -> dict:
         ctx = make_context(system, params)
         census[scenario] = shortcut_census(phi, ctx.liquid)
         seconds = interleaved_seconds(
-            {row: call(rung, cellwise, ctx, phi, mu, tg)
-             for row, (rung, cellwise, _label) in COMPILED_STRATEGIES.items()},
+            {row: _strategy_call(row, ctx, phi, mu, tg)
+             for row in COMPILED_STRATEGIES},
             min_time=BENCH_MIN_TIME)
         rows[scenario] = {row: rate_of(sec, BENCH_EDGE ** 3)
                           for row, sec in seconds.items()}
@@ -86,63 +88,42 @@ def compiled_rows() -> dict:
             "census": census}
 
 
-
-def _warm_compiled(b, name) -> float:
-    if name not in COMPILED_RUNGS:
-        return 0.0
+@needs_compiled
+@pytest.mark.parametrize("scenario", SCENARIOS)
+@pytest.mark.parametrize("strategy", list(COMPILED_STRATEGIES))
+def test_strategy_rate(benchmark, bench_blocks, scenario, strategy):
     from repro.core.kernels import compiled
 
-    return compiled.warmup(b["ctx"])
-
-
-@pytest.mark.parametrize("scenario", SCENARIOS)
-@pytest.mark.parametrize("strategy", ROWS)
-def test_strategy_rate(benchmark, bench_blocks, scenario, strategy):
     b = bench_blocks[scenario]
-    kern = get_phi_kernel(strategy)
     benchmark.group = f"fig5-{scenario}"
     benchmark.name = strategy
-    benchmark.extra_info["warmup_seconds"] = _warm_compiled(b, strategy)
-    benchmark(lambda: kern(b["ctx"], b["phi"], b["mu"], b["tg"]))
+    benchmark.extra_info["warmup_seconds"] = compiled.warmup(b["ctx"])
+    benchmark(_strategy_call(strategy, b["ctx"], b["phi"], b["mu"], b["tg"]))
     benchmark.extra_info["mlups"] = rate_of(benchmark.stats["mean"], b["cells"])
 
 
+@needs_compiled
 def test_fig5_shape_and_report(benchmark, bench_blocks, results_dir):
     """Regenerate the Fig. 5 bar chart data and assert the paper's shape."""
     from repro.core.kernels import compiled
 
     rows = {}
     compile_seconds = {}
-    have_compiled = all(rung_available(r) for r in COMPILED_RUNGS)
-    # NumPy strategies, then the compiled quartet
-    report_rows = list(STRATEGIES) + (
-        list(COMPILED_STRATEGIES) if have_compiled else [])
+    report_rows = list(COMPILED_STRATEGIES)
     simd = 0
     census = {}
 
     def measure():
         nonlocal simd
         for scenario in SCENARIOS:
-            b = bench_blocks[scenario]
-            rows[scenario] = {}
-            if have_compiled:
-                # untimed, recorded: JIT/dlopen cost stays out of the rates
-                compile_seconds[scenario] = compiled.warmup(b["ctx"])
-            # interleaved: the shortcut gate below compares these rungs
-            seconds = interleaved_seconds(
-                {strategy: lambda k=get_phi_kernel(strategy), bb=b: k(
-                    bb["ctx"], bb["phi"], bb["mu"], bb["tg"])
-                 for strategy in STRATEGIES},
-                min_time=BENCH_MIN_TIME)
-            for strategy, sec in seconds.items():
-                rows[scenario][strategy] = rate_of(sec, b["cells"])
-        if have_compiled:
-            quartet = on_one_core(
-                "__import__('test_fig5_vectorization').compiled_rows()")
-            simd = quartet["simd"]
-            census.update(quartet["census"])
-            for scenario in SCENARIOS:
-                rows[scenario].update(quartet["rows"][scenario])
+            # untimed, recorded: JIT/dlopen cost stays out of the rates
+            compile_seconds[scenario] = compiled.warmup(
+                bench_blocks[scenario]["ctx"])
+        quartet = on_one_core(
+            "__import__('test_fig5_vectorization').compiled_rows()")
+        simd = quartet["simd"]
+        census.update(quartet["census"])
+        rows.update(quartet["rows"])
 
     wall0 = time.perf_counter()
     benchmark.pedantic(measure, rounds=1, iterations=1)
@@ -164,59 +145,39 @@ def test_fig5_shape_and_report(benchmark, bench_blocks, results_dir):
     )
 
     lines = ["Fig. 5 reproduction: phi-kernel MLUP/s by vectorization strategy",
-             f"(block {len(bench_blocks)}x scenarios, edge 32; paper: 60^3 on 1 SuperMUC core)",
-             ""]
-    numpy_rows = list(STRATEGIES)
-    lines.append("NumPy analogs")
-    lines.append(f"{'scenario':<12}" + "".join(f"{s:>22}" for s in numpy_rows))
+             f"(block {len(bench_blocks)}x scenarios, edge {BENCH_EDGE}; "
+             "paper: 60^3 on 1 SuperMUC core)",
+             "",
+             f"compiled C, one core, interleaved (SIMD width {simd}; "
+             "cellwise = `compiled` at W = 1, four-cell = `compiled`, "
+             "+shortcuts = `compiled_shortcuts` on the same body)"]
+    lines.append(f"{'scenario':<12}" + "".join(
+        f"{label:>22}" for _r, _s, label in COMPILED_STRATEGIES.values()))
     for scenario, vals in rows.items():
-        lines.append(
-            f"{scenario:<12}"
-            + "".join(f"{vals[s]:>22.3f}" for s in numpy_rows)
-        )
-    if have_compiled:
-        lines += ["", f"compiled C, one core, interleaved (SIMD width "
-                      f"{simd}; cellwise = `compiled` at W = 1, four-cell = "
-                      "`compiled`, +shortcuts = `compiled_shortcuts` on the "
-                      "same body)"]
-        lines.append(f"{'scenario':<12}" + "".join(
-            f"{label:>22}" for _r, _s, label in COMPILED_STRATEGIES.values()))
-        for scenario, vals in rows.items():
-            lines.append(f"{scenario:<12}" + "".join(
-                f"{vals[r]:>22.3f}" for r in COMPILED_STRATEGIES))
-        lines += ["", "four-cell vectors whose lanes all take a shortcut "
-                      "(shortcut_census):",
-                  f"{'scenario':<12}{'copy-through':>22}"
-                  f"{'no driving force':>22}{'no anti-trapping':>22}"]
-        for scenario, shares in census.items():
-            lines.append(f"{scenario:<12}" + "".join(
-                f"{v:>22.0%}" for v in shares))
+        lines.append(f"{scenario:<12}" + "".join(
+            f"{vals[r]:>22.3f}" for r in COMPILED_STRATEGIES))
+    lines += ["", "four-cell vectors whose lanes all take a shortcut "
+                  "(shortcut_census):",
+              f"{'scenario':<12}{'copy-through':>22}"
+              f"{'no driving force':>22}{'no anti-trapping':>22}"]
+    for scenario, shares in census.items():
+        lines.append(f"{scenario:<12}" + "".join(
+            f"{v:>22.0%}" for v in shares))
     lines += ["", "paper shape: cellwise-with-shortcuts fastest in every scenario;",
               "four-cell variant cannot take per-cell shortcuts (here it "
-              "takes them per vector of four cells)."]
-    if compile_seconds:
-        lines.append(
-            f"compiled backend: {compiled.backend_name()}; untimed "
-            "compile/warmup per block: "
-            + ", ".join(f"{s}={v * 1e3:.1f}ms"
-                        for s, v in compile_seconds.items())
-        )
+              "takes them per vector of four cells).",
+              f"compiled backend: {compiled.backend_name()}; untimed "
+              "compile/warmup per block: "
+              + ", ".join(f"{s}={v * 1e3:.1f}ms"
+                          for s, v in compile_seconds.items())]
     write_report(results_dir, "fig5_vectorization.txt", lines)
 
-    for scenario in SCENARIOS:
-        vals = rows[scenario]
-        best_numpy = max(vals[s] for s in STRATEGIES)
-        assert vals["cellwise_shortcuts"] >= 0.9 * best_numpy, (
-            scenario, vals,
-        )
     # bulk blocks benefit the most from shortcuts
-    gain_liquid = rows["liquid"]["cellwise_shortcuts"] / rows["liquid"]["cellwise"]
-    gain_iface = (
-        rows["interface"]["cellwise_shortcuts"] / rows["interface"]["cellwise"]
-    )
-    assert gain_liquid > gain_iface
+    gain = {s: rows[s]["compiled_cellwise_shortcuts"]
+            / rows[s]["compiled_cellwise"] for s in SCENARIOS}
+    assert gain["liquid"] > gain["interface"], gain
 
-    if have_compiled and not SMOKE:
+    if not SMOKE:
         if simd == 4:
             for scenario in SCENARIOS:
                 vals = rows[scenario]

@@ -39,7 +39,7 @@ def main() -> None:
         shape=shape,
         system=system,
         temperature=temperature,
-        kernel="shortcut",        # fastest rung of the optimization ladder
+        kernel="shortcut",        # fastest NumPy rung: needs no C compiler
     )
     sim.initialize_voronoi(seed=7, solid_height=16, n_seeds=10)
 

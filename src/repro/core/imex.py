@@ -101,8 +101,6 @@ def semi_implicit_mu_step(
     t_new: np.ndarray,
     *,
     dbar: float | None = None,
-    full_field_t: bool = False,
-    buffered: bool = True,
     shortcuts: bool = True,
 ) -> np.ndarray:
     """One stabilized IMEX mu update (drop-in for the explicit mu kernels).
@@ -116,7 +114,7 @@ def semi_implicit_mu_step(
     dbar = default_dbar(ctx) if dbar is None else float(dbar)
     explicit = mu_step_impl(
         ctx, mu_src, phi_src, phi_dst, t_old, t_new,
-        full_field_t=full_field_t, buffered=buffered, shortcuts=shortcuts,
+        shortcuts=shortcuts,
     )
     if dbar == 0.0:
         return explicit

@@ -18,16 +18,11 @@ from repro.core.kernels.optimized import mu_step_impl, phi_step_impl
 @register("phi", "buffered")
 def phi_step(ctx, phi_src, mu_src, t_ghost):
     """Buffered phi sweep (slice T, face-flux arrays, no shortcuts)."""
-    return phi_step_impl(
-        ctx, phi_src, mu_src, t_ghost,
-        full_field_t=False, buffered=True, shortcuts=False,
-    )
+    return phi_step_impl(ctx, phi_src, mu_src, t_ghost, shortcuts=False)
 
 
 @register("mu", "buffered")
 def mu_step(ctx, mu_src, phi_src, phi_dst, t_old, t_new):
     """Buffered mu sweep (slice T, face-flux arrays, no shortcuts)."""
     return mu_step_impl(
-        ctx, mu_src, phi_src, phi_dst, t_old, t_new,
-        full_field_t=False, buffered=True, shortcuts=False,
-    )
+        ctx, mu_src, phi_src, phi_dst, t_old, t_new, shortcuts=False)

@@ -1,25 +1,16 @@
-"""Small helpers shared between kernel rungs.
+"""The face temperature of the NumPy rungs' anti-trapping current.
 
-Only *strategy-neutral* helpers live here (temperature layout, total face
-flux used by both the buffered and unbuffered divergence evaluations); the
-rungs differ in how often and over which cells they invoke them.
+Under the frozen-temperature ansatz ``T = T(z, t)`` the kernels receive
+one temperature per z slice; the anti-trapping flux needs it at the faces.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.antitrapping import face_flux as antitrapping_face_flux
 from repro.core.kernels.api import KernelContext
-from repro.core.stencils import face_avg, face_diff
 
-__all__ = ["interior_temperature", "face_temperature", "total_face_flux"]
-
-
-def interior_temperature(ctx: KernelContext, t_ghost: np.ndarray) -> np.ndarray:
-    """Interior slice temperatures broadcastable over the spatial shape."""
-    t_ghost = np.asarray(t_ghost, dtype=float)
-    return ctx.broadcast_slices(t_ghost[1:-1])
+__all__ = ["face_temperature"]
 
 
 def face_temperature(ctx: KernelContext, t_ghost: np.ndarray, k: int) -> np.ndarray:
@@ -34,34 +25,3 @@ def face_temperature(ctx: KernelContext, t_ghost: np.ndarray, k: int) -> np.ndar
         t_face = 0.5 * (t_ghost[:-1] + t_ghost[1:])
         return t_face.reshape((1,) * (ctx.dim - 1) + t_face.shape)
     return ctx.broadcast_slices(t_ghost[1:-1])
-
-
-def total_face_flux(
-    ctx: KernelContext,
-    mu_src: np.ndarray,
-    phi_src: np.ndarray,
-    phi_dst: np.ndarray,
-    t_ghost: np.ndarray,
-    k: int,
-) -> np.ndarray:
-    """Total solute flux ``(M grad mu - J_at) . e_k`` on the faces along *k*.
-
-    This is the quantity the staggered-buffer optimization caches (Fig. 3):
-    the most expensive part of the mu update.  Shape ``(K-1,) + faces``.
-    """
-    dim, dx = ctx.dim, ctx.params.dx
-    n = ctx.n_phases
-    # mobility weights at faces: linear g_a = clipped phi, face averaged
-    w = np.clip(
-        np.stack([face_avg(phi_src[a], dim, k) for a in range(n)]), 0.0, 1.0
-    )
-    dmu = np.stack([face_diff(mu_src[i], dim, k, dx) for i in range(ctx.n_solutes)])
-    # flux_i = sum_a w_a D_a (A_a^{-1} dmu)_i
-    coeff = ctx.inv_curv * ctx.diff[:, None, None]  # (N,k,k)
-    flux = np.einsum("a...,aij,j...->i...", w, coeff, dmu)
-    if ctx.params.anti_trapping:
-        t_face = face_temperature(ctx, t_ghost, k)
-        flux = flux - antitrapping_face_flux(
-            ctx.system, ctx.params, phi_src, phi_dst, mu_src, t_face, k
-        )
-    return flux

@@ -29,15 +29,21 @@ What the sweeps contain (the paper's node-level ladder, Sec. 3.3)
 * **T(z) precomputation.**  Slice coefficient tables, once per sweep.
 * **Staggered face buffers.**  The flux through a face is evaluated once,
   in the ``+d`` orientation, by the cell below it, and read back by the
-  cell above from O(plane) scratch: one slot for the previous z-cell,
-  one line of slots for the previous y-line, one plane for the previous
-  x-plane.  Every slot carries the ghosted index of the cell that wrote
-  it and is valid only for the cell directly above that writer; a cell
-  that finds no valid slot (block boundary, first line of a thread's
-  share, a neighbour skipped by a shortcut) evaluates the face itself.
-  Both evaluations give the same bits (DESIGN.md, "Compiled kernels"),
-  so a block's result is a pure function of its ghosted input,
-  independent of block shape, position and thread count.
+  cell above: a z face from registers, the others from O(plane) scratch,
+  one line of slots for the previous y-line and one plane for the
+  previous x-plane.  Every slot carries the ghosted index of the cell
+  that wrote it and is valid only for the cell directly above that
+  writer; a cell that finds no valid slot (block boundary, first line of
+  a thread's share, a neighbour skipped by a shortcut) evaluates the
+  face itself.  Both evaluations give the same bits (DESIGN.md,
+  "Compiled kernels"), so a block's result is a pure function of its
+  ghosted input, independent of block shape, position and thread count.
+* **Ablations.**  The T(z) tables and the staggered buffers are
+  compile-time macros of the body (``TZ``, ``STAGGER``, both 1 when
+  shipped).  The test hook :func:`_ablated` builds the W = 1 text with
+  either turned off into an object of its own, on first use, so that
+  Fig. 6 reads those two steps of the ladder off this body; they give
+  the shipped bits.
 * **Shortcuts** (``compiled_shortcuts`` only, a run-time flag of the
   body): inactive cells copy through, non-diffuse active cells skip the
   driving force, non-front cells skip anti-trapping.  A face therefore
@@ -164,9 +170,25 @@ _C_SOURCE = r"""
 #include <omp.h>
 #endif
 
+/* Two steps of the ladder (Fig. 6) as compile-time ablations, both 1 in
+   the shipped units.  At TZ 0 a thread rebuilds the T(z) coefficient
+   rows of each line it sweeps, so every cell's coefficients are
+   evaluated once per cell instead of once per sweep; at STAGGER 0 no
+   face is kept for the cell above it, so every cell evaluates both faces
+   of each axis.  Either gives the bits of the shipped body (DESIGN.md,
+   "Compiled kernels").  An ablated unit is the W = 1 text alone. */
+#ifndef TZ
+#define TZ 1
+#endif
+#ifndef STAGGER
+#define STAGGER 1
+#endif
+
 /* The W = 4 compile of the body needs GCC's vector extensions on
-   x86-64; anywhere else every sweep runs the W = 1 compile. */
-#if defined(__GNUC__) && !defined(__clang__) && defined(__x86_64__)
+   x86-64; anywhere else, and in an ablated unit, every sweep runs the
+   W = 1 compile. */
+#if defined(__GNUC__) && !defined(__clang__) && defined(__x86_64__) \
+    && TZ && STAGGER
 #define SIMD 1
 #else
 #define SIMD 0
@@ -196,17 +218,21 @@ _C_SOURCE = r"""
 typedef long long i64;
 
 /* Slot of the staggered buffer that holds the face below cell
-   (i1, i2) along axis d: the previous z-cell, y-line or x-plane. */
+   (i1, i2) along an axis d < NAX - 1: the previous y-line or x-plane
+   (z faces stay in registers). */
 BODY i64 face_slot(const int NAX, int d, i64 n2, i64 i1, i64 i2)
 {
-    if (d == NAX - 1) return 0;
-    if (d == NAX - 2) return 1 + i2;
-    return 1 + n2 + i1 * n2 + i2;
+    if (d == NAX - 2) return i2;
+    return n2 + i1 * n2 + i2;
 }
 
 typedef struct {
     const double *phi, *mu, *tg, *gamma, *tau, *inv_curv;
     const double *cmin_z, *lat_z;  /* T(z) tables, [comp][z] */
+#if !TZ
+    const double *c_eq, *c_slope, *latent;  /* what the tables are of */
+    double t_eut;
+#endif
     double *out;
     double *scratch;               /* per_thread doubles for each thread */
     i64 n0, n1, n2, slots, per_thread;
@@ -219,6 +245,10 @@ typedef struct {
     const double *inv_curv, *c_slope, *diff;
     const double *cmin_c, *cmin_f;  /* T(z) tables, [comp][z]: centres,
                                        z-faces */
+#if !TZ
+    const double *c_eq;             /* what the tables are of */
+    double t_eut;
+#endif
     double *out;
     double *scratch;                /* per_thread doubles for each thread */
     i64 n0, n1, n2, slots, per_thread;
@@ -276,6 +306,47 @@ BODY void mu_constants(const int N, const int K, const int NAX,
         }
     }
 }
+
+#if !TZ
+/* T(z) off: the T(z) rows of one line, rebuilt by the thread that sweeps
+   it, in the layout and with the formula of the per-call tables of
+   repro_phi_step and repro_mu_step. */
+BODY void phi_rows(const int N, const int K, const phi_args *A,
+                   double *cmin_z, double *lat_z)
+{
+    const i64 n2 = A->n2;
+    for (i64 iz = 0; iz < n2; iz++) {
+        const double dT = A->tg[iz + 1] - A->t_eut;
+        for (int a = 0; a < N; a++) {
+            lat_z[a * n2 + iz] = A->latent[a] * dT;
+            for (int i = 0; i < K; i++)
+                cmin_z[(a * K + i) * n2 + iz] =
+                    A->c_eq[a * K + i] + A->c_slope[a * K + i] * dT;
+        }
+    }
+}
+
+BODY void mu_rows(const int N, const int K, const mu_args *A,
+                  double *cmin_c, double *cmin_f)
+{
+    const i64 n2 = A->n2;
+    const double *t_old = A->t_old;
+    for (i64 iz = 0; iz < n2; iz++) {
+        const double dT = t_old[iz + 1] - A->t_eut;
+        for (int a = 0; a < N; a++)
+            for (int i = 0; i < K; i++)
+                cmin_c[(a * K + i) * n2 + iz] =
+                    A->c_eq[a * K + i] + A->c_slope[a * K + i] * dT;
+    }
+    for (i64 f = 0; f < n2 + 1; f++) {
+        const double dT = 0.5 * (t_old[f] + t_old[f + 1]) - A->t_eut;
+        for (int a = 0; a < N; a++)
+            for (int i = 0; i < K; i++)
+                cmin_f[(a * K + i) * (n2 + 1) + f] =
+                    A->c_eq[a * K + i] + A->c_slope[a * K + i] * dT;
+    }
+}
+#endif
 
 #if SIMD
 /* The shares of the W = 4 unit. */
@@ -476,7 +547,13 @@ BODY void phi_lines(const int N, const int K, const int NAX,
                     double *fbuf, i64 *stamp)
 {
     const double *phi = A->phi, *mu = A->mu, *tg = A->tg;
+#if TZ
     const double *cmin_z = A->cmin_z, *lat_z = A->lat_z;
+#else
+    /* the rows of the line being swept, in the scratch after the stamps */
+    double *const cmin_z = (double *)(stamp + A->slots);
+    double *const lat_z = cmin_z + A->n2 * N * K;
+#endif
     double *out = A->out;
     const i64 n1 = A->n1, n2 = A->n2, slots = A->slots;
     const i64 g1 = n1 + 2, g2 = n2 + 2;
@@ -498,6 +575,9 @@ BODY void phi_lines(const int N, const int K, const int NAX,
         const i64 i1 = p01 - i0 * n1;
         const i64 base01 =
             NAX == 3 ? ((i0 + 1) * g1 + (i1 + 1)) * g2 : (i1 + 1) * g2;
+#if !TZ
+        phi_rows(N, K, A, cmin_z, lat_z);
+#endif
         /* upper z faces of the last vector: the lower z faces of the
            vector from zend */
         vd zup[MAXN];
@@ -548,6 +628,10 @@ BODY void phi_lines(const int N, const int K, const int NAX,
                below where they left them, upper faces kept */
             for (int d = 0; d < NAX; d++) {
                 phi_face(N, pc, pp[d], gam2, inv_dx, face[1]);
+#if !STAGGER
+                /* stagger off: the lower face evaluated here as well */
+                phi_face(N, pm[d], pc, gam2, inv_dx, face[0]);
+#else
                 if (d == NAX - 1) {
                     if (zend == c)
                         for (int a = 0; a < N; a++)
@@ -567,6 +651,7 @@ BODY void phi_lines(const int N, const int K, const int NAX,
                         vstore(fbuf + a * slots + slot, face[1][a]);
                     for (int l = 0; l < W; l++) stamp[slot + l] = c + l;
                 }
+#endif
                 for (int a = 0; a < N; a++) {
                     rhs[a] -= face[1][a] * inv_dx;
                     rhs[a] += face[0][a] * inv_dx;
@@ -726,7 +811,7 @@ static int team_size(i64 lines)
 
 static i64 face_slots(int nax, i64 n1, i64 n2)
 {
-    return 1 + n2 + (nax == 3 ? n1 * n2 : 0);
+    return n2 + (nax == 3 ? n1 * n2 : 0);
 }
 
 GENERIC void phi_generic(const phi_args *A, i64 lo, i64 hi,
@@ -773,7 +858,12 @@ int repro_phi_step(
     (void)diff;
 
     /* per call: T(z) tables, then each thread's face buffer + stamps */
+#if TZ
     const i64 per_thread = slots * (N + 1);
+#else
+    /* ... + the T(z) rows of its line */
+    const i64 per_thread = slots * (N + 1) + n2 * N * (K + 1);
+#endif
     double *mem = (double *)malloc(
         (size_t)(n2 * N * (K + 1) + team * per_thread) * sizeof(double));
     if (!mem) return 1;
@@ -790,6 +880,9 @@ int repro_phi_step(
     const phi_args A = {
         .phi = phi, .mu = mu, .tg = tg, .gamma = gamma, .tau = tau,
         .inv_curv = inv_curv, .cmin_z = cmin_z, .lat_z = lat_z, .out = out,
+#if !TZ
+        .c_eq = c_eq, .c_slope = c_slope, .latent = latent, .t_eut = t_eut,
+#endif
         .scratch = lat_z + n2 * N, .n0 = n0, .n1 = n1, .n2 = n2,
         .slots = slots, .per_thread = per_thread,
         .dx = scal[0], .dt = scal[1], .eps = scal[2], .gt = scal[3],
@@ -1019,6 +1112,7 @@ BODY int kept_below(const int K, const int NAX, const mu_kept *P, int v,
                     int d, i64 slots, i64 slot, i64 c, i64 cl, int tail,
                     const vd *up, vd *lo)
 {
+#if STAGGER
     if (d == NAX - 1) {
         if (P->zend[v] != c) return 0;
         for (int i = 0; i < K; i++) lo[i] = vbelow(P->z[v][i], up[i]);
@@ -1028,12 +1122,16 @@ BODY int kept_below(const int K, const int NAX, const mu_kept *P, int v,
             lo[i] = vload(P->fb[v] + i * slots + slot);
     }
     return 1;
+#else
+    return 0;  /* stagger off: every cell evaluates its lower faces */
+#endif
 }
 
 /* Keep version v of the upper faces up of the W cells from c. */
 BODY void keep_above(const int K, const int NAX, mu_kept *P, int v, int d,
                      i64 slots, i64 slot, i64 c, const vd *up)
 {
+#if STAGGER
     if (d == NAX - 1) {
         for (int i = 0; i < K; i++) P->z[v][i] = up[i];
         P->zend[v] = c + W;
@@ -1041,6 +1139,7 @@ BODY void keep_above(const int K, const int NAX, mu_kept *P, int v, int d,
         for (int i = 0; i < K; i++) vstore(P->fb[v] + i * slots + slot, up[i]);
         for (int l = 0; l < W; l++) P->st[v][slot + l] = c + l;
     }
+#endif
 }
 
 /* The face terms of the W cells from c, added to rhs (per axis the
@@ -1234,7 +1333,9 @@ BODY void mu_lines(const int N, const int K, const int NAX,
 {
     const double *mu = A->mu, *phi_src = A->phi_src, *phi_dst = A->phi_dst;
     const double *t_old = A->t_old, *t_new = A->t_new;
+#if TZ
     const double *cmin_c = A->cmin_c;
+#endif
     double *out = A->out;
     const i64 n1 = A->n1, n2 = A->n2;
     const i64 g1 = n1 + 2, g2 = n2 + 2;
@@ -1256,6 +1357,17 @@ BODY void mu_lines(const int N, const int K, const int NAX,
     double c_slope[MAXN][MAXK];
     mu_constants(N, K, NAX, A, &E, c_slope);
     const int tame = tame_constants(N, K, A, &E);
+#if !TZ
+    /* the rows of the line being swept, in the scratch after the stamps:
+       the faces and the source read them, the check above read the
+       per-call tables */
+    mu_args R = *A;
+    double *const rows = (double *)(sfull + A->slots);
+    R.cmin_c = rows;
+    R.cmin_f = rows + n2 * N * K;
+    A = &R;
+    const double *cmin_c = rows;
+#endif
     const i64 *off = E.off;
     mu_kept P = {.fb = {fdiff, ffull}, .st = {sdiff, sfull}};
     /* A line reads three units (x-planes in 3-D, y-lines in 2-D) of the
@@ -1286,6 +1398,9 @@ BODY void mu_lines(const int N, const int K, const int NAX,
             }
             E.tame = tame && untame < u;
         }
+#if !TZ
+        mu_rows(N, K, A, rows, rows + n2 * N * K);
+#endif
         P.zend[0] = P.zend[1] = -1;
         /* the flags of the vector from c_next, taken one vector ahead
            (at W > 1 only: at W = 1 a face a cell did not keep for the
@@ -1487,7 +1602,12 @@ int repro_mu_step(
 
     /* per call: T(z) tables at cell centres and growth-axis faces, then
        each thread's two face buffers + two stamp arrays */
+#if TZ
     const i64 per_thread = slots * (2 * K + 2);
+#else
+    /* ... + the T(z) rows of its line */
+    const i64 per_thread = slots * (2 * K + 2) + (2 * n2 + 1) * N * K;
+#endif
     double *mem = (double *)malloc(
         (size_t)((2 * n2 + 1) * N * K + team * per_thread) * sizeof(double));
     if (!mem) return 1;
@@ -1510,6 +1630,9 @@ int repro_mu_step(
         .mu = mu, .phi_src = phi_src, .phi_dst = phi_dst,
         .t_old = t_old, .t_new = t_new, .inv_curv = inv_curv,
         .c_slope = c_slope, .diff = diff, .cmin_c = cmin_c, .cmin_f = cmin_f,
+#if !TZ
+        .c_eq = c_eq, .t_eut = t_eut,
+#endif
         .out = out, .scratch = cmin_f + (n2 + 1) * N * K,
         .n0 = n0, .n1 = n1, .n2 = n2, .slots = slots,
         .per_thread = per_thread,
@@ -1664,6 +1787,7 @@ _BUILD_TIMEOUT_S = 300
 _UNITS = tuple(f"#define W {w}\n{_C_SOURCE}" for w in (1, 4))
 
 _lib = None
+_ffi = None
 _from_buffer = None  # ffi.from_buffer and the ctype of a field, resolved once
 _F64 = None
 _new = None  # ffi.new, for the pointer tables of the block sweeps
@@ -1686,9 +1810,9 @@ def _find_cc() -> str | None:
     return None
 
 
-def _tag(cc: str, flags: tuple[str, ...]) -> str:
+def _tag(cc: str, flags: tuple[str, ...], units=_UNITS) -> str:
     """Cache key of one build: everything that determines the object."""
-    text = "\0".join((*_UNITS, _CDEF, cc, *flags))
+    text = "\0".join((*units, _CDEF, cc, *flags))
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
@@ -1701,8 +1825,9 @@ def _run_cc(cc: str, args: list[str], source: str | None = None):
     return None if proc.returncode == 0 else proc.stderr.strip()
 
 
-def _compile(cc: str, cache: Path) -> Path:
-    """Build the kernel library into the cache, or find it there.
+def _compile(cc: str, cache: Path, units=_UNITS,
+             prefix: str = "repro_kernels") -> Path:
+    """Build a library of *units* into the cache, or find it there.
 
     The translation units reach the compiler on stdin and compile
     concurrently, one compiler process each, into a private directory;
@@ -1711,7 +1836,7 @@ def _compile(cc: str, cache: Path) -> Path:
     """
     cache.mkdir(parents=True, exist_ok=True)
     builds = [
-        (flags, cache / f"repro_kernels_{_tag(cc, flags)}.so")
+        (flags, cache / f"{prefix}_{_tag(cc, flags, units)}.so")
         for flags in _FLAG_SETS
     ]
     for _, target in builds:
@@ -1722,13 +1847,13 @@ def _compile(cc: str, cache: Path) -> Path:
         tmp = tempfile.mkdtemp(prefix="repro_kernels_", dir=str(cache))
         try:
             objs = [os.path.join(tmp, f"unit{i}.o")
-                    for i in range(len(_UNITS))]
-            with ThreadPoolExecutor(len(_UNITS)) as pool:
+                    for i in range(len(units))]
+            with ThreadPoolExecutor(len(units)) as pool:
                 failed = [why for why in pool.map(
                     lambda unit, obj: _run_cc(
                         cc, [*flags, "-fPIC", "-c", "-x", "c", "-",
                              "-o", obj], unit),
-                    _UNITS, objs) if why is not None]
+                    units, objs) if why is not None]
             if failed:
                 last = failed[0]
                 continue
@@ -1749,7 +1874,7 @@ def load():
     toolchain or cffi is present (the registry then reports the compiled
     rungs unavailable instead of erroring).
     """
-    global _lib, _from_buffer, _F64, _new, _build_error, _loaded
+    global _lib, _ffi, _from_buffer, _F64, _new, _build_error, _loaded
     if _loaded:
         return _lib
     _loaded = True
@@ -1767,6 +1892,7 @@ def load():
         ffi = cffi.FFI()
         ffi.cdef(_CDEF)
         _lib = ffi.dlopen(str(path))
+        _ffi = ffi
         _from_buffer, _F64 = ffi.from_buffer, ffi.typeof("double[]")
         _new = ffi.new
         _lib.repro_set_simd(1)
@@ -1827,6 +1953,35 @@ def _scalar_sweeps():
         yield
     finally:
         lib.repro_set_simd(1)
+
+
+#: Ablated libraries by ``(tz, stagger)``, loaded by :func:`_ablated`.
+_ablations: dict = {}
+
+
+@contextlib.contextmanager
+def _ablated(tz: bool = True, stagger: bool = True):
+    """Test hook: every sweep inside the block runs the body compiled at
+    W = 1 with its T(z) tables (*tz*) and staggered face buffers
+    (*stagger*) on or off, the steps of the Fig. 6 ladder below
+    ``compiled``.  Each setting is built on first use into an object of
+    its own (:func:`load` never builds one) and gives the shipped bits."""
+    global _lib
+    if tz and stagger:
+        raise ValueError("nothing to ablate: the shipped body at W = 1 is "
+                         "_scalar_sweeps()")
+    shipped = load()
+    key = (bool(tz), bool(stagger))
+    if key not in _ablations:
+        unit = f"#define TZ {int(tz)}\n#define STAGGER {int(stagger)}\n"
+        path = _compile(_find_cc(), _cache_dir(), (unit + _UNITS[0],),
+                        "repro_ablated")
+        _ablations[key] = _ffi.dlopen(str(path))
+    _lib = _ablations[key]
+    try:
+        yield
+    finally:
+        _lib = shipped
 
 
 def pointer(arr, ctype: str = "double[]"):

@@ -1,7 +1,6 @@
-"""Rung "shortcut": region-dependent term skipping (fastest rung).
+"""Rung "shortcut": region-dependent term skipping (the fastest NumPy rung).
 
-Adds the scenario-dependent branches of Sec. 3.3 on top of all previous
-optimizations: the phi update runs only on the z-slab containing diffuse
+Adds the scenario-dependent branches of Sec. 3.3 to the buffered rung: the phi update runs only on the z-slab containing diffuse
 interface (bulk cells are fixed points of the projected update), the
 driving force only on actual interface cells, and the anti-trapping
 current plus phase-change source of the mu update only on the interface
@@ -19,16 +18,11 @@ from repro.core.kernels.optimized import mu_step_impl, phi_step_impl
 @register("phi", "shortcut")
 def phi_step(ctx, phi_src, mu_src, t_ghost):
     """Shortcut phi sweep (slice T, face-flux arrays, region skipping)."""
-    return phi_step_impl(
-        ctx, phi_src, mu_src, t_ghost,
-        full_field_t=False, buffered=True, shortcuts=True,
-    )
+    return phi_step_impl(ctx, phi_src, mu_src, t_ghost, shortcuts=True)
 
 
 @register("mu", "shortcut")
 def mu_step(ctx, mu_src, phi_src, phi_dst, t_old, t_new):
     """Shortcut mu sweep (slice T, face-flux arrays, region skipping)."""
     return mu_step_impl(
-        ctx, mu_src, phi_src, phi_dst, t_old, t_new,
-        full_field_t=False, buffered=True, shortcuts=True,
-    )
+        ctx, mu_src, phi_src, phi_dst, t_old, t_new, shortcuts=True)

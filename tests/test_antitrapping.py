@@ -29,7 +29,7 @@ def interface_setup():
     from repro.core.kernels import get_phi_kernel
 
     phi_dst = phi.copy()
-    phi_dst[(slice(None),) + (slice(1, -1),) * 3] = get_phi_kernel("basic")(
+    phi_dst[(slice(None),) + (slice(1, -1),) * 3] = get_phi_kernel("buffered")(
         ctx, phi, mu, tg
     )
     fill_ghosts_periodic(phi_dst, 3)

@@ -83,7 +83,7 @@ def test_overlap_requires_split_kernel(reference):
     with pytest.raises(ValueError, match="split"):
         DistributedSimulation(
             SHAPE, (2, 1, 1), system=reference["system"],
-            params=reference["params"], kernel="basic", overlap=True,
+            params=reference["params"], kernel="reference", overlap=True,
         )
 
 

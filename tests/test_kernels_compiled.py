@@ -24,7 +24,9 @@ for bit — its exact-zero skips included, on grown states where most
 faces take them and beside NaN/inf inputs that forbid them, and the
 shortcuts of ``compiled_shortcuts`` with lanes planted on either side of
 each predicate edge.  Both widths are pinned to digests of what the
-hand-written cellwise C body, which the W = 1 compile replaced, stored.
+hand-written cellwise C body, which the W = 1 compile replaced, stored,
+and the W = 1 body compiled with its T(z) tables or staggered face
+buffers turned off (the Fig. 6 ablations) to the shipped one.
 A process forked after the library ran an OpenMP team must still finish
 its sweeps.
 """
@@ -1130,6 +1132,74 @@ class TestFourCellShortcuts:
     def test_nonfinite_input(self, where, value):
         _assert_scalar_bits(
             _plant(_grown_state(), _nonfinite_plants(value)[where]))
+
+
+# ---------------------------------------------------------------------------
+# the ladder's ablations of the body: T(z) tables, staggered buffers off
+# ---------------------------------------------------------------------------
+
+#: ``(tz, stagger)`` of the ablated bodies: the two Fig. 6 rows below
+#: ``compiled`` (both off, then T(z) on) and T(z) off alone.
+ABLATIONS = [(False, False), (True, False), (False, True)]
+
+
+@needs_backend
+class TestAblation:
+    """The W = 1 body compiled with its T(z) tables or its staggered face
+    buffers turned off (the steps of the Fig. 6 ladder) evaluates every
+    coefficient and face with the operations of the shipped body, so
+    each entry point must store the bits of the shipped W = 1 body: on
+    lines shorter and longer than four cells, in the shipped and the
+    generic instantiation, with and without anti-trapping, and on the
+    grown state, where the mu body's exact-zero skips fire."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("rung", COMPILED_RUNGS)
+    @pytest.mark.parametrize("tz, stagger", ABLATIONS)
+    def test_entry_points_equal_shipped_body(self, tz, stagger, rung, dim):
+        for n2, generic, anti_trapping, dx, seed in (
+                (1, False, True, 1.0, 0), (5, True, True, 0.3, 1),
+                (14, False, False, 1.0, 2), (14, False, True, 1.0, 3)):
+            s = _four_cell_inputs(dim, n2, generic, anti_trapping, dx, seed)
+            with cffi_backend._scalar_sweeps():
+                want = _entry_points(rung, s)
+            with cffi_backend._ablated(tz=tz, stagger=stagger):
+                assert cffi_backend.simd_width() == 1
+                got = _entry_points(rung, s)
+            for name in want:
+                assert np.array_equal(got[name], want[name]), (n2, name)
+
+    @pytest.mark.parametrize("rung", COMPILED_RUNGS)
+    @pytest.mark.parametrize("tz, stagger", ABLATIONS)
+    def test_grown_state_equal_shipped_body(self, tz, stagger, rung):
+        s = _grown_state()
+        with cffi_backend._scalar_sweeps():
+            want = _entry_points(rung, s)
+        with cffi_backend._ablated(tz=tz, stagger=stagger):
+            got = _entry_points(rung, s)
+        for name in want:
+            assert np.array_equal(got[name], want[name]), name
+
+    def test_hook_restores_the_shipped_library(self):
+        shipped = cffi_backend.load()
+        with cffi_backend._ablated(tz=False, stagger=False):
+            assert cffi_backend.load() is not shipped
+        assert cffi_backend.load() is shipped
+        with pytest.raises(ValueError, match="nothing to ablate"):
+            with cffi_backend._ablated(tz=True, stagger=True):
+                pass
+
+    def test_load_builds_no_ablation(self, tmp_path):
+        """A cold load() in a fresh cache leaves the shipped object alone
+        there: the ablated ones are built by the hook only."""
+        env = dict(os.environ, REPRO_COMPILED_CACHE=str(tmp_path),
+                   REPRO_KERNEL_BACKEND="cffi")
+        done = subprocess.run([sys.executable, "-c", _PROBE], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["True", "None"], done.stdout
+        names = [p.name for p in tmp_path.iterdir()]
+        assert len(names) == 1 and names[0].startswith("repro_kernels_"), names
 
 
 # ---------------------------------------------------------------------------

@@ -11,11 +11,7 @@ from repro.core.kernels.optimized import (
 )
 from repro.core.scenarios import SCENARIOS, fill_ghosts_periodic, make_scenario
 
-FLAG_SETS = [
-    dict(full_field_t=False, buffered=True, shortcuts=True),
-    dict(full_field_t=False, buffered=True, shortcuts=False),
-    dict(full_field_t=True, buffered=False, shortcuts=False),
-]
+FLAG_SETS = [dict(shortcuts=True), dict(shortcuts=False)]
 
 
 @pytest.fixture(scope="module", params=SCENARIOS)
@@ -46,7 +42,7 @@ def test_split_equals_full(setup, flags):
 
 def test_local_part_omits_antitrapping(setup):
     ctx, phi, phi_dst, mu, t_old, t_new = setup
-    flags = dict(full_field_t=False, buffered=True, shortcuts=False)
+    flags = dict(shortcuts=False)
     local = mu_step_local_impl(ctx, mu, phi, phi_dst, t_old, t_new, **flags)
     no_at = mu_step_impl(
         ctx, mu, phi, phi_dst, t_old, t_new,
@@ -59,7 +55,7 @@ def test_neighbor_is_noop_without_antitrapping(setup):
     ctx, phi, phi_dst, mu, t_old, t_new = setup
     params_off = ctx.params.with_(anti_trapping=False)
     ctx_off = make_context(ctx.system, params_off)
-    flags = dict(full_field_t=False, buffered=True, shortcuts=True)
+    flags = dict(shortcuts=True)
     local = mu_step_local_impl(ctx_off, mu, phi, phi_dst, t_old, t_new, **flags)
     out = mu_step_neighbor_impl(ctx_off, local, mu, phi, phi_dst, t_old, **flags)
     np.testing.assert_array_equal(out, local)
@@ -68,7 +64,7 @@ def test_neighbor_is_noop_without_antitrapping(setup):
 def test_split_matches_registered_kernel(setup):
     """The split pipeline agrees with the registered buffered mu kernel."""
     ctx, phi, phi_dst, mu, t_old, t_new = setup
-    flags = dict(full_field_t=False, buffered=True, shortcuts=False)
+    flags = dict(shortcuts=False)
     reg = get_mu_kernel("buffered")(ctx, mu, phi, phi_dst, t_old, t_new)
     local = mu_step_local_impl(ctx, mu, phi, phi_dst, t_old, t_new, **flags)
     split = mu_step_neighbor_impl(ctx, local, mu, phi, phi_dst, t_old, **flags)
