@@ -81,8 +81,7 @@ class ExchangeTimer:
             self.max_seconds = seconds
         if self.tree is not None:
             self.tree.record(
-                self.scope, seconds,
-                span_args={"bytes": nbytes, "messages": messages},
+                self.scope, seconds, bytes=nbytes, messages=messages
             )
 
     def stats(self) -> dict:

@@ -24,15 +24,11 @@ if TYPE_CHECKING:
     from repro.simmpi.deadline import DeadlinePolicy
     from repro.simmpi.liveness import WatchdogConfig
 
-__all__ = ["DEADLINE_OPS", "DEFAULT_TRACE_BUFFER", "KERNEL_BACKENDS",
-           "Settings"]
+__all__ = ["DEADLINE_OPS", "KERNEL_BACKENDS", "Settings"]
 
 #: Blocking-operation classes a deadline can bound: the ``<OP>`` of
 #: ``REPRO_SIMMPI_TIMEOUT_<OP>``.
 DEADLINE_OPS = ("recv", "send", "barrier")
-
-#: Span ring-buffer capacity per rank when ``REPRO_TRACE_BUFFER`` is unset.
-DEFAULT_TRACE_BUFFER = 65536
 
 #: ``REPRO_KERNEL_BACKEND`` spellings and the choice each one makes.
 KERNEL_BACKENDS = {
@@ -76,16 +72,6 @@ def _timeout_ops(environ: Mapping[str, str]) -> dict[str, float | None]:
             if name in environ}
 
 
-def _count(environ: Mapping[str, str], name: str, default: int) -> int:
-    raw = (environ.get(name) or "").strip()
-    if not raw:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{name} must be an integer, got {raw!r}") from None
-
-
 def _choice(environ: Mapping[str, str], name: str, choices: Mapping[str, str],
             default: str) -> str:
     raw = (environ.get(name) or "").strip()
@@ -113,8 +99,6 @@ class Settings:
     hang_timeout: float | None  # REPRO_SIMMPI_HANG_TIMEOUT: seconds
     heartbeat: float            # REPRO_SIMMPI_HEARTBEAT: seconds
     trace: bool                 # REPRO_TRACE (off: empty, 0, off, none)
-    trace_sample: int           # REPRO_TRACE_SAMPLE: keep 1 of N spans
-    trace_buffer: int           # REPRO_TRACE_BUFFER: spans kept per rank
     kernel_backend: str         # REPRO_KERNEL_BACKEND: auto | cffi | none
     compiled_cache: str | None  # REPRO_COMPILED_CACHE: kernel build dir
 
@@ -136,9 +120,6 @@ class Settings:
             heartbeat=max(0.01, beat),
             trace=(env.get("REPRO_TRACE") or "").strip().lower()
             not in _OFF + ("0",),
-            trace_sample=_count(env, "REPRO_TRACE_SAMPLE", 1),
-            trace_buffer=_count(env, "REPRO_TRACE_BUFFER",
-                                DEFAULT_TRACE_BUFFER),
             kernel_backend=_choice(env, "REPRO_KERNEL_BACKEND",
                                    KERNEL_BACKENDS, "auto"),
             compiled_cache=env.get("REPRO_COMPILED_CACHE") or None,
@@ -167,8 +148,6 @@ class Settings:
             "hang_timeout": self.hang_timeout,
             "heartbeat": self.heartbeat,
             "trace": self.trace,
-            "trace_sample": self.trace_sample,
-            "trace_buffer": self.trace_buffer,
             "kernel_backend": self.kernel_backend,
             "compiled_cache": self.compiled_cache,
         }

@@ -136,9 +136,9 @@ class RankTransport:
     ``comm/pipe``: ``send`` (message writes, including waits for a full
     pipe to drain) and ``recv`` (progress-engine drains, including poll
     waits and the drains a waiting send makes).  This is the
-    process-backend transport overhead the fig7 RunReport quantifies,
-    and with tracing on (:mod:`repro.telemetry.tracing`) each phase call
-    becomes a ``comm/pipe/*`` span feeding the pipe-latency histogram.
+    process-backend transport overhead the fig7 RunReport quantifies;
+    each phase call is one ``comm/pipe/*`` span of the tree, which
+    feeds the pipe-latency histogram of a traced run.
     """
 
     def __init__(self, rank: int, size: int, readers: dict, writers: dict,

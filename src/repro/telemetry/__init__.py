@@ -6,9 +6,9 @@ timings are reduced across up to 262,144 cores, and the merged breakdown
 is what the figures plot.  This package reproduces that observability
 substrate:
 
-* :mod:`repro.telemetry.timing` — hierarchical :class:`TimingTree` of
-  named scopes (count/total/min/avg/max), the waLBerla ``TimingTree``
-  correspondence;
+* :mod:`repro.telemetry.timing` — :class:`TimingTree`, one rank's
+  timing record: a bounded list of spans, one per timed scope, folded
+  into the waLBerla-style tree of count/total/min/avg/max per path;
 * :mod:`repro.telemetry.reduce` — merging of the per-rank trees into one
   breakdown with per-rank min/avg/max;
 * :mod:`repro.telemetry.events` — versioned JSON-lines event records,
@@ -17,9 +17,9 @@ substrate:
   window and the per-step :class:`Heartbeat` sampler;
 * :mod:`repro.telemetry.report` — versioned, schema-validated JSON run
   reports (the ``BENCH_*.json`` performance trajectory);
-* :mod:`repro.telemetry.tracing` — opt-in (``REPRO_TRACE=1``) bounded
-  span recording of every timed scope, exported as Chrome trace-event /
-  Perfetto JSON timelines;
+* :mod:`repro.telemetry.tracing` — export of those spans as Chrome
+  trace-event / Perfetto JSON timelines, for traced runs
+  (``REPRO_TRACE=1`` or ``RunTelemetry(trace=True)``);
 * :mod:`repro.telemetry.spans` — span-derived analyses: overlap
   efficiency (the Fig. 8 number), per-rank step-time imbalance and the
   process-backend pipe-latency histogram;
@@ -64,14 +64,10 @@ from repro.telemetry.spans import (
     pipe_latency_histogram,
     tracing_section,
 )
-from repro.telemetry.timing import TimerStats, TimingNode, TimingTree
+from repro.telemetry.timing import Span, TimerStats, TimingNode, TimingTree
 from repro.telemetry.tracing import (
-    Span,
-    SpanRecorder,
     load_chrome_trace,
-    recorder_from_env,
     spans_to_chrome_trace,
-    trace_enabled,
     validate_chrome_trace,
     write_chrome_trace,
 )
@@ -103,9 +99,6 @@ __all__ = [
     "RankTelemetry",
     "RunTelemetry",
     "Span",
-    "SpanRecorder",
-    "trace_enabled",
-    "recorder_from_env",
     "spans_to_chrome_trace",
     "validate_chrome_trace",
     "write_chrome_trace",

@@ -8,10 +8,11 @@ enabled run emits one, and the CI pipeline archives them as the
 performance trajectory (``BENCH_*.json``).
 
 A report is built with :func:`build_run_report`, checked with
-:func:`validate_run_report` (pure-stdlib; :data:`RUN_REPORT_SCHEMA` is
-the equivalent JSON-Schema document for external tooling) and persisted
-with :func:`write_run_report`.  ``python -m repro.telemetry.report
-FILE...`` validates existing reports, e.g. in CI.
+:func:`validate_run_report` (a pure-stdlib walk of the JSON-Schema
+document :data:`RUN_REPORT_SCHEMA`, which external tooling can use as
+it is) and persisted with :func:`write_run_report`.
+``python -m repro.telemetry.report FILE...`` validates existing reports,
+e.g. in CI.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import time
 from pathlib import Path
 
@@ -37,7 +39,8 @@ RUN_REPORT_VERSION = 1
 
 _SCHEMA_NAME = "repro.run_report"
 
-#: JSON-Schema document of the report format, for external validators.
+#: JSON-Schema document of the report format: what
+#: :func:`validate_run_report` checks, and what external validators read.
 RUN_REPORT_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
     "title": "repro run report",
@@ -115,16 +118,28 @@ RUN_REPORT_SCHEMA = {
                 "enabled": {"type": "boolean"},
                 "spans": {"type": "integer", "minimum": 0},
                 "dropped": {"type": "integer", "minimum": 0},
-                "sample": {"type": "integer", "minimum": 1},
                 "overlap": {
                     "type": "object",
                     "required": ["exchange_seconds", "hidden_seconds",
                                  "efficiency"],
+                    "properties": {
+                        "exchange_seconds": {"type": "number", "minimum": 0},
+                        "hidden_seconds": {"type": "number", "minimum": 0},
+                        "efficiency": {"type": "number", "minimum": 0,
+                                       "maximum": 1},
+                    },
                 },
                 "imbalance": {
                     "type": "object",
                     "required": ["per_rank", "max", "avg", "stddev",
                                  "ratio"],
+                    "properties": {
+                        "per_rank": {"type": "object"},
+                        "max": {"type": "number", "minimum": 0},
+                        "avg": {"type": "number", "minimum": 0},
+                        "stddev": {"type": "number", "minimum": 0},
+                        "ratio": {"type": "number", "minimum": 0},
+                    },
                 },
                 "pipe_latency": {"type": ["object", "null"]},
             },
@@ -216,7 +231,7 @@ def build_run_report(
         }
     if tracing_stats is not None:
         report["tracing"] = {
-            "enabled": True, "spans": 0, "dropped": 0, "sample": 1,
+            "enabled": True, "spans": 0, "dropped": 0,
             "overlap": {"exchange_seconds": 0.0, "hidden_seconds": 0.0,
                         "efficiency": 0.0},
             "imbalance": {"per_rank": {}, "max": 0.0, "min": 0.0,
@@ -230,140 +245,71 @@ def build_run_report(
     return report
 
 
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise ValueError(f"invalid run report: {msg}")
+#: JSON-Schema ``type`` names and the Python values they admit.
+_TYPES = {
+    "object": dict, "array": list, "string": str, "boolean": bool,
+    "null": type(None), "integer": int, "number": (int, float),
+}
+
+
+def _is_type(value, name: str) -> bool:
+    if isinstance(value, bool):
+        return name == "boolean"
+    return isinstance(value, _TYPES[name])
+
+
+def _check(value, schema: dict, path: str) -> None:
+    """Walk *value* against *schema* (the keywords
+    :data:`RUN_REPORT_SCHEMA` uses); *path* names it in errors."""
+
+    def require(cond: bool, msg: str) -> None:
+        if not cond:
+            raise ValueError(f"invalid run report: {path} {msg}")
+
+    types = schema.get("type")
+    if types is not None:
+        types = [types] if isinstance(types, str) else types
+        require(any(_is_type(value, t) for t in types),
+                f"must be {' or '.join(types)}")
+    if "const" in schema:
+        require(value == schema["const"],
+                f"is {value!r}, expected {schema['const']!r}")
+    if isinstance(value, dict):
+        for key in schema.get("required", ()):
+            require(key in value, f"misses key {key!r}")
+        for key, sub in schema.get("properties", {}).items():
+            if key in value:
+                _check(value[key], sub, f"{path}.{key}")
+    if isinstance(value, list) and "items" in schema:
+        for i, item in enumerate(value):
+            _check(item, schema["items"], f"{path}[{i}]")
+    if _is_type(value, "number"):
+        if "minimum" in schema:
+            require(value >= schema["minimum"],
+                    f"must be >= {schema['minimum']}")
+        if "maximum" in schema:
+            require(value <= schema["maximum"],
+                    f"must be <= {schema['maximum']}")
+    if isinstance(value, str):
+        require(len(value) >= schema.get("minLength", 0),
+                f"must have at least {schema.get('minLength')} characters")
+        if "pattern" in schema:
+            require(re.search(schema["pattern"], value) is not None,
+                    f"must match {schema['pattern']!r}")
 
 
 def validate_run_report(report: dict) -> None:
     """Raise :class:`ValueError` unless *report* matches the v1 schema.
 
-    Pure-stdlib structural validation, equivalent to checking against
-    :data:`RUN_REPORT_SCHEMA` — kept dependency-free so the library and
-    CI can validate without ``jsonschema`` installed.
+    Walks :data:`RUN_REPORT_SCHEMA` in pure stdlib, so the library and
+    CI validate without ``jsonschema`` installed; the one rule outside
+    the schema is that ``config_hash`` is the hash of ``config``.
     """
-    _require(isinstance(report, dict), "not an object")
-    for key in RUN_REPORT_SCHEMA["required"]:
-        _require(key in report, f"missing key {key!r}")
-    _require(report["schema"] == _SCHEMA_NAME,
-             f"schema is {report['schema']!r}, expected {_SCHEMA_NAME!r}")
-    _require(report["version"] == RUN_REPORT_VERSION,
-             f"unsupported version {report['version']!r}")
-    _require(isinstance(report["run_id"], str) and report["run_id"],
-             "run_id must be a non-empty string")
-    _require(isinstance(report["created"], (int, float)),
-             "created must be a number")
-    _require(isinstance(report["config"], dict), "config must be an object")
-    ch = report["config_hash"]
-    _require(
-        isinstance(ch, str) and len(ch) == 12
-        and all(c in "0123456789abcdef" for c in ch),
-        "config_hash must be 12 lowercase hex digits",
-    )
-    _require(ch == config_hash(report["config"]),
-             "config_hash does not match config")
-    grid = report["grid"]
-    _require(isinstance(grid, dict) and "shape" in grid and "cells" in grid,
-             "grid must carry shape and cells")
-    _require(
-        isinstance(grid["shape"], list)
-        and all(isinstance(s, int) for s in grid["shape"]),
-        "grid.shape must be a list of integers",
-    )
-    for key, low in (("ranks", 1), ("steps", 0)):
-        _require(isinstance(report[key], int) and report[key] >= low,
-                 f"{key} must be an integer >= {low}")
-    for key in ("wall_seconds", "mlups"):
-        _require(
-            isinstance(report[key], (int, float)) and report[key] >= 0,
-            f"{key} must be a non-negative number",
+    _check(report, RUN_REPORT_SCHEMA, "report")
+    if report["config_hash"] != config_hash(report["config"]):
+        raise ValueError(
+            "invalid run report: config_hash does not match config"
         )
-    _require(report["timings"] is None or isinstance(report["timings"], dict),
-             "timings must be an object or null")
-    _require(isinstance(report["counters"], dict),
-             "counters must be an object")
-    guards = report["guards"]
-    _require(
-        isinstance(guards, dict)
-        and all(k in guards for k in ("rollbacks", "restarts", "violations")),
-        "guards must carry rollbacks, restarts and violations",
-    )
-    faults = report["faults"]
-    _require(
-        isinstance(faults, dict) and "fired" in faults and "pending" in faults,
-        "faults must carry fired and pending",
-    )
-    events = report["events"]
-    _require(
-        isinstance(events, dict) and "count" in events and "path" in events,
-        "events must carry count and path",
-    )
-    if "elastic" in report:
-        elastic = report["elastic"]
-        _require(isinstance(elastic, dict), "elastic must be an object")
-        for key in ("rank_failures", "shrinks", "final_ranks",
-                    "io_retries", "checkpoints_skipped"):
-            _require(
-                key in elastic
-                and isinstance(elastic[key], int) and elastic[key] >= 0,
-                f"elastic.{key} must be a non-negative integer",
-            )
-    if "liveness" in report:
-        liveness = report["liveness"]
-        _require(isinstance(liveness, dict), "liveness must be an object")
-        for key in ("hangs_detected", "stalls_injected"):
-            _require(
-                key in liveness
-                and isinstance(liveness[key], int) and liveness[key] >= 0,
-                f"liveness.{key} must be a non-negative integer",
-            )
-        for key in ("deadlines_enabled", "watchdog_enabled"):
-            _require(
-                key in liveness and isinstance(liveness[key], bool),
-                f"liveness.{key} must be a boolean",
-            )
-    if "tracing" in report:
-        tracing = report["tracing"]
-        _require(isinstance(tracing, dict), "tracing must be an object")
-        _require(
-            "enabled" in tracing and isinstance(tracing["enabled"], bool),
-            "tracing.enabled must be a boolean",
-        )
-        for key in ("spans", "dropped"):
-            _require(
-                key in tracing
-                and isinstance(tracing[key], int) and tracing[key] >= 0,
-                f"tracing.{key} must be a non-negative integer",
-            )
-        overlap = tracing.get("overlap")
-        _require(isinstance(overlap, dict), "tracing.overlap must be an object")
-        for key in ("exchange_seconds", "hidden_seconds", "efficiency"):
-            _require(
-                isinstance(overlap.get(key), (int, float))
-                and overlap[key] >= 0,
-                f"tracing.overlap.{key} must be a non-negative number",
-            )
-        _require(overlap["efficiency"] <= 1.0 + 1e-9,
-                 "tracing.overlap.efficiency must be <= 1")
-        imbalance = tracing.get("imbalance")
-        _require(isinstance(imbalance, dict),
-                 "tracing.imbalance must be an object")
-        _require(isinstance(imbalance.get("per_rank"), dict),
-                 "tracing.imbalance.per_rank must be an object")
-        for key in ("max", "avg", "stddev", "ratio"):
-            _require(
-                isinstance(imbalance.get(key), (int, float))
-                and imbalance[key] >= 0,
-                f"tracing.imbalance.{key} must be a non-negative number",
-            )
-        _require(
-            tracing.get("pipe_latency") is None
-            or isinstance(tracing["pipe_latency"], dict),
-            "tracing.pipe_latency must be an object or null",
-        )
-    if "series" in report:
-        _require(isinstance(report["series"], dict),
-                 "series must be an object")
 
 
 def write_run_report(path, report: dict) -> Path:

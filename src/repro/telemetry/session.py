@@ -10,8 +10,9 @@ before — telemetry is strictly opt-in, so it cannot regress an
 untelemetered benchmark.
 
 :class:`RankTelemetry` is what one rank records during one such call:
-plain data — tree, counters, events, spans — that the rank returns with
-its result (its events ride its exception when the call fails).  No
+plain data — the tree folded from its one span record, counters, events
+and, traced, the spans themselves — that the rank returns with its
+result (its events ride its exception when the call fails).  No
 record costs a message of its own: :meth:`RunTelemetry.finish` merges
 the returned records into the result, and the :class:`RunTelemetry`
 instance keeps the run's one event stream.
@@ -53,26 +54,18 @@ class RunTelemetry:
     trace:
         Span tracing switch (see :mod:`repro.telemetry.tracing`).
         ``None`` (default) defers to the ``REPRO_TRACE`` setting of the
-        run's world; ``True`` / ``False`` force it per run.  When on, every
-        rank records timestamped spans of its timed scopes, the spans
+        run's world; ``True`` / ``False`` force it per run.  Every rank
+        records the same spans either way; when on, the kept spans
         return with each rank's result and are exported as a Chrome
         trace-event JSON next to the run report, and the report gains a
         ``"tracing"`` section (overlap efficiency, per-rank imbalance,
         pipe latency).
-    trace_sample:
-        Keep one of every N spans (``None`` → ``REPRO_TRACE_SAMPLE``,
-        default keep all).
-    trace_buffer:
-        Per-rank span ring-buffer capacity (``None`` →
-        ``REPRO_TRACE_BUFFER``).
     """
 
     directory: str | Path | None = None
     run_id: str = "run"
     heartbeat_every: int = 1
     trace: bool | None = None
-    trace_sample: int | None = None
-    trace_buffer: int | None = None
 
     def __post_init__(self) -> None:
         if self.directory is not None:
@@ -92,19 +85,6 @@ class RunTelemetry:
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self.events = EventLog()
-
-    def open_tracer(self, comm):
-        """:class:`~repro.telemetry.tracing.SpanRecorder` of *comm*'s rank.
-
-        ``None`` when tracing is off — the instance knobs override the
-        ``REPRO_TRACE*`` settings of *comm*'s world.
-        """
-        from repro.telemetry.tracing import recorder_from_settings
-
-        return recorder_from_settings(
-            comm.settings, comm.rank, trace=self.trace,
-            sample=self.trace_sample, buffer_size=self.trace_buffer,
-        )
 
     def trace_path(self) -> Path | None:
         """Where the Chrome trace-event JSON lands (``None`` in-memory)."""
@@ -173,7 +153,7 @@ class RunTelemetry:
 
             spans = [s for e in traced for s in e["spans"]]
             tracing_stats = tracing_section(
-                spans, [e["trace_stats"] for e in traced]
+                spans, dropped=sum(e["dropped"] for e in traced)
             )
             result.spans = spans
             trace_path = self.trace_path()
@@ -203,20 +183,21 @@ class RunTelemetry:
 class RankTelemetry:
     """What one rank records during one call of a telemetry-enabled run.
 
-    Opening it starts the rank's :class:`TimingTree` (with a span tracer
-    when tracing is on), event log, :class:`MetricsRegistry` and
-    :class:`Heartbeat`, and emits ``run_start``.  :attr:`before_step` and
-    :attr:`after_step` are the step hooks ``(step, time)`` it needs: the
-    whole-step span (tracing only) and the heartbeat.  The call then
-    ends in :meth:`finish` — counters, ``run_end`` and the rank's
-    records — or in :meth:`fail`.  Neither calls on the communicator.
+    Opening it starts the rank's :class:`TimingTree`, event log,
+    :class:`MetricsRegistry` and :class:`Heartbeat`, and emits
+    ``run_start``.  :attr:`before_step` and :attr:`after_step` are the
+    step hooks ``(step, time)`` it needs: the whole-step record
+    (``step``) and the heartbeat.  The call then ends in :meth:`finish`
+    — counters, ``run_end`` and the rank's records — or in :meth:`fail`.
+    Neither calls on the communicator.
     """
 
     def __init__(self, telemetry: RunTelemetry, comm, *, steps: int,
                  step0: int, blocks: int, cells: int):
         self.comm = comm
-        self.tree = TimingTree(tracer=telemetry.open_tracer(comm))
-        self.tracer = self.tree.tracer
+        self.tree = TimingTree(comm.rank)
+        self.traced = (comm.settings.trace if telemetry.trace is None
+                       else bool(telemetry.trace))
         self.events = EventLog(comm.rank)
         self.registry = MetricsRegistry()
         self.heartbeat = Heartbeat(
@@ -225,23 +206,29 @@ class RankTelemetry:
         )
         self._transport0 = None
         self._step_began = 0.0
-        # Whole-step spans go to the tracer only (not the tree), so the
-        # aggregated breakdown keeps its shape; per-rank step totals are
-        # the imbalance signal of the report's "tracing" section.
-        spans = self.tracer is not None
-        self.before_step = [self._span_start] if spans else []
-        self.after_step = [self._span_end] if spans else []
-        self.after_step.append(self._heartbeat)
         self.events.emit(
             "run_start", steps=steps, step0=step0, blocks=blocks, cells=cells,
         )
 
-    def _span_start(self, step: int, t: float) -> None:
+    # The hook lists are built per call, not stored: a list of bound
+    # methods kept on self is a reference cycle, which would hold the
+    # call's records until the cyclic collector runs.
+    @property
+    def before_step(self) -> list:
+        return [self._step_start]
+
+    @property
+    def after_step(self) -> list:
+        # Per-rank step totals are the imbalance signal of the report's
+        # "tracing" section.
+        return [self._step_end, self._heartbeat]
+
+    def _step_start(self, step: int, t: float) -> None:
         self._step_began = time.perf_counter()
 
-    def _span_end(self, step: int, t: float) -> None:
-        self.tracer.record(
-            "step", self._step_began, time.perf_counter(), step=step
+    def _step_end(self, step: int, t: float) -> None:
+        self.tree.record(
+            "step", time.perf_counter() - self._step_began, step=step
         )
 
     def _heartbeat(self, step: int, t: float) -> None:
@@ -282,13 +269,10 @@ class RankTelemetry:
             comm_seconds=sum(t.seconds for t in timers),
             **{f"exchange_{name}": t.stats() for name, t in exchanges.items()},
         )
-        spans = trace_stats = None
-        if self.tracer is not None:
-            spans, trace_stats = self.tracer.drain(), self.tracer.stats()
         return {
             "tree": self.tree.to_dict(),
             "counters": registry.snapshot(),
             "events": events.records,
-            "spans": spans,
-            "trace_stats": trace_stats,
+            "spans": self.tree.spans() if self.traced else None,
+            "dropped": self.tree.dropped,
         }

@@ -1,8 +1,8 @@
 """Derived span analyses: overlap efficiency, imbalance, pipe latency.
 
-Raw spans (:mod:`repro.telemetry.tracing`) are a timeline; this module
-turns them into the three numbers the paper's performance story rests
-on:
+Raw spans (:meth:`repro.telemetry.timing.TimingTree.spans`) are a
+timeline; this module turns them into the three numbers the paper's
+performance story rests on:
 
 * :func:`overlap_efficiency` — the Fig. 8 reproduction as a number: the
   fraction of ghost-exchange wall time that is *hidden* under compute
@@ -114,7 +114,9 @@ def overlap_efficiency(spans) -> dict:
             for iv in merged
         )
         dur = max(0.0, s.t_end - s.t_start)
-        hid = overlap_seconds(s.t_start, s.t_end, peers)
+        # clipped pieces can sum an ulp past the span; capped, the
+        # efficiency is <= 1 exactly, as the report schema demands
+        hid = min(dur, overlap_seconds(s.t_start, s.t_end, peers))
         total += dur
         hidden += hid
         row = per_rank.setdefault(
@@ -224,20 +226,17 @@ def pipe_latency_histogram(spans, *, edges_us=_LATENCY_EDGES_US) -> dict | None:
     }
 
 
-def tracing_section(spans, recorder_stats=None) -> dict:
+def tracing_section(spans, dropped: int) -> dict:
     """Build the RunReport ``"tracing"`` section from gathered spans.
 
-    *recorder_stats* is the list of per-rank
-    :meth:`~repro.telemetry.tracing.SpanRecorder.stats` dicts; it feeds
-    the drop/sampling accounting so a truncated trace is visible in the
-    report rather than silently partial.
+    *dropped* counts the spans the ranks folded out of their timelines
+    (:attr:`~repro.telemetry.timing.TimingTree.dropped`), so a truncated
+    trace is visible in the report rather than silently partial.
     """
-    stats = list(recorder_stats or [])
     return {
         "enabled": True,
-        "spans": len(list(spans)),
-        "dropped": sum(int(s.get("dropped", 0)) for s in stats),
-        "sample": max((int(s.get("sample", 1)) for s in stats), default=1),
+        "spans": len(spans),
+        "dropped": int(dropped),
         "overlap": overlap_efficiency(spans),
         "imbalance": per_rank_imbalance(spans),
         "pipe_latency": pipe_latency_histogram(spans),

@@ -1,15 +1,20 @@
-"""Hierarchical timing trees (waLBerla style).
+"""Per-rank timing record (waLBerla ``TimingTree`` style).
 
 waLBerla times every sweep and ghost-exchange functor through a
 ``TimingTree``: named scopes accumulate call count, total, min and max
-wall time, nested scopes form a tree, and the per-process trees are
-reduced across all MPI ranks into one breakdown —
-the data behind the paper's Fig. 8 "time spent in communication"
-measurement on up to 262,144 cores.  This module reproduces that
-substrate for the simulated runtime:
+wall time, and the per-process trees are reduced across all MPI ranks
+into one breakdown — the data behind the paper's Fig. 8 "time spent in
+communication" measurement on up to 262,144 cores.  Here one rank's
+record of one call is a single bounded list of spans; every view of it
+is derived:
 
-* :class:`TimerStats` — count / total / min / max accumulator,
-* :class:`TimingTree` — nested named scopes (``with tree.scope("phi")``).
+* :class:`TimingTree` — :meth:`~TimingTree.record` appends one span per
+  measurement; :meth:`~TimingTree.to_dict` folds the spans into the
+  per-path count / total / min / max tree, and
+  :meth:`~TimingTree.spans` returns them as the timeline of the Chrome
+  trace (:mod:`repro.telemetry.tracing`) and the span analyses
+  (:mod:`repro.telemetry.spans`).
+* :class:`TimerStats` / :class:`TimingNode` — the folded accumulators.
 
 Each rank returns its tree's :meth:`TimingTree.to_dict` with its call's
 result; :mod:`repro.telemetry.reduce` merges the returned trees.
@@ -17,11 +22,22 @@ result; :mod:`repro.telemetry.reduce` merges the returned trees.
 
 from __future__ import annotations
 
+import threading
 import time
-from contextlib import contextmanager
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass, field, replace
 
-__all__ = ["TimerStats", "TimingNode", "TimingTree"]
+__all__ = ["CAPACITY", "Span", "TimerStats", "TimingNode", "TimingTree"]
+
+#: Spans a rank keeps.  One more folds the oldest half into the tree's
+#: aggregates and counts it as dropped from the timeline, so the tree
+#: stays exact for any call length and the newest half is always kept.
+CAPACITY = 65536
+
+#: One recorded scope execution.  ``args`` is ``None`` or a small dict of
+#: JSON-ready annotations (bytes moved, step index, ...).  Plain
+#: namedtuple: pickles compactly into the rank's result.
+Span = namedtuple("Span", ["scope", "rank", "tid", "t_start", "t_end", "args"])
 
 
 @dataclass
@@ -47,13 +63,6 @@ class TimerStats:
         """Mean seconds per call (0 when never called)."""
         return self.total / self.count if self.count else 0.0
 
-    def merge(self, other: "TimerStats") -> None:
-        """Fold another accumulator of the *same* timer into this one."""
-        self.count += other.count
-        self.total += other.total
-        self.min = min(self.min, other.min)
-        self.max = max(self.max, other.max)
-
     def to_dict(self) -> dict:
         return {
             "count": self.count,
@@ -63,19 +72,10 @@ class TimerStats:
             "avg": self.avg,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "TimerStats":
-        stats = cls(
-            count=int(d["count"]), total=float(d["total"]),
-            max=float(d["max"]),
-        )
-        stats.min = float(d["min"]) if stats.count else float("inf")
-        return stats
-
 
 @dataclass
 class TimingNode:
-    """One scope of a :class:`TimingTree`."""
+    """One scope of a folded :class:`TimingTree`."""
 
     name: str
     stats: TimerStats = field(default_factory=TimerStats)
@@ -95,159 +95,69 @@ class TimingNode:
             "children": {k: v.to_dict() for k, v in self.children.items()},
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "TimingNode":
-        node = cls(name=d.get("name", ""), stats=TimerStats.from_dict(d))
-        node.children = {
-            k: cls.from_dict(v) for k, v in d.get("children", {}).items()
-        }
-        return node
-
-    def merge(self, other: "TimingNode") -> None:
-        """Recursively fold *other* (same scope name) into this node."""
-        self.stats.merge(other.stats)
-        for name, child in other.children.items():
-            self.child(name).merge(child)
-
 
 class TimingTree:
-    """Nested named timing scopes with min/avg/max/count accumulators.
+    """One rank's timing record: a bounded list of spans.
 
-    Scopes open with :meth:`start` / close with :meth:`stop` (or the
-    :meth:`scope` context manager); a scope started while another is open
-    becomes its child, so repeated step loops build a stable tree whose
-    totals are the per-functor breakdown of the run.  Externally measured
-    durations enter through :meth:`record` — this is what the step's
-    sweeps, exchanges and guard use.
-
-    An optional :class:`~repro.telemetry.tracing.SpanRecorder` attached
-    as *tracer* additionally receives every completed scope as a
-    timestamped span (full ``/``-path, start and end), feeding the
-    Chrome-trace timeline export.  With ``tracer=None`` (the default)
-    the only added cost per measurement is one attribute check, keeping
-    the untraced hot path at its pre-tracing speed.
+    :meth:`record` is the only writer.  A path is ``/``-separated and
+    always resolved from the root (``"comm/phi"``), so instrumentation
+    scattered across helpers lands at stable paths.  Side threads (fault
+    timers sending under ``comm/pipe/send``) record concurrently with the
+    step loop; one lock orders every append, fold and read.
     """
 
-    def __init__(self, tracer=None) -> None:
-        self.root = TimingNode("")
-        self._stack: list[tuple[TimingNode, float]] = []
-        self.tracer = tracer
+    def __init__(self, rank: int = 0) -> None:
+        self.rank = int(rank)
+        #: Spans folded out of the timeline on overflow.
+        self.dropped = 0
+        # (path, thread ident, end, seconds, args) of each kept span
+        self._spans: list[tuple] = []
+        self._folded: dict[str, TimerStats] = {}
+        self._tids: dict[int, int] = {}  # thread ident -> small stable id
+        self._lock = threading.Lock()
 
-    # -- scope management -------------------------------------------------
+    def record(self, path: str, seconds: float, **args) -> None:
+        """Append one span of *seconds* under *path*, ending now; *args*
+        annotate it (bytes moved, step index, ...)."""
+        span = (path, threading.get_ident(), time.perf_counter(), seconds,
+                args or None)
+        with self._lock:
+            self._spans.append(span)
+            if len(self._spans) > CAPACITY:
+                half = len(self._spans) // 2
+                for old in self._spans[:half]:
+                    stats = self._folded.get(old[0])
+                    if stats is None:
+                        stats = self._folded[old[0]] = TimerStats()
+                    stats.record(old[3])
+                del self._spans[:half]
+                self.dropped += half
 
-    @property
-    def _current(self) -> TimingNode:
-        return self._stack[-1][0] if self._stack else self.root
-
-    def start(self, name: str) -> None:
-        """Open a child scope of the currently open scope."""
-        node = self._current.child(name)
-        self._stack.append((node, time.perf_counter()))
-
-    def stop(self, name: str | None = None) -> float:
-        """Close the innermost scope; returns its measured seconds."""
-        if not self._stack:
-            raise RuntimeError("no timing scope is open")
-        node, t0 = self._stack.pop()
-        if name is not None and node.name != name:
-            self._stack.append((node, t0))
-            raise RuntimeError(
-                f"scope mismatch: open scope is {node.name!r}, "
-                f"stop({name!r}) requested"
-            )
-        now = time.perf_counter()
-        dt = now - t0
-        node.stats.record(dt)
-        if self.tracer is not None:
-            path = "/".join(
-                [n.name for n, _ in self._stack] + [node.name]
-            )
-            self.tracer.record(path, t0, now)
-        return dt
-
-    @contextmanager
-    def scope(self, name: str):
-        """``with tree.scope("phi_sweep"): ...`` — timed nested scope."""
-        self.start(name)
-        try:
-            yield self
-        finally:
-            self.stop(name)
-
-    def time_call(self, name: str, fn, *args, **kwargs):
-        """Run ``fn(*args, **kwargs)`` inside a scope; returns its result."""
-        with self.scope(name):
-            return fn(*args, **kwargs)
-
-    def record(self, path: str | tuple, seconds: float, *,
-               span_args: dict | None = None) -> None:
-        """Add an externally measured duration under *path*.
-
-        *path* is a scope name or a ``/``-separated chain, always
-        resolved **from the root** (independent of any open scopes), so
-        instrumentation scattered across helpers lands at stable paths,
-        e.g. ``"comm/phi"``.  *span_args* annotates the traced span
-        (bytes moved, step index, ...) when a tracer is attached; the
-        aggregated tree ignores it.
-        """
-        parts = path.split("/") if isinstance(path, str) else list(path)
-        node = self.root
-        for part in parts:
-            node = node.child(part)
-        node.stats.record(seconds)
-        if self.tracer is not None:
-            self.tracer.record_duration(
-                "/".join(parts), seconds, **(span_args or {})
-            )
-
-    # -- queries ----------------------------------------------------------
-
-    def node(self, path: str) -> TimingNode:
-        """Look up a node by ``/``-separated path from the root."""
-        node = self.root
-        for part in path.split("/"):
-            if part not in node.children:
-                raise KeyError(f"no timing scope at {path!r}")
-            node = node.children[part]
-        return node
-
-    def __contains__(self, path: str) -> bool:
-        try:
-            self.node(path)
-            return True
-        except KeyError:
-            return False
-
-    def flatten(self) -> dict[str, TimerStats]:
-        """``path -> TimerStats`` for every scope, depth-first."""
-        out: dict[str, TimerStats] = {}
-
-        def walk(node: TimingNode, prefix: str) -> None:
-            for name, child in node.children.items():
-                path = f"{prefix}/{name}" if prefix else name
-                out[path] = child.stats
-                walk(child, path)
-
-        walk(self.root, "")
-        return out
+    def spans(self) -> list[Span]:
+        """The kept spans (oldest first) as :class:`Span` records."""
+        tids = self._tids
+        with self._lock:
+            return [
+                Span(path, self.rank, tids.setdefault(ident, len(tids)),
+                     end - seconds, end, args)
+                for path, ident, end, seconds, args in self._spans
+            ]
 
     def to_dict(self) -> dict:
-        """JSON-serializable nested representation."""
-        return self.root.to_dict()
+        """The tree folded from every record, as nested plain dicts."""
+        with self._lock:
+            folded = [(p, replace(s)) for p, s in self._folded.items()]
+            kept = list(self._spans)
+        root = TimingNode("")
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "TimingTree":
-        tree = cls()
-        tree.root = TimingNode.from_dict(d)
-        return tree
+        def node(path: str) -> TimingNode:
+            at = root
+            for part in path.split("/"):
+                at = at.child(part)
+            return at
 
-    def merge(self, other: "TimingTree") -> None:
-        """Fold another tree (e.g. a later run) into this one."""
-        self.root.merge(other.root)
-
-    def reset(self) -> None:
-        """Drop all accumulated scopes (open scopes must be closed)."""
-        if self._stack:
-            raise RuntimeError("cannot reset while scopes are open")
-        self.root = TimingNode("")
-
+        for path, stats in folded:
+            node(path).stats = stats
+        for path, _tid, _end, seconds, _args in kept:
+            node(path).stats.record(seconds)
+        return root.to_dict()

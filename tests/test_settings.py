@@ -32,10 +32,6 @@ CASES = {
     "REPRO_SIMMPI_HEARTBEAT": (
         lambda s: s.watchdog.heartbeat, "0.1", 0.1, 0.25, 0.25, "often"),
     "REPRO_TRACE": (lambda s: s.trace, "1", True, False, False, None),
-    "REPRO_TRACE_SAMPLE": (
-        lambda s: s.trace_sample, "4", 4, 1, ValueError, "nope"),
-    "REPRO_TRACE_BUFFER": (
-        lambda s: s.trace_buffer, "128", 128, 65536, ValueError, "1.5"),
     "REPRO_KERNEL_BACKEND": (
         lambda s: s.kernel_backend, "cffi", "cffi", "auto", "none",
         "turbofan"),

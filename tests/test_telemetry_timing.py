@@ -1,8 +1,13 @@
-"""Timing trees and their cross-rank merge."""
+"""Timing trees: the span record, its fold, and the cross-rank merge."""
+
+import sys
+import threading
+import time
 
 import pytest
 
 from repro.simmpi.runtime import run_spmd
+from repro.telemetry import timing
 from repro.telemetry.reduce import as_reduced, merge_rank_trees, merge_reduced
 from repro.telemetry.timing import TimerStats, TimingTree
 
@@ -23,85 +28,101 @@ class TestTimerStats:
         assert s.avg == 0.0
         assert s.to_dict()["min"] == 0.0  # inf never leaks into JSON
 
-    def test_merge(self):
-        a, b = TimerStats(), TimerStats()
-        a.record(1.0)
-        b.record(3.0)
-        a.merge(b)
-        assert a.count == 2 and a.min == 1.0 and a.max == 3.0
 
-    def test_round_trip(self):
-        s = TimerStats()
-        s.record(0.5)
-        s.record(1.5)
-        again = TimerStats.from_dict(s.to_dict())
-        assert again.count == s.count
-        assert again.total == pytest.approx(s.total)
-        assert again.min == pytest.approx(s.min)
+def _node(tree_dict, path):
+    for part in path.split("/"):
+        tree_dict = tree_dict["children"][part]
+    return tree_dict
 
 
 class TestTimingTree:
-    def test_nesting(self):
-        tree = TimingTree()
-        with tree.scope("step"):
-            with tree.scope("phi"):
-                pass
-            with tree.scope("mu"):
-                pass
-        assert "step" in tree
-        assert "step/phi" in tree and "step/mu" in tree
-        assert tree.node("step").stats.count == 1
-        # parent covers its children
-        children = tree.node("step/phi").stats.total + tree.node(
-            "step/mu"
-        ).stats.total
-        assert tree.node("step").stats.total >= children
-
-    def test_scope_mismatch(self):
-        tree = TimingTree()
-        tree.start("a")
-        with pytest.raises(RuntimeError, match="mismatch"):
-            tree.stop("b")
-        tree.stop("a")
-        with pytest.raises(RuntimeError, match="no timing scope"):
-            tree.stop()
-
     def test_record_resolves_from_root(self):
         tree = TimingTree()
-        with tree.scope("outer"):
-            tree.record("comm/phi", 0.25)
-        # recorded at the root-level path, not under the open scope
-        assert "comm/phi" in tree
-        assert "outer/comm" not in tree
-        assert tree.node("comm/phi").stats.total == pytest.approx(0.25)
+        tree.record("comm/phi", 0.25)
+        tree.record("comm/pipe/send", 0.5)
+        tree.record("compute", 0.125)
+        d = tree.to_dict()
+        assert list(d["children"]) == ["comm", "compute"]
+        assert _node(d, "comm/phi")["total"] == 0.25
+        assert _node(d, "comm/pipe/send")["count"] == 1
+        # intermediate scopes exist and carry no measurement of their own
+        comm = _node(d, "comm")
+        assert (comm["count"], comm["total"], comm["min"]) == (0, 0.0, 0.0)
 
-    def test_flatten_and_round_trip(self):
+    def test_overflow_fold_is_exact(self, monkeypatch):
+        """Past the capacity the oldest half is folded into the tree's
+        aggregates: the tree equals a direct computation over every
+        record, the timeline keeps the newest spans and counts the rest
+        as dropped."""
+        monkeypatch.setattr(timing, "CAPACITY", 8)
+        paths = ["compute/phi", "comm/phi", "guard"]
         tree = TimingTree()
-        tree.record("a/b", 1.0)
-        tree.record("a/b", 2.0)
-        tree.record("c", 0.5)
-        flat = tree.flatten()
-        assert set(flat) == {"a", "a/b", "c"}
-        assert flat["a/b"].count == 2
-        again = TimingTree.from_dict(tree.to_dict())
-        assert again.node("a/b").stats.total == pytest.approx(3.0)
+        made = []
+        for i in range(1000):
+            path, seconds = paths[i % 3], ((i * 7919) % 1009 + 1) * 1e-6
+            tree.record(path, seconds, i=i)
+            made.append((path, seconds))
+        d = tree.to_dict()
+        for path in paths:
+            durations = [sec for p, sec in made if p == path]
+            total = 0.0
+            for sec in durations:
+                total += sec
+            node = _node(d, path)
+            assert node["count"] == len(durations)
+            assert node["total"] == total
+            assert node["min"] == min(durations)
+            assert node["max"] == max(durations)
+        kept = tree.spans()
+        assert 0 < len(kept) <= 8
+        assert [s.args["i"] for s in kept] == list(
+            range(1000 - len(kept), 1000))
+        assert tree.dropped == 1000 - len(kept)
 
-    def test_merge_and_reset(self):
-        t1, t2 = TimingTree(), TimingTree()
-        t1.record("x", 1.0)
-        t2.record("x", 2.0)
-        t2.record("y", 0.1)
-        t1.merge(t2)
-        assert t1.node("x").stats.count == 2
-        assert "y" in t1
-        t1.reset()
-        assert "x" not in t1
+    def test_side_threads_lose_no_record(self, monkeypatch):
+        """Appends from more threads than cores race the folds and a
+        reader; every record is counted exactly once.  A short switch
+        interval and a fold that yields the GIL at each folded record
+        make the threads interleave inside every fold."""
+        monkeypatch.setattr(timing, "CAPACITY", 64)
+        fold_one = TimerStats.record
 
-    def test_time_call(self):
+        def yielding(stats, seconds):
+            time.sleep(0)
+            fold_one(stats, seconds)
+
+        monkeypatch.setattr(TimerStats, "record", yielding)
+        n_threads, per_thread = 4, 5000
         tree = TimingTree()
-        out = tree.time_call("f", lambda a: a + 1, 41)
-        assert out == 42
-        assert tree.node("f").stats.count == 1
+        start = threading.Barrier(n_threads + 1, timeout=30)
+
+        def worker(k):
+            start.wait()
+            for _ in range(per_thread):
+                tree.record(f"t{k}", 1e-6)
+
+        threads = [threading.Thread(target=worker, args=(k,), daemon=True)
+                   for k in range(n_threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            start.wait()
+            deadline = time.monotonic() + 60
+            while (any(t.is_alive() for t in threads)
+                   and time.monotonic() < deadline):
+                tree.to_dict()
+                tree.spans()
+            for t in threads:
+                t.join(timeout=max(0.0, deadline - time.monotonic()))
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        d = tree.to_dict()
+        assert [d["children"][f"t{k}"]["count"]
+                for k in range(n_threads)] == [per_thread] * n_threads
+        assert tree.dropped + len(tree.spans()) == n_threads * per_thread
 
 
 class TestReduction:

@@ -1,14 +1,19 @@
-"""Span tracing: recorder, Chrome export, derived analyses, solver wiring.
+"""Span tracing: the span record, Chrome export, derived analyses, solver
+wiring.
 
-ISSUE 8 acceptance: with tracing on, a 2-rank distributed run on *both*
-simmpi backends exports a valid Chrome trace-event JSON with per-rank
-compute and exchange spans, and the RunReport gains a validated
-``"tracing"`` section (overlap efficiency, per-rank imbalance, pipe
-latency on the process backend).  With tracing off nothing is recorded,
-written or reported.
+With tracing on, a 2-rank distributed run on *both* simmpi backends
+exports a valid Chrome trace-event JSON with per-rank compute and
+exchange spans, and the RunReport gains a validated ``"tracing"``
+section (overlap efficiency, per-rank imbalance, pipe latency on the
+process backend).  Traced or not, a telemetered call records the same
+spans, from which its timing tree is folded; with tracing off none is
+returned, written or reported, and an untelemetered call records
+nothing.
 """
 
-import json
+import gc
+import weakref
+from collections import Counter
 
 import pytest
 
@@ -24,14 +29,12 @@ from repro.telemetry.spans import (
     pipe_latency_histogram,
     tracing_section,
 )
+from repro.telemetry import timing
 from repro.telemetry.timing import TimingTree
 from repro.telemetry.tracing import (
     Span,
-    SpanRecorder,
     load_chrome_trace,
-    recorder_from_env,
     spans_to_chrome_trace,
-    trace_enabled,
     validate_chrome_trace,
     write_chrome_trace,
 )
@@ -43,113 +46,80 @@ def span(scope, t0, t1, rank=0, **args):
 
 
 class TestSpanRecorder:
+    """The rank's one timing record: :class:`TimingTree` spans."""
+
     def test_records_spans_with_args(self):
-        rec = SpanRecorder(rank=3)
-        rec.record("comm/phi", 1.0, 2.0, bytes=512)
-        (s,) = rec.spans()
+        tree = TimingTree(rank=3)
+        tree.record("comm/phi", 0.5, bytes=512)
+        (s,) = tree.spans()
         assert s.scope == "comm/phi"
         assert s.rank == 3
-        assert (s.t_start, s.t_end) == (1.0, 2.0)
         assert s.args == {"bytes": 512}
 
-    def test_ring_buffer_drops_oldest_and_counts(self):
-        rec = SpanRecorder(buffer_size=4)
+    def test_ring_buffer_drops_oldest_and_counts(self, monkeypatch):
+        monkeypatch.setattr(timing, "CAPACITY", 4)
+        tree = TimingTree()
         for i in range(10):
-            rec.record(f"s{i}", float(i), float(i) + 0.5)
-        spans = rec.spans()
-        assert [s.scope for s in spans] == ["s6", "s7", "s8", "s9"]
-        stats = rec.stats()
-        assert stats["offered"] == 10
-        assert stats["recorded"] == 10
-        assert stats["dropped"] == 6
-
-    def test_sampling_keeps_one_of_n(self):
-        rec = SpanRecorder(sample=3)
-        for i in range(9):
-            rec.record(f"s{i}", float(i), float(i) + 0.5)
-        assert [s.scope for s in rec.spans()] == ["s0", "s3", "s6"]
-        stats = rec.stats()
-        assert stats["offered"] == 9
-        assert stats["recorded"] == 3
-        assert stats["dropped"] == 0
-
-    def test_drain_clears_buffer_but_keeps_stats(self):
-        rec = SpanRecorder()
-        rec.record("a", 0.0, 1.0)
-        assert len(rec.drain()) == 1
-        assert rec.spans() == []
-        stats = rec.stats()
-        assert stats["recorded"] == 1
-        assert stats["dropped"] == 0  # drained spans were not *lost*
+            tree.record(f"s{i}", 0.5)
+        assert [s.scope for s in tree.spans()] == ["s6", "s7", "s8", "s9"]
+        assert tree.dropped == 6
+        # folded out of the timeline, still in the tree
+        assert [tree.to_dict()["children"][f"s{i}"]["count"]
+                for i in range(10)] == [1] * 10
 
     def test_record_duration_backdates_start(self):
-        rec = SpanRecorder()
-        rec.record_duration("compile", 0.25)
-        (s,) = rec.spans()
+        tree = TimingTree()
+        tree.record("compile", 0.25)
+        (s,) = tree.spans()
         assert s.t_end - s.t_start == pytest.approx(0.25)
-
-    def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            SpanRecorder(buffer_size=0)
-        with pytest.raises(ValueError):
-            SpanRecorder(sample=0)
 
 
 class TestEnvActivation:
-    def test_off_by_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TRACE", raising=False)
-        assert not trace_enabled()
-        assert recorder_from_env(0) is None
+    """``REPRO_TRACE`` decides what a ``RunTelemetry(trace=None)`` call
+    returns; an explicit ``trace`` beats it."""
 
-    def test_env_enables(self, monkeypatch):
+    def test_off_by_default(self, initial_state, monkeypatch):
+        monkeypatch.delenv("REPRO_TRACE", raising=False)
+        res = _run(initial_state, RunTelemetry())
+        assert res.spans is None and "tracing" not in res.report
+
+    def test_env_enables(self, initial_state, monkeypatch):
         monkeypatch.setenv("REPRO_TRACE", "1")
-        assert trace_enabled()
-        assert isinstance(recorder_from_env(0), SpanRecorder)
+        res = _run(initial_state, RunTelemetry())
+        assert res.spans and res.report["tracing"]["spans"] == len(res.spans)
         monkeypatch.setenv("REPRO_TRACE", "0")
-        assert not trace_enabled()
+        assert _run(initial_state, RunTelemetry()).spans is None
 
-    def test_override_beats_env(self, monkeypatch):
+    def test_override_beats_env(self, initial_state, monkeypatch):
         monkeypatch.setenv("REPRO_TRACE", "1")
-        assert recorder_from_env(0, trace=False) is None
+        assert _run(initial_state, RunTelemetry(trace=False)).spans is None
         monkeypatch.delenv("REPRO_TRACE", raising=False)
-        assert recorder_from_env(0, trace=True) is not None
-
-    def test_knob_env_vars(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE", "1")
-        monkeypatch.setenv("REPRO_TRACE_SAMPLE", "4")
-        monkeypatch.setenv("REPRO_TRACE_BUFFER", "128")
-        rec = recorder_from_env(1)
-        assert rec.sample == 4
-        assert rec.buffer_size == 128
-        monkeypatch.setenv("REPRO_TRACE_SAMPLE", "nope")
-        with pytest.raises(ValueError):
-            recorder_from_env(1)
+        assert _run(initial_state, RunTelemetry(trace=True)).spans
 
 
 class TestTimingTreeTracer:
-    def test_scoped_measurement_becomes_span(self):
-        rec = SpanRecorder()
-        tree = TimingTree(tracer=rec)
-        tree.start("comm")
-        tree.start("phi")
-        tree.stop()
-        tree.stop()
-        scopes = [s.scope for s in rec.spans()]
-        assert scopes == ["comm/phi", "comm"]
-
     def test_record_path_becomes_span_with_args(self):
-        rec = SpanRecorder()
-        tree = TimingTree(tracer=rec)
-        tree.record("comm/phi", 0.002, span_args={"bytes": 99})
-        (s,) = rec.spans()
+        tree = TimingTree()
+        tree.record("comm/phi", 0.002, bytes=99)
+        (s,) = tree.spans()
         assert s.scope == "comm/phi"
         assert s.args == {"bytes": 99}
         assert s.t_end - s.t_start == pytest.approx(0.002)
+        phi = tree.to_dict()["children"]["comm"]["children"]["phi"]
+        assert (phi["count"], phi["total"]) == (1, 0.002)
 
-    def test_no_tracer_records_nothing(self):
-        tree = TimingTree()
-        tree.record("comm/phi", 0.002, span_args={"bytes": 99})
-        assert tree.tracer is None  # and no AttributeError happened
+    def test_no_tracer_records_nothing(self, initial_state, monkeypatch):
+        """An untelemetered call times nothing: no record is made."""
+        calls = []
+        real = TimingTree.record
+        monkeypatch.setattr(
+            TimingTree, "record",
+            lambda self, *a, **k: calls.append(a) or real(self, *a, **k),
+        )
+        res = _run(initial_state, None)
+        assert res.timing is None and calls == []
+        _run(initial_state, RunTelemetry())
+        assert calls
 
 
 class TestChromeExport:
@@ -247,14 +217,10 @@ class TestSpanAnalyses:
         assert hist["summary"]["recv"]["max_us"] == pytest.approx(2e6)
 
     def test_tracing_section_shape(self):
-        section = tracing_section(
-            [span("step", 0.0, 1.0)],
-            [{"dropped": 2, "sample": 4}, {"dropped": 1, "sample": 4}],
-        )
+        section = tracing_section([span("step", 0.0, 1.0)], dropped=3)
         assert section["enabled"] is True
         assert section["spans"] == 1
         assert section["dropped"] == 3
-        assert section["sample"] == 4
         assert section["pipe_latency"] is None
 
 
@@ -265,6 +231,25 @@ def initial_state():
         system, (8, 8, 16), solid_height=5, n_seeds=4
     )
     return system, smooth_phase_field(phi0, 2), mu0
+
+
+def _run(initial_state, telemetry, backend="thread"):
+    system, phi0, mu0 = initial_state
+    sim = DistributedSimulation(
+        (8, 8, 16), (2, 1, 1), system=system, kernel="buffered",
+        n_ranks=2, backend=backend,
+    )
+    with sim:
+        return sim.run(2, phi0, mu0, telemetry=telemetry)
+
+
+def _counts(tree, prefix=""):
+    """``path -> count`` of every scope of a merged timing tree."""
+    out = {}
+    for name, child in tree["children"].items():
+        out[prefix + name] = child["count"]
+        out.update(_counts(child, f"{prefix}{name}/"))
+    return out
 
 
 def _traced_run(initial_state, tmp_path, backend, **kwargs):
@@ -324,6 +309,32 @@ class TestDistributedTracing:
         scopes = {s.scope for s in res.spans}
         assert "compute/mu_local" in scopes  # Algorithm 2 split ran
 
+    def test_a_calls_records_go_with_it(self, initial_state, monkeypatch):
+        """A rank's record is freed when its call ends, without waiting
+        for the cyclic collector: a long campaign holds one call's
+        spans, not every call's."""
+        trees = []
+        init = TimingTree.__init__
+
+        def tracked(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            trees.append(weakref.ref(self))
+
+        monkeypatch.setattr(TimingTree, "__init__", tracked)
+        system, phi0, mu0 = initial_state
+        gc.collect()
+        gc.disable()
+        try:
+            with DistributedSimulation((8, 8, 16), (2, 1, 1), system=system,
+                                       kernel="buffered", n_ranks=2) as sim:
+                for _ in range(3):
+                    sim.run(2, phi0, mu0, telemetry=RunTelemetry())
+                alive = [ref() is not None for ref in trees]
+        finally:
+            gc.enable()
+        assert len(alive) == 6
+        assert not any(alive[:4])  # the calls before the last one
+
     def test_trace_off_by_default(self, initial_state, tmp_path,
                                   monkeypatch):
         monkeypatch.delenv("REPRO_TRACE", raising=False)
@@ -337,6 +348,30 @@ class TestDistributedTracing:
         assert res.trace_path is None
         assert not (tmp_path / "trace-plain.json").exists()
 
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_traced_and_untraced_trees_agree(self, initial_state, backend):
+        """One record feeds both views: a traced and an untraced call
+        fold the same tree, and the traced call's spans per scope are
+        its tree's counts."""
+        system, phi0, mu0 = initial_state
+        with DistributedSimulation((8, 8, 16), (2, 1, 1), system=system,
+                                   kernel="buffered", n_ranks=2,
+                                   backend=backend) as sim:
+            sim.run(1, phi0, mu0)  # launch the ranks outside both calls
+            plain = sim.run(3, phi0, mu0, telemetry=RunTelemetry(trace=False))
+            traced = sim.run(3, phi0, mu0, telemetry=RunTelemetry(trace=True))
+        assert plain.spans is None
+        a, b = _counts(plain.timing), _counts(traced.timing)
+        assert a.keys() == b.keys()
+        assert {"step", "compute/phi", "comm/mu"} <= a.keys()
+        # a pipe drain is one poll loop, so how many there are follows
+        # the ranks' timing; every other scope is counted per step
+        steady = [p for p in a if p != "comm/pipe/recv"]
+        assert [a[p] for p in steady] == [b[p] for p in steady]
+        per_scope = Counter(s.scope for s in traced.spans)
+        assert per_scope == Counter({p: n for p, n in b.items() if n})
+        assert traced.report["tracing"]["dropped"] == 0
+
     def test_traced_run_fields_match_untraced(self, initial_state,
                                               tmp_path):
         import numpy as np
@@ -348,15 +383,3 @@ class TestDistributedTracing:
         traced, _ = _traced_run(initial_state, tmp_path, "thread")
         np.testing.assert_array_equal(plain.phi, traced.phi)
         np.testing.assert_array_equal(plain.mu, traced.mu)
-
-    def test_sampled_trace_reports_sample(self, initial_state, tmp_path):
-        system, phi0, mu0 = initial_state
-        sim = DistributedSimulation((8, 8, 16), (2, 1, 1), system=system,
-                                    kernel="buffered", n_ranks=2)
-        telemetry = RunTelemetry(directory=tmp_path, run_id="sampled",
-                                 trace=True, trace_sample=2)
-        res = sim.run(3, phi0, mu0, telemetry=telemetry)
-        tracing = res.report["tracing"]
-        assert tracing["sample"] == 2
-        doc = json.loads(res.trace_path.read_text())
-        validate_chrome_trace(doc)
