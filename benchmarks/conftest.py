@@ -93,18 +93,16 @@ def rate_of(benchmark_stats_or_seconds, cells: int) -> float:
 def time_call(fn, min_time: float | None = None, max_repeats: int = 60) -> float:
     """Median seconds per call (light-weight timer for table rows).
 
-    Delegates to :func:`repro.perf.metrics.measure_kernel_rate`, which
+    Delegates to :func:`repro.perf.metrics.call_seconds`, which
     auto-ranges the batch size so even sub-microsecond calls accumulate
     the full *min_time* of wall clock.
     """
-    from repro.perf.metrics import measure_kernel_rate
+    from repro.perf.metrics import call_seconds
 
-    rate = measure_kernel_rate(
-        fn, cells=1,
-        min_time=BENCH_MIN_TIME if min_time is None else min_time,
+    return call_seconds(
+        fn, min_time=BENCH_MIN_TIME if min_time is None else min_time,
         max_repeats=max_repeats,
     )
-    return rate.seconds_median
 
 
 def interleaved_seconds(calls: dict, min_time: float,
@@ -173,7 +171,7 @@ def write_bench_report(
     tooling can track the trajectory of every point, not only the
     headline MLUP/s.  *tracing* (a RunReport ``"tracing"`` section, e.g.
     lifted from a traced anchor run) rides along so span-derived numbers
-    like the fig8 overlap efficiency enter the perf history too.
+    like the fig8 overlap efficiency are on record too.
     """
     report = build_run_report(
         run_id=f"bench-{fig}",

@@ -64,9 +64,9 @@ def _measured_backend_rate(backend: str, n_ranks: int) -> float:
 def _process_pipe_timings() -> dict | None:
     """Timing tree of a telemetry'd process-backend run.
 
-    Carries the ``comm/pipe/{send,recv,ack}`` scopes the transport
-    records, quantifying how much of the process backend's wall time is
-    control-pipe traffic (vs. the shared-memory payload copies).
+    Carries the ``comm/pipe/{send,recv}`` scopes the transport records,
+    quantifying how much of the process backend's wall time is pipe
+    traffic.
     """
     from repro.telemetry import RunTelemetry
 
@@ -89,12 +89,11 @@ def _halo_counters() -> dict:
     A 2-rank process decomposition (multi-block, so each rank has
     several neighbour exchanges per axis), counting exchange-level
     messages and pipe messages across the step loop.  These are
-    deterministic message counts, not timings, so they gate in smoke
-    mode too; the history entries catch a transport regression (an extra
-    message) that wall-clock noise would hide.  The staged per-slab
-    path this replaced cost 64 pipe messages per step on the same
-    decomposition (``legacy_pipe_messages_per_step`` in
-    ``benchmarks/results/history.jsonl``).
+    deterministic message counts, not timings, so the test asserts them
+    in smoke mode too: an extra message is a transport regression that
+    wall-clock noise would hide.  The staged per-slab path this replaced
+    cost 64 pipe messages per step on the same decomposition; the halo
+    channels send 8.
     """
     from repro.telemetry import RunTelemetry
 
@@ -192,7 +191,7 @@ def test_fig7_model_and_report(benchmark, results_dir):
             "backend_thread_mlups": data["thread"],
             "backend_process_mlups": data["process"],
             # per-step steady-state transport counters (lower is better;
-            # tracked by repro.perf.history so an extra message gates CI)
+            # the pipe count is asserted below, in smoke mode too)
             "halo_pipe_messages_per_step": halo["pipe_messages"],
             "halo_exchange_messages_per_step": halo["halo_messages"],
         },

@@ -112,7 +112,7 @@ def mu_rates() -> list:
     with cffi_backend._scalar_sweeps():
         scalar = measure_kernel_rate(call, edge ** 3, min_time=1.0)
     simd = measure_kernel_rate(call, edge ** 3, min_time=1.0)
-    return [float(scalar), float(simd), cffi_backend.simd_width()]
+    return [scalar, simd, cffi_backend.simd_width()]
 
 
 def test_roofline_table(benchmark, results_dir):

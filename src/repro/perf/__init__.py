@@ -17,10 +17,10 @@ available here, so this package provides faithful analytic stand-ins
   penalties,
 * :mod:`repro.perf.roofline` — roofline bounds,
 * :mod:`repro.perf.scaling` — intranode, communication-hiding and weak
-  scaling simulators (Figs. 7, 8, 9),
-* :mod:`repro.perf.history` — append-only perf history over the
-  ``BENCH_*.json`` reports with rolling-baseline regression verdicts
-  (``python -m repro.perf.history``).
+  scaling simulators (Figs. 7, 8, 9).
+
+Whole-step regressions are judged outside this package, by
+``benchmarks/e2e/compare.py`` over paired runs of ``benchmarks/e2e/run.py``.
 """
 
 from repro.perf.machines import HORNET, JUQUEEN, MACHINES, SUPERMUC, MachineSpec
@@ -28,11 +28,6 @@ from repro.perf.metrics import measure_kernel_rate, mlups
 from repro.perf.roofline import RooflineResult, roofline
 
 __all__ = [
-    "machine_fingerprint",
-    "entry_from_report",
-    "load_history",
-    "append_history",
-    "detect_regressions",
     "MachineSpec",
     "MACHINES",
     "SUPERMUC",
@@ -43,22 +38,3 @@ __all__ = [
     "roofline",
     "RooflineResult",
 ]
-
-_HISTORY_NAMES = (
-    "machine_fingerprint",
-    "entry_from_report",
-    "load_history",
-    "append_history",
-    "detect_regressions",
-)
-
-
-def __getattr__(name):
-    # Lazy re-export: importing repro.perf must not pre-load the history
-    # module, or `python -m repro.perf.history` trips the runpy
-    # found-in-sys.modules warning.
-    if name in _HISTORY_NAMES:
-        from repro.perf import history
-
-        return getattr(history, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

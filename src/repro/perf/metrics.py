@@ -10,7 +10,7 @@ import math
 import statistics
 import time
 
-__all__ = ["mlups", "KernelRate", "measure_kernel_rate"]
+__all__ = ["mlups", "call_seconds", "measure_kernel_rate"]
 
 
 def mlups(cells: int, seconds: float) -> float:
@@ -20,91 +20,23 @@ def mlups(cells: int, seconds: float) -> float:
     return cells / seconds / 1.0e6
 
 
-class KernelRate(float):
-    """A measured MLUP/s value carrying its own noise statistics.
+def call_seconds(fn, *, min_time: float = 0.25, max_repeats: int = 50) -> float:
+    """Median wall seconds of one call of the zero-argument *fn*.
 
-    Behaves as a plain float (the median-sample rate) in arithmetic and
-    comparisons, so existing call sites keep working; the measurement
-    detail rides along as attributes:
-
-    ``repeats``
-        number of timed samples,
-    ``calls_per_repeat``
-        kernel invocations per sample (timeit-style batching),
-    ``seconds_min`` / ``seconds_mean`` / ``seconds_median`` / ``seconds_std``
-        per-call wall time statistics over the samples,
-    ``noise``
-        relative spread ``seconds_std / seconds_min`` — the usual
-        benchmark-stability indicator (0 for a single sample),
-    ``warmup_seconds``
-        wall time of the untimed warm-up call that preceded calibration
-        (for a JIT/compiled kernel this is where compilation lands, so
-        it never pollutes the rate samples).
-    """
-
-    def __new__(cls, value: float, *, samples: list, calls_per_repeat: int,
-                warmup_seconds: float = 0.0):
-        self = super().__new__(cls, value)
-        self.repeats = len(samples)
-        self.calls_per_repeat = calls_per_repeat
-        self.warmup_seconds = warmup_seconds
-        self.seconds_min = min(samples)
-        self.seconds_mean = statistics.fmean(samples)
-        self.seconds_median = statistics.median(samples)
-        self.seconds_std = (
-            statistics.stdev(samples) if len(samples) > 1 else 0.0
-        )
-        self.noise = (
-            self.seconds_std / self.seconds_min if self.seconds_min > 0 else 0.0
-        )
-        return self
-
-    def as_dict(self) -> dict:
-        """Structured dump for run reports and benchmark JSON."""
-        return {
-            "mlups": float(self),
-            "repeats": self.repeats,
-            "calls_per_repeat": self.calls_per_repeat,
-            "seconds_min": self.seconds_min,
-            "seconds_mean": self.seconds_mean,
-            "seconds_median": self.seconds_median,
-            "seconds_std": self.seconds_std,
-            "noise": self.noise,
-            "warmup_seconds": self.warmup_seconds,
-        }
-
-
-def measure_kernel_rate(
-    fn,
-    cells: int,
-    *,
-    min_time: float = 0.25,
-    max_repeats: int = 50,
-) -> KernelRate:
-    """Measure the MLUP/s of a zero-argument kernel invocation.
-
-    One explicit **untimed warm-up call** runs first; its wall time is
-    recorded as ``warmup_seconds`` but never enters calibration or the
-    rate samples.  A cold first call is systematically slower than
-    steady state (cache/allocator effects for the NumPy rungs, JIT or
-    ``dlopen`` cost for the compiled rungs — potentially *orders of
-    magnitude*), and the previous scheme let it seed the auto-range, so
-    a compiled kernel calibrated against its own compilation time.
+    One explicit **untimed warm-up call** runs first and never enters
+    calibration or the samples.  A cold first call is systematically
+    slower than steady state (cache/allocator effects for the NumPy
+    rungs, ``dlopen`` cost for the compiled rungs — potentially *orders
+    of magnitude*), so a kernel must not calibrate against it.
 
     The batch size is then auto-ranged like :mod:`timeit`: starting from
     one call per batch, the batch grows geometrically until a single
     batch meets the per-sample time target ``min_time / max_repeats``,
     then batches are sampled until *min_time* of wall time accumulates
-    (or *max_repeats* samples are taken).
-
-    Returns a :class:`KernelRate`: a float (MLUP/s of the **median**
-    sample, robust against scheduler hiccups) that also exposes
-    min/mean/std per-call seconds, the relative ``noise`` and
-    ``warmup_seconds``.
+    (or *max_repeats* samples are taken).  The median sample is robust
+    against scheduler hiccups.
     """
-    t0 = time.perf_counter()
     fn()
-    warmup_seconds = time.perf_counter() - t0
 
     target = min_time / max_repeats
     calls = 1
@@ -125,6 +57,17 @@ def measure_kernel_rate(
         dt = time.perf_counter() - t0
         samples.append(dt / calls)
         total += dt
-    rate = mlups(cells, statistics.median(samples))
-    return KernelRate(rate, samples=samples, calls_per_repeat=calls,
-                      warmup_seconds=warmup_seconds)
+    return statistics.median(samples)
+
+
+def measure_kernel_rate(
+    fn,
+    cells: int,
+    *,
+    min_time: float = 0.25,
+    max_repeats: int = 50,
+) -> float:
+    """MLUP/s of a zero-argument kernel invocation updating *cells*,
+    from the median seconds per call of :func:`call_seconds`."""
+    return mlups(cells, call_seconds(fn, min_time=min_time,
+                                     max_repeats=max_repeats))

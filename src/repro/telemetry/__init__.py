@@ -16,7 +16,9 @@ substrate:
 * :mod:`repro.telemetry.counters` — counters/gauges, rolling MLUP/s
   window and the per-step :class:`Heartbeat` sampler;
 * :mod:`repro.telemetry.report` — versioned, schema-validated JSON run
-  reports (the ``BENCH_*.json`` performance trajectory);
+  reports (the ``BENCH_*.json`` performance trajectory), imported from
+  the module itself so that ``python -m repro.telemetry.report`` runs it
+  once;
 * :mod:`repro.telemetry.tracing` — export of those spans as Chrome
   trace-event / Perfetto JSON timelines, for traced runs
   (``REPRO_TRACE=1`` or ``RunTelemetry(trace=True)``);
@@ -48,15 +50,6 @@ from repro.telemetry.events import (
     validate_event,
 )
 from repro.telemetry.reduce import as_reduced, merge_rank_trees, merge_reduced
-from repro.telemetry.report import (
-    RUN_REPORT_SCHEMA,
-    RUN_REPORT_VERSION,
-    build_run_report,
-    config_hash,
-    load_run_report,
-    validate_run_report,
-    write_run_report,
-)
 from repro.telemetry.session import RankTelemetry, RunTelemetry
 from repro.telemetry.spans import (
     overlap_efficiency,
@@ -89,13 +82,6 @@ __all__ = [
     "RollingRate",
     "MetricsRegistry",
     "Heartbeat",
-    "RUN_REPORT_VERSION",
-    "RUN_REPORT_SCHEMA",
-    "config_hash",
-    "build_run_report",
-    "validate_run_report",
-    "write_run_report",
-    "load_run_report",
     "RankTelemetry",
     "RunTelemetry",
     "Span",

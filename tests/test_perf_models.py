@@ -256,34 +256,20 @@ class TestMetrics:
     def test_measure_kernel_rate_accumulates_min_time(self):
         # a sub-microsecond kernel must still be measured over ~min_time
         # of wall clock (the old calibration capped the repeat count and
-        # accumulated only microseconds)
+        # accumulated only microseconds): the batch grows past 100 calls
+        calls = []
+        t0 = time.perf_counter()
         rate = measure_kernel_rate(
-            lambda: None, 1000, min_time=0.05, max_repeats=20
+            lambda: calls.append(1), 1000, min_time=0.05, max_repeats=20
         )
-        timed = rate.repeats * rate.calls_per_repeat * rate.seconds_mean
-        assert timed >= 0.02
-        assert rate.calls_per_repeat > 100
-
-    def test_measure_kernel_rate_noise_stats(self):
-        rate = measure_kernel_rate(
-            lambda: time.sleep(0.002), 1000, min_time=0.02, max_repeats=10
-        )
-        assert isinstance(rate, float)
-        assert rate.calls_per_repeat == 1
-        assert rate.repeats >= 2
-        assert rate.seconds_min <= rate.seconds_median <= rate.seconds_mean * 2
-        assert rate.seconds_std >= 0.0 and rate.noise >= 0.0
-        d = rate.as_dict()
-        assert d["mlups"] == pytest.approx(float(rate))
-        assert set(d) == {
-            "mlups", "repeats", "calls_per_repeat", "seconds_min",
-            "seconds_mean", "seconds_median", "seconds_std", "noise",
-            "warmup_seconds",
-        }
+        assert time.perf_counter() - t0 >= 0.02
+        assert isinstance(rate, float) and rate > 0
+        assert len(calls) > 100
 
     def test_measure_kernel_rate_untimed_warmup(self):
         # the first (cold) call must be excluded from calibration and
-        # samples; its cost is reported separately as warmup_seconds
+        # samples: a cold call that seeded the auto-range would leave one
+        # call per batch and a median near its 50 ms
         state = {"calls": 0}
 
         def kernel():
@@ -291,10 +277,10 @@ class TestMetrics:
             if state["calls"] == 1:
                 time.sleep(0.05)  # "compilation" on first call
 
+        t0 = time.perf_counter()
         rate = measure_kernel_rate(
             kernel, 1000, min_time=0.02, max_repeats=10
         )
-        assert rate.warmup_seconds >= 0.05
-        # cold cost absent from the timed samples and from the autorange
-        assert rate.seconds_mean < 0.05
-        assert rate.as_dict()["warmup_seconds"] == rate.warmup_seconds
+        assert time.perf_counter() - t0 >= 0.05
+        assert state["calls"] > 100
+        assert rate > mlups(1000, 0.05)

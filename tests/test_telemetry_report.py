@@ -1,6 +1,10 @@
 """Run reports: build, validate, persist, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -118,6 +122,28 @@ class TestPersistence:
         bad = tmp_path / "bad.json"
         bad.write_text("{}")
         assert _main([str(bad)]) == 1
+
+    def test_cli_module_validates_committed_reports(self):
+        # `python -m repro.telemetry.report` must run the module once:
+        # importing the package may not pre-load it, or runpy warns and
+        # the module (with its schema) exists twice
+        root = Path(__file__).resolve().parent.parent
+        files = sorted((root / "benchmarks" / "results").glob("BENCH_*.json"))
+        assert files
+        src = str(root / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning",
+             "-m", "repro.telemetry.report", *map(str, files)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 0, done.stdout + done.stderr
+        ok = [line for line in done.stdout.splitlines()
+              if line.startswith("ok ")]
+        assert len(ok) == len(files)
+        for path in files:
+            assert any(str(path) in line for line in ok)
 
 
 TRACING = {
